@@ -23,6 +23,7 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"runtime/trace"
+	"syscall"
 	"time"
 
 	"repro/internal/harness"
@@ -130,6 +131,18 @@ func main() {
 			fmt.Fprintf(os.Stderr, "lnvm-bench: %s: %v\n", id, err)
 			os.Exit(1)
 		}
-		fmt.Printf("\n[%s completed in %v wall time]\n", e.ID, time.Since(start).Round(time.Millisecond))
+		fmt.Printf("\n[%s completed in %v wall time, peak RSS %d MB]\n",
+			e.ID, time.Since(start).Round(time.Millisecond), peakRSSMB())
 	}
+}
+
+// peakRSSMB returns the process's resident-set high-water mark (VmHWM; Linux
+// reports ru_maxrss in KB). It never falls, so with several experiments in
+// one invocation each line shows the peak up to and including its own.
+func peakRSSMB() int64 {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		return 0
+	}
+	return ru.Maxrss >> 10
 }

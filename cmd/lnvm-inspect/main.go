@@ -178,6 +178,8 @@ func printWearMap(ln *lightnvm.Device) {
 		fmt.Printf("  %-12s %-11s %-5d %-10d %-9.1f %-6d\n",
 			pt.Name, pt.Range, w.PUs, w.TotalPE, avg, w.BadBlocks)
 	}
+	fmt.Printf("  media payload store: %.1f MB of host memory in NAND page buffers\n",
+		float64(ln.Raw().PayloadBytes())/1e6)
 }
 
 // inspectTargets mounts two PU-partitioned pblk targets — the media

@@ -97,7 +97,9 @@ func (s *kvStore) get(p *sim.Proc, key string) ([]byte, error) {
 	if c.Failed() {
 		return nil, c.FirstErr()
 	}
-	return c.Data[0], nil
+	// c.Data aliases the device's page memory, valid only until the block
+	// is erased; the caller gets a copy it may keep.
+	return append([]byte(nil), c.Data[0]...), nil
 }
 
 func main() {

@@ -108,11 +108,11 @@ var registry []Experiment
 // register wraps each experiment so the global lightnvm registry is
 // emptied when its Run returns: experiments register fresh devices every
 // run and never revisit them afterwards, and a registry entry pins the
-// whole simulated media (NAND arenas included) as live heap. Without the
-// sweep, a process running experiments back to back — the determinism
-// test suite, a multi-experiment lnvm-bench invocation — accumulates
-// every prior run's device state, and later experiments spend their time
-// in GC cycles scanning it (quick fig5 after fig4: 4s -> 120s wall).
+// whole simulated media (every die's page buffers, OOB areas and free
+// list) as live heap. Without the sweep, a process running experiments
+// back to back — the determinism test suite, a multi-experiment
+// lnvm-bench invocation — accumulates every prior run's device state,
+// and later experiments spend their time in GC cycles scanning it.
 func register(e Experiment) {
 	run := e.Run
 	e.Run = func(o Options, w io.Writer) error {

@@ -107,8 +107,9 @@ func Devices() []string {
 // UnregisterAll empties the device registry, dropping the subsystem's
 // references to every registered device. Live *Device handles keep
 // working — unregistration only affects name lookups — so a caller that
-// is done with a simulation can release the device tree (NAND arenas
-// included) to the garbage collector even while stale handles exist.
+// is done with a simulation can release the device tree (the dies' page
+// buffers and free lists included) to the garbage collector even while
+// stale handles exist.
 func UnregisterAll() {
 	devRegMu.Lock()
 	devReg = make(map[string]*Device)

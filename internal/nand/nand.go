@@ -131,16 +131,18 @@ type block struct {
 	writePtr int // pages [0, writePtr) are programmed
 	pe       int
 	bad      bool
-	// data/oob hold only pages written with a real payload; synthetic
-	// writes (nil payload) track state via writePtr alone, keeping large
-	// simulated devices cheap in host memory. Payloads point into the
-	// per-erase-cycle arenas: one allocation per block cycle instead of
-	// one per page. Erase drops the arenas rather than recycling them, so
-	// a reader still holding a pre-erase slice sees stable bytes.
-	data      map[int][]byte
-	oob       map[int][]byte
-	dataArena []byte
-	oobArena  []byte
+	// pages[i] is page i's payload buffer, nil when the page was programmed
+	// without bytes (synthetic writes track state via writePtr alone) or lost
+	// its charge. The table is allocated the first time the block holds
+	// bytes and kept across erases; the buffers come from the die's free
+	// list and return to it on Erase, so anyone holding a slice Read handed
+	// out may use it only until the block is erased.
+	pages [][]byte
+	// oob is the block's OOB arena (OOBPerPage per page, allocated on first
+	// use and rewritten in place across erase cycles); oobLen[i] is the
+	// number of OOB bytes page i was programmed with, 0 for none.
+	oob    []byte
+	oobLen []uint16
 	// programNS is the virtual time the block was first programmed after
 	// its last erase (retention clock origin); reads counts page reads
 	// since the last erase (read disturb). corrupt marks pages whose
@@ -161,6 +163,13 @@ type Die struct {
 	// nowFn, when set, supplies virtual time for the retention clock (the
 	// device model wires it to its simulation environment).
 	nowFn func() int64
+
+	// free is the LIFO list of page buffers erased blocks gave back; held
+	// counts the buffers blocks currently own. A die belongs to exactly one
+	// shard of the sharded engine, so neither needs a lock and reuse order
+	// is a function of simulation state alone.
+	free [][]byte
+	held int
 
 	// Stats counts media operations for utilization reporting.
 	Stats Stats
@@ -245,19 +254,63 @@ func (d *Die) lowerOf(page int) int {
 	return page - s
 }
 
-// loseCharge destroys a programmed page's content: its payload is dropped
-// and subsequent reads fail uncorrectably.
-func (b *block) loseCharge(page int) {
-	if b.data != nil {
-		delete(b.data, page)
+// loseCharge destroys a programmed page's content: its payload goes back to
+// the free list and subsequent reads fail uncorrectably.
+func (d *Die) loseCharge(b *block, page int) {
+	if b.pages != nil && b.pages[page] != nil {
+		d.recycle(b.pages[page])
+		b.pages[page] = nil
 	}
-	if b.oob != nil {
-		delete(b.oob, page)
+	if b.oobLen != nil {
+		b.oobLen[page] = 0
 	}
 	if b.corrupt == nil {
 		b.corrupt = make(map[int]bool)
 	}
 	b.corrupt[page] = true
+}
+
+// recycle returns a block-owned page buffer to the free list.
+func (d *Die) recycle(buf []byte) {
+	if poisonOnRecycle {
+		poison(buf)
+	}
+	d.held--
+	d.free = append(d.free, buf)
+}
+
+// poison overwrites a buffer whose content is no longer valid, so a reader
+// still aliasing it sees a payload mismatch instead of plausible old bytes.
+func poison(buf []byte) {
+	if len(buf) == 0 {
+		return
+	}
+	// Doubling copies, not a byte loop: the race detector, the only build
+	// that poisons, instruments every single-byte store.
+	buf[0] = 0xDB
+	for n := 1; n < len(buf); n *= 2 {
+		copy(buf[n:], buf[:n])
+	}
+}
+
+// retire marks a block bad and drops its payload to the Go collector.
+// Nothing is recycled: a reader may still alias the pages of a block that
+// went bad under it, and reads of a bad block fail anyway.
+func (d *Die) retire(b *block) {
+	b.bad = true
+	for _, pg := range b.pages {
+		if pg != nil {
+			d.held--
+		}
+	}
+	b.pages, b.oob, b.oobLen = nil, nil, nil
+}
+
+// PayloadBytes returns the host memory the die holds in page buffers: the
+// ones programmed blocks own plus the free list. OOB arenas and the per-block
+// tables are not counted.
+func (d *Die) PayloadBytes() int64 {
+	return int64(d.held+len(d.free)) * int64(d.dims.PageBytes())
 }
 
 // Program writes one full page (payload data plus oob) at the given address.
@@ -266,24 +319,54 @@ func (b *block) loseCharge(page int) {
 // A failed program leaves the page unreadable and the write pointer advanced,
 // matching real media where the block content is suspect after failure.
 func (d *Die) Program(plane, blockIdx, page int, data, oob []byte) error {
+	dataLen := len(data)
+	if data == nil {
+		dataLen = -1
+	}
+	dst, oobDst, err := d.program(plane, blockIdx, page, dataLen, len(oob))
+	copy(dst, data)
+	copy(oobDst, oob)
+	return err
+}
+
+// ProgramPage is Program for a caller that assembles the page in place: it
+// returns the page's own payload buffer (nil unless withData) and its full
+// OOB area (nil unless withOOB) instead of copying from caller buffers. Both
+// are recycled memory holding stale bytes; the caller must overwrite every
+// byte of them before the die is used again.
+func (d *Die) ProgramPage(plane, blockIdx, page int, withData, withOOB bool) (data, oob []byte, err error) {
+	dataLen, oobLen := -1, 0
+	if withData {
+		dataLen = d.dims.PageBytes()
+	}
+	if withOOB {
+		oobLen = d.dims.OOBPerPage
+	}
+	return d.program(plane, blockIdx, page, dataLen, oobLen)
+}
+
+// program checks and commits one page program and returns where its payload
+// (dataLen bytes, -1 for none) and OOB (oobLen bytes, 0 for none) are stored.
+func (d *Die) program(plane, blockIdx, page, dataLen, oobLen int) (data, oob []byte, err error) {
 	b, err := d.blk(plane, blockIdx)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
 	if b.bad {
-		return ErrBadBlock
+		return nil, nil, ErrBadBlock
 	}
 	if page < b.writePtr {
-		return ErrNotErased
+		return nil, nil, ErrNotErased
 	}
 	if page != b.writePtr {
-		return ErrNonSequential
+		return nil, nil, ErrNonSequential
 	}
-	if data != nil && len(data) != d.dims.PageBytes() {
-		return fmt.Errorf("nand: program payload %dB, want full page %dB", len(data), d.dims.PageBytes())
+	pb := d.dims.PageBytes()
+	if dataLen >= 0 && dataLen != pb {
+		return nil, nil, fmt.Errorf("nand: program payload %dB, want full page %dB", dataLen, pb)
 	}
-	if len(oob) > d.dims.OOBPerPage {
-		return ErrOOBTooLarge
+	if oobLen > d.dims.OOBPerPage {
+		return nil, nil, ErrOOBTooLarge
 	}
 	d.Stats.PagePrograms++
 	if b.writePtr == 0 && d.nowFn != nil {
@@ -295,50 +378,51 @@ func (d *Die) Program(plane, blockIdx, page int, data, oob []byte) error {
 		// Content of the failed page is lost; on MLC (strict pairing), a
 		// failed upper-page program also destroys the charge of its
 		// already-programmed lower pair (§2.2).
-		b.loseCharge(page)
+		d.loseCharge(b, page)
 		if d.cfg.StrictPairRead {
 			if lower := d.lowerOf(page); lower >= 0 && lower < b.writePtr {
-				b.loseCharge(lower)
+				d.loseCharge(b, lower)
 				d.Stats.PairCorruptions++
 			}
 		}
-		return ErrWriteFail
+		return nil, nil, ErrWriteFail
 	}
-	if data != nil {
-		if b.data == nil {
-			b.data = make(map[int][]byte)
+	if dataLen >= 0 {
+		if b.pages == nil {
+			b.pages = make([][]byte, d.dims.PagesPerBlock)
 		}
-		pb := d.dims.PageBytes()
-		if b.dataArena == nil {
-			b.dataArena = make([]byte, pb*d.dims.PagesPerBlock)
+		if n := len(d.free); n > 0 {
+			data = d.free[n-1]
+			d.free[n-1] = nil // a retired block must be able to drop it
+			d.free = d.free[:n-1]
+		} else {
+			data = make([]byte, pb)
 		}
-		dst := b.dataArena[page*pb : (page+1)*pb]
-		copy(dst, data)
-		b.data[page] = dst
+		d.held++
+		b.pages[page] = data
 	}
-	if len(oob) > 0 {
-		if b.oob == nil {
-			b.oob = make(map[int][]byte)
-		}
+	if oobLen > 0 {
 		ob := d.dims.OOBPerPage
-		if b.oobArena == nil {
-			b.oobArena = make([]byte, ob*d.dims.PagesPerBlock)
+		if b.oob == nil {
+			b.oob = make([]byte, ob*d.dims.PagesPerBlock)
+			b.oobLen = make([]uint16, d.dims.PagesPerBlock)
 		}
-		dst := b.oobArena[page*ob : page*ob+len(oob)]
-		copy(dst, oob)
-		b.oob[page] = dst
+		b.oobLen[page] = uint16(oobLen)
+		oob = b.oob[page*ob : page*ob+oobLen]
 	}
-	return nil
+	return data, oob, nil
 }
 
 // Read returns the payload and OOB of a programmed page. Unwritten pages
 // return ErrUnwritten. Under StrictPairRead, a lower page in a still-open
 // block whose upper pair is unprogrammed returns ErrPairIncomplete.
-// The returned slices are the stored pages themselves and must be treated
-// as read-only; they stay valid (with their content at read time) even
-// across a later erase or reprogram of the page, because programming
-// always installs a fresh buffer. Pages programmed with an unspecified
-// (nil) payload return nil data; readers treat that as zeros.
+// The returned slices are the stored pages themselves: they must be treated
+// as read-only and are valid only until the block is erased (or a failed
+// program in it destroys the page's charge), which hands the payload buffer
+// to the next program on this die and lets the OOB area be rewritten in
+// place. A reader that needs the bytes longer copies them out.
+// Pages programmed with an unspecified (nil) payload return nil data;
+// readers treat that as zeros.
 func (d *Die) Read(plane, blockIdx, page int) (data, oob []byte, err error) {
 	data, oob, _, err = d.ReadRetry(plane, blockIdx, page)
 	return data, oob, err
@@ -377,7 +461,7 @@ func (d *Die) ReadRetry(plane, blockIdx, page int) (data, oob []byte, retries in
 		d.Stats.ReadFails++
 		return nil, nil, 0, ErrReadFail
 	}
-	if b.corrupt[page] {
+	if b.corrupt != nil && b.corrupt[page] {
 		d.Stats.ReadFails++
 		return nil, nil, 0, ErrReadFail
 	}
@@ -394,7 +478,16 @@ func (d *Die) ReadRetry(plane, blockIdx, page int) (data, oob []byte, retries in
 		retries = need
 		d.Stats.ReadRetries += int64(need)
 	}
-	return b.data[page], b.oob[page], retries, nil
+	if b.pages != nil {
+		data = b.pages[page]
+	}
+	if b.oobLen != nil {
+		if n := int(b.oobLen[page]); n > 0 {
+			ob := d.dims.OOBPerPage
+			oob = b.oob[page*ob : page*ob+n]
+		}
+	}
+	return data, oob, retries, nil
 }
 
 // rawBER evaluates the deterministic raw bit-error-rate model for a block:
@@ -419,7 +512,10 @@ func (d *Die) rawBER(b *block) float64 {
 
 // Erase wipes a block and charges one PE cycle. Erasing a worn-out block
 // returns ErrWornOut; injected failures return ErrEraseFail. In both cases
-// the block is marked bad (paper §2.2: no retry on erase failure).
+// the block is marked bad (paper §2.2: no retry on erase failure) and its
+// payload is released. A successful erase recycles the block's page buffers
+// through the die's free list and ends the validity of every slice Read
+// returned for the block.
 func (d *Die) Erase(plane, blockIdx int) error {
 	b, err := d.blk(plane, blockIdx)
 	if err != nil {
@@ -432,12 +528,12 @@ func (d *Die) Erase(plane, blockIdx int) error {
 	b.pe++
 	if d.cfg.PECycleLimit > 0 && b.pe > d.cfg.PECycleLimit {
 		d.Stats.EraseFails++
-		b.bad = true
+		d.retire(b)
 		return ErrWornOut
 	}
 	if d.cfg.EraseFailProb > 0 && d.rng.Float64() < d.cfg.EraseFailProb {
 		d.Stats.EraseFails++
-		b.bad = true
+		d.retire(b)
 		return ErrEraseFail
 	}
 	// Grown bad blocks: the erase-failure probability climbs steeply as the
@@ -447,17 +543,21 @@ func (d *Die) Erase(plane, blockIdx int) error {
 		if d.rng.Float64() < d.cfg.GrownBadProb*r*r*r*r {
 			d.Stats.EraseFails++
 			d.Stats.GrownBad++
-			b.bad = true
+			d.retire(b)
 			return ErrEraseFail
 		}
 	}
+	for i, pg := range b.pages {
+		if pg != nil {
+			d.recycle(pg)
+			b.pages[i] = nil
+		}
+	}
+	clear(b.oobLen)
+	if poisonOnRecycle {
+		poison(b.oob)
+	}
 	b.writePtr = 0
-	// Reuse the map buckets across cycles; the arenas are dropped (not
-	// recycled) so in-flight readers of pre-erase pages stay safe.
-	clear(b.data)
-	clear(b.oob)
-	b.dataArena = nil
-	b.oobArena = nil
 	b.programNS = 0
 	b.reads = 0
 	clear(b.corrupt)
@@ -470,7 +570,7 @@ func (d *Die) MarkBad(plane, blockIdx int) error {
 	if err != nil {
 		return err
 	}
-	b.bad = true
+	d.retire(b)
 	return nil
 }
 

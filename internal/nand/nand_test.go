@@ -488,3 +488,200 @@ func TestQuickProgramReadConsistency(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// storeDims is one plane of Westlake-sized blocks: 256 pages of 16 KiB.
+func storeDims() Dims {
+	return Dims{Planes: 1, BlocksPerPlane: 4, PagesPerBlock: 256, SectorsPerPage: 4, SectorSize: 4096, OOBPerPage: 64}
+}
+
+func TestBlockHoldsOnlyPagesProgrammedWithBytes(t *testing.T) {
+	dims := storeDims()
+	d := NewDie(dims, DefaultConfig(), rand.New(rand.NewSource(1)))
+	page := bytes.Repeat([]byte{0x42}, dims.PageBytes())
+	if err := d.Program(0, 0, 0, page, nil); err != nil {
+		t.Fatal(err)
+	}
+	for pg := 1; pg < dims.PagesPerBlock; pg++ {
+		if err := d.Program(0, 0, pg, nil, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, want := d.PayloadBytes(), int64(dims.PageBytes()); got != want {
+		t.Fatalf("PayloadBytes = %d after one payload page and %d nil pages, want %d",
+			got, dims.PagesPerBlock-1, want)
+	}
+	// Erase keeps the buffer, on the free list, for the next program.
+	if err := d.Erase(0, 0); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := d.PayloadBytes(), int64(dims.PageBytes()); got != want {
+		t.Fatalf("PayloadBytes = %d after erase, want %d (free list)", got, want)
+	}
+}
+
+func TestProgramEraseCyclesAllocateNothing(t *testing.T) {
+	dims := storeDims()
+	d := NewDie(dims, DefaultConfig(), rand.New(rand.NewSource(1)))
+	page := bytes.Repeat([]byte{0x42}, dims.PageBytes())
+	oob := make([]byte, dims.OOBPerPage)
+	cycle := func() {
+		for pg := 0; pg < dims.PagesPerBlock; pg++ {
+			if err := d.Program(0, 1, pg, page, oob); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := d.Erase(0, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cycle() // warm-up: page table, OOB arena, buffers, free-list capacity
+	if n := testing.AllocsPerRun(5, cycle); n != 0 {
+		t.Fatalf("program/erase cycle allocates %.0f times after warm-up, want 0", n)
+	}
+	if got, want := d.PayloadBytes(), int64(dims.PagesPerBlock*dims.PageBytes()); got != want {
+		t.Fatalf("PayloadBytes = %d after cycling one block, want %d", got, want)
+	}
+}
+
+func TestMixedNilAndPayloadPages(t *testing.T) {
+	dims := smallDims()
+	d := newTestDie(DefaultConfig())
+	fill := func(pg, cycle int) []byte {
+		return bytes.Repeat([]byte{byte(0x10*cycle + pg + 1)}, dims.PageBytes())
+	}
+	// Cycle 0 stores bytes in even pages, cycle 1 in odd ones, so every
+	// table slot and recycled buffer changes role across the erase.
+	for cycle := 0; cycle < 2; cycle++ {
+		for pg := 0; pg < dims.PagesPerBlock; pg++ {
+			var data, oob []byte
+			if pg%2 == cycle {
+				data, oob = fill(pg, cycle), []byte{byte(pg), byte(cycle)}
+			}
+			if err := d.Program(0, 0, pg, data, oob); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for pg := 0; pg < dims.PagesPerBlock; pg++ {
+			data, oob, err := d.Read(0, 0, pg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if pg%2 != cycle {
+				if data != nil || oob != nil {
+					t.Fatalf("cycle %d: nil page %d read back data=%v oob=%v", cycle, pg, data != nil, oob)
+				}
+				continue
+			}
+			if !bytes.Equal(data, fill(pg, cycle)) || !bytes.Equal(oob, []byte{byte(pg), byte(cycle)}) {
+				t.Fatalf("cycle %d: page %d read back wrong payload or oob %v", cycle, pg, oob)
+			}
+		}
+		if got, want := d.PayloadBytes(), int64(dims.PagesPerBlock/2*dims.PageBytes()); got != want {
+			t.Fatalf("cycle %d: PayloadBytes = %d, want %d", cycle, got, want)
+		}
+		if err := d.Erase(0, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+func TestLostChargeStaysUnreadableAfterBufferReuse(t *testing.T) {
+	dims := smallDims()
+	cfg := DefaultConfig()
+	cfg.StrictPairRead = true
+	cfg.PairStride = 2
+	d := newTestDie(cfg)
+	old := bytes.Repeat([]byte{0x11}, dims.PageBytes())
+	for pg := 0; pg < 2; pg++ { // lowers 0,1
+		if err := d.Program(0, 0, pg, old, []byte{0x11}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d.cfg.WriteFailProb = 1.0 // upper page 2 fails and takes lower 0 with it
+	if err := d.Program(0, 0, 2, old, nil); !errors.Is(err, ErrWriteFail) {
+		t.Fatalf("err = %v, want ErrWriteFail", err)
+	}
+	d.cfg.WriteFailProb = 0
+	if got, want := d.PayloadBytes(), int64(2*dims.PageBytes()); got != want {
+		t.Fatalf("PayloadBytes = %d, want %d (page 1 held, page 0's buffer free)", got, want)
+	}
+	// Another block takes over page 0's buffer (three pages, so that its
+	// page 0 has its upper pair and is readable under strict pairing).
+	fresh := bytes.Repeat([]byte{0x22}, dims.PageBytes())
+	for pg := 0; pg < 3; pg++ {
+		if err := d.Program(1, 1, pg, fresh, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, want := d.PayloadBytes(), int64(4*dims.PageBytes()); got != want {
+		t.Fatalf("PayloadBytes = %d, want %d (freed buffer reused, two allocated)", got, want)
+	}
+	if _, _, err := d.Read(0, 0, 0); !errors.Is(err, ErrReadFail) {
+		t.Fatalf("read of lost page after its buffer was reused: err = %v, want ErrReadFail", err)
+	}
+	if got, _, err := d.Read(1, 1, 0); err != nil || !bytes.Equal(got, fresh) {
+		t.Fatalf("page programmed on the reused buffer read back wrong: %v", err)
+	}
+}
+
+func TestRetiredBlockReleasesPayload(t *testing.T) {
+	dims := smallDims()
+	cases := []struct {
+		name   string
+		cfg    func(*Config)
+		retire func(*Die) error // must leave block (0,1) bad
+		want   error
+	}{
+		{"MarkBad", func(*Config) {}, func(d *Die) error { return d.MarkBad(0, 1) }, nil},
+		{"WornOut", func(c *Config) { c.PECycleLimit = 1 }, func(d *Die) error { return d.Erase(0, 1) }, ErrWornOut},
+		{"EraseFail", func(*Config) {}, func(d *Die) error { d.cfg.EraseFailProb = 1; return d.Erase(0, 1) }, ErrEraseFail},
+		{"GrownBad", func(c *Config) { c.PECycleLimit = 2 }, func(d *Die) error { d.cfg.GrownBadProb = 1e9; return d.Erase(0, 1) }, ErrEraseFail},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			tc.cfg(&cfg)
+			d := newTestDie(cfg)
+			page := bytes.Repeat([]byte{0x77}, dims.PageBytes())
+			program := func() {
+				for pg := 0; pg < dims.PagesPerBlock; pg++ {
+					if err := d.Program(0, 1, pg, page, []byte{byte(pg)}); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			// One good cycle first, so the second fill drains the free list
+			// and the block's buffers are recycled ones.
+			program()
+			if err := d.Erase(0, 1); err != nil {
+				t.Fatal(err)
+			}
+			program()
+			held, _, err := d.Read(0, 1, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tc.retire(d); !errors.Is(err, tc.want) {
+				t.Fatalf("retire: err = %v, want %v", err, tc.want)
+			}
+			if !d.IsBad(0, 1) {
+				t.Fatal("block not bad")
+			}
+			if got := d.PayloadBytes(); got != 0 {
+				t.Fatalf("PayloadBytes = %d after the only block with payload went bad, want 0", got)
+			}
+			if b := &d.planes[0][1]; b.pages != nil || b.oob != nil || b.oobLen != nil {
+				t.Fatal("bad block still pins its page table or OOB arena")
+			}
+			// Dropped, not recycled: a slice read before the retirement must
+			// survive later programs elsewhere on the die.
+			other := bytes.Repeat([]byte{0x99}, dims.PageBytes())
+			if err := d.Program(1, 0, 0, other, nil); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(held, page) {
+				t.Fatal("slice held across the retirement was overwritten")
+			}
+		})
+	}
+}

@@ -187,7 +187,10 @@ type Completion struct {
 	Status uint64
 	// Errs holds the per-address error, nil where the address succeeded.
 	Errs []error
-	// Data and OOB hold per-address results for reads.
+	// Data and OOB hold per-address results for reads. The slices alias the
+	// media's own page and OOB memory (nand.Die.Read): read-only, and valid
+	// only until the block they were read from is erased. A consumer that
+	// keeps the bytes across an erase copies them out.
 	Data [][]byte
 	OOB  [][]byte
 	// Retries is the total number of read-retry tiers the command's flash
@@ -395,6 +398,17 @@ func (d *Device) Timing() Timing { return d.cfg.Timing }
 // scans and by tests; production datapaths go through Submit.
 func (d *Device) Die(globalPU int) *nand.Die { return d.pus[globalPU].die }
 
+// PayloadBytes returns the host memory the device's dies hold in page
+// buffers (nand.Die.PayloadBytes summed over all PUs). Call it with the
+// simulation idle: on a sharded device the dies belong to other shards.
+func (d *Device) PayloadBytes() int64 {
+	var n int64
+	for _, pu := range d.pus {
+		n += pu.die.PayloadBytes()
+	}
+	return n
+}
+
 // SectorOOBSize returns the per-sector share of the page OOB area, the
 // maximum OOB a vector write may attach to one sector.
 func (d *Device) SectorOOBSize() int {
@@ -579,8 +593,12 @@ func resizeBufs(s [][]byte, n int) [][]byte {
 
 // Recycle returns a completion to the device pool. Callers that fully
 // consume a completion inside their done callback may recycle it so the
-// next command reuses its storage; the completion (including its Data and
-// OOB slices) must not be referenced afterwards. Recycling is optional —
+// next command reuses its storage; the completion and its Data and OOB
+// containers must not be referenced afterwards. The page memory those
+// entries point at is not the completion's: it belongs to the media and
+// stays valid until its block is erased, recycled or not (pblk GC hands
+// such entries to its write buffer and recycles the container at once).
+// Recycling is optional —
 // completions that escape to long-lived callers are simply collected by
 // the GC — and completions of Buffered writes are ignored, because the
 // device keeps appending per-address status to them after the early ack.
@@ -864,11 +882,6 @@ type puTask struct {
 	occRemaining time.Duration
 	occStep      time.Duration
 	afterOcc     int
-
-	// Program staging buffers, reused across ops (the NAND die copies
-	// them on Program).
-	pageBuf []byte
-	oobBuf  []byte
 
 	stepFn func() // == step, bound once so scheduling it never allocates
 }
@@ -1342,49 +1355,43 @@ func (t *puTask) step() {
 
 // commitProgram applies one program op to the NAND media and records
 // per-address status; timing was already charged by the occupancy machine.
+// Sectors are copied once, straight into the page the die hands out. That
+// page is recycled memory, so every byte of it is written here: zeros for
+// nil or short sector payloads and for sectors the vector did not name.
 func (t *puTask) commitProgram(op *flashOp) {
 	d, cmd, pu := t.d, t.cmd, t.pu
 	g := d.cfg.Geometry
+	ss, per := g.SectorSize, d.SectorOOBSize()
 	for pi, plane := range op.planes {
-		var pageData []byte
-		havePayload := false
-		for _, i := range op.idx[pi] {
-			if cmd.Data != nil && cmd.Data[i] != nil {
-				havePayload = true
-				break
-			}
+		idx := op.idx[pi]
+		withData, withOOB := false, false
+		for _, i := range idx {
+			withData = withData || (cmd.Data != nil && cmd.Data[i] != nil)
+			withOOB = withOOB || (cmd.OOB != nil && len(cmd.OOB[i]) > 0)
 		}
-		if havePayload {
-			if cap(t.pageBuf) < g.PageSize() {
-				t.pageBuf = make([]byte, g.PageSize())
+		page, oob, err := pu.die.ProgramPage(plane, op.block, op.page, withData, withOOB)
+		if page != nil {
+			var filled uint64
+			for _, i := range idx {
+				sec := cmd.Addrs[i].Sector
+				dst := page[sec*ss : (sec+1)*ss]
+				clear(dst[copy(dst, cmd.Data[i]):])
+				filled |= 1 << uint(sec)
 			}
-			pageData = t.pageBuf[:g.PageSize()]
-			clear(pageData)
-			for _, i := range op.idx[pi] {
-				if cmd.Data != nil && cmd.Data[i] != nil {
-					copy(pageData[cmd.Addrs[i].Sector*g.SectorSize:], cmd.Data[i])
+			for sec := 0; sec < g.SectorsPerPage; sec++ {
+				if filled&(1<<uint(sec)) == 0 {
+					clear(page[sec*ss : (sec+1)*ss])
 				}
 			}
 		}
-		var pageOOB []byte
-		if cmd.OOB != nil {
-			per := d.SectorOOBSize()
-			for _, i := range op.idx[pi] {
-				if len(cmd.OOB[i]) > 0 {
-					if pageOOB == nil {
-						if cap(t.oobBuf) < g.OOBPerPage {
-							t.oobBuf = make([]byte, g.OOBPerPage)
-						}
-						pageOOB = t.oobBuf[:g.OOBPerPage]
-						clear(pageOOB)
-					}
-					copy(pageOOB[cmd.Addrs[i].Sector*per:], cmd.OOB[i])
-				}
+		if oob != nil {
+			clear(oob)
+			for _, i := range idx {
+				copy(oob[cmd.Addrs[i].Sector*per:], cmd.OOB[i])
 			}
 		}
-		err := pu.die.Program(plane, op.block, op.page, pageData, pageOOB)
-		for _, i := range op.idx[pi] {
-			if err != nil {
+		if err != nil {
+			for _, i := range idx {
 				t.fail(i, err)
 			}
 		}

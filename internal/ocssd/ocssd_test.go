@@ -639,3 +639,69 @@ func TestReadRetryLatencyAndRelocate(t *testing.T) {
 		}
 	})
 }
+
+// A partly-filled page lands on a buffer the die recycled from an erased
+// block: the sectors and OOB slots the vector left nil must read back as
+// zeros, never as the previous owner's bytes.
+func TestPartialPayloadOnRecycledPageReadsZeros(t *testing.T) {
+	env, dev := newTestDevice(t, testConfig())
+	run(env, func(p *sim.Proc) {
+		g := dev.Geometry()
+		per := dev.SectorOOBSize()
+		var unit []ppa.Addr
+		var dirty, dirtyOOB [][]byte
+		for pl := 0; pl < g.PlanesPerPU; pl++ {
+			for s := 0; s < g.SectorsPerPage; s++ {
+				unit = append(unit, ppa.Addr{Plane: pl, Sector: s})
+				dirty = append(dirty, bytes.Repeat([]byte{0xaa}, g.SectorSize))
+				dirtyOOB = append(dirtyOOB, bytes.Repeat([]byte{0xaa}, per))
+			}
+		}
+		if c := dev.Do(p, &Vector{Op: OpWrite, Addrs: unit, Data: dirty, OOB: dirtyOOB}); c.Failed() {
+			t.Fatalf("write: %v", c.FirstErr())
+		}
+		if got, want := dev.PayloadBytes(), int64(g.PlanesPerPU*g.PageSize()); got != want {
+			t.Fatalf("PayloadBytes = %d after one unit, want %d", got, want)
+		}
+		erase := make([]ppa.Addr, g.PlanesPerPU)
+		for pl := range erase {
+			erase[pl] = ppa.Addr{Plane: pl}
+		}
+		if c := dev.Do(p, &Vector{Op: OpErase, Addrs: erase}); c.Failed() {
+			t.Fatalf("erase: %v", c.FirstErr())
+		}
+		// Same unit again; only plane 0 sector 1 carries bytes (a short
+		// payload and a short OOB), every other entry is nil.
+		data := make([][]byte, len(unit))
+		oob := make([][]byte, len(unit))
+		data[1], oob[1] = []byte("short"), []byte{0x5c}
+		if c := dev.Do(p, &Vector{Op: OpWrite, Addrs: unit, Data: data, OOB: oob}); c.Failed() {
+			t.Fatalf("rewrite: %v", c.FirstErr())
+		}
+		if got, want := dev.PayloadBytes(), int64(g.PlanesPerPU*g.PageSize()); got != want {
+			t.Fatalf("PayloadBytes = %d after rewrite, want %d (one page held, the rest free)", got, want)
+		}
+		c := dev.Do(p, &Vector{Op: OpRead, Addrs: unit[:g.SectorsPerPage]})
+		if c.Failed() {
+			t.Fatalf("read: %v", c.FirstErr())
+		}
+		for s := 0; s < g.SectorsPerPage; s++ {
+			want, wantOOB := make([]byte, g.SectorSize), make([]byte, per)
+			if s == 1 {
+				copy(want, "short")
+				wantOOB[0] = 0x5c
+			}
+			if !bytes.Equal(c.Data[s], want) {
+				t.Fatalf("sector %d: stale or wrong payload, starts % x", s, c.Data[s][:8])
+			}
+			if !bytes.Equal(c.OOB[s], wantOOB) {
+				t.Fatalf("sector %d: oob = % x, want % x", s, c.OOB[s], wantOOB)
+			}
+		}
+		// Planes that got no bytes at all store none.
+		c = dev.Do(p, &Vector{Op: OpRead, Addrs: []ppa.Addr{{Plane: 1, Sector: 0}}})
+		if c.Failed() || c.Data[0] != nil || c.OOB[0] != nil {
+			t.Fatalf("nil page read back data=%v oob=%v err=%v", c.Data[0] != nil, c.OOB[0], c.FirstErr())
+		}
+	})
+}

@@ -647,9 +647,11 @@ func (k *Pblk) moveValid(p *sim.Proc, g *group) {
 			k.Stats.GCMovedSectors++
 		}
 		// The ring entries copy nothing: they alias the NAND page slices in
-		// rc.c.Data until the lane writers program them. Recycling here only
-		// returns the Completion container (its Data slots are re-cleared on
-		// reuse), never the page memory itself.
+		// rc.c.Data until the lane writers program them. Those slices are
+		// the victim's own pages, valid until the victim is erased — which
+		// waits for g.gcPending, i.e. for every one of these entries to be
+		// finalized. Recycling here only returns the Completion container
+		// (its Data slots are re-cleared on reuse), never the page memory.
 		k.dev.Recycle(rc.c)
 		k.putGCChunk(rc)
 		k.kickWriters()
