@@ -268,21 +268,22 @@ func runAblateInflight(o Options, w io.Writer) error {
 	section(w, "per-PU write inflight bound vs read tail (mixed 4K reads / seq writes)")
 	t := &table{header: []string{"inflight/PU", "W MB/s", "R p99 us", "R max us"}}
 	for _, depth := range []int{1, 2, 4, 8} {
-		env, dev, err := ablationDevice(o, true)
+		// A default-OP pblk on all 128 PUs needs the experiment-scale device:
+		// the 8-block ablation device is below its spare-pool floor.
+		env, _, ln, err := newOCSSD(o)
 		if err != nil {
 			return err
 		}
-		ln := lightnvm.Register("ocssd-if", dev)
 		var rres, wres *fio.Result
 		env.Go("main", func(p *sim.Proc) {
-			k, err := pblk.New(p, ln, "pblk0", pblk.Config{MaxInflightPerPU: depth})
-			if err != nil {
-				panic(err)
+			var k *pblk.Pblk
+			if k, err = pblk.New(p, ln, "pblk0", pblk.Config{MaxInflightPerPU: depth}); err != nil {
+				return
 			}
 			defer k.Stop(p)
 			prep := k.Capacity() / 4
-			if err := fio.Prepare(p, k, 0, prep); err != nil {
-				panic(err)
+			if err = fio.Prepare(p, k, 0, prep); err != nil {
+				return
 			}
 			done := env.NewEvent()
 			env.Go("w", func(pw *sim.Proc) {
@@ -295,6 +296,9 @@ func runAblateInflight(o Options, w io.Writer) error {
 			p.Wait(done)
 		})
 		env.Run()
+		if err != nil {
+			return fmt.Errorf("ablate-inflight: inflight %d: %w", depth, err)
+		}
 		t.add(fmt.Sprint(depth), mb(wres.WriteMBps()), us(rres.ReadLat.Percentile(99)), us(rres.ReadLat.Max()))
 	}
 	t.write(w)

@@ -45,6 +45,35 @@ func TestWAQuick(t *testing.T) {
 	}
 }
 
+// ablate-inflight mounts a default-OP pblk on all 128 PUs; it used to build a
+// device below pblk's spare-pool floor and panic. The bound must show in the
+// read tail: eight writes queued per PU wait several times longer than one.
+func TestAblateInflightQuick(t *testing.T) {
+	e, ok := ByID("ablate-inflight")
+	if !ok {
+		t.Fatal("ablate-inflight experiment not registered")
+	}
+	var buf bytes.Buffer
+	if err := e.Run(Options{Quick: true}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	var p99 []float64
+	for _, line := range strings.Split(buf.String(), "\n") {
+		var depth int
+		var wMBps, rP99, rMax float64
+		if n, _ := fmt.Sscan(line, &depth, &wMBps, &rP99, &rMax); n == 4 {
+			p99 = append(p99, rP99)
+		}
+	}
+	if len(p99) != 4 || p99[3] < 3*p99[0] {
+		t.Fatalf("read p99 by inflight bound = %v, want four rows rising at least 3x:\n%s", p99, buf.String())
+	}
+	// Too small a device is an error from Run, not a panic.
+	if err := e.Run(Options{Quick: true, BlocksPerPlane: 8}, &buf); err == nil || !strings.Contains(err.Error(), "over-provisioning") {
+		t.Fatalf("8 blocks/plane: err = %v, want pblk's over-provisioning error", err)
+	}
+}
+
 func TestDefaults(t *testing.T) {
 	o := Defaults(Options{})
 	if o.BlocksPerPlane == 0 || o.Duration == 0 || o.Seed == 0 {

@@ -289,6 +289,14 @@ type Device struct {
 	compFree []*Completion
 	taskOf   []*puTask // per-PU scratch used during one Submit call
 	puOrder  []int     // scratch: PUs touched by the current Submit
+	// gpuOf[i] is the global PU of the current command's Addrs[i]: validate
+	// decodes each address once and the PU split reads the result.
+	gpuOf [MaxVectorLen]int
+
+	// xfer[n] is the channel occupancy for moving n sectors. A transfer's
+	// duration depends only on its sector count, so the float divide is paid
+	// once per count at construction instead of once per transfer.
+	xfer [MaxVectorLen + 1]time.Duration
 
 	// ownerTags, when non-nil, holds a per-PU owner tag; Submit panics on
 	// any vector whose Tag differs from a touched PU's tag (debug guard
@@ -332,6 +340,9 @@ func NewSharded(host *sim.Env, shardEnvs []*sim.Env, cfg Config) (*Device, error
 			len(shardEnvs), cfg.Geometry.Channels)
 	}
 	d := &Device{env: host, cfg: cfg, fmtr: f}
+	for n := range d.xfer {
+		d.xfer[n] = time.Duration(float64(n*cfg.Geometry.SectorSize) / (cfg.Timing.ChannelMBps * 1e6) * float64(time.Second))
+	}
 	envOf := func(ch int) *sim.Env {
 		if len(shardEnvs) == 0 {
 			return host
@@ -442,10 +453,11 @@ func (d *Device) validate(cmd *Vector) error {
 	if len(cmd.Addrs) > MaxVectorLen {
 		return ErrTooManyAddrs
 	}
-	for _, a := range cmd.Addrs {
+	for i, a := range cmd.Addrs {
 		if !d.fmtr.Valid(a) {
 			return fmt.Errorf("%w: %v", ErrInvalidAddr, a)
 		}
+		d.gpuOf[i] = d.fmtr.GlobalPU(a)
 	}
 	if cmd.Op == OpWrite {
 		oobMax := d.SectorOOBSize()
@@ -489,8 +501,8 @@ func (d *Device) ClearPUOwner(globalPU int) {
 
 // checkOwners enforces the per-PU owner guard on a validated command.
 func (d *Device) checkOwners(cmd *Vector) {
-	for _, a := range cmd.Addrs {
-		gpu := d.fmtr.GlobalPU(a)
+	for i, a := range cmd.Addrs {
+		gpu := d.gpuOf[i]
 		if t := d.ownerTags[gpu]; t != "" && t != cmd.Tag {
 			panic(fmt.Sprintf("ocssd: %v %v touches pu %d owned by %q (submitter tag %q)",
 				cmd.Op, a, gpu, t, cmd.Tag))
@@ -500,7 +512,8 @@ func (d *Device) checkOwners(cmd *Vector) {
 
 // flashOp is one media operation: a page read/program or block erase,
 // possibly spanning multiple planes (multi-plane mode), carrying the vector
-// indices it serves. The planes/idx slices are pooled with their task.
+// indices it serves. The planes/idx slices, inner ones included, are pooled
+// with their task and reused in place.
 type flashOp struct {
 	block, page int
 	planes      []int
@@ -508,10 +521,8 @@ type flashOp struct {
 	idx [][]int
 }
 
-// xferTime returns the channel occupancy for moving n bytes.
-func (d *Device) xferTime(n int) time.Duration {
-	return time.Duration(float64(n) / (d.cfg.Timing.ChannelMBps * 1e6) * float64(time.Second))
-}
+// xferTime returns the channel occupancy for moving n sectors.
+func (d *Device) xferTime(n int) time.Duration { return d.xfer[n] }
 
 // submission tracks one vector command's outstanding per-PU sub-commands
 // and fires the caller's done callback when the last one finishes.
@@ -559,36 +570,26 @@ func (d *Device) getComp(n int, read bool) *Completion {
 	c.noRecycle = false
 	c.Retries, c.Relocate = 0, 0
 	c.Submitted, c.Done = 0, 0
-	if cap(c.Errs) >= n {
-		c.Errs = c.Errs[:cap(c.Errs)]
-		for i := range c.Errs {
-			c.Errs[i] = nil
-		}
-		c.Errs = c.Errs[:n]
-	} else {
-		c.Errs = make([]error, n)
+	c.Errs = resize(c.Errs, n)
+	if !read {
+		n = 0 // a write or erase returns no buffers, but keeps the arrays
 	}
-	if read {
-		c.Data = resizeBufs(c.Data, n)
-		c.OOB = resizeBufs(c.OOB, n)
-	} else {
-		c.Data, c.OOB = nil, nil
-	}
+	c.Data, c.OOB = resize(c.Data, n), resize(c.OOB, n)
 	return c
 }
 
-// resizeBufs returns s resized to n with every slot nil. The whole
-// capacity is cleared, not just [:n] — a pooled completion must not pin
-// old NAND page buffers in the tail of its backing array.
-func resizeBufs(s [][]byte, n int) [][]byte {
+// resize returns s with length n and every slot zero, reusing its array when
+// that is large enough. Only the previous length is cleared: nothing writes
+// past len, so the slots beyond it are zero already — the invariant that
+// keeps a pooled completion from pinning old NAND pages in the tail of its
+// array, and a one-sector read from paying for the 64-sector vector that
+// held the completion before it.
+func resize[T any](s []T, n int) []T {
+	clear(s)
 	if cap(s) >= n {
-		s = s[:cap(s)]
-		for i := range s {
-			s[i] = nil
-		}
 		return s[:n]
 	}
-	return make([][]byte, n)
+	return make([]T, n)
 }
 
 // Recycle returns a completion to the device pool. Callers that fully
@@ -648,27 +649,23 @@ func (d *Device) Submit(cmd *Vector, done func(*Completion)) {
 		d.Stats.Erases++
 	}
 
-	// Split by PU, preserving vector order within each PU.
 	sub := d.getSub()
 	sub.comp = comp
 	sub.done = done
-	for i, a := range cmd.Addrs {
-		gpu := d.fmtr.GlobalPU(a)
+	if len(cmd.Addrs) == 1 {
+		// One address is one PU: no split, and group builds its op directly.
+		sub.remaining = 1
+		t := d.newTask(sub, cmd, d.gpuOf[0])
+		t.indices = append(t.indices, 0)
+		d.post(t)
+		return
+	}
+	// Split by PU, preserving vector order within each PU.
+	for i := range cmd.Addrs {
+		gpu := d.gpuOf[i]
 		t := d.taskOf[gpu]
 		if t == nil {
-			t = d.getTask()
-			t.sub = sub
-			t.cmp = comp
-			t.pu = d.pus[gpu]
-			t.ch = d.chs[t.pu.ch]
-			t.cmd = cmd
-			t.state = tsBegin
-			t.env = t.pu.env
-			t.direct = t.env == d.env && d.cfg.Timing.CompleteLatency == 0
-			t.failMask = 0
-			t.relocMask = 0
-			t.statReads, t.statPrograms, t.statHits, t.statSusp = 0, 0, 0, 0
-			t.statRetries = 0
+			t = d.newTask(sub, cmd, gpu)
 			d.taskOf[gpu] = t
 			d.puOrder = append(d.puOrder, gpu)
 		}
@@ -676,22 +673,26 @@ func (d *Device) Submit(cmd *Vector, done func(*Completion)) {
 	}
 	sub.remaining = len(d.puOrder)
 	for _, gpu := range d.puOrder {
-		t := d.taskOf[gpu]
+		d.post(d.taskOf[gpu])
 		d.taskOf[gpu] = nil
-		// The submit hop: on an unsharded zero-latency device this is
-		// exactly a zero-delay local schedule; on a sharded one it crosses
-		// to the PU's shard at +SubmitLatency.
-		d.env.Post(t.env, d.cfg.Timing.SubmitLatency, taskStep, t)
 	}
 	d.puOrder = d.puOrder[:0]
 }
 
+// post sends a task over the submit hop: on an unsharded zero-latency device
+// exactly a zero-delay local schedule; on a sharded one it crosses to the
+// PU's shard at +SubmitLatency.
+func (d *Device) post(t *puTask) {
+	d.env.Post(t.env, d.cfg.Timing.SubmitLatency, taskStep, t)
+}
+
 // taskStep, taskRetire, taskBufAck and taskBufDone are the long-lived
 // trampolines tasks ride across Post/ScheduleArg hops, so no per-hop
-// closure is allocated.
-var (
-	taskStep = func(a any) { a.(*puTask).step() }
+// closure is allocated. taskStep is every sleep's wake-up as well, which is
+// why it is a declared function: step reaches it again through sleep.
+func taskStep(a any) { a.(*puTask).step() }
 
+var (
 	// taskRetire runs host-side: fold the task's accumulators, retire its
 	// sub-command (possibly firing the caller's done) and recycle it.
 	taskRetire = func(a any) {
@@ -839,25 +840,39 @@ const (
 // state machine. Tasks, their index scratch and their flash-op grouping
 // are pooled on the device; a steady-state sub-command allocates nothing.
 type puTask struct {
+	// What a one-address read touches comes first, so that it stays within
+	// the task's first few cache lines.
 	d   *Device
 	sub *submission
 	// cmp is the command's completion, held directly: a Buffered write
 	// acks (and lets finish recycle the submission) while the task still
 	// programs in the background, so the task must not reach the
 	// completion through the submission.
-	cmp     *Completion
-	pu      *punit
-	ch      *channel
-	cmd     *Vector
-	indices []int     // vector indices served by this PU, in vector order
-	ops     []flashOp // grouped media operations
-	idxFree [][]int   // free list for flashOp.idx inner slices
-
+	cmp *Completion
+	pu  *punit
+	ch  *channel
+	cmd *Vector
 	// env is the shard environment the task executes in (the owning PU's
 	// env); direct is true when that is the host env and the completion
 	// latency is zero, i.e. the classic synchronous retire path applies.
 	env    *sim.Env
+	state  int
+	opi    int  // current op index
+	xfer   int  // sectors the current phase moves over the channel
+	hit    bool // current read op was served from the page buffer
 	direct bool
+	ops    []flashOp // grouped media operations
+	// one is the op of a one-address command, built in place over the three
+	// arrays below (wired together once, in newTask) instead of in the pooled
+	// storage opsBuf, which the general grouping reuses from command to
+	// command.
+	one    [1]flashOp
+	plane1 [1]int
+	idx1   [1][]int
+	index1 [1]int
+	opsBuf []flashOp
+	// indices are the vector indices served by this PU, in vector order.
+	indices []int
 
 	// Sharded-mode result accumulators, merged into the device stats and
 	// the completion's Status mask on the host side at retire time. The
@@ -872,44 +887,47 @@ type puTask struct {
 	statSusp     int64
 	statRetries  int64 // read-retry tiers this task charged
 
-	state int
-	opi   int  // current op index
-	bytes int  // channel transfer size for the current phase
-	hit   bool // current read op was served from the page buffer
-
 	// Occupancy (program/erase) sub-machine: remaining media time, the
 	// slice just slept, and the state to enter when fully charged.
 	occRemaining time.Duration
 	occStep      time.Duration
 	afterOcc     int
 
-	stepFn func() // == step, bound once so scheduling it never allocates
+	stepFn func() // == step, bound once so parking on a resource never allocates
 }
 
-func (d *Device) getTask() *puTask {
+// newTask returns a pooled task set up to run cmd's share on global PU gpu.
+func (d *Device) newTask(sub *submission, cmd *Vector, gpu int) *puTask {
+	var t *puTask
 	if n := len(d.taskFree); n > 0 {
-		t := d.taskFree[n-1]
+		t = d.taskFree[n-1]
 		d.taskFree = d.taskFree[:n-1]
-		return t
+	} else {
+		t = &puTask{d: d}
+		t.stepFn = t.step
+		t.idx1[0] = t.index1[:]
+		t.one[0].planes, t.one[0].idx = t.plane1[:], t.idx1[:]
 	}
-	t := &puTask{d: d}
-	t.stepFn = t.step
+	t.sub = sub
+	t.cmp = sub.comp
+	t.pu = d.pus[gpu]
+	t.ch = d.chs[t.pu.ch]
+	t.cmd = cmd
+	t.state = tsBegin
+	t.env = t.pu.env
+	t.direct = t.env == d.env && d.cfg.Timing.CompleteLatency == 0
+	if !t.direct { // a direct task accumulates in the device and completion themselves
+		t.failMask = 0
+		t.relocMask = 0
+		t.statReads, t.statPrograms, t.statHits, t.statSusp = 0, 0, 0, 0
+		t.statRetries = 0
+	}
 	return t
 }
 
-// putTask recycles a finished task, harvesting its grouping scratch.
+// putTask recycles a finished task.
 func (d *Device) putTask(t *puTask) {
-	for oi := range t.ops {
-		op := &t.ops[oi]
-		for _, ix := range op.idx {
-			if cap(ix) > 0 {
-				t.idxFree = append(t.idxFree, ix[:0])
-			}
-		}
-		op.idx = op.idx[:0]
-		op.planes = op.planes[:0]
-	}
-	t.ops = t.ops[:0]
+	t.ops = nil
 	t.indices = t.indices[:0]
 	t.sub = nil
 	t.cmp = nil
@@ -919,74 +937,74 @@ func (d *Device) putTask(t *puTask) {
 	d.taskFree = append(d.taskFree, t)
 }
 
-func (t *puTask) getIdx() []int {
-	if n := len(t.idxFree); n > 0 {
-		s := t.idxFree[n-1]
-		t.idxFree = t.idxFree[:n-1]
-		return s
-	}
-	return make([]int, 0, 8)
-}
-
-func (t *puTask) comp() *Completion { return t.cmp }
-
-// groupPUInto groups the task's vector indices into flash ops, reusing the
-// task's pooled storage. Writes must cover whole pages; reads may touch any
-// subset of a page's sectors. Sectors of the same (block, page) across
-// planes merge into one multi-plane op. Ops appear in first-seen order,
-// planes within an op in first-seen order, indices in vector order — the
-// same grouping the map-based splitter produced, without the maps.
+// group turns the task's share of the vector into flash ops. Writes must
+// cover whole pages; reads may touch any subset of a page's sectors. Sectors
+// of the same (block, page) across planes merge into one multi-plane op. Ops
+// appear in first-seen order, planes within an op in first-seen order,
+// indices in vector order.
 func (t *puTask) group() error {
 	g := t.d.cfg.Geometry
 	cmd := t.cmd
-	ops := t.ops[:0]
-	for _, i := range t.indices {
-		a := cmd.Addrs[i]
-		oi := -1
-		for j := range ops {
-			if ops[j].block == a.Block && ops[j].page == a.Page {
-				oi = j
-				break
-			}
+	if len(cmd.Addrs) == 1 {
+		a := &cmd.Addrs[0]
+		t.one[0].block, t.one[0].page = a.Block, a.Page
+		t.plane1[0] = a.Plane // index1[0] is 0 for good: the command's only index
+		t.ops = t.one[:]
+		if cmd.Op == OpWrite && g.SectorsPerPage != 1 {
+			return partialPage(a.Block, a.Page, 1, g.SectorsPerPage)
 		}
-		if oi < 0 {
-			if len(ops) < cap(ops) {
-				ops = ops[:len(ops)+1] // reuse the cleaned entry in place
+		return nil
+	}
+	// Entries of opsBuf past its length, and of an entry's planes and idx
+	// past theirs, are earlier commands' and are reused in place, so the
+	// arrays grow to the largest vector seen and then stay.
+	ops := t.opsBuf[:0]
+	for _, i := range t.indices {
+		a := &cmd.Addrs[i]
+		oi := 0
+		for oi < len(ops) && (ops[oi].block != a.Block || ops[oi].page != a.Page) {
+			oi++
+		}
+		if oi == len(ops) {
+			if oi < cap(ops) {
+				ops = ops[:oi+1]
 			} else {
 				ops = append(ops, flashOp{})
 			}
-			oi = len(ops) - 1
 			ops[oi].block, ops[oi].page = a.Block, a.Page
-			ops[oi].planes = ops[oi].planes[:0]
-			ops[oi].idx = ops[oi].idx[:0]
+			ops[oi].planes, ops[oi].idx = ops[oi].planes[:0], ops[oi].idx[:0]
 		}
 		op := &ops[oi]
-		pi := -1
-		for j, pl := range op.planes {
-			if pl == a.Plane {
-				pi = j
-				break
-			}
+		pi := 0
+		for pi < len(op.planes) && op.planes[pi] != a.Plane {
+			pi++
 		}
-		if pi < 0 {
+		if pi == len(op.planes) {
 			op.planes = append(op.planes, a.Plane)
-			op.idx = append(op.idx, t.getIdx())
-			pi = len(op.idx) - 1
+			if pi < cap(op.idx) {
+				op.idx = op.idx[:pi+1]
+				op.idx[pi] = op.idx[pi][:0]
+			} else {
+				op.idx = append(op.idx, make([]int, 0, 8))
+			}
 		}
 		op.idx[pi] = append(op.idx[pi], i)
 	}
-	t.ops = ops
+	t.opsBuf, t.ops = ops, ops
 	if cmd.Op == OpWrite {
 		for oi := range ops {
 			for pi := range ops[oi].idx {
 				if n := len(ops[oi].idx[pi]); n != g.SectorsPerPage {
-					return fmt.Errorf("%w: block %d page %d has %d of %d sectors",
-						ErrPartialPage, ops[oi].block, ops[oi].page, n, g.SectorsPerPage)
+					return partialPage(ops[oi].block, ops[oi].page, n, g.SectorsPerPage)
 				}
 			}
 		}
 	}
 	return nil
+}
+
+func partialPage(block, page, have, want int) error {
+	return fmt.Errorf("%w: block %d page %d has %d of %d sectors", ErrPartialPage, block, page, have, want)
 }
 
 // maxWear returns the op's wear-latency multiplier across its planes.
@@ -1017,7 +1035,7 @@ func (t *puTask) acquire(res *sim.Resource, next int) bool {
 // task's own shard environment.
 func (t *puTask) sleep(d time.Duration, next int) {
 	t.state = next
-	t.env.Schedule(d, t.stepFn)
+	t.env.ScheduleArg(d, taskStep, t)
 }
 
 // finishRelease retires the sub-command. On the direct path the completion
@@ -1086,7 +1104,7 @@ func (t *puTask) step() {
 					// Ack once data is staged in the controller buffer
 					// (one channel transfer), then program in the
 					// background while still holding the PU.
-					t.bytes = len(t.indices) * d.cfg.Geometry.SectorSize
+					t.xfer = len(t.indices)
 					if !t.acquire(t.ch.xfer, tsBufXfer) {
 						return
 					}
@@ -1139,8 +1157,8 @@ func (t *puTask) step() {
 				}
 			}
 			op := &t.ops[t.opi]
-			comp := t.comp()
-			bytes := 0
+			comp := t.cmp
+			sectors := 0
 			opRetries := 0
 			for pi, plane := range op.planes {
 				data, oob, retries, err := t.pu.die.ReadRetry(plane, op.block, op.page)
@@ -1168,13 +1186,13 @@ func (t *puTask) step() {
 						comp.Data[i] = data[sec*ss : (sec+1)*ss]
 					}
 					comp.OOB[i] = sliceOOB(oob, sec, d.SectorOOBSize())
-					bytes += ss
+					sectors++
 				}
 				if err == nil && t.pu.cache != nil {
 					t.pu.cache[plane] = cacheEnt{key: pageKey{plane, op.block, op.page}, ok: true}
 				}
 			}
-			t.bytes = bytes
+			t.xfer = sectors
 			if opRetries > 0 {
 				if t.direct {
 					d.Stats.ReadRetries += int64(opRetries)
@@ -1193,7 +1211,7 @@ func (t *puTask) step() {
 			continue
 
 		case tsReadRetry:
-			if t.bytes > 0 {
+			if t.xfer > 0 {
 				if !t.acquire(t.ch.xfer, tsReadXfer) {
 					return
 				}
@@ -1204,7 +1222,7 @@ func (t *puTask) step() {
 			continue
 
 		case tsReadXfer:
-			t.sleep(d.xferTime(t.bytes), tsReadXferDone)
+			t.sleep(d.xferTime(t.xfer), tsReadXferDone)
 			return
 
 		case tsReadXferDone:
@@ -1220,18 +1238,17 @@ func (t *puTask) step() {
 			}
 			// Transfer to the device, then program.
 			op := &t.ops[t.opi]
-			bytes := 0
+			t.xfer = 0
 			for _, idxs := range op.idx {
-				bytes += len(idxs) * d.cfg.Geometry.SectorSize
+				t.xfer += len(idxs)
 			}
-			t.bytes = bytes
 			if !t.acquire(t.ch.xfer, tsWriteXfer) {
 				return
 			}
 			continue
 
 		case tsWriteXfer:
-			t.sleep(d.xferTime(t.bytes), tsWriteXferDone)
+			t.sleep(d.xferTime(t.xfer), tsWriteXferDone)
 			return
 
 		case tsWriteXferDone:
@@ -1252,7 +1269,7 @@ func (t *puTask) step() {
 			continue
 
 		case tsBufXfer:
-			t.sleep(d.xferTime(t.bytes), tsBufXferDone)
+			t.sleep(d.xferTime(t.xfer), tsBufXferDone)
 			return
 
 		case tsBufXferDone:

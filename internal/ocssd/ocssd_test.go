@@ -504,6 +504,87 @@ func TestSubmitSpawnsNoGoroutines(t *testing.T) {
 			t.Fatalf("device datapath spawned %d goroutine(s); must spawn none", got-base)
 		}
 	})
+	// The pools are warm: a one-sector read, submit to completion, now
+	// allocates nothing — in the device or in the event engine under it.
+	read := &Vector{Op: OpRead, Addrs: []ppa.Addr{{Ch: 1, PU: 1, Plane: 3, Block: 1, Page: 5, Sector: 2}}}
+	reads := 0
+	done := func(c *Completion) {
+		if c.Failed() || c.Data[0][0] != 6 {
+			t.Errorf("steady-state read: err %v, data %v", c.FirstErr(), c.Data[0][:1])
+		}
+		reads++
+		dev.Recycle(c)
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		dev.Submit(read, done)
+		env.Run()
+	})
+	if allocs != 0 || reads != 201 {
+		t.Fatalf("steady-state one-sector read: %.2f allocs per command over %d reads, want 0 over 201", allocs, reads)
+	}
+}
+
+// A pooled completion carries nothing from the command before it: after a
+// 64-address read (one address failing), a one-address read sees a single
+// clean slot, the array behind it holds no stale page or error, and switching
+// between writes and reads keeps the arrays instead of reallocating them.
+func TestCompletionPoolReuse(t *testing.T) {
+	env, dev := newTestDevice(t, testConfig())
+	run(env, func(p *sim.Proc) {
+		for page := 0; page < 4; page++ {
+			writeUnit(p, dev, 0, 0, 1, page, 0x40)
+		}
+		var wide []ppa.Addr
+		for i := 0; i < MaxVectorLen; i++ {
+			wide = append(wide, ppa.Addr{Plane: i % 4, Block: 1, Page: i / 16, Sector: i / 4 % 4})
+		}
+		wide[63].Page = 9 // never programmed: this address fails
+		c := dev.Do(p, &Vector{Op: OpRead, Addrs: wide})
+		if c.Status != 1<<63 || c.Data[0] == nil || c.Errs[63] == nil {
+			t.Fatalf("wide read: status %#x, data[0] nil=%v, errs[63]=%v", c.Status, c.Data[0] == nil, c.Errs[63])
+		}
+		dev.Recycle(c)
+		one := dev.Do(p, &Vector{Op: OpRead, Addrs: wide[:1]})
+		if one != c {
+			t.Fatal("the pool did not hand the recycled completion back")
+		}
+		if len(one.Data) != 1 || len(one.OOB) != 1 || len(one.Errs) != 1 || one.Failed() {
+			t.Fatalf("one-address read: %d data, %d oob, %d errs, status %#x", len(one.Data), len(one.OOB), len(one.Errs), one.Status)
+		}
+		for i := 1; i < MaxVectorLen; i++ {
+			if one.Data[:MaxVectorLen][i] != nil || one.OOB[:MaxVectorLen][i] != nil || one.Errs[:MaxVectorLen][i] != nil {
+				t.Fatalf("slot %d past the one-address read still holds the wide read's result", i)
+			}
+		}
+		dev.Recycle(one)
+	})
+	// Write a page, read it back, 60 times over: one completion alternates
+	// between the two shapes and its arrays survive every switch.
+	unit := &Vector{Op: OpWrite}
+	for i := 0; i < 16; i++ {
+		unit.Addrs = append(unit.Addrs, ppa.Addr{Plane: i / 4, Block: 2, Sector: i % 4})
+	}
+	read := &Vector{Op: OpRead, Addrs: unit.Addrs}
+	page, failed := 0, 0
+	done := func(c *Completion) {
+		if c.Failed() {
+			failed++
+		}
+		dev.Recycle(c)
+	}
+	allocs := testing.AllocsPerRun(60, func() {
+		for i := range unit.Addrs {
+			unit.Addrs[i].Page = page
+		}
+		page++
+		dev.Submit(unit, done)
+		env.Run()
+		dev.Submit(read, done)
+		env.Run()
+	})
+	if allocs != 0 || failed != 0 {
+		t.Fatalf("write then read on one pooled completion: %.2f allocs per pair, %d failed commands; want 0 and 0", allocs, failed)
+	}
 }
 
 // TestBufferedWriteErrorAfterAck reproduces the pooled-submission hazard:

@@ -141,7 +141,7 @@ func TestShardedTransportLatency(t *testing.T) {
 	})
 	se.Run()
 	tm := dev.Timing()
-	want := tm.SubmitLatency + tm.CmdOverhead + tm.PageRead + dev.xferTime(dev.Geometry().SectorSize) + tm.CompleteLatency
+	want := tm.SubmitLatency + tm.CmdOverhead + tm.PageRead + dev.xferTime(1) + tm.CompleteLatency
 	if lat != want {
 		t.Fatalf("sharded 4K read latency %v, want %v", lat, want)
 	}

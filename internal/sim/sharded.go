@@ -183,7 +183,7 @@ func (s *ShardedEnv) nextTime() (time.Duration, bool) {
 	var T time.Duration
 	ok := false
 	for _, sh := range s.shards {
-		if at, has := sh.nextEventAt(); has && (!ok || at < T) {
+		if at, has := sh.nextAt(); has && (!ok || at < T) {
 			T, ok = at, true
 		}
 	}
@@ -206,15 +206,15 @@ func (s *ShardedEnv) window(limit time.Duration) {
 func (s *ShardedEnv) runShards(limit time.Duration) {
 	if s.workCh == nil || s.exclusive.Load() > 0 {
 		for _, sh := range s.shards {
-			if at, ok := sh.nextEventAt(); ok && at < limit {
-				sh.runBefore(limit)
+			if at, ok := sh.nextAt(); ok && at < limit {
+				sh.runThrough(limit - 1)
 			}
 		}
 		return
 	}
 	s.limit = limit
 	for _, sh := range s.shards {
-		if at, ok := sh.nextEventAt(); ok && at < limit {
+		if at, ok := sh.nextAt(); ok && at < limit {
 			s.wg.Add(1)
 			s.workCh <- sh
 		}
@@ -255,7 +255,7 @@ func (s *ShardedEnv) deliver(limit time.Duration) bool {
 	again := false
 	for i := range msgs {
 		m := &msgs[i]
-		s.shards[m.to].push(m.due, item{fnArg: m.fn, arg: m.arg})
+		s.shards[m.to].push(m.due, m.fn, m.arg)
 		if m.due < limit {
 			again = true
 		}
@@ -292,7 +292,7 @@ func (s *ShardedEnv) runOne(sh *Env) {
 			s.mu.Unlock()
 		}
 	}()
-	sh.runBefore(s.limit)
+	sh.runThrough(s.limit - 1)
 }
 
 // rethrow propagates the lowest-shard panic on the coordinator goroutine,
@@ -307,48 +307,6 @@ func (s *ShardedEnv) rethrow() {
 	p := s.panics[min]
 	s.panics = nil
 	panic(fmt.Sprintf("sim: shard %d: %v", p.shard, p.v))
-}
-
-// nextEventAt returns the timestamp of the shard's earliest pending event.
-func (e *Env) nextEventAt() (time.Duration, bool) {
-	if e.nowqHead < len(e.nowq) {
-		return e.now, true
-	}
-	if e.queue.len() > 0 {
-		return e.queue.a[0].at, true
-	}
-	return 0, false
-}
-
-// runBefore executes queued events with timestamps strictly below w. The
-// clock is left at the last executed event's time, never advanced to w:
-// between windows a shard's clock records its own most recent activity.
-func (e *Env) runBefore(w time.Duration) {
-	for {
-		if e.nowqHead < len(e.nowq) && e.now < w {
-			if e.queue.len() > 0 && e.queue.a[0].at <= e.now {
-				e.dispatch(e.queue.pop().it)
-				continue
-			}
-			q := e.nowq[e.nowqHead]
-			e.nowq[e.nowqHead] = queued{} // release closure references
-			e.nowqHead++
-			if e.nowqHead == len(e.nowq) {
-				e.nowq = e.nowq[:0]
-				e.nowqHead = 0
-			}
-			e.dispatch(q.it)
-			continue
-		}
-		if e.queue.len() == 0 || e.queue.a[0].at >= w {
-			return
-		}
-		q := e.queue.pop()
-		if q.at > e.now {
-			e.now = q.at
-		}
-		e.dispatch(q.it)
-	}
 }
 
 // Post schedules fn(arg) on the to environment at the current virtual time

@@ -29,21 +29,40 @@ import (
 
 // Env is a simulation environment: a virtual clock plus an event queue.
 // The zero value is not usable; call NewEnv.
+//
+// Pending events live in three places that merge to one (at, seq) order —
+// the zero-delay bucket nowq, the sorted-run lanes and the general heap;
+// DESIGN.md §"Event engine" has the argument.
 type Env struct {
-	now   time.Duration
-	queue eventQueue
-	seq   uint64
+	now time.Duration
+	seq uint64
 
 	// nowq is a FIFO of events scheduled for exactly the current instant.
 	// Zero-delay scheduling (completion callbacks, event signals, continuation
 	// kicks) dominates hot datapaths; routing those around the heap turns a
 	// log-time sift per event into two index bumps. Ordering stays exact:
-	// every heap entry stamped at == now was pushed at an earlier instant and
+	// every timed entry stamped at == now was pushed at an earlier instant and
 	// so carries a smaller seq than any nowq entry, and the bucket drains
 	// before the clock advances, so the merged pop order is identical to a
 	// single (at, seq) heap.
 	nowq     []queued
 	nowqHead int
+
+	// Timed events. Each lane is a FIFO ring holding a sorted run: a push
+	// joins the lane whose newest entry is latest among those not after it,
+	// so every ring stays in (at, seq) order without sorting. A device model
+	// schedules almost everything at a handful of fixed delays (command
+	// overhead, array read, sector transfer); for a fixed delay now+d grows
+	// with every push, so each delay in flight settles into a run of its own.
+	// lanes[nlive:] are drained and cost nothing. queue, the general heap,
+	// takes the entry that fits no lane when all eight hold entries. timedAt
+	// and timedSrc cache the least (at, seq) over the lane heads and the heap
+	// top — a push can only lower them, a pop rescans.
+	lanes    [numLanes]lane
+	nlive    int
+	queue    eventQueue
+	timedAt  time.Duration // never when no timed event is pending
+	timedSrc int           // lane index, or srcHeap
 
 	// yield is the handoff channel: a running process signals it when it
 	// blocks or terminates, returning control to the scheduler.
@@ -62,12 +81,20 @@ type Env struct {
 	outbox []xmsg
 }
 
+const (
+	numLanes = 8
+	srcHeap  = -1
+	// never is later than any event time; Run's bound, 1<<62-1, is below it.
+	never = time.Duration(1<<63 - 1)
+)
+
 // NewEnv returns an environment whose clock starts at zero and whose random
 // source is seeded with seed.
 func NewEnv(seed int64) *Env {
 	return &Env{
-		yield: make(chan struct{}),
-		rng:   rand.New(rand.NewSource(seed)),
+		yield:   make(chan struct{}),
+		rng:     rand.New(rand.NewSource(seed)),
+		timedAt: never,
 	}
 }
 
@@ -86,10 +113,7 @@ func (e *Env) Spawns() int64 { return e.spawns }
 // Schedule runs fn at the current virtual time plus d. Scheduling with d < 0
 // panics. fn runs in scheduler context and must not block.
 func (e *Env) Schedule(d time.Duration, fn func()) {
-	if d < 0 {
-		panic("sim: negative delay")
-	}
-	e.push(e.now+d, item{fn: fn})
+	e.after(d, callFunc, fn)
 }
 
 // ScheduleArg runs fn(arg) at the current virtual time plus d. It is the
@@ -97,23 +121,53 @@ func (e *Env) Schedule(d time.Duration, fn func()) {
 // long-lived function value and arg the per-event state, so no closure is
 // created per call. Scheduling with d < 0 panics.
 func (e *Env) ScheduleArg(d time.Duration, fn func(any), arg any) {
-	if d < 0 {
-		panic("sim: negative delay")
-	}
-	e.push(e.now+d, item{fnArg: fn, arg: arg})
+	e.after(d, fn, arg)
 }
 
-type item struct {
-	fn    func()
-	fnArg func(any)
-	arg   any
-	proc  *Proc
-}
-
+// queued is one pending event: fn(arg) runs at virtual time at; seq, handed
+// out at push time, orders events due at the same instant. Every kind of
+// event has this one form. A plain closure rides as the argument of
+// callFunc and a process wake-up as the argument of resumeProc (func values
+// and pointers fit an interface word, so neither conversion allocates).
 type queued struct {
 	at  time.Duration
 	seq uint64
-	it  item
+	fn  func(any)
+	arg any
+}
+
+func callFunc(fn any) { fn.(func())() }
+
+func (q *queued) before(o *queued) bool {
+	if q.at != o.at {
+		return q.at < o.at
+	}
+	return q.seq < o.seq
+}
+
+// lane is a FIFO ring of pending events in (at, seq) order. The keys the
+// scans need — the head's, and the at of the newest entry — are kept in the
+// lane itself, so a scan reads one cache line per lane and never the rings.
+type lane struct {
+	at   time.Duration // buf[head].at; never when drained
+	seq  uint64        // buf[head].seq
+	tail time.Duration // at of the newest entry; -1 when drained
+	buf  []queued      // len is zero or a power of two
+	head int
+	n    int
+}
+
+// push appends a slot to the ring for the caller to fill in.
+func (l *lane) push() *queued {
+	if l.n == len(l.buf) {
+		grown := make([]queued, max(16, 2*len(l.buf)))
+		for i := 0; i < l.n; i++ {
+			grown[i] = l.buf[(l.head+i)&(len(l.buf)-1)]
+		}
+		l.buf, l.head = grown, 0
+	}
+	l.n++
+	return &l.buf[(l.head+l.n-1)&(len(l.buf)-1)]
 }
 
 // eventQueue is a 4-ary min-heap ordered by (at, seq). The wider fan-out
@@ -125,15 +179,6 @@ type queued struct {
 type eventQueue struct {
 	a []queued
 }
-
-func (q *queued) before(o *queued) bool {
-	if q.at != o.at {
-		return q.at < o.at
-	}
-	return q.seq < o.seq
-}
-
-func (q *eventQueue) len() int { return len(q.a) }
 
 func (q *eventQueue) push(v queued) {
 	a := append(q.a, v)
@@ -179,13 +224,131 @@ func (q *eventQueue) pop() queued {
 	return top
 }
 
-func (e *Env) push(at time.Duration, it item) {
-	e.seq++
-	if at == e.now {
-		e.nowq = append(e.nowq, queued{at: at, seq: e.seq, it: it})
-		return
+// after queues fn(arg) for now+d.
+func (e *Env) after(d time.Duration, fn func(any), arg any) {
+	if d < 0 {
+		panic("sim: negative delay")
 	}
-	e.queue.push(queued{at: at, seq: e.seq, it: it})
+	e.push(e.now+d, fn, arg)
+}
+
+// push queues fn(arg) at the absolute time at >= now: on the zero-delay
+// bucket, on the lane it extends best, or else on the heap. The record is
+// written field by field into its slot; building it first and copying it in
+// costs a store-forwarding stall on every event.
+func (e *Env) push(at time.Duration, fn func(any), arg any) {
+	e.seq++
+	var slot *queued
+	if at == e.now {
+		e.nowq = append(e.nowq, queued{})
+		slot = &e.nowq[len(e.nowq)-1]
+	} else {
+		// Best fit: the latest tail not after at. Joining that lane leaves
+		// the lanes with earlier tails open to earlier events, which keeps
+		// the number of runs — lanes in use — as small as it can be. A
+		// drained lane (tail -1) fits anything and is preferred to nothing.
+		i, fit := srcHeap, time.Duration(-2)
+		for j := 0; j < e.nlive; j++ {
+			if t := e.lanes[j].tail; t <= at && t > fit {
+				i, fit = j, t
+			}
+		}
+		if i == srcHeap && e.nlive < numLanes {
+			i = e.nlive
+			e.nlive++
+		}
+		// Equal at keeps the cached source: its entry was pushed first.
+		if at < e.timedAt {
+			e.timedAt, e.timedSrc = at, i
+		}
+		if i == srcHeap {
+			e.queue.push(queued{at: at, seq: e.seq, fn: fn, arg: arg})
+			return
+		}
+		l := &e.lanes[i]
+		if l.n == 0 {
+			l.at, l.seq = at, e.seq
+		}
+		l.tail = at
+		slot = l.push()
+	}
+	slot.at, slot.seq, slot.fn, slot.arg = at, e.seq, fn, arg
+}
+
+// popTimed removes the least timed event — timedSrc's head — advances the
+// clock to it and finds the next one.
+func (e *Env) popTimed() (fn func(any), arg any) {
+	var at time.Duration
+	if e.timedSrc == srcHeap {
+		q := e.queue.pop()
+		at, fn, arg = q.at, q.fn, q.arg
+	} else {
+		l := &e.lanes[e.timedSrc]
+		slot := &l.buf[l.head]
+		at, fn, arg = slot.at, slot.fn, slot.arg
+		slot.fn, slot.arg = nil, nil // release closure references
+		l.head = (l.head + 1) & (len(l.buf) - 1)
+		l.n--
+		if l.n > 0 {
+			l.at, l.seq = l.buf[l.head].at, l.buf[l.head].seq
+		} else {
+			// Drained: it loses every comparison below and any event fits it.
+			l.at, l.tail = never, -1
+			for e.nlive > 0 && e.lanes[e.nlive-1].n == 0 {
+				e.nlive--
+			}
+		}
+	}
+	if at > e.now {
+		e.now = at
+	}
+	next, seq, src := never, uint64(0), srcHeap
+	if len(e.queue.a) > 0 {
+		next, seq = e.queue.a[0].at, e.queue.a[0].seq
+	}
+	for i := 0; i < e.nlive; i++ {
+		if l := &e.lanes[i]; l.at < next || l.at == next && l.seq < seq {
+			next, seq, src = l.at, l.seq, i
+		}
+	}
+	e.timedAt, e.timedSrc = next, src
+	return fn, arg
+}
+
+// nextAt returns the time of the earliest pending event.
+func (e *Env) nextAt() (time.Duration, bool) {
+	if e.nowqHead < len(e.nowq) {
+		return e.now, true
+	}
+	return e.timedAt, e.timedAt != never
+}
+
+// runThrough executes, in (at, seq) order, every pending event due at or
+// before limit. The clock follows the events and is left at the last one
+// executed, never advanced to limit. It is the one run loop: RunUntil and the
+// sharded windows differ only in the limit they pass.
+func (e *Env) runThrough(limit time.Duration) {
+	for {
+		var fn func(any)
+		var arg any
+		if e.nowqHead < len(e.nowq) && e.now <= limit && e.timedAt > e.now {
+			// Timed entries due now predate every nowq entry (smaller seq)
+			// and have run; drain the bucket.
+			slot := &e.nowq[e.nowqHead]
+			fn, arg = slot.fn, slot.arg
+			slot.fn, slot.arg = nil, nil // release closure references
+			e.nowqHead++
+			if e.nowqHead == len(e.nowq) {
+				e.nowq = e.nowq[:0]
+				e.nowqHead = 0
+			}
+		} else if e.timedAt <= limit {
+			fn, arg = e.popTimed()
+		} else {
+			return
+		}
+		fn(arg)
+	}
 }
 
 // Run executes queued events until the queue drains. It panics if a process
@@ -209,33 +372,7 @@ func (e *Env) RunUntil(t time.Duration) {
 
 // runUntilLocal is RunUntil restricted to this shard's own queue.
 func (e *Env) runUntilLocal(t time.Duration) {
-	for {
-		if e.nowqHead < len(e.nowq) && e.now <= t {
-			// Heap entries at the current instant predate every nowq entry
-			// (smaller seq), so they run first; otherwise drain the bucket.
-			if e.queue.len() > 0 && e.queue.a[0].at <= e.now {
-				e.dispatch(e.queue.pop().it)
-				continue
-			}
-			q := e.nowq[e.nowqHead]
-			e.nowq[e.nowqHead] = queued{} // release closure references
-			e.nowqHead++
-			if e.nowqHead == len(e.nowq) {
-				e.nowq = e.nowq[:0]
-				e.nowqHead = 0
-			}
-			e.dispatch(q.it)
-			continue
-		}
-		if e.queue.len() == 0 || e.queue.a[0].at > t {
-			break
-		}
-		q := e.queue.pop()
-		if q.at > e.now {
-			e.now = q.at
-		}
-		e.dispatch(q.it)
-	}
+	e.runThrough(t)
 	if t > e.now && t < 1<<62-1 {
 		e.now = t
 	}
@@ -244,28 +381,23 @@ func (e *Env) runUntilLocal(t time.Duration) {
 // RunFor advances the simulation by d from the current time.
 func (e *Env) RunFor(d time.Duration) { e.RunUntil(e.now + d) }
 
-func (e *Env) dispatch(it item) {
-	if it.proc != nil {
-		p := it.proc
-		if p.done {
-			return
-		}
-		e.inProc = p
-		p.resume <- struct{}{}
-		<-e.yield
-		e.inProc = nil
-		if e.panicked != nil {
-			v := e.panicked
-			e.panicked = nil
-			panic(fmt.Sprintf("sim: process %q panicked: %v", p.name, v))
-		}
+// resumeProc is the event form of a process wake-up: hand control to the
+// process and wait until it blocks again or terminates.
+func resumeProc(arg any) {
+	p := arg.(*Proc)
+	if p.done {
 		return
 	}
-	if it.fnArg != nil {
-		it.fnArg(it.arg)
-		return
+	e := p.env
+	e.inProc = p
+	p.resume <- struct{}{}
+	<-e.yield
+	e.inProc = nil
+	if e.panicked != nil {
+		v := e.panicked
+		e.panicked = nil
+		panic(fmt.Sprintf("sim: process %q panicked: %v", p.name, v))
 	}
-	it.fn()
 }
 
 // Proc is a simulation process: a goroutine interleaved with the scheduler.
@@ -296,7 +428,7 @@ func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
 		}()
 		fn(p)
 	}()
-	e.push(e.now, item{proc: p})
+	e.after(0, resumeProc, p)
 	return p
 }
 
@@ -321,7 +453,7 @@ func (p *Proc) Sleep(d time.Duration) {
 	if d < 0 {
 		panic("sim: negative sleep")
 	}
-	p.env.push(p.env.now+d, item{proc: p})
+	p.env.after(d, resumeProc, p)
 	p.pause()
 }
 
@@ -335,25 +467,19 @@ func (p *Proc) Wait(ev *Event) {
 	if ev.fired {
 		return
 	}
-	ev.waiters = append(ev.waiters, waiter{proc: p})
+	ev.waiters = append(ev.waiters, waiter{resumeProc, p})
 	p.pause()
 }
 
-// waiter is one parked continuation: either a process to resume or a
-// callback to run. Wait queues hold both forms in arrival order so
-// processes and callbacks interleave deterministically.
+// waiter is one parked continuation in event form: a process to resume
+// (resumeProc) or a callback to run (callFunc). Wait queues hold both in
+// arrival order so processes and callbacks interleave deterministically.
 type waiter struct {
-	proc *Proc
-	fn   func()
+	fn  func(any)
+	arg any
 }
 
-func (e *Env) wake(w waiter) {
-	if w.proc != nil {
-		e.push(e.now, item{proc: w.proc})
-		return
-	}
-	e.push(e.now, item{fn: w.fn})
-}
+func (e *Env) wake(w waiter) { e.after(0, w.fn, w.arg) }
 
 // Event is a one-shot condition processes and callbacks can wait on. Create
 // with Env.NewEvent. Waiting after the event fired returns immediately.
@@ -401,10 +527,10 @@ func (ev *Event) Reset() {
 // fired, fn is scheduled immediately.
 func (ev *Event) OnFire(fn func()) {
 	if ev.fired {
-		ev.env.push(ev.env.now, item{fn: fn})
+		ev.env.after(0, callFunc, fn)
 		return
 	}
-	ev.waiters = append(ev.waiters, waiter{fn: fn})
+	ev.waiters = append(ev.waiters, waiter{callFunc, fn})
 }
 
 // Resource is a counted FIFO resource (semaphore). Acquirers take units
@@ -466,7 +592,7 @@ func (r *Resource) Acquire(p *Proc) {
 		r.inUse++
 		return
 	}
-	r.enqueue(waiter{proc: p})
+	r.enqueue(waiter{resumeProc, p})
 	p.pause()
 }
 
@@ -481,7 +607,7 @@ func (r *Resource) AcquireFn(fn func()) {
 		fn()
 		return
 	}
-	r.enqueue(waiter{fn: fn})
+	r.enqueue(waiter{callFunc, fn})
 }
 
 // TryAcquire takes one unit if immediately available and reports success.

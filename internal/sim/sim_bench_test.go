@@ -33,6 +33,44 @@ func BenchmarkSimEngine(b *testing.B) {
 		env.Run()
 	})
 
+	// timer-chains is the timed-event traffic of a 4 KiB read at QD 64: 64
+	// chains, each rescheduling itself over the read's four delays (host
+	// overhead, command overhead, array read, sector transfer), so every pop
+	// picks among a few dozen pending events of four distinct delays.
+	// timer-mixed makes every tenth delay a one-off, which lands between the
+	// runs of the regular delays: lanes open and drain, runs of mixed delays
+	// form, and the heap takes what fits none of them.
+	for _, mixed := range []bool{false, true} {
+		name := "timer-chains"
+		if mixed {
+			name = "timer-mixed"
+		}
+		b.Run(name, func(b *testing.B) {
+			env := NewEnv(1)
+			delays := [4]time.Duration{350, 6 * time.Microsecond, 65 * time.Microsecond, 14628}
+			n := 0
+			var hop func(any)
+			hop = func(a any) {
+				if n >= b.N {
+					return
+				}
+				n++
+				k := a.(int)
+				d := delays[k&3]
+				if mixed && n%10 == 0 {
+					d = time.Duration(1 + env.Rand().Intn(100000))
+				}
+				env.ScheduleArg(d, hop, (k+1)&3) // small ints box without allocating
+			}
+			for c := 0; c < 64; c++ {
+				env.ScheduleArg(time.Duration(c)*time.Microsecond, hop, c&3)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			env.Run()
+		})
+	}
+
 	b.Run("resource-chain", func(b *testing.B) {
 		env := NewEnv(1)
 		r := env.NewResource(1)
