@@ -3,22 +3,22 @@
 // Usage:
 //
 //	lnvm-bench -list
-//	lnvm-bench [-quick] [-blocks N] [-duration D] [-parallel [-workers N]] <experiment-id>...
+//	lnvm-bench [-quick] [-blocks N] [-duration D] <experiment-id>...
 //	lnvm-bench all
 //
 // Experiment ids: table1, overhead, fig4, fig5, fig6, fig7, fig8, and the
 // ablation studies (ablate-*). Output is plain text, one section per
 // table/figure, with the paper's reference values inline.
 //
-// -parallel runs the supported experiments on the sharded simulation
-// engine (device shards on a worker pool under conservative time windows);
-// output is byte-identical for any -workers value. The profiling flags
-// (-cpuprofile, -memprofile, -trace) cover the whole invocation.
+// The profiling flags (-cpuprofile, -memprofile, -trace) cover the whole
+// invocation.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -29,60 +29,69 @@ import (
 	"repro/internal/harness"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is main with its arguments, streams and exit code as values, so a test
+// can drive it.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("lnvm-bench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		list       = flag.Bool("list", false, "list experiments and exit")
-		quick      = flag.Bool("quick", false, "shrink sweeps for a fast smoke run")
-		blocks     = flag.Int("blocks", 0, "blocks per plane (device scale; 0 = default)")
-		duration   = flag.Duration("duration", 0, "virtual measurement window per data point (0 = default)")
-		seed       = flag.Int64("seed", 0, "simulation seed (0 = default)")
-		parallel   = flag.Bool("parallel", false, "run on the sharded engine (worker pool over device shards)")
-		workers    = flag.Int("workers", 0, "sharded-engine worker goroutines (0 = GOMAXPROCS)")
-		peLimit    = flag.Int("pe-limit", 0, "media P/E cycle budget for wear-aware experiments (0 = default)")
-		retAccel   = flag.Float64("retention-accel", 0, "retention-BER clock multiplier, bake-oven style (0 = default)")
-		readRetry  = flag.Int("read-retry", 0, "device read-retry tier budget (0 = default, negative = none)")
-		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-		memprofile = flag.String("memprofile", "", "write an allocation profile at exit to this file")
-		traceFile  = flag.String("trace", "", "write a runtime execution trace to this file")
+		list       = fs.Bool("list", false, "list experiments and exit")
+		quick      = fs.Bool("quick", false, "shrink sweeps for a fast smoke run")
+		blocks     = fs.Int("blocks", 0, "blocks per plane (device scale; 0 = default)")
+		duration   = fs.Duration("duration", 0, "virtual measurement window per data point (0 = default)")
+		seed       = fs.Int64("seed", 0, "simulation seed (0 = default)")
+		peLimit    = fs.Int("pe-limit", 0, "media P/E cycle budget for wear-aware experiments (0 = default)")
+		retAccel   = fs.Float64("retention-accel", 0, "retention-BER clock multiplier, bake-oven style (0 = default)")
+		readRetry  = fs.Int("read-retry", 0, "device read-retry tier budget (0 = default, negative = none)")
+		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
+		memprofile = fs.String("memprofile", "", "write an allocation profile at exit to this file")
+		traceFile  = fs.String("trace", "", "write a runtime execution trace to this file")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "lnvm-bench: -cpuprofile: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "lnvm-bench: -cpuprofile: %v\n", err)
+			return 1
 		}
 		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "lnvm-bench: -cpuprofile: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "lnvm-bench: -cpuprofile: %v\n", err)
+			return 1
 		}
 		defer pprof.StopCPUProfile()
 	}
 	if *traceFile != "" {
 		f, err := os.Create(*traceFile)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "lnvm-bench: -trace: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "lnvm-bench: -trace: %v\n", err)
+			return 1
 		}
 		defer f.Close()
 		if err := trace.Start(f); err != nil {
-			fmt.Fprintf(os.Stderr, "lnvm-bench: -trace: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "lnvm-bench: -trace: %v\n", err)
+			return 1
 		}
 		defer trace.Stop()
 	}
 	if *memprofile != "" {
 		f, err := os.Create(*memprofile)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "lnvm-bench: -memprofile: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "lnvm-bench: -memprofile: %v\n", err)
+			return 1
 		}
 		defer func() {
 			runtime.GC() // flush final allocations into the profile
 			if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
-				fmt.Fprintf(os.Stderr, "lnvm-bench: -memprofile: %v\n", err)
+				fmt.Fprintf(stderr, "lnvm-bench: -memprofile: %v\n", err)
 			}
 			f.Close()
 		}()
@@ -90,50 +99,51 @@ func main() {
 
 	if *list {
 		for _, e := range harness.All() {
-			fmt.Printf("%-12s %s\n", e.ID, e.Title)
+			fmt.Fprintf(stdout, "%-12s %s\n", e.ID, e.Title)
 		}
-		return
+		return 0
 	}
-	args := flag.Args()
-	if len(args) == 0 {
-		fmt.Fprintln(os.Stderr, "usage: lnvm-bench [-quick] [-blocks N] [-duration D] [-parallel [-workers N]] <experiment-id>... | all | -list")
-		os.Exit(2)
+	ids := fs.Args()
+	if len(ids) == 0 {
+		fmt.Fprintln(stderr, "usage: lnvm-bench [-quick] [-blocks N] [-duration D] <experiment-id>... | all | -list")
+		return 2
 	}
 	opts := harness.Options{
 		BlocksPerPlane: *blocks,
 		Duration:       *duration,
 		Quick:          *quick,
 		Seed:           *seed,
-		Parallel:       *parallel,
-		Workers:        *workers,
 		PELimit:        *peLimit,
 		RetentionAccel: *retAccel,
 		ReadRetry:      *readRetry,
 	}
 
-	var ids []string
-	if len(args) == 1 && args[0] == "all" {
-		for _, e := range harness.All() {
-			ids = append(ids, e.ID)
-		}
+	// Resolve every id before running anything: a typo in the last one must
+	// not cost the minutes the ones before it take.
+	var exps []harness.Experiment
+	if len(ids) == 1 && ids[0] == "all" {
+		exps = harness.All()
 	} else {
-		ids = args
+		for _, id := range ids {
+			e, ok := harness.ByID(id)
+			if !ok {
+				fmt.Fprintf(stderr, "lnvm-bench: unknown experiment %q (try -list)\n", id)
+				return 2
+			}
+			exps = append(exps, e)
+		}
 	}
-	for _, id := range ids {
-		e, ok := harness.ByID(id)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "lnvm-bench: unknown experiment %q (try -list)\n", id)
-			os.Exit(2)
-		}
-		fmt.Printf("\n#### %s — %s\n", e.ID, e.Title)
+	for _, e := range exps {
+		fmt.Fprintf(stdout, "\n#### %s — %s\n", e.ID, e.Title)
 		start := time.Now()
-		if err := e.Run(opts, os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "lnvm-bench: %s: %v\n", id, err)
-			os.Exit(1)
+		if err := e.Run(opts, stdout); err != nil {
+			fmt.Fprintf(stderr, "lnvm-bench: %s: %v\n", e.ID, err)
+			return 1
 		}
-		fmt.Printf("\n[%s completed in %v wall time, peak RSS %d MB]\n",
+		fmt.Fprintf(stdout, "\n[%s completed in %v wall time, peak RSS %d MB]\n",
 			e.ID, time.Since(start).Round(time.Millisecond), peakRSSMB())
 	}
+	return 0
 }
 
 // peakRSSMB returns the process's resident-set high-water mark (VmHWM; Linux

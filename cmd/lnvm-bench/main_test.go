@@ -1,0 +1,27 @@
+package main
+
+import (
+	"bytes"
+	"strings"
+	"testing"
+)
+
+// A bad command line is rejected before the first experiment runs: nothing
+// on stdout, exit code 2, the offending word on stderr.
+func TestBadCommandLineRunsNothing(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-quick", "overhead", "tpyo"}, `unknown experiment "tpyo"`},
+		{[]string{"-parallel", "overhead"}, "flag provided but not defined: -parallel"},
+		{nil, "usage: lnvm-bench"},
+	} {
+		var stdout, stderr bytes.Buffer
+		code := run(c.args, &stdout, &stderr)
+		if code != 2 || stdout.Len() != 0 || !strings.Contains(stderr.String(), c.want) {
+			t.Errorf("run(%q) = %d, stdout %q, stderr %q; want 2, no output and %q on stderr",
+				c.args, code, stdout.String(), stderr.String(), c.want)
+		}
+	}
+}

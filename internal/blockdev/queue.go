@@ -471,7 +471,8 @@ type syncCall struct {
 
 // SyncAdapter presents a Queue as a blocking Device, preserving the
 // traditional Read/Write/Flush/Trim call style for callers that do not
-// need queue depth (lsmdb, sqlbench). Each call submits one request and
+// need queue depth (sqlbench, lsmdb's table and log I/O, the volume layer's
+// rebuild and resync copies). Each call submits one request and
 // suspends the calling process until it completes. Calls reuse pooled
 // request/event pairs, so concurrent callers are safe and the steady
 // state allocates nothing.
@@ -509,9 +510,12 @@ func (s *SyncAdapter) getCall() *syncCall {
 	return c
 }
 
-func (s *SyncAdapter) do(p *sim.Proc, op ReqOp, off int64, buf []byte, length int64) error {
+// Do submits one request and suspends p until it completes: the one blocking
+// call every layer above a queue shares. hint is the write-lifetime hint
+// (HintNone/HintCold); Read, Write, Flush and Trim are Do with HintNone.
+func (s *SyncAdapter) Do(p *sim.Proc, op ReqOp, off int64, buf []byte, length int64, hint uint8) error {
 	c := s.getCall()
-	c.req.Op, c.req.Off, c.req.Buf, c.req.Length, c.req.Err = op, off, buf, length, nil
+	c.req.Op, c.req.Off, c.req.Buf, c.req.Length, c.req.Hint, c.req.Err = op, off, buf, length, hint, nil
 	c.one[0] = &c.req
 	s.q.Submit(c.one[:]...)
 	p.Wait(c.ev)
@@ -524,20 +528,20 @@ func (s *SyncAdapter) do(p *sim.Proc, op ReqOp, off int64, buf []byte, length in
 
 // Read implements Device.
 func (s *SyncAdapter) Read(p *sim.Proc, off int64, buf []byte, length int64) error {
-	return s.do(p, ReqRead, off, buf, length)
+	return s.Do(p, ReqRead, off, buf, length, HintNone)
 }
 
 // Write implements Device.
 func (s *SyncAdapter) Write(p *sim.Proc, off int64, buf []byte, length int64) error {
-	return s.do(p, ReqWrite, off, buf, length)
+	return s.Do(p, ReqWrite, off, buf, length, HintNone)
 }
 
 // Flush implements Device.
 func (s *SyncAdapter) Flush(p *sim.Proc) error {
-	return s.do(p, ReqFlush, 0, nil, 0)
+	return s.Do(p, ReqFlush, 0, nil, 0, HintNone)
 }
 
 // Trim implements Device.
 func (s *SyncAdapter) Trim(p *sim.Proc, off, length int64) error {
-	return s.do(p, ReqTrim, off, nil, length)
+	return s.Do(p, ReqTrim, off, nil, length, HintNone)
 }

@@ -8,8 +8,7 @@
 // The block engine drives queue depth the way fio's libaio engine does:
 // one worker process per job opens a blockdev.Queue and keeps QD requests
 // in flight with batched submission, recording per-request latency from
-// completions. RunCloned retains the legacy scheme — QD cloned processes
-// each issuing blocking calls — as a baseline for the QD-sweep benchmark.
+// completions.
 package fio
 
 import (
@@ -85,12 +84,12 @@ func (j Job) norm() Job {
 	return j
 }
 
-// validate rejects jobs the engines cannot run sensibly: unaligned or
+// validate rejects jobs the engine cannot run sensibly: unaligned or
 // non-positive request sizes, regions outside the device, regions smaller
 // than one request (the seed's rng.Int63n(0) panic), and sequential jobs
 // with more workers than request slots (zero stride: every worker would
 // hammer offset 0).
-func (j Job) validate(dev blockdev.Device, workers int) error {
+func (j Job) validate(dev blockdev.Device) error {
 	ss := int64(dev.SectorSize())
 	if j.QD < 1 || j.NumJobs < 1 {
 		return fmt.Errorf("fio: QD %d and NumJobs %d must be positive", j.QD, j.NumJobs)
@@ -108,8 +107,8 @@ func (j Job) validate(dev blockdev.Device, workers int) error {
 	if maxOff < 1 {
 		return fmt.Errorf("fio: region of %dB holds no complete %dB request", j.Size, j.BS)
 	}
-	if (j.Pattern == SeqRead || j.Pattern == SeqWrite) && int64(workers) > maxOff {
-		return fmt.Errorf("fio: %d sequential workers over a region with only %d request slots", workers, maxOff)
+	if (j.Pattern == SeqRead || j.Pattern == SeqWrite) && int64(j.NumJobs) > maxOff {
+		return fmt.Errorf("fio: %d sequential workers over a region with only %d request slots", j.NumJobs, maxOff)
 	}
 	return nil
 }
@@ -167,7 +166,7 @@ func Run(p *sim.Proc, dev blockdev.Device, job Job) (*Result, error) {
 	if job.Size == 0 {
 		job.Size = dev.Capacity() - job.Offset
 	}
-	if err := job.validate(dev, job.NumJobs); err != nil {
+	if err := job.validate(dev); err != nil {
 		return nil, err
 	}
 	st := newJobState(env, job)
@@ -395,79 +394,6 @@ func (w *queueWorker) pump() {
 		w.kick.OnFire(w.pumpFn)
 		return
 	}
-}
-
-// RunCloned executes the job with the legacy engine the queue API
-// replaced: queue depth faked by spawning QD cloned workers per job, each
-// issuing one blocking call at a time. Kept as the comparison baseline for
-// the QD-sweep benchmark and as a second opinion in conformance tests.
-func RunCloned(p *sim.Proc, dev blockdev.Device, job Job) (*Result, error) {
-	job = job.norm()
-	env := p.Env()
-	if job.Size == 0 {
-		job.Size = dev.Capacity() - job.Offset
-	}
-	workers := job.NumJobs * job.QD
-	if err := job.validate(dev, workers); err != nil {
-		return nil, err
-	}
-	st := newJobState(env, job)
-	res := st.res
-	start := env.Now()
-	done := env.NewEvent()
-	running := workers
-	for w := 0; w < workers; w++ {
-		rng := rand.New(rand.NewSource(job.Seed + int64(w)*104729))
-		seqCursor := int64(w) * (st.maxOff / int64(workers))
-		env.Go(fmt.Sprintf("fio.%s.%d", job.Name, w), func(pr *sim.Proc) {
-			defer func() {
-				running--
-				if running == 0 {
-					done.Signal()
-				}
-			}()
-			writesSinceSync := 0
-			for env.Now() < st.deadline && st.issued < st.opBudget {
-				st.issued++
-				isRead, off := st.nextOp(job, rng, &seqCursor)
-				if isRead {
-					t0 := env.Now()
-					if err := dev.Read(pr, off, nil, int64(job.BS)); err != nil {
-						res.Errors++
-						continue
-					}
-					res.ReadLat.Add(env.Now() - t0)
-					res.ReadBytes += int64(job.BS)
-					res.Reads++
-				} else {
-					if st.writeGap > 0 {
-						// Claim the next token; sleep until it matures.
-						if at := st.claimWriteToken(env.Now()); at > env.Now() {
-							pr.Sleep(at - env.Now())
-						}
-					}
-					t0 := env.Now()
-					if err := dev.Write(pr, off, nil, int64(job.BS)); err != nil {
-						res.Errors++
-						continue
-					}
-					res.WriteLat.Add(env.Now() - t0)
-					res.WriteBytes += int64(job.BS)
-					res.Writes++
-					writesSinceSync++
-					if job.SyncEvery > 0 && writesSinceSync >= job.SyncEvery {
-						writesSinceSync = 0
-						if err := dev.Flush(pr); err != nil {
-							res.Errors++
-						}
-					}
-				}
-			}
-		})
-	}
-	p.Wait(done)
-	res.Elapsed = env.Now() - start
-	return res, nil
 }
 
 // Prepare sequentially fills [off, off+size) of dev with synthetic data at

@@ -1,6 +1,7 @@
 package fio
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -83,8 +84,14 @@ func TestQueueDepthScalesThroughput(t *testing.T) {
 		env.Run()
 		return res.ReadMBps()
 	}
-	if q4 := run(4); q4 < 3*run(1) {
-		t.Fatalf("QD4 throughput %.1f not ~4x QD1", q4)
+	// Little's law on a fixed-latency device: QD requests in flight, each
+	// taking ReadLatency, move QD × BS bytes per latency.
+	lat := nullblk.DefaultConfig().ReadLatency.Seconds()
+	for _, qd := range []int{1, 4, 8} {
+		want := float64(qd) * 4096 / lat / 1e6
+		if got := run(qd); math.Abs(got/want-1) > 0.001 {
+			t.Errorf("QD%d throughput %.1f MB/s, want %.1f (QD × BS ÷ latency)", qd, got, want)
+		}
 	}
 }
 
@@ -168,10 +175,6 @@ func TestRunRejectsSeqWorkersExceedingSlots(t *testing.T) {
 		if _, err := Run(p, dev, Job{Name: "t", Pattern: SeqRead, BS: 4096, NumJobs: 8, Size: 4 * 4096, MaxOps: 8}); err == nil {
 			t.Error("want error for more sequential workers than slots, got nil")
 		}
-		// The cloned engine counts NumJobs*QD workers.
-		if _, err := RunCloned(p, dev, Job{Name: "t", Pattern: SeqRead, BS: 4096, QD: 4, NumJobs: 2, Size: 4 * 4096, MaxOps: 8}); err == nil {
-			t.Error("want RunCloned error for more sequential workers than slots, got nil")
-		}
 	})
 	env.Run()
 }
@@ -182,7 +185,7 @@ func TestRunRejectsNegativeDepthAndJobs(t *testing.T) {
 		if _, err := Run(p, dev, Job{Name: "t", Pattern: RandRead, BS: 4096, QD: -1, MaxOps: 1}); err == nil {
 			t.Error("want error for negative QD, got nil")
 		}
-		if _, err := RunCloned(p, dev, Job{Name: "t", Pattern: RandRead, BS: 4096, NumJobs: -2, MaxOps: 1}); err == nil {
+		if _, err := Run(p, dev, Job{Name: "t", Pattern: RandRead, BS: 4096, NumJobs: -2, MaxOps: 1}); err == nil {
 			t.Error("want error for negative NumJobs, got nil")
 		}
 	})
@@ -197,29 +200,6 @@ func TestRunRejectsMisalignedBS(t *testing.T) {
 		}
 	})
 	env.Run()
-}
-
-// TestClonedEngineAgrees checks the legacy engine still works and roughly
-// agrees with the queue engine on an uncontended device.
-func TestClonedEngineAgrees(t *testing.T) {
-	env, dev := newNull()
-	var qres, cres *Result
-	env.Go("main", func(p *sim.Proc) {
-		var err error
-		qres, err = Run(p, dev, Job{Name: "q", Pattern: RandRead, BS: 4096, QD: 8, Runtime: 5 * time.Millisecond})
-		if err != nil {
-			panic(err)
-		}
-		cres, err = RunCloned(p, dev, Job{Name: "c", Pattern: RandRead, BS: 4096, QD: 8, Runtime: 5 * time.Millisecond})
-		if err != nil {
-			panic(err)
-		}
-	})
-	env.Run()
-	ratio := qres.ReadMBps() / cres.ReadMBps()
-	if ratio < 0.9 || ratio > 1.1 {
-		t.Fatalf("queue engine %.1f MB/s vs cloned %.1f MB/s, want within 10%%", qres.ReadMBps(), cres.ReadMBps())
-	}
 }
 
 // ---- PPA engine against a real device ----

@@ -20,27 +20,19 @@ func init() {
 }
 
 // fleetConfig assembles one fleet of compact 8-PU members. Quick mode
-// shrinks the media so the rebuild drill stays cheap. In parallel mode the
-// members distribute over the given shard envs, one cross-shard transport
-// hop away from the host-side fan-out.
-func fleetConfig(o Options, shards []*sim.Env, devices, spares int) volume.Config {
+// shrinks the media so the rebuild drill stays cheap.
+func fleetConfig(o Options, devices, spares int) volume.Config {
 	bpp := o.BlocksPerPlane
 	if o.Quick {
 		bpp = 16
 	}
-	cfg := volume.Config{
+	return volume.Config{
 		Devices: devices,
 		Spares:  spares,
 		OCSSD:   volume.DefaultDeviceConfig(bpp),
 		Pblk:    pblk.Config{OverProvision: 0.2},
 		Seed:    o.Seed,
 	}
-	if len(shards) > 0 {
-		cfg.Shards = shards
-		cfg.OCSSD.Timing.SubmitLatency = parallelLookahead
-		cfg.OCSSD.Timing.CompleteLatency = parallelLookahead
-	}
-	return cfg
 }
 
 // runFleet is the fleet-level evaluation the single-device experiments
@@ -95,10 +87,10 @@ func runFleetScaling(o Options, w io.Writer) error {
 
 func runFleetScalePoint(o Options, devs int, span int64) (fleetScaleRow, error) {
 	row := fleetScaleRow{devs: devs}
-	env, shards := newSimEnv(o, o.Seed, devs)
+	env := sim.NewEnv(o.Seed)
 	var runErr error
 	env.Go("fleet-scale", func(p *sim.Proc) {
-		mgr, err := volume.NewManager(p, env, fleetConfig(o, shards, devs, 0))
+		mgr, err := volume.NewManager(p, env, fleetConfig(o, devs, 0))
 		if err != nil {
 			runErr = err
 			return
@@ -198,7 +190,7 @@ func runFleetFailover(o Options, w io.Writer) error {
 		status                 volume.Status
 		runErr                 error
 	)
-	env, shards := newSimEnv(o, o.Seed+100, 5)
+	env := sim.NewEnv(o.Seed + 100)
 	env.Go("fleet-failover", func(p *sim.Proc) {
 		fail := func(err error) bool {
 			if err != nil && runErr == nil {
@@ -206,7 +198,7 @@ func runFleetFailover(o Options, w io.Writer) error {
 			}
 			return err != nil
 		}
-		mgr, err := volume.NewManager(p, env, fleetConfig(o, shards, 4, 1))
+		mgr, err := volume.NewManager(p, env, fleetConfig(o, 4, 1))
 		if fail(err) {
 			return
 		}

@@ -1,15 +1,13 @@
 // Package harness defines one runnable experiment per table and figure of
 // the paper's evaluation (§5), plus ablations of the design choices called
 // out in DESIGN.md. Each experiment builds its devices, runs the paper's
-// workload in virtual time, and prints rows comparable to the published
-// ones. EXPERIMENTS.md records paper-vs-measured for every run.
+// workload in virtual time, and prints rows comparable to the published ones.
 package harness
 
 import (
 	"fmt"
 	"io"
 	"math/rand"
-	"runtime"
 	"sort"
 	"strings"
 	"time"
@@ -53,18 +51,6 @@ type Options struct {
 	// Quick shrinks sweeps for smoke runs.
 	Quick bool
 	Seed  int64
-	// Parallel runs the experiment on the sharded engine: the device's
-	// channels (or the fleet's members) are partitioned across shards and
-	// executed by a worker pool inside conservative time windows, with a
-	// 2µs submit/complete transport hop equal to the coordinator lookahead.
-	// Sharded results are a pure function of (seed, topology, lookahead):
-	// byte-identical for every worker count, but a slightly different
-	// timing model from the serial engine (the transport hops are real
-	// latency the serial model folds into zero).
-	Parallel bool
-	// Workers is the sharded engine's worker-goroutine pool size when
-	// Parallel is set (0 = GOMAXPROCS).
-	Workers int
 
 	// ---- media realism knobs, consumed only by wear-aware experiments
 	// (lifetime). Characterization experiments keep wear disabled
@@ -141,52 +127,9 @@ func ByID(id string) (Experiment, bool) {
 
 // ---- shared builders ----
 
-// parallelLookahead is the conservative window width used by -parallel
-// runs; it equals the submit/complete transport hop on every device, so
-// the window is always as wide as the minimum cross-shard latency.
-const parallelLookahead = 2 * time.Microsecond
-
-// parallelShards is how many device shards a single big device is split
-// into (whole channels per shard) when running parallel.
-const parallelShards = 4
-
-// newSimEnv returns the experiment's simulation environment: a plain env
-// in serial mode, or the host shard of a ShardedEnv plus devShards device
-// shard envs in parallel mode. The host env's Run drives the coordinator,
-// so experiment code is mode-agnostic.
-func newSimEnv(o Options, seed int64, devShards int) (*sim.Env, []*sim.Env) {
-	if !o.Parallel || devShards < 1 {
-		return sim.NewEnv(seed), nil
-	}
-	se := sim.NewShardedEnv(seed, 1+devShards)
-	se.SetLookahead(parallelLookahead)
-	w := o.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	se.SetWorkers(w)
-	shards := make([]*sim.Env, devShards)
-	for i := range shards {
-		shards[i] = se.Shard(1 + i)
-	}
-	return se.Host(), shards
-}
-
-// newDevice builds one ocssd device on env, spread over the given device
-// shards (nil = plain serial device). Parallel devices carry the 2µs
-// transport hops the conservative windows derive their lookahead from.
-func newDevice(env *sim.Env, shards []*sim.Env, cfg ocssd.Config) (*ocssd.Device, error) {
-	if len(shards) == 0 {
-		return ocssd.New(env, cfg)
-	}
-	cfg.Timing.SubmitLatency = parallelLookahead
-	cfg.Timing.CompleteLatency = parallelLookahead
-	return ocssd.NewSharded(env, shards, cfg)
-}
-
 // newOCSSD builds a Westlake-like open-channel SSD scaled by the options.
 func newOCSSD(o Options) (*sim.Env, *ocssd.Device, *lightnvm.Device, error) {
-	env, shards := newSimEnv(o, o.Seed, parallelShards)
+	env := sim.NewEnv(o.Seed)
 	m := nand.DefaultConfig()
 	m.PECycleLimit = 0 // characterization runs should not age the media
 	m.WearLatencyFactor = 0
@@ -197,7 +140,7 @@ func newOCSSD(o Options) (*sim.Env, *ocssd.Device, *lightnvm.Device, error) {
 		PageCache: true,
 		Seed:      o.Seed,
 	}
-	dev, err := newDevice(env, shards, cfg)
+	dev, err := ocssd.New(env, cfg)
 	if err != nil {
 		return nil, nil, nil, err
 	}

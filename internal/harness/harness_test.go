@@ -206,3 +206,26 @@ func TestTenantsQuick(t *testing.T) {
 		}
 	}
 }
+
+// The only run fig4, fig5, lanes, lifetime and wa-e2e get under go test; the
+// other three are here for their short 20 ms window.
+func TestQuickExperimentsRun(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs eight quick experiments")
+	}
+	for _, id := range []string{"fig4", "fig5", "lanes", "wa", "tenants", "fleet", "lifetime", "wa-e2e"} {
+		t.Run(id, func(t *testing.T) {
+			e, ok := ByID(id)
+			if !ok {
+				t.Fatalf("unknown experiment %q", id)
+			}
+			var b bytes.Buffer
+			if err := e.Run(Defaults(Options{Quick: true, Duration: 20 * time.Millisecond}), &b); err != nil {
+				t.Fatal(err)
+			}
+			if b.Len() == 0 {
+				t.Error("empty output")
+			}
+		})
+	}
+}

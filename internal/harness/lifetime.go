@@ -24,8 +24,8 @@ func init() {
 }
 
 // lifetimeGeometry is a small 8-PU device (same channel fan-out as the
-// wa experiment, so it shards 4 ways) that can be aged through its whole
-// P/E budget in seconds of virtual time.
+// wa experiment) that can be aged through its whole P/E budget in seconds
+// of virtual time.
 func lifetimeGeometry(blocksPerPlane int) ppa.Geometry {
 	return ppa.Geometry{
 		Channels: 4, PUsPerChannel: 2, PlanesPerPU: 4,
@@ -111,8 +111,8 @@ func runLifetime(o Options, w io.Writer) error {
 	}
 
 	run := func(scrub bool) ([]lifeRow, time.Duration, error) {
-		env, shards := newSimEnv(o, o.Seed, parallelShards)
-		dev, err := newDevice(env, shards, ocssd.Config{
+		env := sim.NewEnv(o.Seed)
+		dev, err := ocssd.New(env, ocssd.Config{
 			Geometry:  lifetimeGeometry(blocks),
 			Timing:    ocssd.DefaultTiming(),
 			Media:     media(),

@@ -105,11 +105,11 @@ func runWA(o Options, w io.Writer) error {
 	}
 
 	run := func(c waConfig) (waRow, error) {
-		env, shards := newSimEnv(o, o.Seed, parallelShards)
+		env := sim.NewEnv(o.Seed)
 		m := nand.DefaultConfig()
 		m.PECycleLimit = 0
 		m.WearLatencyFactor = 0
-		dev, err := newDevice(env, shards, ocssd.Config{
+		dev, err := ocssd.New(env, ocssd.Config{
 			Geometry:  waGeometry(blocks),
 			Timing:    ocssd.DefaultTiming(),
 			Media:     m,

@@ -118,11 +118,11 @@ func runWAE2E(o Options, w io.Writer) error {
 	}
 
 	run := func(mode waE2EMode, util float64) (waE2ERow, error) {
-		env, shards := newSimEnv(o, o.Seed, parallelShards)
+		env := sim.NewEnv(o.Seed)
 		m := nand.DefaultConfig()
 		m.PECycleLimit = 0
 		m.WearLatencyFactor = 0
-		dev, err := newDevice(env, shards, ocssd.Config{
+		dev, err := ocssd.New(env, ocssd.Config{
 			Geometry:  waE2EGeometry(blocks),
 			Timing:    ocssd.DefaultTiming(),
 			Media:     m,

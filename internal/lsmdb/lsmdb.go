@@ -11,8 +11,8 @@
 // compaction merges operate on real data.
 //
 // All device I/O rides the blockdev.Queue asynchronous datapath through
-// pooled requests (ioCall), so the steady-state read/write path allocates
-// nothing. SSTable flush and compaction output may be tagged with
+// pooled requests (blockdev.SyncAdapter), so the steady-state read/write path
+// allocates nothing. SSTable flush and compaction output may be tagged with
 // blockdev.HintCold (Config.ColdHints): a hint-aware FTL (pblk) then
 // segregates them into a cold or dedicated app append stream, and because
 // lsmdb erases whole table extents with ReqTrim after each compaction,
@@ -123,6 +123,7 @@ type DB struct {
 	cfg Config
 	env *sim.Env
 	q   blockdev.Queue
+	blk *blockdev.SyncAdapter // blocking calls over q
 	rng *rand.Rand
 	ss  int64 // device sector size
 
@@ -187,9 +188,8 @@ type DB struct {
 
 	cache blockCache
 
-	// Pools: blocking-call contexts, fire-and-forget trim requests,
-	// SSTable builders and iterators, block scratch buffers.
-	callFree    []*ioCall
+	// Pools: fire-and-forget trim requests, SSTable builders and iterators,
+	// block scratch buffers.
 	trimPool    blockdev.ReqPool
 	builderFree []*tableBuilder
 	iterFree    []*tableIter
@@ -245,6 +245,7 @@ func Open(p *sim.Proc, env *sim.Env, dev blockdev.Device, cfg Config) (*DB, erro
 		q:   blockdev.OpenQueue(env, dev, cfg.QueueDepth),
 		rng: rand.New(rand.NewSource(cfg.Seed)),
 	}
+	db.blk = blockdev.NewSyncAdapter(env, db.q)
 	walSize := cfg.WALSize
 	if walSize == 0 {
 		walSize = 4 * cfg.MemtableSize
@@ -350,45 +351,6 @@ func (db *DB) LevelTables() []int {
 func (db *DB) entrySize() int64 { return int64(db.cfg.KeySize + db.cfg.ValueSize) }
 
 func (db *DB) sectorAlign(n int64) int64 { return (n + db.ss - 1) / db.ss * db.ss }
-
-// ---- pooled blocking I/O over the queue ----
-
-// ioCall is one pooled blocking-call context: an embedded request with a
-// pre-bound completion event, reused across calls so the datapath
-// allocates nothing in steady state (the hint-carrying analogue of
-// blockdev.SyncAdapter's syncCall).
-type ioCall struct {
-	req blockdev.Request
-	ev  *sim.Event
-	one [1]*blockdev.Request
-}
-
-func (db *DB) getCall() *ioCall {
-	if n := len(db.callFree); n > 0 {
-		c := db.callFree[n-1]
-		db.callFree[n-1] = nil
-		db.callFree = db.callFree[:n-1]
-		return c
-	}
-	c := &ioCall{ev: db.env.NewEvent()}
-	c.req.OnComplete = func(*blockdev.Request) { c.ev.Signal() }
-	return c
-}
-
-// doIO submits one request and suspends p until it completes. hint is the
-// write-lifetime hint (blockdev.HintNone/HintCold).
-func (db *DB) doIO(p *sim.Proc, op blockdev.ReqOp, off int64, buf []byte, length int64, hint uint8) error {
-	c := db.getCall()
-	c.req.Op, c.req.Off, c.req.Buf, c.req.Length, c.req.Hint, c.req.Err = op, off, buf, length, hint, nil
-	c.one[0] = &c.req
-	db.q.Submit(c.one[:]...)
-	p.Wait(c.ev)
-	c.ev.Reset()
-	err := c.req.Err
-	c.req.Buf = nil
-	db.callFree = append(db.callFree, c)
-	return err
-}
 
 // asyncTrim discards a dead extent without blocking: fire-and-forget
 // through the request pool. The FTL drops the mappings, so the erased

@@ -593,10 +593,9 @@ func TestFillSeqDuration(t *testing.T) {
 	})
 }
 
-// BenchmarkLSMReadWrite measures the mixed Put+Get hot path over nullblk;
-// the CI gate watches allocs/op, so the pooled datapath (requests, block
-// buffers, memtables, iterators) must stay allocation-free in steady
-// state up to event churn.
+// BenchmarkLSMReadWrite measures the mixed Put+Get hot path over nullblk.
+// Watch allocs/op: the pooled datapath (requests, block buffers, memtables,
+// iterators) must stay allocation-free in steady state up to event churn.
 func BenchmarkLSMReadWrite(b *testing.B) {
 	env := sim.NewEnv(1)
 	nb := nullblk.New(nullblk.Config{

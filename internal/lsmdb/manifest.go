@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"hash/crc32"
 
-	"repro/internal/blockdev"
 	"repro/internal/sim"
 )
 
@@ -154,10 +153,10 @@ func (db *DB) commitManifest(p *sim.Proc) error {
 	}
 	db.manifestBuf = buf
 	slot := int64(db.manifestVer % 2)
-	if err := db.doIO(p, blockdev.ReqWrite, slot*manifestSlotSize, buf, wlen, blockdev.HintNone); err != nil {
+	if err := db.blk.Write(p, slot*manifestSlotSize, buf, wlen); err != nil {
 		return err
 	}
-	return db.doIO(p, blockdev.ReqFlush, 0, nil, 0, blockdev.HintNone)
+	return db.blk.Flush(p)
 }
 
 // decodeManifest parses one slot; ok is false for torn, foreign, or
@@ -235,7 +234,7 @@ func (db *DB) recover(p *sim.Proc) error {
 	found := false
 	slotBuf := db.getBlockBuf(int(manifestSlotSize))
 	for slot := int64(0); slot < 2; slot++ {
-		if err := db.doIO(p, blockdev.ReqRead, slot*manifestSlotSize, slotBuf, manifestSlotSize, blockdev.HintNone); err != nil {
+		if err := db.blk.Read(p, slot*manifestSlotSize, slotBuf, manifestSlotSize); err != nil {
 			return err
 		}
 		if st, ok := decodeManifest(slotBuf); ok && (!found || st.version > best.version) {
@@ -287,7 +286,7 @@ func (db *DB) loadTable(p *sim.Proc, t *tableMeta) error {
 		return fmt.Errorf("lsmdb: manifest table %d has bad extent [%d,%d)", t.id, t.off, t.off+t.size)
 	}
 	foot := db.getBlockBuf(int(db.ss))
-	if err := db.doIO(p, blockdev.ReqRead, t.off+t.size-db.ss, foot, db.ss, blockdev.HintNone); err != nil {
+	if err := db.blk.Read(p, t.off+t.size-db.ss, foot, db.ss); err != nil {
 		return err
 	}
 	// The footer starts somewhere in the final sector: it was appended
@@ -318,7 +317,7 @@ func (db *DB) loadTable(p *sim.Proc, t *tableMeta) error {
 	lo := bloomOff / db.ss * db.ss
 	hi := db.sectorAlign(indexOff + indexLen)
 	span := db.getBlockBuf(int(hi - lo))
-	if err := db.doIO(p, blockdev.ReqRead, t.off+lo, span, hi-lo, blockdev.HintNone); err != nil {
+	if err := db.blk.Read(p, t.off+lo, span, hi-lo); err != nil {
 		return err
 	}
 	t.bloom = append([]byte(nil), span[bloomOff-lo:bloomOff-lo+bloomLen]...)

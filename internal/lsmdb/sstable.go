@@ -310,13 +310,13 @@ func (b *tableBuilder) finish(p *sim.Proc) (*tableMeta, error) {
 			// onto whole erase units.
 			h = blockdev.HintColdSeg
 		}
-		if err := db.doIO(p, blockdev.ReqWrite, off+done, b.buf[done:done+n], n, h); err != nil {
+		if err := db.blk.Do(p, blockdev.ReqWrite, off+done, b.buf[done:done+n], n, h); err != nil {
 			db.tableWriteMu.Release()
 			return nil, err
 		}
 		done += n
 	}
-	err = db.doIO(p, blockdev.ReqFlush, 0, nil, 0, blockdev.HintNone)
+	err = db.blk.Flush(p)
 	db.tableWriteMu.Release()
 	if err != nil {
 		return nil, err
@@ -397,7 +397,7 @@ func (db *DB) tableGet(p *sim.Proc, t *tableMeta, key []byte) (val []byte, tomb,
 	db.CacheMisses++
 	t.refs++
 	buf := db.getBlockBuf(int(ent.len))
-	err = db.doIO(p, blockdev.ReqRead, t.off+int64(ent.off), buf, int64(ent.len), blockdev.HintNone)
+	err = db.blk.Read(p, t.off+int64(ent.off), buf, int64(ent.len))
 	t.refs--
 	db.maybeReap(t)
 	if err != nil {
@@ -511,7 +511,7 @@ func (it *tableIter) next(p *sim.Proc) (bool, error) {
 			it.buf = db.getBlockBuf(int(ent.len))
 		}
 		it.buf = it.buf[:ent.len]
-		if err := db.doIO(p, blockdev.ReqRead, it.t.off+int64(ent.off), it.buf, int64(ent.len), blockdev.HintNone); err != nil {
+		if err := db.blk.Read(p, it.t.off+int64(ent.off), it.buf, int64(ent.len)); err != nil {
 			it.valid = false
 			return false, err
 		}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"hash/crc32"
 
-	"repro/internal/blockdev"
 	"repro/internal/sim"
 )
 
@@ -136,7 +135,7 @@ func (db *DB) walWriter(p *sim.Proc) {
 		}
 		db.walFrame = frame
 		db.walSpare = payload // recycled as the next swap buffer
-		err := db.doIO(p, blockdev.ReqWrite, db.walBase+db.walHead%db.walSize, frame, batchLen, blockdev.HintNone)
+		err := db.blk.Write(p, db.walBase+db.walHead%db.walSize, frame, batchLen)
 		if err != nil {
 			db.fail(fmt.Errorf("lsmdb: WAL write: %w", err))
 			return
@@ -148,7 +147,7 @@ func (db *DB) walWriter(p *sim.Proc) {
 		if db.cfg.SyncWAL && db.walSinceSync >= int64(db.cfg.WALSyncBytes) {
 			db.walSinceSync = 0
 			db.Syncs++
-			if err := db.doIO(p, blockdev.ReqFlush, 0, nil, 0, blockdev.HintNone); err != nil {
+			if err := db.blk.Flush(p); err != nil {
 				db.fail(fmt.Errorf("lsmdb: WAL flush: %w", err))
 				return
 			}
@@ -185,7 +184,7 @@ func (db *DB) walReplay(p *sim.Proc) error {
 		}
 		// Read the first sector to frame the batch.
 		sect := buf[:db.ss]
-		if err := db.doIO(p, blockdev.ReqRead, db.walBase+pos, sect, db.ss, blockdev.HintNone); err != nil {
+		if err := db.blk.Read(p, db.walBase+pos, sect, db.ss); err != nil {
 			return err
 		}
 		magic := binary.LittleEndian.Uint32(sect[0:4])
@@ -200,7 +199,7 @@ func (db *DB) walReplay(p *sim.Proc) error {
 		if valid {
 			if batchLen > db.ss {
 				rest := buf[db.ss:batchLen]
-				if err := db.doIO(p, blockdev.ReqRead, db.walBase+pos+db.ss, rest, batchLen-db.ss, blockdev.HintNone); err != nil {
+				if err := db.blk.Read(p, db.walBase+pos+db.ss, rest, batchLen-db.ss); err != nil {
 					return err
 				}
 			}

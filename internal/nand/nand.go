@@ -165,9 +165,9 @@ type Die struct {
 	nowFn func() int64
 
 	// free is the LIFO list of page buffers erased blocks gave back; held
-	// counts the buffers blocks currently own. A die belongs to exactly one
-	// shard of the sharded engine, so neither needs a lock and reuse order
-	// is a function of simulation state alone.
+	// counts the buffers blocks currently own. The simulation is
+	// single-threaded, so neither needs a lock and reuse order is a
+	// function of simulation state alone.
 	free [][]byte
 	held int
 

@@ -20,7 +20,6 @@ package ocssd
 import (
 	"errors"
 	"fmt"
-	"math/bits"
 	"math/rand"
 	"strings"
 	"time"
@@ -93,17 +92,6 @@ type Timing struct {
 	// SuspendPenalty per resumption.
 	SuspendSlice   time.Duration
 	SuspendPenalty time.Duration
-
-	// SubmitLatency and CompleteLatency model the transport hop between
-	// host and controller: doorbell-to-fetch on the way down, completion
-	// posting / interrupt on the way back. Both default to zero, which
-	// preserves the historical model (commands start and retire at the
-	// instant of submission/completion). A sharded device (NewSharded)
-	// rides these hops as its cross-shard edges, so their minimum is the
-	// conservative-window lookahead; with both zero a sharded device still
-	// works but the engine degrades to lockstep windows.
-	SubmitLatency   time.Duration
-	CompleteLatency time.Duration
 }
 
 // DefaultTiming matches the paper's Table 1 characterization (see DESIGN.md
@@ -245,10 +233,6 @@ type punit struct {
 	// controller page buffer is disabled.
 	cache []cacheEnt
 	ch    int
-	// env is the shard environment the PU's command machinery runs in: the
-	// host environment on an unsharded device, a device shard on a sharded
-	// one. busy (and the owning channel's xfer) live on the same shard.
-	env *sim.Env
 }
 
 type pageKey struct {
@@ -261,16 +245,11 @@ type channel struct {
 
 // Device is an open-channel SSD instance.
 type Device struct {
-	env  *sim.Env // host-side environment: Submit, pools, stats, completions
+	env  *sim.Env
 	cfg  Config
 	fmtr ppa.Format
 	chs  []*channel
 	pus  []*punit // indexed by global PU (ch*PUsPerChannel + pu)
-
-	// sharded marks a device whose PU machinery runs on shard envs other
-	// than the host env (NewSharded); the datapath then hands tasks across
-	// the submit/complete transport edges instead of scheduling locally.
-	sharded bool
 
 	// doFree pools the event+result box used by Do, so blocking wrappers
 	// (recovery scans issue hundreds of thousands) allocate nothing in
@@ -314,20 +293,6 @@ type Device struct {
 
 // New builds a device in env. It panics only on invalid configuration.
 func New(env *sim.Env, cfg Config) (*Device, error) {
-	return NewSharded(env, nil, cfg)
-}
-
-// NewSharded builds a device whose host side (Submit, completions, stats,
-// pools) runs in host while the per-PU command machinery is partitioned
-// across shardEnvs, whole channels at a time: channel c's transfer queue
-// and all its PUs live on shardEnvs[c*len(shardEnvs)/Channels]. The only
-// cross-shard edges are the submit hop (host → PU shard, Timing.
-// SubmitLatency) and the completion hop back (Timing.CompleteLatency);
-// with shard envs belonging to a sim.ShardedEnv those hops ride Post and
-// the device executes its channels in parallel. A nil or empty shardEnvs
-// (or one containing only host) degenerates to the classic single-
-// environment device.
-func NewSharded(host *sim.Env, shardEnvs []*sim.Env, cfg Config) (*Device, error) {
 	f, err := ppa.NewFormat(cfg.Geometry)
 	if err != nil {
 		return nil, err
@@ -335,27 +300,13 @@ func NewSharded(host *sim.Env, shardEnvs []*sim.Env, cfg Config) (*Device, error
 	if cfg.Timing.ChannelMBps <= 0 {
 		return nil, fmt.Errorf("ocssd: channel bandwidth must be positive")
 	}
-	if len(shardEnvs) > cfg.Geometry.Channels {
-		return nil, fmt.Errorf("ocssd: %d shard envs for %d channels (shards split whole channels)",
-			len(shardEnvs), cfg.Geometry.Channels)
-	}
-	d := &Device{env: host, cfg: cfg, fmtr: f}
+	d := &Device{env: env, cfg: cfg, fmtr: f}
 	for n := range d.xfer {
 		d.xfer[n] = time.Duration(float64(n*cfg.Geometry.SectorSize) / (cfg.Timing.ChannelMBps * 1e6) * float64(time.Second))
 	}
-	envOf := func(ch int) *sim.Env {
-		if len(shardEnvs) == 0 {
-			return host
-		}
-		e := shardEnvs[ch*len(shardEnvs)/cfg.Geometry.Channels]
-		if e != host {
-			d.sharded = true
-		}
-		return e
-	}
 	d.chs = make([]*channel, cfg.Geometry.Channels)
 	for i := range d.chs {
-		d.chs[i] = &channel{xfer: envOf(i).NewResource(1)}
+		d.chs[i] = &channel{xfer: env.NewResource(1)}
 	}
 	dims := nand.Dims{
 		Planes:         cfg.Geometry.PlanesPerPU,
@@ -368,18 +319,12 @@ func NewSharded(host *sim.Env, shardEnvs []*sim.Env, cfg Config) (*Device, error
 	d.pus = make([]*punit, cfg.Geometry.TotalPUs())
 	for i := range d.pus {
 		rng := rand.New(rand.NewSource(cfg.Seed + int64(i)*7919))
-		ch := i / cfg.Geometry.PUsPerChannel
 		die := nand.NewDie(dims, cfg.Media, rng)
-		// The retention clock reads the PU's own shard environment, so BER
-		// evaluation stays deterministic on the sharded engine (a PU's
-		// commands always execute on its shard).
-		puEnv := envOf(ch)
-		die.SetNow(func() int64 { return int64(puEnv.Now()) })
+		die.SetNow(func() int64 { return int64(env.Now()) })
 		d.pus[i] = &punit{
 			die:  die,
-			busy: puEnv.NewResource(1),
-			ch:   ch,
-			env:  puEnv,
+			busy: env.NewResource(1),
+			ch:   i / cfg.Geometry.PUsPerChannel,
 		}
 		if cfg.PageCache {
 			d.pus[i].cache = make([]cacheEnt, cfg.Geometry.PlanesPerPU)
@@ -388,10 +333,6 @@ func NewSharded(host *sim.Env, shardEnvs []*sim.Env, cfg Config) (*Device, error
 	d.taskOf = make([]*puTask, cfg.Geometry.TotalPUs())
 	return d, nil
 }
-
-// Sharded reports whether the device's PU machinery runs on shard envs
-// other than the host env.
-func (d *Device) Sharded() bool { return d.sharded }
 
 // Env returns the simulation environment the device runs in.
 func (d *Device) Env() *sim.Env { return d.env }
@@ -410,8 +351,7 @@ func (d *Device) Timing() Timing { return d.cfg.Timing }
 func (d *Device) Die(globalPU int) *nand.Die { return d.pus[globalPU].die }
 
 // PayloadBytes returns the host memory the device's dies hold in page
-// buffers (nand.Die.PayloadBytes summed over all PUs). Call it with the
-// simulation idle: on a sharded device the dies belong to other shards.
+// buffers (nand.Die.PayloadBytes summed over all PUs).
 func (d *Device) PayloadBytes() int64 {
 	var n int64
 	for _, pu := range d.pus {
@@ -679,71 +619,17 @@ func (d *Device) Submit(cmd *Vector, done func(*Completion)) {
 	d.puOrder = d.puOrder[:0]
 }
 
-// post sends a task over the submit hop: on an unsharded zero-latency device
-// exactly a zero-delay local schedule; on a sharded one it crosses to the
-// PU's shard at +SubmitLatency.
+// post starts a task with a zero-delay event: the submit hop. It stays an
+// event — seq is handed out at push time, and same-instant ties decide which
+// task gets a channel (DESIGN.md §"Device timing").
 func (d *Device) post(t *puTask) {
-	d.env.Post(t.env, d.cfg.Timing.SubmitLatency, taskStep, t)
+	d.env.ScheduleArg(0, taskStep, t)
 }
 
-// taskStep, taskRetire, taskBufAck and taskBufDone are the long-lived
-// trampolines tasks ride across Post/ScheduleArg hops, so no per-hop
-// closure is allocated. taskStep is every sleep's wake-up as well, which is
-// why it is a declared function: step reaches it again through sleep.
+// taskStep is the long-lived trampoline a task rides across ScheduleArg hops,
+// so no per-hop closure is allocated. It is every sleep's wake-up as well,
+// which is why it is a declared function: step reaches it again through sleep.
 func taskStep(a any) { a.(*puTask).step() }
-
-var (
-	// taskRetire runs host-side: fold the task's accumulators, retire its
-	// sub-command (possibly firing the caller's done) and recycle it.
-	taskRetire = func(a any) {
-		t := a.(*puTask)
-		t.fold()
-		t.sub.finish()
-		t.d.putTask(t)
-	}
-
-	// taskBufAck runs host-side when a buffered write's data reached the
-	// controller: account the pending CMB program and ack the host while
-	// the device shard keeps programming in the background.
-	taskBufAck = func(a any) {
-		t := a.(*puTask)
-		t.d.pendingCMB++
-		t.sub.finish()
-	}
-
-	// taskBufDone runs host-side when a buffered write's background
-	// programming drained.
-	taskBufDone = func(a any) {
-		t := a.(*puTask)
-		t.fold()
-		d := t.d
-		d.pendingCMB--
-		if d.pendingCMB == 0 && d.cmbDrained != nil {
-			d.cmbDrained.Signal()
-			d.cmbDrained = nil
-		}
-		d.putTask(t)
-	}
-)
-
-// fold merges a task's shard-local accumulators into the host-side device
-// stats and completion status. On the direct path the counters were bumped
-// in place and fold is a no-op.
-func (t *puTask) fold() {
-	if t.direct {
-		return
-	}
-	d := t.d
-	d.Stats.FlashReads += t.statReads
-	d.Stats.FlashPrograms += t.statPrograms
-	d.Stats.CacheHits += t.statHits
-	d.Stats.Suspensions += t.statSusp
-	d.Stats.ReadRetries += t.statRetries
-	d.Stats.RelocateAdvised += int64(bits.OnesCount64(t.relocMask))
-	t.cmp.Status |= t.failMask
-	t.cmp.Retries += int32(t.statRetries)
-	t.cmp.Relocate |= t.relocMask
-}
 
 // DebugPUs returns a one-line-per-busy-PU view of command occupancy, for
 // diagnosing stalls: units in flight (busy holders) and queued commands.
@@ -770,8 +656,7 @@ type doBox struct {
 	fn  func(*Completion)
 }
 
-// Do submits cmd and blocks the calling process until completion. The
-// caller must run on the device's host environment.
+// Do submits cmd and blocks the calling process until completion.
 func (d *Device) Do(p *sim.Proc, cmd *Vector) *Completion {
 	var b *doBox
 	if n := len(d.doFree); n > 0 {
@@ -790,22 +675,10 @@ func (d *Device) Do(p *sim.Proc, cmd *Vector) *Completion {
 	return out
 }
 
-func setErr(comp *Completion, idx int, err error) {
-	comp.Errs[idx] = err
-	comp.Status |= 1 << uint(idx)
-}
-
-// fail records a per-address failure from task context. Errs[idx] belongs
-// to exactly this task so the write is safe from a device shard; the
-// Status bit goes through the local mask there because Status is shared
-// read-modify-write state.
+// fail records a per-address failure.
 func (t *puTask) fail(idx int, err error) {
 	t.cmp.Errs[idx] = err
-	if t.direct {
-		t.cmp.Status |= 1 << uint(idx)
-	} else {
-		t.failMask |= 1 << uint(idx)
-	}
+	t.cmp.Status |= 1 << uint(idx)
 }
 
 // puTask states. The machine transcribes the old process-based runSub
@@ -848,20 +721,15 @@ type puTask struct {
 	// acks (and lets finish recycle the submission) while the task still
 	// programs in the background, so the task must not reach the
 	// completion through the submission.
-	cmp *Completion
-	pu  *punit
-	ch  *channel
-	cmd *Vector
-	// env is the shard environment the task executes in (the owning PU's
-	// env); direct is true when that is the host env and the completion
-	// latency is zero, i.e. the classic synchronous retire path applies.
-	env    *sim.Env
-	state  int
-	opi    int  // current op index
-	xfer   int  // sectors the current phase moves over the channel
-	hit    bool // current read op was served from the page buffer
-	direct bool
-	ops    []flashOp // grouped media operations
+	cmp   *Completion
+	pu    *punit
+	ch    *channel
+	cmd   *Vector
+	state int
+	opi   int       // current op index
+	xfer  int       // sectors the current phase moves over the channel
+	hit   bool      // current read op was served from the page buffer
+	ops   []flashOp // grouped media operations
 	// one is the op of a one-address command, built in place over the three
 	// arrays below (wired together once, in newTask) instead of in the pooled
 	// storage opsBuf, which the general grouping reuses from command to
@@ -873,19 +741,6 @@ type puTask struct {
 	opsBuf []flashOp
 	// indices are the vector indices served by this PU, in vector order.
 	indices []int
-
-	// Sharded-mode result accumulators, merged into the device stats and
-	// the completion's Status mask on the host side at retire time. The
-	// task writes comp.Errs[i] directly (each vector index belongs to
-	// exactly one task) but must not read-modify-write shared words from a
-	// device shard.
-	failMask     uint64
-	relocMask    uint64 // addresses recovered only via deep retry tiers
-	statReads    int64  // flash array reads
-	statPrograms int64
-	statHits     int64
-	statSusp     int64
-	statRetries  int64 // read-retry tiers this task charged
 
 	// Occupancy (program/erase) sub-machine: remaining media time, the
 	// slice just slept, and the state to enter when fully charged.
@@ -914,14 +769,6 @@ func (d *Device) newTask(sub *submission, cmd *Vector, gpu int) *puTask {
 	t.ch = d.chs[t.pu.ch]
 	t.cmd = cmd
 	t.state = tsBegin
-	t.env = t.pu.env
-	t.direct = t.env == d.env && d.cfg.Timing.CompleteLatency == 0
-	if !t.direct { // a direct task accumulates in the device and completion themselves
-		t.failMask = 0
-		t.relocMask = 0
-		t.statReads, t.statPrograms, t.statHits, t.statSusp = 0, 0, 0, 0
-		t.statRetries = 0
-	}
 	return t
 }
 
@@ -1031,28 +878,19 @@ func (t *puTask) acquire(res *sim.Resource, next int) bool {
 	return false
 }
 
-// sleep charges d of virtual time and re-enters step in state next, on the
-// task's own shard environment.
+// sleep charges d of virtual time and re-enters step in state next.
 func (t *puTask) sleep(d time.Duration, next int) {
 	t.state = next
-	t.env.ScheduleArg(d, taskStep, t)
+	t.d.env.ScheduleArg(d, taskStep, t)
 }
 
-// finishRelease retires the sub-command. On the direct path the completion
-// accounting (and the caller's done callback, when this is the last PU)
-// runs while the PU is still held, then the PU frees and the task
-// recycles — the historical synchronous behaviour. Otherwise the PU frees
-// at device-side completion time and the task rides the completion hop
-// back to the host, which folds its results and retires it.
+// finishRelease retires the sub-command: the completion accounting (and the
+// caller's done callback, when this is the last PU) runs while the PU is
+// still held, then the PU frees and the task recycles.
 func (t *puTask) finishRelease() {
-	if t.direct {
-		t.sub.finish()
-		t.pu.busy.Release()
-		t.d.putTask(t)
-		return
-	}
+	t.sub.finish()
 	t.pu.busy.Release()
-	t.env.Post(t.d.env, t.d.cfg.Timing.CompleteLatency, taskRetire, t)
+	t.d.putTask(t)
 }
 
 // startOccupy charges a long flash operation against the PU. With
@@ -1137,11 +975,7 @@ func (t *puTask) step() {
 			}
 			t.hit = hit
 			if hit {
-				if t.direct {
-					d.Stats.CacheHits++
-				} else {
-					t.statHits++
-				}
+				d.Stats.CacheHits++
 				t.state = tsReadCollect
 				continue
 			}
@@ -1150,11 +984,7 @@ func (t *puTask) step() {
 
 		case tsReadCollect:
 			if !t.hit {
-				if t.direct {
-					d.Stats.FlashReads++
-				} else {
-					t.statReads++
-				}
+				d.Stats.FlashReads++
 			}
 			op := &t.ops[t.opi]
 			comp := t.cmp
@@ -1167,12 +997,8 @@ func (t *puTask) step() {
 					// Deep-tier recovery: advise the host to relocate this
 					// data before the next tier runs out.
 					for _, i := range op.idx[pi] {
-						if t.direct {
-							comp.Relocate |= 1 << uint(i)
-							d.Stats.RelocateAdvised++
-						} else {
-							t.relocMask |= 1 << uint(i)
-						}
+						comp.Relocate |= 1 << uint(i)
+						d.Stats.RelocateAdvised++
 					}
 				}
 				for _, i := range op.idx[pi] {
@@ -1194,12 +1020,8 @@ func (t *puTask) step() {
 			}
 			t.xfer = sectors
 			if opRetries > 0 {
-				if t.direct {
-					d.Stats.ReadRetries += int64(opRetries)
-					comp.Retries += int32(opRetries)
-				} else {
-					t.statRetries += int64(opRetries)
-				}
+				d.Stats.ReadRetries += int64(opRetries)
+				comp.Retries += int32(opRetries)
 				// Each retry tier re-senses the flash array at a shifted
 				// threshold voltage: extra array occupancy per tier.
 				if rr := d.cfg.Timing.ReadRetry; rr > 0 {
@@ -1258,11 +1080,7 @@ func (t *puTask) step() {
 			return
 
 		case tsWriteProgram:
-			if t.direct {
-				d.Stats.FlashPrograms++
-			} else {
-				t.statPrograms++
-			}
+			d.Stats.FlashPrograms++
 			t.commitProgram(&t.ops[t.opi])
 			t.opi++
 			t.state = tsWrite
@@ -1274,24 +1092,13 @@ func (t *puTask) step() {
 
 		case tsBufXferDone:
 			t.ch.xfer.Release()
-			if t.direct {
-				d.pendingCMB++
-				t.sub.finish()
-			} else {
-				// Ack rides the completion hop; background programming
-				// continues on the device shard meanwhile.
-				t.env.Post(d.env, d.cfg.Timing.CompleteLatency, taskBufAck, t)
-			}
+			d.pendingCMB++
+			t.sub.finish()
 			t.state = tsBufProgram
 			continue
 
 		case tsBufProgram:
 			if t.opi >= len(t.ops) {
-				if !t.direct {
-					t.pu.busy.Release()
-					t.env.Post(d.env, d.cfg.Timing.CompleteLatency, taskBufDone, t)
-					return
-				}
 				d.pendingCMB--
 				if d.pendingCMB == 0 && d.cmbDrained != nil {
 					d.cmbDrained.Signal()
@@ -1306,11 +1113,7 @@ func (t *puTask) step() {
 			return
 
 		case tsBufProgramDone:
-			if t.direct {
-				d.Stats.FlashPrograms++
-			} else {
-				t.statPrograms++
-			}
+			d.Stats.FlashPrograms++
 			t.commitProgram(&t.ops[t.opi])
 			t.opi++
 			t.state = tsBufProgram
@@ -1346,11 +1149,7 @@ func (t *puTask) step() {
 
 		case tsOccReacquired:
 			t.occRemaining += d.cfg.Timing.SuspendPenalty
-			if t.direct {
-				d.Stats.Suspensions++
-			} else {
-				t.statSusp++
-			}
+			d.Stats.Suspensions++
 			t.state = tsOccNext
 			continue
 
@@ -1492,33 +1291,19 @@ func (d *Device) OnDeath(fn func()) {
 	d.deathHooks = append(d.deathHooks, fn)
 }
 
-// puInvalidate drops a PU's volatile page cache, delivered on the PU's own
-// shard so crash messages never race its command machinery.
-var puInvalidate = func(a any) {
-	pu := a.(*punit)
+// dropCache invalidates a PU's volatile page cache.
+func (pu *punit) dropCache() {
 	for i := range pu.cache {
 		pu.cache[i].ok = false
 	}
 }
 
-// dropCache invalidates a PU's page cache: in place when the PU runs on
-// the host env, via a posted message (one transport hop) when it runs on
-// another shard.
-func (d *Device) dropCache(pu *punit) {
-	if pu.env == d.env {
-		puInvalidate(pu)
-		return
-	}
-	d.env.Post(pu.env, d.cfg.Timing.SubmitLatency, puInvalidate, pu)
-}
-
 // Crash simulates power loss: volatile controller state (page caches, CMB
 // contents not yet programmed) is lost; media content persists. The host
-// must run recovery before reuse. On a sharded device the per-PU cache
-// invalidation is delivered over the submit hop, like any other command.
+// must run recovery before reuse.
 func (d *Device) Crash() {
 	for _, pu := range d.pus {
-		d.dropCache(pu)
+		pu.dropCache()
 	}
 	d.pendingCMB = 0
 	d.cmbDrained = nil
@@ -1529,6 +1314,6 @@ func (d *Device) Crash() {
 // used when one tenant of a shared device power-fails its view.
 func (d *Device) CrashPUs(begin, end int) {
 	for gpu := begin; gpu < end && gpu < len(d.pus); gpu++ {
-		d.dropCache(d.pus[gpu])
+		d.pus[gpu].dropCache()
 	}
 }

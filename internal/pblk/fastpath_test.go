@@ -57,7 +57,7 @@ func TestRecoverScanParallelMatchesSequential(t *testing.T) {
 	mount := func(sequential bool) (l2p []uint64, states []groupState, scan time.Duration) {
 		e := dirtyDevice(t)
 		e.run(func(p *sim.Proc) {
-			k, err := New(p, e.lnvm, "pblk1", Config{ActivePUs: 4, SequentialRecoverScan: sequential})
+			k, err := New(p, e.lnvm, "pblk1", Config{ActivePUs: 4, sequentialRecoverScan: sequential})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -21,7 +21,6 @@ import (
 // the device is genuinely full of live data — so users get the full
 // buffer back and the integral is drained.
 type rateLimiter struct {
-	kp, ki, kd  float64
 	startGroups int // setpoint: GC keeps free groups at or above this
 	spare       int // total spare groups; normalizes the error signal
 	integ       float64
@@ -33,17 +32,25 @@ type rateLimiter struct {
 	userQuota int
 }
 
-func newRateLimiter(cfg Config, capacity, unitSectors int) rateLimiter {
-	// Config uses negative gains to disable a term explicitly (zero is
-	// "default", see Default).
-	gain := func(v float64) float64 {
-		if v < 0 {
-			return 0
-		}
-		return v
-	}
+// The PID gains (paper §4.2.4) on the free-group error signal. The signal is
+// normalized by the spare pool, so per-update deltas are small and a unit
+// derivative gain stays gentle: it damps quota oscillation when the error
+// moves fast (a GC burst recycling several groups at once).
+const (
+	rlKp = 4
+	rlKi = 0.3
+	rlKd = 1
+)
+
+// GC starts when free groups drop below gcStartFrac of the spare
+// (over-provisioned) pool and stops once they recover above gcStopFrac of it.
+const (
+	gcStartFrac = 0.50
+	gcStopFrac  = 0.75
+)
+
+func newRateLimiter(capacity, unitSectors int) rateLimiter {
 	return rateLimiter{
-		kp: gain(cfg.RLKp), ki: gain(cfg.RLKi), kd: gain(cfg.RLKd),
 		cap:         capacity,
 		unitSectors: unitSectors,
 		userQuota:   capacity,
@@ -76,7 +83,7 @@ func (rl *rateLimiter) update(freeGroups int) {
 	if rl.integ > 3 {
 		rl.integ = 3
 	}
-	u := rl.kp*err + rl.ki*rl.integ + rl.kd*(err-rl.lastErr)
+	u := rlKp*err + rlKi*rl.integ + rlKd*(err-rl.lastErr)
 	rl.lastErr = err
 	if u < 0 {
 		u = 0
@@ -117,13 +124,13 @@ func (k *Pblk) spareGroups() int {
 	return s
 }
 
-// gcStartGroups / gcStopGroups translate the configured spare fractions
-// into free-group thresholds. Both are clamped above the emergency
+// gcStartGroups / gcStopGroups translate the spare fractions into
+// free-group thresholds. Both are clamped above the emergency
 // reserve: user admission stops entirely at the reserve floor, so GC must
 // engage before free space falls to it — otherwise writes would stall
 // with the collector idle.
 func (k *Pblk) gcStartGroups() int {
-	v := int(float64(k.spareGroups()) * k.cfg.GCStartFrac)
+	v := int(float64(k.spareGroups()) * gcStartFrac)
 	if min := k.emergencyReserve() + 2; v < min {
 		v = min
 	}
@@ -131,7 +138,7 @@ func (k *Pblk) gcStartGroups() int {
 }
 
 func (k *Pblk) gcStopGroups() int {
-	v := int(float64(k.spareGroups()) * k.cfg.GCStopFrac)
+	v := int(float64(k.spareGroups()) * gcStopFrac)
 	if min := k.gcStartGroups() + 2; v < min {
 		v = min
 	}
@@ -430,17 +437,13 @@ func (k *Pblk) recycle(p *sim.Proc, g *group, retire bool) {
 		return
 	}
 	if retire {
-		// Write failures condemn the block (§4.2.3). Marking bad pokes the
-		// die directly, which on a sharded device belongs to another shard;
-		// the admin-style exclusive bracket keeps it off parallel windows.
-		k.env.BeginExclusive(p)
+		// Write failures condemn the block (§4.2.3).
 		die := k.dev.Die(g.gpu)
 		for pl := 0; pl < k.geo.PlanesPerPU; pl++ {
 			if err := die.MarkBad(pl, g.blk); err != nil {
 				break
 			}
 		}
-		k.env.EndExclusive()
 		g.state = stBad
 		k.Stats.BadBlocks++
 		k.notifyState()

@@ -53,10 +53,6 @@ type Config struct {
 	// (paper §5.1: +0.4 µs reads, +0.9 µs writes).
 	HostReadOverhead  time.Duration
 	HostWriteOverhead time.Duration
-	// GCStartFrac starts garbage collection when free groups drop below
-	// this fraction of the spare (over-provisioned) pool; GCStopFrac stops
-	// it once free groups recover above that fraction of the spare pool.
-	GCStartFrac, GCStopFrac float64
 	// GCPipelineDepth is the number of victim groups the GC scheduler may
 	// keep in flight concurrently: victim selection, reverse-map reads,
 	// valid-sector reads, and lane drains of different victims overlap.
@@ -81,32 +77,25 @@ type Config struct {
 	// application promises to erase those extents wholesale (trim), so its
 	// own reclaim (LSM compaction) replaces FTL GC for that data.
 	HintPolicy HintPolicy
-	// Rate limiter PID gains (paper §4.2.4) on the free-block error signal.
-	// Zero means the paper-faithful default; a negative value disables that
-	// term explicitly.
-	RLKp, RLKi, RLKd float64
 	// DisableRateLimiter lets characterization runs (paper §5.1 "rate-
 	// limiter disabled") bypass user-write throttling.
 	DisableRateLimiter bool
-	// SequentialRecoverScan forces mount-time scan recovery to classify
-	// groups one at a time across the whole device, instead of the default
-	// per-PU parallel scan chains. Kept for regression comparison; the two
-	// scans produce identical L2P tables.
-	SequentialRecoverScan bool
+	// sequentialRecoverScan makes mount-time scan recovery classify groups
+	// one at a time across the whole device: the reference the per-PU
+	// parallel scan chains are tested against.
+	sequentialRecoverScan bool
 	// Scrubber (media self-healing). ScrubInterval > 0 enables a background
 	// patrol process (scrub.go) that refreshes closed groups whose data is
 	// at risk: groups older than ScrubRetentionAge since close, or whose
 	// reads needed deep retry tiers ("relocate advised" hints from the
 	// device) at least ScrubRetryThreshold times, are drained through the
-	// cold write stream and erased exactly like GC victims. At most
-	// ScrubGroupsPerSweep groups are queued per interval, and the patrol
+	// cold write stream and erased exactly like GC victims. The patrol
 	// stands down while free space is below the GC start threshold. An
 	// enabled scrubber keeps a patrol timer armed, so simulations must
 	// Stop the target to run to completion.
 	ScrubInterval       time.Duration
 	ScrubRetentionAge   time.Duration
 	ScrubRetryThreshold int
-	ScrubGroupsPerSweep int
 }
 
 // HintPolicy selects how pblk treats write-lifetime hints.
@@ -139,38 +128,14 @@ func Default(cfg Config) Config {
 	if cfg.HostWriteOverhead == 0 {
 		cfg.HostWriteOverhead = 900 * time.Nanosecond
 	}
-	if cfg.GCStartFrac == 0 {
-		cfg.GCStartFrac = 0.50
-	}
-	if cfg.GCStopFrac == 0 {
-		cfg.GCStopFrac = 0.75
-	}
 	if cfg.GCPipelineDepth == 0 {
 		cfg.GCPipelineDepth = 2
 	}
 	if cfg.GCPipelineDepth < 1 {
 		cfg.GCPipelineDepth = 1
 	}
-	if cfg.RLKp == 0 {
-		cfg.RLKp = 4
-	}
-	if cfg.RLKi == 0 {
-		cfg.RLKi = 0.3
-	}
-	if cfg.ScrubInterval > 0 {
-		if cfg.ScrubGroupsPerSweep == 0 {
-			cfg.ScrubGroupsPerSweep = 1
-		}
-		if cfg.ScrubRetryThreshold == 0 {
-			cfg.ScrubRetryThreshold = 1
-		}
-	}
-	if cfg.RLKd == 0 {
-		// The derivative term damps quota oscillation when the free-group
-		// error moves fast (a GC burst recycling several groups at once).
-		// The error signal is normalized by the spare pool, so per-update
-		// deltas are small and a unit gain stays gentle.
-		cfg.RLKd = 1
+	if cfg.ScrubInterval > 0 && cfg.ScrubRetryThreshold == 0 {
+		cfg.ScrubRetryThreshold = 1
 	}
 	return cfg
 }
@@ -587,13 +552,6 @@ func NewView(p *sim.Proc, view *lightnvm.MediaView, name string, cfg Config) (*P
 	k.pairStride = media.PairStride
 	k.strictPair = media.StrictPairRead
 	k.lastOpened = -1
-	// Mount reads the media directly (factory-bad scan) and replays
-	// recovery state; on a sharded device that must not interleave with
-	// parallel windows still executing other shards' traffic (e.g. stale
-	// in-flight commands after a crash), so the whole mount runs under the
-	// coordinator's exclusive mode. On a plain environment this is a no-op.
-	k.env.BeginExclusive(p)
-	defer k.env.EndExclusive()
 	k.initGroups()
 	k.initCapacity()
 	// The spare pool must cover the emergency reserve (which scales with
@@ -617,7 +575,7 @@ func NewView(p *sim.Proc, view *lightnvm.MediaView, name string, cfg Config) (*P
 	k.readPULists = make([][]mediaSector, nPUs)
 	k.rb.init(k.env, ringCap)
 	k.rb.freeEntry = k.releaseEntryData
-	k.rl = newRateLimiter(cfg, k.rb.capacity(), k.unitSectors)
+	k.rl = newRateLimiter(k.rb.capacity(), k.unitSectors)
 	k.gcKick = k.env.NewEvent()
 	k.gcAdmit = k.env.NewResource(1)
 	k.gcDone = k.env.NewEvent()

@@ -90,8 +90,8 @@ type found struct {
 //
 // The classify + close-meta phase keeps one vector read in flight per PU
 // (an asynchronous per-PU chain) instead of one serialized group at a
-// time across the whole device; Config.SequentialRecoverScan restores the
-// serial order, and a regression test checks both produce the same L2P.
+// time across the whole device; classifySequential keeps the serial order
+// as the reference a regression test checks the chains' L2P against.
 // Either way the virtual time spent is recorded in Stats.RecoverScanTime.
 func (k *Pblk) scanRecover(p *sim.Proc) error {
 	k.Stats.Recoveries++
@@ -99,7 +99,7 @@ func (k *Pblk) scanRecover(p *sim.Proc) error {
 	var fulls, partials []found
 	var maxSeq uint64
 	var err error
-	if k.cfg.SequentialRecoverScan {
+	if k.cfg.sequentialRecoverScan {
 		fulls, partials, maxSeq, err = k.classifySequential(p)
 	} else {
 		fulls, partials, maxSeq = k.classifyParallel(p)

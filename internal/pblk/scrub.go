@@ -45,7 +45,10 @@ func (k *Pblk) scrubDue(g *group, now int64) (due, retryDriven bool) {
 	return false, false
 }
 
-// scrubSweep queues up to ScrubGroupsPerSweep due groups and returns the
+// scrubGroupsPerSweep bounds the groups one patrol interval queues.
+const scrubGroupsPerSweep = 1
+
+// scrubSweep queues up to scrubGroupsPerSweep due groups and returns the
 // absolute sim time the loop should next wake at (0: no timer needed,
 // the next kick will resume us).
 func (k *Pblk) scrubSweep() int64 {
@@ -82,7 +85,7 @@ func (k *Pblk) scrubSweep() int64 {
 		return k.nextRetentionDeadline(now)
 	}
 	queued := 0
-	for queued < k.cfg.ScrubGroupsPerSweep {
+	for queued < scrubGroupsPerSweep {
 		g, retryDriven := k.pickScrubVictim(now)
 		if g == nil {
 			break

@@ -150,7 +150,7 @@ func TestDynamicWearLeveling(t *testing.T) {
 }
 
 func TestRateLimiterQuota(t *testing.T) {
-	rl := newRateLimiter(Default(Config{}), 1024, 16)
+	rl := newRateLimiter(1024, 16)
 	rl.calibrate(100, 50)
 	rl.update(100) // plenty free
 	if rl.userQuota != 1024 {
@@ -182,7 +182,7 @@ func TestRateLimiterQuota(t *testing.T) {
 }
 
 func TestRateLimiterProgressFloor(t *testing.T) {
-	rl := newRateLimiter(Default(Config{}), 1024, 16)
+	rl := newRateLimiter(1024, 16)
 	rl.calibrate(100, 50)
 	// Mild scarcity must never drop the quota below one write unit.
 	rl.update(49)

@@ -81,12 +81,7 @@ func (r *refEngine) sleeper(delays []time.Duration, step func(j int)) {
 	r.Schedule(0, wake(0))
 }
 
-type envEngine struct {
-	*Env
-	run func(t time.Duration) // RunUntil of the Env or of its coordinator
-}
-
-func (e envEngine) RunUntil(t time.Duration) { e.run(t) }
+type envEngine struct{ *Env }
 
 func (e envEngine) sleeper(delays []time.Duration, step func(j int)) {
 	e.Go("sleeper", func(p *Proc) {
@@ -173,35 +168,18 @@ func TestDispatchOrderMatchesReference(t *testing.T) {
 	var overflowed, released bool
 	for seed := int64(1); seed <= 12; seed++ {
 		want := orderingScript(seed, 4000, &refEngine{}, func() {})
-		engines := map[string]func() (envEngine, func()){
-			"env": func() (envEngine, func()) {
-				e := NewEnv(seed)
-				return envEngine{e, e.RunUntil}, func() {
-					overflowed = overflowed || e.nlive == numLanes && len(e.queue.a) > 0
-					released = released || e.nlive < numLanes && e.seq > 1000
-				}
-			},
-			"one-shard lockstep": func() (envEngine, func()) {
-				s := NewShardedEnv(seed, 1)
-				return envEngine{s.Host(), s.RunUntil}, func() {}
-			},
-			"one-shard windows": func() (envEngine, func()) {
-				s := NewShardedEnv(seed, 1)
-				s.SetLookahead(5 * time.Microsecond)
-				return envEngine{s.Host(), s.RunUntil}, func() {}
-			},
+		e := NewEnv(seed)
+		got := orderingScript(seed, 4000, envEngine{e}, func() {
+			overflowed = overflowed || e.nlive == numLanes && len(e.queue.a) > 0
+			released = released || e.nlive < numLanes && e.seq > 1000
+		})
+		if len(got) != len(want) {
+			t.Fatalf("seed %d: %d visits, reference has %d", seed, len(got), len(want))
 		}
-		for name, mk := range engines {
-			e, probe := mk()
-			got := orderingScript(seed, 4000, e, probe)
-			if len(got) != len(want) {
-				t.Fatalf("seed %d, %s: %d visits, reference has %d", seed, name, len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("seed %d, %s: visit %d is event %d at %v, reference has event %d at %v",
-						seed, name, i, got[i].id, got[i].at, want[i].id, want[i].at)
-				}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("seed %d: visit %d is event %d at %v, reference has event %d at %v",
+					seed, i, got[i].id, got[i].at, want[i].id, want[i].at)
 			}
 		}
 	}

@@ -72,13 +72,6 @@ type Env struct {
 	panicked any
 	inProc   *Proc // process currently holding control, nil if scheduler
 	spawns   int64 // total Go calls, for asserting goroutine-free fast paths
-
-	// Sharded mode (see sharded.go). A plain Env has coord == nil. A shard
-	// Env belongs to a ShardedEnv; cross-shard sends buffer in outbox during
-	// a window and are merged by the coordinator at the window boundary.
-	coord  *ShardedEnv
-	shard  int
-	outbox []xmsg
 }
 
 const (
@@ -315,18 +308,9 @@ func (e *Env) popTimed() (fn func(any), arg any) {
 	return fn, arg
 }
 
-// nextAt returns the time of the earliest pending event.
-func (e *Env) nextAt() (time.Duration, bool) {
-	if e.nowqHead < len(e.nowq) {
-		return e.now, true
-	}
-	return e.timedAt, e.timedAt != never
-}
-
 // runThrough executes, in (at, seq) order, every pending event due at or
 // before limit. The clock follows the events and is left at the last one
-// executed, never advanced to limit. It is the one run loop: RunUntil and the
-// sharded windows differ only in the limit they pass.
+// executed, never advanced to limit.
 func (e *Env) runThrough(limit time.Duration) {
 	for {
 		var fn func(any)
@@ -358,20 +342,8 @@ func (e *Env) Run() {
 }
 
 // RunUntil executes queued events with timestamps <= t, then advances the
-// clock to t (if t is later than the last event executed). On the host
-// shard of a multi-shard coordinator it drives the whole sharded run, so
-// code written against a plain Env works unchanged when handed a host
-// shard.
+// clock to t (if t is later than the last event executed).
 func (e *Env) RunUntil(t time.Duration) {
-	if e.coord != nil && e.shard == 0 && len(e.coord.shards) > 1 {
-		e.coord.RunUntil(t)
-		return
-	}
-	e.runUntilLocal(t)
-}
-
-// runUntilLocal is RunUntil restricted to this shard's own queue.
-func (e *Env) runUntilLocal(t time.Duration) {
 	e.runThrough(t)
 	if t > e.now && t < 1<<62-1 {
 		e.now = t

@@ -87,6 +87,9 @@ type Member struct {
 	ln   *lightnvm.Device
 	tgt  *pblk.Pblk
 	q    blockdev.Queue
+	// sync makes blocking calls on q, bypassing the fault injector — the
+	// path rebuild copies and resync repairs ride on.
+	sync *blockdev.SyncAdapter
 
 	state  MemberState
 	vol    *Volume
@@ -145,12 +148,6 @@ func (m *Member) submit(r *blockdev.Request) {
 	m.q.Submit(m.one[:]...)
 }
 
-// doSync performs one blocking request on the member, bypassing the fault
-// injector — the path rebuild copies and resync repairs ride on.
-func (m *Member) doSync(p *sim.Proc, op blockdev.ReqOp, off int64, buf []byte, n int64) error {
-	return m.mgr.doSyncOn(m.q, p, op, off, buf, n)
-}
-
 // Config assembles a fleet.
 type Config struct {
 	// Devices is the number of data devices; Spares adds hot spares to the
@@ -169,14 +166,6 @@ type Config struct {
 	// (default "fleet").
 	NamePrefix string
 	Seed       int64
-	// Shards, when non-empty, places each member's device-level simulation
-	// (PU service, channel transfers, NAND latencies) on its own shard of a
-	// sim.ShardedEnv coordinator: member i runs on Shards[i%len(Shards)].
-	// The manager, every FTL instance and the volume fan-out stay on the
-	// host env, so member submit/completion transport hops are the only
-	// cross-shard edges; set OCSSD.Timing.SubmitLatency/CompleteLatency to
-	// the coordinator lookahead (they must not be below it).
-	Shards []*sim.Env
 	// AutoRebuild attaches a pool spare and starts the rebuild engine
 	// automatically when a volume member dies.
 	AutoRebuild bool
@@ -217,42 +206,6 @@ type Manager struct {
 
 	vols     map[string]*Volume
 	volOrder []string
-
-	// syncFree pools the request+event boxes behind the blocking doSync
-	// paths (member and volume): each box binds its completion callback
-	// once and is reused across calls, so rebuild copies and resync sweeps
-	// allocate nothing per operation. Boxes are checked out across a Wait,
-	// so concurrent blocking callers simply draw distinct boxes.
-	syncFree []*syncBox
-}
-
-// syncBox is one pooled blocking-call carrier: an embedded request whose
-// completion signals the embedded event.
-type syncBox struct {
-	r   blockdev.Request
-	ev  *sim.Event
-	one [1]*blockdev.Request // variadic-submit scratch, see Member.one
-}
-
-// doSyncOn performs one blocking request on q through the box pool.
-func (mgr *Manager) doSyncOn(q blockdev.Queue, p *sim.Proc, op blockdev.ReqOp, off int64, buf []byte, n int64) error {
-	var b *syncBox
-	if k := len(mgr.syncFree); k > 0 {
-		b = mgr.syncFree[k-1]
-		mgr.syncFree = mgr.syncFree[:k-1]
-	} else {
-		b = &syncBox{ev: mgr.env.NewEvent()}
-		b.r.OnComplete = func(*blockdev.Request) { b.ev.Signal() }
-	}
-	b.r.Op, b.r.Off, b.r.Buf, b.r.Length, b.r.Err = op, off, buf, n, nil
-	b.one[0] = &b.r
-	q.Submit(b.one[:]...)
-	p.Wait(b.ev)
-	b.ev.Reset()
-	err := b.r.Err
-	b.r.Buf = nil
-	mgr.syncFree = append(mgr.syncFree, b)
-	return err
 }
 
 // completeReqArg is the closure-free Schedule trampoline for failing a
@@ -300,13 +253,7 @@ func NewManager(p *sim.Proc, env *sim.Env, cfg Config) (*Manager, error) {
 func (mgr *Manager) addDevice(p *sim.Proc, id int) (*Member, error) {
 	occfg := mgr.cfg.OCSSD
 	occfg.Seed = mgr.cfg.Seed + int64(id)*6151
-	var oc *ocssd.Device
-	var err error
-	if n := len(mgr.cfg.Shards); n > 0 {
-		oc, err = ocssd.NewSharded(mgr.env, mgr.cfg.Shards[id%n:id%n+1], occfg)
-	} else {
-		oc, err = ocssd.New(mgr.env, occfg)
-	}
+	oc, err := ocssd.New(mgr.env, occfg)
 	if err != nil {
 		return nil, fmt.Errorf("volume: device %d: %w", id, err)
 	}
@@ -337,6 +284,7 @@ func (mgr *Manager) mount(p *sim.Proc, m *Member) error {
 	}
 	m.tgt = tgt.(*pblk.Pblk)
 	m.q = blockdev.OpenQueue(mgr.env, m.tgt, mgr.cfg.QueueDepth)
+	m.sync = blockdev.NewSyncAdapter(mgr.env, m.q)
 	return nil
 }
 

@@ -3,7 +3,6 @@ package volume
 import (
 	"time"
 
-	"repro/internal/blockdev"
 	"repro/internal/sim"
 )
 
@@ -92,7 +91,7 @@ func (rb *rebuild) run(p *sim.Proc) {
 	}
 	// Make the reconstructed data durable before declaring the spare a
 	// full replica.
-	if err := rb.spare.doSync(p, blockdev.ReqFlush, 0, nil, 0); err != nil {
+	if err := rb.spare.sync.Flush(p); err != nil {
 		rb.finish(false)
 		return
 	}
@@ -110,14 +109,14 @@ func (rb *rebuild) copyChunk(p *sim.Proc, lo int64, buf []byte) error {
 		if m.state != StateHealthy {
 			continue
 		}
-		if err = m.doSync(p, blockdev.ReqRead, lo, buf, n); err == nil {
+		if err = m.sync.Read(p, lo, buf, n); err == nil {
 			break
 		}
 	}
 	if err != nil {
 		return err
 	}
-	return rb.spare.doSync(p, blockdev.ReqWrite, lo, buf, n)
+	return rb.spare.sync.Write(p, lo, buf, n)
 }
 
 // finish tears the rebuild down and restarts any parked writes; on

@@ -118,7 +118,7 @@ type Volume struct {
 	rr    uint64 // deterministic read round-robin across replicas
 	stats Stats
 
-	syncQ blockdev.Queue // carries the blocking Device calls
+	sync *blockdev.SyncAdapter // carries the blocking Device calls, on a queue of its own
 
 	// Fan-out object pools: the split path reuses a bounded working set of
 	// fan-out trackers, per-chunk operations, and sub-request legs instead
@@ -212,7 +212,7 @@ func (mgr *Manager) CreateVolume(name string, l Layout, opt Options) (*Volume, e
 			m.vol = v
 		}
 	}
-	v.syncQ = blockdev.NewQueue(v.env, v, 16, v.issue)
+	v.sync = blockdev.NewSyncAdapter(v.env, blockdev.NewQueue(v.env, v, 16, v.issue))
 	mgr.vols[name] = v
 	mgr.volOrder = append(mgr.volOrder, name)
 	return v, nil
@@ -242,28 +242,24 @@ func (v *Volume) OpenQueue(_ *sim.Env, depth int) blockdev.Queue {
 
 // Blocking blockdev.Device calls, carried by the internal queue.
 
-func (v *Volume) doSync(p *sim.Proc, op blockdev.ReqOp, off int64, buf []byte, n int64) error {
-	return v.mgr.doSyncOn(v.syncQ, p, op, off, buf, n)
-}
-
 // Read implements blockdev.Device.
 func (v *Volume) Read(p *sim.Proc, off int64, buf []byte, n int64) error {
-	return v.doSync(p, blockdev.ReqRead, off, buf, n)
+	return v.sync.Read(p, off, buf, n)
 }
 
 // Write implements blockdev.Device.
 func (v *Volume) Write(p *sim.Proc, off int64, buf []byte, n int64) error {
-	return v.doSync(p, blockdev.ReqWrite, off, buf, n)
+	return v.sync.Write(p, off, buf, n)
 }
 
 // Flush implements blockdev.Device.
 func (v *Volume) Flush(p *sim.Proc) error {
-	return v.doSync(p, blockdev.ReqFlush, 0, nil, 0)
+	return v.sync.Flush(p)
 }
 
 // Trim implements blockdev.Device.
 func (v *Volume) Trim(p *sim.Proc, off, n int64) error {
-	return v.doSync(p, blockdev.ReqTrim, off, nil, n)
+	return v.sync.Trim(p, off, n)
 }
 
 // ---- asynchronous fan-out datapath ----
@@ -910,7 +906,7 @@ func (v *Volume) Resync(p *sim.Proc) (ResyncReport, error) {
 				n = v.colCap - off
 			}
 			for i, m := range reps {
-				if err := m.doSync(p, blockdev.ReqRead, off, bufs[i][:n], n); err != nil {
+				if err := m.sync.Read(p, off, bufs[i][:n], n); err != nil {
 					return rep, fmt.Errorf("volume: resync read %s@%d: %w", m.name, off, err)
 				}
 			}
@@ -918,7 +914,7 @@ func (v *Volume) Resync(p *sim.Proc) (ResyncReport, error) {
 			for i := 1; i < len(reps); i++ {
 				if !bytes.Equal(bufs[i][:n], bufs[0][:n]) {
 					rep.ChunksMismatched++
-					if err := reps[i].doSync(p, blockdev.ReqWrite, off, bufs[0][:n], n); err != nil {
+					if err := reps[i].sync.Write(p, off, bufs[0][:n], n); err != nil {
 						return rep, fmt.Errorf("volume: resync repair %s@%d: %w", reps[i].name, off, err)
 					}
 					rep.BytesRepaired += n
@@ -926,7 +922,7 @@ func (v *Volume) Resync(p *sim.Proc) (ResyncReport, error) {
 			}
 		}
 		for _, m := range reps {
-			if err := m.doSync(p, blockdev.ReqFlush, 0, nil, 0); err != nil {
+			if err := m.sync.Flush(p); err != nil {
 				return rep, fmt.Errorf("volume: resync flush %s: %w", m.name, err)
 			}
 		}
