@@ -39,6 +39,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "lnvm-fio: -bs must be positive, got %d\n", *bs)
 		os.Exit(2)
 	}
+	if !(*prepFrac >= 0 && *prepFrac <= 1) {
+		fmt.Fprintf(os.Stderr, "lnvm-fio: -prepare must be a fraction in [0, 1], got %g\n", *prepFrac)
+		os.Exit(2)
+	}
 
 	var pattern fio.Pattern
 	switch *rw {

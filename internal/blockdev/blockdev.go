@@ -1,21 +1,21 @@
-// Package blockdev defines the block I/O interfaces shared by pblk (host
-// FTL over an open-channel SSD), the baseline NVMe block SSD model, and
-// the null block device. Workload generators and the database stand-ins
-// target these interfaces so every experiment can swap devices.
+// Package blockdev defines the block I/O contract shared by pblk (host
+// FTL over an open-channel SSD), the baseline NVMe block SSD model, the
+// null block device and the volume layer. Workload generators and the
+// database stand-ins target it so every experiment can swap devices.
 //
-// Two call styles coexist. Device is the traditional one-blocking-call-
-// per-request interface. Queue (see queue.go) is the asynchronous
-// queue-pair model mirroring Linux blk-mq / NVMe submission/completion
-// queues: batched submission, completion callbacks carrying per-request
-// latency, flush barriers, and per-queue in-flight accounting. OpenQueue
-// bridges Device → Queue; SyncAdapter bridges Queue → Device, so callers
-// that do not need queue depth keep the blocking style unchanged.
+// A device is its Geometry plus one IssueFunc (see queue.go) — start this
+// validated request, call done when it finishes — and both call styles of
+// Device are derived from that function here, so they are one datapath:
+// NewQueue builds the asynchronous queue pairs mirroring Linux blk-mq /
+// NVMe submission/completion queues (batched submission, completion
+// callbacks carrying per-request latency, flush barriers, per-queue
+// in-flight accounting), and SyncAdapter.Do is the blocking
+// Read/Write/Flush/Trim for simulation processes.
 package blockdev
 
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"repro/internal/sim"
 )
@@ -26,8 +26,18 @@ var (
 	ErrAlignment  = errors.New("blockdev: I/O not sector aligned")
 )
 
-// Device is a block device driven from simulation processes. Offsets and
-// lengths are bytes and must be sector aligned.
+// Geometry is what a request's range is validated against.
+type Geometry interface {
+	// SectorSize returns the logical sector size in bytes.
+	SectorSize() int
+	// Capacity returns the usable device size in bytes.
+	Capacity() int64
+}
+
+// Device is a block device driven from simulation context: its geometry,
+// queue pairs for asynchronous callers, and one blocking call per
+// operation for processes. Offsets and lengths are bytes and must be
+// sector aligned.
 //
 // Data buffers are optional: a nil buf with a positive length performs a
 // "synthetic" transfer that is charged full device time but carries
@@ -35,10 +45,8 @@ var (
 // multi-gigabyte simulated workloads cheap in host memory while preserving
 // timing and placement behaviour exactly.
 type Device interface {
-	// SectorSize returns the logical sector size in bytes.
-	SectorSize() int
-	// Capacity returns the usable device size in bytes.
-	Capacity() int64
+	Geometry
+	QueueProvider
 	// Read fills buf (or discards, when buf is nil) with length bytes at off.
 	Read(p *sim.Proc, off int64, buf []byte, length int64) error
 	// Write stores length bytes from buf (or an unspecified payload, when
@@ -51,7 +59,7 @@ type Device interface {
 }
 
 // CheckRange validates an I/O against a device's geometry.
-func CheckRange(d Device, off int64, buf []byte, length int64) error {
+func CheckRange(d Geometry, off int64, buf []byte, length int64) error {
 	if buf != nil && int64(len(buf)) != length {
 		return fmt.Errorf("blockdev: buffer is %dB for a %dB transfer", len(buf), length)
 	}
@@ -59,30 +67,9 @@ func CheckRange(d Device, off int64, buf []byte, length int64) error {
 	if off%ss != 0 || length%ss != 0 {
 		return ErrAlignment
 	}
-	if length < 0 || off < 0 || off+length > d.Capacity() {
+	// length > Capacity-off, not off+length > Capacity: the sum can wrap.
+	if length < 0 || off < 0 || length > d.Capacity()-off {
 		return ErrOutOfRange
 	}
 	return nil
-}
-
-// WithLatency wraps a device, charging extra per-request virtual time.
-// The overhead experiment uses it to model pblk's host CPU cost over a
-// null block device, mirroring the paper's §5.1 methodology.
-func WithLatency(d Device, read, write time.Duration) Device {
-	return &latencyDev{Device: d, read: read, write: write}
-}
-
-type latencyDev struct {
-	Device
-	read, write time.Duration
-}
-
-func (l *latencyDev) Read(p *sim.Proc, off int64, buf []byte, length int64) error {
-	p.Sleep(l.read)
-	return l.Device.Read(p, off, buf, length)
-}
-
-func (l *latencyDev) Write(p *sim.Proc, off int64, buf []byte, length int64) error {
-	p.Sleep(l.write)
-	return l.Device.Write(p, off, buf, length)
 }

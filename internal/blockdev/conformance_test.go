@@ -1,19 +1,18 @@
-// Queue-pair conformance: every device exposing the asynchronous API —
-// natively (nullblk, pblk, nvmedev) or through the process-backed adapter
-// — must deliver the same contract: completions for every request,
-// latencies from submission stamps, validation-error propagation, flush
-// barriers, and a working SyncAdapter for blocking callers.
+// Device conformance: every device must deliver the same contract on its
+// queue pairs — completions for every request, latencies from submission
+// stamps, validation-error propagation, flush barriers — and the same
+// datapath behind its blocking calls.
 package blockdev_test
 
 import (
 	"bytes"
 	"errors"
+	"math"
 	"testing"
 	"time"
 
 	"repro/internal/blockdev"
 	"repro/internal/lightnvm"
-	"repro/internal/lsmdb"
 	"repro/internal/nand"
 	"repro/internal/nullblk"
 	"repro/internal/nvmedev"
@@ -24,8 +23,8 @@ import (
 	"repro/internal/volume"
 )
 
-// forEachDevice runs fn against every queue-capable device model. fn runs
-// inside a simulation process with the device ready for I/O.
+// forEachDevice runs fn against every device model. fn runs inside a
+// simulation process with the device ready for I/O.
 func forEachDevice(t *testing.T, fn func(t *testing.T, env *sim.Env, p *sim.Proc, dev blockdev.Device)) {
 	t.Run("nullblk", func(t *testing.T) {
 		env := sim.NewEnv(1)
@@ -235,62 +234,137 @@ func TestQueueConformance(t *testing.T) {
 		if !errors.Is(badErr, blockdev.ErrOutOfRange) {
 			t.Errorf("out-of-range read err = %v, want ErrOutOfRange", badErr)
 		}
+		// A range whose end overflows int64 is out of range too.
+		badErr = nil
+		q.Submit(&blockdev.Request{
+			Op: blockdev.ReqRead, Off: overflowOff(dev), Length: 2 * bs,
+			OnComplete: func(r *blockdev.Request) { badErr = r.Err },
+		})
+		q.Drain(p)
+		if !errors.Is(badErr, blockdev.ErrOutOfRange) {
+			t.Errorf("overflowing read err = %v, want ErrOutOfRange", badErr)
+		}
 	})
 }
 
-// TestSyncAdapterPreservesDeviceSemantics drives the blocking interface
-// over a queue pair and checks data integrity where the device stores
-// data (pblk, nvmedev) and latency charging everywhere.
+// overflowOff is the last sector-aligned offset an int64 holds: any
+// transfer of two sectors from it ends past MaxInt64.
+func overflowOff(dev blockdev.Device) int64 {
+	return math.MaxInt64 &^ int64(dev.SectorSize()-1)
+}
+
+// TestSyncAdapterPreservesDeviceSemantics drives the blocking calls — the
+// device's own and an adapter's over one of its queue pairs — and checks
+// data integrity where the device stores data (pblk, nvmedev, volumes),
+// latency charging and range validation everywhere.
 func TestSyncAdapterPreservesDeviceSemantics(t *testing.T) {
+	type blocking interface {
+		Read(p *sim.Proc, off int64, buf []byte, length int64) error
+		Write(p *sim.Proc, off int64, buf []byte, length int64) error
+		Flush(p *sim.Proc) error
+		Trim(p *sim.Proc, off, length int64) error
+	}
 	forEachDevice(t, func(t *testing.T, env *sim.Env, p *sim.Proc, dev blockdev.Device) {
 		bs := int64(dev.SectorSize())
-		sa := blockdev.NewSyncAdapter(env, blockdev.OpenQueue(env, dev, 1))
-		if sa.SectorSize() != dev.SectorSize() || sa.Capacity() != dev.Capacity() {
-			t.Error("adapter geometry mismatch")
-		}
-		data := bytes.Repeat([]byte{0xa5}, int(bs))
-		start := env.Now()
-		if err := sa.Write(p, bs, data, bs); err != nil {
-			panic(err)
-		}
-		if env.Now() == start {
-			t.Error("write charged no virtual time")
-		}
-		if err := sa.Flush(p); err != nil {
-			panic(err)
-		}
-		got := make([]byte, bs)
-		if err := sa.Read(p, bs, got, bs); err != nil {
-			panic(err)
-		}
-		if _, isNull := dev.(*nullblk.Device); !isNull && !bytes.Equal(got, data) {
-			t.Error("read-back mismatch through sync adapter")
-		}
-		if err := sa.Trim(p, bs, bs); err != nil {
-			panic(err)
+		sa := blockdev.NewQueueAdapter(env, blockdev.OpenQueue(env, dev, 1))
+		for i, b := range []blocking{dev, sa} {
+			off := int64(1+i) * bs
+			data := bytes.Repeat([]byte{0xa5 + byte(i)}, int(bs))
+			start := env.Now()
+			if err := b.Write(p, off, data, bs); err != nil {
+				panic(err)
+			}
+			if env.Now() == start {
+				t.Error("write charged no virtual time")
+			}
+			if err := b.Flush(p); err != nil {
+				panic(err)
+			}
+			got := make([]byte, bs)
+			if err := b.Read(p, off, got, bs); err != nil {
+				panic(err)
+			}
+			if _, isNull := dev.(*nullblk.Device); !isNull && !bytes.Equal(got, data) {
+				t.Error("read-back mismatch")
+			}
+			if err := b.Trim(p, off, bs); err != nil {
+				panic(err)
+			}
+			if err := b.Read(p, overflowOff(dev), nil, 2*bs); !errors.Is(err, blockdev.ErrOutOfRange) {
+				t.Errorf("overflowing read err = %v, want ErrOutOfRange", err)
+			}
 		}
 	})
 }
 
-// TestLsmdbOverSyncAdapter keeps a real blockdev.Device caller working
-// through the Queue → SyncAdapter migration path.
-func TestLsmdbOverSyncAdapter(t *testing.T) {
-	env := sim.NewEnv(9)
-	nb := nullblk.New(nullblk.DefaultConfig())
-	sa := blockdev.NewSyncAdapter(env, blockdev.OpenQueue(env, nb, 4))
-	env.Go("main", func(p *sim.Proc) {
-		cfg := lsmdb.DefaultConfig()
-		db, err := lsmdb.Open(p, env, sa, cfg)
-		if err != nil {
-			panic(err)
+// TestBlockingCallsAreTheQueuePath holds the two call styles to one
+// datapath: eight processes each making one blocking 64 KiB Write at the
+// same instant, and one Submit of the same eight requests at depth 8 on a
+// fresh instance, complete request for request at the same virtual times
+// and leave the FTL, where there is one, with equal counters.
+func TestBlockingCallsAreTheQueuePath(t *testing.T) {
+	const n, length = 8, 64 << 10
+	type outcome struct {
+		done [n]time.Duration // since the first request was issued
+		ftl  pblk.Stats
+	}
+	ftlStats := func(dev blockdev.Device) pblk.Stats {
+		switch d := dev.(type) {
+		case *pblk.Pblk:
+			return d.Stats
+		case *nvmedev.Device:
+			return d.FTLStats()
 		}
-		res := lsmdb.FillSeq(p, db, 20*time.Millisecond)
-		if res.Ops == 0 {
-			t.Error("no puts completed over the sync adapter")
-		}
-		if err := db.Close(p); err != nil {
-			panic(err)
-		}
+		return pblk.Stats{}
+	}
+	var blocking []outcome
+	t.Run("blocking", func(t *testing.T) {
+		forEachDevice(t, func(t *testing.T, env *sim.Env, p *sim.Proc, dev blockdev.Device) {
+			var o outcome
+			start := env.Now()
+			var writers []*sim.Proc
+			for i := 0; i < n; i++ {
+				i := i
+				writers = append(writers, env.Go("writer", func(wp *sim.Proc) {
+					if err := dev.Write(wp, int64(i)*length, nil, length); err != nil {
+						t.Errorf("write %d: %v", i, err)
+					}
+					o.done[i] = env.Now() - start
+				}))
+			}
+			for _, w := range writers {
+				p.Wait(w.Done())
+			}
+			o.ftl = ftlStats(dev)
+			blocking = append(blocking, o)
+		})
 	})
-	env.Run()
+	t.Run("queue", func(t *testing.T) {
+		next := 0
+		forEachDevice(t, func(t *testing.T, env *sim.Env, p *sim.Proc, dev blockdev.Device) {
+			var o outcome
+			start := env.Now()
+			q := blockdev.OpenQueue(env, dev, n)
+			var reqs []*blockdev.Request
+			for i := 0; i < n; i++ {
+				i := i
+				reqs = append(reqs, &blockdev.Request{
+					Op: blockdev.ReqWrite, Off: int64(i) * length, Length: length,
+					OnComplete: func(r *blockdev.Request) {
+						if r.Err != nil {
+							t.Errorf("write %d: %v", i, r.Err)
+						}
+						o.done[i] = env.Now() - start
+					},
+				})
+			}
+			q.Submit(reqs...)
+			q.Drain(p)
+			o.ftl = ftlStats(dev)
+			if want := blocking[next]; o != want {
+				t.Errorf("blocking calls and queue pair diverge:\n blocking %+v\n queue    %+v", want, o)
+			}
+			next++
+		})
+	})
 }

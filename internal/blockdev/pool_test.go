@@ -123,11 +123,11 @@ func TestSubmitPooledRequestPanics(t *testing.T) {
 
 // TestSyncAdapterSteadyStateAllocs asserts the blocking adapter allocates
 // nothing per call once warm: the request+event box is pooled and the
-// ProcQueue worker parks instead of exiting.
+// scratch slice a queue submission needs is the adapter's own.
 func TestSyncAdapterSteadyStateAllocs(t *testing.T) {
 	env := sim.NewEnv(1)
 	dev := &fakeDev{lat: time.Microsecond}
-	ad := NewSyncAdapter(env, NewProcQueue(env, dev, 4))
+	ad := NewQueueAdapter(env, NewQueue(env, dev, 4, dev.issue(env)))
 	buf := make([]byte, 512)
 	const warm, measured = 64, 1000
 	var before, after runtime.MemStats

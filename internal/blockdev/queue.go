@@ -1,10 +1,8 @@
 // Asynchronous queue-pair block I/O, mirroring Linux blk-mq / NVMe queue
 // pairs (paper §2.2): callers submit Requests to a Queue and receive
 // completions through callbacks instead of blocking one process per
-// request. Devices with a native asynchronous datapath implement
-// QueueProvider; any other Device is adapted with a process-backed queue.
-// SyncAdapter closes the loop for callers that keep the traditional
-// blocking call style over a queue.
+// request. A device supplies one IssueFunc; NewQueue builds its queue
+// pairs on it and SyncAdapter its blocking calls.
 //
 // The whole datapath is allocation-free in steady state: accepted
 // requests wait in an intrusive ring (not an append/shift slice),
@@ -159,10 +157,8 @@ func (p *ReqPool) Put(r *Request) {
 // wait inside the queue in submission order. All methods must be called
 // from simulation context.
 type Queue interface {
-	// SectorSize and Capacity expose the geometry requests are validated
-	// against.
-	SectorSize() int
-	Capacity() int64
+	// Geometry is what submitted requests are validated against.
+	Geometry
 	// Depth returns the dispatch concurrency bound.
 	Depth() int
 	// InFlight returns requests accepted but not yet completed.
@@ -174,37 +170,35 @@ type Queue interface {
 	Drain(p *sim.Proc)
 }
 
-// QueueProvider is implemented by devices with a native asynchronous
-// datapath. env is the simulation environment completions are scheduled
-// on; devices bound to their own environment may ignore it.
+// QueueProvider opens queue pairs on a device. env is the simulation
+// environment completions are scheduled on; devices bound to their own
+// environment may ignore it.
 type QueueProvider interface {
 	OpenQueue(env *sim.Env, depth int) Queue
 }
 
-// OpenQueue returns a queue pair for dev: the device's native queue when
-// it implements QueueProvider, otherwise a process-backed adapter over the
-// synchronous interface.
-func OpenQueue(env *sim.Env, dev Device, depth int) Queue {
-	if qp, ok := dev.(QueueProvider); ok {
-		return qp.OpenQueue(env, depth)
-	}
-	return NewProcQueue(env, dev, depth)
+// OpenQueue returns a queue pair of the given depth on dev.
+func OpenQueue(env *sim.Env, dev QueueProvider, depth int) Queue {
+	return dev.OpenQueue(env, depth)
 }
 
-// IssueFunc starts one validated request on a device. done is a stable
-// per-queue function (so implementations can schedule it without building
-// a closure per request); it must be called exactly once with the same
-// request, from simulation context, after the request's Err is set.
+// IssueFunc starts one validated request on a device: the whole of a
+// device's datapath. One IssueFunc value serves one caller (a queue pair,
+// or a SyncAdapter) and is handed the same done on every call, so an
+// implementation can bind it once and schedule it without building a
+// closure per request; a device whose issue path keeps such state hands
+// each caller its own value. done must be called exactly once with the
+// same request, from simulation context, after the request's Err is set.
 // Calling done synchronously from within the IssueFunc call is legal: the
 // queue's completion drain is iterative, so arbitrarily long synchronous
 // completion chains cannot recurse.
 type IssueFunc func(req *Request, done func(*Request))
 
-// NewQueue builds a queue pair over a native issue function. Device
+// NewQueue builds a queue pair over an issue function. Device
 // implementations use it for their QueueProvider plumbing; it handles
 // validation, depth-bounded dispatch, flush barriers, in-flight accounting
 // and drain.
-func NewQueue(env *sim.Env, dev Device, depth int, issue IssueFunc) Queue {
+func NewQueue(env *sim.Env, dev Geometry, depth int, issue IssueFunc) Queue {
 	if depth < 1 {
 		depth = 1
 	}
@@ -260,7 +254,7 @@ func (r *reqRing) pop() *Request {
 // cbQueue is the shared queue-pair state machine.
 type cbQueue struct {
 	env   *sim.Env
-	dev   Device
+	dev   Geometry
 	depth int
 	issue IssueFunc
 
@@ -287,14 +281,16 @@ func (q *cbQueue) Capacity() int64 { return q.dev.Capacity() }
 func (q *cbQueue) Depth() int      { return q.depth }
 func (q *cbQueue) InFlight() int   { return q.inflight }
 
-func (q *cbQueue) validate(r *Request) error {
+// validate checks a request against the geometry it is about to be issued
+// on; an IssueFunc only ever sees requests that passed it.
+func validate(dev Geometry, r *Request) error {
 	switch r.Op {
 	case ReqFlush:
 		return nil
 	case ReqTrim:
-		return CheckRange(q.dev, r.Off, nil, r.Length)
+		return CheckRange(dev, r.Off, nil, r.Length)
 	case ReqRead, ReqWrite:
-		return CheckRange(q.dev, r.Off, r.Buf, r.Length)
+		return CheckRange(dev, r.Off, r.Buf, r.Length)
 	}
 	return fmt.Errorf("blockdev: unknown request op %d", int(r.Op))
 }
@@ -311,7 +307,7 @@ func (q *cbQueue) Submit(reqs ...*Request) {
 		r.state = reqInFlight
 		r.Submitted = now
 		q.inflight++
-		if err := q.validate(r); err != nil {
+		if err := validate(q.dev, r); err != nil {
 			r.Err = err
 			q.env.ScheduleArg(0, q.finishArg, r)
 			continue
@@ -393,110 +389,52 @@ func (q *cbQueue) Drain(p *sim.Proc) {
 	}
 }
 
-// procQueue adapts a synchronous Device into a queue by running
-// dispatched requests on a small pool of reusable worker processes: the
-// first requests spawn up to depth workers, and from then on workers park
-// on a per-worker event between requests, so steady-state traffic starts
-// no goroutines and builds no per-request closures.
-type procQueue struct {
-	env  *sim.Env
-	dev  Device
-	idle []*procWorker
-}
-
-type procWorker struct {
-	pq   *procQueue
-	ev   *sim.Event
-	req  *Request
-	done func(*Request)
-}
-
-// NewProcQueue adapts a synchronous Device into a Queue by dispatching
-// each request to a pooled worker process. It is the fallback for devices
-// without a native asynchronous datapath (and for wrappers like
-// WithLatency that hide one).
-func NewProcQueue(env *sim.Env, dev Device, depth int) Queue {
-	pq := &procQueue{env: env, dev: dev}
-	return NewQueue(env, dev, depth, pq.issueFn)
-}
-
-func (pq *procQueue) issueFn(req *Request, done func(*Request)) {
-	if n := len(pq.idle); n > 0 {
-		w := pq.idle[n-1]
-		pq.idle[n-1] = nil
-		pq.idle = pq.idle[:n-1]
-		w.req, w.done = req, done
-		w.ev.Signal()
-		return
-	}
-	w := &procWorker{pq: pq, ev: pq.env.NewEvent(), req: req, done: done}
-	pq.env.Go("blockdev.q", w.run)
-}
-
-func (w *procWorker) run(p *sim.Proc) {
-	dev := w.pq.dev
-	for {
-		req, done := w.req, w.done
-		w.req, w.done = nil, nil
-		switch req.Op {
-		case ReqRead:
-			req.Err = dev.Read(p, req.Off, req.Buf, req.Length)
-		case ReqWrite:
-			req.Err = dev.Write(p, req.Off, req.Buf, req.Length)
-		case ReqFlush:
-			req.Err = dev.Flush(p)
-		case ReqTrim:
-			req.Err = dev.Trim(p, req.Off, req.Length)
-		}
-		// Park before completing: the done callback may dispatch the next
-		// pending request straight back onto this worker (its event fires,
-		// so the Wait below returns immediately).
-		w.pq.idle = append(w.pq.idle, w)
-		done(req)
-		p.Wait(w.ev)
-		w.ev.Reset()
-	}
-}
-
 // syncCall is one pooled blocking-call context: an embedded request with
-// a pre-bound completion event, reused across calls so the blocking
-// bridge allocates nothing in steady state.
+// a pre-bound completion event, reused across calls so the blocking call
+// allocates nothing in steady state.
 type syncCall struct {
 	req Request
 	ev  *sim.Event
-	one [1]*Request // variadic-submit scratch: a one-element slice passed
-	// through Submit avoids the per-call allocation an interface call
-	// can't elide.
 }
 
-// SyncAdapter presents a Queue as a blocking Device, preserving the
-// traditional Read/Write/Flush/Trim call style for callers that do not
-// need queue depth (sqlbench, lsmdb's table and log I/O, the volume layer's
-// rebuild and resync copies). Each call submits one request and
-// suspends the calling process until it completes. Calls reuse pooled
-// request/event pairs, so concurrent callers are safe and the steady
-// state allocates nothing.
+// SyncAdapter is the blocking call style over an issue function: the one
+// helper behind every Device's Read, Write, Flush and Trim and behind the
+// layers that make blocking calls on a queue of theirs (lsmdb's table and
+// log I/O, the volume layer's rebuild and resync copies). Each call
+// validates one request, issues it and suspends the calling process until
+// it completes. Calls reuse pooled request/event pairs, so concurrent
+// callers are safe and the steady state allocates nothing.
 type SyncAdapter struct {
-	env  *sim.Env
-	q    Queue
-	free []*syncCall
+	env   *sim.Env
+	dev   Geometry
+	issue IssueFunc
+	free  []*syncCall
 }
 
-// NewSyncAdapter wraps q. env must be the environment q completes on.
-func NewSyncAdapter(env *sim.Env, q Queue) *SyncAdapter {
-	return &SyncAdapter{env: env, q: q}
+// NewSyncAdapter returns the blocking calls of the device with geometry dev
+// and issue function issue. It sits on the issue function, not on a queue
+// pair opened for the purpose: a blocking Flush is then no barrier for
+// other callers and no depth bounds concurrent callers, which is what
+// processes calling a Device expect. env must be the environment issue
+// completes on.
+func NewSyncAdapter(env *sim.Env, dev Geometry, issue IssueFunc) *SyncAdapter {
+	return &SyncAdapter{env: env, dev: dev, issue: issue}
 }
 
-var _ Device = (*SyncAdapter)(nil)
-
-// Queue returns the underlying queue pair.
-func (s *SyncAdapter) Queue() Queue { return s.q }
-
-// SectorSize implements Device.
-func (s *SyncAdapter) SectorSize() int { return s.q.SectorSize() }
-
-// Capacity implements Device.
-func (s *SyncAdapter) Capacity() int64 { return s.q.Capacity() }
+// NewQueueAdapter returns blocking calls that are submitted to q, sharing
+// its depth, flush barriers and accounting with q's other submitters. env
+// must be the environment q completes on.
+func NewQueueAdapter(env *sim.Env, q Queue) *SyncAdapter {
+	// The queue runs the request's OnComplete itself, which is all that
+	// syncDone would do. One scratch slice serves every call: Submit does
+	// not keep it, and a variadic call through the interface would
+	// allocate one per request.
+	var one [1]*Request
+	return NewSyncAdapter(env, q, func(r *Request, _ func(*Request)) {
+		one[0] = r
+		q.Submit(one[:]...)
+	})
+}
 
 func (s *SyncAdapter) getCall() *syncCall {
 	if n := len(s.free); n > 0 {
@@ -510,38 +448,45 @@ func (s *SyncAdapter) getCall() *syncCall {
 	return c
 }
 
-// Do submits one request and suspends p until it completes: the one blocking
-// call every layer above a queue shares. hint is the write-lifetime hint
+// syncDone is the done every SyncAdapter hands its issue function: the
+// same function on every call, as IssueFunc promises, with the waiting
+// process found through the request's own pre-bound OnComplete.
+func syncDone(r *Request) { r.OnComplete(r) }
+
+// Do issues one request and suspends p until it completes: the one blocking
+// call every layer shares. hint is the write-lifetime hint
 // (HintNone/HintCold); Read, Write, Flush and Trim are Do with HintNone.
 func (s *SyncAdapter) Do(p *sim.Proc, op ReqOp, off int64, buf []byte, length int64, hint uint8) error {
 	c := s.getCall()
 	c.req.Op, c.req.Off, c.req.Buf, c.req.Length, c.req.Hint, c.req.Err = op, off, buf, length, hint, nil
-	c.one[0] = &c.req
-	s.q.Submit(c.one[:]...)
-	p.Wait(c.ev)
-	c.ev.Reset()
-	err := c.req.Err
+	err := validate(s.dev, &c.req)
+	if err == nil {
+		s.issue(&c.req, syncDone)
+		p.Wait(c.ev)
+		c.ev.Reset()
+		err = c.req.Err
+	}
 	c.req.Buf = nil
 	s.free = append(s.free, c)
 	return err
 }
 
-// Read implements Device.
+// Read fills buf with length bytes at off.
 func (s *SyncAdapter) Read(p *sim.Proc, off int64, buf []byte, length int64) error {
 	return s.Do(p, ReqRead, off, buf, length, HintNone)
 }
 
-// Write implements Device.
+// Write stores length bytes from buf at off.
 func (s *SyncAdapter) Write(p *sim.Proc, off int64, buf []byte, length int64) error {
 	return s.Do(p, ReqWrite, off, buf, length, HintNone)
 }
 
-// Flush implements Device.
+// Flush blocks until all acknowledged writes are durable.
 func (s *SyncAdapter) Flush(p *sim.Proc) error {
 	return s.Do(p, ReqFlush, 0, nil, 0, HintNone)
 }
 
-// Trim implements Device.
+// Trim discards the given range.
 func (s *SyncAdapter) Trim(p *sim.Proc, off, length int64) error {
 	return s.Do(p, ReqTrim, off, nil, length, HintNone)
 }

@@ -8,9 +8,10 @@ import (
 	"repro/internal/sim"
 )
 
-// fakeDev is a scripted device for exercising the queue core: the
-// synchronous interface charges a fixed latency, and tests that need a
-// native issue path script their own IssueFunc over its geometry.
+// fakeDev is a scripted device for exercising the queue core: a geometry
+// and an issue function that completes reads and writes after a fixed
+// latency. Tests that need another issue path script their own over its
+// geometry.
 type fakeDev struct {
 	lat    time.Duration
 	reads  int
@@ -19,25 +20,24 @@ type fakeDev struct {
 
 func (d *fakeDev) SectorSize() int { return 512 }
 func (d *fakeDev) Capacity() int64 { return 1 << 20 }
-func (d *fakeDev) Read(p *sim.Proc, off int64, buf []byte, length int64) error {
-	if err := CheckRange(d, off, buf, length); err != nil {
-		return err
+
+func (d *fakeDev) issue(env *sim.Env) IssueFunc {
+	var fin func(any) // bound to done on the first call, so no closure per request
+	return func(req *Request, done func(*Request)) {
+		if fin == nil {
+			fin = func(a any) { done(a.(*Request)) }
+		}
+		lat := time.Duration(0)
+		switch req.Op {
+		case ReqRead:
+			lat = d.lat
+			d.reads++
+		case ReqWrite:
+			lat = d.lat
+			d.writes++
+		}
+		env.ScheduleArg(lat, fin, req)
 	}
-	p.Sleep(d.lat)
-	d.reads++
-	return nil
-}
-func (d *fakeDev) Write(p *sim.Proc, off int64, buf []byte, length int64) error {
-	if err := CheckRange(d, off, buf, length); err != nil {
-		return err
-	}
-	p.Sleep(d.lat)
-	d.writes++
-	return nil
-}
-func (d *fakeDev) Flush(p *sim.Proc) error { return nil }
-func (d *fakeDev) Trim(p *sim.Proc, off, length int64) error {
-	return CheckRange(d, off, nil, length)
 }
 
 func read(off int64, fin func(*Request)) *Request {
@@ -193,36 +193,10 @@ func TestValidationErrorsCompleteAsync(t *testing.T) {
 	}
 }
 
-func TestProcQueueAdaptsSyncDevice(t *testing.T) {
-	// The fallback queue runs blocking calls on per-request processes:
-	// QD4 over a 20µs device finishes 8 reads in ~2 rounds, not 8.
-	env := sim.NewEnv(1)
-	dev := &fakeDev{lat: 20 * time.Microsecond}
-	q := NewProcQueue(env, dev, 4)
-	var elapsed time.Duration
-	env.Go("main", func(p *sim.Proc) {
-		start := env.Now()
-		var reqs []*Request
-		for i := 0; i < 8; i++ {
-			reqs = append(reqs, read(int64(i)*512, nil))
-		}
-		q.Submit(reqs...)
-		q.Drain(p)
-		elapsed = env.Now() - start
-	})
-	env.Run()
-	if dev.reads != 8 {
-		t.Fatalf("reads = %d, want 8", dev.reads)
-	}
-	if elapsed != 40*time.Microsecond {
-		t.Fatalf("elapsed = %v, want 40µs (two QD4 rounds)", elapsed)
-	}
-}
-
 func TestSyncAdapterRoundTrip(t *testing.T) {
 	env := sim.NewEnv(1)
 	dev := &fakeDev{lat: 5 * time.Microsecond}
-	sa := NewSyncAdapter(env, NewProcQueue(env, dev, 4))
+	sa := NewSyncAdapter(env, dev, dev.issue(env))
 	env.Go("main", func(p *sim.Proc) {
 		start := env.Now()
 		if err := sa.Write(p, 0, nil, 512); err != nil {
@@ -240,7 +214,7 @@ func TestSyncAdapterRoundTrip(t *testing.T) {
 		if err := sa.Trim(p, 0, 512); err != nil {
 			t.Errorf("trim: %v", err)
 		}
-		if !errors.Is(sa.Read(p, sa.Capacity(), nil, 512), ErrOutOfRange) {
+		if !errors.Is(sa.Read(p, dev.Capacity(), nil, 512), ErrOutOfRange) {
 			t.Error("adapter did not surface validation error")
 		}
 	})
@@ -252,7 +226,8 @@ func TestSyncAdapterRoundTrip(t *testing.T) {
 
 func TestDrainOnIdleQueueReturns(t *testing.T) {
 	env := sim.NewEnv(1)
-	q := NewProcQueue(env, &fakeDev{}, 1)
+	dev := &fakeDev{}
+	q := NewQueue(env, dev, 1, dev.issue(env))
 	ran := false
 	env.Go("main", func(p *sim.Proc) {
 		q.Drain(p)

@@ -85,7 +85,8 @@ func (j Job) norm() Job {
 }
 
 // validate rejects jobs the engine cannot run sensibly: unaligned or
-// non-positive request sizes, regions outside the device, regions smaller
+// non-positive request sizes, a read mix that is no percentage, a negative
+// write rate, regions outside the device, regions smaller
 // than one request (the seed's rng.Int63n(0) panic), and sequential jobs
 // with more workers than request slots (zero stride: every worker would
 // hammer offset 0).
@@ -96,6 +97,12 @@ func (j Job) validate(dev blockdev.Device) error {
 	}
 	if j.BS <= 0 || int64(j.BS)%ss != 0 {
 		return fmt.Errorf("fio: BS %dB is not a positive multiple of the %dB sector", j.BS, ss)
+	}
+	if j.RWMixRead < 0 || j.RWMixRead > 100 {
+		return fmt.Errorf("fio: RWMixRead %d%% outside [0, 100]", j.RWMixRead)
+	}
+	if j.WriteRateMBps < 0 {
+		return fmt.Errorf("fio: negative WriteRateMBps %g", j.WriteRateMBps)
 	}
 	if j.Offset < 0 || j.Offset%ss != 0 {
 		return fmt.Errorf("fio: offset %d is not sector aligned", j.Offset)

@@ -188,6 +188,12 @@ func TestRunRejectsNegativeDepthAndJobs(t *testing.T) {
 		if _, err := Run(p, dev, Job{Name: "t", Pattern: RandRead, BS: 4096, NumJobs: -2, MaxOps: 1}); err == nil {
 			t.Error("want error for negative NumJobs, got nil")
 		}
+		if _, err := Run(p, dev, Job{Name: "t", Pattern: RandRW, BS: 4096, RWMixRead: 150, MaxOps: 1}); err == nil {
+			t.Error("want error for RWMixRead over 100, got nil")
+		}
+		if _, err := Run(p, dev, Job{Name: "t", Pattern: RandWrite, BS: 4096, WriteRateMBps: -5, MaxOps: 1}); err == nil {
+			t.Error("want error for negative WriteRateMBps, got nil")
+		}
 	})
 	env.Run()
 }

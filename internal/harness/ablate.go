@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/fio"
 	"repro/internal/lightnvm"
-	"repro/internal/nand"
 	"repro/internal/ocssd"
 	"repro/internal/pblk"
 	"repro/internal/ppa"
@@ -27,16 +26,9 @@ func init() {
 
 func ablationDevice(o Options, pageCache bool) (*sim.Env, *ocssd.Device, error) {
 	env := sim.NewEnv(o.Seed)
-	m := nand.DefaultConfig()
-	m.PECycleLimit = 0
-	m.WearLatencyFactor = 0
-	dev, err := ocssd.New(env, ocssd.Config{
-		Geometry:  ocssd.WestlakeGeometry(8),
-		Timing:    ocssd.DefaultTiming(),
-		Media:     m,
-		PageCache: pageCache,
-		Seed:      o.Seed,
-	})
+	cfg := wearFreeConfig(ocssd.WestlakeGeometry(8), o.Seed)
+	cfg.PageCache = pageCache
+	dev, err := ocssd.New(env, cfg)
 	return env, dev, err
 }
 
@@ -319,15 +311,10 @@ func runAblateSuspend(o Options, w io.Writer) error {
 	t := &table{header: []string{"suspend", "R p99 us", "R max us", "W MB/s", "suspensions"}}
 	for _, slice := range []time.Duration{0, 100 * time.Microsecond} {
 		env := sim.NewEnv(o.Seed)
-		m := nand.DefaultConfig()
-		m.PECycleLimit = 0
-		m.WearLatencyFactor = 0
-		timing := ocssd.DefaultTiming()
-		timing.SuspendSlice = slice
-		timing.SuspendPenalty = 50 * time.Microsecond
-		dev, err := ocssd.New(env, ocssd.Config{
-			Geometry: ocssd.WestlakeGeometry(8), Timing: timing, Media: m, PageCache: true, Seed: o.Seed,
-		})
+		cfg := wearFreeConfig(ocssd.WestlakeGeometry(8), o.Seed)
+		cfg.Timing.SuspendSlice = slice
+		cfg.Timing.SuspendPenalty = 50 * time.Microsecond
+		dev, err := ocssd.New(env, cfg)
 		if err != nil {
 			return err
 		}

@@ -19,6 +19,7 @@ import (
 	"repro/internal/nvmedev"
 	"repro/internal/ocssd"
 	"repro/internal/pblk"
+	"repro/internal/ppa"
 	"repro/internal/sim"
 )
 
@@ -127,20 +128,21 @@ func ByID(id string) (Experiment, bool) {
 
 // ---- shared builders ----
 
+// wearFreeConfig is the device every characterization experiment runs on:
+// default timing and media with the page cache on, and wear off —
+// characterization runs should not age the media. Callers adjust the
+// fields their experiment varies.
+func wearFreeConfig(geo ppa.Geometry, seed int64) ocssd.Config {
+	m := nand.DefaultConfig()
+	m.PECycleLimit = 0
+	m.WearLatencyFactor = 0
+	return ocssd.Config{Geometry: geo, Timing: ocssd.DefaultTiming(), Media: m, PageCache: true, Seed: seed}
+}
+
 // newOCSSD builds a Westlake-like open-channel SSD scaled by the options.
 func newOCSSD(o Options) (*sim.Env, *ocssd.Device, *lightnvm.Device, error) {
 	env := sim.NewEnv(o.Seed)
-	m := nand.DefaultConfig()
-	m.PECycleLimit = 0 // characterization runs should not age the media
-	m.WearLatencyFactor = 0
-	cfg := ocssd.Config{
-		Geometry:  ocssd.WestlakeGeometry(o.BlocksPerPlane),
-		Timing:    ocssd.DefaultTiming(),
-		Media:     m,
-		PageCache: true,
-		Seed:      o.Seed,
-	}
-	dev, err := ocssd.New(env, cfg)
+	dev, err := ocssd.New(env, wearFreeConfig(ocssd.WestlakeGeometry(o.BlocksPerPlane), o.Seed))
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -159,16 +161,7 @@ func newPblk(p *sim.Proc, ln *lightnvm.Device, activePUs int) (*pblk.Pblk, error
 // newPblkOn builds the full OCSSD + LightNVM + pblk stack inside an
 // existing simulation environment.
 func newPblkOn(p *sim.Proc, env *sim.Env, o Options, activePUs int) (*pblk.Pblk, error) {
-	m := nand.DefaultConfig()
-	m.PECycleLimit = 0
-	m.WearLatencyFactor = 0
-	dev, err := ocssd.New(env, ocssd.Config{
-		Geometry:  ocssd.WestlakeGeometry(o.BlocksPerPlane),
-		Timing:    ocssd.DefaultTiming(),
-		Media:     m,
-		PageCache: true,
-		Seed:      o.Seed,
-	})
+	dev, err := ocssd.New(env, wearFreeConfig(ocssd.WestlakeGeometry(o.BlocksPerPlane), o.Seed))
 	if err != nil {
 		return nil, err
 	}

@@ -207,13 +207,13 @@ func TestTenantsQuick(t *testing.T) {
 	}
 }
 
-// The only run fig4, fig5, lanes, lifetime and wa-e2e get under go test; the
-// other three are here for their short 20 ms window.
+// The only run fig4, fig5, fig7, lanes, lifetime and wa-e2e get under go
+// test; the other three are here for their short 20 ms window.
 func TestQuickExperimentsRun(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs eight quick experiments")
+		t.Skip("runs nine quick experiments")
 	}
-	for _, id := range []string{"fig4", "fig5", "lanes", "wa", "tenants", "fleet", "lifetime", "wa-e2e"} {
+	for _, id := range []string{"fig4", "fig5", "fig7", "lanes", "wa", "tenants", "fleet", "lifetime", "wa-e2e"} {
 		t.Run(id, func(t *testing.T) {
 			e, ok := ByID(id)
 			if !ok {

@@ -40,12 +40,11 @@ func runOverhead(o Options, w io.Writer) error {
 		return rr.ReadLat.Mean(), wo.WriteLat.Mean()
 	}
 
-	base := nullblk.New(nullblk.DefaultConfig())
-	withPblk := blockdev.WithLatency(nullblk.New(nullblk.DefaultConfig()),
-		cfg.HostReadOverhead, cfg.HostWriteOverhead)
-
-	r0, w0 := measure(base)
-	r1, w1 := measure(withPblk)
+	nullCfg := nullblk.DefaultConfig()
+	r0, w0 := measure(nullblk.New(nullCfg))
+	nullCfg.ReadLatency += cfg.HostReadOverhead
+	nullCfg.WriteLatency += cfg.HostWriteOverhead
+	r1, w1 := measure(nullblk.New(nullCfg))
 
 	t := &table{header: []string{"path", "read us", "write us"}}
 	t.add("null block device", fmt.Sprintf("%.2f", usF(r0)), fmt.Sprintf("%.2f", usF(w0)))

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/blockdev"
 	"repro/internal/lightnvm"
-	"repro/internal/nand"
 	"repro/internal/ocssd"
 	"repro/internal/pblk"
 	"repro/internal/ppa"
@@ -106,16 +105,7 @@ func runWA(o Options, w io.Writer) error {
 
 	run := func(c waConfig) (waRow, error) {
 		env := sim.NewEnv(o.Seed)
-		m := nand.DefaultConfig()
-		m.PECycleLimit = 0
-		m.WearLatencyFactor = 0
-		dev, err := ocssd.New(env, ocssd.Config{
-			Geometry:  waGeometry(blocks),
-			Timing:    ocssd.DefaultTiming(),
-			Media:     m,
-			PageCache: true,
-			Seed:      o.Seed,
-		})
+		dev, err := ocssd.New(env, wearFreeConfig(waGeometry(blocks), o.Seed))
 		if err != nil {
 			return waRow{}, err
 		}

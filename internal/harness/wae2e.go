@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/lightnvm"
 	"repro/internal/lsmdb"
-	"repro/internal/nand"
 	"repro/internal/ocssd"
 	"repro/internal/pblk"
 	"repro/internal/ppa"
@@ -119,16 +118,7 @@ func runWAE2E(o Options, w io.Writer) error {
 
 	run := func(mode waE2EMode, util float64) (waE2ERow, error) {
 		env := sim.NewEnv(o.Seed)
-		m := nand.DefaultConfig()
-		m.PECycleLimit = 0
-		m.WearLatencyFactor = 0
-		dev, err := ocssd.New(env, ocssd.Config{
-			Geometry:  waE2EGeometry(blocks),
-			Timing:    ocssd.DefaultTiming(),
-			Media:     m,
-			PageCache: true,
-			Seed:      o.Seed,
-		})
+		dev, err := ocssd.New(env, wearFreeConfig(waE2EGeometry(blocks), o.Seed))
 		if err != nil {
 			return waE2ERow{}, err
 		}

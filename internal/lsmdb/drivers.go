@@ -80,31 +80,6 @@ func (db *DB) newWorker(id int64) *worker {
 	return &worker{rng: rand.New(rand.NewSource(db.cfg.Seed + 77*id))}
 }
 
-// FillSeq runs sequential Puts for the given duration (db_bench fillseq).
-func FillSeq(p *sim.Proc, db *DB, d time.Duration) *BenchResult {
-	res := &BenchResult{Name: "fillseq"}
-	env := p.Env()
-	start := env.Now()
-	w := db.newWorker(0)
-	i := db.loaded
-	for env.Now() < start+d {
-		w.key = db.benchKey(w.key, i)
-		w.val = db.benchVal(w.val, i, 0)
-		t0 := env.Now()
-		if err := db.Put(p, w.key, w.val); err != nil {
-			panic(err)
-		}
-		res.Lat.Add(env.Now() - t0)
-		res.Ops++
-		db.noteLoaded(i)
-		i++
-	}
-	res.Elapsed = env.Now() - start
-	res.UserMBps = stats.Throughput(res.Ops*db.entrySize(), res.Elapsed)
-	res.Stalls = db.WriteStalls
-	return res
-}
-
 // FillSeqN loads a fixed number of entries using `threads` concurrent
 // writers (db_bench fillseq with --threads): group commit shares WAL
 // syncs across writers, and the run ends when the volume target is met,
@@ -177,57 +152,10 @@ func fillN(p *sim.Proc, db *DB, threads int, entries int64, random bool) *BenchR
 	return res
 }
 
-// OverwriteRandom overwrites random existing keys for the given duration
-// (db_bench overwrite): the steady state whose write amplification the
-// wa-e2e experiment measures.
-func OverwriteRandom(p *sim.Proc, db *DB, threads int, d time.Duration) *BenchResult {
-	if threads < 1 {
-		threads = 1
-	}
-	res := &BenchResult{Name: "overwrite"}
-	env := p.Env()
-	start := env.Now()
-	done := env.NewEvent()
-	running := threads
-	space := db.loaded
-	if space <= 0 {
-		space = 1
-	}
-	for i := 0; i < threads; i++ {
-		w := db.newWorker(1000 + int64(i))
-		env.Go(fmt.Sprintf("db_bench.overwriter%d", i), func(pw *sim.Proc) {
-			defer func() {
-				running--
-				if running == 0 {
-					done.Signal()
-				}
-			}()
-			gen := int64(1)
-			for env.Now() < start+d {
-				idx := w.rng.Int63n(space)
-				w.key = db.benchKey(w.key, idx)
-				w.val = db.benchVal(w.val, idx, gen)
-				t0 := env.Now()
-				if err := db.Put(pw, w.key, w.val); err != nil {
-					panic(err)
-				}
-				res.Lat.Add(env.Now() - t0)
-				res.Ops++
-				gen++
-			}
-		})
-	}
-	p.Wait(done)
-	res.Elapsed = env.Now() - start
-	res.UserMBps = stats.Throughput(res.Ops*db.entrySize(), res.Elapsed)
-	res.Stalls = db.WriteStalls
-	return res
-}
-
 // OverwriteRandomN overwrites a fixed count of random existing keys
-// (db_bench overwrite with a volume target instead of a clock): wa-e2e
-// measures write amplification over an exact number of drive-writes so
-// results are comparable across stacks. round distinguishes successive
+// (db_bench overwrite with a volume target instead of a clock) — the
+// steady state whose write amplification wa-e2e measures, over an exact
+// number of drive-writes so results are comparable across stacks. round distinguishes successive
 // passes so each draws a fresh key sequence.
 func OverwriteRandomN(p *sim.Proc, db *DB, threads int, count, round int64) *BenchResult {
 	if threads < 1 {

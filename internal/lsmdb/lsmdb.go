@@ -217,10 +217,18 @@ type DB struct {
 	TrimmedBytes         int64
 }
 
+// Device is what the engine uses of a block device — its geometry and one
+// queue pair, which carries the blocking calls too. Every blockdev.Device
+// is one.
+type Device interface {
+	blockdev.Geometry
+	blockdev.QueueProvider
+}
+
 // Open creates or recovers an engine on dev: the manifest's newer valid
 // slot restores the level state, and WAL replay rebuilds the memtable up
 // to the crash point. The engine owns the whole device.
-func Open(p *sim.Proc, env *sim.Env, dev blockdev.Device, cfg Config) (*DB, error) {
+func Open(p *sim.Proc, env *sim.Env, dev Device, cfg Config) (*DB, error) {
 	if cfg.MemtableSize == 0 {
 		cfg = DefaultConfig()
 	}
@@ -245,7 +253,7 @@ func Open(p *sim.Proc, env *sim.Env, dev blockdev.Device, cfg Config) (*DB, erro
 		q:   blockdev.OpenQueue(env, dev, cfg.QueueDepth),
 		rng: rand.New(rand.NewSource(cfg.Seed)),
 	}
-	db.blk = blockdev.NewSyncAdapter(env, db.q)
+	db.blk = blockdev.NewQueueAdapter(env, db.q)
 	walSize := cfg.WALSize
 	if walSize == 0 {
 		walSize = 4 * cfg.MemtableSize

@@ -10,10 +10,10 @@ import (
 	"repro/internal/sim"
 )
 
-// memDevice is a RAM-backed blockdev.Device for correctness tests: unlike
-// nullblk it stores real bytes, so point lookups, reopen recovery, and
-// WAL replay can be verified against what was written. Trimmed ranges
-// read back as zeros, matching an FTL dropping the mapping.
+// memDevice is a RAM-backed device for correctness tests: unlike nullblk
+// it stores real bytes, so point lookups, reopen recovery, and WAL replay
+// can be verified against what was written. Trimmed ranges read back as
+// zeros, matching an FTL dropping the mapping.
 type memDevice struct {
 	ss   int
 	data []byte
@@ -33,44 +33,29 @@ func newMemDevice(capacity int64) *memDevice {
 func (d *memDevice) SectorSize() int { return d.ss }
 func (d *memDevice) Capacity() int64 { return int64(len(d.data)) }
 
-func (d *memDevice) Read(p *sim.Proc, off int64, buf []byte, length int64) error {
-	if err := blockdev.CheckRange(d, off, buf, length); err != nil {
-		return err
-	}
-	p.Sleep(d.rlat)
-	if buf != nil {
-		copy(buf, d.data[off:off+length])
-	}
-	d.Reads++
-	return nil
-}
-
-func (d *memDevice) Write(p *sim.Proc, off int64, buf []byte, length int64) error {
-	if err := blockdev.CheckRange(d, off, buf, length); err != nil {
-		return err
-	}
-	p.Sleep(d.wlat)
-	if buf != nil {
-		copy(d.data[off:off+length], buf)
-	}
-	d.Writes++
-	return nil
-}
-
-func (d *memDevice) Flush(p *sim.Proc) error {
-	p.Sleep(d.wlat)
-	d.Flushes++
-	return nil
-}
-
-func (d *memDevice) Trim(p *sim.Proc, off, length int64) error {
-	if err := blockdev.CheckRange(d, off, nil, length); err != nil {
-		return err
-	}
-	p.Sleep(d.rlat)
-	clear(d.data[off : off+length])
-	d.Trims++
-	return nil
+func (d *memDevice) OpenQueue(env *sim.Env, depth int) blockdev.Queue {
+	return blockdev.NewQueue(env, d, depth, func(r *blockdev.Request, done func(*blockdev.Request)) {
+		lat, mem := d.rlat, d.data[r.Off:r.Off+r.Length]
+		if r.Op == blockdev.ReqWrite || r.Op == blockdev.ReqFlush {
+			lat = d.wlat
+		}
+		env.Schedule(lat, func() {
+			switch r.Op {
+			case blockdev.ReqRead:
+				copy(r.Buf, mem)
+				d.Reads++
+			case blockdev.ReqWrite:
+				copy(mem, r.Buf)
+				d.Writes++
+			case blockdev.ReqFlush:
+				d.Flushes++
+			case blockdev.ReqTrim:
+				clear(mem)
+				d.Trims++
+			}
+			done(r)
+		})
+	})
 }
 
 // testConfig is a downscaled engine: 64 KB memtables and 116 B entries so
@@ -90,7 +75,7 @@ func testConfig() Config {
 	return cfg
 }
 
-func openDB(t *testing.T, env *sim.Env, dev blockdev.Device, cfg Config) *DB {
+func openDB(t *testing.T, env *sim.Env, dev Device, cfg Config) *DB {
 	t.Helper()
 	var db *DB
 	env.Go("open", func(p *sim.Proc) {
@@ -553,14 +538,14 @@ func newNullDB(t *testing.T, cfg Config) (*sim.Env, *DB, *nullblk.Device) {
 func TestDriversOverNullblk(t *testing.T) {
 	env, db, nb := newNullDB(t, testConfig())
 	runDB(env, func(p *sim.Proc) {
-		if r := FillSeqN(p, db, 2, 3000); r.Ops != 3000 {
-			t.Errorf("fillseq ops = %d, want 3000", r.Ops)
+		if r := FillSeqN(p, db, 2, 3000); r.Ops != 3000 || r.Lat.Count() != 3000 || db.Loaded() != 3000 {
+			t.Errorf("fillseq ops=%d latSamples=%d loaded=%d, want 3000", r.Ops, r.Lat.Count(), db.Loaded())
 		}
 		if r := FillRandomN(p, db, 2, 2000); r.Ops != 2000 {
 			t.Errorf("fillrandom ops = %d, want 2000", r.Ops)
 		}
-		if r := OverwriteRandom(p, db, 2, 30*time.Millisecond); r.Ops == 0 {
-			t.Error("overwrite made no progress")
+		if r := OverwriteRandomN(p, db, 2, 1000, 1); r.Ops != 1000 {
+			t.Errorf("overwrite ops = %d, want 1000", r.Ops)
 		}
 		if r := ReadRandom(p, db, 2, 30*time.Millisecond); r.Ops == 0 {
 			t.Error("readrandom made no progress")
@@ -577,20 +562,6 @@ func TestDriversOverNullblk(t *testing.T) {
 	if db.FlushedBytes == 0 {
 		t.Fatal("drivers never flushed a memtable")
 	}
-}
-
-func TestFillSeqDuration(t *testing.T) {
-	env, db, _ := newNullDB(t, testConfig())
-	runDB(env, func(p *sim.Proc) {
-		r := FillSeq(p, db, 50*time.Millisecond)
-		if r.Ops == 0 || r.Lat.Count() != uint64(r.Ops) {
-			t.Errorf("fillseq ops=%d latSamples=%d", r.Ops, r.Lat.Count())
-		}
-		if db.Loaded() != r.Ops {
-			t.Errorf("loaded=%d want %d", db.Loaded(), r.Ops)
-		}
-		db.Close(p)
-	})
 }
 
 // BenchmarkLSMReadWrite measures the mixed Put+Get hot path over nullblk.

@@ -34,6 +34,9 @@ func DefaultConfig() Config {
 // zeros.
 type Device struct {
 	cfg Config
+	// blk carries the blocking calls. New has no environment to bind it to,
+	// so it is built over the first blocking caller's.
+	blk *blockdev.SyncAdapter
 	// Ops counts completed requests.
 	Reads, Writes, Flushes int64
 }
@@ -49,52 +52,15 @@ func (d *Device) SectorSize() int { return d.cfg.SectorSize }
 // Capacity implements blockdev.Device.
 func (d *Device) Capacity() int64 { return d.cfg.CapacityB }
 
-// Read implements blockdev.Device.
-func (d *Device) Read(p *sim.Proc, off int64, buf []byte, length int64) error {
-	if err := blockdev.CheckRange(d, off, buf, length); err != nil {
-		return err
-	}
-	p.Sleep(d.cfg.ReadLatency)
-	clear(buf)
-	d.Reads++
-	return nil
-}
-
-// Write implements blockdev.Device.
-func (d *Device) Write(p *sim.Proc, off int64, buf []byte, length int64) error {
-	if err := blockdev.CheckRange(d, off, buf, length); err != nil {
-		return err
-	}
-	p.Sleep(d.cfg.WriteLatency)
-	d.Writes++
-	return nil
-}
-
-// Flush implements blockdev.Device.
-func (d *Device) Flush(p *sim.Proc) error {
-	d.Flushes++
-	return nil
-}
-
-// Trim implements blockdev.Device.
-func (d *Device) Trim(p *sim.Proc, off, length int64) error {
-	return blockdev.CheckRange(d, off, nil, length)
-}
-
-// OpenQueue implements blockdev.QueueProvider: the native asynchronous
-// datapath. Completions are pure scheduled events on the virtual clock —
-// no simulation process per request and no per-request closures (the
-// completion callbacks are built once per queue and carry the request as
-// the scheduled argument) — so a single submitter drives any queue depth
-// with zero steady-state allocations in the device.
-func (d *Device) OpenQueue(env *sim.Env, depth int) blockdev.Queue {
+// newIssue returns the device's datapath on env. Completions are pure
+// scheduled events on the virtual clock — no simulation process per
+// request and no per-request closures (the completion callbacks are bound
+// on the first call and carry the request as the scheduled argument) — so
+// a single submitter drives any queue depth with zero steady-state
+// allocations in the device.
+func (d *Device) newIssue(env *sim.Env) blockdev.IssueFunc {
 	var readDone, writeDone, flushDone, trimDone func(any)
-	// Read and write latencies are constants, so completions within each
-	// class are FIFO: a delay line per class completes any number of
-	// in-flight requests behind a single armed timer instead of one event
-	// queue entry per request.
-	var readLine, writeLine *sim.DelayLine
-	return blockdev.NewQueue(env, d, depth, func(req *blockdev.Request, done func(*blockdev.Request)) {
+	return func(req *blockdev.Request, done func(*blockdev.Request)) {
 		if readDone == nil {
 			readDone = func(a any) {
 				r := a.(*blockdev.Request)
@@ -111,18 +77,46 @@ func (d *Device) OpenQueue(env *sim.Env, depth int) blockdev.Queue {
 				done(a.(*blockdev.Request))
 			}
 			trimDone = func(a any) { done(a.(*blockdev.Request)) }
-			readLine = env.NewDelayLine(d.cfg.ReadLatency)
-			writeLine = env.NewDelayLine(d.cfg.WriteLatency)
 		}
 		switch req.Op {
 		case blockdev.ReqRead:
-			readLine.After(readDone, req)
+			env.ScheduleArg(d.cfg.ReadLatency, readDone, req)
 		case blockdev.ReqWrite:
-			writeLine.After(writeDone, req)
+			env.ScheduleArg(d.cfg.WriteLatency, writeDone, req)
 		case blockdev.ReqFlush:
 			env.ScheduleArg(0, flushDone, req)
 		case blockdev.ReqTrim:
 			env.ScheduleArg(0, trimDone, req)
 		}
-	})
+	}
+}
+
+// OpenQueue implements blockdev.QueueProvider.
+func (d *Device) OpenQueue(env *sim.Env, depth int) blockdev.Queue {
+	return blockdev.NewQueue(env, d, depth, d.newIssue(env))
+}
+
+func (d *Device) sync(p *sim.Proc) *blockdev.SyncAdapter {
+	if d.blk == nil {
+		d.blk = blockdev.NewSyncAdapter(p.Env(), d, d.newIssue(p.Env()))
+	}
+	return d.blk
+}
+
+// Read implements blockdev.Device.
+func (d *Device) Read(p *sim.Proc, off int64, buf []byte, length int64) error {
+	return d.sync(p).Read(p, off, buf, length)
+}
+
+// Write implements blockdev.Device.
+func (d *Device) Write(p *sim.Proc, off int64, buf []byte, length int64) error {
+	return d.sync(p).Write(p, off, buf, length)
+}
+
+// Flush implements blockdev.Device.
+func (d *Device) Flush(p *sim.Proc) error { return d.sync(p).Flush(p) }
+
+// Trim implements blockdev.Device.
+func (d *Device) Trim(p *sim.Proc, off, length int64) error {
+	return d.sync(p).Trim(p, off, length)
 }

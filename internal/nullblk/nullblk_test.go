@@ -74,25 +74,6 @@ func TestRangeChecks(t *testing.T) {
 	env.Run()
 }
 
-func TestWithLatencyWrapper(t *testing.T) {
-	env := sim.NewEnv(1)
-	base := New(Config{SectorSize: 4096, CapacityB: 1 << 20, ReadLatency: time.Microsecond, WriteLatency: time.Microsecond})
-	d := blockdev.WithLatency(base, 500*time.Nanosecond, 900*time.Nanosecond)
-	env.Go("main", func(p *sim.Proc) {
-		t0 := env.Now()
-		d.Read(p, 0, nil, 4096)
-		if got := env.Now() - t0; got != 1500*time.Nanosecond {
-			t.Fatalf("wrapped read = %v", got)
-		}
-		t0 = env.Now()
-		d.Write(p, 0, nil, 4096)
-		if got := env.Now() - t0; got != 1900*time.Nanosecond {
-			t.Fatalf("wrapped write = %v", got)
-		}
-	})
-	env.Run()
-}
-
 func TestBufferLengthMismatch(t *testing.T) {
 	env := sim.NewEnv(1)
 	d := New(DefaultConfig())

@@ -67,12 +67,12 @@ func DefaultConfig(blocksPerPlane int) Config {
 	}
 }
 
-// Device is the baseline block SSD. It implements blockdev.Device and,
-// for the asynchronous datapath, blockdev.QueueProvider.
+// Device is the baseline block SSD. It implements blockdev.Device.
 type Device struct {
 	env *sim.Env
 	raw *ocssd.Device
 	ftl *pblk.Pblk
+	blk *blockdev.SyncAdapter // the blocking calls
 	// firmware per-command latency, standing in for the embedded
 	// controller's request handling.
 	cmdLatency time.Duration
@@ -110,17 +110,22 @@ func New(p *sim.Proc, env *sim.Env, cfg Config) (*Device, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Device{env: env, raw: raw, ftl: ftl, cmdLatency: 2 * time.Microsecond}, nil
+	d := &Device{env: env, raw: raw, ftl: ftl, cmdLatency: 2 * time.Microsecond}
+	d.blk = blockdev.NewSyncAdapter(env, d, d.newIssue())
+	return d, nil
 }
 
-// OpenQueue implements blockdev.QueueProvider: each request pays the
-// firmware command-handling latency, then reads, writes and trims ride the
-// embedded FTL's native asynchronous datapath. Flushes complete after
-// command handling alone — the DRAM write cache is power-loss protected —
-// while still acting as a queue barrier for ordering.
-func (d *Device) OpenQueue(env *sim.Env, depth int) blockdev.Queue {
+// newIssue returns the device's datapath: each request pays the firmware
+// command-handling latency, then reads, writes and trims ride the embedded
+// FTL's datapath — a write is acknowledged once in the device's
+// power-protected DRAM cache; media programming proceeds asynchronously.
+// Flushes complete after command handling alone, for the same reason:
+// cached writes are already durable. This is why the paper's OLTP flushes
+// cost the NVMe SSD little padding while still suffering read/write
+// interference.
+func (d *Device) newIssue() blockdev.IssueFunc {
 	var flushDone, ftlIssue func(any)
-	return blockdev.NewQueue(d.env, d, depth, func(req *blockdev.Request, done func(*blockdev.Request)) {
+	return func(req *blockdev.Request, done func(*blockdev.Request)) {
 		if flushDone == nil {
 			flushDone = func(a any) {
 				d.Flushes++
@@ -133,7 +138,13 @@ func (d *Device) OpenQueue(env *sim.Env, depth int) blockdev.Queue {
 			return
 		}
 		d.env.ScheduleArg(d.cmdLatency, ftlIssue, req)
-	})
+	}
+}
+
+// OpenQueue implements blockdev.QueueProvider. On a queue pair a flush is
+// still a barrier for ordering.
+func (d *Device) OpenQueue(_ *sim.Env, depth int) blockdev.Queue {
+	return blockdev.NewQueue(d.env, d, depth, d.newIssue())
 }
 
 // Raw exposes the internal device for instrumentation in tests and benches.
@@ -150,31 +161,20 @@ func (d *Device) Capacity() int64 { return d.ftl.Capacity() }
 
 // Read implements blockdev.Device.
 func (d *Device) Read(p *sim.Proc, off int64, buf []byte, length int64) error {
-	p.Sleep(d.cmdLatency)
-	return d.ftl.Read(p, off, buf, length)
+	return d.blk.Read(p, off, buf, length)
 }
 
-// Write implements blockdev.Device: acknowledged once in the device's
-// power-protected DRAM cache; media programming proceeds asynchronously.
+// Write implements blockdev.Device.
 func (d *Device) Write(p *sim.Proc, off int64, buf []byte, length int64) error {
-	p.Sleep(d.cmdLatency)
-	return d.ftl.Write(p, off, buf, length)
+	return d.blk.Write(p, off, buf, length)
 }
 
-// Flush implements blockdev.Device. The baseline drive has full power-loss
-// protection: cached writes are already durable, so flush returns after
-// command handling only. This is why the paper's OLTP flushes cost the
-// NVMe SSD little padding while still suffering read/write interference.
-func (d *Device) Flush(p *sim.Proc) error {
-	p.Sleep(d.cmdLatency)
-	d.Flushes++
-	return nil
-}
+// Flush implements blockdev.Device.
+func (d *Device) Flush(p *sim.Proc) error { return d.blk.Flush(p) }
 
 // Trim implements blockdev.Device.
 func (d *Device) Trim(p *sim.Proc, off, length int64) error {
-	p.Sleep(d.cmdLatency)
-	return d.ftl.Trim(p, off, length)
+	return d.blk.Trim(p, off, length)
 }
 
 // Stop quiesces the device's background work (for clean test teardown).

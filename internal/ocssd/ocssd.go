@@ -21,7 +21,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"strings"
 	"time"
 
 	"repro/internal/nand"
@@ -630,23 +629,6 @@ func (d *Device) post(t *puTask) {
 // so no per-hop closure is allocated. It is every sleep's wake-up as well,
 // which is why it is a declared function: step reaches it again through sleep.
 func taskStep(a any) { a.(*puTask).step() }
-
-// DebugPUs returns a one-line-per-busy-PU view of command occupancy, for
-// diagnosing stalls: units in flight (busy holders) and queued commands.
-func (d *Device) DebugPUs() string {
-	var b strings.Builder
-	for i, pu := range d.pus {
-		if pu.busy.InUse() > 0 || pu.busy.QueueLen() > 0 {
-			fmt.Fprintf(&b, "pu %d (ch %d): busy=%d queued=%d\n", i, pu.ch, pu.busy.InUse(), pu.busy.QueueLen())
-		}
-	}
-	for i, ch := range d.chs {
-		if ch.xfer.InUse() > 0 || ch.xfer.QueueLen() > 0 {
-			fmt.Fprintf(&b, "ch %d: xfer=%d queued=%d\n", i, ch.xfer.InUse(), ch.xfer.QueueLen())
-		}
-	}
-	return b.String()
-}
 
 // doBox is the pooled event+result pair behind Do; its callback is bound
 // once so repeated blocking submissions allocate nothing.

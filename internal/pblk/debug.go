@@ -102,13 +102,6 @@ func (k *Pblk) StreamStats() []StreamStat {
 // from a stopped one.
 func (k *Pblk) Crashed() bool { return k.crashed }
 
-// L2PSnapshot returns a copy of the logical-to-physical table, one packed
-// address per LBA. Determinism harnesses compare it across runs; the
-// volume-level cross-check uses it because members live in other packages.
-func (k *Pblk) L2PSnapshot() []uint64 {
-	return append([]uint64(nil), k.l2p...)
-}
-
 // retryCount sums write-failed sectors awaiting resubmission across lanes.
 func (k *Pblk) retryCount() int {
 	n := 0

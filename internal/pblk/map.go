@@ -34,10 +34,6 @@ func (k *Pblk) unitAddrsInto(dst []ppa.Addr, g *group, unit int) []ppa.Addr {
 	return dst
 }
 
-// dataUnits returns the number of write units available for data in a group
-// (excludes the open mark and close metadata).
-func (k *Pblk) dataUnits() int { return k.unitsPerGroup - 1 - k.metaUnits }
-
 // firstMetaUnit returns the unit index where close metadata begins.
 func (k *Pblk) firstMetaUnit() int { return k.unitsPerGroup - k.metaUnits }
 

@@ -115,16 +115,9 @@ func parseOOB(b []byte) (lba int64, stamp uint64, valid bool, ok bool) {
 	return lba, get48(b[6:12]), b[12]&1 != 0, true
 }
 
-// encodeOpenMark builds the first-page record: sequence number and a
-// reference to the previously opened block.
-func (k *Pblk) encodeOpenMark(g *group) []byte {
-	b := make([]byte, k.geo.SectorSize)
-	k.encodeOpenMarkInto(b, g)
-	return b
-}
-
-// encodeOpenMarkInto writes the open mark into b (len >= sector size,
-// already zeroed past the mark); the allocation-free form.
+// encodeOpenMarkInto writes the first-page record — sequence number and a
+// reference to the previously opened block — into b (len >= sector size,
+// already zeroed past the mark).
 func (k *Pblk) encodeOpenMarkInto(b []byte, g *group) {
 	le.PutUint64(b[0:8], openMagic)
 	le.PutUint64(b[8:16], uint64(g.id))
@@ -172,17 +165,11 @@ func (k *Pblk) closeMetaUnits() int {
 	}
 }
 
-// encodeCloseMeta serializes the block-level FTL log: the portion of the
-// L2P map corresponding to data in the block, the per-sector admission
-// stamps (for globally ordered replay), the write stream, and the same
-// sequence number as the open mark.
-func (k *Pblk) encodeCloseMeta(g *group, lbas []int64, stamps []uint64) []byte {
-	return k.encodeCloseMetaInto(make([]byte, k.closeMetaSizeFor(k.dataSectors)), g, lbas, stamps)
-}
-
-// encodeCloseMetaInto is encodeCloseMeta into a caller-owned buffer
-// (len == closeMetaSizeFor(dataSectors), already zeroed) — the
-// allocation-free form for the pooled close path.
+// encodeCloseMetaInto serializes the block-level FTL log into a
+// caller-owned buffer (len == closeMetaSizeFor(dataSectors), already
+// zeroed): the portion of the L2P map corresponding to data in the block,
+// the per-sector admission stamps (for globally ordered replay), the write
+// stream, and the same sequence number as the open mark.
 func (k *Pblk) encodeCloseMetaInto(b []byte, g *group, lbas []int64, stamps []uint64) []byte {
 	size := len(b)
 	le.PutUint64(b[0:8], closeMagic)

@@ -66,13 +66,15 @@ func TestOOBCorruptionDetected(t *testing.T) {
 func TestOpenMarkRoundTrip(t *testing.T) {
 	k := metaHarness(t)
 	g := &group{id: 7, seq: 99, prev: 3}
-	b := k.encodeOpenMark(g)
+	b := make([]byte, k.geo.SectorSize)
+	k.encodeOpenMarkInto(b, g)
 	gid, seq, prev, ok := parseOpenMark(b)
 	if !ok || gid != 7 || seq != 99 || prev != 3 {
 		t.Fatalf("parsed (%d,%d,%d,%v)", gid, seq, prev, ok)
 	}
-	g2 := &group{id: 1, seq: 1, prev: -1}
-	if _, _, prev, _ := parseOpenMark(k.encodeOpenMark(g2)); prev != padLBA {
+	b2 := make([]byte, k.geo.SectorSize)
+	k.encodeOpenMarkInto(b2, &group{id: 1, seq: 1, prev: -1})
+	if _, _, prev, _ := parseOpenMark(b2); prev != padLBA {
 		t.Fatal("prev=-1 not preserved")
 	}
 	b[5] ^= 0xff
@@ -97,7 +99,8 @@ func TestCloseMetaRoundTrip(t *testing.T) {
 		stamps[i] = uint64(5000 + i)
 	}
 	g := &group{id: 12, seq: 55, stream: streamGC}
-	b := k.encodeCloseMeta(g, lbas, stamps)
+	size := k.closeMetaSizeFor(k.dataSectors)
+	b := k.encodeCloseMetaInto(make([]byte, size), g, lbas, stamps)
 	seq, stream, got, gotStamps, ok := k.parseCloseMeta(b)
 	if !ok || seq != 55 {
 		t.Fatalf("parse failed: seq=%d ok=%v", seq, ok)
@@ -116,7 +119,7 @@ func TestCloseMetaRoundTrip(t *testing.T) {
 		}
 	}
 	// Short list gets padded.
-	b2 := k.encodeCloseMeta(g, lbas[:10], stamps[:2])
+	b2 := k.encodeCloseMetaInto(make([]byte, size), g, lbas[:10], stamps[:2])
 	_, _, got2, _, ok := k.parseCloseMeta(b2)
 	if !ok || got2[10] != padLBA {
 		t.Fatal("short list not padded")

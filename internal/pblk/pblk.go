@@ -348,6 +348,7 @@ type Pblk struct {
 	name string
 	env  *sim.Env
 	dev  *lightnvm.MediaView
+	blk  *blockdev.SyncAdapter // the blocking Device calls, over IssueAsync
 	fmtr ppa.Format
 	geo  ppa.Geometry
 	nPUs int // parallel units in this instance's partition
@@ -538,6 +539,7 @@ func NewView(p *sim.Proc, view *lightnvm.MediaView, name string, cfg Config) (*P
 		nPUs: nPUs,
 		cfg:  cfg,
 	}
+	k.blk = blockdev.NewSyncAdapter(k.env, k, k.IssueAsync)
 	k.unitSectors = geo.PlanesPerPU * geo.SectorsPerPage
 	k.unitsPerGroup = geo.PagesPerBlock
 	k.metaUnits = k.closeMetaUnits()

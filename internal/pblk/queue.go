@@ -5,20 +5,19 @@ import (
 	"repro/internal/sim"
 )
 
-// pblk's native asynchronous datapath (the ROADMAP's queue-pair redesign):
-// reads fan out through the device's already-asynchronous vector submission
-// instead of blocking a process, writes complete on ring-buffer admission
-// (paper §4.2.1, producers), and flushes ride the existing flush-barrier
-// machinery. The generic queue state machine lives in blockdev.NewQueue;
-// this file supplies the per-operation issue paths.
+// pblk's datapath, the one issue function behind both its queue pairs and
+// its blocking Read/Write/Flush/Trim: reads fan out through the device's
+// asynchronous vector submission, writes complete on ring-buffer admission
+// (paper §4.2.1, producers), and flushes ride the flush-barrier machinery.
+// The queue state machine and the blocking call live in blockdev (NewQueue,
+// SyncAdapter); this file supplies the per-operation issue paths.
 //
-// Write admission is a continuation pump, not a process: the pump admits
-// sectors of the queued writes in FIFO order, and when the ring is full or
-// the rate limiter withholds entries it parks as a callback on the ring's
-// space event instead of blocking a goroutine. Steady-state queue I/O
-// therefore spawns nothing.
-
-var _ blockdev.QueueProvider = (*Pblk)(nil)
+// Write admission is a continuation pump, not a process: it admits whole
+// requests in FIFO order, charging the host write overhead one request at
+// a time — the paper's producers reserve ring space for a whole bio before
+// copying it in — and when the ring is full or the rate limiter withholds
+// entries it parks as a callback on the ring's space event instead of
+// blocking a goroutine. Steady-state I/O therefore spawns nothing.
 
 // OpenQueue implements blockdev.QueueProvider. The queue completes on
 // pblk's own simulation environment; env is accepted for interface
@@ -27,10 +26,34 @@ func (k *Pblk) OpenQueue(env *sim.Env, depth int) blockdev.Queue {
 	return blockdev.NewQueue(k.env, k, depth, k.IssueAsync)
 }
 
-// IssueAsync starts one pre-validated request on the native datapath. It
-// is exported for embedding devices (nvmedev wraps it behind its firmware
-// command handling). done runs in simulation context once the request
-// finishes; req.Err is set by then.
+// Blocking blockdev.Device calls, on the same issue function.
+
+// Read implements blockdev.Device.
+func (k *Pblk) Read(p *sim.Proc, off int64, buf []byte, length int64) error {
+	return k.blk.Read(p, off, buf, length)
+}
+
+// Write implements blockdev.Device: it returns once the sectors are in the
+// ring buffer, so it blocks only while the buffer is full or the rate
+// limiter withholds user entries.
+func (k *Pblk) Write(p *sim.Proc, off int64, buf []byte, length int64) error {
+	return k.blk.Write(p, off, buf, length)
+}
+
+// Flush implements blockdev.Device (paper §4.2.1): all data buffered at
+// call time is forced to media, padding the final flash page if needed.
+func (k *Pblk) Flush(p *sim.Proc) error { return k.blk.Flush(p) }
+
+// Trim implements blockdev.Device: mappings are dropped host-side; the
+// freed sectors become garbage for GC.
+func (k *Pblk) Trim(p *sim.Proc, off, length int64) error {
+	return k.blk.Trim(p, off, length)
+}
+
+// IssueAsync is pblk's blockdev.IssueFunc: it starts one pre-validated
+// request. It is exported for embedding devices (nvmedev wraps it behind
+// its firmware command handling). done runs in simulation context once the
+// request finishes; req.Err is set by then.
 func (k *Pblk) IssueAsync(req *blockdev.Request, done func(*blockdev.Request)) {
 	switch req.Op {
 	case blockdev.ReqRead:
@@ -67,8 +90,8 @@ type pendingWrite struct {
 }
 
 // admitStart pops queued writes in FIFO order and begins admission of the
-// first admissible one: validation and the host write overhead mirror the
-// blocking Write path exactly. It runs in simulation context.
+// first admissible one, charging it the host write overhead. It runs in
+// simulation context.
 func (k *Pblk) admitStart() {
 	for {
 		if k.admitHead == len(k.admitQ) {
@@ -111,8 +134,7 @@ func (k *Pblk) admitStart() {
 
 // admitStep admits sectors of the current write into the ring until the
 // request completes or admission blocks; when blocked it re-arms itself on
-// the ring's space event (the continuation analogue of reserveUser's wait
-// loop) and yields to the scheduler.
+// the ring's space event and yields to the scheduler.
 func (k *Pblk) admitStep() {
 	pw := k.admitCur
 	ss := int64(k.geo.SectorSize)
@@ -145,11 +167,13 @@ func (k *Pblk) admitStep() {
 	k.admitStart()
 }
 
-// admitReady is one iteration of the user-admission condition, shared by
-// the blocking producer (reserveUser) and the queue-pair admission pump:
-// true when the ring has space and the rate limiter admits another user
-// entry. On failure it has already kicked GC and the lane writers, so
-// the caller only has to park on the ring's space event.
+// admitReady is the user-admission condition (paper §4.2.4: "entries are
+// reserved as a function of the feedback loop"): true when the ring has
+// space and the rate limiter admits another user entry. Admission also
+// pauses while the write lanes are being rebuilt (SetActivePUs), so no
+// entry is dispatched onto a quiescing lane. On failure it has already
+// kicked GC and the lane writers, so the pump only has to park on the
+// ring's space event.
 func (k *Pblk) admitReady() bool {
 	if !k.rebuilding {
 		quota := k.rb.capacity()

@@ -6,41 +6,14 @@ import (
 	"repro/internal/blockdev"
 	"repro/internal/ocssd"
 	"repro/internal/ppa"
-	"repro/internal/sim"
 )
 
-// Read implements blockdev.Device: the blocking wrapper over the native
-// asynchronous read path (startRead).
-func (k *Pblk) Read(p *sim.Proc, off int64, buf []byte, length int64) error {
-	if k.stopping {
-		return ErrStopped
-	}
-	if err := blockdev.CheckRange(k, off, buf, length); err != nil {
-		return err
-	}
-	ev := k.env.NewEvent()
-	var out error
-	k.startRead(off, buf, length, func(err error) {
-		out = err
-		ev.Signal()
-	})
-	p.Wait(ev)
-	return out
-}
+// The read path: IssueAsync (queue.go) hands every read, blocking or
+// queued, to startReadReq; there is no process-side entry.
 
-// startRead charges the host read overhead, then resolves and fans the
-// request out (asynchronous datapath). The range must already be
-// validated. fin runs in simulation context with the first error once
-// every sector is resolved.
-func (k *Pblk) startRead(off int64, buf []byte, length int64, fin func(error)) {
-	r := k.getReadReq()
-	r.off, r.buf, r.length, r.fin = off, buf, length, fin
-	k.env.Schedule(k.cfg.HostReadOverhead, r.resolveFn)
-}
-
-// startReadReq is the request-carrying form of startRead used by the queue
-// datapath: the blockdev request and its completion callback ride in the
-// pooled readReq, so issuing a read allocates nothing.
+// startReadReq charges the host read overhead, then resolves the request
+// and fans it out. The blockdev request and its completion callback ride
+// in the pooled readReq, so issuing a read allocates nothing.
 func (k *Pblk) startReadReq(req *blockdev.Request, done func(*blockdev.Request)) {
 	r := k.getReadReq()
 	r.off, r.buf, r.length = req.Off, req.Buf, req.Length
@@ -57,14 +30,12 @@ type mediaSector struct {
 // readReq is the whole context of one read request, from host-overhead
 // scheduling through the media fan-out; the last chunk completion reports
 // the first error seen. Pooled; resolveFn is bound once so neither issuing
-// nor resolving a read allocates. The completion goes to fin (plain
-// callback form) or to bdone(breq) (queue form) — exactly one is set.
+// nor resolving a read allocates.
 type readReq struct {
 	k           *Pblk
 	off         int64
 	buf         []byte
 	length      int64
-	fin         func(error)
 	breq        *blockdev.Request
 	bdone       func(*blockdev.Request)
 	outstanding int
@@ -76,15 +47,11 @@ type readReq struct {
 // callback can immediately issue another read from a warm pool.
 func (r *readReq) finish(err error) {
 	k := r.k
-	fin, breq, bdone := r.fin, r.breq, r.bdone
-	r.buf, r.fin, r.breq, r.bdone, r.firstErr = nil, nil, nil, nil, nil
+	breq, bdone := r.breq, r.bdone
+	r.buf, r.breq, r.bdone, r.firstErr = nil, nil, nil, nil
 	k.readReqFree = append(k.readReqFree, r)
-	if breq != nil {
-		breq.Err = err
-		bdone(breq)
-		return
-	}
-	fin(err)
+	breq.Err = err
+	bdone(breq)
 }
 
 // readChunk is one vector read of a request: its addresses (all on one

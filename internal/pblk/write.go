@@ -7,36 +7,11 @@ import (
 	"repro/internal/sim"
 )
 
-// Write implements blockdev.Device: sectors are copied into the ring
-// buffer, the L2P is pointed at the buffer entries, and the write is
-// acknowledged (paper §4.2.1, producers). It blocks only when the buffer
-// is full or the rate limiter withholds user entries.
-func (k *Pblk) Write(p *sim.Proc, off int64, buf []byte, length int64) error {
-	if k.stopping {
-		return ErrStopped
-	}
-	if err := blockdev.CheckRange(k, off, buf, length); err != nil {
-		return err
-	}
-	p.Sleep(k.cfg.HostWriteOverhead)
-	ss := int64(k.geo.SectorSize)
-	for i := int64(0); i < length/ss; i++ {
-		k.reserveUser(p)
-		if k.stopping {
-			return ErrStopped
-		}
-		lba := off/ss + i
-		var data []byte
-		if buf != nil {
-			data = k.copySector(buf[i*ss : (i+1)*ss])
-		}
-		pos := k.produce(lba, data, false, -1, blockdev.HintNone)
-		k.installCacheMapping(lba, pos)
-		k.Stats.UserWrites++
-	}
-	k.kickWriters()
-	return nil
-}
+// The write path behind the ring buffer (paper §4.2.1, consumers): the
+// dispatcher cuts admitted entries into write units, one lane writer per
+// active PU programs them, and completions free the ring tail. The ring
+// has two producers: user sectors enter through the admission pump in
+// queue.go, GC moves through reserveGC below.
 
 // copySector stages one sector payload in a pooled buffer; the buffer
 // returns to the pool when the ring frees its entry.
@@ -69,21 +44,6 @@ func (k *Pblk) installCacheMapping(lba int64, pos uint64) {
 		k.groupOf(k.mediaAddr(old)).valid--
 	}
 	k.l2p[lba] = cacheEntry(pos)
-}
-
-// reserveUser blocks until the ring has space and the rate limiter admits
-// another user entry (paper §4.2.4: "entries are reserved as a function of
-// the feedback loop"). Admission also pauses while the write lanes are
-// being rebuilt (SetActivePUs), so no entry is dispatched onto a quiescing
-// lane. The policy itself lives in admitReady, shared with the queue-pair
-// admission pump.
-func (k *Pblk) reserveUser(p *sim.Proc) {
-	for !k.stopping {
-		if k.admitReady() {
-			return
-		}
-		k.rb.waitSpace(p)
-	}
 }
 
 // emergencyReserve is the free-group floor kept for GC and lane turnover:
@@ -129,35 +89,7 @@ func (k *Pblk) reserveGC(p *sim.Proc) {
 	}
 }
 
-// Flush implements blockdev.Device (paper §4.2.1): all data buffered at
-// call time is forced to media, padding the final flash page if needed.
-// It is the blocking wrapper over startFlush (see queue.go).
-func (k *Pblk) Flush(p *sim.Proc) error {
-	ev := k.env.NewEvent()
-	var out error
-	k.startFlush(func(err error) {
-		out = err
-		ev.Signal()
-	})
-	p.Wait(ev)
-	return out
-}
-
-// Trim implements blockdev.Device: mappings are dropped host-side; the
-// freed sectors become garbage for GC.
-func (k *Pblk) Trim(p *sim.Proc, off, length int64) error {
-	if k.stopping {
-		return ErrStopped
-	}
-	if err := blockdev.CheckRange(k, off, nil, length); err != nil {
-		return err
-	}
-	p.Sleep(k.cfg.HostWriteOverhead)
-	return k.trimNow(off, length)
-}
-
-// trimNow drops the mappings of a validated range; shared by the blocking
-// and queue datapaths.
+// trimNow drops the mappings of a validated range.
 func (k *Pblk) trimNow(off, length int64) error {
 	if k.stopping {
 		return ErrStopped

@@ -70,9 +70,6 @@ func (g Geometry) TotalBytes() int64 { return int64(g.TotalPUs()) * g.PUBytes() 
 // TotalSectors returns the number of addressable sectors on the device.
 func (g Geometry) TotalSectors() int64 { return g.TotalBytes() / int64(g.SectorSize) }
 
-// BlocksPerPU returns blocks per PU across all planes.
-func (g Geometry) BlocksPerPU() int { return g.PlanesPerPU * g.BlocksPerPlane }
-
 func (g Geometry) String() string {
 	return fmt.Sprintf("geometry{ch=%d pu/ch=%d planes=%d blk/plane=%d pg/blk=%d sec/pg=%d secsz=%d oob=%d cap=%.1fGB}",
 		g.Channels, g.PUsPerChannel, g.PlanesPerPU, g.BlocksPerPlane,

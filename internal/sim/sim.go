@@ -609,89 +609,3 @@ func (r *Resource) InUse() int { return r.inUse }
 
 // QueueLen returns the number of acquirers waiting.
 func (r *Resource) QueueLen() int { return r.qLen }
-
-// DelayLine schedules callbacks a fixed delay into the future. Because the
-// delay is constant, due times are monotonic in schedule order, so the line
-// keeps a FIFO of pending callbacks behind one armed timer instead of one
-// heap event per call: a burst scheduled at the same instant shares a single
-// event queue entry. Callbacks run at exactly now+d in schedule order; the
-// only observable difference from per-call Schedule is that same-instant
-// callbacks run consecutively rather than interleaved (by submission seq)
-// with unrelated events due at the same time. Fixed-latency device models
-// use it to complete any number of in-flight requests with O(1) amortized
-// scheduler work per request.
-type DelayLine struct {
-	env *Env
-	d   time.Duration
-
-	// Pending callbacks, a ring in due-time (== schedule) order.
-	buf    []delayed
-	head   int
-	n      int
-	armed  bool
-	fireFn func() // bound once; re-armed for the front entry's due time
-}
-
-type delayed struct {
-	due time.Duration
-	fn  func(any)
-	arg any
-}
-
-// NewDelayLine returns a delay line completing after d. d must be >= 0.
-func (e *Env) NewDelayLine(d time.Duration) *DelayLine {
-	if d < 0 {
-		panic("sim: negative delay")
-	}
-	l := &DelayLine{env: e, d: d}
-	l.fireFn = l.fire
-	return l
-}
-
-// After schedules fn(arg) for the current virtual time plus the line's
-// delay. Like ScheduleArg it allocates nothing in steady state.
-func (l *DelayLine) After(fn func(any), arg any) {
-	if l.n == len(l.buf) {
-		grown := make([]delayed, max(16, 2*len(l.buf)))
-		for i := 0; i < l.n; i++ {
-			grown[i] = l.buf[(l.head+i)%len(l.buf)]
-		}
-		l.buf, l.head = grown, 0
-	}
-	i := l.head + l.n
-	if i >= len(l.buf) {
-		i -= len(l.buf)
-	}
-	l.buf[i] = delayed{due: l.env.now + l.d, fn: fn, arg: arg}
-	l.n++
-	if !l.armed {
-		l.armed = true
-		l.env.Schedule(l.d, l.fireFn)
-	}
-}
-
-// Len returns the number of callbacks pending on the line.
-func (l *DelayLine) Len() int { return l.n }
-
-func (l *DelayLine) fire() {
-	now := l.env.now
-	for l.n > 0 {
-		e := &l.buf[l.head]
-		if e.due > now {
-			// A callback rescheduled onto the line mid-drain (d > 0): re-arm
-			// for its due time and yield to the scheduler.
-			l.armed = true
-			l.env.Schedule(e.due-now, l.fireFn)
-			return
-		}
-		fn, arg := e.fn, e.arg
-		*e = delayed{}
-		l.head++
-		if l.head == len(l.buf) {
-			l.head = 0
-		}
-		l.n--
-		fn(arg)
-	}
-	l.armed = false
-}

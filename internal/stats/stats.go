@@ -181,26 +181,3 @@ func Throughput(bytes int64, d time.Duration) float64 {
 	}
 	return float64(bytes) / d.Seconds() / 1e6
 }
-
-// Counter accumulates bytes and operations for throughput reporting.
-type Counter struct {
-	Bytes int64
-	Ops   int64
-}
-
-// Add records one operation of n bytes.
-func (c *Counter) Add(n int) {
-	c.Bytes += int64(n)
-	c.Ops++
-}
-
-// MBps returns throughput in MB/s over duration d.
-func (c *Counter) MBps(d time.Duration) float64 { return Throughput(c.Bytes, d) }
-
-// IOPS returns operations per second over duration d.
-func (c *Counter) IOPS(d time.Duration) float64 {
-	if d <= 0 {
-		return 0
-	}
-	return float64(c.Ops) / d.Seconds()
-}

@@ -141,21 +141,6 @@ func TestThroughput(t *testing.T) {
 	}
 }
 
-func TestCounter(t *testing.T) {
-	var c Counter
-	c.Add(4096)
-	c.Add(4096)
-	if c.Ops != 2 || c.Bytes != 8192 {
-		t.Fatal("counter accounting")
-	}
-	if got := c.IOPS(time.Second); got != 2 {
-		t.Fatalf("IOPS = %v", got)
-	}
-	if got := c.MBps(time.Second); got < 0.008 || got > 0.009 {
-		t.Fatalf("MBps = %v", got)
-	}
-}
-
 func TestSummarize(t *testing.T) {
 	var h Hist
 	for i := 0; i < 1000; i++ {

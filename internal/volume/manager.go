@@ -2,7 +2,7 @@
 // simulated open-channel SSDs inside one sim.Env — each member mounted as
 // a full-device pblk target through the lightnvm media manager — and
 // exposes virtual block targets over them through the standard
-// blockdev.Device / blockdev.QueueProvider interfaces.
+// blockdev.Device interface.
 //
 // A volume composes its members with RAID-0 striping (configurable chunk
 // size), RAID-1 mirroring (write fan-out with a completion quorum, read
@@ -284,7 +284,7 @@ func (mgr *Manager) mount(p *sim.Proc, m *Member) error {
 	}
 	m.tgt = tgt.(*pblk.Pblk)
 	m.q = blockdev.OpenQueue(mgr.env, m.tgt, mgr.cfg.QueueDepth)
-	m.sync = blockdev.NewSyncAdapter(mgr.env, m.q)
+	m.sync = blockdev.NewQueueAdapter(mgr.env, m.q)
 	return nil
 }
 

@@ -57,9 +57,6 @@ func (v *Volume) startRebuild(set *mirrorSet, sp *Member) {
 	v.env.Go("volume.rebuild."+sp.name, rb.run)
 }
 
-// Progress returns the synced fraction.
-func (rb *rebuild) Progress() float64 { return float64(rb.cursor) / float64(rb.v.colCap) }
-
 // abort stops the engine at the next chunk boundary (CrashAll, or the
 // volume losing its last source replica).
 func (rb *rebuild) abort() { rb.aborted = true }

@@ -97,10 +97,9 @@ func (s *mirrorSet) degraded() bool {
 }
 
 // Volume is a virtual block device striped and/or mirrored over fleet
-// members. It implements blockdev.Device (blocking calls ride an internal
-// queue) and blockdev.QueueProvider (the native asynchronous datapath:
-// requests are split at chunk boundaries and fanned out to the member
-// queues).
+// members. It implements blockdev.Device: on queue pairs and in blocking
+// calls alike, requests are split at chunk boundaries and fanned out to
+// the member queues.
 type Volume struct {
 	name string
 	mgr  *Manager
@@ -118,7 +117,7 @@ type Volume struct {
 	rr    uint64 // deterministic read round-robin across replicas
 	stats Stats
 
-	sync *blockdev.SyncAdapter // carries the blocking Device calls, on a queue of its own
+	sync *blockdev.SyncAdapter // the blocking Device calls, over issue
 
 	// Fan-out object pools: the split path reuses a bounded working set of
 	// fan-out trackers, per-chunk operations, and sub-request legs instead
@@ -212,7 +211,7 @@ func (mgr *Manager) CreateVolume(name string, l Layout, opt Options) (*Volume, e
 			m.vol = v
 		}
 	}
-	v.sync = blockdev.NewSyncAdapter(v.env, blockdev.NewQueue(v.env, v, 16, v.issue))
+	v.sync = blockdev.NewSyncAdapter(v.env, v, v.issue)
 	mgr.vols[name] = v
 	mgr.volOrder = append(mgr.volOrder, name)
 	return v, nil
@@ -240,7 +239,7 @@ func (v *Volume) OpenQueue(_ *sim.Env, depth int) blockdev.Queue {
 	return blockdev.NewQueue(v.env, v, depth, v.issue)
 }
 
-// Blocking blockdev.Device calls, carried by the internal queue.
+// Blocking blockdev.Device calls, on the same issue function.
 
 // Read implements blockdev.Device.
 func (v *Volume) Read(p *sim.Proc, off int64, buf []byte, n int64) error {
