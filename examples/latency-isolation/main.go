@@ -10,9 +10,10 @@
 //  2. one shared pblk — both tenants on a single full-device block
 //     target; the FTL stripes them over the same PUs and reads queue
 //     behind writes;
-//  3. raw PPA placement — the application drives vector I/O on
-//     hand-picked PUs itself (the paper's original demonstration; what
-//     partitioned targets package up behind the block API).
+//  3. raw PPA placement — each tenant on a raw target, the FTL-less view
+//     of a PU range, placing its data itself (the paper's original
+//     demonstration; what partitioned pblk targets package up behind an
+//     overwritable block API).
 package main
 
 import (
@@ -123,33 +124,26 @@ func shared() {
 	env.Run()
 }
 
-// rawPPA is the paper's original application-managed form: vector I/O on
-// hand-picked disjoint PUs, no FTL at all.
+// rawPPA is the paper's original application-managed form: no FTL at all,
+// each tenant on a raw target over PUs of its own, placing its data itself.
 func rawPPA() {
 	env := sim.NewEnv(7)
 	dev, err := ocssd.New(env, ocssd.DefaultConfig(24))
 	if err != nil {
 		log.Fatal(err)
 	}
-	readPUs := []int{0, 1, 2, 3}      // latency-critical tenant
-	writePUs := []int{64, 65, 66, 67} // bulk-ingest tenant, other channels
+	ln := lightnvm.Register("nvme0n1", dev)
 	env.Go("raw-ppa", func(p *sim.Proc) {
-		if err := fio.PreparePPA(p, dev, readPUs, 4); err != nil {
+		rt, err := ln.CreateTarget(p, "raw", "raw-lat", lightnvm.PURange{Begin: 0, End: 4}, nil)
+		if err != nil {
 			log.Fatal(err)
 		}
-		done := env.NewEvent()
-		env.Go("bulk-writer", func(pw *sim.Proc) {
-			fio.RunPPA(pw, dev, fio.PPAJob{
-				Name: "bulk", Pattern: fio.SeqWrite, BS: 64 << 10, QD: 1,
-				PUs: writePUs, Blocks: 6, Runtime: runFor,
-			})
-			done.Signal()
-		})
-		r := fio.RunPPA(p, dev, fio.PPAJob{
-			Name: "latency", Pattern: fio.RandRead, BS: 4 << 10, QD: 1,
-			PUs: readPUs, Blocks: 4, Runtime: runFor, Seed: 3,
-		})
-		p.Wait(done)
+		wt, err := ln.CreateTarget(p, "raw", "raw-bulk", lightnvm.PURange{Begin: 64, End: 68}, nil) // other channels
+		if err != nil {
+			log.Fatal(err)
+		}
+		rr, rw := rt.(*lightnvm.Raw), wt.(*lightnvm.Raw)
+		r := tenantMix(p, env, rr, rw, 0, rr.BlockBytes(4), 0, rw.BlockBytes(6))
 		s := r.ReadLat.Summarize()
 		fmt.Printf("raw PPA placement:        reader p99 = %v, max = %v (application-managed PUs)\n",
 			s.P99.Round(time.Microsecond), s.Max.Round(time.Microsecond))

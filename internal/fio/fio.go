@@ -1,14 +1,12 @@
 // Package fio is a flexible I/O workload generator in virtual time,
-// mirroring how the paper drives its evaluation with fio (§5). It has two
-// engines: a block engine targeting any blockdev.Device (pblk, the NVMe
-// baseline, null block), and a PPA engine issuing vector I/O directly to
-// an open-channel device — the paper's modified fio with the LightNVM I/O
-// engine.
+// mirroring how the paper drives its evaluation with fio (§5). It has one
+// engine, targeting any blockdev.Device: pblk, the NVMe baseline, null
+// block, a volume — and, for direct PPA I/O (the paper's fio with the
+// LightNVM I/O engine), a lightnvm raw target over the PUs under test.
 //
-// The block engine drives queue depth the way fio's libaio engine does:
-// one worker process per job opens a blockdev.Queue and keeps QD requests
-// in flight with batched submission, recording per-request latency from
-// completions.
+// The engine drives queue depth the way fio's libaio engine does: one
+// worker per job opens a blockdev.Queue and keeps QD requests in flight
+// with batched submission, recording per-request latency from completions.
 package fio
 
 import (

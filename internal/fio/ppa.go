@@ -2,37 +2,16 @@ package fio
 
 import (
 	"fmt"
-	"math/rand"
-	"time"
 
 	"repro/internal/ocssd"
 	"repro/internal/ppa"
 	"repro/internal/sim"
 )
 
-// PPAJob drives vector I/O directly at an open-channel device, bypassing
-// any FTL — the paper's modified fio issuing PPA commands (§5.1 per-PU
-// characterization and §5.5 predictable-latency experiment).
-type PPAJob struct {
-	Name    string
-	Pattern Pattern // SeqRead, RandRead, or SeqWrite
-	BS      int     // bytes per command; must be a sector multiple, <= 64 sectors
-	QD      int
-	// PUs is the set of global PU indices the job touches; streams stay
-	// isolated to these PUs.
-	PUs []int
-	// Blocks bounds how many block groups per PU the job uses (reads
-	// require them prepared; writes erase and refill them cyclically).
-	Blocks  int
-	Runtime time.Duration
-	MaxOps  int64
-	// WriteRateMBps rate-limits writes; 0 = unlimited.
-	WriteRateMBps float64
-	Seed          int64
-}
-
 // PreparePPA sequentially programs the first `blocks` block groups of each
-// listed PU with synthetic data so read jobs have something to fetch.
+// listed PU with synthetic data, straight at the device. Only bench/ still
+// calls it (the ladder's bare-device rung, frozen outside benchmark PRs);
+// everything else prepares a lightnvm raw target with Prepare.
 func PreparePPA(p *sim.Proc, dev *ocssd.Device, pus []int, blocks int) error {
 	g := dev.Geometry()
 	for _, gpu := range pus {
@@ -58,170 +37,4 @@ func unitAddrs(g ppa.Geometry, ch, pu, blk, page int) []ppa.Addr {
 		}
 	}
 	return addrs
-}
-
-// sectorRun returns n consecutive sector addresses on one PU starting at
-// flat sector index `flat` (ordered block, page, plane, sector — the
-// physical layout PreparePPA wrote), wrapping within `blocks` blocks.
-func sectorRun(g ppa.Geometry, ch, pu, flat, n, blocks int) []ppa.Addr {
-	perPage := g.PlanesPerPU * g.SectorsPerPage
-	perBlock := g.PagesPerBlock * perPage
-	total := blocks * perBlock
-	addrs := make([]ppa.Addr, 0, n)
-	for i := 0; i < n; i++ {
-		f := (flat + i) % total
-		sec := f % g.SectorsPerPage
-		f /= g.SectorsPerPage
-		pl := f % g.PlanesPerPU
-		f /= g.PlanesPerPU
-		page := f % g.PagesPerBlock
-		blk := f / g.PagesPerBlock
-		addrs = append(addrs, ppa.Addr{Ch: ch, PU: pu, Plane: pl, Block: blk, Page: page, Sector: sec})
-	}
-	return addrs
-}
-
-// RunPPA executes a direct-PPA job, blocking the caller until done.
-func RunPPA(p *sim.Proc, dev *ocssd.Device, job PPAJob) *Result {
-	if job.QD == 0 {
-		job.QD = 1
-	}
-	if job.Seed == 0 {
-		job.Seed = 1
-	}
-	if job.Blocks == 0 {
-		job.Blocks = 1
-	}
-	if len(job.PUs) == 0 {
-		panic("fio: PPA job needs at least one PU")
-	}
-	g := dev.Geometry()
-	ss := g.SectorSize
-	secPerCmd := job.BS / ss
-	if secPerCmd < 1 || secPerCmd > ocssd.MaxVectorLen || job.BS%ss != 0 {
-		panic(fmt.Sprintf("fio: PPA BS %d invalid (sector %d, max %d sectors)", job.BS, ss, ocssd.MaxVectorLen))
-	}
-	unitSectors := g.PlanesPerPU * g.SectorsPerPage
-	env := p.Env()
-	res := &Result{Job: Job{Name: job.Name, BS: job.BS, QD: job.QD}}
-	start := env.Now()
-	deadline := time.Duration(1<<62 - 1)
-	if job.Runtime > 0 {
-		deadline = start + job.Runtime
-	}
-	var opBudget int64 = 1<<62 - 1
-	if job.MaxOps > 0 {
-		opBudget = job.MaxOps
-	}
-	issued := int64(0)
-
-	var nextWriteAt time.Duration
-	writeGap := time.Duration(0)
-	if job.WriteRateMBps > 0 {
-		writeGap = time.Duration(float64(job.BS) / (job.WriteRateMBps * 1e6) * float64(time.Second))
-	}
-
-	// Per-PU sequential write cursors (block, unit) with erase-on-wrap.
-	type cursor struct{ blk, unit int }
-	wcur := make(map[int]*cursor)
-	erased := make(map[[2]int]bool)
-	for _, pu := range job.PUs {
-		wcur[pu] = &cursor{}
-	}
-	// Sequential read cursor per worker; random reads draw addresses from
-	// the prepared region.
-	done := env.NewEvent()
-	running := job.QD
-	for w := 0; w < job.QD; w++ {
-		w := w
-		rng := rand.New(rand.NewSource(job.Seed + int64(w)*7919))
-		env.Go(fmt.Sprintf("fio.ppa.%s.%d", job.Name, w), func(pr *sim.Proc) {
-			defer func() {
-				running--
-				if running == 0 {
-					done.Signal()
-				}
-			}()
-			seqSector := 0
-			for env.Now() < deadline && issued < opBudget {
-				issued++
-				pu := job.PUs[rng.Intn(len(job.PUs))]
-				ch, puIdx := dev.Format().PUAddr(pu)
-				switch job.Pattern {
-				case SeqWrite:
-					cur := wcur[pu]
-					if cur.unit == 0 && !erased[[2]int{pu, cur.blk}] {
-						addrs := make([]ppa.Addr, g.PlanesPerPU)
-						for pl := range addrs {
-							addrs[pl] = ppa.Addr{Ch: ch, PU: puIdx, Plane: pl, Block: cur.blk}
-						}
-						if c := dev.Do(pr, &ocssd.Vector{Op: ocssd.OpErase, Addrs: addrs}); c.Failed() {
-							res.Errors++
-						}
-						erased[[2]int{pu, cur.blk}] = true
-					}
-					// One command per write unit; BS beyond a unit issues
-					// multiple sequential units.
-					units := (secPerCmd + unitSectors - 1) / unitSectors
-					if writeGap > 0 {
-						at := nextWriteAt
-						if at < env.Now() {
-							at = env.Now()
-						}
-						nextWriteAt = at + writeGap
-						if at > env.Now() {
-							pr.Sleep(at - env.Now())
-						}
-					}
-					t0 := env.Now()
-					failed := false
-					for u := 0; u < units; u++ {
-						addrs := unitAddrs(g, ch, puIdx, cur.blk, cur.unit)
-						c := dev.Do(pr, &ocssd.Vector{Op: ocssd.OpWrite, Addrs: addrs})
-						if c.Failed() {
-							failed = true
-						}
-						cur.unit++
-						if cur.unit >= g.PagesPerBlock {
-							cur.unit = 0
-							cur.blk = (cur.blk + 1) % job.Blocks
-							erased[[2]int{pu, cur.blk}] = false
-						}
-					}
-					if failed {
-						res.Errors++
-						continue
-					}
-					res.WriteLat.Add(env.Now() - t0)
-					res.WriteBytes += int64(units * unitSectors * ss)
-					res.Writes++
-				case SeqRead, RandRead:
-					totalSectors := job.Blocks * g.PagesPerBlock * unitSectors
-					var s0 int
-					if job.Pattern == SeqRead {
-						s0 = seqSector % totalSectors
-						seqSector += secPerCmd
-					} else {
-						// Align random reads to the request size, as fio does.
-						s0 = rng.Intn(totalSectors/secPerCmd) * secPerCmd
-					}
-					addrs := sectorRun(g, ch, puIdx, s0, secPerCmd, job.Blocks)
-					t0 := env.Now()
-					c := dev.Do(pr, &ocssd.Vector{Op: ocssd.OpRead, Addrs: addrs})
-					if c.Failed() {
-						res.Errors++
-						continue
-					}
-					res.ReadLat.Add(env.Now() - t0)
-					res.ReadBytes += int64(job.BS)
-					res.Reads++
-				default:
-					panic("fio: unsupported PPA pattern " + job.Pattern.String())
-				}
-			}
-		})
-	}
-	p.Wait(done)
-	res.Elapsed = env.Now() - start
-	return res
 }

@@ -44,13 +44,14 @@ func runAblatePageCache(o Options, w io.Writer) error {
 		if err != nil {
 			return err
 		}
+		ln := lightnvm.Register("ocssd-pc", dev)
 		var seq, rnd *fio.Result
 		env.Go("main", func(p *sim.Proc) {
-			if err := fio.PreparePPA(p, dev, []int{0}, 4); err != nil {
-				panic(err)
-			}
-			seq = fio.RunPPA(p, dev, fio.PPAJob{Name: "s", Pattern: fio.SeqRead, BS: 4096, PUs: []int{0}, Blocks: 4, Runtime: o.Duration})
-			rnd = fio.RunPPA(p, dev, fio.PPAJob{Name: "r", Pattern: fio.RandRead, BS: 4096, PUs: []int{0}, Blocks: 4, Runtime: o.Duration, Seed: o.Seed})
+			raw := newRaw(p, ln, "raw0", 0, 1)
+			size := raw.BlockBytes(4)
+			check(fio.Prepare(p, raw, 0, size))
+			seq = mustRun(p, raw, fio.Job{Name: "s", Pattern: fio.SeqRead, BS: 4096, Size: size, Runtime: o.Duration})
+			rnd = mustRun(p, raw, fio.Job{Name: "r", Pattern: fio.RandRead, BS: 4096, Size: size, Runtime: o.Duration, Seed: o.Seed})
 		})
 		env.Run()
 		t.add(fmt.Sprint(cache), mb(seq.ReadMBps()), us(seq.ReadLat.Mean()), mb(rnd.ReadMBps()))
@@ -84,9 +85,7 @@ func runAblateVector(o Options, w io.Writer) error {
 					addrs = append(addrs, ppa.Addr{PU: 0, Plane: pl, Block: 0, Page: u, Sector: s})
 				}
 			}
-			if c := dev.Do(p, &ocssd.Vector{Op: ocssd.OpWrite, Addrs: addrs}); c.Failed() {
-				panic(c.FirstErr())
-			}
+			check(dev.Do(p, &ocssd.Vector{Op: ocssd.OpWrite, Addrs: addrs}).FirstErr())
 		}
 		vecDur = env.Now() - t0
 		// Serial: one command per plane-page (4 sectors) — no multi-plane
@@ -98,9 +97,7 @@ func runAblateVector(o Options, w io.Writer) error {
 				for s := 0; s < g.SectorsPerPage; s++ {
 					addrs = append(addrs, ppa.Addr{PU: 1, Plane: pl, Block: 0, Page: u, Sector: s})
 				}
-				if c := dev.Do(p, &ocssd.Vector{Op: ocssd.OpWrite, Addrs: addrs}); c.Failed() {
-					panic(c.FirstErr())
-				}
+				check(dev.Do(p, &ocssd.Vector{Op: ocssd.OpWrite, Addrs: addrs}).FirstErr())
 			}
 		}
 		serDur = env.Now() - t0
@@ -133,20 +130,14 @@ func runAblateBuffering(o Options, w io.Writer) error {
 	var hostPadding int64
 	env.Go("host", func(p *sim.Proc) {
 		k, err := pblk.New(p, ln, "pblk0", pblk.Config{ActivePUs: 4})
-		if err != nil {
-			panic(err)
-		}
+		check(err)
 		defer k.Stop(p)
 		for i := 0; i < writes; i++ {
 			t0 := env.Now()
-			if err := k.Write(p, int64(i)*4096, nil, 4096); err != nil {
-				panic(err)
-			}
+			check(k.Write(p, int64(i)*4096, nil, 4096))
 			hostAck += env.Now() - t0
 			t0 = env.Now()
-			if err := k.Flush(p); err != nil {
-				panic(err)
-			}
+			check(k.Flush(p))
 			hostFlush += env.Now() - t0
 		}
 		hostPadding = k.Stats.PaddedSectors * 4096
@@ -163,25 +154,18 @@ func runAblateBuffering(o Options, w io.Writer) error {
 	env2.Go("cmb", func(p *sim.Proc) {
 		page, sector := 0, 0
 		for i := 0; i < writes; i++ {
-			// Stage one sector in the CMB; the controller programs pages
-			// as they fill (no padding needed for durability).
-			addrs := []ppa.Addr{{PU: 0, Plane: 0, Block: 0, Page: page, Sector: sector}}
-			_ = addrs
-			// Full-page staging: accumulate 4 sectors then program.
+			// Stage one sector in the CMB; the controller programs a page
+			// when it is full (no padding needed for durability).
 			sector++
-			var c *ocssd.Completion
 			t0 := env2.Now()
 			if sector == g.SectorsPerPage {
 				full := make([]ppa.Addr, g.SectorsPerPage)
 				for s := range full {
 					full[s] = ppa.Addr{PU: 0, Plane: 0, Block: 0, Page: page, Sector: s}
 				}
-				c = dev2.Do(p, &ocssd.Vector{Op: ocssd.OpWrite, Addrs: full, Buffered: true})
+				check(dev2.Do(p, &ocssd.Vector{Op: ocssd.OpWrite, Addrs: full, Buffered: true}).FirstErr())
 				sector = 0
 				page++
-			}
-			if c != nil && c.Failed() {
-				panic(c.FirstErr())
 			}
 			cmbAck += env2.Now() - t0
 			t0 = env2.Now()
@@ -225,13 +209,9 @@ func runAblateGCRL(o Options, w io.Writer) error {
 				ActivePUs:          16,
 				OverProvision:      0.3,
 			})
-			if err != nil {
-				panic(err)
-			}
+			check(err)
 			defer k.Stop(p)
-			if err := fio.Prepare(p, k, 0, k.Capacity()); err != nil {
-				panic(err)
-			}
+			check(fio.Prepare(p, k, 0, k.Capacity()))
 			overwrite := k.Capacity() / 2
 			res = mustRun(p, k, fio.Job{Name: "ow", Pattern: fio.RandWrite, BS: 64 << 10, QD: 4,
 				Size: k.Capacity(), MaxOps: overwrite / (64 << 10), Seed: o.Seed})
@@ -268,15 +248,11 @@ func runAblateInflight(o Options, w io.Writer) error {
 		}
 		var rres, wres *fio.Result
 		env.Go("main", func(p *sim.Proc) {
-			var k *pblk.Pblk
-			if k, err = pblk.New(p, ln, "pblk0", pblk.Config{MaxInflightPerPU: depth}); err != nil {
-				return
-			}
+			k, err := pblk.New(p, ln, "pblk0", pblk.Config{MaxInflightPerPU: depth})
+			check(err)
 			defer k.Stop(p)
 			prep := k.Capacity() / 4
-			if err = fio.Prepare(p, k, 0, prep); err != nil {
-				return
-			}
+			check(fio.Prepare(p, k, 0, prep))
 			done := env.NewEvent()
 			env.Go("w", func(pw *sim.Proc) {
 				wres = mustRun(pw, k, fio.Job{Name: "w", Pattern: fio.SeqWrite, BS: 256 << 10,
@@ -288,9 +264,6 @@ func runAblateInflight(o Options, w io.Writer) error {
 			p.Wait(done)
 		})
 		env.Run()
-		if err != nil {
-			return fmt.Errorf("ablate-inflight: inflight %d: %w", depth, err)
-		}
 		t.add(fmt.Sprint(depth), mb(wres.WriteMBps()), us(rres.ReadLat.Percentile(99)), us(rres.ReadLat.Max()))
 	}
 	t.write(w)
@@ -303,8 +276,8 @@ func init() {
 }
 
 // runAblateSuspend quantifies the §3.3 erase/program-suspend hint: reads
-// that would otherwise queue behind a 1.1 ms program (or 3 ms erase)
-// preempt it within one suspend slice, at the cost of longer writes.
+// that would otherwise wait out a 1.1 ms program or a 3 ms erase on their
+// PU preempt it within one suspend slice, at the cost of longer writes.
 func runAblateSuspend(o Options, w io.Writer) error {
 	o = Defaults(o)
 	section(w, "program/erase suspend: 4K reads against a continuous single-PU writer")
@@ -318,20 +291,22 @@ func runAblateSuspend(o Options, w io.Writer) error {
 		if err != nil {
 			return err
 		}
+		ln := lightnvm.Register("ocssd-sus", dev)
 		var rres, wres *fio.Result
 		env.Go("main", func(p *sim.Proc) {
-			if err := fio.PreparePPA(p, dev, []int{0}, 2); err != nil {
-				panic(err)
-			}
+			// One PU for both, the worst case: reads over its two prepared
+			// blocks, the writer cycling through the other six.
+			raw := newRaw(p, ln, "raw0", 0, 1)
+			prep := raw.BlockBytes(2)
+			check(fio.Prepare(p, raw, 0, prep))
 			done := env.NewEvent()
 			env.Go("writer", func(pw *sim.Proc) {
-				// Same PU as the reads: worst-case interference.
-				wres = fio.RunPPA(pw, dev, fio.PPAJob{Name: "w", Pattern: fio.SeqWrite, BS: 64 << 10,
-					PUs: []int{1}, Blocks: 6, Runtime: o.Duration})
+				wres = mustRun(pw, raw, fio.Job{Name: "w", Pattern: fio.SeqWrite, BS: 64 << 10,
+					Offset: prep, Size: raw.BlockBytes(6), Runtime: o.Duration})
 				done.Signal()
 			})
-			rres = fio.RunPPA(p, dev, fio.PPAJob{Name: "r", Pattern: fio.RandRead, BS: 4 << 10,
-				PUs: []int{0, 1}, Blocks: 2, Runtime: o.Duration, Seed: o.Seed})
+			rres = mustRun(p, raw, fio.Job{Name: "r", Pattern: fio.RandRead, BS: 4 << 10,
+				Size: prep, Runtime: o.Duration, Seed: o.Seed})
 			p.Wait(done)
 		})
 		env.Run()
@@ -343,7 +318,10 @@ func runAblateSuspend(o Options, w io.Writer) error {
 			mb(wres.WriteMBps()), fmt.Sprint(dev.Stats.Suspensions))
 	}
 	t.write(w)
-	fmt.Fprintln(w, "\nexpect: suspend caps read waits at one slice (~10x lower p99) while writes")
-	fmt.Fprintln(w, "slow by the resume penalties — the paper's stated trade-off.")
+	fmt.Fprintln(w, "\nreader and writer share one PU (reads over its two prepared blocks, the writer")
+	fmt.Fprintln(w, "cycling through the other six). expect: without suspend the read tail is a whole")
+	fmt.Fprintln(w, "block erase (3 ms; a program is 1.1 ms); suspend caps the wait at one slice plus a")
+	fmt.Fprintln(w, "write unit's transfer (~7x lower p99) while writes slow by the resume penalties —")
+	fmt.Fprintln(w, "the paper's stated trade-off.")
 	return nil
 }

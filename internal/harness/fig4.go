@@ -43,16 +43,12 @@ func runFig4(o Options, w io.Writer) error {
 
 	env.Go("fig4", func(p *sim.Proc) {
 		k, err := newPblk(p, ln, 0)
-		if err != nil {
-			panic(err)
-		}
+		check(err)
 		defer k.Stop(p)
 		// Paper prepares 100 GB over the full device; scale to half the
 		// exported capacity.
 		prep := alignDown(k.Capacity()/2, 256<<10)
-		if err := fio.Prepare(p, k, 0, prep); err != nil {
-			panic(err)
-		}
+		check(fio.Prepare(p, k, 0, prep))
 		for _, pat := range []fio.Pattern{fio.SeqRead, fio.RandRead} {
 			name := "SR"
 			if pat == fio.RandRead {

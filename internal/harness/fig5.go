@@ -48,16 +48,12 @@ func runFig5(o Options, w io.Writer) error {
 
 	env.Go("fig5", func(p *sim.Proc) {
 		k, err := newPblk(p, ln, 0)
-		if err != nil {
-			panic(err)
-		}
+		check(err)
 		defer k.Stop(p)
 		// Prepare the read dataset striped across all PUs (paper: same
 		// preparation as Fig 4), then write beyond it.
 		prep := alignDown(k.Capacity()*2/5, 256<<10)
-		if err := fio.Prepare(p, k, 0, prep); err != nil {
-			panic(err)
-		}
+		check(fio.Prepare(p, k, 0, prep))
 		wOff := prep
 		wSpan := alignDown(k.Capacity()-prep, 256<<10)
 
@@ -77,9 +73,7 @@ func runFig5(o Options, w io.Writer) error {
 			if act > total {
 				continue
 			}
-			if err := k.SetActivePUs(p, act); err != nil {
-				panic(err)
-			}
+			check(k.SetActivePUs(p, act))
 			run := func(readBS, readQD int, rateMBps float64) (*fio.Result, *fio.Result) {
 				wDoneEv := env.NewEvent()
 				var wres *fio.Result

@@ -80,9 +80,7 @@ func runFig6(o Options, w io.Writer) error {
 
 	if err := exec("NVMe SSD", func(p *sim.Proc, env *sim.Env) (blockdev.Device, func(*sim.Proc)) {
 		d, err := newBaseline(p, env, o)
-		if err != nil {
-			panic(err)
-		}
+		check(err)
 		return d, func(pp *sim.Proc) { d.Stop(pp) }
 	}); err != nil {
 		return err
@@ -139,9 +137,7 @@ func runFig6(o Options, w io.Writer) error {
 // returning the block device and a stop function.
 func buildOCSSDOn(p *sim.Proc, env *sim.Env, o Options, activePUs int) (blockdev.Device, func(*sim.Proc)) {
 	k, err := newPblkOn(p, env, o, activePUs)
-	if err != nil {
-		panic(err)
-	}
+	check(err)
 	return k, func(pp *sim.Proc) { k.Stop(pp) }
 }
 

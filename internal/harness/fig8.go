@@ -5,9 +5,8 @@ import (
 	"io"
 	"time"
 
+	"repro/internal/blockdev"
 	"repro/internal/fio"
-	"repro/internal/ocssd"
-	"repro/internal/ppa"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -21,37 +20,27 @@ func init() {
 }
 
 // runFig8 reproduces the application-specific FTL demonstration: two
-// streams of vector I/Os go directly to the device — 4K random reads at
-// QD1 and 64K writes at QD1 — at read/write mixes 100/0, 80/20, 66/33,
-// 50/50. On the OCSSD the streams are isolated to separate PUs, so read
-// latency stays flat as writes increase; the NVMe baseline mixes them and
-// its read tail grows even at 20% writes.
+// streams go to the device without an FTL — 4K random reads at QD1 and 64K
+// writes at QD1 — at read/write mixes 100/0, 80/20, 66/33, 50/50. On the
+// OCSSD each stream has a raw target on its own PU range, so read latency
+// stays flat as writes increase; the NVMe baseline mixes them and its read
+// tail grows even at 20% writes.
 func runFig8(o Options, w io.Writer) error {
 	o = Defaults(o)
 	mixes := [][2]int{{100, 0}, {80, 20}, {66, 33}, {50, 50}}
+	var ocRes, nvmeRes []stats.Hist
 
-	type mixResult struct {
-		mix   string
-		reads stats.Hist
-	}
-	var ocRes, nvmeRes []mixResult
-
-	// ---- OCSSD: isolated PUs via direct PPA I/O ----
-	env, dev, _, err := newOCSSD(o)
+	// ---- OCSSD: one raw target per stream, on disjoint PU ranges ----
+	env, _, ln, err := newOCSSD(o)
 	if err != nil {
 		return err
 	}
-	readPUs := []int{0, 1, 2, 3}
-	writePUs := []int{64, 65, 66, 67}
 	env.Go("fig8-ocssd", func(p *sim.Proc) {
-		if err := fio.PreparePPA(p, dev, readPUs, 4); err != nil {
-			panic(err)
-		}
+		rd, wr := newRaw(p, ln, "raw-read", 0, 4), newRaw(p, ln, "raw-write", 64, 68)
+		prep := rd.BlockBytes(4)
+		check(fio.Prepare(p, rd, 0, prep))
 		for _, m := range mixes {
-			res := mixResult{mix: fmt.Sprintf("%d/%d", m[0], m[1])}
-			h := runIsolatedMix(p, dev, readPUs, writePUs, m[1], o.Duration)
-			res.reads = *h
-			ocRes = append(ocRes, res)
+			ocRes = append(ocRes, runMix(p, rd, wr, prep, 0, m[1], 1330*time.Microsecond, o.Duration, 7))
 		}
 	})
 	env.Run()
@@ -60,20 +49,13 @@ func runFig8(o Options, w io.Writer) error {
 	env2 := sim.NewEnv(o.Seed)
 	env2.Go("fig8-nvme", func(p *sim.Proc) {
 		d, err := newBaseline(p, env2, o)
-		if err != nil {
-			panic(err)
-		}
+		check(err)
 		defer d.Stop(p)
 		prep := alignDown(d.Capacity()/2, 256<<10)
-		if err := fio.Prepare(p, d, 0, prep); err != nil {
-			panic(err)
-		}
+		check(fio.Prepare(p, d, 0, prep))
 		p.Sleep(100 * time.Millisecond) // let the device cache drain
 		for _, m := range mixes {
-			res := mixResult{mix: fmt.Sprintf("%d/%d", m[0], m[1])}
-			h := runBlockMix(p, d, prep, m[1], o.Duration, o.Seed)
-			res.reads = *h
-			nvmeRes = append(nvmeRes, res)
+			nvmeRes = append(nvmeRes, runMix(p, d, d, prep, prep, m[1], 300*time.Microsecond, o.Duration, o.Seed))
 		}
 	})
 	env2.Run()
@@ -81,8 +63,8 @@ func runFig8(o Options, w io.Writer) error {
 	section(w, "Figure 8: 4K random-read latency (us) vs write share — OCSSD (PU-isolated) and NVMe SSD")
 	t := &table{header: []string{"R/W mix", "OCSSD p95", "OCSSD p99", "OCSSD max", "NVMe p95", "NVMe p99", "NVMe max"}}
 	for i := range mixes {
-		oc, nv := ocRes[i].reads, nvmeRes[i].reads
-		t.add(ocRes[i].mix,
+		oc, nv := ocRes[i], nvmeRes[i]
+		t.add(fmt.Sprintf("%d/%d", mixes[i][0], mixes[i][1]),
 			us(oc.Percentile(95)), us(oc.Percentile(99)), us(oc.Max()),
 			us(nv.Percentile(95)), us(nv.Percentile(99)), us(nv.Max()))
 	}
@@ -92,113 +74,28 @@ func runFig8(o Options, w io.Writer) error {
 	return nil
 }
 
-// runIsolatedMix runs one reader stream (4K random reads QD1 on readPUs)
-// against a writer stream (64K writes QD1 on writePUs) where writePct of
-// the combined operations are writes.
-func runIsolatedMix(p *sim.Proc, dev *ocssd.Device, readPUs, writePUs []int, writePct int, d time.Duration) *stats.Hist {
-	env := p.Env()
-	stop := false
-	wDone := env.NewEvent()
-	g := dev.Geometry()
-	env.Go("fig8.writer", func(pw *sim.Proc) {
-		defer wDone.Signal()
-		if writePct == 0 {
-			return
+// runMix runs the figure's two streams for d and returns the read
+// latencies: 4K random reads at QD1 over the prepared [0, prep) of rdev,
+// and 64K sequential writes at QD1 over wdev from wOff on. Below 50 % the
+// writer is paced to one write per cost × 100 / 2·writePct, cost being
+// the time one write keeps the device busy — a duty cycle that is all
+// writes at 50 %, from where on the writer runs unpaced.
+func runMix(p *sim.Proc, rdev, wdev blockdev.Device, prep, wOff int64, writePct int, cost, d time.Duration, seed int64) stats.Hist {
+	wDone := p.Env().NewEvent()
+	if writePct == 0 {
+		wDone.Signal()
+	} else {
+		writer := fio.Job{Name: "fig8.writer", Pattern: fio.SeqWrite, BS: 64 << 10, Offset: wOff, Runtime: d}
+		if writePct < 50 {
+			period := cost * 100 / time.Duration(2*writePct)
+			writer.WriteRateMBps = float64(writer.BS) / period.Seconds() / 1e6
 		}
-		cur := map[int]*[2]int{}
-		for _, pu := range writePUs {
-			cur[pu] = &[2]int{0, 0}
-		}
-		i := 0
-		for !stop {
-			pu := writePUs[i%len(writePUs)]
-			i++
-			ch, puIdx := dev.Format().PUAddr(pu)
-			c := cur[pu]
-			if c[1] == 0 { // fresh block: erase
-				addrs := make([]ppa.Addr, g.PlanesPerPU)
-				for pl := range addrs {
-					addrs[pl] = ppa.Addr{Ch: ch, PU: puIdx, Plane: pl, Block: c[0]}
-				}
-				dev.Do(pw, &ocssd.Vector{Op: ocssd.OpErase, Addrs: addrs})
-			}
-			var addrs []ppa.Addr
-			for pl := 0; pl < g.PlanesPerPU; pl++ {
-				for s := 0; s < g.SectorsPerPage; s++ {
-					addrs = append(addrs, ppa.Addr{Ch: ch, PU: puIdx, Plane: pl, Block: c[0], Page: c[1], Sector: s})
-				}
-			}
-			dev.Do(pw, &ocssd.Vector{Op: ocssd.OpWrite, Addrs: addrs})
-			c[1]++
-			if c[1] >= g.PagesPerBlock {
-				c[1] = 0
-				c[0] = (c[0] + 1) % g.BlocksPerPlane
-			}
-			// Duty-cycle the writer to hit the requested mix of commands:
-			// sleep (100-writePct)/writePct write-durations between writes.
-			if writePct < 50 {
-				idle := time.Duration(float64(1330*time.Microsecond) * float64(100-2*writePct) / float64(2*writePct))
-				if idle > 0 {
-					pw.Sleep(idle)
-				}
-			}
-		}
-	})
-	res := fio.RunPPA(p, dev, fio.PPAJob{
-		Name: "fig8.reader", Pattern: fio.RandRead, BS: 4096, QD: 1,
-		PUs: readPUs, Blocks: 4, Runtime: d, Seed: 7,
-	})
-	stop = true
-	p.Wait(wDone)
-	h := res.ReadLat
-	return &h
-}
-
-// runBlockMix runs the same two streams against a block device that mixes
-// them internally.
-func runBlockMix(p *sim.Proc, dev interface {
-	Read(*sim.Proc, int64, []byte, int64) error
-	Write(*sim.Proc, int64, []byte, int64) error
-	Capacity() int64
-}, prep int64, writePct int, d time.Duration, seed int64) *stats.Hist {
-	env := p.Env()
-	stop := false
-	wDone := env.NewEvent()
-	env.Go("fig8.nvme.writer", func(pw *sim.Proc) {
-		defer wDone.Signal()
-		if writePct == 0 {
-			return
-		}
-		off := prep
-		span := dev.Capacity() - prep
-		for !stop {
-			if err := dev.Write(pw, off, nil, 64<<10); err != nil {
-				panic(err)
-			}
-			off += 64 << 10
-			if off+64<<10 > prep+span {
-				off = prep
-			}
-			if writePct < 50 {
-				idle := time.Duration(float64(300*time.Microsecond) * float64(100-2*writePct) / float64(2*writePct))
-				if idle > 0 {
-					pw.Sleep(idle)
-				}
-			}
-		}
-	})
-	var h stats.Hist
-	rng := newRand(seed)
-	start := env.Now()
-	for env.Now() < start+d {
-		off := rng.Int63n(prep/4096) * 4096
-		t0 := env.Now()
-		if err := dev.Read(p, off, nil, 4096); err != nil {
-			panic(err)
-		}
-		h.Add(env.Now() - t0)
+		p.Env().Go("fig8.writer", func(pw *sim.Proc) {
+			mustRun(pw, wdev, writer)
+			wDone.Signal()
+		})
 	}
-	stop = true
+	r := mustRun(p, rdev, fio.Job{Name: "fig8.reader", Pattern: fio.RandRead, BS: 4096, Size: prep, Runtime: d, Seed: seed})
 	p.Wait(wDone)
-	return &h
+	return r.ReadLat
 }

@@ -26,14 +26,27 @@ import (
 // newRand returns a deterministic random source for harness-side draws.
 func newRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
-// mustRun executes a fio job, panicking on job-configuration errors —
-// experiments run inside simulation processes where a bad job is a bug in
-// the experiment itself.
+// failure is what check panics with: an error an experiment cannot go on
+// past — a device too small for the options, an I/O error — as opposed to
+// a bug. Experiments run inside simulation processes, which cannot return;
+// the register wrapper turns a failure, and nothing else, back into the
+// error Experiment.Run returns.
+type failure struct{ error }
+
+func check(err error) {
+	if err != nil {
+		panic(failure{err})
+	}
+}
+
+// mustRun executes a fio job; a job the engine rejects and a job that
+// finished with I/O errors both fail the experiment.
 func mustRun(p *sim.Proc, dev blockdev.Device, job fio.Job) *fio.Result {
 	r, err := fio.Run(p, dev, job)
-	if err != nil {
-		panic(err)
+	if err == nil && r.Errors > 0 {
+		err = fmt.Errorf("fio job %q: %d of its I/Os failed", job.Name, r.Errors)
 	}
+	check(err)
 	return r
 }
 
@@ -101,12 +114,30 @@ var registry []Experiment
 // lnvm-bench invocation — accumulates every prior run's device state,
 // and later experiments spend their time in GC cycles scanning it.
 func register(e Experiment) {
-	run := e.Run
-	e.Run = func(o Options, w io.Writer) error {
+	e.Run = guarded(e.Run)
+	registry = append(registry, e)
+}
+
+// guarded is the wrapper: it sweeps the registry, and it is where a check
+// failure — raised in the experiment or in one of its processes — becomes
+// Run's error. Any other panic is a bug and goes on with its trace.
+func guarded(run func(Options, io.Writer) error) func(Options, io.Writer) error {
+	return func(o Options, w io.Writer) (err error) {
 		defer lightnvm.UnregisterAll()
+		defer func() {
+			r := recover()
+			v := r
+			if pp, ok := r.(sim.ProcPanic); ok {
+				v = pp.Value
+			}
+			if f, ok := v.(failure); ok {
+				err = f.error
+			} else if r != nil {
+				panic(r)
+			}
+		}()
 		return run(o, w)
 	}
-	registry = append(registry, e)
 }
 
 // All lists registered experiments sorted by ID.
@@ -147,6 +178,14 @@ func newOCSSD(o Options) (*sim.Env, *ocssd.Device, *lightnvm.Device, error) {
 		return nil, nil, nil, err
 	}
 	return env, dev, lightnvm.Register("ocssd0", dev), nil
+}
+
+// newRaw creates a raw (FTL-less) target on PUs [begin, end) of ln: the
+// device under a direct-PPA fio job.
+func newRaw(p *sim.Proc, ln *lightnvm.Device, name string, begin, end int) *lightnvm.Raw {
+	t, err := ln.CreateTarget(p, "raw", name, lightnvm.PURange{Begin: begin, End: end}, nil)
+	check(err)
+	return t.(*lightnvm.Raw)
 }
 
 // newPblk instantiates a pblk target with the given active PU count

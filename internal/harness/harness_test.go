@@ -2,10 +2,14 @@ package harness
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"io"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/sim"
 )
 
 func TestRegistryComplete(t *testing.T) {
@@ -72,6 +76,29 @@ func TestAblateInflightQuick(t *testing.T) {
 	if err := e.Run(Options{Quick: true, BlocksPerPlane: 8}, &buf); err == nil || !strings.Contains(err.Error(), "over-provisioning") {
 		t.Fatalf("8 blocks/plane: err = %v, want pblk's over-provisioning error", err)
 	}
+}
+
+// A check failure inside a simulation process is Run's error; a panic with
+// anything else is a bug and must reach the caller as it was.
+func TestOnlyCheckFailuresBecomeErrors(t *testing.T) {
+	inProc := func(v any) func(Options, io.Writer) error {
+		return func(Options, io.Writer) error {
+			env := sim.NewEnv(1)
+			env.Go("p", func(*sim.Proc) { panic(v) })
+			env.Run()
+			return nil
+		}
+	}
+	boom := errors.New("boom")
+	if err := guarded(inProc(failure{boom}))(Options{}, nil); !errors.Is(err, boom) {
+		t.Fatalf("check failure in a process: Run returned %v", err)
+	}
+	defer func() {
+		if pp, ok := recover().(sim.ProcPanic); !ok || pp.Value != "bug" {
+			t.Fatal("a panic that is no check failure was swallowed or rewrapped")
+		}
+	}()
+	guarded(inProc("bug"))(Options{}, nil)
 }
 
 func TestDefaults(t *testing.T) {
@@ -207,13 +234,15 @@ func TestTenantsQuick(t *testing.T) {
 	}
 }
 
-// The only run fig4, fig5, fig7, lanes, lifetime and wa-e2e get under go
-// test; the other three are here for their short 20 ms window.
+// The only run these get under go test (wa, tenants, fleet and
+// ablate-pagecache have tests of their own above). mustRun fails a job with
+// I/O errors, so fig8 and ablate-suspend also assert here that every read
+// aimed at a raw target found programmed media.
 func TestQuickExperimentsRun(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs nine quick experiments")
+		t.Skip("runs eight quick experiments")
 	}
-	for _, id := range []string{"fig4", "fig5", "fig7", "lanes", "wa", "tenants", "fleet", "lifetime", "wa-e2e"} {
+	for _, id := range []string{"fig4", "fig5", "fig7", "fig8", "lanes", "lifetime", "wa-e2e", "ablate-suspend"} {
 		t.Run(id, func(t *testing.T) {
 			e, ok := ByID(id)
 			if !ok {

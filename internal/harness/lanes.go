@@ -49,9 +49,7 @@ func runLanes(o Options, w io.Writer) error {
 
 	env.Go("lanes", func(p *sim.Proc) {
 		k, err := newPblk(p, ln, activeSets[0])
-		if err != nil {
-			panic(err)
-		}
+		check(err)
 		defer k.Stop(p)
 		span := alignDown(k.Capacity()/4, 256<<10)
 		for _, act := range activeSets {
@@ -59,15 +57,11 @@ func runLanes(o Options, w io.Writer) error {
 				continue
 			}
 			if k.ActivePUs() != act {
-				if err := k.SetActivePUs(p, act); err != nil {
-					panic(err)
-				}
+				check(k.SetActivePUs(p, act))
 			}
 			// Reset the garbage left by the previous point so every
 			// active-PU count starts from the same free-space state.
-			if err := k.Trim(p, 0, span); err != nil {
-				panic(err)
-			}
+			check(k.Trim(p, 0, span))
 			job := fio.Job{
 				Name: fmt.Sprintf("lanes-%d", act), Pattern: fio.SeqWrite,
 				BS: 64 << 10, QD: 32, Size: span, Seed: o.Seed,

@@ -135,9 +135,7 @@ func runLifetime(o Options, w io.Writer) error {
 		var recovery time.Duration
 		env.Go("lifetime", func(p *sim.Proc) {
 			k, err := pblk.New(p, ln, "pblk-life", cfg)
-			if err != nil {
-				panic(err)
-			}
+			check(err)
 			defer func() { k.Stop(p) }()
 			const chunk = int64(64 << 10)
 			// Leave an eighth of the LBA space unused: capacity is re-derived
@@ -146,13 +144,9 @@ func runLifetime(o Options, w io.Writer) error {
 			// must stay inside it.
 			nChunks := k.Capacity() / chunk * 7 / 8
 			for ci := int64(0); ci < nChunks; ci++ {
-				if err := k.Write(p, ci*chunk, nil, chunk); err != nil {
-					panic(err)
-				}
+				check(k.Write(p, ci*chunk, nil, chunk))
 			}
-			if err := k.Flush(p); err != nil {
-				panic(err)
-			}
+			check(k.Flush(p))
 			rng := newRand(o.Seed + 11)
 			for s := 1; s <= stages; s++ {
 				base := k.Stats
@@ -191,9 +185,7 @@ func runLifetime(o Options, w io.Writer) error {
 					k.Crash()
 					t0 := env.Now()
 					k, err = pblk.New(p, ln, "pblk-life", cfg)
-					if err != nil {
-						panic(err)
-					}
+					check(err)
 					recovery = env.Now() - t0
 				}
 			}

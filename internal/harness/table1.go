@@ -3,7 +3,6 @@ package harness
 import (
 	"fmt"
 	"io"
-	"time"
 
 	"repro/internal/fio"
 	"repro/internal/sim"
@@ -18,8 +17,8 @@ func init() {
 }
 
 // runTable1 reproduces the drive characterization: per-PU bandwidths via
-// the PPA fio engine, aggregate bandwidths, and pblk factory vs steady
-// (GC-active) write throughput.
+// fio on raw (FTL-less) targets, aggregate bandwidths, and pblk factory vs
+// steady (GC-active) write throughput.
 func runTable1(o Options, w io.Writer) error {
 	o = Defaults(o)
 	section(w, "Table 1: Open-Channel SSD characterization (paper values in parentheses)")
@@ -38,15 +37,19 @@ func runTable1(o Options, w io.Writer) error {
 
 	var sw, sr4, sr64, rr4, rr64 *fio.Result
 	env.Go("perPU", func(p *sim.Proc) {
-		blocks := 4
-		if err := fio.PreparePPA(p, dev, []int{1}, blocks); err != nil {
-			panic(err)
-		}
-		sw = fio.RunPPA(p, dev, fio.PPAJob{Name: "w", Pattern: fio.SeqWrite, BS: 64 << 10, PUs: []int{0}, Blocks: blocks, Runtime: dur})
-		sr4 = fio.RunPPA(p, dev, fio.PPAJob{Name: "sr4", Pattern: fio.SeqRead, BS: 4 << 10, PUs: []int{1}, Blocks: blocks, Runtime: dur})
-		sr64 = fio.RunPPA(p, dev, fio.PPAJob{Name: "sr64", Pattern: fio.SeqRead, BS: 64 << 10, QD: 2, PUs: []int{1}, Blocks: blocks, Runtime: dur})
-		rr4 = fio.RunPPA(p, dev, fio.PPAJob{Name: "rr4", Pattern: fio.RandRead, BS: 4 << 10, PUs: []int{1}, Blocks: blocks, Runtime: dur, Seed: o.Seed})
-		rr64 = fio.RunPPA(p, dev, fio.PPAJob{Name: "rr64", Pattern: fio.RandRead, BS: 64 << 10, QD: 2, PUs: []int{1}, Blocks: blocks, Runtime: dur, Seed: o.Seed})
+		// One raw target per PU under test: PU 1 is prepared for the read
+		// jobs, PU 0 takes the write job.
+		rd, wr := newRaw(p, ln, "raw-read", 1, 2), newRaw(p, ln, "raw-write", 0, 1)
+		size := rd.BlockBytes(4)
+		check(fio.Prepare(p, rd, 0, size))
+		sw = mustRun(p, wr, fio.Job{Name: "w", Pattern: fio.SeqWrite, BS: 64 << 10, Size: size, Runtime: dur})
+		sr4 = mustRun(p, rd, fio.Job{Name: "sr4", Pattern: fio.SeqRead, BS: 4 << 10, Size: size, Runtime: dur})
+		sr64 = mustRun(p, rd, fio.Job{Name: "sr64", Pattern: fio.SeqRead, BS: 64 << 10, QD: 2, Size: size, Runtime: dur})
+		rr4 = mustRun(p, rd, fio.Job{Name: "rr4", Pattern: fio.RandRead, BS: 4 << 10, Size: size, Runtime: dur, Seed: o.Seed})
+		rr64 = mustRun(p, rd, fio.Job{Name: "rr64", Pattern: fio.RandRead, BS: 64 << 10, QD: 2, Size: size, Runtime: dur, Seed: o.Seed})
+		// The aggregate half mounts pblk on the whole device.
+		check(ln.RemoveTarget(p, "raw-read"))
+		check(ln.RemoveTarget(p, "raw-write"))
 	})
 	env.Run()
 	t.add("Single Seq. PU Write", mb(sw.WriteMBps()), "47")
@@ -62,17 +65,13 @@ func runTable1(o Options, w io.Writer) error {
 	var recycled int64
 	env.Go("aggregate", func(p *sim.Proc) {
 		k, err := newPblk(p, ln, 0)
-		if err != nil {
-			panic(err)
-		}
+		check(err)
 		const bs = 256 << 10
 		region := k.Capacity() / 8 / bs * bs
 		t0 := env.Now()
 		mustRun(p, k, fio.Job{Name: "maxw", Pattern: fio.SeqWrite, BS: bs, QD: 2,
 			Size: region, MaxOps: region / bs})
-		if err := k.Flush(p); err != nil {
-			panic(err)
-		}
+		check(k.Flush(p))
 		factoryMBps = float64(region) / (env.Now() - t0).Seconds() / 1e6
 
 		maxR := mustRun(p, k, fio.Job{Name: "maxr", Pattern: fio.SeqRead, BS: bs, QD: 16, NumJobs: 8,
@@ -83,16 +82,12 @@ func runTable1(o Options, w io.Writer) error {
 		// sequential pass so GC reclaims blocks while writes proceed (the
 		// paper's sustained-write methodology; groups invalidate fully as
 		// the pass advances, keeping GC movement low).
-		if err := fio.Prepare(p, k, region, k.Capacity()-region); err != nil {
-			panic(err)
-		}
+		check(fio.Prepare(p, k, region, k.Capacity()-region))
 		overwrite := k.Capacity() / bs * bs
 		t0 = env.Now()
 		mustRun(p, k, fio.Job{Name: "steady", Pattern: fio.SeqWrite, BS: bs, QD: 2,
 			Size: overwrite, MaxOps: overwrite / bs})
-		if err := k.Flush(p); err != nil {
-			panic(err)
-		}
+		check(k.Flush(p))
 		steadyMBps = float64(overwrite) / (env.Now() - t0).Seconds() / 1e6
 		recycled = k.Stats.GCBlocksRecycled
 		k.Stop(p)
@@ -107,6 +102,3 @@ func runTable1(o Options, w io.Writer) error {
 	fmt.Fprintf(w, "\nChannel data bandwidth: %.0f MB/s (paper: 280)\n", dev.Timing().ChannelMBps)
 	return nil
 }
-
-// avoid unused import when tuning
-var _ = time.Second

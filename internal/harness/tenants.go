@@ -99,9 +99,7 @@ func ratio(a, b time.Duration) float64 {
 func runTenantScenario(o Options, name string, latMB, bulkMB int64, shared bool) tenantRow {
 	row := tenantRow{name: name}
 	env, dev, ln, err := newOCSSD(o)
-	if err != nil {
-		panic(err)
-	}
+	check(err)
 	total := dev.Geometry().TotalPUs()
 	half := total / 2
 
@@ -109,32 +107,24 @@ func runTenantScenario(o Options, name string, latMB, bulkMB int64, shared bool)
 		var latDev, bulkDev *pblk.Pblk
 		if shared {
 			tgt, err := ln.CreateTarget(p, "pblk", "pblk-shared", lightnvm.PURange{}, pblk.Config{})
-			if err != nil {
-				panic(err)
-			}
+			check(err)
 			latDev = tgt.(*pblk.Pblk)
 			bulkDev = latDev
 		} else {
 			tgt, err := ln.CreateTarget(p, "pblk", "pblk-lat",
 				lightnvm.PURange{Begin: 0, End: half}, pblk.Config{})
-			if err != nil {
-				panic(err)
-			}
+			check(err)
 			latDev = tgt.(*pblk.Pblk)
 			if bulkMB > 0 {
 				btgt, err := ln.CreateTarget(p, "pblk", "pblk-bulk",
 					lightnvm.PURange{Begin: half, End: total}, pblk.Config{})
-				if err != nil {
-					panic(err)
-				}
+				check(err)
 				bulkDev = btgt.(*pblk.Pblk)
 			}
 		}
 
 		latSpan := alignDown(min(latDev.Capacity()/4, latMB<<20), 256<<10)
-		if err := fio.Prepare(p, latDev, 0, latSpan); err != nil {
-			panic(err)
-		}
+		check(fio.Prepare(p, latDev, 0, latSpan))
 
 		done := env.NewEvent()
 		if bulkDev != nil {

@@ -118,22 +118,16 @@ func runWA(o Options, w io.Writer) error {
 				SingleStream:       c.single,
 				DisableRateLimiter: c.noRL,
 			})
-			if err != nil {
-				panic(err)
-			}
+			check(err)
 			defer k.Stop(p)
 			const chunk = int64(64 << 10)
 			nChunks := k.Capacity() / chunk
 			// Prefill the whole LBA space so steady-state overwrites pay
 			// full reclaim cost.
 			for ci := int64(0); ci < nChunks; ci++ {
-				if err := k.Write(p, ci*chunk, nil, chunk); err != nil {
-					panic(err)
-				}
+				check(k.Write(p, ci*chunk, nil, chunk))
 			}
-			if err := k.Flush(p); err != nil {
-				panic(err)
-			}
+			check(k.Flush(p))
 			rng := newRand(o.Seed + 7)
 			overwriteWindow(p, env, k, int64(warmX*float64(nChunks)), nChunks, chunk, c.hotMod, rng, nil, true)
 			base := k.Stats
@@ -227,9 +221,7 @@ func overwriteWindow(p *sim.Proc, env *sim.Env, k *pblk.Pblk, totalChunks, nChun
 			q.Submit(&blockdev.Request{
 				Op: blockdev.ReqWrite, Off: pick() * chunk, Length: chunk,
 				OnComplete: func(r *blockdev.Request) {
-					if r.Err != nil {
-						panic(r.Err)
-					}
+					check(r.Err)
 					if lats != nil {
 						*lats = append(*lats, r.Latency())
 					}
@@ -250,7 +242,5 @@ func overwriteWindow(p *sim.Proc, env *sim.Env, k *pblk.Pblk, totalChunks, nChun
 	if !flush {
 		return
 	}
-	if err := k.Flush(p); err != nil {
-		panic(err)
-	}
+	check(k.Flush(p))
 }

@@ -11,7 +11,9 @@
 // own FTL state, which is what makes the paper's Figure 8 isolation story
 // deployable at the target level. Targets are registered by name in a
 // global registry, the analogue of the kernel's target-type list; the pblk
-// package registers itself on import.
+// package registers itself on import, and this package registers "raw"
+// (raw.go), the FTL-less target: a partition as a block device behind a
+// static LBA → PPA map, which is how fio drives direct PPA I/O.
 package lightnvm
 
 import (

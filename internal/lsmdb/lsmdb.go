@@ -72,8 +72,6 @@ type Config struct {
 	TableSlotSize int64
 	// BlockCacheSize bounds the clock block cache in bytes (0 disables).
 	BlockCacheSize int64
-	// BloomBitsPerKey sizes the per-table bloom filters; 0 means 10.
-	BloomBitsPerKey int
 	// QueueDepth is the submission queue depth opened on the device.
 	QueueDepth int
 	// ColdHints tags SSTable flush and compaction writes with
@@ -100,7 +98,6 @@ func DefaultConfig() Config {
 		BlockSize:           32 << 10,
 		TableTargetSize:     8 << 20,
 		BlockCacheSize:      32 << 20,
-		BloomBitsPerKey:     10,
 		QueueDepth:          32,
 		CPUPerOp:            2 * time.Microsecond,
 		Seed:                1,
@@ -238,9 +235,6 @@ func Open(p *sim.Proc, env *sim.Env, dev Device, cfg Config) (*DB, error) {
 	if cfg.TableTargetSize == 0 {
 		cfg.TableTargetSize = 8 << 20
 	}
-	if cfg.BloomBitsPerKey == 0 {
-		cfg.BloomBitsPerKey = 10
-	}
 	if cfg.QueueDepth == 0 {
 		cfg.QueueDepth = 32
 	}
@@ -281,7 +275,7 @@ func Open(p *sim.Proc, env *sim.Env, dev Device, cfg Config) (*DB, error) {
 		}
 		maxData := cfg.TableTargetSize + maxEntry + ss
 		entries := maxData/int64(tableRecHdr+cfg.KeySize+1) + 1
-		bloom := entries*int64(cfg.BloomBitsPerKey)/8 + 64
+		bloom := entries*bloomBitsPerKey/8 + 64
 		blocks := maxData/int64(cfg.BlockSize) + 2
 		index := blocks * int64(10+cfg.KeySize+8)
 		db.tableSlot = db.sectorAlign(maxData + bloom + index + 3*ss)
@@ -293,7 +287,7 @@ func Open(p *sim.Proc, env *sim.Env, dev Device, cfg Config) (*DB, error) {
 		// table that overflows its slot would break the alignment invariant.
 		maxData := cfg.TableTargetSize + int64(cfg.KeySize+cfg.ValueSize+tableRecHdr) + ss
 		entries := maxData/int64(tableRecHdr+cfg.KeySize+1) + 1
-		meta := entries*int64(cfg.BloomBitsPerKey)/8 + 64 +
+		meta := entries*bloomBitsPerKey/8 + 64 +
 			(maxData/int64(cfg.BlockSize)+2)*int64(10+cfg.KeySize+8) + 3*ss
 		if slot < db.sectorAlign(maxData+meta) {
 			return nil, fmt.Errorf("lsmdb: TableSlotSize %d below worst-case table image %d",

@@ -85,15 +85,12 @@ func fnv64(b []byte) uint64 {
 	return h
 }
 
-func bloomBuild(dst []byte, hashes []uint64, bitsPerKey int) []byte {
-	k := bitsPerKey * 69 / 100 // ln2 * bits/key
-	if k < 1 {
-		k = 1
-	}
-	if k > 30 {
-		k = 30
-	}
-	bits := len(hashes) * bitsPerKey
+// bloomBitsPerKey sizes every table's filter; k is ln2 × bits/key probes.
+const bloomBitsPerKey = 10
+
+func bloomBuild(dst []byte, hashes []uint64) []byte {
+	const k = bloomBitsPerKey * 69 / 100
+	bits := len(hashes) * bloomBitsPerKey
 	if bits < 64 {
 		bits = 64
 	}
@@ -239,7 +236,7 @@ func (b *tableBuilder) finishBlock() {
 func (b *tableBuilder) finish(p *sim.Proc) (*tableMeta, error) {
 	db := b.db
 	b.finishBlock()
-	bloom := bloomBuild(nil, b.hashes, db.cfg.BloomBitsPerKey)
+	bloom := bloomBuild(nil, b.hashes)
 	bloomOff := len(b.buf)
 	b.buf = append(b.buf, bloom...)
 	bloomLen := len(b.buf) - bloomOff

@@ -32,10 +32,7 @@ type Config struct {
 	Media    nand.Config
 	// OverProvision is the device's fixed internal spare factor.
 	OverProvision float64
-	// CacheDepth scales the DRAM write cache (pair-depth factor of the
-	// internal buffer sizing formula).
-	CacheDepth int
-	Seed       int64
+	Seed          int64
 }
 
 // P3700Geometry approximates the baseline drive's internal layout: half
@@ -62,7 +59,6 @@ func DefaultConfig(blocksPerPlane int) Config {
 		Timing:        ocssd.DefaultTiming(),
 		Media:         nand.DefaultConfig(),
 		OverProvision: 0.12,
-		CacheDepth:    8,
 		Seed:          2,
 	}
 }
@@ -103,7 +99,6 @@ func New(p *sim.Proc, env *sim.Env, cfg Config) (*Device, error) {
 	ftl, err := pblk.New(p, ln, "embedded-ftl", pblk.Config{
 		ActivePUs:         0, // all PUs: fixed page-granularity striping
 		OverProvision:     cfg.OverProvision,
-		BufferPairDepth:   cfg.CacheDepth,
 		HostReadOverhead:  time.Nanosecond, // firmware cost charged below
 		HostWriteOverhead: time.Nanosecond,
 	})

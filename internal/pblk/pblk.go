@@ -44,9 +44,6 @@ type Config struct {
 	// MaxInflightPerPU bounds write units queued on one PU by its lane
 	// writer (the kernel's per-LUN write semaphore).
 	MaxInflightPerPU int
-	// BufferPairDepth is the lower/upper page depth factor in the paper's
-	// buffer sizing formula: capacity = pagesize * PP * nPUs.
-	BufferPairDepth int
 	// OverProvision is the fraction of media capacity reserved for GC.
 	OverProvision float64
 	// HostReadOverhead/HostWriteOverhead model pblk's per-request CPU cost
@@ -115,9 +112,6 @@ const (
 func Default(cfg Config) Config {
 	if cfg.MaxInflightPerPU == 0 {
 		cfg.MaxInflightPerPU = 2
-	}
-	if cfg.BufferPairDepth == 0 {
-		cfg.BufferPairDepth = 8
 	}
 	if cfg.OverProvision == 0 {
 		cfg.OverProvision = 0.11
@@ -556,11 +550,13 @@ func NewView(p *sim.Proc, view *lightnvm.MediaView, name string, cfg Config) (*P
 	k.lastOpened = -1
 	k.initGroups()
 	k.initCapacity()
+	// The paper's buffer sizing (§4.2.1): write unit × lower/upper page
+	// pair depth (8) × PUs.
+	ringCap := k.unitSectors * 8 * nPUs
 	// The spare pool must cover the emergency reserve (which scales with
 	// the ring backlog), open groups on every lane (one per stream), and
 	// hysteresis slack — or user admission can freeze permanently at
 	// capacity below a floor the device cannot climb back over.
-	ringCap := k.unitSectors * cfg.BufferPairDepth * nPUs
 	reserveGroups := (ringCap+k.dataSectors-1)/k.dataSectors + 4
 	spare := int64(k.usableGroups)*int64(k.dataSectors) - k.capacityLBAs
 	// Each lane can hold one open group per stream it actually uses: two

@@ -335,8 +335,20 @@ func (e *Env) runThrough(limit time.Duration) {
 	}
 }
 
-// Run executes queued events until the queue drains. It panics if a process
-// panicked during the run, propagating the original panic value.
+// ProcPanic is what Run panics with when a process panicked: the process's
+// own panic value, kept as it was so that a caller who recovers can tell a
+// failure it raised itself from a bug.
+type ProcPanic struct {
+	Proc  string
+	Value any
+}
+
+func (pp ProcPanic) Error() string {
+	return fmt.Sprintf("sim: process %q panicked: %v", pp.Proc, pp.Value)
+}
+
+// Run executes queued events until the queue drains. It panics with a
+// ProcPanic if a process panicked during the run.
 func (e *Env) Run() {
 	e.RunUntil(1<<62 - 1)
 }
@@ -368,7 +380,7 @@ func resumeProc(arg any) {
 	if e.panicked != nil {
 		v := e.panicked
 		e.panicked = nil
-		panic(fmt.Sprintf("sim: process %q panicked: %v", p.name, v))
+		panic(ProcPanic{p.name, v})
 	}
 }
 

@@ -44,9 +44,7 @@ type Config struct {
 	ScanBytesPerQuery int64
 	// CPUPerQuery is the OLAP per-query CPU cost.
 	CPUPerQuery time.Duration
-	// DataSize is the table space size; 0 = 3/4 of the device.
-	DataSize int64
-	Seed     int64
+	Seed        int64
 }
 
 // DefaultOLTP returns a Sysbench-OLTP-like configuration. Commits group
@@ -129,11 +127,8 @@ func newEngine(env *sim.Env, dev blockdev.Device, cfg Config, res *Result) *engi
 	e.logSize = dev.Capacity() / 32 / ps * ps
 	e.logBase = 0
 	e.dataBase = e.logSize
-	e.dataSize = cfg.DataSize
-	if e.dataSize == 0 || e.dataSize > dev.Capacity()-e.logSize {
-		e.dataSize = (dev.Capacity() - e.logSize) * 3 / 4
-	}
-	e.dataSize = e.dataSize / ps * ps
+	// The table space is 3/4 of what the log leaves.
+	e.dataSize = (dev.Capacity() - e.logSize) * 3 / 4 / ps * ps
 	e.cleanerDone = env.NewEvent()
 	env.Go("sqlbench.cleaner", e.cleaner)
 	return e

@@ -5,7 +5,7 @@
 // blockdev.Device interface.
 //
 // A volume composes its members with RAID-0 striping (configurable chunk
-// size), RAID-1 mirroring (write fan-out with a completion quorum, read
+// size), RAID-1 mirroring (write fan-out to every live replica, read
 // balancing across replicas), or stripes of mirrors. Underneath, every
 // member keeps its own FTL: per-device GC, rate limiting and scan recovery
 // work unchanged, so the volume layer scales the paper's single-SSD stack

@@ -37,17 +37,13 @@ func StripeOfMirrors(chunk int64, sets ...[]int) Layout {
 	return Layout{Chunk: chunk, Sets: sets}
 }
 
+// retryLimit is the number of attempts per member for transiently failing
+// sub-requests. A write that still fails after retryLimit attempts ejects
+// the member from the array.
+const retryLimit = 3
+
 // Options tune a volume's redundancy behaviour.
 type Options struct {
-	// WriteQuorum is the number of replica completions required before a
-	// mirrored write acknowledges; 0 (the default) waits for every live
-	// replica, the safe setting for the zero-data-loss guarantee. Lagging
-	// replica writes still complete in the background either way.
-	WriteQuorum int
-	// RetryLimit is the number of attempts per member for transiently
-	// failing sub-requests (default 3). A write that still fails after
-	// RetryLimit attempts ejects the member from the array.
-	RetryLimit int
 	// Rebuild configures the online rebuild engine for this volume.
 	Rebuild RebuildConfig
 }
@@ -110,9 +106,7 @@ type Volume struct {
 	colCap int64 // usable bytes per stripe column
 	ssize  int
 
-	writeQuorum int
-	retryLimit  int
-	rebuildCfg  RebuildConfig
+	rebuildCfg RebuildConfig
 
 	rr    uint64 // deterministic read round-robin across replicas
 	stats Stats
@@ -149,14 +143,7 @@ func (mgr *Manager) CreateVolume(name string, l Layout, opt Options) (*Volume, e
 	if len(l.Sets) == 0 {
 		return nil, fmt.Errorf("volume: layout has no member sets")
 	}
-	if opt.RetryLimit == 0 {
-		opt.RetryLimit = 3
-	}
-	v := &Volume{
-		name: name, mgr: mgr, env: mgr.env,
-		writeQuorum: opt.WriteQuorum, retryLimit: opt.RetryLimit,
-		rebuildCfg: opt.Rebuild.withDefaults(),
-	}
+	v := &Volume{name: name, mgr: mgr, env: mgr.env, rebuildCfg: opt.Rebuild.withDefaults()}
 	seen := make(map[int]bool)
 	for si, ids := range l.Sets {
 		if len(ids) == 0 {
@@ -430,7 +417,7 @@ func (op *readOp) complete(r *blockdev.Request) {
 		fo.resolve(err)
 		return
 	}
-	if op.attempts < v.retryLimit*len(op.set.reps) {
+	if op.attempts < retryLimit*len(op.set.reps) {
 		v.stats.RetriedReads++
 		op.start() // round-robin moves on to the next replica
 		return
@@ -454,8 +441,6 @@ type writeOp struct {
 	outstanding int
 	succ        int
 	firstErr    error
-	resolved    bool
-	need        int
 	targets     []*Member // per-op gather, reused across recycles
 }
 
@@ -468,7 +453,7 @@ func (v *Volume) getWriteOp(fo *fanOut, set *mirrorSet, off, n int64, buf []byte
 		op = &writeOp{}
 	}
 	op.fo, op.set, op.off, op.n, op.buf = fo, set, off, n, buf
-	op.outstanding, op.succ, op.firstErr, op.resolved, op.need = 0, 0, nil, false, 0
+	op.outstanding, op.succ, op.firstErr = 0, 0, nil
 	return op
 }
 
@@ -502,10 +487,6 @@ func (op *writeOp) start() {
 		v.putWriteOp(op)
 		fo.failAsync(ErrNoReplica)
 		return
-	}
-	op.need = len(op.targets)
-	if q := v.writeQuorum; q > 0 && q < op.need {
-		op.need = q
 	}
 	op.outstanding = len(op.targets)
 	for _, m := range op.targets {
@@ -557,7 +538,7 @@ func (s *subWrite) complete(r *blockdev.Request) {
 		op.replicaDone(err)
 		return
 	}
-	if m.state == StateHealthy && attempt < v.retryLimit {
+	if m.state == StateHealthy && attempt < retryLimit {
 		v.stats.RetriedWrites++
 		op.issueTo(m, attempt+1)
 		return
@@ -572,34 +553,23 @@ func (s *subWrite) complete(r *blockdev.Request) {
 }
 
 // replicaDone accounts one finished replica leg. The write acknowledges
-// at quorum; once every leg has finished it succeeds if any replica took
-// the data (failed legs were ejected) and fails only when all did. The op
-// recycles when its last leg lands; a quorum-acknowledged parent may
-// already have resolved (and its fanOut been reused) by then, so the
-// trailing-leg path only touches fo.v, which is constant across reuse.
+// when every leg has finished: it succeeds if any replica took the data
+// (failed legs were ejected) and fails only when all did.
 func (op *writeOp) replicaDone(err error) {
-	op.outstanding--
 	if err == nil {
 		op.succ++
-		if !op.resolved && op.succ >= op.need {
-			op.resolved = true
-			op.fo.resolve(nil)
-		}
 	} else if op.firstErr == nil {
 		op.firstErr = err
 	}
-	if op.outstanding == 0 {
-		fo, v := op.fo, op.fo.v
-		succ, firstErr, resolved := op.succ, op.firstErr, op.resolved
-		v.putWriteOp(op)
-		if !resolved {
-			if succ > 0 {
-				fo.resolve(nil)
-			} else {
-				fo.resolve(firstErr)
-			}
-		}
+	if op.outstanding--; op.outstanding > 0 {
+		return
 	}
+	fo, succ, firstErr := op.fo, op.succ, op.firstErr
+	fo.v.putWriteOp(op)
+	if succ > 0 {
+		firstErr = nil
+	}
+	fo.resolve(firstErr)
 }
 
 // trimOp forwards one chunk trim to every live replica. Failures on
