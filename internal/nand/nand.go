@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 )
 
@@ -127,30 +128,53 @@ func DefaultConfig() Config {
 	}
 }
 
+// Per-page state is bits, one a page for each kind below, in a slab the die
+// keeps beside its block headers. A table indexed by page (block.pages,
+// block.oobLen) exists only for pages that own something, and reads and
+// programs go to it only when a bit sends them: a table entry is a cache line
+// no other page shares, and on a device filled by pblk nearly every page is
+// payload-less with a full OOB area (DESIGN.md §"Host memory").
+const (
+	hasData   = iota // the page owns a payload buffer, block.pages[page]
+	fullOOB          // programmed with exactly OOBPerPage bytes of OOB
+	corrupt          // charge destroyed by a failed program, the page's own or its upper pair's
+	pageKinds        // state words per 64 pages
+)
+
+// pageBits is the per-page state of one block: word pageKinds*(page/64)+kind
+// holds that kind's bit for 64 consecutive pages, so the bits of one page sit
+// in adjacent words, one cache line for a read or a program to visit.
+type pageBits []uint64
+
+func (s pageBits) has(kind, page int) bool { return s[pageKinds*(page>>6)+kind]>>(page&63)&1 != 0 }
+func (s pageBits) set(kind, page int)      { s[pageKinds*(page>>6)+kind] |= 1 << (page & 63) }
+func (s pageBits) unset(kind, page int)    { s[pageKinds*(page>>6)+kind] &^= 1 << (page & 63) }
+
 type block struct {
+	// The fields down to oob are what every read and program consults; they
+	// lead the struct so that they share a cache line.
 	writePtr int // pages [0, writePtr) are programmed
 	pe       int
-	bad      bool
-	// pages[i] is page i's payload buffer, nil when the page was programmed
-	// without bytes (synthetic writes track state via writePtr alone) or lost
-	// its charge. The table is allocated the first time the block holds
-	// bytes and kept across erases; the buffers come from the die's free
-	// list and return to it on Erase, so anyone holding a slice Read handed
-	// out may use it only until the block is erased.
-	pages [][]byte
-	// oob is the block's OOB arena (OOBPerPage per page, allocated on first
-	// use and rewritten in place across erase cycles); oobLen[i] is the
-	// number of OOB bytes page i was programmed with, 0 for none.
-	oob    []byte
-	oobLen []uint16
-	// programNS is the virtual time the block was first programmed after
-	// its last erase (retention clock origin); reads counts page reads
-	// since the last erase (read disturb). corrupt marks pages whose
-	// charge was destroyed by a failed program (the page itself and, on
-	// MLC, the paired lower page).
-	programNS int64
+	// reads counts page reads since the last erase (read disturb); programNS
+	// is the virtual time the block was first programmed after its last
+	// erase (retention clock origin).
 	reads     int
-	corrupt   map[int]bool
+	programNS int64
+	bad       bool
+	// oob is the block's OOB arena (OOBPerPage per page, allocated on first
+	// use and rewritten in place across erase cycles). A fullOOB page owns
+	// its whole area: a read slices the arena and loads nothing from it.
+	oob []byte
+	// pages[i] is the payload buffer of a hasData page i, nil for any other.
+	// The table is allocated the first time the block holds bytes and kept
+	// across erases; the buffers come from the die's free list and return to
+	// it on Erase, so anyone holding a slice Read handed out may use it only
+	// until the block is erased.
+	pages [][]byte
+	// oobLen[i] is the number of OOB bytes a page that is not fullOOB was
+	// programmed with, 0 for none. Only a block that was ever programmed
+	// with a shorter OOB than the area (direct Program callers) has the table.
+	oobLen []uint16
 }
 
 // Die is one NAND die: the unit of parallelism (one I/O at a time).
@@ -158,8 +182,12 @@ type Die struct {
 	dims Dims
 	cfg  Config
 	rng  *rand.Rand
-	// planes[p][b]
-	planes [][]block
+	// blocks holds block b of plane p at i = p*BlocksPerPlane+b; its per-page
+	// state is state[i*stateWords : (i+1)*stateWords]. The two are found from
+	// the address alone, so neither load waits for the other.
+	blocks     []block
+	state      pageBits
+	stateWords int
 	// nowFn, when set, supplies virtual time for the retention clock (the
 	// device model wires it to its simulation environment).
 	nowFn func() int64
@@ -196,16 +224,13 @@ type Stats struct {
 // failure injection and must not be shared across goroutines.
 func NewDie(dims Dims, cfg Config, rng *rand.Rand) *Die {
 	d := &Die{dims: dims, cfg: cfg, rng: rng}
-	d.planes = make([][]block, dims.Planes)
-	for p := range d.planes {
-		d.planes[p] = make([]block, dims.BlocksPerPlane)
-	}
+	d.blocks = make([]block, dims.Planes*dims.BlocksPerPlane)
+	d.stateWords = pageKinds * ((dims.PagesPerBlock + 63) / 64)
+	d.state = make(pageBits, len(d.blocks)*d.stateWords)
 	if cfg.InitialBadBlockProb > 0 {
-		for p := range d.planes {
-			for b := range d.planes[p] {
-				if rng.Float64() < cfg.InitialBadBlockProb {
-					d.planes[p][b].bad = true
-				}
+		for i := range d.blocks {
+			if rng.Float64() < cfg.InitialBadBlockProb {
+				d.blocks[i].bad = true
 			}
 		}
 	}
@@ -219,11 +244,12 @@ func (d *Die) Dims() Dims { return d.dims }
 // it (or with RetentionAccel = 0) the retention BER term is disabled.
 func (d *Die) SetNow(fn func() int64) { d.nowFn = fn }
 
-func (d *Die) blk(plane, blockIdx int) (*block, error) {
+func (d *Die) blk(plane, blockIdx int) (*block, pageBits, error) {
 	if plane < 0 || plane >= d.dims.Planes || blockIdx < 0 || blockIdx >= d.dims.BlocksPerPlane {
-		return nil, fmt.Errorf("nand: address out of range plane=%d block=%d", plane, blockIdx)
+		return nil, nil, fmt.Errorf("nand: address out of range plane=%d block=%d", plane, blockIdx)
 	}
-	return &d.planes[plane][blockIdx], nil
+	i := plane*d.dims.BlocksPerPlane + blockIdx
+	return &d.blocks[i], d.state[i*d.stateWords : (i+1)*d.stateWords], nil
 }
 
 // isLower reports whether page is a lower page whose pair is page+stride.
@@ -255,19 +281,15 @@ func (d *Die) lowerOf(page int) int {
 }
 
 // loseCharge destroys a programmed page's content: its payload goes back to
-// the free list and subsequent reads fail uncorrectably.
-func (d *Die) loseCharge(b *block, page int) {
-	if b.pages != nil && b.pages[page] != nil {
+// the free list and subsequent reads fail uncorrectably. ReadRetry checks the
+// corrupt bit before it looks for OOB, so the page's OOB state needs no reset.
+func (d *Die) loseCharge(b *block, st pageBits, page int) {
+	if st.has(hasData, page) {
 		d.recycle(b.pages[page])
 		b.pages[page] = nil
+		st.unset(hasData, page)
 	}
-	if b.oobLen != nil {
-		b.oobLen[page] = 0
-	}
-	if b.corrupt == nil {
-		b.corrupt = make(map[int]bool)
-	}
-	b.corrupt[page] = true
+	st.set(corrupt, page)
 }
 
 // recycle returns a block-owned page buffer to the free list.
@@ -296,13 +318,12 @@ func poison(buf []byte) {
 // retire marks a block bad and drops its payload to the Go collector.
 // Nothing is recycled: a reader may still alias the pages of a block that
 // went bad under it, and reads of a bad block fail anyway.
-func (d *Die) retire(b *block) {
+func (d *Die) retire(b *block, st pageBits) {
 	b.bad = true
-	for _, pg := range b.pages {
-		if pg != nil {
-			d.held--
-		}
+	for w := hasData; w < len(st); w += pageKinds {
+		d.held -= bits.OnesCount64(st[w])
 	}
+	clear(st)
 	b.pages, b.oob, b.oobLen = nil, nil, nil
 }
 
@@ -348,7 +369,7 @@ func (d *Die) ProgramPage(plane, blockIdx, page int, withData, withOOB bool) (da
 // program checks and commits one page program and returns where its payload
 // (dataLen bytes, -1 for none) and OOB (oobLen bytes, 0 for none) are stored.
 func (d *Die) program(plane, blockIdx, page, dataLen, oobLen int) (data, oob []byte, err error) {
-	b, err := d.blk(plane, blockIdx)
+	b, st, err := d.blk(plane, blockIdx)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -378,10 +399,10 @@ func (d *Die) program(plane, blockIdx, page, dataLen, oobLen int) (data, oob []b
 		// Content of the failed page is lost; on MLC (strict pairing), a
 		// failed upper-page program also destroys the charge of its
 		// already-programmed lower pair (§2.2).
-		d.loseCharge(b, page)
+		d.loseCharge(b, st, page)
 		if d.cfg.StrictPairRead {
 			if lower := d.lowerOf(page); lower >= 0 && lower < b.writePtr {
-				d.loseCharge(b, lower)
+				d.loseCharge(b, st, lower)
 				d.Stats.PairCorruptions++
 			}
 		}
@@ -400,14 +421,21 @@ func (d *Die) program(plane, blockIdx, page, dataLen, oobLen int) (data, oob []b
 		}
 		d.held++
 		b.pages[page] = data
+		st.set(hasData, page)
 	}
 	if oobLen > 0 {
 		ob := d.dims.OOBPerPage
 		if b.oob == nil {
 			b.oob = make([]byte, ob*d.dims.PagesPerBlock)
-			b.oobLen = make([]uint16, d.dims.PagesPerBlock)
 		}
-		b.oobLen[page] = uint16(oobLen)
+		if oobLen == ob {
+			st.set(fullOOB, page)
+		} else {
+			if b.oobLen == nil {
+				b.oobLen = make([]uint16, d.dims.PagesPerBlock)
+			}
+			b.oobLen[page] = uint16(oobLen)
+		}
 		oob = b.oob[page*ob : page*ob+oobLen]
 	}
 	return data, oob, nil
@@ -422,7 +450,8 @@ func (d *Die) program(plane, blockIdx, page, dataLen, oobLen int) (data, oob []b
 // to the next program on this die and lets the OOB area be rewritten in
 // place. A reader that needs the bytes longer copies them out.
 // Pages programmed with an unspecified (nil) payload return nil data;
-// readers treat that as zeros.
+// readers treat that as zeros. What a page owns is recorded in the die's
+// per-page state bits (pageBits), not by a nil or zero table entry.
 func (d *Die) Read(plane, blockIdx, page int) (data, oob []byte, err error) {
 	data, oob, _, err = d.ReadRetry(plane, blockIdx, page)
 	return data, oob, err
@@ -436,8 +465,12 @@ func (d *Die) Read(plane, blockIdx, page int) (data, oob []byte, err error) {
 // Config.ReadRetryTiers the read is uncorrectable (ErrReadFail). The device
 // model charges extra latency per tier and flags deep-tier reads for host
 // relocation.
+//
+// On the host a read visits the block header and one line of state bits. It
+// indexes block.pages only for a hasData page and block.oobLen only for a page
+// programmed with a short OOB; a fullOOB page's area is sliced, not loaded.
 func (d *Die) ReadRetry(plane, blockIdx, page int) (data, oob []byte, retries int, err error) {
-	b, err := d.blk(plane, blockIdx)
+	b, st, err := d.blk(plane, blockIdx)
 	if err != nil {
 		return nil, nil, 0, err
 	}
@@ -461,7 +494,7 @@ func (d *Die) ReadRetry(plane, blockIdx, page int) (data, oob []byte, retries in
 		d.Stats.ReadFails++
 		return nil, nil, 0, ErrReadFail
 	}
-	if b.corrupt != nil && b.corrupt[page] {
+	if st.has(corrupt, page) {
 		d.Stats.ReadFails++
 		return nil, nil, 0, ErrReadFail
 	}
@@ -478,12 +511,13 @@ func (d *Die) ReadRetry(plane, blockIdx, page int) (data, oob []byte, retries in
 		retries = need
 		d.Stats.ReadRetries += int64(need)
 	}
-	if b.pages != nil {
+	if st.has(hasData, page) {
 		data = b.pages[page]
 	}
-	if b.oobLen != nil {
+	if ob := d.dims.OOBPerPage; st.has(fullOOB, page) {
+		oob = b.oob[page*ob : (page+1)*ob]
+	} else if b.oobLen != nil {
 		if n := int(b.oobLen[page]); n > 0 {
-			ob := d.dims.OOBPerPage
 			oob = b.oob[page*ob : page*ob+n]
 		}
 	}
@@ -517,7 +551,7 @@ func (d *Die) rawBER(b *block) float64 {
 // through the die's free list and ends the validity of every slice Read
 // returned for the block.
 func (d *Die) Erase(plane, blockIdx int) error {
-	b, err := d.blk(plane, blockIdx)
+	b, st, err := d.blk(plane, blockIdx)
 	if err != nil {
 		return err
 	}
@@ -528,12 +562,12 @@ func (d *Die) Erase(plane, blockIdx int) error {
 	b.pe++
 	if d.cfg.PECycleLimit > 0 && b.pe > d.cfg.PECycleLimit {
 		d.Stats.EraseFails++
-		d.retire(b)
+		d.retire(b, st)
 		return ErrWornOut
 	}
 	if d.cfg.EraseFailProb > 0 && d.rng.Float64() < d.cfg.EraseFailProb {
 		d.Stats.EraseFails++
-		d.retire(b)
+		d.retire(b, st)
 		return ErrEraseFail
 	}
 	// Grown bad blocks: the erase-failure probability climbs steeply as the
@@ -543,16 +577,18 @@ func (d *Die) Erase(plane, blockIdx int) error {
 		if d.rng.Float64() < d.cfg.GrownBadProb*r*r*r*r {
 			d.Stats.EraseFails++
 			d.Stats.GrownBad++
-			d.retire(b)
+			d.retire(b, st)
 			return ErrEraseFail
 		}
 	}
-	for i, pg := range b.pages {
-		if pg != nil {
-			d.recycle(pg)
-			b.pages[i] = nil
+	for w := hasData; w < len(st); w += pageKinds {
+		for m := st[w]; m != 0; m &= m - 1 {
+			page := w/pageKinds*64 + bits.TrailingZeros64(m)
+			d.recycle(b.pages[page])
+			b.pages[page] = nil
 		}
 	}
+	clear(st)
 	clear(b.oobLen)
 	if poisonOnRecycle {
 		poison(b.oob)
@@ -560,30 +596,29 @@ func (d *Die) Erase(plane, blockIdx int) error {
 	b.writePtr = 0
 	b.programNS = 0
 	b.reads = 0
-	clear(b.corrupt)
 	return nil
 }
 
 // MarkBad retires a block (host decision after a write failure, §4.2.3).
 func (d *Die) MarkBad(plane, blockIdx int) error {
-	b, err := d.blk(plane, blockIdx)
+	b, st, err := d.blk(plane, blockIdx)
 	if err != nil {
 		return err
 	}
-	d.retire(b)
+	d.retire(b, st)
 	return nil
 }
 
 // IsBad reports whether a block is retired.
 func (d *Die) IsBad(plane, blockIdx int) bool {
-	b, err := d.blk(plane, blockIdx)
+	b, _, err := d.blk(plane, blockIdx)
 	return err == nil && b.bad
 }
 
 // WritePtr returns the next page to be programmed in a block; pages below it
 // are programmed.
 func (d *Die) WritePtr(plane, blockIdx int) int {
-	b, err := d.blk(plane, blockIdx)
+	b, _, err := d.blk(plane, blockIdx)
 	if err != nil {
 		return 0
 	}
@@ -592,7 +627,7 @@ func (d *Die) WritePtr(plane, blockIdx int) int {
 
 // PECycles returns the block's accumulated program/erase cycles.
 func (d *Die) PECycles(plane, blockIdx int) int {
-	b, err := d.blk(plane, blockIdx)
+	b, _, err := d.blk(plane, blockIdx)
 	if err != nil {
 		return 0
 	}
@@ -602,7 +637,7 @@ func (d *Die) PECycles(plane, blockIdx int) int {
 // BlockReads returns the reads issued to a block since its last erase —
 // its read-disturb pressure.
 func (d *Die) BlockReads(plane, blockIdx int) int {
-	b, err := d.blk(plane, blockIdx)
+	b, _, err := d.blk(plane, blockIdx)
 	if err != nil {
 		return 0
 	}
@@ -613,16 +648,14 @@ func (d *Die) BlockReads(plane, blockIdx int) int {
 // P/E cycles plus the bad-block count. Inspection tooling uses it for
 // per-tenant wear accounting.
 func (d *Die) WearSummary() (totalPE int64, maxPE, bad int) {
-	for p := range d.planes {
-		for i := range d.planes[p] {
-			b := &d.planes[p][i]
-			totalPE += int64(b.pe)
-			if b.pe > maxPE {
-				maxPE = b.pe
-			}
-			if b.bad {
-				bad++
-			}
+	for i := range d.blocks {
+		b := &d.blocks[i]
+		totalPE += int64(b.pe)
+		if b.pe > maxPE {
+			maxPE = b.pe
+		}
+		if b.bad {
+			bad++
 		}
 	}
 	return totalPE, maxPE, bad
@@ -634,7 +667,7 @@ func (d *Die) WearFactor(plane, blockIdx int) float64 {
 	if d.cfg.WearLatencyFactor <= 0 || d.cfg.PECycleLimit <= 0 {
 		return 1
 	}
-	b, err := d.blk(plane, blockIdx)
+	b, _, err := d.blk(plane, blockIdx)
 	if err != nil {
 		return 1
 	}

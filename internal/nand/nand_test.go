@@ -624,20 +624,23 @@ func TestLostChargeStaysUnreadableAfterBufferReuse(t *testing.T) {
 	}
 }
 
+// retireWays are the four ways block (0,1) can go bad after one good
+// program/erase cycle.
+var retireWays = []struct {
+	name   string
+	cfg    func(*Config)
+	retire func(*Die) error // must leave block (0,1) bad
+	want   error
+}{
+	{"MarkBad", func(*Config) {}, func(d *Die) error { return d.MarkBad(0, 1) }, nil},
+	{"WornOut", func(c *Config) { c.PECycleLimit = 1 }, func(d *Die) error { return d.Erase(0, 1) }, ErrWornOut},
+	{"EraseFail", func(*Config) {}, func(d *Die) error { d.cfg.EraseFailProb = 1; return d.Erase(0, 1) }, ErrEraseFail},
+	{"GrownBad", func(c *Config) { c.PECycleLimit = 2 }, func(d *Die) error { d.cfg.GrownBadProb = 1e9; return d.Erase(0, 1) }, ErrEraseFail},
+}
+
 func TestRetiredBlockReleasesPayload(t *testing.T) {
 	dims := smallDims()
-	cases := []struct {
-		name   string
-		cfg    func(*Config)
-		retire func(*Die) error // must leave block (0,1) bad
-		want   error
-	}{
-		{"MarkBad", func(*Config) {}, func(d *Die) error { return d.MarkBad(0, 1) }, nil},
-		{"WornOut", func(c *Config) { c.PECycleLimit = 1 }, func(d *Die) error { return d.Erase(0, 1) }, ErrWornOut},
-		{"EraseFail", func(*Config) {}, func(d *Die) error { d.cfg.EraseFailProb = 1; return d.Erase(0, 1) }, ErrEraseFail},
-		{"GrownBad", func(c *Config) { c.PECycleLimit = 2 }, func(d *Die) error { d.cfg.GrownBadProb = 1e9; return d.Erase(0, 1) }, ErrEraseFail},
-	}
-	for _, tc := range cases {
+	for _, tc := range retireWays {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := DefaultConfig()
 			tc.cfg(&cfg)
@@ -670,7 +673,7 @@ func TestRetiredBlockReleasesPayload(t *testing.T) {
 			if got := d.PayloadBytes(); got != 0 {
 				t.Fatalf("PayloadBytes = %d after the only block with payload went bad, want 0", got)
 			}
-			if b := &d.planes[0][1]; b.pages != nil || b.oob != nil || b.oobLen != nil {
+			if b, _, _ := d.blk(0, 1); b.pages != nil || b.oob != nil || b.oobLen != nil {
 				t.Fatal("bad block still pins its page table or OOB arena")
 			}
 			// Dropped, not recycled: a slice read before the retirement must

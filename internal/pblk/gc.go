@@ -1,8 +1,6 @@
 package pblk
 
 import (
-	"fmt"
-
 	"repro/internal/blockdev"
 	"repro/internal/ocssd"
 	"repro/internal/ppa"
@@ -287,7 +285,7 @@ func (k *Pblk) launchVictims() {
 			k.Stats.GCPeakInFlight = int64(k.gcInFlight)
 		}
 		gg, rt := g, retire
-		k.env.Go(fmt.Sprintf("pblk.%s.gcmove%d", k.name, gg.id), func(wp *sim.Proc) {
+		k.env.Go(gg.mover, func(wp *sim.Proc) {
 			k.recycle(wp, gg, rt)
 			k.gcInFlight--
 			if rt {

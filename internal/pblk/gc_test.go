@@ -2,6 +2,7 @@ package pblk
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -83,6 +84,32 @@ func TestGCPipelineKeepsVictimsInFlight(t *testing.T) {
 			})
 		})
 	}
+}
+
+// TestPanickingGCMoverNamesItsGroup: the mover's process name is built once
+// per group at mount, not formatted per launch, and must still tell
+// sim.ProcPanic which group the mover was recycling.
+func TestPanickingGCMoverNamesItsGroup(t *testing.T) {
+	e := newEnv(t, testDeviceConfig())
+	var k *Pblk
+	defer func() {
+		pp, ok := recover().(sim.ProcPanic)
+		if !ok {
+			t.Fatal("the sabotaged mover did not panic")
+		}
+		var id int
+		if _, err := fmt.Sscanf(pp.Proc, "pblk.pblk0.gcmove%d", &id); err != nil || id <= 0 || id >= len(k.groups) {
+			t.Fatalf("panicking process is named %q, want pblk.pblk0.gcmove<group id>", pp.Proc)
+		}
+		if g := k.groups[id]; g.state != stGC {
+			t.Fatalf("mover %q panicked but group %d is in state %v, not under GC", pp.Proc, id, g.state)
+		}
+	}()
+	e.run(func(p *sim.Proc) {
+		k = e.newPblk(p, Config{ActivePUs: 4, OverProvision: 0.25})
+		k.gcAdmit = nil // only movers use it: the first to admit its moves dereferences nil
+		churn(t, p, k, 8, 3)
+	})
 }
 
 // TestStreamSeparation checks that GC rewrites land in their own block

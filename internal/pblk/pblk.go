@@ -246,6 +246,9 @@ type group struct {
 	retryHints int
 	// scrubQueued marks the group as waiting in the scrub refresh queue.
 	scrubQueued bool
+	// mover names the GC process that recycles the group (sim.ProcPanic
+	// reports it); built once at mount, a group is recycled many times.
+	mover string
 }
 
 // slot is one write lane of the mapper: at any instant it owns a single
@@ -615,7 +618,8 @@ func (k *Pblk) initGroups() {
 		for b := 0; b < perPU; b++ {
 			id := gpu*perPU + b
 			g := &slab[id]
-			*g = group{id: id, gpu: gpu, blk: b, state: stFree, prev: -1}
+			*g = group{id: id, gpu: gpu, blk: b, state: stFree, prev: -1,
+				mover: fmt.Sprintf("pblk.%s.gcmove%d", k.name, id)}
 			k.groups[id] = g
 			if gpu == 0 && b == 0 {
 				g.state = stSys
