@@ -191,10 +191,7 @@ func newRaw(p *sim.Proc, ln *lightnvm.Device, name string, begin, end int) *ligh
 // newPblk instantiates a pblk target with the given active PU count
 // (0 = all).
 func newPblk(p *sim.Proc, ln *lightnvm.Device, activePUs int) (*pblk.Pblk, error) {
-	return pblk.New(p, ln, fmt.Sprintf("pblk-%d", activePUs), pblk.Config{
-		ActivePUs:          activePUs,
-		DisableRateLimiter: false,
-	})
+	return pblk.New(p, ln, fmt.Sprintf("pblk-%d", activePUs), pblk.Config{ActivePUs: activePUs})
 }
 
 // newPblkOn builds the full OCSSD + LightNVM + pblk stack inside an

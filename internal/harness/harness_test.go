@@ -14,14 +14,15 @@ import (
 
 func TestRegistryComplete(t *testing.T) {
 	want := []string{"table1", "overhead", "fig4", "fig5", "fig6", "fig7", "fig8", "lanes", "wa", "tenants",
-		"fleet", "ablate-pagecache", "ablate-vector", "ablate-buffering", "ablate-gc-rl", "ablate-inflight"}
+		"fleet", "lifetime", "wa-e2e", "ablate-pagecache", "ablate-vector", "ablate-buffering", "ablate-gc-rl",
+		"ablate-inflight", "ablate-suspend"}
 	for _, id := range want {
 		if _, ok := ByID(id); !ok {
 			t.Errorf("experiment %q not registered", id)
 		}
 	}
-	if len(All()) < len(want) {
-		t.Fatalf("registry has %d experiments, want >= %d", len(All()), len(want))
+	if len(All()) != len(want) {
+		t.Fatalf("registry has %d experiments, this list %d", len(All()), len(want))
 	}
 	// All() must be sorted and stable.
 	ids := All()
@@ -177,7 +178,9 @@ func TestAblateVector(t *testing.T) {
 // volume must scale at least 3x from 1 to 4 devices, the failover drill
 // must lose no acknowledged data degraded or after the rebuild, and the
 // two runs must produce byte-identical output (the determinism contract
-// the whole simulator rests on).
+// the whole simulator rests on). fleet is the only experiment that mounts
+// several devices, so this is where volume-manager regressions (scaling,
+// failover, rebuild) that unit tests sample more narrowly are caught.
 func TestFleetQuick(t *testing.T) {
 	e, ok := ByID("fleet")
 	if !ok {
@@ -237,7 +240,10 @@ func TestTenantsQuick(t *testing.T) {
 // The only run these get under go test (wa, tenants, fleet and
 // ablate-pagecache have tests of their own above). mustRun fails a job with
 // I/O errors, so fig8 and ablate-suspend also assert here that every read
-// aimed at a raw target found programmed media.
+// aimed at a raw target found programmed media. lifetime is the only
+// experiment that ages the media (P/E wear, retention decay, read retry,
+// scrubbing) and the only one that crash-recovers mid-run; it ignores
+// Duration, so this is its whole quick run.
 func TestQuickExperimentsRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs eight quick experiments")

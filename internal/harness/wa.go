@@ -41,7 +41,6 @@ type waConfig struct {
 	single bool
 	op     float64 // over-provisioning fraction
 	hotMod int64   // hot set = chunk indices ≡ 0 mod hotMod; 0 = uniform
-	noRL   bool    // disable the rate limiter (paper §5.1 characterization)
 }
 
 // waRow is the measured result of one configuration.
@@ -75,15 +74,15 @@ type waRow struct {
 func runWA(o Options, w io.Writer) error {
 	o = Defaults(o)
 	sepSweep := []waConfig{
-		{"single-stream (baseline)", 1, true, 0.5, 8, false},
-		{"dual-stream depth=1", 1, false, 0.5, 8, false},
-		{"dual-stream depth=2 (default)", 2, false, 0.5, 8, false},
+		{"single-stream (baseline)", 1, true, 0.5, 8},
+		{"dual-stream depth=1", 1, false, 0.5, 8},
+		{"dual-stream depth=2 (default)", 2, false, 0.5, 8},
 	}
 	depthSweep := []waConfig{
-		{"depth=1 (sequential reclaim)", 1, false, 0.4, 0, false},
-		{"depth=2 (default)", 2, false, 0.4, 0, false},
-		{"depth=4", 4, false, 0.4, 0, false},
-		{"depth=8", 8, false, 0.4, 0, false},
+		{"depth=1 (sequential reclaim)", 1, false, 0.4, 0},
+		{"depth=2 (default)", 2, false, 0.4, 0},
+		{"depth=4", 4, false, 0.4, 0},
+		{"depth=8", 8, false, 0.4, 0},
 	}
 	if o.Quick {
 		sepSweep = []waConfig{sepSweep[0], sepSweep[2]}
@@ -113,10 +112,9 @@ func runWA(o Options, w io.Writer) error {
 		r := waRow{name: c.name}
 		env.Go("wa", func(p *sim.Proc) {
 			k, err := pblk.New(p, ln, "pblk-wa", pblk.Config{
-				OverProvision:      c.op,
-				GCPipelineDepth:    c.depth,
-				SingleStream:       c.single,
-				DisableRateLimiter: c.noRL,
+				OverProvision:   c.op,
+				GCPipelineDepth: c.depth,
+				SingleStream:    c.single,
 			})
 			check(err)
 			defer k.Stop(p)

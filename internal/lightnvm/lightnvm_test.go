@@ -316,6 +316,13 @@ func TestMediaViewSubmitRejectsOutOfPartition(t *testing.T) {
 		if !c.Failed() || !errors.Is(c.Errs[0], ErrOutOfPartition) {
 			t.Fatalf("out-of-partition read: %+v", c.Errs)
 		}
+		// Submit shares the check but completes through the event queue.
+		var async *ocssd.Completion
+		v.Submit(&ocssd.Vector{Op: ocssd.OpRead, Addrs: []ppa.Addr{bad}}, func(c *ocssd.Completion) { async = c })
+		p.Yield()
+		if async == nil || !errors.Is(async.FirstErr(), ErrOutOfPartition) {
+			t.Fatalf("out-of-partition Submit completed with %+v", async)
+		}
 		if !v.Contains(ppa.Addr{}) || v.Contains(bad) {
 			t.Fatal("Contains wrong")
 		}

@@ -118,20 +118,24 @@ func (v *MediaView) Contains(a ppa.Addr) bool {
 	return gpu >= v.begin && gpu < v.end
 }
 
-// Submit issues a vector command asynchronously through the partition: a
-// command touching any PU outside the view fails whole with
-// ErrOutOfPartition per address, without reaching the device. The vector
-// is stamped with the view's owner tag for the device's optional per-PU
-// owner guard.
-func (v *MediaView) Submit(cmd *ocssd.Vector, done func(*ocssd.Completion)) {
+// admit stamps cmd with the view's owner tag, for the device's optional
+// per-PU owner guard, and checks it against the partition: a command
+// touching any PU outside the view gets back a completion that fails every
+// address with ErrOutOfPartition, and must not reach the device.
+func (v *MediaView) admit(cmd *ocssd.Vector) (rejected *ocssd.Completion) {
+	cmd.Tag = v.tag
 	if v.full {
 		// Whole-device view: the partition check cannot fail and the
 		// device validates raw bounds itself, so the single-target fast
 		// path pays nothing per address.
-		cmd.Tag = v.tag
-		v.dev.Submit(cmd, done)
-		return
+		return nil
 	}
+	return v.outside(cmd)
+}
+
+// outside is admit's per-address check, kept out of line so that admit
+// inlines into Submit and Do.
+func (v *MediaView) outside(cmd *ocssd.Vector) *ocssd.Completion {
 	for _, a := range cmd.Addrs {
 		if gpu := v.fmtr.GlobalPU(a); gpu < v.begin || gpu >= v.end {
 			comp := &ocssd.Completion{Errs: make([]error, len(cmd.Addrs))}
@@ -142,25 +146,30 @@ func (v *MediaView) Submit(cmd *ocssd.Vector, done func(*ocssd.Completion)) {
 			}
 			now := v.dev.Env().Now()
 			comp.Submitted, comp.Done = now, now
-			v.dev.Env().Schedule(0, func() { done(comp) })
-			return
+			return comp
 		}
 	}
-	cmd.Tag = v.tag
+	return nil
+}
+
+// Submit issues a vector command asynchronously through the partition; a
+// command admit rejects completes on the next event of the same instant.
+func (v *MediaView) Submit(cmd *ocssd.Vector, done func(*ocssd.Completion)) {
+	if comp := v.admit(cmd); comp != nil {
+		v.dev.Env().Schedule(0, func() { done(comp) })
+		return
+	}
 	v.dev.Submit(cmd, done)
 }
 
 // Do submits cmd through the partition and blocks the calling process
 // until completion.
 func (v *MediaView) Do(p *sim.Proc, cmd *ocssd.Vector) *ocssd.Completion {
-	ev := p.Env().NewEvent()
-	var out *ocssd.Completion
-	v.Submit(cmd, func(c *ocssd.Completion) {
-		out = c
-		ev.Signal()
-	})
-	p.Wait(ev)
-	return out
+	if comp := v.admit(cmd); comp != nil {
+		p.Yield()
+		return comp
+	}
+	return v.dev.Do(p, cmd)
 }
 
 // Recycle returns a completion to the device pool.

@@ -1,99 +1,179 @@
 package pblk
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
 	"time"
 
 	"repro/internal/blockdev"
+	"repro/internal/lightnvm"
+	"repro/internal/nand"
 	"repro/internal/sim"
+)
+
+// The dirty fixture writes 16 KiB chunks; its last dirtyTail writes, to chunks
+// 0..dirtyTail-1 with seed dirtyTailSeed, are never flushed.
+const (
+	dirtyChunk    = 16384
+	dirtyTail     = 8
+	dirtyTailSeed = 0xAA
 )
 
 // dirtyDevice builds a device with a representative mess on media — closed
 // groups, open (partial) groups, buffered data lost to a crash — so scan
 // recovery has every case to chew on. Deterministic for a given seed pair.
-func dirtyDevice(t *testing.T) *env {
+// flushed[c] is the fill seed chunk c held when the last Flush returned:
+// what a mount after the crash must read back.
+func dirtyDevice(t *testing.T) (e *env, flushed []byte) {
 	t.Helper()
-	e := newEnv(t, testDeviceConfig())
+	e = newEnv(t, testDeviceConfig())
 	e.run(func(p *sim.Proc) {
 		k := e.newPblk(p, Config{ActivePUs: 4})
-		span := k.Capacity() / 2
-		bs := int64(16384)
-		// Sequential fill, then scattered overwrites to strand garbage.
-		for off := int64(0); off+bs <= span; off += bs {
-			if err := k.Write(p, off, fill(int(bs), byte(off/bs)), bs); err != nil {
+		bs := int64(dirtyChunk)
+		chunks := k.Capacity() / 2 / bs
+		flushed = make([]byte, chunks)
+		write := func(c int64, seed byte) {
+			if err := k.Write(p, c*bs, fill(dirtyChunk, seed), bs); err != nil {
 				t.Fatal(err)
 			}
 		}
+		// Sequential fill, then scattered overwrites to strand garbage.
+		for c := int64(0); c < chunks; c++ {
+			write(c, byte(c))
+			flushed[c] = byte(c)
+		}
 		rng := rand.New(rand.NewSource(99))
 		for i := 0; i < 200; i++ {
-			off := rng.Int63n(span/bs) * bs
-			if err := k.Write(p, off, fill(int(bs), byte(i)), bs); err != nil {
-				t.Fatal(err)
-			}
+			c := rng.Int63n(chunks)
+			write(c, byte(i))
+			flushed[c] = byte(i)
 		}
 		if err := k.Flush(p); err != nil {
 			t.Fatal(err)
 		}
 		// A tail of unflushed writes leaves groups open at the crash.
-		for i := 0; i < 8; i++ {
-			if err := k.Write(p, int64(i)*bs, fill(int(bs), 0xAA), bs); err != nil {
-				t.Fatal(err)
-			}
+		for c := int64(0); c < dirtyTail; c++ {
+			write(c, dirtyTailSeed)
 		}
 		k.Crash()
 	})
-	return e
+	return e, flushed
 }
 
-// TestRecoverScanParallelMatchesSequential mounts two identically dirtied
-// devices, one with the default per-PU parallel classify chains and one
-// with the sequential scan, and requires byte-identical replayed state —
-// the guard for the parallel recovery rewrite. It also checks the scan
-// actually ran concurrently: the parallel mount spends less virtual time
-// than the serialized one.
-func TestRecoverScanParallelMatchesSequential(t *testing.T) {
-	mount := func(sequential bool) (l2p []uint64, states []groupState, scan time.Duration) {
-		e := dirtyDevice(t)
+// TestRecoverScanRestoresWhatWasFlushed checks scan recovery against what
+// the fixture wrote. The mounts run under the owner guard, so a scan process
+// that bypassed the target's view would panic.
+func TestRecoverScanRestoresWhatWasFlushed(t *testing.T) {
+	e, flushed := dirtyDevice(t)
+	e.lnvm.EnableOwnerGuard()
+	mount := func(p *sim.Proc) *Pblk {
+		tgt, err := e.lnvm.CreateTarget(p, "pblk", "pblk1", lightnvm.PURange{}, Config{ActivePUs: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		k := tgt.(*Pblk)
+		if k.Stats.Recoveries != 1 || k.Stats.SnapshotLoads != 0 {
+			t.Fatalf("Recoveries = %d, SnapshotLoads = %d, want a scan recovery", k.Stats.Recoveries, k.Stats.SnapshotLoads)
+		}
+		if err := k.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		return k
+	}
+	e.run(func(p *sim.Proc) {
+		k := mount(p)
+		ss := k.geo.SectorSize
+		got, tail := make([]byte, dirtyChunk), fill(dirtyChunk, dirtyTailSeed)
+		for c, seed := range flushed {
+			if err := k.Read(p, int64(c)*dirtyChunk, got, dirtyChunk); err != nil {
+				t.Fatalf("chunk %d: read after recovery: %v", c, err)
+			}
+			old := fill(dirtyChunk, seed)
+			for off := 0; off < dirtyChunk; off += ss {
+				sec := got[off : off+ss]
+				if bytes.Equal(sec, old[off:off+ss]) || c < dirtyTail && bytes.Equal(sec, tail[off:off+ss]) {
+					continue
+				}
+				t.Fatalf("chunk %d sector %d: recovered neither its flushed value nor an unflushed overwrite", c, off/ss)
+			}
+		}
+
+		// The first mount padded and closed every open group, so a crash now
+		// leaves a second mount only the classify phase and the system
+		// group's erase. Each read holds its PU for at least the command
+		// overhead and the array read, so a scan that issues one command at
+		// a time cannot beat their sum; one process per PU must halve it.
+		k.Crash()
+		if err := e.lnvm.RemoveTarget(p, "pblk1"); err != nil {
+			t.Fatal(err)
+		}
+		readsBefore := e.dev.Stats.Reads
+		k = mount(p)
+		defer k.Stop(p)
+		tm := e.dev.Timing()
+		reads := e.dev.Stats.Reads - readsBefore - 1 // the snapshot probe precedes the scan
+		serial := time.Duration(reads) * (tm.CmdOverhead + tm.PageRead)
+		if scan := k.Stats.RecoverScanTime - tm.BlockErase; scan <= 0 || scan >= serial/2 {
+			t.Fatalf("classify phase took %v; its %d reads take at least %v one at a time", scan, reads, serial)
+		}
+	})
+}
+
+// TestScanReclaimsForeignAndTornGroups plants, on blank media, three groups
+// whose first page is not their own open mark. The scan must erase each back
+// to free — or, when that erase fails, retire it — and mount regardless.
+func TestScanReclaimsForeignAndTornGroups(t *testing.T) {
+	run := func(t *testing.T, wornOut bool, want groupState, wantErases int) {
+		devCfg := testDeviceConfig()
+		if wornOut {
+			// EraseFailProb would fail the system group's erase too, which
+			// fails the mount; a cycle limit fails only the pre-worn blocks.
+			devCfg.Media.PECycleLimit = 1
+		}
+		e := newEnv(t, devCfg)
+		geo := e.dev.Geometry()
+		foreign := make([]byte, geo.SectorSize)
+		new(Pblk).encodeOpenMarkInto(foreign, &group{id: 7, seq: 3, prev: -1})
+		badCRC := bytes.Clone(foreign)
+		badCRC[32] ^= 0xFF
+		pages := [][]byte{foreign, bytes.Repeat([]byte{0xA5}, geo.SectorSize), badCRC}
+		const blk = 5
+		for i, first := range pages {
+			die := e.dev.Die(i + 1)
+			page := make([]byte, geo.SectorsPerPage*geo.SectorSize)
+			copy(page, first)
+			for pl := 0; pl < geo.PlanesPerPU; pl++ {
+				if wornOut {
+					if err := die.Erase(pl, blk); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := die.Program(pl, blk, 0, page, nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
 		e.run(func(p *sim.Proc) {
-			k, err := New(p, e.lnvm, "pblk1", Config{ActivePUs: 4, sequentialRecoverScan: sequential})
-			if err != nil {
-				t.Fatal(err)
-			}
+			k := e.newPblk(p, Config{ActivePUs: 4})
 			defer k.Stop(p)
-			if k.Stats.Recoveries != 1 {
-				t.Fatalf("Recoveries = %d, want 1 (scan recovery)", k.Stats.Recoveries)
+			for i := range pages {
+				g := k.groups[(i+1)*geo.BlocksPerPlane+blk]
+				if g.state != want || g.erases != wantErases {
+					t.Errorf("planted group %d: state %v, erases %d; want %v, %d", g.id, g.state, g.erases, want, wantErases)
+				}
+				for pl := 0; want == stFree && pl < geo.PlanesPerPU; pl++ {
+					if _, _, err := e.dev.Die(g.gpu).Read(pl, g.blk, 0); !errors.Is(err, nand.ErrUnwritten) {
+						t.Errorf("planted group %d plane %d: page 0 reads %v after reclaim, want ErrUnwritten", g.id, pl, err)
+					}
+				}
 			}
-			l2p = append([]uint64(nil), k.l2p...)
-			for _, g := range k.groups {
-				states = append(states, g.state)
-			}
-			scan = k.Stats.RecoverScanTime
 		})
-		return l2p, states, scan
 	}
-	pl2p, pstates, ptime := mount(false)
-	sl2p, sstates, stime := mount(true)
-	if len(pl2p) != len(sl2p) {
-		t.Fatalf("l2p sizes differ: %d vs %d", len(pl2p), len(sl2p))
-	}
-	for i := range pl2p {
-		if pl2p[i] != sl2p[i] {
-			t.Fatalf("replayed L2P diverges at lba %d: parallel %x, sequential %x", i, pl2p[i], sl2p[i])
-		}
-	}
-	for i := range pstates {
-		if pstates[i] != sstates[i] {
-			t.Fatalf("group %d state diverges: parallel %v, sequential %v", i, pstates[i], sstates[i])
-		}
-	}
-	if ptime <= 0 || stime <= 0 {
-		t.Fatalf("RecoverScanTime not recorded: parallel %v, sequential %v", ptime, stime)
-	}
-	if ptime >= stime {
-		t.Fatalf("parallel scan (%v) not faster than sequential (%v)", ptime, stime)
-	}
+	t.Run("erased", func(t *testing.T) { run(t, false, stFree, 1) })
+	t.Run("erase-fails", func(t *testing.T) { run(t, true, stBad, 0) })
 }
 
 // TestDeterministicMixedWorkload drives two fresh environments with the

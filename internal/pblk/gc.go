@@ -447,15 +447,7 @@ func (k *Pblk) recycle(p *sim.Proc, g *group, retire bool) {
 		k.notifyState()
 		return
 	}
-	ch, pu := k.dev.PUAddr(g.gpu)
-	addrs := make([]ppa.Addr, k.geo.PlanesPerPU)
-	for pl := range addrs {
-		addrs[pl] = ppa.Addr{Ch: ch, PU: pu, Plane: pl, Block: g.blk}
-	}
-	c := k.dev.Do(p, &ocssd.Vector{Op: ocssd.OpErase, Addrs: addrs})
-	failed := c.Failed()
-	k.dev.Recycle(c)
-	if failed {
+	if k.eraseGroup(p, g) != nil {
 		// No retry or recovery on erase failure: mark bad (§2.2).
 		k.Stats.EraseErrors++
 		k.Stats.BadBlocks++

@@ -370,29 +370,34 @@ func (k *Pblk) submitCloseMeta(p *sim.Proc, g *group) {
 	g.nextUnit = k.unitsPerGroup
 }
 
-// readCloseMeta fetches and parses a group's close metadata from media.
-func (k *Pblk) readCloseMeta(p *sim.Proc, g *group) (seq uint64, stream uint8, lbas []int64, stamps []uint64, ok bool) {
+// readUnits reads n whole units of g, starting at unit first, into one flat
+// buffer; ok is false as soon as any sector fails to read.
+func (k *Pblk) readUnits(p *sim.Proc, g *group, first, n int) (buf []byte, ok bool) {
 	ss := k.geo.SectorSize
-	buf := make([]byte, k.metaUnits*k.unitSectors*ss)
-	for m := 0; m < k.metaUnits; m++ {
-		addrs := k.unitAddrs(g, k.firstMetaUnit()+m)
-		c := k.dev.Do(p, &ocssd.Vector{Op: ocssd.OpRead, Addrs: addrs})
-		fail := false
-		for s := range addrs {
-			if c.Errs[s] != nil {
-				fail = true
-				break
-			}
-			if d := c.Data[s]; d != nil {
-				copy(buf[(m*k.unitSectors+s)*ss:], d)
+	buf = make([]byte, n*k.unitSectors*ss)
+	for u := 0; u < n; u++ {
+		c := k.dev.Do(p, &ocssd.Vector{Op: ocssd.OpRead, Addrs: k.unitAddrs(g, first+u)})
+		failed := c.FirstErr() != nil
+		if !failed {
+			for s, d := range c.Data {
+				copy(buf[(u*k.unitSectors+s)*ss:], d)
 			}
 		}
 		// The sector contents were copied into buf above; the completion
 		// container can go back to the device pool.
 		k.dev.Recycle(c)
-		if fail {
-			return 0, 0, nil, nil, false
+		if failed {
+			return nil, false
 		}
+	}
+	return buf, true
+}
+
+// readCloseMeta fetches and parses a group's close metadata from media.
+func (k *Pblk) readCloseMeta(p *sim.Proc, g *group) (seq uint64, stream uint8, lbas []int64, stamps []uint64, ok bool) {
+	buf, ok := k.readUnits(p, g, k.firstMetaUnit(), k.metaUnits)
+	if !ok {
+		return 0, 0, nil, nil, false
 	}
 	return k.parseCloseMeta(buf)
 }
@@ -556,14 +561,8 @@ func (k *Pblk) writeSnapshot(p *sim.Proc) error {
 			len(snap), k.unitsPerGroup*unitBytes)
 	}
 	// Erase, then program sequentially.
-	g := k.sysGroup()
-	ch, pu := k.dev.PUAddr(g.gpu)
-	eraseAddrs := make([]ppa.Addr, k.geo.PlanesPerPU)
-	for pl := range eraseAddrs {
-		eraseAddrs[pl] = ppa.Addr{Ch: ch, PU: pu, Plane: pl, Block: g.blk}
-	}
-	if c := k.dev.Do(p, &ocssd.Vector{Op: ocssd.OpErase, Addrs: eraseAddrs}); c.Failed() {
-		return fmt.Errorf("pblk: snapshot area erase failed: %v", c.FirstErr())
+	if err := k.eraseGroup(p, k.sysGroup()); err != nil {
+		return fmt.Errorf("pblk: snapshot area erase failed: %v", err)
 	}
 	for u := 0; u < units; u++ {
 		addrs := k.sysUnitAddrs(u)
@@ -587,8 +586,7 @@ func (k *Pblk) writeSnapshot(p *sim.Proc) error {
 // success the snapshot is invalidated (erased) so that a later crash falls
 // back to scan recovery rather than replaying stale state.
 func (k *Pblk) loadSnapshot(p *sim.Proc) bool {
-	ss := k.geo.SectorSize
-	unitBytes := k.unitSectors * ss
+	unitBytes := k.unitSectors * k.geo.SectorSize
 	// Header first.
 	first := k.dev.Do(p, &ocssd.Vector{Op: ocssd.OpRead, Addrs: k.sysUnitAddrs(0)[:1]})
 	if first.Errs[0] != nil || first.Data[0] == nil || le.Uint64(first.Data[0][0:8]) != snapMagic {
@@ -600,30 +598,12 @@ func (k *Pblk) loadSnapshot(p *sim.Proc) bool {
 	if n != int(k.capacityLBAs) || ng != len(k.groups) || size <= 0 {
 		return false
 	}
-	buf := make([]byte, ((size+unitBytes-1)/unitBytes)*unitBytes)
-	units := len(buf) / unitBytes
-	for u := 0; u < units; u++ {
-		addrs := k.sysUnitAddrs(u)
-		c := k.dev.Do(p, &ocssd.Vector{Op: ocssd.OpRead, Addrs: addrs})
-		for s := range addrs {
-			if c.Errs[s] != nil {
-				return false
-			}
-			if d := c.Data[s]; d != nil {
-				copy(buf[(u*k.unitSectors+s)*ss:], d)
-			}
-		}
-	}
-	if err := k.applySnapshot(buf[:size]); err != nil {
+	buf, ok := k.readUnits(p, k.sysGroup(), 0, (size+unitBytes-1)/unitBytes)
+	if !ok || k.applySnapshot(buf[:size]) != nil {
 		return false
 	}
-	// Invalidate: future recoveries must not trust this snapshot.
-	g := k.sysGroup()
-	ch, pu := k.dev.PUAddr(g.gpu)
-	eraseAddrs := make([]ppa.Addr, k.geo.PlanesPerPU)
-	for pl := range eraseAddrs {
-		eraseAddrs[pl] = ppa.Addr{Ch: ch, PU: pu, Plane: pl, Block: g.blk}
-	}
-	k.dev.Do(p, &ocssd.Vector{Op: ocssd.OpErase, Addrs: eraseAddrs})
+	// Invalidate: future recoveries must not trust this snapshot. A failed
+	// erase leaves the block bad, which the next mount's header read sees.
+	_ = k.eraseGroup(p, k.sysGroup())
 	return true
 }

@@ -77,10 +77,6 @@ type Config struct {
 	// DisableRateLimiter lets characterization runs (paper §5.1 "rate-
 	// limiter disabled") bypass user-write throttling.
 	DisableRateLimiter bool
-	// sequentialRecoverScan makes mount-time scan recovery classify groups
-	// one at a time across the whole device: the reference the per-PU
-	// parallel scan chains are tested against.
-	sequentialRecoverScan bool
 	// Scrubber (media self-healing). ScrubInterval > 0 enables a background
 	// patrol process (scrub.go) that refreshes closed groups whose data is
 	// at risk: groups older than ScrubRetentionAge since close, or whose

@@ -2,6 +2,7 @@ package pblk
 
 import (
 	"errors"
+	"fmt"
 	"sort"
 
 	"repro/internal/nand"
@@ -75,7 +76,6 @@ type found struct {
 	seq    uint64
 	lbas   []int64
 	stamps []uint64
-	full   bool
 }
 
 // scanRecover performs the two-phase recovery: classify every group as
@@ -88,25 +88,14 @@ type found struct {
 // victims draining), so neither group order nor classification phase
 // alone orders overwrites of the same sector correctly.
 //
-// The classify + close-meta phase keeps one vector read in flight per PU
-// (an asynchronous per-PU chain) instead of one serialized group at a
-// time across the whole device; classifySequential keeps the serial order
-// as the reference a regression test checks the chains' L2P against.
-// Either way the virtual time spent is recorded in Stats.RecoverScanTime.
+// The classify + close-meta phase runs as one process per PU, each walking
+// its PU's groups with one vector command in flight, so the device is
+// scanned at full PU parallelism; the virtual time the whole scan takes is
+// recorded in Stats.RecoverScanTime.
 func (k *Pblk) scanRecover(p *sim.Proc) error {
 	k.Stats.Recoveries++
 	scanStart := k.env.Now()
-	var fulls, partials []found
-	var maxSeq uint64
-	var err error
-	if k.cfg.sequentialRecoverScan {
-		fulls, partials, maxSeq, err = k.classifySequential(p)
-	} else {
-		fulls, partials, maxSeq = k.classifyParallel(p)
-	}
-	if err != nil {
-		return err
-	}
+	fulls, partials, maxSeq := k.classify(p)
 
 	var sectors []recSector
 	collect := func(g *group, lbas []int64, stamps []uint64) {
@@ -164,17 +153,52 @@ func (k *Pblk) scanRecover(p *sim.Proc) error {
 
 	k.seqCounter = maxSeq
 	// The system group may hold a torn snapshot; clear it.
-	if err := k.eraseGroupRaw(p, k.sysGroup()); err != nil && !errors.Is(err, nand.ErrBadBlock) {
+	sys := k.sysGroup()
+	if err := k.eraseGroup(p, sys); err == nil {
+		sys.erases++
+		k.eraseTotal++
+	} else if !errors.Is(err, nand.ErrBadBlock) {
 		return err
 	}
 	k.Stats.RecoverScanTime += k.env.Now() - scanStart
 	return nil
 }
 
-// classifySequential is the serial classify + close-meta phase: one group
-// at a time across the whole device, in group-id order.
-func (k *Pblk) classifySequential(p *sim.Proc) (fulls, partials []found, maxSeq uint64, err error) {
-	for _, g := range k.groups {
+// puScan is one PU's scan process and what it found.
+type puScan struct {
+	proc            *sim.Proc
+	fulls, partials []found
+	maxSeq          uint64
+}
+
+// classify runs classifyGroups over every PU at once and merges the
+// results. A PU's groups are contiguous in the group table, so appending
+// the per-PU lists in PU order yields group-id order — the order
+// noteGroupClosed must see the full groups in, because it feeds the scrub
+// patrol.
+func (k *Pblk) classify(p *sim.Proc) (fulls, partials []found, maxSeq uint64) {
+	perPU := k.geo.BlocksPerPlane
+	scans := make([]puScan, k.nPUs)
+	for pu := range scans {
+		s, groups := &scans[pu], k.groups[pu*perPU:(pu+1)*perPU]
+		s.proc = k.env.Go(fmt.Sprintf("pblk.%s.scan%d", k.name, pu), func(sp *sim.Proc) {
+			s.fulls, s.partials, s.maxSeq = k.classifyGroups(sp, groups)
+		})
+	}
+	for i := range scans {
+		s := &scans[i]
+		p.Wait(s.proc.Done())
+		fulls = append(fulls, s.fulls...)
+		partials = append(partials, s.partials...)
+		maxSeq = max(maxSeq, s.maxSeq)
+	}
+	return fulls, partials, maxSeq
+}
+
+// classifyGroups is the classify + close-meta phase over groups, one at a
+// time in the order given.
+func (k *Pblk) classifyGroups(p *sim.Proc, groups []*group) (fulls, partials []found, maxSeq uint64) {
+	for _, g := range groups {
 		switch g.state {
 		case stSys, stBad:
 			continue
@@ -191,7 +215,9 @@ func (k *Pblk) classifySequential(p *sim.Proc) (fulls, partials []found, maxSeq 
 		}
 		if gid != g.id {
 			// Foreign or torn metadata: reclaim the group.
-			if err := k.eraseGroupRaw(p, g); err == nil {
+			if k.eraseGroup(p, g) == nil {
+				g.erases++
+				k.eraseTotal++
 				g.state = stFree
 			} else {
 				g.state = stBad
@@ -204,210 +230,12 @@ func (k *Pblk) classifySequential(p *sim.Proc) (fulls, partials []found, maxSeq 
 		}
 		if metaSeq, stream, lbas, stamps, ok := k.readCloseMeta(p, g); ok && metaSeq == seq {
 			g.stream = stream
-			fulls = append(fulls, found{g: g, seq: seq, lbas: lbas, stamps: stamps, full: true})
+			fulls = append(fulls, found{g: g, seq: seq, lbas: lbas, stamps: stamps})
 		} else {
 			partials = append(partials, found{g: g, seq: seq})
 		}
 	}
-	return fulls, partials, maxSeq, nil
-}
-
-// scanResult kinds recorded by the parallel classify chains.
-const (
-	srNone = iota
-	srFull
-	srPartial
-)
-
-// scanPU is one PU's classify chain: it walks the PU's groups in block
-// order with exactly one vector read in flight (classify read, close-meta
-// units, or a reclaim erase), recording per-group results. All chains run
-// concurrently in virtual time — mount-time recovery scans the device at
-// full PU parallelism — and everything executes as Submit callbacks, so
-// the scan costs no goroutines.
-type scanPU struct {
-	st     *scanState
-	groups []*group
-	gi     int
-	cur    *group
-	curSeq uint64
-	mUnit  int
-	mBuf   []byte
-}
-
-// scanState is the shared bookkeeping of one parallel classify phase.
-type scanState struct {
-	k         *Pblk
-	remaining int
-	done      *sim.Event
-	maxSeq    uint64
-	results   []struct {
-		kind   uint8
-		stream uint8
-		lbas   []int64
-		stamps []uint64
-	}
-}
-
-// classifyParallel runs the classify + close-meta phase with one chain per
-// PU, then assembles the results in group-id order so downstream phases
-// see exactly what the sequential scan produces.
-func (k *Pblk) classifyParallel(p *sim.Proc) (fulls, partials []found, maxSeq uint64) {
-	st := &scanState{k: k, done: k.env.NewEvent()}
-	st.results = make([]struct {
-		kind   uint8
-		stream uint8
-		lbas   []int64
-		stamps []uint64
-	}, len(k.groups))
-	perPU := make([][]*group, k.nPUs)
-	for _, g := range k.groups {
-		switch g.state {
-		case stSys, stBad:
-			continue
-		}
-		perPU[g.gpu] = append(perPU[g.gpu], g)
-	}
-	var chains []*scanPU
-	for _, groups := range perPU {
-		if len(groups) == 0 {
-			continue
-		}
-		chains = append(chains, &scanPU{st: st, groups: groups})
-	}
-	st.remaining = len(chains)
-	if st.remaining == 0 {
-		return nil, nil, 0
-	}
-	for _, s := range chains {
-		s.next()
-	}
-	p.Wait(st.done)
-
-	for _, g := range k.groups {
-		r := &st.results[g.id]
-		switch r.kind {
-		case srFull:
-			g.stream = r.stream
-			fulls = append(fulls, found{g: g, seq: g.seq, lbas: r.lbas, stamps: r.stamps, full: true})
-		case srPartial:
-			partials = append(partials, found{g: g, seq: g.seq})
-		}
-	}
-	return fulls, partials, st.maxSeq
-}
-
-// next advances the chain to its next group's classify read, or retires
-// the chain.
-func (s *scanPU) next() {
-	k := s.st.k
-	if s.gi >= len(s.groups) {
-		s.st.remaining--
-		if s.st.remaining == 0 {
-			s.st.done.Signal()
-		}
-		return
-	}
-	s.cur = s.groups[s.gi]
-	s.gi++
-	addrs := k.unitAddrs(s.cur, 0)[:1]
-	k.dev.Submit(&ocssd.Vector{Op: ocssd.OpRead, Addrs: addrs}, s.onClassify)
-}
-
-func (s *scanPU) onClassify(c *ocssd.Completion) {
-	k := s.st.k
-	g := s.cur
-	gid, seq, _, state := classifyCompletion(c)
-	k.dev.Recycle(c)
-	switch state {
-	case stFree:
-		g.state = stFree
-		s.next()
-		return
-	case stBad:
-		g.state = stBad
-		k.Stats.BadBlocks++
-		s.next()
-		return
-	}
-	if gid != g.id {
-		// Foreign or torn metadata: reclaim the group.
-		ch, pu := k.dev.PUAddr(g.gpu)
-		addrs := make([]ppa.Addr, k.geo.PlanesPerPU)
-		for pl := range addrs {
-			addrs[pl] = ppa.Addr{Ch: ch, PU: pu, Plane: pl, Block: g.blk}
-		}
-		k.dev.Submit(&ocssd.Vector{Op: ocssd.OpErase, Addrs: addrs}, s.onReclaim)
-		return
-	}
-	g.seq = seq
-	s.curSeq = seq
-	if seq > s.st.maxSeq {
-		s.st.maxSeq = seq
-	}
-	s.mUnit = 0
-	need := k.metaUnits * k.unitSectors * k.geo.SectorSize
-	if cap(s.mBuf) < need {
-		s.mBuf = make([]byte, need)
-	}
-	s.mBuf = s.mBuf[:need]
-	clear(s.mBuf)
-	s.submitMeta()
-}
-
-func (s *scanPU) onReclaim(c *ocssd.Completion) {
-	k := s.st.k
-	g := s.cur
-	if c.Failed() {
-		g.state = stBad
-	} else {
-		g.erases++
-		k.eraseTotal++
-		g.state = stFree
-	}
-	k.dev.Recycle(c)
-	s.next()
-}
-
-// submitMeta issues the next close-metadata unit read of the current group.
-func (s *scanPU) submitMeta() {
-	k := s.st.k
-	addrs := k.unitAddrs(s.cur, k.firstMetaUnit()+s.mUnit)
-	k.dev.Submit(&ocssd.Vector{Op: ocssd.OpRead, Addrs: addrs}, s.onMeta)
-}
-
-func (s *scanPU) onMeta(c *ocssd.Completion) {
-	k := s.st.k
-	g := s.cur
-	ss := k.geo.SectorSize
-	for i := 0; i < k.unitSectors; i++ {
-		if c.Errs[i] != nil {
-			// Unreadable metadata: the group recovers as partial.
-			k.dev.Recycle(c)
-			s.st.results[g.id].kind = srPartial
-			s.next()
-			return
-		}
-		if d := c.Data[i]; d != nil {
-			copy(s.mBuf[(s.mUnit*k.unitSectors+i)*ss:], d)
-		}
-	}
-	k.dev.Recycle(c)
-	s.mUnit++
-	if s.mUnit < k.metaUnits {
-		s.submitMeta()
-		return
-	}
-	r := &s.st.results[g.id]
-	if seq, stream, lbas, stamps, ok := k.parseCloseMeta(s.mBuf); ok && seq == s.curSeq {
-		r.kind = srFull
-		r.stream = stream
-		r.lbas = lbas
-		r.stamps = stamps
-	} else {
-		r.kind = srPartial
-	}
-	s.next()
+	return fulls, partials, maxSeq
 }
 
 // classifyGroup reads a group's open mark. state is stFree for erased
@@ -416,7 +244,10 @@ func (s *scanPU) onMeta(c *ocssd.Completion) {
 func (k *Pblk) classifyGroup(p *sim.Proc, g *group) (gid int, seq uint64, prev int64, state groupState) {
 	addrs := k.unitAddrs(g, 0)[:1]
 	c := k.dev.Do(p, &ocssd.Vector{Op: ocssd.OpRead, Addrs: addrs})
-	return classifyCompletion(c)
+	gid, seq, prev, state = classifyCompletion(c)
+	// parseOpenMark extracts values; nothing retains c after this point.
+	k.dev.Recycle(c)
+	return gid, seq, prev, state
 }
 
 // classifyCompletion interprets an open-mark read.
@@ -505,18 +336,17 @@ func (k *Pblk) waitGroupClosed(p *sim.Proc, g *group) {
 	}
 }
 
-// eraseGroupRaw erases all plane blocks of a group directly.
-func (k *Pblk) eraseGroupRaw(p *sim.Proc, g *group) error {
+// eraseGroup erases every plane block of g and reports the first failure.
+// It counts nothing: what an erase does to g.erases, k.eraseTotal and Stats
+// differs by caller (recovery, GC, the snapshot area), and each keeps its own.
+func (k *Pblk) eraseGroup(p *sim.Proc, g *group) error {
 	ch, pu := k.dev.PUAddr(g.gpu)
 	addrs := make([]ppa.Addr, k.geo.PlanesPerPU)
 	for pl := range addrs {
 		addrs[pl] = ppa.Addr{Ch: ch, PU: pu, Plane: pl, Block: g.blk}
 	}
 	c := k.dev.Do(p, &ocssd.Vector{Op: ocssd.OpErase, Addrs: addrs})
-	if c.Failed() {
-		return c.FirstErr()
-	}
-	g.erases++
-	k.eraseTotal++
-	return nil
+	err := c.FirstErr()
+	k.dev.Recycle(c)
+	return err
 }

@@ -218,52 +218,3 @@ func (f Format) FromSectorIndex(idx int64) Addr {
 	a.Ch = int(idx)
 	return a
 }
-
-// BlockID identifies a physical block (all pages within one plane's block).
-type BlockID struct {
-	Ch, PU, Plane, Block int
-}
-
-// BlockOf returns the block containing a.
-func (a Addr) BlockOf() BlockID {
-	return BlockID{Ch: a.Ch, PU: a.PU, Plane: a.Plane, Block: a.Block}
-}
-
-// Addr returns the address of sector (page, sector) within block b.
-func (b BlockID) Addr(page, sector int) Addr {
-	return Addr{Ch: b.Ch, PU: b.PU, Plane: b.Plane, Block: b.Block, Page: page, Sector: sector}
-}
-
-func (b BlockID) String() string {
-	return fmt.Sprintf("blk{ch=%d pu=%d pl=%d blk=%d}", b.Ch, b.PU, b.Plane, b.Block)
-}
-
-// BlockIndex flattens b into a dense device-wide block index ordered
-// ch, pu, plane, block.
-func (f Format) BlockIndex(b BlockID) int {
-	g := f.geo
-	idx := b.Ch
-	idx = idx*g.PUsPerChannel + b.PU
-	idx = idx*g.PlanesPerPU + b.Plane
-	idx = idx*g.BlocksPerPlane + b.Block
-	return idx
-}
-
-// FromBlockIndex inverts BlockIndex.
-func (f Format) FromBlockIndex(idx int) BlockID {
-	g := f.geo
-	b := BlockID{}
-	b.Block = idx % g.BlocksPerPlane
-	idx /= g.BlocksPerPlane
-	b.Plane = idx % g.PlanesPerPU
-	idx /= g.PlanesPerPU
-	b.PU = idx % g.PUsPerChannel
-	idx /= g.PUsPerChannel
-	b.Ch = idx
-	return b
-}
-
-// TotalBlocks returns the number of physical blocks on the device.
-func (g Geometry) TotalBlocks() int {
-	return g.Channels * g.PUsPerChannel * g.PlanesPerPU * g.BlocksPerPlane
-}

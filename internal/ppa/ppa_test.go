@@ -45,9 +45,6 @@ func TestGeometryCapacity(t *testing.T) {
 	if g.TotalSectors()*int64(g.SectorSize) != g.TotalBytes() {
 		t.Fatal("sector accounting inconsistent")
 	}
-	if g.TotalBlocks() != 16*8*4*1067 {
-		t.Fatalf("TotalBlocks = %d", g.TotalBlocks())
-	}
 }
 
 func TestBitsFor(t *testing.T) {
@@ -162,33 +159,6 @@ func TestGlobalPU(t *testing.T) {
 	ch, pu := f.PUAddr(29)
 	if ch != 3 || pu != 5 {
 		t.Fatalf("PUAddr(29) = (%d,%d), want (3,5)", ch, pu)
-	}
-}
-
-func TestBlockIndexRoundTrip(t *testing.T) {
-	f, _ := NewFormat(westlake())
-	g := westlake()
-	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 1000; i++ {
-		b := BlockID{
-			Ch: rng.Intn(g.Channels), PU: rng.Intn(g.PUsPerChannel),
-			Plane: rng.Intn(g.PlanesPerPU), Block: rng.Intn(g.BlocksPerPlane),
-		}
-		if back := f.FromBlockIndex(f.BlockIndex(b)); back != b {
-			t.Fatalf("block index round trip failed: %v -> %v", b, back)
-		}
-	}
-}
-
-func TestBlockOfAndAddr(t *testing.T) {
-	a := Addr{Ch: 1, PU: 2, Plane: 3, Block: 4, Page: 5, Sector: 6}
-	b := a.BlockOf()
-	if b != (BlockID{Ch: 1, PU: 2, Plane: 3, Block: 4}) {
-		t.Fatalf("BlockOf = %v", b)
-	}
-	a2 := b.Addr(9, 1)
-	if a2.Page != 9 || a2.Sector != 1 || a2.Ch != 1 {
-		t.Fatalf("BlockID.Addr = %v", a2)
 	}
 }
 
