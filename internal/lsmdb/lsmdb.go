@@ -303,6 +303,7 @@ func Open(p *sim.Proc, env *sim.Env, dev Device, cfg Config) (*DB, error) {
 	db.walBatch = env.NewEvent()
 	db.walDone = env.NewEvent()
 	db.flushKick = env.NewEvent()
+	db.stallEv = env.NewEvent()
 	db.compactKick = env.NewEvent()
 	db.advanceEv = env.NewEvent()
 	db.flusherDone = env.NewEvent()
@@ -402,9 +403,7 @@ func (db *DB) write(p *sim.Proc, key, val []byte, tomb bool) error {
 		db.WriteStalls++
 		db.flushKick.Signal()
 		db.compactKick.Signal()
-		if db.stallEv == nil || db.stallEv.Fired() {
-			db.stallEv = db.env.NewEvent()
-		}
+		db.stallEv.Rearm()
 		p.Wait(db.stallEv)
 		if db.stopping {
 			return db.errClosed()
@@ -461,23 +460,15 @@ func (db *DB) errClosed() error {
 	return ErrClosed
 }
 
-func (db *DB) wakeStalled() {
-	if db.stallEv != nil {
-		db.stallEv.Signal()
-	}
-}
-
 // advance signals flush/compaction progress to anyone waiting on WAL
 // space or stall conditions.
 func (db *DB) advance() {
 	db.advanceEv.Signal()
-	db.wakeStalled()
+	db.stallEv.Signal()
 }
 
 func (db *DB) waitAdvance(p *sim.Proc) {
-	if db.advanceEv.Fired() {
-		db.advanceEv = db.env.NewEvent()
-	}
+	db.advanceEv.Rearm()
 	p.Wait(db.advanceEv)
 }
 
@@ -570,9 +561,7 @@ func (db *DB) flusher(p *sim.Proc) {
 			if db.stopping {
 				return
 			}
-			if db.flushKick.Fired() {
-				db.flushKick = db.env.NewEvent()
-			}
+			db.flushKick.Rearm()
 			p.Wait(db.flushKick)
 			continue
 		}
@@ -618,9 +607,7 @@ func (db *DB) compactor(p *sim.Proc) {
 			if db.stopping {
 				return
 			}
-			if db.compactKick.Fired() {
-				db.compactKick = db.env.NewEvent()
-			}
+			db.compactKick.Rearm()
 			p.Wait(db.compactKick)
 			continue
 		}
@@ -663,7 +650,7 @@ func (db *DB) Close(p *sim.Proc) error {
 	db.walKick.Signal()
 	db.flushKick.Signal()
 	db.compactKick.Signal()
-	db.wakeStalled()
+	db.stallEv.Signal()
 	p.Wait(db.walDone)
 	p.Wait(db.flusherDone)
 	p.Wait(db.compactorDone)

@@ -75,9 +75,7 @@ func (db *DB) walAppend(p *sim.Proc, key, val []byte, tomb bool, seq uint64) err
 }
 
 func (db *DB) waitBatch(p *sim.Proc) {
-	if db.walBatch.Fired() {
-		db.walBatch = db.env.NewEvent()
-	}
+	db.walBatch.Rearm()
 	p.Wait(db.walBatch)
 }
 
@@ -92,9 +90,7 @@ func (db *DB) walWriter(p *sim.Proc) {
 			if db.stopping {
 				return
 			}
-			if db.walKick.Fired() {
-				db.walKick = db.env.NewEvent()
-			}
+			db.walKick.Rearm()
 			p.Wait(db.walKick)
 			continue
 		}

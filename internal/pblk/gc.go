@@ -186,18 +186,14 @@ func (k *Pblk) gcLoop(p *sim.Proc) {
 	defer k.gcDone.Signal()
 	for !k.stopping && !k.gcStopping {
 		k.launchVictims()
-		if k.gcKick.Fired() {
-			k.gcKick = k.env.NewEvent()
-		}
+		k.gcKick.Rearm()
 		p.Wait(k.gcKick)
 	}
 	for k.gcInFlight > 0 {
 		if k.crashed {
 			return
 		}
-		if k.gcKick.Fired() {
-			k.gcKick = k.env.NewEvent()
-		}
+		k.gcKick.Rearm()
 		p.Wait(k.gcKick)
 	}
 }

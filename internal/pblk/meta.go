@@ -235,6 +235,7 @@ func (k *Pblk) parseCloseMeta(b []byte) (seq uint64, stream uint8, lbas []int64,
 // open mark or one close-metadata unit: the vector, its slices, a payload
 // arena, one shared pad-OOB record, and the completion callback bound
 // once, so metadata submission allocates nothing in steady state.
+// eraseGroup borrows one for its vector and address slice.
 type metaScratch struct {
 	k        *Pblk
 	g        *group
@@ -258,6 +259,12 @@ func (k *Pblk) getMetaScratch() *metaScratch {
 	ms := &metaScratch{k: k}
 	ms.cbFn = ms.onProgrammed
 	return ms
+}
+
+func (k *Pblk) putMetaScratch(ms *metaScratch) {
+	ms.g = nil
+	ms.vec.Addrs, ms.vec.Data, ms.vec.OOB = nil, nil, nil
+	k.metaScratchFree = append(k.metaScratchFree, ms)
 }
 
 // prep sizes the scratch for one unit on group g: payload sectors are
@@ -313,9 +320,7 @@ func (ms *metaScratch) onProgrammed(c *ocssd.Completion) {
 	if isClose && c.Failed() {
 		k.markSuspect(g)
 	}
-	ms.g = nil
-	ms.vec.Addrs, ms.vec.Data, ms.vec.OOB = nil, nil, nil
-	k.metaScratchFree = append(k.metaScratchFree, ms)
+	k.putMetaScratch(ms)
 	k.dev.Recycle(c)
 	if isClose {
 		g.metaRemaining--

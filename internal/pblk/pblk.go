@@ -578,6 +578,7 @@ func NewView(p *sim.Proc, view *lightnvm.MediaView, name string, cfg Config) (*P
 	k.gcDone = k.env.NewEvent()
 	k.scrubKick = k.env.NewEvent()
 	k.scrubDone = k.env.NewEvent()
+	k.stateEv = k.env.NewEvent()
 	if err := k.recover(p); err != nil {
 		return nil, err
 	}
@@ -850,20 +851,14 @@ func (k *Pblk) Shutdown(p *sim.Proc) error {
 // waitStateChange parks the process until notifyState fires; callers loop,
 // re-checking their condition after each wake.
 func (k *Pblk) waitStateChange(p *sim.Proc) {
-	if k.stateEv == nil || k.stateEv.Fired() {
-		k.stateEv = k.env.NewEvent()
-	}
+	k.stateEv.Rearm()
 	p.Wait(k.stateEv)
 }
 
 // notifyState wakes every process blocked in waitStateChange. It is called
 // on group state transitions and ring drain progress; signalling with no
 // waiters is a no-op.
-func (k *Pblk) notifyState() {
-	if k.stateEv != nil {
-		k.stateEv.Signal()
-	}
-}
+func (k *Pblk) notifyState() { k.stateEv.Signal() }
 
 // quiesce waits until no group is mid-transition and the ring is empty,
 // driven by state-change events rather than a polling sleep loop.

@@ -93,7 +93,6 @@ type rbEntry struct {
 // advances its own sub-queues independently. Positions are monotonically
 // increasing; index = pos % capacity.
 type ring struct {
-	env     *sim.Env
 	e       []rbEntry
 	head    uint64 // next position to produce
 	disp    uint64 // next position to scan into a stream pending list
@@ -107,8 +106,8 @@ type ring struct {
 }
 
 func (r *ring) init(env *sim.Env, capacity int) {
-	r.env = env
 	r.e = make([]rbEntry, capacity)
+	r.spaceEv = env.NewEvent()
 }
 
 func (r *ring) capacity() int { return len(r.e) }
@@ -147,9 +146,7 @@ func (k *Pblk) produce(lba int64, data []byte, isGC bool, origin int, hint uint8
 // waitSpace blocks the producing process until at least one free slot
 // exists. Callers re-check their own admission condition after waking.
 func (r *ring) waitSpace(p *sim.Proc) {
-	if r.spaceEv == nil || r.spaceEv.Fired() {
-		r.spaceEv = r.env.NewEvent()
-	}
+	r.spaceEv.Rearm()
 	p.Wait(r.spaceEv)
 }
 
@@ -157,17 +154,11 @@ func (r *ring) waitSpace(p *sim.Proc) {
 // signalled, in the same FIFO order as blocked processes. Callers re-check
 // their admission condition when fn runs.
 func (r *ring) waitSpaceFn(fn func()) {
-	if r.spaceEv == nil || r.spaceEv.Fired() {
-		r.spaceEv = r.env.NewEvent()
-	}
+	r.spaceEv.Rearm()
 	r.spaceEv.OnFire(fn)
 }
 
-func (r *ring) signalSpace() {
-	if r.spaceEv != nil {
-		r.spaceEv.Signal()
-	}
-}
+func (r *ring) signalSpace() { r.spaceEv.Signal() }
 
 // advanceTail frees contiguous done entries and returns how many were
 // released. Lanes complete units out of order with respect to each other,

@@ -341,12 +341,15 @@ func (k *Pblk) waitGroupClosed(p *sim.Proc, g *group) {
 // differs by caller (recovery, GC, the snapshot area), and each keeps its own.
 func (k *Pblk) eraseGroup(p *sim.Proc, g *group) error {
 	ch, pu := k.dev.PUAddr(g.gpu)
-	addrs := make([]ppa.Addr, k.geo.PlanesPerPU)
-	for pl := range addrs {
-		addrs[pl] = ppa.Addr{Ch: ch, PU: pu, Plane: pl, Block: g.blk}
+	ms := k.getMetaScratch() // its own: several movers can sit in Do at once
+	ms.addrs = ms.addrs[:0]
+	for pl := 0; pl < k.geo.PlanesPerPU; pl++ {
+		ms.addrs = append(ms.addrs, ppa.Addr{Ch: ch, PU: pu, Plane: pl, Block: g.blk})
 	}
-	c := k.dev.Do(p, &ocssd.Vector{Op: ocssd.OpErase, Addrs: addrs})
+	ms.vec.Op, ms.vec.Addrs = ocssd.OpErase, ms.addrs
+	c := k.dev.Do(p, &ms.vec)
 	err := c.FirstErr()
 	k.dev.Recycle(c)
+	k.putMetaScratch(ms)
 	return err
 }

@@ -25,9 +25,7 @@ func (k *Pblk) scrubLoop(p *sim.Proc) {
 	defer k.scrubDone.Signal()
 	for !k.stopping && !k.scrubStopping {
 		next := k.scrubSweep()
-		if k.scrubKick.Fired() {
-			k.scrubKick = k.env.NewEvent()
-		}
+		k.scrubKick.Rearm()
 		k.armScrubTimer(next)
 		p.Wait(k.scrubKick)
 	}

@@ -344,12 +344,9 @@ func (k *Pblk) laneWriter(p *sim.Proc, s *slot) {
 }
 
 // laneWait parks the writer until its lane is kicked. The kick event is
-// reused (Reset) across cycles: the lane writer is its only waiter, so a
-// fired kick never has parked waiters left to lose.
+// re-armed across cycles; the lane writer is its only waiter.
 func (k *Pblk) laneWait(p *sim.Proc, s *slot) {
-	if s.kick.Fired() {
-		s.kick.Reset()
-	}
+	s.kick.Rearm()
 	s.waits++
 	p.Wait(s.kick)
 }

@@ -507,6 +507,17 @@ func (ev *Event) Reset() {
 	ev.fired = false
 }
 
+// Rearm makes ev waitable again if it has fired and leaves it alone (parked
+// waiters included) if it has not: the step a loop takes before it waits
+// once more on its one long-lived event. It stands in for a fresh NewEvent
+// only where every waiter and signaller reads the event from its owner's
+// field on each use — a pointer kept across a Rearm sees the next cycle.
+func (ev *Event) Rearm() {
+	if ev.fired {
+		ev.Reset()
+	}
+}
+
 // OnFire registers fn to run when the event fires; if the event already
 // fired, fn is scheduled immediately.
 func (ev *Event) OnFire(fn func()) {

@@ -327,3 +327,53 @@ func TestNegativeSleepPanics(t *testing.T) {
 	}()
 	env.Run()
 }
+
+// A loop that waits again and again on one long-lived event re-arms it
+// instead of replacing it: a signal → re-arm → wait cycle allocates nothing,
+// for a process waiter and for an OnFire waiter alike.
+func TestRearmedEventAllocatesNothing(t *testing.T) {
+	env := NewEnv(1)
+	procEv, fnEv := env.NewEvent(), env.NewEvent()
+	wakes := 0
+	env.Go("waiter", func(p *Proc) {
+		for {
+			procEv.Rearm()
+			p.Wait(procEv)
+			wakes++
+		}
+	})
+	var onFire func()
+	onFire = func() {
+		wakes++
+		fnEv.Rearm()
+		fnEv.OnFire(onFire)
+	}
+	fnEv.OnFire(onFire)
+	env.Run()
+	allocs := testing.AllocsPerRun(100, func() {
+		procEv.Signal()
+		fnEv.Signal()
+		env.Run()
+	})
+	if allocs != 0 {
+		t.Errorf("%.1f allocations per cycle, want 0", allocs)
+	}
+	if wakes != 2*101 {
+		t.Errorf("%d wake-ups over 101 cycles of two waiters", wakes)
+	}
+
+	// Both waiters are parked again: Rearm leaves an unfired event and its
+	// waiters alone, Reset refuses to strand them.
+	procEv.Rearm()
+	procEv.Signal()
+	env.Run()
+	if wakes != 2*101+1 {
+		t.Error("Rearm of an unfired event lost its parked waiter")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Reset of an event with parked waiters did not panic")
+		}
+	}()
+	fnEv.Reset()
+}

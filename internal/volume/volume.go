@@ -63,23 +63,37 @@ type Stats struct {
 // mirrorSet is one stripe column: its replicas and, while a spare is
 // being filled, the rebuild state.
 type mirrorSet struct {
-	idx     int
-	v       *Volume
-	reps    []*Member
-	rb      *rebuild
-	scratch []*Member // readCandidates reuse; sim context is single-threaded
+	idx  int
+	v    *Volume
+	reps []*Member
+	rb   *rebuild
+	next int // read cursor: pickRead's next position in reps
 }
 
-// readCandidates returns the replicas able to serve reads right now. The
-// returned slice is scratch, valid until the next call on this set.
-func (s *mirrorSet) readCandidates() []*Member {
-	s.scratch = s.scratch[:0]
+// healthy returns the replicas able to serve reads right now.
+func (s *mirrorSet) healthy() []*Member {
+	var live []*Member
 	for _, m := range s.reps {
 		if m.state == StateHealthy {
-			s.scratch = append(s.scratch, m)
+			live = append(live, m)
 		}
 	}
-	return s.scratch
+	return live
+}
+
+// pickRead returns the replica a chunk read goes to: the set's healthy
+// replicas in turn, by a cursor of the set's own — one shared by the columns
+// advances once per chunk and phase-locks with a request of one chunk per
+// column. It returns nil when no replica is healthy.
+func (s *mirrorSet) pickRead() *Member {
+	for range s.reps {
+		m := s.reps[s.next%len(s.reps)]
+		s.next++
+		if m.state == StateHealthy {
+			return m
+		}
+	}
+	return nil
 }
 
 // degraded reports whether the column is short of fully-synced replicas.
@@ -108,7 +122,6 @@ type Volume struct {
 
 	rebuildCfg RebuildConfig
 
-	rr    uint64 // deterministic read round-robin across replicas
 	stats Stats
 
 	sync *blockdev.SyncAdapter // the blocking Device calls, over issue
@@ -385,8 +398,8 @@ func (v *Volume) putReadOp(op *readOp) {
 
 func (op *readOp) start() {
 	v := op.fo.v
-	cands := op.set.readCandidates()
-	if len(cands) == 0 {
+	m := op.set.pickRead()
+	if m == nil {
 		fo := op.fo
 		v.putReadOp(op)
 		fo.failAsync(ErrNoReplica)
@@ -395,8 +408,6 @@ func (op *readOp) start() {
 	if op.set.degraded() {
 		v.stats.DegradedReads++
 	}
-	m := cands[int(v.rr%uint64(len(cands)))]
-	v.rr++
 	op.sub.Op, op.sub.Off, op.sub.Buf, op.sub.Length, op.sub.Err =
 		blockdev.ReqRead, op.off, op.buf, op.n, nil
 	m.submit(&op.sub)
@@ -419,7 +430,7 @@ func (op *readOp) complete(r *blockdev.Request) {
 	}
 	if op.attempts < retryLimit*len(op.set.reps) {
 		v.stats.RetriedReads++
-		op.start() // round-robin moves on to the next replica
+		op.start() // the cursor moves on to the next replica
 		return
 	}
 	fo, err := op.fo, r.Err
@@ -852,19 +863,17 @@ type ResyncReport struct {
 // column chunk by chunk, compares the replicas, and repairs divergence by
 // rewriting the other replicas from the first live one. After a power cut
 // the replicas can legitimately diverge on writes that were still in
-// flight (never acknowledged); resync converges them so round-robin reads
-// are single-valued again. Acknowledged, flushed data is identical on all
-// replicas already and is never altered.
+// flight (never acknowledged); resync converges them so a read returns the
+// same bytes whichever replica serves it. Acknowledged, flushed data is
+// identical on all replicas already and is never altered.
 func (v *Volume) Resync(p *sim.Proc) (ResyncReport, error) {
 	var rep ResyncReport
 	start := v.env.Now()
 	for _, set := range v.sets {
-		live := set.readCandidates()
-		if len(live) < 2 {
+		reps := set.healthy()
+		if len(reps) < 2 {
 			continue
 		}
-		// Stable copy: scratch is reused by concurrent reads.
-		reps := append([]*Member(nil), live...)
 		bufs := make([][]byte, len(reps))
 		for i := range bufs {
 			bufs[i] = make([]byte, v.chunk)

@@ -164,6 +164,7 @@ func TestMirrorDegradedServing(t *testing.T) {
 		if !v.Degraded() {
 			t.Fatal("volume not degraded after member death")
 		}
+		deadReads := mgr.Member(1).SubReads
 		// Every acknowledged byte still reads back, and new writes land.
 		readVerify(t, p, v, 0, total, 0x3C, "degraded readback")
 		writeRange(t, p, v, total, 1<<20, 0x3C)
@@ -172,8 +173,10 @@ func TestMirrorDegradedServing(t *testing.T) {
 		if st.DegradedReads == 0 || st.MemberDeaths != 1 {
 			t.Errorf("stats after death: %+v", st)
 		}
-		if r := mgr.Member(1).SubReads; r != mgr.Member(1).SubReads {
-			t.Errorf("dead member still receiving reads: %d", r)
+		// A read routed to the dead member bounces off its death gate and is
+		// retried on the survivor: it shows as a retry, not in SubReads.
+		if r := mgr.Member(1).SubReads; r != deadReads || st.RetriedReads != 0 {
+			t.Errorf("dead member still routed reads: SubReads %d -> %d, %d retries", deadReads, r, st.RetriedReads)
 		}
 	})
 }
