@@ -109,7 +109,7 @@ func TestQueueWritePathAllocations(t *testing.T) {
 	})
 	env.Run()
 	t.Logf("%.4f allocations per request", got)
-	const bound = 0.0123 // measured: 224 allocations per 20000 requests, + 10 %
+	const bound = 0.0093 // measured: 168 allocations per 20000 requests, + 10 %
 	if got > bound {
 		t.Fatalf("%.4f allocations per request, want at most %.4f", got, bound)
 	}

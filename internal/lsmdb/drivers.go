@@ -34,10 +34,7 @@ func (db *DB) benchKey(dst []byte, i int64) []byte {
 	if n < 8 {
 		n = 8
 	}
-	dst = dst[:0]
-	for len(dst) < n-8 {
-		dst = append(dst, 0)
-	}
+	dst = padTo(dst[:0], n-8)
 	var b [8]byte
 	binary.BigEndian.PutUint64(b[:], uint64(i))
 	return append(dst, b[:]...)

@@ -355,6 +355,21 @@ func (db *DB) entrySize() int64 { return int64(db.cfg.KeySize + db.cfg.ValueSize
 
 func (db *DB) sectorAlign(n int64) int64 { return (n + db.ss - 1) / db.ss * db.ss }
 
+// padSector zero-pads buf to the next sector boundary.
+func (db *DB) padSector(buf []byte) []byte {
+	return padTo(buf, int(db.sectorAlign(int64(len(buf)))))
+}
+
+// padTo appends zeros until buf is n bytes long (the compiler turns the
+// append of a fresh make into grow-and-clear, with no temporary); a buf
+// already that long comes back as it is.
+func padTo(buf []byte, n int) []byte {
+	if n <= len(buf) {
+		return buf
+	}
+	return append(buf, make([]byte, n-len(buf))...)
+}
+
 // asyncTrim discards a dead extent without blocking: fire-and-forget
 // through the request pool. The FTL drops the mappings, so the erased
 // table's sectors become zero-cost garbage instead of data GC would move.

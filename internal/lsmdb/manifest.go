@@ -148,9 +148,7 @@ func (db *DB) commitManifest(p *sim.Proc) error {
 	binary.LittleEndian.PutUint32(scratch[0:4], crc)
 	buf = append(buf, scratch[0:4]...)
 	wlen := db.sectorAlign(int64(len(buf)))
-	for int64(len(buf)) < wlen {
-		buf = append(buf, 0)
-	}
+	buf = padTo(buf, int(wlen))
 	db.manifestBuf = buf
 	slot := int64(db.manifestVer % 2)
 	if err := db.blk.Write(p, slot*manifestSlotSize, buf, wlen); err != nil {

@@ -95,10 +95,7 @@ func bloomBuild(dst []byte, hashes []uint64) []byte {
 		bits = 64
 	}
 	nb := (bits + 7) / 8
-	dst = append(dst[:0], byte(k))
-	for i := 0; i < nb; i++ {
-		dst = append(dst, 0)
-	}
+	dst = padTo(append(dst[:0], byte(k)), 1+nb)
 	arr := dst[1:]
 	m := uint64(nb * 8)
 	for _, h := range hashes {
@@ -218,10 +215,7 @@ func (b *tableBuilder) finishBlock() {
 	}
 	binary.LittleEndian.PutUint16(b.buf[b.blockStart:b.blockStart+2], uint16(b.blockCount))
 	// Pad the block to a sector boundary.
-	want := int(b.db.sectorAlign(int64(len(b.buf))))
-	for len(b.buf) < want {
-		b.buf = append(b.buf, 0)
-	}
+	b.buf = b.db.padSector(b.buf)
 	ko := int32(len(b.keyArena))
 	b.keyArena = append(b.keyArena, b.lastKey...)
 	b.keySpan = append(b.keySpan, [2]int32{ko, int32(len(b.lastKey))})
@@ -240,10 +234,7 @@ func (b *tableBuilder) finish(p *sim.Proc) (*tableMeta, error) {
 	bloomOff := len(b.buf)
 	b.buf = append(b.buf, bloom...)
 	bloomLen := len(b.buf) - bloomOff
-	want := int(db.sectorAlign(int64(len(b.buf))))
-	for len(b.buf) < want {
-		b.buf = append(b.buf, 0)
-	}
+	b.buf = db.padSector(b.buf)
 	indexOff := len(b.buf)
 	var n4 [4]byte
 	binary.LittleEndian.PutUint32(n4[:], uint32(len(b.blockOff)))
@@ -258,18 +249,13 @@ func (b *tableBuilder) finish(p *sim.Proc) (*tableMeta, error) {
 		b.buf = append(b.buf, b.keyArena[sp[0]:sp[0]+sp[1]]...)
 	}
 	indexLen := len(b.buf) - indexOff
-	want = int(db.sectorAlign(int64(len(b.buf))))
-	for len(b.buf) < want {
-		b.buf = append(b.buf, 0)
-	}
+	b.buf = db.padSector(b.buf)
 	if db.slotPad {
 		// Erase-unit alignment: fill the slot (minus the footer sector) so
 		// this table consumes exactly one reclaim unit of the FTL's append
 		// stream. The footer stays in the slot's last sector, where recovery
 		// scans for it.
-		for int64(len(b.buf)) < db.tableSlot-db.ss {
-			b.buf = append(b.buf, 0)
-		}
+		b.buf = padTo(b.buf, int(db.tableSlot-db.ss))
 	}
 	var foot [tableFooterLen]byte
 	binary.LittleEndian.PutUint64(foot[0:8], tableMagic)
@@ -279,10 +265,7 @@ func (b *tableBuilder) finish(p *sim.Proc) (*tableMeta, error) {
 	binary.LittleEndian.PutUint32(foot[24:28], uint32(indexOff))
 	binary.LittleEndian.PutUint32(foot[28:32], uint32(indexLen))
 	b.buf = append(b.buf, foot[:]...)
-	want = int(db.sectorAlign(int64(len(b.buf))))
-	for len(b.buf) < want {
-		b.buf = append(b.buf, 0)
-	}
+	b.buf = db.padSector(b.buf)
 
 	size := int64(len(b.buf))
 	// One table image at a time: interleaved flush/compaction chunks would

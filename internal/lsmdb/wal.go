@@ -126,9 +126,7 @@ func (db *DB) walWriter(p *sim.Proc) {
 		binary.LittleEndian.PutUint32(hdr[20:24], uint32(len(payload)))
 		frame = append(frame, hdr[:]...)
 		frame = append(frame, payload...)
-		for int64(len(frame)) < batchLen {
-			frame = append(frame, 0)
-		}
+		frame = padTo(frame, int(batchLen))
 		db.walFrame = frame
 		db.walSpare = payload // recycled as the next swap buffer
 		err := db.blk.Write(p, db.walBase+db.walHead%db.walSize, frame, batchLen)

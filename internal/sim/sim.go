@@ -3,17 +3,21 @@
 // The engine replaces wall-clock time with a virtual clock so that device
 // models can expose microsecond-accurate latency behaviour while running as
 // fast as the host CPU allows. Simulated activities are modelled either as
-// scheduled callbacks or as processes: goroutines that run one at a time and
+// scheduled callbacks or as processes: coroutines that run one at a time and
 // hand control back to the scheduler whenever they block on time (Sleep),
 // on a condition (Event), or on a contended Resource.
 //
 // The callback form is the engine's fast path: a continuation scheduled
 // with Schedule, woken by Event.OnFire, or granted a unit through
-// Resource.AcquireFn costs one event-queue entry and zero goroutine
-// context switches. The process form costs a goroutine plus two channel
-// handoffs per block/resume and is kept for workloads and tests, where
-// straight-line blocking code is worth the overhead. Both forms share the
-// same FIFO wait queues, so they interleave deterministically.
+// Resource.AcquireFn costs one event-queue entry and no context switch.
+// The process form adds two coroutine switches per block/resume (iter.Pull's
+// next and yield: a direct switch between two goroutines, no channel and no
+// trip through the Go scheduler) and is what kernel-thread-shaped code —
+// lane writers, GC movers, lsmdb's threads, workloads and tests — is
+// written in, where straight-line blocking code is worth that. A process
+// borrows its coroutine from a per-Env pool of carriers, so starting one
+// costs one allocation and no goroutine. Both forms share the same FIFO
+// wait queues, so they interleave deterministically.
 //
 // Determinism: at most one process runs at any instant, events that fire at
 // the same virtual time execute in schedule order, and all randomness is
@@ -23,7 +27,9 @@ package sim
 
 import (
 	"fmt"
+	"iter"
 	"math/rand"
+	"runtime/debug"
 	"time"
 )
 
@@ -64,14 +70,13 @@ type Env struct {
 	timedAt  time.Duration // never when no timed event is pending
 	timedSrc int           // lane index, or srcHeap
 
-	// yield is the handoff channel: a running process signals it when it
-	// blocks or terminates, returning control to the scheduler.
-	yield chan struct{}
+	// idle holds the carriers no process is bound to, most recently freed
+	// last; resumeProc binds from the end.
+	idle []*carrier
 
 	rng      *rand.Rand
-	panicked any
-	inProc   *Proc // process currently holding control, nil if scheduler
-	spawns   int64 // total Go calls, for asserting goroutine-free fast paths
+	panicked *ProcPanic // set by the carrier whose process panicked, raised by resumeProc
+	spawns   int64      // total Go calls, for asserting goroutine-free fast paths
 }
 
 const (
@@ -85,7 +90,6 @@ const (
 // source is seeded with seed.
 func NewEnv(seed int64) *Env {
 	return &Env{
-		yield:   make(chan struct{}),
 		rng:     rand.New(rand.NewSource(seed)),
 		timedAt: never,
 	}
@@ -337,14 +341,16 @@ func (e *Env) runThrough(limit time.Duration) {
 
 // ProcPanic is what Run panics with when a process panicked: the process's
 // own panic value, kept as it was so that a caller who recovers can tell a
-// failure it raised itself from a bug.
+// failure it raised itself from a bug, and the process's stack at the panic
+// (the trace the runtime prints for a ProcPanic is the scheduler's).
 type ProcPanic struct {
 	Proc  string
 	Value any
+	Stack []byte
 }
 
 func (pp ProcPanic) Error() string {
-	return fmt.Sprintf("sim: process %q panicked: %v", pp.Proc, pp.Value)
+	return fmt.Sprintf("sim: process %q panicked: %v\n%s", pp.Proc, pp.Value, pp.Stack)
 }
 
 // Run executes queued events until the queue drains. It panics with a
@@ -365,53 +371,103 @@ func (e *Env) RunUntil(t time.Duration) {
 // RunFor advances the simulation by d from the current time.
 func (e *Env) RunFor(d time.Duration) { e.RunUntil(e.now + d) }
 
-// resumeProc is the event form of a process wake-up: hand control to the
-// process and wait until it blocks again or terminates.
+// resumeProc is the event form of a process wake-up: switch to the
+// process's coroutine and return when it blocks again or terminates. A
+// process gets its carrier here, at its first resume, not in Go: a batch of
+// processes started together that each finish without outliving the next
+// one's start then shares one carrier.
 func resumeProc(arg any) {
 	p := arg.(*Proc)
 	if p.done {
 		return
 	}
 	e := p.env
-	e.inProc = p
-	p.resume <- struct{}{}
-	<-e.yield
-	e.inProc = nil
-	if e.panicked != nil {
-		v := e.panicked
+	c := p.carrier
+	if c == nil {
+		if n := len(e.idle); n > 0 {
+			c, e.idle[n-1] = e.idle[n-1], nil
+			e.idle = e.idle[:n-1]
+		} else {
+			c = newCarrier()
+		}
+		c.p, p.carrier = p, c
+	}
+	c.next()
+	if pp := e.panicked; pp != nil {
 		e.panicked = nil
-		panic(ProcPanic{p.name, v})
+		panic(*pp)
 	}
 }
 
-// Proc is a simulation process: a goroutine interleaved with the scheduler.
-// All Proc methods must be called from the process's own goroutine.
+// carrier is a coroutine that runs one process after another. iter.Pull
+// costs some ten allocations and a goroutine; a carrier pays them once and a
+// process only borrows it, from its first resume until its function
+// returns. Which idle carrier a process gets decides nothing but which host
+// stack it runs on, so the idle list's order cannot reach a simulated
+// result.
+//
+// Carriers are never stopped: one that is idle, or parked under a process
+// that will not be woken again, keeps its goroutine for the life of the
+// program, as a parked process's goroutine always did. An idle carrier
+// refers to no Env.
+type carrier struct {
+	next  func() (struct{}, bool) // scheduler side: switch to the coroutine
+	yield func(struct{}) bool     // coroutine side: switch back
+	p     *Proc                   // bound process, nil while idle
+}
+
+func newCarrier() *carrier {
+	c := new(carrier)
+	c.next, _ = iter.Pull(func(yield func(struct{}) bool) {
+		c.yield = yield
+		for {
+			e := c.p.env
+			c.run()
+			e.idle = append(e.idle, c)
+			yield(struct{}{})
+		}
+	})
+	return c
+}
+
+// run executes the bound process to its end — return, panic or Goexit — and
+// unbinds it.
+func (c *carrier) run() {
+	p := c.p
+	defer func() {
+		if r := recover(); r != nil {
+			p.env.panicked = &ProcPanic{p.name, r, debug.Stack()}
+		}
+		c.p, p.carrier, p.fn = nil, nil, nil
+		p.done = true
+		p.doneEv.Signal()
+	}()
+	p.fn(p)
+}
+
+// Proc is a simulation process: a coroutine interleaved with the scheduler.
+// All Proc methods must be called from the process's own function.
 type Proc struct {
-	env    *Env
-	name   string
-	resume chan struct{}
-	done   bool
-	doneEv *Event
+	env     *Env
+	name    string
+	fn      func(p *Proc)
+	carrier *carrier // nil before the first resume and after fn returns
+	done    bool
+	doneEv  Event
 }
 
 // Go starts a new process executing fn. The process begins at the current
 // virtual time, after already-queued events for this instant.
+//
+// fn runs on a goroutine of its own, but never concurrently with the
+// scheduler or another process. A panic in it surfaces from Run as a
+// ProcPanic. A runtime.Goexit in it (t.FailNow, t.Fatal, t.Skip) ends the
+// goroutine that called Run as well, after that goroutine's deferred calls:
+// the simulation does not run on past a fatal test failure, and the Env is
+// not usable afterwards.
 func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
 	e.spawns++
-	p := &Proc{env: e, name: name, resume: make(chan struct{})}
-	p.doneEv = e.NewEvent()
-	go func() {
-		<-p.resume
-		defer func() {
-			if r := recover(); r != nil {
-				e.panicked = r
-			}
-			p.done = true
-			p.doneEv.Signal()
-			e.yield <- struct{}{}
-		}()
-		fn(p)
-	}()
+	p := &Proc{env: e, name: name, fn: fn, doneEv: Event{env: e}}
 	e.after(0, resumeProc, p)
 	return p
 }
@@ -423,14 +479,11 @@ func (p *Proc) Name() string { return p.name }
 func (p *Proc) Env() *Env { return p.env }
 
 // Done returns an event that fires when the process terminates.
-func (p *Proc) Done() *Event { return p.doneEv }
+func (p *Proc) Done() *Event { return &p.doneEv }
 
-// pause returns control to the scheduler and blocks until the process is
-// resumed by a queued wakeup.
-func (p *Proc) pause() {
-	p.env.yield <- struct{}{}
-	<-p.resume
-}
+// pause returns control to the scheduler until a queued wakeup resumes the
+// process.
+func (p *Proc) pause() { p.carrier.yield(struct{}{}) }
 
 // Sleep suspends the process for d of virtual time.
 func (p *Proc) Sleep(d time.Duration) {

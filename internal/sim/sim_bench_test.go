@@ -102,10 +102,14 @@ func BenchmarkSimEngine(b *testing.B) {
 			env.RunFor(time.Microsecond)
 		}
 	})
+}
 
-	// proc-roundtrip measures what the continuation rewrite removed: a
-	// goroutine handoff per blocking operation.
-	b.Run("proc-roundtrip", func(b *testing.B) {
+// BenchmarkProcSwitch is the cost of process-shaped code over callback-shaped
+// code. sleep: one blocking call of a running process — the event's push and
+// pop plus the two coroutine switches (out in pause, back in resumeProc).
+// spawn: one process from Go to its function's return, on a reused carrier.
+func BenchmarkProcSwitch(b *testing.B) {
+	b.Run("sleep", func(b *testing.B) {
 		env := NewEnv(1)
 		env.Go("bench", func(p *Proc) {
 			for i := 0; i < b.N; i++ {
@@ -115,5 +119,16 @@ func BenchmarkSimEngine(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		env.Run()
+	})
+
+	b.Run("spawn", func(b *testing.B) {
+		env := NewEnv(1)
+		fn := func(p *Proc) {}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			env.Go("bench", fn)
+			env.Run()
+		}
 	})
 }
