@@ -2,7 +2,9 @@
 """Tier-1 budget: run every package's test binary on its own and print its
 wall time and peak resident set (VmHWM, from the child's rusage). Exits
 non-zero when a package fails, peaks over 4 GB or runs over 3 minutes, so the
-simulator's memory cannot creep back up behind a green `go test ./...`."""
+simulator's memory cannot creep back up behind a green `go test ./...`. Ends
+with the Go line counts outside bench/, test and non-test: the falling line
+count ROADMAP's north star tracks, in every CI log."""
 import os
 import subprocess
 import sys
@@ -33,5 +35,13 @@ with tempfile.TemporaryDirectory() as tmp:
         print(f"{pkg:36} {wall:8.1f} {rss:9.0f}  {', '.join(why)}", flush=True)
         if why:
             bad.append(pkg)
+lines = {False: 0, True: 0}
+for root, dirs, files in os.walk("."):
+    dirs[:] = [d for d in dirs if not d.startswith(".") and (root, d) != (".", "bench")]
+    for name in files:
+        if name.endswith(".go"):
+            with open(os.path.join(root, name), "rb") as f:
+                lines[name.endswith("_test.go")] += f.read().count(b"\n")
+print(f"Go lines outside bench/: {lines[False]} non-test, {lines[True]} test")
 if bad:
     sys.exit("tier-1 budget missed by: " + ", ".join(bad))

@@ -32,7 +32,6 @@ func TestNilPayloadPrefillStaysSmall(t *testing.T) {
 		t.Fatal(err)
 	}
 	ln := lightnvm.Register("heapguard", dev)
-	defer lightnvm.UnregisterAll()
 	var k *pblk.Pblk
 	env.Go("mount", func(p *sim.Proc) {
 		if k, err = pblk.New(p, ln, "pblk0", pblk.Config{}); err != nil {

@@ -5,10 +5,10 @@
 // pairs on it and SyncAdapter its blocking calls.
 //
 // The whole datapath is allocation-free in steady state: accepted
-// requests wait in an intrusive ring (not an append/shift slice),
-// completions drain through a pooled batch with a single dispatch pass
-// per burst, and callers reuse Request objects through ReqPool instead of
-// allocating one per I/O (see the recycle contract on ReqPool).
+// requests wait in a sim.FIFO, completions drain through a pooled batch
+// with a single dispatch pass per burst, and callers reuse Request objects
+// through ReqPool instead of allocating one per I/O (see the recycle
+// contract on ReqPool).
 
 package blockdev
 
@@ -208,49 +208,6 @@ func NewQueue(env *sim.Env, dev Geometry, depth int, issue IssueFunc) Queue {
 	return q
 }
 
-// reqRing is an intrusive circular FIFO of requests. Unlike the
-// append/shift slice it replaced (pending = pending[1:], which bleeds
-// capacity and reallocates under sustained traffic), a ring in steady
-// state touches only head/tail indices: zero allocations once grown to
-// the high-water mark.
-type reqRing struct {
-	buf  []*Request
-	head int // index of the oldest element
-	n    int // elements in the ring
-}
-
-func (r *reqRing) len() int { return r.n }
-
-func (r *reqRing) push(req *Request) {
-	if r.n == len(r.buf) {
-		grown := make([]*Request, max(16, 2*len(r.buf)))
-		for i := 0; i < r.n; i++ {
-			grown[i] = r.buf[(r.head+i)%len(r.buf)]
-		}
-		r.buf, r.head = grown, 0
-	}
-	// Conditional wrap instead of modulo: this runs once per submission.
-	i := r.head + r.n
-	if i >= len(r.buf) {
-		i -= len(r.buf)
-	}
-	r.buf[i] = req
-	r.n++
-}
-
-func (r *reqRing) peek() *Request { return r.buf[r.head] }
-
-func (r *reqRing) pop() *Request {
-	req := r.buf[r.head]
-	r.buf[r.head] = nil
-	r.head++
-	if r.head == len(r.buf) {
-		r.head = 0
-	}
-	r.n--
-	return req
-}
-
 // cbQueue is the shared queue-pair state machine.
 type cbQueue struct {
 	env   *sim.Env
@@ -258,10 +215,10 @@ type cbQueue struct {
 	depth int
 	issue IssueFunc
 
-	pending  reqRing // accepted, not yet dispatched (submission order)
-	active   int     // dispatched to the device, not yet completed
-	inflight int     // accepted, not yet completed
-	barrier  bool    // a flush is dispatched; hold everything behind it
+	pending  sim.FIFO[*Request] // accepted, not yet dispatched (submission order)
+	active   int                // dispatched to the device, not yet completed
+	inflight int                // accepted, not yet completed
+	barrier  bool               // a flush is dispatched; hold everything behind it
 	drainEv  *sim.Event
 
 	completeFn func(*Request) // == complete, bound once for closure-free issue
@@ -312,7 +269,7 @@ func (q *cbQueue) Submit(reqs ...*Request) {
 			q.env.ScheduleArg(0, q.finishArg, r)
 			continue
 		}
-		q.pending.push(r)
+		q.pending.Push(r)
 	}
 	q.dispatch()
 }
@@ -320,15 +277,15 @@ func (q *cbQueue) Submit(reqs ...*Request) {
 // dispatch starts pending requests in submission order while slots are
 // free, stopping at a flush until the queue is empty ahead of it.
 func (q *cbQueue) dispatch() {
-	for !q.barrier && q.active < q.depth && q.pending.len() > 0 {
-		r := q.pending.peek()
+	for !q.barrier && q.active < q.depth && q.pending.Len() > 0 {
+		r := q.pending.Front()
 		if r.Op == ReqFlush {
 			if q.active > 0 {
 				return
 			}
 			q.barrier = true
 		}
-		q.pending.pop()
+		q.pending.Pop()
 		q.active++
 		q.issue(r, q.completeFn)
 	}

@@ -79,7 +79,6 @@ func TestQueueReadPathAllocations(t *testing.T) {
 		}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			defer lightnvm.UnregisterAll()
 			env := sim.NewEnv(1)
 			var got float64
 			env.Go("main", func(p *sim.Proc) { got = allocsPerOp(p, c.open(p, env), RandRead) })
@@ -99,7 +98,6 @@ func TestQueueReadPathAllocations(t *testing.T) {
 // 0.27 allocations per request. What is left is the GC worker each recycled
 // group starts.
 func TestQueueWritePathAllocations(t *testing.T) {
-	defer lightnvm.UnregisterAll()
 	oc := volume.DefaultDeviceConfig(20)
 	oc.Geometry.Channels, oc.Geometry.PUsPerChannel, oc.Geometry.PagesPerBlock = 1, 1, 128
 	env := sim.NewEnv(1)

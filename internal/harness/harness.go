@@ -105,25 +105,17 @@ type Experiment struct {
 
 var registry []Experiment
 
-// register wraps each experiment so the global lightnvm registry is
-// emptied when its Run returns: experiments register fresh devices every
-// run and never revisit them afterwards, and a registry entry pins the
-// whole simulated media (every die's page buffers, OOB areas and free
-// list) as live heap. Without the sweep, a process running experiments
-// back to back — the determinism test suite, a multi-experiment
-// lnvm-bench invocation — accumulates every prior run's device state,
-// and later experiments spend their time in GC cycles scanning it.
+// register adds an experiment, its Run wrapped by guarded.
 func register(e Experiment) {
 	e.Run = guarded(e.Run)
 	registry = append(registry, e)
 }
 
-// guarded is the wrapper: it sweeps the registry, and it is where a check
-// failure — raised in the experiment or in one of its processes — becomes
-// Run's error. Any other panic is a bug and goes on with its trace.
+// guarded is where a check failure — raised in the experiment or in one of
+// its processes — becomes Run's error. Any other panic is a bug and goes on
+// with its trace.
 func guarded(run func(Options, io.Writer) error) func(Options, io.Writer) error {
 	return func(o Options, w io.Writer) (err error) {
-		defer lightnvm.UnregisterAll()
 		defer func() {
 			r := recover()
 			v := r
@@ -138,6 +130,40 @@ func guarded(run func(Options, io.Writer) error) func(Options, io.Writer) error 
 		}()
 		return run(o, w)
 	}
+}
+
+// drive is the harness's closed loop: it keeps q's depth of requests in
+// flight, drawing one from next as each slot frees up — nil, from then on,
+// ends the supply — and handing every completed request to done; it returns
+// when the last has completed.
+func drive(p *sim.Proc, q blockdev.Queue, next func() *blockdev.Request, done func(*blockdev.Request)) {
+	idle := p.Env().NewEvent()
+	outstanding := 0
+	var refill func()
+	complete := func(r *blockdev.Request) {
+		done(r)
+		outstanding--
+		refill()
+		if outstanding == 0 {
+			idle.Signal()
+		}
+	}
+	refill = func() {
+		for outstanding < q.Depth() {
+			r := next()
+			if r == nil {
+				return
+			}
+			r.OnComplete = complete
+			outstanding++
+			q.Submit(r)
+		}
+	}
+	refill()
+	if outstanding > 0 {
+		p.Wait(idle)
+	}
+	q.Drain(p)
 }
 
 // All lists registered experiments sorted by ID.

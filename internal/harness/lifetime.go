@@ -234,40 +234,22 @@ func runLifetime(o Options, w io.Writer) error {
 // unreadable (lost) 4 KB sectors and the per-chunk read latencies of the
 // chunks that read clean.
 func lifeScan(p *sim.Proc, env *sim.Env, k *pblk.Pblk, nChunks, chunk int64) (int, []time.Duration) {
-	const qd = 16
-	q := k.OpenQueue(env, qd)
-	done := env.NewEvent()
 	var lats []time.Duration
 	var failed []int64
-	outstanding, next := 0, int64(0)
-	var submit func()
-	submit = func() {
-		for outstanding < qd && next < nChunks {
-			off := next * chunk
-			outstanding++
-			next++
-			q.Submit(&blockdev.Request{
-				Op: blockdev.ReqRead, Off: off, Length: chunk,
-				OnComplete: func(r *blockdev.Request) {
-					if r.Err != nil {
-						failed = append(failed, r.Off)
-					} else {
-						lats = append(lats, r.Latency())
-					}
-					outstanding--
-					submit()
-					if outstanding == 0 {
-						done.Signal()
-					}
-				},
-			})
+	next := int64(0)
+	drive(p, k.OpenQueue(env, 16), func() *blockdev.Request {
+		if next == nChunks {
+			return nil
 		}
-	}
-	submit()
-	if outstanding > 0 {
-		p.Wait(done)
-	}
-	q.Drain(p)
+		next++
+		return &blockdev.Request{Op: blockdev.ReqRead, Off: (next - 1) * chunk, Length: chunk}
+	}, func(r *blockdev.Request) {
+		if r.Err != nil {
+			failed = append(failed, r.Off)
+		} else {
+			lats = append(lats, r.Latency())
+		}
+	})
 	// Count the damage inside failed chunks sector by sector.
 	lost := 0
 	buf := make([]byte, 4096)

@@ -200,10 +200,6 @@ func runWA(o Options, w io.Writer) error {
 // chunks, so hot and cold sectors interleave at block granularity;
 // hotMod 0 is a uniform random overwrite.
 func overwriteWindow(p *sim.Proc, env *sim.Env, k *pblk.Pblk, totalChunks, nChunks, chunk, hotMod int64, rng *rand.Rand, lats *[]time.Duration, flush bool) {
-	const qd = 32
-	q := k.OpenQueue(env, qd)
-	done := env.NewEvent()
-	outstanding := 0
 	submitted := int64(0)
 	pick := func() int64 {
 		if hotMod > 0 && rng.Float64() < 0.95 {
@@ -211,32 +207,18 @@ func overwriteWindow(p *sim.Proc, env *sim.Env, k *pblk.Pblk, totalChunks, nChun
 		}
 		return rng.Int63n(nChunks)
 	}
-	var submit func()
-	submit = func() {
-		for outstanding < qd && submitted < totalChunks {
-			outstanding++
-			submitted++
-			q.Submit(&blockdev.Request{
-				Op: blockdev.ReqWrite, Off: pick() * chunk, Length: chunk,
-				OnComplete: func(r *blockdev.Request) {
-					check(r.Err)
-					if lats != nil {
-						*lats = append(*lats, r.Latency())
-					}
-					outstanding--
-					submit()
-					if outstanding == 0 {
-						done.Signal()
-					}
-				},
-			})
+	drive(p, k.OpenQueue(env, 32), func() *blockdev.Request {
+		if submitted == totalChunks {
+			return nil
 		}
-	}
-	submit()
-	if outstanding > 0 {
-		p.Wait(done)
-	}
-	q.Drain(p)
+		submitted++
+		return &blockdev.Request{Op: blockdev.ReqWrite, Off: pick() * chunk, Length: chunk}
+	}, func(r *blockdev.Request) {
+		check(r.Err)
+		if lats != nil {
+			*lats = append(*lats, r.Latency())
+		}
+	})
 	if !flush {
 		return
 	}

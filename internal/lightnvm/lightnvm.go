@@ -69,62 +69,23 @@ type Device struct {
 	guard bool
 }
 
-var (
-	devRegMu sync.Mutex
-	// devReg enumerates registered devices by name, the subsystem's
-	// /sys/class/nvme view. Re-registering a name (fresh simulation
-	// environments reuse device names freely) replaces the entry.
-	devReg = make(map[string]*Device)
-)
-
-// Register wraps an ocssd device into the subsystem and records it in the
-// global device registry.
+// Register wraps an ocssd device into the subsystem. The handle is the
+// only reference the subsystem keeps: a caller that drops it releases the
+// device tree.
 func Register(name string, dev *ocssd.Device) *Device {
-	d := &Device{
+	return &Device{
 		name:    name,
 		dev:     dev,
 		targets: make(map[string]*targetEntry),
 		owners:  make([]string, dev.Geometry().TotalPUs()),
 		parts:   make(map[string]PURange),
 	}
-	devRegMu.Lock()
-	devReg[name] = d
-	devRegMu.Unlock()
-	return d
 }
 
-// Devices lists registered device names, sorted — the fleet enumeration
-// used by multi-device tooling (lnvm-inspect, the volume manager).
-func Devices() []string {
-	devRegMu.Lock()
-	defer devRegMu.Unlock()
-	names := make([]string, 0, len(devReg))
-	for n := range devReg {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// UnregisterAll empties the device registry, dropping the subsystem's
-// references to every registered device. Live *Device handles keep
-// working — unregistration only affects name lookups — so a caller that
-// is done with a simulation can release the device tree (the dies' page
-// buffers and free lists included) to the garbage collector even while
-// stale handles exist.
-func UnregisterAll() {
-	devRegMu.Lock()
-	devReg = make(map[string]*Device)
-	devRegMu.Unlock()
-}
-
-// Lookup returns a registered device by name.
-func Lookup(name string) (*Device, bool) {
-	devRegMu.Lock()
-	defer devRegMu.Unlock()
-	d, ok := devReg[name]
-	return d, ok
-}
+// UnregisterAll does nothing: there is no device registry to empty. It
+// remains for the benchmark module, which calls it between runs and which
+// changes only in a PR of its own.
+func UnregisterAll() {}
 
 // Name returns the device name.
 func (d *Device) Name() string { return d.name }

@@ -465,59 +465,3 @@ func TestViewRejectsReservedPUs(t *testing.T) {
 	})
 	env.Run()
 }
-
-// TestDeviceRegistry covers the subsystem-level device enumeration the
-// volume manager and inspection tooling rely on: registered devices are
-// listed sorted by name, lookups return the same handle, and
-// re-registering a name replaces the entry.
-func TestDeviceRegistry(t *testing.T) {
-	_, a := newDevice(t) // registers "nvme0n1"
-	if got, ok := Lookup("nvme0n1"); !ok || got != a {
-		t.Fatalf("Lookup(nvme0n1) = %v, %v; want the registered handle", got, ok)
-	}
-	env := sim.NewEnv(2)
-	raw, err := ocssd.New(env, ocssd.Config{
-		Geometry: ppa.Geometry{
-			Channels: 2, PUsPerChannel: 2, PlanesPerPU: 2,
-			BlocksPerPlane: 4, PagesPerBlock: 8,
-			SectorsPerPage: 4, SectorSize: 4096, OOBPerPage: 64,
-		},
-		Timing: ocssd.DefaultTiming(),
-		Media:  nand.DefaultConfig(),
-		Seed:   2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := Register("nvme0n2", raw)
-	names := Devices()
-	i1, i2 := -1, -1
-	for i, n := range names {
-		switch n {
-		case "nvme0n1":
-			i1 = i
-		case "nvme0n2":
-			i2 = i
-		}
-	}
-	if i1 < 0 || i2 < 0 || i1 > i2 {
-		t.Fatalf("Devices() = %v; want nvme0n1 before nvme0n2", names)
-	}
-	for i := 1; i < len(names); i++ {
-		if names[i-1] >= names[i] {
-			t.Fatalf("Devices() not sorted: %v", names)
-		}
-	}
-	if got, ok := Lookup("nvme0n2"); !ok || got != b {
-		t.Fatal("Lookup(nvme0n2) did not return the new handle")
-	}
-	if _, ok := Lookup("no-such-device"); ok {
-		t.Fatal("Lookup of unknown name succeeded")
-	}
-	// Re-registering a name replaces the handle (a device re-appearing
-	// after a restart).
-	b2 := Register("nvme0n2", raw)
-	if got, _ := Lookup("nvme0n2"); got != b2 {
-		t.Fatal("re-Register did not replace the registry entry")
-	}
-}

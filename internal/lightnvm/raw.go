@@ -198,7 +198,7 @@ func (r *Raw) complete(io *rawIO, c *ocssd.Completion) {
 // overtake the one before it — out of page order, or into a block whose
 // erase is still suspended. Reads carry no order and bypass the lane.
 type rawLane struct {
-	queue []rawCmd
+	queue sim.FIFO[rawCmd]
 	busy  bool
 }
 
@@ -210,7 +210,7 @@ type rawCmd struct {
 func (r *Raw) enqueue(pu int, vec *ocssd.Vector, io *rawIO) {
 	io.left++
 	ln := &r.lanes[pu]
-	ln.queue = append(ln.queue, rawCmd{vec, io})
+	ln.queue.Push(rawCmd{vec, io})
 	if !ln.busy {
 		ln.busy = true
 		r.next(ln)
@@ -218,12 +218,11 @@ func (r *Raw) enqueue(pu int, vec *ocssd.Vector, io *rawIO) {
 }
 
 func (r *Raw) next(ln *rawLane) {
-	if len(ln.queue) == 0 {
+	if ln.queue.Len() == 0 {
 		ln.busy = false
 		return
 	}
-	cmd := ln.queue[0]
-	ln.queue = ln.queue[1:]
+	cmd := ln.queue.Pop()
 	r.view.Submit(cmd.vec, func(c *ocssd.Completion) {
 		r.next(ln)
 		r.complete(cmd.io, c)

@@ -77,6 +77,63 @@ func (db *DB) newWorker(id int64) *worker {
 	return &worker{rng: rand.New(rand.NewSource(db.cfg.Seed + 77*id))}
 }
 
+// workers starts n worker processes named proc0 … and returns them for
+// join; worker i draws from the random stream of id+i.
+func (db *DB) workers(n int, proc string, id int64, body func(p *sim.Proc, w *worker)) []*sim.Proc {
+	procs := make([]*sim.Proc, n)
+	for i := range procs {
+		w := db.newWorker(id + int64(i))
+		procs[i] = db.env.Go(fmt.Sprintf("%s%d", proc, i), func(p *sim.Proc) { body(p, w) })
+	}
+	return procs
+}
+
+// join suspends p until every process of procs has returned.
+func join(p *sim.Proc, procs []*sim.Proc) {
+	for _, w := range procs {
+		p.Wait(w.Done())
+	}
+}
+
+// timedPut writes key index idx at generation gen and adds the Put's
+// latency to lat.
+func (db *DB) timedPut(p *sim.Proc, w *worker, idx, gen int64, lat *stats.Hist) {
+	w.key = db.benchKey(w.key, idx)
+	w.val = db.benchVal(w.val, idx, gen)
+	t0 := db.env.Now()
+	if err := db.Put(p, w.key, w.val); err != nil {
+		panic(err)
+	}
+	lat.Add(db.env.Now() - t0)
+}
+
+// readers starts `threads` workers that look up keys drawn uniformly from
+// the loaded keyspace until virtual time until, adding each Get's latency
+// to lat and counting it in res.Ops.
+func (db *DB) readers(threads int, id int64, until time.Duration, res *BenchResult, lat *stats.Hist) []*sim.Proc {
+	space := max(db.loaded, 1)
+	return db.workers(threads, "db_bench.reader", id, func(p *sim.Proc, w *worker) {
+		for db.env.Now() < until {
+			w.key = db.benchKey(w.key, w.rng.Int63n(space))
+			t0 := db.env.Now()
+			var err error
+			w.dst, _, err = db.Get(p, w.key, w.dst)
+			if err != nil {
+				panic(err)
+			}
+			lat.Add(db.env.Now() - t0)
+			res.Ops++
+		}
+	})
+}
+
+// finish stamps the run's elapsed time and throughput.
+func (res *BenchResult) finish(db *DB, start time.Duration) *BenchResult {
+	res.Elapsed = db.env.Now() - start
+	res.UserMBps = stats.Throughput(res.Ops*db.entrySize(), res.Elapsed)
+	return res
+}
+
 // FillSeqN loads a fixed number of entries using `threads` concurrent
 // writers (db_bench fillseq with --threads): group commit shares WAL
 // syncs across writers, and the run ends when the volume target is met,
@@ -93,60 +150,33 @@ func FillRandomN(p *sim.Proc, db *DB, threads int, entries int64) *BenchResult {
 }
 
 func fillN(p *sim.Proc, db *DB, threads int, entries int64, random bool) *BenchResult {
-	if threads < 1 {
-		threads = 1
-	}
-	name := "fillseq"
-	if random {
-		name = "fillrandom"
-	}
-	res := &BenchResult{Name: name}
-	env := p.Env()
-	start := env.Now()
-	done := env.NewEvent()
-	running := threads
+	res := &BenchResult{Name: "fillseq"}
+	start := db.env.Now()
 	remaining := entries
 	next := db.loaded
 	if random {
+		res.Name = "fillrandom"
 		db.noteLoaded(entries - 1)
 	}
-	for i := 0; i < threads; i++ {
-		w := db.newWorker(int64(i))
-		env.Go(fmt.Sprintf("db_bench.filler%d", i), func(pw *sim.Proc) {
-			defer func() {
-				running--
-				if running == 0 {
-					done.Signal()
-				}
-			}()
-			for remaining > 0 {
-				remaining--
-				var idx int64
-				if random {
-					idx = w.rng.Int63n(entries)
-				} else {
-					idx = next
-					next++
-				}
-				w.key = db.benchKey(w.key, idx)
-				w.val = db.benchVal(w.val, idx, 0)
-				t0 := env.Now()
-				if err := db.Put(pw, w.key, w.val); err != nil {
-					panic(err)
-				}
-				res.Lat.Add(env.Now() - t0)
-				res.Ops++
-				if !random {
-					db.noteLoaded(idx)
-				}
+	join(p, db.workers(max(threads, 1), "db_bench.filler", 0, func(pw *sim.Proc, w *worker) {
+		for remaining > 0 {
+			remaining--
+			var idx int64
+			if random {
+				idx = w.rng.Int63n(entries)
+			} else {
+				idx = next
+				next++
 			}
-		})
-	}
-	p.Wait(done)
-	res.Elapsed = env.Now() - start
-	res.UserMBps = stats.Throughput(res.Ops*db.entrySize(), res.Elapsed)
+			db.timedPut(pw, w, idx, 0, &res.Lat)
+			res.Ops++
+			if !random {
+				db.noteLoaded(idx)
+			}
+		}
+	}))
 	res.Stalls = db.WriteStalls
-	return res
+	return res.finish(db, start)
 }
 
 // OverwriteRandomN overwrites a fixed count of random existing keys
@@ -155,87 +185,28 @@ func fillN(p *sim.Proc, db *DB, threads int, entries int64, random bool) *BenchR
 // number of drive-writes so results are comparable across stacks. round distinguishes successive
 // passes so each draws a fresh key sequence.
 func OverwriteRandomN(p *sim.Proc, db *DB, threads int, count, round int64) *BenchResult {
-	if threads < 1 {
-		threads = 1
-	}
 	res := &BenchResult{Name: "overwrite"}
-	env := p.Env()
-	start := env.Now()
-	done := env.NewEvent()
-	running := threads
+	start := db.env.Now()
 	remaining := count
-	space := db.loaded
-	if space <= 0 {
-		space = 1
-	}
-	for i := 0; i < threads; i++ {
-		w := db.newWorker(1000*round + int64(i))
-		env.Go(fmt.Sprintf("db_bench.overwriter%d", i), func(pw *sim.Proc) {
-			defer func() {
-				running--
-				if running == 0 {
-					done.Signal()
-				}
-			}()
-			for remaining > 0 {
-				remaining--
-				idx := w.rng.Int63n(space)
-				w.key = db.benchKey(w.key, idx)
-				w.val = db.benchVal(w.val, idx, round)
-				t0 := env.Now()
-				if err := db.Put(pw, w.key, w.val); err != nil {
-					panic(err)
-				}
-				res.Lat.Add(env.Now() - t0)
-				res.Ops++
-			}
-		})
-	}
-	p.Wait(done)
-	res.Elapsed = env.Now() - start
-	res.UserMBps = stats.Throughput(res.Ops*db.entrySize(), res.Elapsed)
+	space := max(db.loaded, 1)
+	join(p, db.workers(max(threads, 1), "db_bench.overwriter", 1000*round, func(pw *sim.Proc, w *worker) {
+		for remaining > 0 {
+			remaining--
+			db.timedPut(pw, w, w.rng.Int63n(space), round, &res.Lat)
+			res.Ops++
+		}
+	}))
 	res.Stalls = db.WriteStalls
-	return res
+	return res.finish(db, start)
 }
 
 // ReadRandom runs point lookups with `threads` parallel readers
 // (db_bench readrandom) over the loaded keyspace.
 func ReadRandom(p *sim.Proc, db *DB, threads int, d time.Duration) *BenchResult {
 	res := &BenchResult{Name: "readrandom"}
-	env := p.Env()
-	start := env.Now()
-	done := env.NewEvent()
-	running := threads
-	space := db.loaded
-	if space <= 0 {
-		space = 1
-	}
-	for i := 0; i < threads; i++ {
-		w := db.newWorker(2000 + int64(i))
-		env.Go(fmt.Sprintf("db_bench.reader%d", i), func(pr *sim.Proc) {
-			defer func() {
-				running--
-				if running == 0 {
-					done.Signal()
-				}
-			}()
-			for env.Now() < start+d {
-				w.key = db.benchKey(w.key, w.rng.Int63n(space))
-				t0 := env.Now()
-				var err error
-				w.dst, _, err = db.Get(pr, w.key, w.dst)
-				if err != nil {
-					panic(err)
-				}
-				res.Lat.Add(env.Now() - t0)
-				res.Ops++
-			}
-		})
-	}
-	p.Wait(done)
-	res.Elapsed = env.Now() - start
-	res.UserMBps = stats.Throughput(res.Ops*db.entrySize(), res.Elapsed)
-	return res
+	start := db.env.Now()
+	join(p, db.readers(threads, 2000, start+d, res, &res.Lat))
+	return res.finish(db, start)
 }
 
 // ReadWhileWriting runs `threads` readers against one full-speed random
@@ -243,60 +214,19 @@ func ReadRandom(p *sim.Proc, db *DB, threads int, d time.Duration) *BenchResult 
 // reads, matching db_bench; writer volume is in the DB counters.
 func ReadWhileWriting(p *sim.Proc, db *DB, threads int, d time.Duration) *BenchResult {
 	res := &BenchResult{Name: "readwhilewriting"}
-	env := p.Env()
-	start := env.Now()
+	start := db.env.Now()
 	stop := false
-	space := db.loaded
-	if space <= 0 {
-		space = 1
-	}
-	wDone := env.NewEvent()
-	ww := db.newWorker(3000)
-	env.Go("db_bench.writer", func(pw *sim.Proc) {
-		defer wDone.Signal()
-		gen := int64(1 << 20)
-		for !stop {
-			idx := ww.rng.Int63n(space)
-			ww.key = db.benchKey(ww.key, idx)
-			ww.val = db.benchVal(ww.val, idx, gen)
-			t0 := env.Now()
-			if err := db.Put(pw, ww.key, ww.val); err != nil {
-				panic(err)
-			}
-			res.WriteLat.Add(env.Now() - t0)
-			gen++
+	space := max(db.loaded, 1)
+	w := db.newWorker(3000)
+	writer := db.env.Go("db_bench.writer", func(pw *sim.Proc) {
+		for gen := int64(1 << 20); !stop; gen++ {
+			db.timedPut(pw, w, w.rng.Int63n(space), gen, &res.WriteLat)
 		}
 	})
-	done := env.NewEvent()
-	running := threads
-	for i := 0; i < threads; i++ {
-		w := db.newWorker(4000 + int64(i))
-		env.Go(fmt.Sprintf("db_bench.reader%d", i), func(pr *sim.Proc) {
-			defer func() {
-				running--
-				if running == 0 {
-					done.Signal()
-				}
-			}()
-			for env.Now() < start+d {
-				w.key = db.benchKey(w.key, w.rng.Int63n(space))
-				t0 := env.Now()
-				var err error
-				w.dst, _, err = db.Get(pr, w.key, w.dst)
-				if err != nil {
-					panic(err)
-				}
-				res.ReadLat.Add(env.Now() - t0)
-				res.Ops++
-			}
-		})
-	}
-	p.Wait(done)
+	join(p, db.readers(threads, 4000, start+d, res, &res.ReadLat))
 	stop = true
-	p.Wait(wDone)
-	res.Elapsed = env.Now() - start
-	res.UserMBps = stats.Throughput(res.Ops*db.entrySize(), res.Elapsed)
+	p.Wait(writer.Done())
 	res.Lat.Merge(&res.ReadLat)
 	res.Stalls = db.WriteStalls
-	return res
+	return res.finish(db, start)
 }

@@ -145,7 +145,7 @@ type DB struct {
 	walDone          *sim.Event
 
 	mem       *memtable
-	immQ      []*memtable
+	immQ      sim.FIFO[*memtable]
 	memPool   []*memtable
 	flushKick *sim.Event
 	stallEv   *sim.Event
@@ -414,7 +414,7 @@ func (db *DB) write(p *sim.Proc, key, val []byte, tomb bool) error {
 	if db.cfg.CPUPerOp > 0 {
 		p.Sleep(db.cfg.CPUPerOp)
 	}
-	for len(db.immQ) >= maxImmutables || len(db.levels[0]) >= db.cfg.L0StallLimit {
+	for db.immQ.Len() >= maxImmutables || len(db.levels[0]) >= db.cfg.L0StallLimit {
 		db.WriteStalls++
 		db.flushKick.Signal()
 		db.compactKick.Signal()
@@ -446,7 +446,7 @@ func (db *DB) sealActive() {
 		return
 	}
 	db.mem.walMark = db.walHead
-	db.immQ = append(db.immQ, db.mem)
+	db.immQ.Push(db.mem)
 	db.mem = db.getMemtable()
 	db.flushKick.Signal()
 }
@@ -506,8 +506,8 @@ func (db *DB) Get(p *sim.Proc, key, dst []byte) (val []byte, ok bool, err error)
 	if v, tomb, found := db.mem.get(key); found {
 		return db.finishGet(dst, v, tomb)
 	}
-	for i := len(db.immQ) - 1; i >= 0; i-- {
-		if v, tomb, found := db.immQ[i].get(key); found {
+	for i := db.immQ.Len() - 1; i >= 0; i-- {
+		if v, tomb, found := db.immQ.At(i).get(key); found {
 			return db.finishGet(dst, v, tomb)
 		}
 	}
@@ -572,7 +572,7 @@ func levelFind(ts []*tableMeta, key []byte) *tableMeta {
 func (db *DB) flusher(p *sim.Proc) {
 	defer db.flusherDone.Signal()
 	for {
-		if len(db.immQ) == 0 {
+		if db.immQ.Len() == 0 {
 			if db.stopping {
 				return
 			}
@@ -580,7 +580,7 @@ func (db *DB) flusher(p *sim.Proc) {
 			p.Wait(db.flushKick)
 			continue
 		}
-		m := db.immQ[0]
+		m := db.immQ.Front()
 		db.flushing = true
 		t, err := db.flushMemtable(p, m)
 		db.flushing = false
@@ -602,9 +602,7 @@ func (db *DB) flusher(p *sim.Proc) {
 			db.fail(fmt.Errorf("lsmdb: manifest commit: %w", err))
 			return
 		}
-		n := copy(db.immQ, db.immQ[1:])
-		db.immQ[n] = nil
-		db.immQ = db.immQ[:n]
+		db.immQ.Pop()
 		db.putMemtable(m)
 		db.advance()
 		if len(db.levels[0]) >= db.cfg.L0CompactionTrigger {
@@ -641,7 +639,7 @@ func (db *DB) compactor(p *sim.Proc) {
 // read benchmark starts from a steady tree (db_bench's wait between
 // phases).
 func (db *DB) Quiesce(p *sim.Proc) {
-	for db.failed == nil && (len(db.immQ) > 0 || db.flushing || db.compacting || db.pickCompaction() >= 0) {
+	for db.failed == nil && (db.immQ.Len() > 0 || db.flushing || db.compacting || db.pickCompaction() >= 0) {
 		db.flushKick.Signal()
 		db.compactKick.Signal()
 		p.Sleep(time.Millisecond)
@@ -656,7 +654,7 @@ func (db *DB) Close(p *sim.Proc) error {
 		return db.failed
 	}
 	db.sealActive()
-	for db.failed == nil && (len(db.immQ) > 0 || db.flushing || db.compacting || len(db.walPend) > 0 || db.walActive) {
+	for db.failed == nil && (db.immQ.Len() > 0 || db.flushing || db.compacting || len(db.walPend) > 0 || db.walActive) {
 		db.flushKick.Signal()
 		db.walKick.Signal()
 		p.Sleep(500 * time.Microsecond)

@@ -404,26 +404,38 @@ func parseBlockGet(block []byte, key []byte) (val []byte, tomb, found bool) {
 	n := int(binary.LittleEndian.Uint16(block[0:2]))
 	off := 2
 	for i := 0; i < n; i++ {
-		if off+tableRecHdr > len(block) {
+		k, v, _, tomb, next, ok := decodeRec(block, off)
+		if !ok {
 			return nil, false, false
 		}
-		flags := block[off]
-		klen := int(binary.LittleEndian.Uint16(block[off+1 : off+3]))
-		vlen := int(binary.LittleEndian.Uint32(block[off+3 : off+7]))
-		off += tableRecHdr
-		if klen == 0 || off+klen+vlen > len(block) {
-			return nil, false, false
-		}
-		k := block[off : off+klen]
 		switch bytes.Compare(k, key) {
 		case 0:
-			return block[off+klen : off+klen+vlen], flags&walFlagTomb != 0, true
+			return v, tomb, true
 		case 1:
 			return nil, false, false // sorted: key cannot follow
 		}
-		off += klen + vlen
+		off = next
 	}
 	return nil, false, false
+}
+
+// decodeRec parses the record at block[off:] — flags | klen | vlen | seq,
+// key, value: what tableBuilder.add wrote — and returns the offset of the
+// one after it. ok is false where the block holds no whole record with a
+// key, as in a truncated or zero-filled block. key and val alias block.
+func decodeRec(block []byte, off int) (key, val []byte, seq uint64, tomb bool, next int, ok bool) {
+	if off+tableRecHdr > len(block) {
+		return
+	}
+	hdr := block[off : off+tableRecHdr]
+	klen := int(binary.LittleEndian.Uint16(hdr[1:3]))
+	vlen := int(binary.LittleEndian.Uint32(hdr[3:7]))
+	off += tableRecHdr
+	end := off + klen + vlen
+	if klen == 0 || end > len(block) {
+		return
+	}
+	return block[off : off+klen], block[off+klen : end], binary.LittleEndian.Uint64(hdr[7:15]), hdr[0]&walFlagTomb != 0, end, true
 }
 
 // ---- sequential iteration (compaction input) ----
@@ -502,25 +514,13 @@ func (it *tableIter) next(p *sim.Proc) (bool, error) {
 		it.n = int(binary.LittleEndian.Uint16(it.buf[0:2]))
 		it.off = 2
 	}
-	if it.off+tableRecHdr > len(it.buf) {
+	var ok bool
+	it.key, it.val, it.seq, it.tomb, it.off, ok = decodeRec(it.buf, it.off)
+	if !ok {
 		it.n = 0
 		it.valid = false
 		return false, nil
 	}
-	flags := it.buf[it.off]
-	klen := int(binary.LittleEndian.Uint16(it.buf[it.off+1 : it.off+3]))
-	vlen := int(binary.LittleEndian.Uint32(it.buf[it.off+3 : it.off+7]))
-	it.off += tableRecHdr
-	if klen == 0 || it.off+klen+vlen > len(it.buf) {
-		it.n = 0
-		it.valid = false
-		return false, nil
-	}
-	it.key = it.buf[it.off : it.off+klen]
-	it.val = it.buf[it.off+klen : it.off+klen+vlen]
-	it.seq = binary.LittleEndian.Uint64(it.buf[it.off-8 : it.off])
-	it.tomb = flags&walFlagTomb != 0
-	it.off += klen + vlen
 	it.n--
 	return true, nil
 }

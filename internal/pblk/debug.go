@@ -125,7 +125,7 @@ func (k *Pblk) DebugState() string {
 		k.rb.head, k.rb.disp, k.rb.tail, k.rb.userIn, k.rb.gcIn, k.rb.free(), k.rb.capacity(),
 		len(k.pend[streamUser]), len(k.pend[streamGC]), len(k.pend[streamApp]))
 	fmt.Fprintf(&b, "retry=%d flushes=%d suspects=%d stopping=%v rebuilding=%v gcStopping=%v\n",
-		k.retryCount(), len(k.flushes), len(k.suspects), k.stopping, k.rebuilding, k.gcStopping)
+		k.retryCount(), k.flushes.Len(), k.suspects.Len(), k.stopping, k.rebuilding, k.gcStopping)
 	fmt.Fprintf(&b, "gc moved=%d recycled=%d gcLost=%d gcPeakInFlight=%d\n",
 		k.Stats.GCMovedSectors, k.Stats.GCBlocksRecycled, k.Stats.GCLostSectors, k.Stats.GCPeakInFlight)
 	states := map[groupState]int{}
@@ -150,7 +150,7 @@ func (k *Pblk) DebugState() string {
 		states, minValid, maxValid, k.dataSectors, pending)
 	for _, s := range k.slots {
 		if s.grp[streamUser] != nil || s.grp[streamGC] != nil || s.queuedSectors() > 0 ||
-			len(s.retry) > 0 || s.sem.InUse() > 0 || s.sem.QueueLen() > 0 {
+			s.retry.Len() > 0 || s.sem.InUse() > 0 || s.sem.QueueLen() > 0 {
 			grp, gcGrp := -1, -1
 			if s.grp[streamUser] != nil {
 				grp = s.grp[streamUser].id
@@ -223,7 +223,8 @@ func (k *Pblk) CheckInvariants() error {
 		for st := range s.q {
 			sectors := 0
 			var prevPos uint64
-			for _, c := range s.q[st] {
+			for i := 0; i < s.q[st].Len(); i++ {
+				c := s.q[st].At(i)
 				if len(c.poss) == 0 {
 					return fmt.Errorf("lane %d holds an empty %s chunk", s.lane, streamName(st))
 				}
@@ -251,8 +252,8 @@ func (k *Pblk) CheckInvariants() error {
 				return fmt.Errorf("lane %d qSectors[%s]=%d but chunks hold %d", s.lane, streamName(st), s.qSectors[st], sectors)
 			}
 		}
-		for _, c := range s.retry {
-			for _, pos := range c.poss {
+		for i := 0; i < s.retry.Len(); i++ {
+			for _, pos := range s.retry.At(i).poss {
 				if pos < r.tail || pos >= r.head {
 					return fmt.Errorf("lane %d retry holds pos %d outside the ring", s.lane, pos)
 				}

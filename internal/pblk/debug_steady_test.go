@@ -53,7 +53,7 @@ func TestDebugOverwrite(t *testing.T) {
 	if !done {
 		t.Logf("DEADLOCK at chunk %d of %d: free=%d start=%d stop=%d rb{head=%d disp=%d tail=%d userIn=%d gcIn=%d free=%d} quota=%d idle=%v gcActive=%v retry=%d flushes=%d",
 			progress, 2*(k.Capacity()/(256*1024)), k.freeGroups, k.gcStartGroups(), k.gcStopGroups(),
-			k.rb.head, k.rb.disp, k.rb.tail, k.rb.userIn, k.rb.gcIn, k.rb.free(), k.rl.userQuota, k.rl.idle, k.gcActive, k.retryCount(), len(k.flushes))
+			k.rb.head, k.rb.disp, k.rb.tail, k.rb.userIn, k.rb.gcIn, k.rb.free(), k.rl.userQuota, k.rl.idle, k.gcActive, k.retryCount(), k.flushes.Len())
 		states := map[groupState]int{}
 		minValid, maxValid := 1<<30, -1
 		closed := 0

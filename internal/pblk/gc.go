@@ -169,7 +169,7 @@ func (k *Pblk) gcNeeded() bool {
 
 // maybeKickGC wakes the GC scheduler when there is work.
 func (k *Pblk) maybeKickGC() {
-	if len(k.suspects) > 0 || k.freeGroups < k.gcStartGroups() {
+	if k.suspects.Len() > 0 || k.freeGroups < k.gcStartGroups() {
 		k.gcKick.Signal()
 	}
 }
@@ -213,7 +213,7 @@ func (k *Pblk) gcBacklogged() bool {
 	if !k.cfg.DisableRateLimiter && k.rl.userQuota == 0 {
 		return true
 	}
-	return k.rb.userIn == 0 && k.admitHead == len(k.admitQ)
+	return k.rb.userIn == 0 && k.admitQ.Len() == 0
 }
 
 // launchVictims fills the GC pipeline: suspects first, then cost-benefit
@@ -233,13 +233,11 @@ func (k *Pblk) launchVictims() {
 		retire := false
 		scrub := false
 		switch {
-		case len(k.suspects) > 0:
-			g = k.groups[k.suspects[0]]
-			k.suspects = k.suspects[1:]
+		case k.suspects.Len() > 0:
+			g = k.groups[k.suspects.Pop()]
 			retire = true
-		case len(k.scrubQ) > 0:
-			cand := k.groups[k.scrubQ[0]]
-			k.scrubQ = k.scrubQ[1:]
+		case k.scrubQ.Len() > 0:
+			cand := k.groups[k.scrubQ.Pop()]
 			if !cand.scrubQueued || cand.state != stClosed {
 				// Recycled or retired since it was queued; the flag was
 				// cleared on that path, so the entry is stale.
@@ -660,7 +658,7 @@ func (k *Pblk) moveValid(p *sim.Proc, g *group) {
 		} else {
 			g.gcDone.Reset()
 		}
-		k.flushes = append(k.flushes, flushReq{pos: k.rb.head - 1, ev: k.getEvent()})
+		k.flushes.Push(flushReq{pos: k.rb.head - 1, ev: k.getEvent()})
 		k.kickWriters()
 		p.Wait(g.gcDone)
 	}

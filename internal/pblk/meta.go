@@ -533,7 +533,7 @@ func (k *Pblk) applySnapshot(b []byte) error {
 			g.closedAt = int64(k.env.Now())
 		case stSuspect:
 			g.state = stSuspect
-			k.suspects = append(k.suspects, g.id)
+			k.suspects.Push(g.id)
 		default:
 			g.state = st
 			if st == stClosed {

@@ -264,10 +264,10 @@ type slot struct {
 	// q holds dispatched chunks awaiting unit formation, one sub-queue per
 	// stream. Chunks are stream-homogeneous: every entry of a chunk maps
 	// into the stream's open group.
-	q [numStreams][]chunk
+	q [numStreams]sim.FIFO[chunk]
 	// retry holds chunks of write-failed sectors, resubmitted ahead of q
 	// (§4.2.3) into the stream they came from.
-	retry    []chunk
+	retry    sim.FIFO[chunk]
 	qSectors [numStreams]int // sectors across q (retry excluded)
 	kick     *sim.Event      // wakes the lane writer
 	done     *sim.Event      // fires when the lane writer exits
@@ -304,8 +304,8 @@ func (s *slot) acquire(p *sim.Proc) {
 // retrySectors counts write-failed sectors awaiting resubmission.
 func (s *slot) retrySectors() int {
 	n := 0
-	for _, c := range s.retry {
-		n += len(c.poss)
+	for i := 0; i < s.retry.Len(); i++ {
+		n += len(s.retry.At(i).poss)
 	}
 	return n
 }
@@ -384,24 +384,20 @@ type Pblk struct {
 	unitStamp uint64
 
 	// admitQ holds queue-pair writes awaiting ring admission in FIFO
-	// order; admitHead indexes the next one (the consumed prefix is
-	// reclaimed wholesale when the queue empties, so admission never
-	// reallocates in steady state). admitActive marks the admission pump
-	// armed (queue.go). The pump is a continuation, not a process:
-	// admitCur/admitSector are its cursor and the bound step functions
-	// are created once.
-	admitQ       []pendingWrite
-	admitHead    int
+	// order. admitActive marks the admission pump armed (queue.go). The
+	// pump is a continuation, not a process: admitCur/admitSector are its
+	// cursor and the bound step functions are created once.
+	admitQ       sim.FIFO[pendingWrite]
 	admitActive  bool
 	admitCur     pendingWrite
 	admitSector  int64
 	admitStepFn  func()
 	admitStartFn func()
 	// suspects queues write-failed groups for priority GC + retirement.
-	suspects []int
+	suspects sim.FIFO[int]
 	// scrubQ queues closed groups for refresh through the GC machinery;
 	// the scrubber (scrub.go) feeds it, launchVictims consumes it.
-	scrubQ []int
+	scrubQ sim.FIFO[int]
 
 	// Read fan-out pools (read.go): per-PU grouping scratch and the
 	// request/chunk objects of the asynchronous read path.
@@ -432,7 +428,7 @@ type Pblk struct {
 	gcChunkLists [][]*gcChunk
 	eventFree    []*sim.Event
 
-	flushes    []flushReq
+	flushes    sim.FIFO[flushReq]
 	gcKick     *sim.Event
 	stopping   bool // full stop: I/O rejected, loops exit
 	crashed    bool // simulated power loss: writers abandon work instantly
@@ -795,17 +791,21 @@ func (k *Pblk) SetActivePUs(p *sim.Proc, n int) error {
 	// A write failure completing after the old writers exited parks its
 	// retries on a quiesced lane; carry any such leftovers into the new
 	// lane set or the ring tail wedges below them.
-	var leftovers []chunk
-	for _, s := range k.slots {
-		leftovers = append(leftovers, s.retry...)
-		for st := range s.q {
-			leftovers = append(leftovers, s.q[st]...)
-		}
-	}
+	old := k.slots
 	k.cfg.ActivePUs = n
 	k.buildSlots()
 	k.startWriters()
-	k.slots[0].retry = append(k.slots[0].retry, leftovers...)
+	carry := func(q *sim.FIFO[chunk]) {
+		for q.Len() > 0 {
+			k.slots[0].retry.Push(q.Pop())
+		}
+	}
+	for _, s := range old {
+		carry(&s.retry)
+		for st := range s.q {
+			carry(&s.q[st])
+		}
+	}
 	return nil
 }
 

@@ -59,7 +59,7 @@ func (k *Pblk) IssueAsync(req *blockdev.Request, done func(*blockdev.Request)) {
 	case blockdev.ReqRead:
 		k.startReadReq(req, done)
 	case blockdev.ReqWrite:
-		k.admitQ = append(k.admitQ, pendingWrite{req: req, done: done})
+		k.admitQ.Push(pendingWrite{req: req, done: done})
 		if !k.admitActive {
 			k.admitActive = true
 			if k.admitStepFn == nil {
@@ -94,27 +94,11 @@ type pendingWrite struct {
 // simulation context.
 func (k *Pblk) admitStart() {
 	for {
-		if k.admitHead == len(k.admitQ) {
-			// Drained: recycle the backing array in place instead of
-			// bleeding capacity one slice-shift at a time.
-			k.admitQ = k.admitQ[:0]
-			k.admitHead = 0
+		if k.admitQ.Len() == 0 {
 			k.admitActive = false
 			return
 		}
-		if k.admitHead >= 64 && 2*k.admitHead >= len(k.admitQ) {
-			// Sustained backlog: slide the live suffix down so the consumed
-			// prefix is reused instead of growing the array forever.
-			n := copy(k.admitQ, k.admitQ[k.admitHead:])
-			for i := n; i < len(k.admitQ); i++ {
-				k.admitQ[i] = pendingWrite{}
-			}
-			k.admitQ = k.admitQ[:n]
-			k.admitHead = 0
-		}
-		pw := k.admitQ[k.admitHead]
-		k.admitQ[k.admitHead] = pendingWrite{}
-		k.admitHead++
+		pw := k.admitQ.Pop()
 		k.admitCur = pw
 		if k.stopping {
 			pw.req.Err = ErrStopped
@@ -213,7 +197,7 @@ func (k *Pblk) startFlush(fin func(error)) {
 		return
 	}
 	req := flushReq{pos: k.rb.head - 1, ev: k.getEvent()}
-	k.flushes = append(k.flushes, req)
+	k.flushes.Push(req)
 	k.kickWriters()
 	req.ev.OnFire(func() { fin(nil) })
 }

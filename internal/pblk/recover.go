@@ -324,7 +324,7 @@ func (k *Pblk) padGroupTail(p *sim.Proc, g *group, watermark int, lbas []int64, 
 // markSuspectRecovered queues a group found damaged during recovery.
 func (k *Pblk) markSuspectRecovered(g *group) {
 	g.state = stSuspect
-	k.suspects = append(k.suspects, g.id)
+	k.suspects.Push(g.id)
 }
 
 // waitGroupClosed blocks until submitCloseMeta's completions have flipped

@@ -89,7 +89,7 @@ func (k *Pblk) scrubSweep() int64 {
 			break
 		}
 		g.scrubQueued = true
-		k.scrubQ = append(k.scrubQ, g.id)
+		k.scrubQ.Push(g.id)
 		if retryDriven {
 			k.Stats.ScrubRetryRefreshes++
 		} else {

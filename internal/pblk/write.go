@@ -172,7 +172,7 @@ func (k *Pblk) dispatch() {
 				s = k.slots[k.rrNext[st]%len(k.slots)]
 				k.rrNext[st] = (k.rrNext[st] + 1) % len(k.slots)
 			}
-			s.q[st] = append(s.q[st], chunk{stream: st, poss: poss})
+			s.q[st].Push(chunk{stream: st, poss: poss})
 			s.qSectors[st] += n
 			if d := s.pendingSectors(); d > s.peakDepth {
 				s.peakDepth = d
@@ -218,7 +218,7 @@ func (k *Pblk) forceDispatch(st int) bool {
 	if k.stopping || k.rebuilding {
 		return true
 	}
-	if len(k.flushes) > 0 && k.flushes[0].pos >= k.pend[st][0] {
+	if k.flushes.Len() > 0 && k.flushes.Front().pos >= k.pend[st][0] {
 		return true
 	}
 	return k.rb.free() == 0 && k.pend[st][0] == k.rb.tail
@@ -231,29 +231,47 @@ func (k *Pblk) forceDispatch(st int) bool {
 // produce/complete path costs one dispatch call.
 func (k *Pblk) kickWriters() {
 	k.dispatch()
-	if len(k.flushes) == 0 && !k.stopping && !k.rebuilding && k.rb.free() > 0 {
+	if k.flushes.Len() == 0 && !k.stopping && !k.rebuilding && k.rb.free() > 0 {
 		return
 	}
 	for _, s := range k.slots {
-		if k.laneHasWork(s) {
+		// Waking a lane with nothing to do would only burn a scheduler
+		// round trip; a stopping lane is woken to exit. A stale group is not
+		// this scan's to announce: the scrubber marks it before it wakes
+		// the lane (scrub.go).
+		if w := k.laneNext(s); k.stopping || s.quit || w == laneWrite || w == laneCover {
 			s.wake()
 		}
 	}
 }
 
-// laneHasWork mirrors the laneWriter scheduling conditions; waking a lane
-// without work would only burn a scheduler round trip.
-func (k *Pblk) laneHasWork(s *slot) bool {
-	if k.stopping || s.quit {
-		return true
+// laneWork is what a lane writer does next.
+type laneWork int
+
+const (
+	laneIdle      laneWork = iota // park, or exit when stopping
+	laneWrite                     // form and submit a write unit
+	laneCover                     // pad forward to cover lower/upper pairs
+	laneFoldStale                 // pad-close a stale open group
+)
+
+// laneNext is the lane writer's scheduling decision, the one statement of
+// when a lane has work: laneWriter acts on it and kickWriters wakes by it.
+func (k *Pblk) laneNext(s *slot) laneWork {
+	pending := s.pendingSectors()
+	switch {
+	case pending >= k.unitSectors,
+		k.laneFlushPending(s),
+		k.laneTailBlocked(s),
+		pending > 0 && s.quit,
+		s.retry.Len() > 0 && k.rb.free() <= k.rb.capacity()/4:
+		return laneWrite
+	case k.strictPair && k.flushes.Len() > 0 && k.lanePairCoverNeeded(s):
+		return laneCover
+	case k.laneStaleOpen(s):
+		return laneFoldStale
 	}
-	if s.pendingSectors() >= k.unitSectors || k.laneFlushPending(s) || k.laneTailBlocked(s) {
-		return true
-	}
-	if len(s.retry) > 0 && k.rb.free() <= k.rb.capacity()/4 {
-		return true
-	}
-	return k.strictPair && len(k.flushes) > 0 && k.lanePairCoverNeeded(s)
+	return laneIdle
 }
 
 // laneFlushPending reports whether lane s must submit (and pad) now to let
@@ -263,14 +281,14 @@ func (k *Pblk) laneHasWork(s *slot) bool {
 // not covered — the flush does not pad them (paper §4.2.1 pads only what
 // the flush forces out).
 func (k *Pblk) laneFlushPending(s *slot) bool {
-	if len(k.flushes) == 0 {
+	if k.flushes.Len() == 0 {
 		return false
 	}
-	if len(s.retry) > 0 {
+	if s.retry.Len() > 0 {
 		return true
 	}
 	for st := range s.q {
-		if len(s.q[st]) > 0 && s.q[st][0].poss[0] <= k.flushes[0].pos {
+		if s.q[st].Len() > 0 && s.q[st].Front().poss[0] <= k.flushes.Front().pos {
 			return true
 		}
 	}
@@ -286,7 +304,7 @@ func (k *Pblk) laneTailBlocked(s *slot) bool {
 		return false
 	}
 	for st := range s.q {
-		if len(s.q[st]) > 0 && s.q[st][0].poss[0] == k.rb.tail {
+		if s.q[st].Len() > 0 && s.q[st].Front().poss[0] == k.rb.tail {
 			return true
 		}
 	}
@@ -318,18 +336,13 @@ func (k *Pblk) laneWriter(p *sim.Proc, s *slot) {
 		if k.crashed {
 			return
 		}
-		pending := s.pendingSectors()
-		switch {
-		case pending >= k.unitSectors,
-			k.laneFlushPending(s),
-			k.laneTailBlocked(s),
-			pending > 0 && s.quit,
-			len(s.retry) > 0 && k.rb.free() <= k.rb.capacity()/4:
+		switch k.laneNext(s) {
+		case laneWrite:
 			k.writeUnitOn(p, s)
-		case k.strictPair && len(k.flushes) > 0 && k.lanePairCoverNeeded(s):
+		case laneCover:
 			k.coverPairs(p, s)
 			k.laneWait(p, s)
-		case k.laneStaleOpen(s):
+		case laneFoldStale:
 			k.closeStaleOpen(p, s)
 		default:
 			if k.stopping || s.quit {
@@ -356,28 +369,19 @@ func (k *Pblk) laneWait(p *sim.Proc, s *slot) {
 // oldest-first keeps the global tail moving, since the tail stops at the
 // oldest unprogrammed entry regardless of stream.
 func (s *slot) nextChunk() (chunk, bool) {
-	if len(s.retry) > 0 {
-		c := s.retry[0]
-		n := copy(s.retry, s.retry[1:])
-		s.retry[n] = chunk{}
-		s.retry = s.retry[:n]
-		return c, true
+	if s.retry.Len() > 0 {
+		return s.retry.Pop(), true
 	}
 	st := -1
 	for i := range s.q {
-		if len(s.q[i]) > 0 && (st < 0 || s.q[i][0].poss[0] < s.q[st][0].poss[0]) {
+		if s.q[i].Len() > 0 && (st < 0 || s.q[i].Front().poss[0] < s.q[st].Front().poss[0]) {
 			st = i
 		}
 	}
 	if st < 0 {
 		return chunk{}, false
 	}
-	// Pop by sliding down so the queue's backing array is reused instead
-	// of bled away one slice-shift at a time.
-	c := s.q[st][0]
-	n := copy(s.q[st], s.q[st][1:])
-	s.q[st][n] = chunk{}
-	s.q[st] = s.q[st][:n]
+	c := s.q[st].Pop()
 	s.qSectors[st] -= len(c.poss)
 	return c, true
 }
@@ -505,7 +509,7 @@ func (k *Pblk) writeUnitOn(p *sim.Proc, s *slot) {
 		if other := k.borrowStream(s, st); k.freeGroups <= 2 && other >= 0 {
 			st = other
 		} else if t := k.shedTargetAtExhaustion(s, st); t != nil {
-			t.retry = append(t.retry, c)
+			t.retry.Push(c)
 			if d := t.pendingSectors(); d > t.peakDepth {
 				t.peakDepth = d
 			}
@@ -516,7 +520,7 @@ func (k *Pblk) writeUnitOn(p *sim.Proc, s *slot) {
 			k.setLaneGroup(s, st, k.openGroupOn(p, s, st))
 			if s.grp[st] == nil { // stopping
 				// Put the chunk back so a later drain can still write it.
-				s.retry = append([]chunk{c}, s.retry...)
+				s.retry.PushFront(c)
 				s.sem.Release()
 				return
 			}
@@ -789,16 +793,14 @@ func (k *Pblk) releaseGCRef(e *rbEntry) {
 
 // checkFlushes completes flush requests whose barrier the tail has passed.
 func (k *Pblk) checkFlushes() {
-	for len(k.flushes) > 0 && k.rb.tail > k.flushes[0].pos {
-		k.flushes[0].ev.Signal()
+	for k.flushes.Len() > 0 && k.rb.tail > k.flushes.Front().pos {
+		ev := k.flushes.Pop().ev
+		ev.Signal()
 		// Signal extracted the waiters, so the event can go straight back
-		// to the pool. Pop by copy-down to keep the queue's backing array.
-		k.putEvent(k.flushes[0].ev)
-		n := copy(k.flushes, k.flushes[1:])
-		k.flushes[n] = flushReq{}
-		k.flushes = k.flushes[:n]
+		// to the pool.
+		k.putEvent(ev)
 	}
-	if len(k.flushes) > 0 {
+	if k.flushes.Len() > 0 {
 		// Wake the covered lanes: padding (or pair covering) may be
 		// required to let the tail progress past the barrier.
 		k.kickWriters()
@@ -858,7 +860,7 @@ func (k *Pblk) handleWriteError(g *group, unit int, c *ocssd.Completion) {
 		// it carries a higher stamp and still replays after the rewrite.
 		// The chunk stays in the stream of the unit that failed.
 		s := k.laneOf(g.gpu)
-		s.retry = append(s.retry, chunk{stream: int(g.stream), poss: failed})
+		s.retry.Push(chunk{stream: int(g.stream), poss: failed})
 		if d := s.pendingSectors(); d > s.peakDepth {
 			s.peakDepth = d
 		}
@@ -908,7 +910,7 @@ func (k *Pblk) requeuePairLower(g *group, unit int) {
 	}
 	k.Stats.PairRescuedSectors += int64(len(requeued))
 	s := k.laneOf(g.gpu)
-	s.retry = append(s.retry, chunk{stream: int(g.stream), poss: requeued})
+	s.retry.Push(chunk{stream: int(g.stream), poss: requeued})
 	if d := s.pendingSectors(); d > s.peakDepth {
 		s.peakDepth = d
 	}
@@ -947,7 +949,7 @@ func (k *Pblk) markSuspect(g *group) {
 		}
 	}
 	g.state = stSuspect
-	k.suspects = append(k.suspects, g.id)
+	k.suspects.Push(g.id)
 	k.finalizeGroup(g) // suspect groups waive pair covering
 	k.rb.advanceTail()
 	k.checkFlushes()

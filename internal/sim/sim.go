@@ -16,8 +16,9 @@
 // lane writers, GC movers, lsmdb's threads, workloads and tests — is
 // written in, where straight-line blocking code is worth that. A process
 // borrows its coroutine from a per-Env pool of carriers, so starting one
-// costs one allocation and no goroutine. Both forms share the same FIFO
-// wait queues, so they interleave deterministically.
+// costs one allocation and no goroutine. Both forms share the same wait
+// queues (FIFO, the ring every queue of the stack is), so they interleave
+// deterministically.
 //
 // Determinism: at most one process runs at any instant, events that fire at
 // the same virtual time execute in schedule order, and all randomness is
@@ -583,47 +584,13 @@ func (ev *Event) OnFire(fn func()) {
 
 // Resource is a counted FIFO resource (semaphore). Acquirers take units
 // and wait, in arrival order, when none are free. Processes block in
-// Acquire; continuations register a callback with AcquireFn. The zero
-// value is not usable; call Env.NewResource.
-//
-// The wait queue is a ring: dequeue moves a head index instead of
-// reslicing, so a resource that oscillates between contended and idle
-// reuses one backing array instead of reallocating it on every wave of
-// waiters.
+// Acquire; continuations register a callback with AcquireFn; both wait on
+// one FIFO. The zero value is not usable; call Env.NewResource.
 type Resource struct {
 	env      *Env
 	capacity int
 	inUse    int
-	q        []waiter
-	qHead    int
-	qLen     int
-}
-
-func (r *Resource) enqueue(w waiter) {
-	if r.qLen == len(r.q) {
-		grown := make([]waiter, max(8, 2*len(r.q)))
-		for i := 0; i < r.qLen; i++ {
-			grown[i] = r.q[(r.qHead+i)%len(r.q)]
-		}
-		r.q, r.qHead = grown, 0
-	}
-	i := r.qHead + r.qLen
-	if i >= len(r.q) {
-		i -= len(r.q)
-	}
-	r.q[i] = w
-	r.qLen++
-}
-
-func (r *Resource) dequeue() waiter {
-	w := r.q[r.qHead]
-	r.q[r.qHead] = waiter{} // release references
-	r.qHead++
-	if r.qHead == len(r.q) {
-		r.qHead = 0
-	}
-	r.qLen--
-	return w
+	q        FIFO[waiter]
 }
 
 // NewResource returns a resource with the given capacity (> 0).
@@ -640,7 +607,7 @@ func (r *Resource) Acquire(p *Proc) {
 		r.inUse++
 		return
 	}
-	r.enqueue(waiter{resumeProc, p})
+	r.q.Push(waiter{resumeProc, p})
 	p.pause()
 }
 
@@ -655,7 +622,7 @@ func (r *Resource) AcquireFn(fn func()) {
 		fn()
 		return
 	}
-	r.enqueue(waiter{callFunc, fn})
+	r.q.Push(waiter{callFunc, fn})
 }
 
 // TryAcquire takes one unit if immediately available and reports success.
@@ -673,8 +640,8 @@ func (r *Resource) Release() {
 	if r.inUse <= 0 {
 		panic("sim: release of idle resource")
 	}
-	if r.qLen > 0 {
-		r.env.wake(r.dequeue())
+	if r.q.Len() > 0 {
+		r.env.wake(r.q.Pop())
 		return
 	}
 	r.inUse--
@@ -684,4 +651,4 @@ func (r *Resource) Release() {
 func (r *Resource) InUse() int { return r.inUse }
 
 // QueueLen returns the number of acquirers waiting.
-func (r *Resource) QueueLen() int { return r.qLen }
+func (r *Resource) QueueLen() int { return r.q.Len() }

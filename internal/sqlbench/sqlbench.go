@@ -215,45 +215,50 @@ func maxInt(a, b int) int {
 	return b
 }
 
-// RunOLTP executes the OLTP workload for duration d.
-func RunOLTP(p *sim.Proc, env *sim.Env, dev blockdev.Device, cfg Config, d time.Duration) *Result {
-	res := &Result{Name: "oltp"}
-	e := newEngine(env, dev, cfg, res)
+// run drives cfg.Threads client processes for duration d, each executing
+// txn back to back with a random stream of its own, then stops the engine
+// and completes the result.
+func (e *engine) run(p *sim.Proc, d time.Duration, txn func(pr *sim.Proc, rng *rand.Rand)) *Result {
+	env, res := e.env, e.res
 	start := env.Now()
-	done := env.NewEvent()
-	running := cfg.Threads
-	for th := 0; th < cfg.Threads; th++ {
-		env.Go(fmt.Sprintf("oltp.%d", th), func(pr *sim.Proc) {
-			defer func() {
-				running--
-				if running == 0 {
-					done.Signal()
-				}
-			}()
+	clients := make([]*sim.Proc, e.cfg.Threads)
+	for th := range clients {
+		rng := rand.New(rand.NewSource(e.cfg.Seed + int64(th)*31))
+		clients[th] = env.Go(fmt.Sprintf("%s.%d", res.Name, th), func(pr *sim.Proc) {
 			for env.Now() < start+d {
 				t0 := env.Now()
-				for i := 0; i < cfg.ReadsPerTxn; i++ {
-					if err := e.readPage(pr); err != nil {
-						panic(err)
-					}
-				}
-				for i := 0; i < cfg.WritesPerTxn; i++ {
-					e.dirtyPage()
-				}
-				pr.Sleep(cfg.CPUPerTxn)
-				if err := e.appendRedo(pr, int64(cfg.RedoPerTxn)); err != nil {
-					panic(err)
-				}
+				txn(pr, rng)
 				res.Lat.Add(env.Now() - t0)
 				res.Txns++
 			}
 		})
 	}
-	p.Wait(done)
+	for _, c := range clients {
+		p.Wait(c.Done())
+	}
 	e.stop(p)
 	res.Elapsed = env.Now() - start
 	res.TPS = float64(res.Txns) / res.Elapsed.Seconds()
 	return res
+}
+
+// RunOLTP executes the OLTP workload for duration d.
+func RunOLTP(p *sim.Proc, env *sim.Env, dev blockdev.Device, cfg Config, d time.Duration) *Result {
+	e := newEngine(env, dev, cfg, &Result{Name: "oltp"})
+	return e.run(p, d, func(pr *sim.Proc, _ *rand.Rand) {
+		for i := 0; i < cfg.ReadsPerTxn; i++ {
+			if err := e.readPage(pr); err != nil {
+				panic(err)
+			}
+		}
+		for i := 0; i < cfg.WritesPerTxn; i++ {
+			e.dirtyPage()
+		}
+		pr.Sleep(cfg.CPUPerTxn)
+		if err := e.appendRedo(pr, int64(cfg.RedoPerTxn)); err != nil {
+			panic(err)
+		}
+	})
 }
 
 // RunOLAP executes the OLAP workload for duration d: scan-heavy queries,
@@ -261,59 +266,36 @@ func RunOLTP(p *sim.Proc, env *sim.Env, dev blockdev.Device, cfg Config, d time.
 func RunOLAP(p *sim.Proc, env *sim.Env, dev blockdev.Device, cfg Config, d time.Duration) *Result {
 	res := &Result{Name: "olap"}
 	e := newEngine(env, dev, cfg, res)
-	start := env.Now()
-	done := env.NewEvent()
-	running := cfg.Threads
 	const scanChunk = 256 << 10
-	for th := 0; th < cfg.Threads; th++ {
-		th := th
-		env.Go(fmt.Sprintf("olap.%d", th), func(pr *sim.Proc) {
-			defer func() {
-				running--
-				if running == 0 {
-					done.Signal()
-				}
-			}()
-			rng := rand.New(rand.NewSource(cfg.Seed + int64(th)*31))
-			for env.Now() < start+d {
-				t0 := env.Now()
-				// Scan a contiguous region of the table space.
-				span := e.dataSize - cfg.ScanBytesPerQuery
-				if span < 1 {
-					span = 1
-				}
-				base := e.dataBase + rng.Int63n(span)/int64(dev.SectorSize())*int64(dev.SectorSize())
-				for got := int64(0); got < cfg.ScanBytesPerQuery; got += scanChunk {
-					if e.rng.Float64() < cfg.BufferPoolHit {
-						continue
-					}
-					if err := dev.Read(pr, base+got, nil, scanChunk); err != nil {
-						panic(err)
-					}
-					res.DataReadBytes += scanChunk
-				}
-				pr.Sleep(cfg.CPUPerQuery)
-				// Occasional metadata update with a flush every ~100
-				// queries keeps flush counts two orders below OLTP.
-				if rng.Intn(100) == 0 {
-					if err := e.appendRedo(pr, int64(cfg.RedoPerTxn)); err != nil {
-						panic(err)
-					}
-					if !cfg.FlushEveryCommit {
-						if err := dev.Flush(pr); err != nil {
-							panic(err)
-						}
-						res.Flushes++
-					}
-				}
-				res.Lat.Add(env.Now() - t0)
-				res.Txns++
+	return e.run(p, d, func(pr *sim.Proc, rng *rand.Rand) {
+		// Scan a contiguous region of the table space.
+		span := e.dataSize - cfg.ScanBytesPerQuery
+		if span < 1 {
+			span = 1
+		}
+		base := e.dataBase + rng.Int63n(span)/int64(dev.SectorSize())*int64(dev.SectorSize())
+		for got := int64(0); got < cfg.ScanBytesPerQuery; got += scanChunk {
+			if e.rng.Float64() < cfg.BufferPoolHit {
+				continue
 			}
-		})
-	}
-	p.Wait(done)
-	e.stop(p)
-	res.Elapsed = env.Now() - start
-	res.TPS = float64(res.Txns) / res.Elapsed.Seconds()
-	return res
+			if err := dev.Read(pr, base+got, nil, scanChunk); err != nil {
+				panic(err)
+			}
+			res.DataReadBytes += scanChunk
+		}
+		pr.Sleep(cfg.CPUPerQuery)
+		// Occasional metadata update with a flush every ~100
+		// queries keeps flush counts two orders below OLTP.
+		if rng.Intn(100) == 0 {
+			if err := e.appendRedo(pr, int64(cfg.RedoPerTxn)); err != nil {
+				panic(err)
+			}
+			if !cfg.FlushEveryCommit {
+				if err := dev.Flush(pr); err != nil {
+					panic(err)
+				}
+				res.Flushes++
+			}
+		}
+	})
 }
