@@ -165,8 +165,8 @@ func (k *Pblk) DebugState() string {
 		}
 	}
 	if e := k.rb.at(k.rb.tail); k.rb.tail < k.rb.head {
-		fmt.Fprintf(&b, "tail entry: pos=%d lba=%d state=%d isGC=%v stamp=%d addr=%v\n",
-			e.pos, e.lba, e.state, e.isGC, e.stamp, e.addr)
+		fmt.Fprintf(&b, "tail entry: pos=%d lba=%d state=%d isGC=%v stamp=%d ppa=%#x\n",
+			e.pos, e.lba, e.state, e.isGC, e.stamp, e.ppa)
 	}
 	return b.String()
 }
@@ -304,6 +304,14 @@ func (k *Pblk) CheckInvariants() error {
 	}
 	if covered != k.gcOpenLanes {
 		return fmt.Errorf("gcOpenLanes=%d but %d lanes hold GC groups", k.gcOpenLanes, covered)
+	}
+	// Recount through the decoder, so the packed lookup the datapath keeps
+	// the counts with (groupOfEntry) is checked against it.
+	decoded := func(v uint64) *group { return k.groupOf(k.mediaAddr(v)) }
+	for id, n := range k.countValid(decoded) {
+		if g := k.groups[id]; g.valid != n {
+			return fmt.Errorf("group %d counts %d valid sectors but the L2P maps %d into it", id, g.valid, n)
+		}
 	}
 	return nil
 }

@@ -126,7 +126,7 @@ func TestRecoverScanRestoresWhatWasFlushed(t *testing.T) {
 // whose first page is not their own open mark. The scan must erase each back
 // to free — or, when that erase fails, retire it — and mount regardless.
 func TestScanReclaimsForeignAndTornGroups(t *testing.T) {
-	run := func(t *testing.T, wornOut bool, want groupState, wantErases int) {
+	run := func(t *testing.T, wornOut bool, want groupState, wantErases int, wantRetired int64) {
 		devCfg := testDeviceConfig()
 		if wornOut {
 			// EraseFailProb would fail the system group's erase too, which
@@ -170,10 +170,14 @@ func TestScanReclaimsForeignAndTornGroups(t *testing.T) {
 					}
 				}
 			}
+			// A failed reclaim erase is counted as a failed GC erase is.
+			if k.Stats.BadBlocks != wantRetired || k.Stats.EraseErrors != wantRetired {
+				t.Errorf("BadBlocks %d, EraseErrors %d; want %d each", k.Stats.BadBlocks, k.Stats.EraseErrors, wantRetired)
+			}
 		})
 	}
-	t.Run("erased", func(t *testing.T) { run(t, false, stFree, 1) })
-	t.Run("erase-fails", func(t *testing.T) { run(t, true, stBad, 0) })
+	t.Run("erased", func(t *testing.T) { run(t, false, stFree, 1, 0) })
+	t.Run("erase-fails", func(t *testing.T) { run(t, true, stBad, 0, 3) })
 }
 
 // TestDeterministicMixedWorkload drives two fresh environments with the

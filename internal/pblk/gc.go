@@ -1,6 +1,8 @@
 package pblk
 
 import (
+	"fmt"
+
 	"repro/internal/blockdev"
 	"repro/internal/ocssd"
 	"repro/internal/ppa"
@@ -176,14 +178,22 @@ func (k *Pblk) maybeKickGC() {
 
 // gcLoop is pblk's garbage-collection scheduler (paper §4.2.4, pipelined):
 // it keeps up to Config.GCPipelineDepth victim groups in flight, each
-// moved by its own worker process, so victim selection, reverse-map reads,
-// valid-sector reads, and lane drains of different victims overlap instead
-// of serializing. Suspect (write-failed) groups are drained with priority
-// and retired; otherwise victims are chosen by cost-benefit score whenever
-// free space runs low. On stop the scheduler waits for every in-flight
-// worker before signalling gcDone.
+// moved by one of as many mover processes, so victim selection,
+// reverse-map reads, valid-sector reads, and lane drains of different
+// victims overlap instead of serializing. Suspect (write-failed) groups
+// are drained with priority and retired; otherwise victims are chosen by
+// cost-benefit score whenever free space runs low. On stop the scheduler
+// waits for every in-flight victim before signalling gcDone.
 func (k *Pblk) gcLoop(p *sim.Proc) {
-	defer k.gcDone.Signal()
+	defer func() {
+		k.gcDone.Signal()
+		// Release the parked movers: a nil victim ends a mover. Busy ones
+		// see the stop when their victim is done.
+		for _, m := range k.gcIdle {
+			m.kick.Signal()
+		}
+		k.gcIdle = nil
+	}()
 	for !k.stopping && !k.gcStopping {
 		k.launchVictims()
 		k.gcKick.Rearm()
@@ -216,9 +226,55 @@ func (k *Pblk) gcBacklogged() bool {
 	return k.rb.userIn == 0 && k.admitQ.Len() == 0
 }
 
+// gcMover is one of the Config.GCPipelineDepth long-lived GC worker
+// processes: it parks on kick until launchVictims hands it a victim.
+type gcMover struct {
+	kick   *sim.Event
+	g      *group // the victim; nil when the mover is released
+	retire bool
+}
+
+// startMovers spawns the GC workers. They must park before the scheduler
+// first runs, so that a hand-off queues a mover's wake exactly where
+// spawning a worker per victim queued its start.
+func (k *Pblk) startMovers() {
+	for i := 0; i < k.cfg.GCPipelineDepth; i++ {
+		m := &gcMover{kick: k.env.NewEvent()}
+		k.gcIdle = append(k.gcIdle, m)
+		k.env.Go(fmt.Sprintf("pblk.%s.gcmover%d", k.name, i), func(p *sim.Proc) { k.runMover(p, m) })
+	}
+}
+
+// runMover is a mover's loop: recycle each victim handed over, then park
+// again, until released or the target stops.
+func (k *Pblk) runMover(p *sim.Proc, m *gcMover) {
+	for {
+		p.Wait(m.kick)
+		m.kick.Rearm()
+		g := m.g
+		if g == nil {
+			return
+		}
+		p.SetName(g.mover)
+		k.recycle(p, g, m.retire)
+		m.g = nil
+		k.gcInFlight--
+		if m.retire {
+			k.gcRetiring--
+		}
+		k.gcKick.Signal()
+		k.notifyState()
+		if k.stopping || k.gcStopping {
+			return
+		}
+		k.gcIdle = append(k.gcIdle, m)
+	}
+}
+
 // launchVictims fills the GC pipeline: suspects first, then cost-benefit
 // victims while free space is below the hysteresis band. Each victim is
-// claimed (stGC) before its worker spawns so it cannot be picked twice.
+// claimed (stGC) before it is handed to a mover so it cannot be picked
+// twice; a mover is idle for every victim the pipeline has room for.
 // The first in-flight victim uses the full desperation ceiling (with its
 // liveness escapes); additional concurrent victims launch only under
 // acute pressure, where overlapping victim reads with sibling drains
@@ -278,16 +334,10 @@ func (k *Pblk) launchVictims() {
 		if int64(k.gcInFlight) > k.Stats.GCPeakInFlight {
 			k.Stats.GCPeakInFlight = int64(k.gcInFlight)
 		}
-		gg, rt := g, retire
-		k.env.Go(gg.mover, func(wp *sim.Proc) {
-			k.recycle(wp, gg, rt)
-			k.gcInFlight--
-			if rt {
-				k.gcRetiring--
-			}
-			k.gcKick.Signal()
-			k.notifyState()
-		})
+		m := k.gcIdle[len(k.gcIdle)-1]
+		k.gcIdle = k.gcIdle[:len(k.gcIdle)-1]
+		m.g, m.retire = g, retire
+		m.kick.Signal()
 	}
 }
 
@@ -460,10 +510,11 @@ func (k *Pblk) recycle(p *sim.Proc, g *group, retire bool) {
 // buffering a whole group's data in host memory.
 const gcReadWindow = 4
 
-// gcMove is one still-valid sector of a victim group awaiting rewrite.
+// gcMove is one still-valid sector of a victim group awaiting rewrite:
+// its LBA and the L2P media entry that maps it into the victim.
 type gcMove struct {
-	lba  int64
-	addr ppa.Addr
+	lba   int64
+	entry uint64
 }
 
 // gcChunk is one pooled vector read of a victim drain: the moves it
@@ -488,7 +539,7 @@ func (rc *gcChunk) submit() {
 	rc.vec.Op = ocssd.OpRead
 	rc.vec.Addrs = rc.vec.Addrs[:0]
 	for _, m := range rc.moves {
-		rc.vec.Addrs = append(rc.vec.Addrs, m.addr)
+		rc.vec.Addrs = append(rc.vec.Addrs, rc.k.mediaAddr(m.entry))
 	}
 	rc.k.dev.Submit(&rc.vec, rc.cbFn)
 }
@@ -570,9 +621,8 @@ func (k *Pblk) moveValid(p *sim.Proc, g *group) {
 		if lba == padLBA || lba < 0 || lba >= k.capacityLBAs {
 			continue
 		}
-		a := k.sectorAddr(g, i)
-		if k.l2p[lba] == k.mediaEntry(a) {
-			moves = append(moves, gcMove{lba: lba, addr: a})
+		if v := k.mediaEntry(k.sectorAddr(g, i)); k.l2p[lba] == v {
+			moves = append(moves, gcMove{lba: lba, entry: v})
 		}
 	}
 	chunks := k.getGCChunkList()
@@ -613,7 +663,7 @@ func (k *Pblk) moveValid(p *sim.Proc, g *group) {
 				// The sector is unreadable; unless the user overwrote it
 				// while the read was in flight, its data is lost from the
 				// device's perspective and upper layers must recover.
-				if k.l2p[m.lba] == k.mediaEntry(m.addr) {
+				if k.l2p[m.lba] == m.entry {
 					k.Stats.GCLostSectors++
 				}
 				continue
@@ -625,7 +675,7 @@ func (k *Pblk) moveValid(p *sim.Proc, g *group) {
 			// Re-validate after potentially blocking: the user may have
 			// overwritten the sector meanwhile (kernel pblk does the same
 			// L2P check before inserting GC I/O).
-			if k.l2p[m.lba] != k.mediaEntry(m.addr) {
+			if k.l2p[m.lba] != m.entry {
 				continue
 			}
 			pos := k.produce(m.lba, rc.c.Data[j], true, g.id, blockdev.HintNone)

@@ -9,8 +9,13 @@ import (
 // indexed by partition-relative PU, so the device-global PU of a is
 // translated through the media view first.
 func (k *Pblk) groupOf(a ppa.Addr) *group {
-	rel := k.dev.RelativePU(k.fmtr.GlobalPU(a))
-	return k.groups[rel*k.geo.BlocksPerPlane+a.Block]
+	return k.groupAt(k.fmtr.GlobalPU(a), a.Block)
+}
+
+// groupAt returns the group of block blk on device-global PU gpu: the one
+// place the group table's layout is written out.
+func (k *Pblk) groupAt(gpu, blk int) *group {
+	return k.groups[k.dev.RelativePU(gpu)*k.geo.BlocksPerPlane+blk]
 }
 
 // unitAddrs lists the sector addresses of one write unit: page `unit` on

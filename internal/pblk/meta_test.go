@@ -1,6 +1,7 @@
 package pblk
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -21,37 +22,51 @@ func metaHarness(t *testing.T) *Pblk {
 	return k
 }
 
+// oobRecords are the three kinds of OOB record the write path produces:
+// a user sector, a GC rewrite (valid, with a stamp drawn long after the
+// data was first written) and padding.
+var oobRecords = []struct {
+	name  string
+	lba   int64
+	valid bool
+	stamp uint64
+}{
+	{"user", 12345, true, 1000},
+	{"user-lba0", 0, true, 1},
+	{"user-max-lba", 1<<47 - 2, true, 1<<48 - 1},
+	{"gc", 1 << 40, true, 1<<40 + 7},
+	{"invalid", 1, false, 7},
+	{"pad", padLBA, false, 99},
+}
+
 func TestOOBRoundTrip(t *testing.T) {
-	k := metaHarness(t)
-	cases := []struct {
-		lba   int64
-		valid bool
-	}{
-		{0, true}, {12345, true}, {padLBA, false}, {1, false}, {1 << 40, true}, {1<<47 - 2, true},
-	}
-	for i, c := range cases {
-		stamp := uint64(1000 + i)
-		b := k.encodeOOB(c.lba, c.valid, stamp)
+	k := new(Pblk)
+	for _, c := range oobRecords {
+		b := k.encodeOOB(c.lba, c.valid, c.stamp)
 		if len(b) != oobBytes {
-			t.Fatalf("oob size %d", len(b))
+			t.Fatalf("%s: oob size %d", c.name, len(b))
 		}
 		lba, st, valid, ok := parseOOB(b)
-		if !ok || lba != c.lba || valid != c.valid || st != stamp {
-			t.Fatalf("roundtrip (%d,%v,%d) -> (%d,%d,%v,%v)", c.lba, c.valid, stamp, lba, st, valid, ok)
+		if !ok || lba != c.lba || valid != c.valid || st != c.stamp {
+			t.Fatalf("%s: roundtrip (%d,%v,%d) -> (%d,%d,%v,%v)", c.name, c.lba, c.valid, c.stamp, lba, st, valid, ok)
 		}
 	}
 }
 
+// TestOOBCorruptionDetected: every single-bit error in the record is
+// rejected, whether it lands in one of the 14 bytes the check covers or in
+// the stored check itself.
 func TestOOBCorruptionDetected(t *testing.T) {
-	k := metaHarness(t)
-	b := k.encodeOOB(42, true, 7)
-	for i := 0; i < len(b); i++ {
-		for bit := 0; bit < 8; bit++ {
-			c := append([]byte(nil), b...)
-			c[i] ^= 1 << bit
-			lba, st, valid, ok := parseOOB(c)
-			if ok && (lba != 42 || !valid || st != 7) {
-				t.Fatalf("corruption at byte %d bit %d parsed as (%d,%d,%v)", i, bit, lba, st, valid)
+	k := new(Pblk)
+	for _, c := range oobRecords {
+		b := k.encodeOOB(c.lba, c.valid, c.stamp)
+		for i := 0; i < oobBytes; i++ {
+			for bit := 0; bit < 8; bit++ {
+				flipped := bytes.Clone(b)
+				flipped[i] ^= 1 << bit
+				if lba, st, valid, ok := parseOOB(flipped); ok {
+					t.Fatalf("%s: flip of byte %d bit %d accepted as (%d,%d,%v)", c.name, i, bit, lba, st, valid)
+				}
 			}
 		}
 	}

@@ -18,8 +18,8 @@
 //   - write/erase error handling: remap+resubmit of failed sectors, block
 //     retirement (§4.2.3);
 //   - pipelined garbage collection — a scheduler keeps several victims in
-//     flight, each moved by its own worker process — behind a
-//     PID-controlled rate limiter (§4.2.4).
+//     flight, each moved by one of a fixed set of worker processes —
+//     behind a PID-controlled rate limiter (§4.2.4).
 //
 // pblk registers itself as the "pblk" LightNVM target type on import.
 package pblk
@@ -242,8 +242,9 @@ type group struct {
 	retryHints int
 	// scrubQueued marks the group as waiting in the scrub refresh queue.
 	scrubQueued bool
-	// mover names the GC process that recycles the group (sim.ProcPanic
-	// reports it); built once at mount, a group is recycled many times.
+	// mover is the name a GC mover takes while it recycles the group
+	// (sim.ProcPanic reports it); built once at mount, a group is recycled
+	// many times.
 	mover string
 }
 
@@ -436,6 +437,8 @@ type Pblk struct {
 	gcStopping bool // GC scheduler asked to exit after in-flight victims drain
 	gcActive   bool // GC hysteresis state
 	gcInFlight int  // victims currently owned by a GC worker
+	// gcIdle holds the GC movers parked without a victim.
+	gcIdle []*gcMover
 	// gcRetiring counts in-flight victims on the retire (suspect) path:
 	// they end as bad blocks, not free groups, so hysteresis must not
 	// treat them as prospective free space.
@@ -586,6 +589,7 @@ func NewView(p *sim.Proc, view *lightnvm.MediaView, name string, cfg Config) (*P
 	k.rl.calibrate(k.spareGroups(), (k.gcStartGroups()+k.emergencyReserve())/2)
 	k.rl.update(k.freeGroups)
 	k.startWriters()
+	k.startMovers()
 	k.env.Go("pblk."+name+".gc", k.gcLoop)
 	if k.scrubOn() {
 		k.env.Go("pblk."+name+".scrub", k.scrubLoop)

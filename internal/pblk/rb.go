@@ -25,6 +25,13 @@ func cachePos(v uint64) uint64 { return v &^ l2pCacheBit }
 
 func (k *Pblk) mediaAddr(v uint64) ppa.Addr { return k.fmtr.Decode(v &^ l2pMediaBit) }
 
+// groupOfEntry returns the group a media entry maps into, read from the
+// packed PU and block fields without decoding the address.
+func (k *Pblk) groupOfEntry(v uint64) *group {
+	a := v &^ l2pMediaBit
+	return k.groupAt(k.fmtr.GlobalPUOf(a), k.fmtr.BlockOf(a))
+}
+
 // entryState is the lifecycle of one ring-buffer entry.
 type entryState uint8
 
@@ -65,12 +72,12 @@ func streamName(st int) string {
 // rbEntry is one sector in the write buffer: the paper's data buffer entry
 // plus its context-buffer metadata, fused.
 type rbEntry struct {
-	pos   uint64
-	lba   int64
-	data  []byte
-	state entryState
-	addr  ppa.Addr
-	isGC  bool
+	pos  uint64
+	lba  int64
+	data []byte
+	// ppa is the packed address the entry was mapped to, set when its unit
+	// is submitted.
+	ppa uint64
 	// stamp is the global write-order stamp drawn at ring admission. It is
 	// persisted per sector in the OOB area and the close metadata, and scan
 	// recovery replays sectors in stamp order — so an overwrite admitted
@@ -80,6 +87,8 @@ type rbEntry struct {
 	// origin is the group a GC rewrite was copied from, -1 for user I/O
 	// and padding; used to detect when a victim is fully moved.
 	origin int
+	state  entryState
+	isGC   bool
 	// hint is the write-lifetime hint the sector was admitted with
 	// (blockdev.HintNone/HintCold); streamOf may route on it.
 	hint uint8
@@ -124,7 +133,9 @@ func (r *ring) at(pos uint64) *rbEntry { return &r.e[pos%uint64(len(r.e))] }
 // checked free space and drawn the admission stamp.
 func (r *ring) produce(lba int64, data []byte, isGC bool, origin int, stamp uint64, hint uint8) uint64 {
 	pos := r.head
-	*r.at(pos) = rbEntry{pos: pos, lba: lba, data: data, state: esBuffered, isGC: isGC, origin: origin, stamp: stamp, hint: hint}
+	e := r.at(pos)
+	e.pos, e.lba, e.data, e.ppa, e.stamp = pos, lba, data, 0, stamp
+	e.origin, e.state, e.isGC, e.hint = origin, esBuffered, isGC, hint
 	r.head++
 	if lba != padLBA {
 		if isGC {

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/blockdev"
 	"repro/internal/ocssd"
-	"repro/internal/ppa"
 )
 
 // The read path: IssueAsync (queue.go) hands every read, blocking or
@@ -23,8 +22,8 @@ func (k *Pblk) startReadReq(req *blockdev.Request, done func(*blockdev.Request))
 
 // mediaSector is one request sector to be fetched from flash.
 type mediaSector struct {
-	sector int // index within the request
-	addr   ppa.Addr
+	sector int    // index within the request
+	ppa    uint64 // packed address, decoded into the vector command
 }
 
 // readReq is the whole context of one read request, from host-overhead
@@ -124,12 +123,12 @@ func (r *readReq) resolve() {
 			}
 		case isMedia(v):
 			k.Stats.MediaReads++
-			a := k.mediaAddr(v)
-			rel := k.dev.RelativePU(k.fmtr.GlobalPU(a))
+			a := v &^ l2pMediaBit
+			rel := k.dev.RelativePU(k.fmtr.GlobalPUOf(a))
 			if len(k.readPULists[rel]) == 0 {
 				k.readPUOrder = append(k.readPUOrder, rel)
 			}
-			k.readPULists[rel] = append(k.readPULists[rel], mediaSector{sector: i, addr: a})
+			k.readPULists[rel] = append(k.readPULists[rel], mediaSector{sector: i, ppa: a})
 			media++
 		default:
 			if buf != nil {
@@ -154,7 +153,7 @@ func (r *readReq) resolve() {
 			c := k.getReadChunk()
 			c.req = r
 			for _, m := range list[lo:hi] {
-				c.vec.Addrs = append(c.vec.Addrs, m.addr)
+				c.vec.Addrs = append(c.vec.Addrs, k.fmtr.Decode(m.ppa))
 				c.sect = append(c.sect, m.sector)
 			}
 			c.vec.Op = ocssd.OpRead

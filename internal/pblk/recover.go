@@ -50,14 +50,21 @@ func (k *Pblk) rebuildFreeLists() {
 
 // recountValid recomputes per-group valid sector counts from the L2P.
 func (k *Pblk) recountValid() {
-	for _, g := range k.groups {
-		g.valid = 0
+	for id, n := range k.countValid(k.groupOfEntry) {
+		k.groups[id].valid = n
 	}
+}
+
+// countValid counts, by group id, the L2P entries mapped to media; groupOf
+// finds an entry's group.
+func (k *Pblk) countValid(groupOf func(v uint64) *group) []int {
+	counts := make([]int, len(k.groups))
 	for _, v := range k.l2p {
 		if isMedia(v) {
-			k.groupOf(k.mediaAddr(v)).valid++
+			counts[groupOf(v).id]++
 		}
 	}
+	return counts
 }
 
 // recSector is one recovered data sector: its admission stamp, owning
@@ -203,7 +210,7 @@ func (k *Pblk) classifyGroups(p *sim.Proc, groups []*group) (fulls, partials []f
 		case stSys, stBad:
 			continue
 		}
-		gid, seq, _, state := k.classifyGroup(p, g)
+		gid, seq, state := k.classifyGroup(p, g)
 		switch state {
 		case stFree:
 			g.state = stFree
@@ -214,13 +221,16 @@ func (k *Pblk) classifyGroups(p *sim.Proc, groups []*group) (fulls, partials []f
 			continue
 		}
 		if gid != g.id {
-			// Foreign or torn metadata: reclaim the group.
+			// Foreign or torn metadata: reclaim the group. A failed erase
+			// retires it and is counted as recycle counts one.
 			if k.eraseGroup(p, g) == nil {
 				g.erases++
 				k.eraseTotal++
 				g.state = stFree
 			} else {
 				g.state = stBad
+				k.Stats.EraseErrors++
+				k.Stats.BadBlocks++
 			}
 			continue
 		}
@@ -241,38 +251,38 @@ func (k *Pblk) classifyGroups(p *sim.Proc, groups []*group) (fulls, partials []f
 // classifyGroup reads a group's open mark. state is stFree for erased
 // groups, stBad for inaccessible ones, stOpen when a mark exists. A written
 // page with an unparseable mark returns gid == -1.
-func (k *Pblk) classifyGroup(p *sim.Proc, g *group) (gid int, seq uint64, prev int64, state groupState) {
+func (k *Pblk) classifyGroup(p *sim.Proc, g *group) (gid int, seq uint64, state groupState) {
 	addrs := k.unitAddrs(g, 0)[:1]
 	c := k.dev.Do(p, &ocssd.Vector{Op: ocssd.OpRead, Addrs: addrs})
-	gid, seq, prev, state = classifyCompletion(c)
+	gid, seq, state = classifyCompletion(c)
 	// parseOpenMark extracts values; nothing retains c after this point.
 	k.dev.Recycle(c)
-	return gid, seq, prev, state
+	return gid, seq, state
 }
 
 // classifyCompletion interprets an open-mark read.
-func classifyCompletion(c *ocssd.Completion) (gid int, seq uint64, prev int64, state groupState) {
+func classifyCompletion(c *ocssd.Completion) (gid int, seq uint64, state groupState) {
 	e := c.Errs[0]
 	switch {
 	case isUnwritten(e):
-		return 0, 0, 0, stFree
+		return 0, 0, stFree
 	case errors.Is(e, nand.ErrBadBlock):
-		return 0, 0, 0, stBad
+		return 0, 0, stBad
 	case errors.Is(e, nand.ErrPairIncomplete):
 		// Mark exists but pair-unreadable; extremely early crash. Treat as
 		// unparseable so the group is reclaimed.
-		return -1, 0, 0, stOpen
+		return -1, 0, stOpen
 	case e != nil:
-		return -1, 0, 0, stOpen
+		return -1, 0, stOpen
 	}
 	if c.Data[0] == nil {
-		return -1, 0, 0, stOpen
+		return -1, 0, stOpen
 	}
-	id, sq, pv, ok := parseOpenMark(c.Data[0])
+	id, sq, _, ok := parseOpenMark(c.Data[0])
 	if !ok {
-		return -1, 0, 0, stOpen
+		return -1, 0, stOpen
 	}
-	return id, sq, pv, stOpen
+	return id, sq, stOpen
 }
 
 // padGroupTail pads a partially written group from its watermark to the

@@ -41,7 +41,7 @@ func (k *Pblk) releaseEntryData(e *rbEntry) {
 func (k *Pblk) installCacheMapping(lba int64, pos uint64) {
 	old := k.l2p[lba]
 	if isMedia(old) {
-		k.groupOf(k.mediaAddr(old)).valid--
+		k.groupOfEntry(old).valid--
 	}
 	k.l2p[lba] = cacheEntry(pos)
 }
@@ -98,7 +98,7 @@ func (k *Pblk) trimNow(off, length int64) error {
 	for lba := off / ss; lba < (off+length)/ss; lba++ {
 		v := k.l2p[lba]
 		if isMedia(v) {
-			k.groupOf(k.mediaAddr(v)).valid--
+			k.groupOfEntry(v).valid--
 		}
 		k.l2p[lba] = l2pUnmapped
 	}
@@ -546,7 +546,7 @@ func (k *Pblk) writeUnitOn(p *sim.Proc, s *slot) {
 		}
 		e := k.rb.at(c.poss[i])
 		e.state = esSubmitted
-		e.addr = u.addrs[i]
+		e.ppa = k.fmtr.Encode(u.addrs[i])
 		u.data[i] = e.data
 		k.encodeOOBInto(u.oob[i], e.lba, true, e.stamp)
 		g.lbas = append(g.lbas, e.lba)
@@ -744,7 +744,7 @@ func (k *Pblk) finalizeGroup(g *group) {
 		}
 		g.unitFinal[u] = true
 		for _, pos := range g.pending[u] {
-			k.finalizeEntry(k.rb.at(pos))
+			k.finalizeEntry(g, k.rb.at(pos))
 		}
 		k.putPoss(g.pending[u])
 		g.pending[u] = nil
@@ -763,16 +763,16 @@ func (k *Pblk) unitPairCovered(g *group, u int) bool {
 	return pair < 0 || g.unitDone[pair]
 }
 
-// finalizeEntry moves one buffer entry to its terminal state: if the L2P
-// still points at it, install the media mapping and count the sector valid
-// in its group; otherwise the written sector is already garbage.
-func (k *Pblk) finalizeEntry(e *rbEntry) {
+// finalizeEntry moves one buffer entry of group g to its terminal state:
+// if the L2P still points at it, install the media mapping and count the
+// sector valid in g; otherwise the written sector is already garbage.
+func (k *Pblk) finalizeEntry(g *group, e *rbEntry) {
 	if e.state != esSubmitted {
 		return
 	}
 	if k.entryIsCurrent(e) {
-		k.l2p[e.lba] = k.mediaEntry(e.addr)
-		k.groupOf(e.addr).valid++
+		k.l2p[e.lba] = e.ppa | l2pMediaBit
+		g.valid++
 	}
 	k.releaseGCRef(e)
 	e.state = esDone
@@ -820,7 +820,7 @@ func (k *Pblk) handleWriteError(g *group, unit int, c *ocssd.Completion) {
 	failed := make([]uint64, 0, 4)
 	for _, pos := range poss {
 		e := k.rb.at(pos)
-		idx := k.vectorIndexOf(e.addr)
+		idx := k.vectorIndexOf(e.ppa)
 		if idx >= 0 && idx < len(c.Errs) && c.Errs[idx] != nil {
 			if k.entryIsCurrent(e) {
 				e.state = esBuffered
@@ -926,10 +926,11 @@ func (k *Pblk) laneOf(gpu int) *slot {
 	return k.slots[gpu/span]
 }
 
-// vectorIndexOf returns the index of addr within its write unit's address
-// vector (plane-major layout produced by unitAddrs).
-func (k *Pblk) vectorIndexOf(a ppa.Addr) int {
-	return a.Plane*k.geo.SectorsPerPage + a.Sector
+// vectorIndexOf returns the index of a packed address within its write
+// unit's address vector (plane-major layout produced by unitAddrs).
+func (k *Pblk) vectorIndexOf(v uint64) int {
+	plane, sector := k.fmtr.PlaneSectorOf(v)
+	return plane*k.geo.SectorsPerPage + sector
 }
 
 // markSuspect retires a group from service after a write failure: it is

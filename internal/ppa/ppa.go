@@ -96,9 +96,15 @@ func (a Addr) String() string {
 // Format defines the bit layout of packed PPAs for a device, derived from
 // its geometry. Fields are packed LSB-first in the order sector, page,
 // block, plane, PU, channel (paper Figure 2).
+//
+// Methods that run once per address take a *Format: a Format is over a
+// hundred bytes, and a value receiver copies all of it on every call.
 type Format struct {
 	SectorBits, PageBits, BlockBits, PlaneBits, PUBits, ChBits uint
 	geo                                                        Geometry
+	// Field offsets, derived from the widths: the shift of each field
+	// above the sector field.
+	pageShift, blockShift, planeShift, puShift, chShift uint
 }
 
 func bitsFor(n int) uint {
@@ -122,6 +128,11 @@ func NewFormat(g Geometry) (Format, error) {
 		ChBits:     bitsFor(g.Channels),
 		geo:        g,
 	}
+	f.pageShift = f.SectorBits
+	f.blockShift = f.pageShift + f.PageBits
+	f.planeShift = f.blockShift + f.BlockBits
+	f.puShift = f.planeShift + f.PlaneBits
+	f.chShift = f.puShift + f.PUBits
 	if total := f.SectorBits + f.PageBits + f.BlockBits + f.PlaneBits + f.PUBits + f.ChBits; total > 64 {
 		return Format{}, fmt.Errorf("ppa: format needs %d bits, exceeds 64", total)
 	}
@@ -133,43 +144,51 @@ func (f Format) Geometry() Geometry { return f.geo }
 
 // Encode packs a into the device's 64-bit PPA representation. Encode does
 // not validate field ranges; use Valid for that.
-func (f Format) Encode(a Addr) uint64 {
-	v := uint64(a.Sector)
-	shift := f.SectorBits
-	v |= uint64(a.Page) << shift
-	shift += f.PageBits
-	v |= uint64(a.Block) << shift
-	shift += f.BlockBits
-	v |= uint64(a.Plane) << shift
-	shift += f.PlaneBits
-	v |= uint64(a.PU) << shift
-	shift += f.PUBits
-	v |= uint64(a.Ch) << shift
-	return v
+func (f *Format) Encode(a Addr) uint64 {
+	return uint64(a.Sector) |
+		uint64(a.Page)<<f.pageShift |
+		uint64(a.Block)<<f.blockShift |
+		uint64(a.Plane)<<f.planeShift |
+		uint64(a.PU)<<f.puShift |
+		uint64(a.Ch)<<f.chShift
+}
+
+// field extracts the width-bit field at shift from a packed PPA.
+func field(v uint64, shift, width uint) int {
+	return int(v >> shift & (1<<width - 1))
 }
 
 // Decode unpacks a 64-bit PPA into its components.
-func (f Format) Decode(v uint64) Addr {
-	mask := func(b uint) uint64 { return (uint64(1) << b) - 1 }
-	a := Addr{}
-	a.Sector = int(v & mask(f.SectorBits))
-	v >>= f.SectorBits
-	a.Page = int(v & mask(f.PageBits))
-	v >>= f.PageBits
-	a.Block = int(v & mask(f.BlockBits))
-	v >>= f.BlockBits
-	a.Plane = int(v & mask(f.PlaneBits))
-	v >>= f.PlaneBits
-	a.PU = int(v & mask(f.PUBits))
-	v >>= f.PUBits
-	a.Ch = int(v)
-	return a
+func (f *Format) Decode(v uint64) Addr {
+	return Addr{
+		Ch:     int(v >> f.chShift),
+		PU:     field(v, f.puShift, f.PUBits),
+		Plane:  field(v, f.planeShift, f.PlaneBits),
+		Block:  field(v, f.blockShift, f.BlockBits),
+		Page:   field(v, f.pageShift, f.PageBits),
+		Sector: field(v, 0, f.SectorBits),
+	}
+}
+
+// GlobalPUOf returns GlobalPU(Decode(v)) without decoding the other fields.
+// As in Decode, every bit above the PU field is read as channel, so v must
+// carry no tag bits.
+func (f *Format) GlobalPUOf(v uint64) int {
+	return int(v>>f.chShift)*f.geo.PUsPerChannel + field(v, f.puShift, f.PUBits)
+}
+
+// BlockOf returns Decode(v).Block.
+func (f *Format) BlockOf(v uint64) int { return field(v, f.blockShift, f.BlockBits) }
+
+// PlaneSectorOf returns Decode(v).Plane and Decode(v).Sector.
+func (f *Format) PlaneSectorOf(v uint64) (plane, sector int) {
+	return field(v, f.planeShift, f.PlaneBits), field(v, 0, f.SectorBits)
 }
 
 // Valid reports whether a addresses a real location: addresses in the holes
 // of the power-of-two layout (paper §3.1) are invalid.
-func (f Format) Valid(a Addr) bool {
-	g := f.geo
+func (f *Format) Valid(a Addr) bool {
+	g := &f.geo
 	return a.Ch >= 0 && a.Ch < g.Channels &&
 		a.PU >= 0 && a.PU < g.PUsPerChannel &&
 		a.Plane >= 0 && a.Plane < g.PlanesPerPU &&
@@ -180,7 +199,7 @@ func (f Format) Valid(a Addr) bool {
 
 // GlobalPU returns the device-wide PU index of a (channel-major), matching
 // the paper's PU numbering where PU0..PU7 live on channel 0.
-func (f Format) GlobalPU(a Addr) int { return a.Ch*f.geo.PUsPerChannel + a.PU }
+func (f *Format) GlobalPU(a Addr) int { return a.Ch*f.geo.PUsPerChannel + a.PU }
 
 // PUAddr returns the channel and in-channel PU for a device-wide PU index.
 func (f Format) PUAddr(globalPU int) (ch, pu int) {
@@ -190,8 +209,8 @@ func (f Format) PUAddr(globalPU int) (ch, pu int) {
 // SectorIndex flattens a into a dense 0-based sector index with no holes,
 // ordered ch, pu, plane, block, page, sector. Useful for dense host-side
 // tables over the physical space.
-func (f Format) SectorIndex(a Addr) int64 {
-	g := f.geo
+func (f *Format) SectorIndex(a Addr) int64 {
+	g := &f.geo
 	idx := int64(a.Ch)
 	idx = idx*int64(g.PUsPerChannel) + int64(a.PU)
 	idx = idx*int64(g.PlanesPerPU) + int64(a.Plane)
@@ -202,8 +221,8 @@ func (f Format) SectorIndex(a Addr) int64 {
 }
 
 // FromSectorIndex inverts SectorIndex.
-func (f Format) FromSectorIndex(idx int64) Addr {
-	g := f.geo
+func (f *Format) FromSectorIndex(idx int64) Addr {
+	g := &f.geo
 	a := Addr{}
 	a.Sector = int(idx % int64(g.SectorsPerPage))
 	idx /= int64(g.SectorsPerPage)

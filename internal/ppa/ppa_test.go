@@ -182,3 +182,92 @@ func TestEncodePacksHierarchically(t *testing.T) {
 		t.Fatalf("channel ordering broken: ch2-max=%d >= ch3-min=%d", lo, hi)
 	}
 }
+
+// repoGeometries is every device shape the repository builds, plus one with
+// no power-of-two dimension.
+func repoGeometries() map[string]Geometry {
+	shape := func(ch, pu, pl, blk, pg int) Geometry {
+		return Geometry{Channels: ch, PUsPerChannel: pu, PlanesPerPU: pl,
+			BlocksPerPlane: blk, PagesPerBlock: pg, SectorsPerPage: 4, SectorSize: 4096, OOBPerPage: 64}
+	}
+	odd := shape(3, 5, 3, 37, 24)
+	odd.SectorsPerPage = 3
+	return map[string]Geometry{
+		"westlake-24":      shape(16, 8, 4, 24, 256), // ocssd.WestlakeGeometry(24)
+		"westlake-1067":    westlake(),               // lnvm-inspect's default
+		"volume-member-64": shape(4, 2, 2, 64, 32),   // volume.DefaultDeviceConfig(64)
+		"wa-64":            shape(4, 2, 4, 64, 256),  // harness waGeometry
+		"wa-e2e-64":        shape(4, 2, 2, 64, 32),   // harness waE2EGeometry
+		"lifetime-64":      shape(4, 2, 4, 64, 32),   // harness lifetimeGeometry
+		"p3700-64":         shape(8, 4, 4, 64, 256),  // nvmedev.P3700Geometry
+		"pblk-test":        shape(2, 2, 2, 40, 32),   // pblk's test device
+		"odd":              odd,                      // 3 ch x 5 PUs x 3 planes
+	}
+}
+
+// TestPackedFieldsMatchDecode: on random valid addresses of every shape,
+// Encode round-trips through Decode, and each packed accessor reads the
+// field Decode would.
+func TestPackedFieldsMatchDecode(t *testing.T) {
+	for name, g := range repoGeometries() {
+		f, err := NewFormat(g)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		rng := rand.New(rand.NewSource(26))
+		max := Addr{g.Channels - 1, g.PUsPerChannel - 1, g.PlanesPerPU - 1,
+			g.BlocksPerPlane - 1, g.PagesPerBlock - 1, g.SectorsPerPage - 1}
+		addrs := []Addr{{}, max}
+		for i := 0; i < 5000; i++ {
+			addrs = append(addrs, Addr{
+				Ch: rng.Intn(g.Channels), PU: rng.Intn(g.PUsPerChannel),
+				Plane: rng.Intn(g.PlanesPerPU), Block: rng.Intn(g.BlocksPerPlane),
+				Page: rng.Intn(g.PagesPerBlock), Sector: rng.Intn(g.SectorsPerPage),
+			})
+		}
+		for _, a := range addrs {
+			v := f.Encode(a)
+			d := f.Decode(v)
+			if d != a {
+				t.Fatalf("%s: Decode(Encode(%v)) = %v", name, a, d)
+			}
+			if got, want := f.GlobalPUOf(v), f.GlobalPU(d); got != want {
+				t.Fatalf("%s: GlobalPUOf(%v) = %d, want %d", name, a, got, want)
+			}
+			if got := f.BlockOf(v); got != d.Block {
+				t.Fatalf("%s: BlockOf(%v) = %d", name, a, got)
+			}
+			if pl, sec := f.PlaneSectorOf(v); pl != d.Plane || sec != d.Sector {
+				t.Fatalf("%s: PlaneSectorOf(%v) = (%d, %d)", name, a, pl, sec)
+			}
+		}
+	}
+}
+
+var sinkInt int
+
+// BenchmarkFormat is the per-sector address work: packing a unit's
+// address, decoding one into a vector command, and finding a mapping's
+// group from the packed PU and block fields.
+func BenchmarkFormat(b *testing.B) {
+	f, _ := NewFormat(westlake())
+	a := Addr{Ch: 3, PU: 5, Plane: 1, Block: 900, Page: 100, Sector: 2}
+	v := f.Encode(a)
+	b.Run("Encode", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			a.Sector = i & 3
+			sinkInt += int(f.Encode(a))
+		}
+	})
+	b.Run("Decode", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			sinkInt += f.Decode(v + uint64(i&3)).Block
+		}
+	})
+	b.Run("GroupFields", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			w := v + uint64(i&3)
+			sinkInt += f.GlobalPUOf(w)*1067 + f.BlockOf(w)
+		}
+	})
+}
