@@ -28,17 +28,17 @@ type kvStore struct {
 	pus   []int
 	index map[string]uint64 // key -> packed PPA of the value's sector
 
-	cursor map[int]*struct{ blk, page, sector int }
+	cursor map[int]*struct{ blk, page int }
 }
 
 func newKVStore(dev *ocssd.Device, pus []int) *kvStore {
 	s := &kvStore{
 		dev: dev, fmtr: dev.Format(), pus: pus,
 		index:  make(map[string]uint64),
-		cursor: make(map[int]*struct{ blk, page, sector int }),
+		cursor: make(map[int]*struct{ blk, page int }),
 	}
 	for _, pu := range pus {
-		s.cursor[pu] = &struct{ blk, page, sector int }{}
+		s.cursor[pu] = &struct{ blk, page int }{}
 	}
 	return s
 }
@@ -51,11 +51,6 @@ func (s *kvStore) put(p *sim.Proc, key string, value []byte) error {
 	pu := s.pus[len(s.index)%len(s.pus)] // spread keys across our PUs
 	ch, puIdx := s.fmtr.PUAddr(pu)
 	cur := s.cursor[pu]
-	if cur.page == 0 && cur.sector == 0 && cur.blk > 0 {
-		// Rotating into a reused block would need an erase; this demo
-		// never wraps.
-		_ = cur
-	}
 	// Program one full page on every plane (the device's write rule), with
 	// the value in the first sector.
 	var addrs []ppa.Addr

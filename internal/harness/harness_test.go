@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -220,47 +221,141 @@ func TestFleetQuick(t *testing.T) {
 	}
 }
 
-func TestTenantsQuick(t *testing.T) {
-	e, ok := ByID("tenants")
+// runQuick runs experiment id with o and returns its output.
+func runQuick(t *testing.T, id string, o Options) string {
+	t.Helper()
+	e, ok := ByID(id)
 	if !ok {
-		t.Fatal("tenants experiment not registered")
+		t.Fatalf("experiment %q not registered", id)
 	}
 	var buf bytes.Buffer
-	if err := e.Run(Options{Quick: true}, &buf); err != nil {
+	if err := e.Run(o, &buf); err != nil {
 		t.Fatal(err)
 	}
-	out := buf.String()
-	for _, want := range []string{"solo", "partitioned", "shared", "read p99"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("tenants output missing %q:\n%s", want, out)
+	return buf.String()
+}
+
+// A PU-partitioned tenant's read tail tracks the solo run next to a
+// write-heavy neighbour; one shared pblk inflates it at least tenfold.
+func TestTenantsQuick(t *testing.T) {
+	out := runQuick(t, "tenants", Options{Quick: true})
+	part, shared := -1.0, -1.0
+	for _, line := range strings.Split(out, "\n") {
+		if strings.HasPrefix(line, "read p99:") {
+			var solo, partP99, sharedP99 string
+			if _, err := fmt.Sscanf(line, "read p99: solo %s partitioned %s (%fx solo), shared %s (%fx solo)",
+				&solo, &partP99, &part, &sharedP99, &shared); err != nil {
+				t.Fatalf("cannot parse %q: %v", line, err)
+			}
 		}
+	}
+	if part < 0 || part > 1.10 || shared < 10 {
+		t.Fatalf("read p99 vs solo: partitioned %.2fx (want <= 1.10x), shared %.2fx (want >= 10x):\n%s", part, shared, out)
 	}
 }
 
-// The only run these get under go test (wa, tenants, fleet and
+// Figure 8: a raw target on PUs of its own keeps the reader's p99 flat at
+// every write share; the NVMe SSD's p99 at 20 % writes is several times
+// its read-only value.
+func TestFig8Quick(t *testing.T) {
+	out := runQuick(t, "fig8", Defaults(Options{Quick: true, Duration: 20 * time.Millisecond}))
+	var mixes []string
+	var ocP99, nvP99 []float64
+	for _, line := range strings.Split(out, "\n") {
+		var mix string
+		var ocP95, oc99, ocMax, nvP95, nv99, nvMax float64
+		if n, _ := fmt.Sscan(line, &mix, &ocP95, &oc99, &ocMax, &nvP95, &nv99, &nvMax); n == 7 {
+			mixes = append(mixes, mix)
+			ocP99 = append(ocP99, oc99)
+			nvP99 = append(nvP99, nv99)
+		}
+	}
+	if len(mixes) != 4 || mixes[0] != "100/0" || mixes[1] != "80/20" {
+		t.Fatalf("want the four mixes from 100/0, got %v:\n%s", mixes, out)
+	}
+	if lo, hi := slices.Min(ocP99), slices.Max(ocP99); hi > 1.10*lo {
+		t.Errorf("OCSSD read p99 %v us moves more than 10%% across the mixes:\n%s", ocP99, out)
+	}
+	if nvP99[1] < 5*nvP99[0] {
+		t.Errorf("NVMe read p99 %v us at 80/20 below 5x its 100/0 value %v us:\n%s", nvP99[1], nvP99[0], out)
+	}
+}
+
+// The only run these get under go test (wa, tenants, fleet, fig8 and
 // ablate-pagecache have tests of their own above). mustRun fails a job with
-// I/O errors, so fig8 and ablate-suspend also assert here that every read
-// aimed at a raw target found programmed media. lifetime is the only
-// experiment that ages the media (P/E wear, retention decay, read retry,
-// scrubbing) and the only one that crash-recovers mid-run; it ignores
-// Duration, so this is its whole quick run.
+// I/O errors, so ablate-suspend also asserts here that every read aimed at
+// a raw target found programmed media. lifetime is the only experiment that
+// ages the media (P/E wear, retention decay, read retry, scrubbing) and the
+// only one that crash-recovers mid-run; it ignores Duration, so this is its
+// whole quick run. lanes and wa-e2e check the claims they print.
 func TestQuickExperimentsRun(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs eight quick experiments")
+		t.Skip("runs seven quick experiments")
 	}
-	for _, id := range []string{"fig4", "fig5", "fig7", "fig8", "lanes", "lifetime", "wa-e2e", "ablate-suspend"} {
+	claims := map[string]func(t *testing.T, out string){
+		"lanes":  checkLanes,
+		"wa-e2e": checkWAE2E,
+	}
+	for _, id := range []string{"fig4", "fig5", "fig7", "lanes", "lifetime", "wa-e2e", "ablate-suspend"} {
 		t.Run(id, func(t *testing.T) {
-			e, ok := ByID(id)
-			if !ok {
-				t.Fatalf("unknown experiment %q", id)
+			out := runQuick(t, id, Defaults(Options{Quick: true, Duration: 20 * time.Millisecond}))
+			if out == "" {
+				t.Fatal("empty output")
 			}
-			var b bytes.Buffer
-			if err := e.Run(Defaults(Options{Quick: true, Duration: 20 * time.Millisecond}), &b); err != nil {
-				t.Fatal(err)
-			}
-			if b.Len() == 0 {
-				t.Error("empty output")
+			if check := claims[id]; check != nil {
+				check(t, out)
 			}
 		})
+	}
+}
+
+// checkLanes: write throughput scales at least 8x from 1 to 16 lanes, and
+// round-robin dispatch gives every lane the same number of units.
+func checkLanes(t *testing.T, out string) {
+	rows := 0
+	scaling := 0.0
+	for _, line := range strings.Split(out, "\n") {
+		var active, units, stalls, peak, padded int
+		var wMBps float64
+		var spread string
+		if n, _ := fmt.Sscan(line, &active, &wMBps, &units, &stalls, &peak, &padded, &spread); n == 7 {
+			rows++
+			var lo, hi int
+			if _, err := fmt.Sscanf(spread, "%d..%d", &lo, &hi); err != nil || lo != hi {
+				t.Errorf("%d lanes: units/lane %s, want min == max", active, spread)
+			}
+		}
+		if strings.HasPrefix(line, "scaling:") {
+			var from, to int
+			if _, err := fmt.Sscanf(line, "scaling: %d lanes -> %d lanes = %fx", &from, &to, &scaling); err != nil {
+				t.Fatalf("cannot parse %q: %v", line, err)
+			}
+		}
+	}
+	if rows != 2 || scaling < 8 {
+		t.Errorf("%d rows, scaling %.1fx: want 2 rows and at least 8x from 1 to 16 lanes:\n%s", rows, scaling, out)
+	}
+}
+
+// checkWAE2E: the flash-native stream leaves the FTL nothing to move (FTL
+// WA 1.00), so its combined WA beats the stacked baseline's.
+func checkWAE2E(t *testing.T, out string) {
+	ftlWA := ""
+	base, native := 0.0, 0.0
+	for _, line := range strings.Split(out, "\n") {
+		if rest, ok := strings.CutPrefix(line, "flash-native stream "); ok {
+			if f := strings.Fields(rest); len(f) > 1 {
+				ftlWA = f[1]
+			}
+		}
+		if strings.HasPrefix(line, "flash-native vs stacked:") {
+			if _, err := fmt.Sscanf(line, "flash-native vs stacked: combined WA %f -> %f,", &base, &native); err != nil {
+				t.Fatalf("cannot parse %q: %v", line, err)
+			}
+		}
+	}
+	if ftlWA != "1.00" || native <= 0 || native >= base {
+		t.Errorf("flash-native FTL WA %q (want 1.00), combined WA %.2f vs stacked %.2f (want lower):\n%s",
+			ftlWA, native, base, out)
 	}
 }

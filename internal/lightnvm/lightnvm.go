@@ -143,18 +143,6 @@ func RegisterTargetType(name string, t TargetType) {
 	registry[name] = t
 }
 
-// TargetTypes lists registered target type names, sorted.
-func TargetTypes() []string {
-	regMu.Lock()
-	defer regMu.Unlock()
-	names := make([]string, 0, len(registry))
-	for n := range registry {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // resolveRange normalizes a creation range under d.mu: a zero range means
 // the instance's recorded partition when one exists, the whole device
 // otherwise; explicit ranges are bounds-checked.

@@ -142,7 +142,7 @@ type DB struct {
 	walActive        bool // writer mid-batch
 	walKick          *sim.Event
 	walBatch         *sim.Event
-	walDone          *sim.Event
+	walProc          *sim.Proc
 
 	mem       *memtable
 	immQ      sim.FIFO[*memtable]
@@ -175,13 +175,13 @@ type DB struct {
 	// group exactly, which is what makes trim-after-compaction free.
 	tableWriteMu *sim.Resource
 
-	flushing      bool
-	compacting    bool
-	stopping      bool
-	failed        error // first background I/O failure: engine is fail-stop
-	flusherDone   *sim.Event
-	compactorDone *sim.Event
-	compactKick   *sim.Event
+	flushing    bool
+	compacting  bool
+	stopping    bool
+	failed      error // first background I/O failure: engine is fail-stop
+	flushProc   *sim.Proc
+	compactProc *sim.Proc
+	compactKick *sim.Event
 
 	cache blockCache
 
@@ -301,13 +301,10 @@ func Open(p *sim.Proc, env *sim.Env, dev Device, cfg Config) (*DB, error) {
 	db.nextTableID = 1
 	db.walKick = env.NewEvent()
 	db.walBatch = env.NewEvent()
-	db.walDone = env.NewEvent()
 	db.flushKick = env.NewEvent()
 	db.stallEv = env.NewEvent()
 	db.compactKick = env.NewEvent()
 	db.advanceEv = env.NewEvent()
-	db.flusherDone = env.NewEvent()
-	db.compactorDone = env.NewEvent()
 	db.manifestMu = env.NewResource(1)
 	db.tableWriteMu = env.NewResource(1)
 	db.cache.init(cfg.BlockCacheSize, cfg.BlockSize+2*int(ss))
@@ -315,9 +312,9 @@ func Open(p *sim.Proc, env *sim.Env, dev Device, cfg Config) (*DB, error) {
 	if err := db.recover(p); err != nil {
 		return nil, err
 	}
-	env.Go("lsmdb.wal", db.walWriter)
-	env.Go("lsmdb.flusher", db.flusher)
-	env.Go("lsmdb.compactor", db.compactor)
+	db.walProc = env.Go("lsmdb.wal", db.walWriter)
+	db.flushProc = env.Go("lsmdb.flusher", db.flusher)
+	db.compactProc = env.Go("lsmdb.compactor", db.compactor)
 	return db, nil
 }
 
@@ -570,7 +567,6 @@ func levelFind(ts []*tableMeta, key []byte) *tableMeta {
 // flusher turns immutable memtables into L0 SSTables and commits the
 // manifest so the WAL region behind them can be reclaimed.
 func (db *DB) flusher(p *sim.Proc) {
-	defer db.flusherDone.Signal()
 	for {
 		if db.immQ.Len() == 0 {
 			if db.stopping {
@@ -613,7 +609,6 @@ func (db *DB) flusher(p *sim.Proc) {
 
 // compactor merges levels over budget (compact.go holds the machinery).
 func (db *DB) compactor(p *sim.Proc) {
-	defer db.compactorDone.Signal()
 	for {
 		lv := db.pickCompaction()
 		if lv < 0 {
@@ -664,9 +659,9 @@ func (db *DB) Close(p *sim.Proc) error {
 	db.flushKick.Signal()
 	db.compactKick.Signal()
 	db.stallEv.Signal()
-	p.Wait(db.walDone)
-	p.Wait(db.flusherDone)
-	p.Wait(db.compactorDone)
+	p.Wait(db.walProc.Done())
+	p.Wait(db.flushProc.Done())
+	p.Wait(db.compactProc.Done())
 	db.q.Drain(p)
 	return db.failed
 }

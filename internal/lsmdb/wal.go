@@ -84,7 +84,6 @@ func (db *DB) walFree() int64 { return db.walSize - (db.walHead - db.walTail) }
 // walWriter is the group-commit drain: swap out the pending batch, frame
 // it, write it at the head, and flush every WALSyncBytes when SyncWAL.
 func (db *DB) walWriter(p *sim.Proc) {
-	defer db.walDone.Signal()
 	for {
 		if len(db.walPend) == 0 {
 			if db.stopping {

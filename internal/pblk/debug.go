@@ -5,8 +5,8 @@ import (
 	"strings"
 )
 
-// LaneStat is a snapshot of one write lane, exposed for inspection tools
-// (lnvm-inspect) and the harness lane-scaling experiment.
+// LaneStat is a snapshot of one write lane, exposed for the harness
+// lane-scaling experiment and the benchmark's per-layer counters.
 type LaneStat struct {
 	Lane          int
 	PULo, PUHi    int // PU span [PULo, PUHi)
@@ -54,52 +54,10 @@ func (k *Pblk) LaneStats() []LaneStat {
 	return out
 }
 
-// StreamStat summarizes the block groups of one write stream: how many
-// groups the stream currently holds open or closed and how many of their
-// data sectors are still valid. Exposed for lnvm-inspect's stream panel
-// and the wa-e2e harness.
-type StreamStat struct {
-	Stream       string
-	OpenGroups   int
-	ClosedGroups int
-	ValidSectors int64
-	// GCGroups counts groups of this stream currently claimed by a GC
-	// worker (being drained or erased).
-	GCGroups int
-}
-
-// StreamStats returns per-stream group occupancy: every open, closed, or
-// GC-claimed group is attributed to the stream it was opened for. Free,
-// bad, and system groups are not attributed.
-func (k *Pblk) StreamStats() []StreamStat {
-	out := make([]StreamStat, numStreams)
-	for st := 0; st < numStreams; st++ {
-		out[st].Stream = streamName(st)
-	}
-	for _, g := range k.groups {
-		st := int(g.stream)
-		if st < 0 || st >= numStreams {
-			continue
-		}
-		switch g.state {
-		case stOpen:
-			out[st].OpenGroups++
-			out[st].ValidSectors += int64(g.valid)
-		case stClosed, stSuspect:
-			out[st].ClosedGroups++
-			out[st].ValidSectors += int64(g.valid)
-		case stGC:
-			out[st].GCGroups++
-			out[st].ValidSectors += int64(g.valid)
-		}
-	}
-	return out
-}
-
 // Crashed reports whether the instance was abandoned by Crash (simulated
-// power loss). A crashed instance serves no further I/O; health monitors
-// (lnvm-inspect, the volume manager) use this to distinguish a dead member
-// from a stopped one.
+// power loss). A crashed instance serves no further I/O; the volume
+// manager's health monitor uses this to distinguish a dead member from a
+// stopped one.
 func (k *Pblk) Crashed() bool { return k.crashed }
 
 // retryCount sums write-failed sectors awaiting resubmission across lanes.

@@ -145,13 +145,6 @@ func (k *Pblk) gcStopGroups() int {
 	return v
 }
 
-// GCWatermarks exposes the collector's free-group thresholds: the
-// emergency floor where user admission stops, and the start/stop
-// hysteresis band. Operator API for inspection tools and harnesses.
-func (k *Pblk) GCWatermarks() (floor, start, stop int) {
-	return k.emergencyReserve(), k.gcStartGroups(), k.gcStopGroups()
-}
-
 // gcNeeded reports whether free space is below the GC trigger, with
 // hysteresis between the start and stop thresholds. Victims already owned
 // by a worker count as prospective free groups — except retire victims,

@@ -271,7 +271,7 @@ type slot struct {
 	retry    sim.FIFO[chunk]
 	qSectors [numStreams]int // sectors across q (retry excluded)
 	kick     *sim.Event      // wakes the lane writer
-	done     *sim.Event      // fires when the lane writer exits
+	writer   *sim.Proc       // the lane writer, nil until startWriters
 	quit     bool            // drain everything, then exit (lane rebuild)
 	// appRealign asks the writer to pad-close a partially written
 	// app-stream group before its next unit: a HintColdSeg marker arrived,
@@ -282,7 +282,7 @@ type slot struct {
 	// segment across two groups.
 	appRealign bool
 
-	// Lane telemetry, surfaced by LaneStats and lnvm-inspect.
+	// Lane telemetry, surfaced by LaneStats.
 	unitsWritten int64 // write units submitted by this lane
 	stalls       int64 // writer blocked on the PU in-flight semaphore
 	waits        int64 // writer parked waiting for work
@@ -695,7 +695,6 @@ func (k *Pblk) buildSlots() {
 			curPU: i * span,
 			sem:   k.env.NewResource(k.cfg.MaxInflightPerPU),
 			kick:  k.env.NewEvent(),
-			done:  k.env.NewEvent(),
 		}
 		k.slots[i] = &slab[i]
 	}
@@ -709,7 +708,7 @@ func (k *Pblk) buildSlots() {
 func (k *Pblk) startWriters() {
 	for _, s := range k.slots {
 		s := s
-		k.env.Go(fmt.Sprintf("pblk.%s.writer%d", k.name, s.lane), func(p *sim.Proc) {
+		s.writer = k.env.Go(fmt.Sprintf("pblk.%s.writer%d", k.name, s.lane), func(p *sim.Proc) {
 			k.laneWriter(p, s)
 		})
 	}
@@ -726,7 +725,9 @@ func (k *Pblk) stopWriters(p *sim.Proc) {
 	k.kickWriters()
 	k.rb.signalSpace()
 	for _, s := range k.slots {
-		p.Wait(s.done)
+		if s.writer != nil {
+			p.Wait(s.writer.Done())
+		}
 	}
 }
 

@@ -331,7 +331,6 @@ func (k *Pblk) lanePairCoverNeeded(s *slot) bool {
 // PU rotation, and submits vector writes. Blocking on this lane's PU
 // semaphore or on a free-group wait never stalls sibling lanes.
 func (k *Pblk) laneWriter(p *sim.Proc, s *slot) {
-	defer s.done.Signal()
 	for {
 		if k.crashed {
 			return

@@ -194,7 +194,7 @@ func repoGeometries() map[string]Geometry {
 	odd.SectorsPerPage = 3
 	return map[string]Geometry{
 		"westlake-24":      shape(16, 8, 4, 24, 256), // ocssd.WestlakeGeometry(24)
-		"westlake-1067":    westlake(),               // lnvm-inspect's default
+		"westlake-1067":    westlake(),               // the paper's 2 TB Westlake
 		"volume-member-64": shape(4, 2, 2, 64, 32),   // volume.DefaultDeviceConfig(64)
 		"wa-64":            shape(4, 2, 4, 64, 256),  // harness waGeometry
 		"wa-e2e-64":        shape(4, 2, 2, 64, 32),   // harness waE2EGeometry

@@ -109,7 +109,7 @@ type engine struct {
 	res        *Result
 	// dirty page writeback by a background cleaner
 	dirty       int64
-	cleanerDone *sim.Event
+	cleanerProc *sim.Proc
 	stopping    bool
 }
 
@@ -129,8 +129,7 @@ func newEngine(env *sim.Env, dev blockdev.Device, cfg Config, res *Result) *engi
 	e.dataBase = e.logSize
 	// The table space is 3/4 of what the log leaves.
 	e.dataSize = (dev.Capacity() - e.logSize) * 3 / 4 / ps * ps
-	e.cleanerDone = env.NewEvent()
-	env.Go("sqlbench.cleaner", e.cleaner)
+	e.cleanerProc = env.Go("sqlbench.cleaner", e.cleaner)
 	return e
 }
 
@@ -180,7 +179,6 @@ func (e *engine) dirtyPage() { e.dirty++ }
 // cleaner writes back dirty pages in batches, the InnoDB page-cleaner
 // analogue: foreground commits only pay for redo, data pages trickle out.
 func (e *engine) cleaner(p *sim.Proc) {
-	defer e.cleanerDone.Signal()
 	ps := int64(e.cfg.PageSize)
 	pages := e.dataSize / ps
 	for !e.stopping {
@@ -205,7 +203,7 @@ func (e *engine) cleaner(p *sim.Proc) {
 
 func (e *engine) stop(p *sim.Proc) {
 	e.stopping = true
-	p.Wait(e.cleanerDone)
+	p.Wait(e.cleanerProc.Done())
 }
 
 func maxInt(a, b int) int {
