@@ -42,9 +42,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		blocks     = fs.Int("blocks", 0, "blocks per plane (device scale; 0 = default)")
 		duration   = fs.Duration("duration", 0, "virtual measurement window per data point (0 = default)")
 		seed       = fs.Int64("seed", 0, "simulation seed (0 = default)")
-		peLimit    = fs.Int("pe-limit", 0, "media P/E cycle budget for wear-aware experiments (0 = default)")
-		retAccel   = fs.Float64("retention-accel", 0, "retention-BER clock multiplier, bake-oven style (0 = default)")
-		readRetry  = fs.Int("read-retry", 0, "device read-retry tier budget (0 = default, negative = none)")
 		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memprofile = fs.String("memprofile", "", "write an allocation profile at exit to this file")
 		traceFile  = fs.String("trace", "", "write a runtime execution trace to this file")
@@ -113,9 +110,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Duration:       *duration,
 		Quick:          *quick,
 		Seed:           *seed,
-		PELimit:        *peLimit,
-		RetentionAccel: *retAccel,
-		ReadRetry:      *readRetry,
 	}
 
 	// Resolve every id before running anything: a typo in the last one must

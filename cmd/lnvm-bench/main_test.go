@@ -25,3 +25,14 @@ func TestBadCommandLineRunsNothing(t *testing.T) {
 		}
 	}
 }
+
+// A valid flag value an experiment cannot run with — a device below pblk's
+// spare-pool floor — is an error on stderr and exit 1. A panic would end the
+// test binary instead.
+func TestTooSmallDeviceIsAnError(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	code := run([]string{"-quick", "-blocks", "4", "fig5"}, &stdout, &stderr)
+	if code != 1 || !strings.Contains(stderr.String(), "over-provisioning") {
+		t.Errorf("run = %d, stderr %q; want 1 and pblk's over-provisioning error", code, stderr.String())
+	}
+}

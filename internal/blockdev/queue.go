@@ -219,7 +219,7 @@ type cbQueue struct {
 	active   int                // dispatched to the device, not yet completed
 	inflight int                // accepted, not yet completed
 	barrier  bool               // a flush is dispatched; hold everything behind it
-	drainEv  *sim.Event
+	drainEv  *sim.Event         // fired when inflight reaches 0; nil until the first Drain
 
 	completeFn func(*Request) // == complete, bound once for closure-free issue
 	finishArg  func(any)      // == finish via any, for closure-free Schedule
@@ -329,7 +329,6 @@ func (q *cbQueue) finish(r *Request) {
 		}
 		if q.inflight == 0 && q.drainEv != nil {
 			q.drainEv.Signal()
-			q.drainEv = nil
 		}
 		q.dispatch()
 	}
@@ -337,11 +336,14 @@ func (q *cbQueue) finish(r *Request) {
 	q.finishing = false
 }
 
+// Drain waits on the queue's one drain event, made on first use and
+// re-armed for every later drain.
 func (q *cbQueue) Drain(p *sim.Proc) {
 	for q.inflight > 0 {
 		if q.drainEv == nil {
 			q.drainEv = q.env.NewEvent()
 		}
+		q.drainEv.Rearm()
 		p.Wait(q.drainEv)
 	}
 }

@@ -2,6 +2,7 @@ package blockdev
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 	"time"
 
@@ -236,5 +237,34 @@ func TestDrainOnIdleQueueReturns(t *testing.T) {
 	env.Run()
 	if !ran {
 		t.Fatal("Drain on an idle queue did not return")
+	}
+}
+
+// A queue re-arms one drain event for every drain, so submit-then-drain
+// cycles allocate nothing once warm.
+func TestDrainCyclesAllocateNothing(t *testing.T) {
+	env := sim.NewEnv(1)
+	dev := &fakeDev{lat: time.Microsecond}
+	q := NewQueue(env, dev, 4, dev.issue(env))
+	r := read(0, nil)
+	const warm, measured = 64, 1000
+	var before, after runtime.MemStats
+	env.Go("drainer", func(p *sim.Proc) {
+		for i := 0; i < warm+measured; i++ {
+			if i == warm {
+				runtime.ReadMemStats(&before)
+			}
+			q.Submit(r)
+			q.Drain(p)
+		}
+		runtime.ReadMemStats(&after)
+	})
+	env.Run()
+	if dev.reads != warm+measured {
+		t.Fatalf("device saw %d reads, want %d", dev.reads, warm+measured)
+	}
+	// Runtime noise stays well below one allocation per cycle.
+	if allocs := after.Mallocs - before.Mallocs; allocs > measured/10 {
+		t.Fatalf("%d drain cycles allocated %d objects", measured, allocs)
 	}
 }

@@ -65,21 +65,6 @@ type Options struct {
 	// Quick shrinks sweeps for smoke runs.
 	Quick bool
 	Seed  int64
-
-	// ---- media realism knobs, consumed only by wear-aware experiments
-	// (lifetime). Characterization experiments keep wear disabled
-	// regardless, so their outputs stay byte-identical.
-
-	// PELimit overrides the media P/E cycle budget (0 = the experiment's
-	// default).
-	PELimit int
-	// RetentionAccel multiplies the retention-BER clock, bake-oven style
-	// (0 = the experiment's default).
-	RetentionAccel float64
-	// ReadRetry sets the device read-retry tier budget: 0 = the
-	// experiment's default, negative = no retry tiers (reads fail as soon
-	// as the raw BER exceeds the ECC budget).
-	ReadRetry int
 }
 
 // Defaults fills unset options.

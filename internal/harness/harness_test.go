@@ -5,7 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"os"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -13,37 +15,155 @@ import (
 	"repro/internal/sim"
 )
 
+// golden holds every experiment's -quick output, one section each, as
+// regenerate prints it. A change that moves an output regenerates the file,
+// and the moved lines show up in its diff.
+const (
+	golden     = "testdata/quick.golden"
+	regenerate = "go run ./cmd/lnvm-bench -quick all | grep -v 'wall time' > internal/harness/testdata/quick.golden"
+)
+
+// goldenSection is one experiment's part of the golden: "\n#### id — title\n",
+// its output and "\n", the way lnvm-bench frames it.
+type goldenSection struct {
+	id   string
+	text string
+	line int // line of the golden the section starts on
+}
+
+// goldenSections splits the golden at its "####" headers, in file order.
+func goldenSections(t *testing.T) []goldenSection {
+	t.Helper()
+	data, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const mark = "\n#### "
+	text := string(data)
+	if !strings.HasPrefix(text, mark) {
+		t.Fatalf("%s does not start with a %q header", golden, strings.TrimSpace(mark))
+	}
+	var out []goldenSection
+	for line := 1; text != ""; {
+		end := strings.Index(text[1:], mark) + 1
+		if end == 0 {
+			end = len(text)
+		}
+		id, _, _ := strings.Cut(text[len(mark):end], " ")
+		out = append(out, goldenSection{id: id, text: text[:end], line: line})
+		line += strings.Count(text[:end], "\n")
+		text = text[end:]
+	}
+	return out
+}
+
+// moved says where got first leaves section s, and how to regenerate.
+func moved(s goldenSection, got string) string {
+	want, have := strings.Split(s.text, "\n"), strings.Split(got, "\n")
+	i := 0
+	for i < len(want) && i < len(have) && want[i] == have[i] {
+		i++
+	}
+	at := func(lines []string) string {
+		if i < len(lines) {
+			return strconv.Quote(lines[i])
+		}
+		return "(end of section)"
+	}
+	return fmt.Sprintf("%s:%d: %s output moved\n\twant %s\n\tgot  %s\nif the move is meant, regenerate the golden and review its diff:\n\t%s",
+		golden, s.line+i, s.id, at(want), at(have), regenerate)
+}
+
+// quickRun is one experiment's run with Options{Quick: true}, which is what
+// lnvm-bench -quick passes.
+type quickRun struct {
+	out string
+	err error
+}
+
+// quickRuns memoizes quickOutput, so every test that reads an experiment's
+// -quick output shares one run of it per test binary. This package's tests
+// do not run in parallel.
+var quickRuns = map[string]quickRun{}
+
+// quickOutput returns experiment id's -quick output, running it on first use.
+func quickOutput(t *testing.T, id string) string {
+	t.Helper()
+	r, ok := quickRuns[id]
+	if !ok {
+		e, found := ByID(id)
+		if !found {
+			t.Fatalf("experiment %q not registered", id)
+		}
+		var buf bytes.Buffer
+		r = quickRun{err: e.Run(Options{Quick: true}, &buf)}
+		r.out = buf.String()
+		quickRuns[id] = r
+	}
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	return r.out
+}
+
+// The golden's sections are the registry: one per experiment, in All()'s
+// sorted order.
 func TestRegistryComplete(t *testing.T) {
-	want := []string{"table1", "overhead", "fig4", "fig5", "fig6", "fig7", "fig8", "lanes", "wa", "tenants",
-		"fleet", "lifetime", "wa-e2e", "ablate-pagecache", "ablate-vector", "ablate-buffering", "ablate-gc-rl",
-		"ablate-inflight", "ablate-suspend"}
-	for _, id := range want {
-		if _, ok := ByID(id); !ok {
-			t.Errorf("experiment %q not registered", id)
+	sections := goldenSections(t)
+	for _, s := range sections {
+		if _, ok := ByID(s.id); !ok {
+			t.Errorf("experiment %q not registered", s.id)
 		}
 	}
-	if len(All()) != len(want) {
-		t.Fatalf("registry has %d experiments, this list %d", len(All()), len(want))
+	all := All()
+	if len(all) != len(sections) {
+		t.Fatalf("registry has %d experiments, %s %d sections", len(all), golden, len(sections))
 	}
-	// All() must be sorted and stable.
-	ids := All()
-	for i := 1; i < len(ids); i++ {
-		if ids[i-1].ID >= ids[i].ID {
+	for i := 1; i < len(all); i++ {
+		if all[i-1].ID >= all[i].ID {
 			t.Fatal("All() not sorted")
 		}
 	}
 }
 
+// Every registered experiment, run as lnvm-bench -quick runs it, prints
+// exactly its section of the golden; lanes and wa-e2e also check the claims
+// they print. mustRun fails a job with I/O errors, so ablate-suspend also
+// asserts here that every read aimed at a raw target found programmed media.
+func TestQuickExperimentsRun(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs every experiment")
+	}
+	want := map[string]goldenSection{}
+	for _, s := range goldenSections(t) {
+		want[s.id] = s
+		if _, ok := ByID(s.id); !ok {
+			t.Errorf("%s:%d: section %q names no registered experiment", golden, s.line, s.id)
+		}
+	}
+	claims := map[string]func(t *testing.T, out string){
+		"lanes":  checkLanes,
+		"wa-e2e": checkWAE2E,
+	}
+	for _, e := range All() {
+		t.Run(e.ID, func(t *testing.T) {
+			out := quickOutput(t, e.ID)
+			s, ok := want[e.ID]
+			if !ok {
+				t.Fatalf("%s has no section for %s; regenerate it:\n\t%s", golden, e.ID, regenerate)
+			}
+			if got := fmt.Sprintf("\n#### %s — %s\n%s\n", e.ID, e.Title, out); got != s.text {
+				t.Error(moved(s, got))
+			}
+			if check := claims[e.ID]; check != nil {
+				check(t, out)
+			}
+		})
+	}
+}
+
 func TestWAQuick(t *testing.T) {
-	e, ok := ByID("wa")
-	if !ok {
-		t.Fatal("wa experiment not registered")
-	}
-	var buf bytes.Buffer
-	if err := e.Run(Options{Quick: true}, &buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
+	out := quickOutput(t, "wa")
 	for _, want := range []string{"single-stream (baseline)", "dual-stream", "WA", "depth=1"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("wa output missing %q:\n%s", want, out)
@@ -55,16 +175,9 @@ func TestWAQuick(t *testing.T) {
 // device below pblk's spare-pool floor and panic. The bound must show in the
 // read tail: eight writes queued per PU wait several times longer than one.
 func TestAblateInflightQuick(t *testing.T) {
-	e, ok := ByID("ablate-inflight")
-	if !ok {
-		t.Fatal("ablate-inflight experiment not registered")
-	}
-	var buf bytes.Buffer
-	if err := e.Run(Options{Quick: true}, &buf); err != nil {
-		t.Fatal(err)
-	}
+	out := quickOutput(t, "ablate-inflight")
 	var p99 []float64
-	for _, line := range strings.Split(buf.String(), "\n") {
+	for _, line := range strings.Split(out, "\n") {
 		var depth int
 		var wMBps, rP99, rMax float64
 		if n, _ := fmt.Sscan(line, &depth, &wMBps, &rP99, &rMax); n == 4 {
@@ -72,10 +185,11 @@ func TestAblateInflightQuick(t *testing.T) {
 		}
 	}
 	if len(p99) != 4 || p99[3] < 3*p99[0] {
-		t.Fatalf("read p99 by inflight bound = %v, want four rows rising at least 3x:\n%s", p99, buf.String())
+		t.Fatalf("read p99 by inflight bound = %v, want four rows rising at least 3x:\n%s", p99, out)
 	}
 	// Too small a device is an error from Run, not a panic.
-	if err := e.Run(Options{Quick: true, BlocksPerPlane: 8}, &buf); err == nil || !strings.Contains(err.Error(), "over-provisioning") {
+	e, _ := ByID("ablate-inflight")
+	if err := e.Run(Options{Quick: true, BlocksPerPlane: 8}, io.Discard); err == nil || !strings.Contains(err.Error(), "over-provisioning") {
 		t.Fatalf("8 blocks/plane: err = %v, want pblk's over-provisioning error", err)
 	}
 }
@@ -130,18 +244,9 @@ func TestTablePrinter(t *testing.T) {
 	}
 }
 
-// TestOverheadExperiment runs the fastest real experiment end to end and
-// checks the paper-matching deltas appear.
+// TestOverheadExperiment checks the paper-matching deltas appear.
 func TestOverheadExperiment(t *testing.T) {
-	e, ok := ByID("overhead")
-	if !ok {
-		t.Fatal("overhead missing")
-	}
-	var buf bytes.Buffer
-	if err := e.Run(Options{Quick: true, Duration: 5 * time.Millisecond}, &buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
+	out := quickOutput(t, "overhead")
 	for _, want := range []string{"+18%", "+45%", "null block device"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)
@@ -149,49 +254,31 @@ func TestOverheadExperiment(t *testing.T) {
 	}
 }
 
-// TestAblatePageCache exercises a small device-level experiment end to end.
+// TestAblatePageCache checks both page-cache settings report.
 func TestAblatePageCache(t *testing.T) {
-	e, _ := ByID("ablate-pagecache")
-	var buf bytes.Buffer
-	if err := e.Run(Options{Quick: true, Duration: 20 * time.Millisecond}, &buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "true") || !strings.Contains(buf.String(), "false") {
-		t.Fatalf("missing rows:\n%s", buf.String())
+	out := quickOutput(t, "ablate-pagecache")
+	if !strings.Contains(out, "true") || !strings.Contains(out, "false") {
+		t.Fatalf("missing rows:\n%s", out)
 	}
 }
 
-// TestAblateVector checks the vectored-vs-serial experiment shows the
-// expected ordering.
+// TestAblateVector checks both the vectored and the serial mode report.
 func TestAblateVector(t *testing.T) {
-	e, _ := ByID("ablate-vector")
-	var buf bytes.Buffer
-	if err := e.Run(Options{Quick: true, Duration: 10 * time.Millisecond}, &buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
+	out := quickOutput(t, "ablate-vector")
 	if !strings.Contains(out, "vectored") || !strings.Contains(out, "serial") {
 		t.Fatalf("missing rows:\n%s", out)
 	}
 }
 
-// TestFleetQuick runs the fleet experiment end to end twice: the striped
-// volume must scale at least 3x from 1 to 4 devices, the failover drill
-// must lose no acknowledged data degraded or after the rebuild, and the
-// two runs must produce byte-identical output (the determinism contract
-// the whole simulator rests on). fleet is the only experiment that mounts
-// several devices, so this is where volume-manager regressions (scaling,
-// failover, rebuild) that unit tests sample more narrowly are caught.
+// TestFleetQuick: the striped volume must scale at least 3x from 1 to 4
+// devices, the failover drill must lose no acknowledged data degraded or
+// after the rebuild, and a second run in the same process must print
+// byte-identical output (the determinism contract the whole simulator rests
+// on). fleet is the only experiment that mounts several devices, so this is
+// where volume-manager regressions (scaling, failover, rebuild) that unit
+// tests sample more narrowly are caught.
 func TestFleetQuick(t *testing.T) {
-	e, ok := ByID("fleet")
-	if !ok {
-		t.Fatal("fleet experiment not registered")
-	}
-	var buf bytes.Buffer
-	if err := e.Run(Options{Quick: true}, &buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
+	out := quickOutput(t, "fleet")
 	for _, want := range []string{
 		"RAID-0 scaling", "Failover drill",
 		"degraded: 0 mismatched bytes; after rebuild: 0",
@@ -212,33 +299,20 @@ func TestFleetQuick(t *testing.T) {
 	if wx < 3 || rx < 3 {
 		t.Errorf("RAID-0 scaling 1->4 devices below 3x: write %.2fx read %.2fx\n%s", wx, rx, out)
 	}
-	var buf2 bytes.Buffer
-	if err := e.Run(Options{Quick: true}, &buf2); err != nil {
+	e, _ := ByID("fleet")
+	var again bytes.Buffer
+	if err := e.Run(Options{Quick: true}, &again); err != nil {
 		t.Fatal(err)
 	}
-	if out != buf2.String() {
+	if out != again.String() {
 		t.Fatal("fleet output differs between two identical runs: determinism broken")
 	}
-}
-
-// runQuick runs experiment id with o and returns its output.
-func runQuick(t *testing.T, id string, o Options) string {
-	t.Helper()
-	e, ok := ByID(id)
-	if !ok {
-		t.Fatalf("experiment %q not registered", id)
-	}
-	var buf bytes.Buffer
-	if err := e.Run(o, &buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.String()
 }
 
 // A PU-partitioned tenant's read tail tracks the solo run next to a
 // write-heavy neighbour; one shared pblk inflates it at least tenfold.
 func TestTenantsQuick(t *testing.T) {
-	out := runQuick(t, "tenants", Options{Quick: true})
+	out := quickOutput(t, "tenants")
 	part, shared := -1.0, -1.0
 	for _, line := range strings.Split(out, "\n") {
 		if strings.HasPrefix(line, "read p99:") {
@@ -258,7 +332,7 @@ func TestTenantsQuick(t *testing.T) {
 // every write share; the NVMe SSD's p99 at 20 % writes is several times
 // its read-only value.
 func TestFig8Quick(t *testing.T) {
-	out := runQuick(t, "fig8", Defaults(Options{Quick: true, Duration: 20 * time.Millisecond}))
+	out := quickOutput(t, "fig8")
 	var mixes []string
 	var ocP99, nvP99 []float64
 	for _, line := range strings.Split(out, "\n") {
@@ -278,34 +352,6 @@ func TestFig8Quick(t *testing.T) {
 	}
 	if nvP99[1] < 5*nvP99[0] {
 		t.Errorf("NVMe read p99 %v us at 80/20 below 5x its 100/0 value %v us:\n%s", nvP99[1], nvP99[0], out)
-	}
-}
-
-// The only run these get under go test (wa, tenants, fleet, fig8 and
-// ablate-pagecache have tests of their own above). mustRun fails a job with
-// I/O errors, so ablate-suspend also asserts here that every read aimed at
-// a raw target found programmed media. lifetime is the only experiment that
-// ages the media (P/E wear, retention decay, read retry, scrubbing) and the
-// only one that crash-recovers mid-run; it ignores Duration, so this is its
-// whole quick run. lanes and wa-e2e check the claims they print.
-func TestQuickExperimentsRun(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs seven quick experiments")
-	}
-	claims := map[string]func(t *testing.T, out string){
-		"lanes":  checkLanes,
-		"wa-e2e": checkWAE2E,
-	}
-	for _, id := range []string{"fig4", "fig5", "fig7", "lanes", "lifetime", "wa-e2e", "ablate-suspend"} {
-		t.Run(id, func(t *testing.T) {
-			out := runQuick(t, id, Defaults(Options{Quick: true, Duration: 20 * time.Millisecond}))
-			if out == "" {
-				t.Fatal("empty output")
-			}
-			if check := claims[id]; check != nil {
-				check(t, out)
-			}
-		})
 	}
 }
 

@@ -66,32 +66,13 @@ type lifeRow struct {
 // nothing, at the cost of scrub write traffic.
 func runLifetime(o Options, w io.Writer) error {
 	o = Defaults(o)
-	peLimit := o.PELimit
-	if peLimit == 0 {
-		peLimit = 24
-		if o.Quick {
-			peLimit = 14
-		}
-	}
-	accel := o.RetentionAccel
-	if accel == 0 {
-		accel = 1
-		if o.Quick {
-			// Fewer stages means less wall-clock retention; bake harder so
-			// the decay story still completes within two stages.
-			accel = 2
-		}
-	}
-	tiers := o.ReadRetry
-	if tiers == 0 {
-		tiers = 6
-	} else if tiers < 0 {
-		tiers = 0
-	}
-	stages := 4
+	peLimit, accel, stages := 24, 1.0, 4
 	if o.Quick {
-		stages = 2
+		// Fewer stages means less wall-clock retention; bake harder so the
+		// decay story still completes within two stages.
+		peLimit, accel, stages = 14, 2, 2
 	}
+	const tiers = 6 // device read-retry tiers
 	const blocks = 8
 	const agingX = 3.0 // drive-writes of overwrite per stage
 	const bake = 1500 * time.Millisecond
