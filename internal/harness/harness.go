@@ -11,6 +11,7 @@ import (
 	"sort"
 	"strings"
 	"time"
+	"unicode/utf8"
 
 	"repro/internal/blockdev"
 	"repro/internal/fio"
@@ -239,12 +240,12 @@ func (t *table) add(cells ...string) { t.rows = append(t.rows, cells) }
 func (t *table) write(w io.Writer) {
 	widths := make([]int, len(t.header))
 	for i, h := range t.header {
-		widths[i] = len(h)
+		widths[i] = utf8.RuneCountInString(h)
 	}
 	for _, r := range t.rows {
 		for i, c := range r {
-			if i < len(widths) && len(c) > widths[i] {
-				widths[i] = len(c)
+			if n := utf8.RuneCountInString(c); i < len(widths) && n > widths[i] {
+				widths[i] = n
 			}
 		}
 	}
@@ -266,11 +267,13 @@ func (t *table) write(w io.Writer) {
 	}
 }
 
+// pad widens s to w columns; a column is a rune, so a multibyte µ is one.
 func pad(s string, w int) string {
-	if len(s) >= w {
+	n := utf8.RuneCountInString(s)
+	if n >= w {
 		return s
 	}
-	return s + strings.Repeat(" ", w-len(s))
+	return s + strings.Repeat(" ", w-n)
 }
 
 func mb(v float64) string { return fmt.Sprintf("%.0f", v) }

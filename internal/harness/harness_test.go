@@ -233,14 +233,22 @@ func TestTablePrinter(t *testing.T) {
 	tb := &table{header: []string{"a", "longer"}}
 	tb.add("x", "1")
 	tb.add("yyyy", "22")
+	tb.add("100µs", "3")
 	tb.write(&buf)
 	out := buf.String()
 	lines := strings.Split(strings.TrimSpace(out), "\n")
-	if len(lines) != 4 {
+	if len(lines) != 5 {
 		t.Fatalf("got %d lines:\n%s", len(lines), out)
 	}
 	if !strings.HasPrefix(lines[0], "a") || !strings.Contains(lines[0], "longer") {
 		t.Fatalf("header malformed: %q", lines[0])
+	}
+	// Cells pad by columns, not bytes: the two-byte µ takes one column.
+	col := strings.Index(lines[0], "longer")
+	for _, l := range lines[1:] {
+		if r := []rune(l); len(r) <= col || r[col-1] != ' ' || r[col] == ' ' {
+			t.Errorf("second column of %q does not start at column %d:\n%s", l, col, out)
+		}
 	}
 }
 
