@@ -110,19 +110,24 @@ func quickOutput(t *testing.T, id string) string {
 // sorted order.
 func TestRegistryComplete(t *testing.T) {
 	sections := goldenSections(t)
+	has := map[string]bool{}
 	for _, s := range sections {
+		has[s.id] = true
 		if _, ok := ByID(s.id); !ok {
 			t.Errorf("experiment %q not registered", s.id)
 		}
 	}
 	all := All()
-	if len(all) != len(sections) {
-		t.Fatalf("registry has %d experiments, %s %d sections", len(all), golden, len(sections))
-	}
-	for i := 1; i < len(all); i++ {
-		if all[i-1].ID >= all[i].ID {
-			t.Fatal("All() not sorted")
+	for i, e := range all {
+		if !has[e.ID] {
+			t.Errorf("experiment %q has no section in %s", e.ID, golden)
 		}
+		if i > 0 && all[i-1].ID >= e.ID {
+			t.Errorf("All() not sorted: %q before %q", all[i-1].ID, e.ID)
+		}
+	}
+	if len(all) != len(sections) {
+		t.Errorf("registry has %d experiments, %s %d sections", len(all), golden, len(sections))
 	}
 }
 
