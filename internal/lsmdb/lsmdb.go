@@ -72,8 +72,6 @@ type Config struct {
 	TableSlotSize int64
 	// BlockCacheSize bounds the clock block cache in bytes (0 disables).
 	BlockCacheSize int64
-	// QueueDepth is the submission queue depth opened on the device.
-	QueueDepth int
 	// ColdHints tags SSTable flush and compaction writes with
 	// blockdev.HintCold so a hint-aware FTL can segregate them.
 	ColdHints bool
@@ -98,7 +96,6 @@ func DefaultConfig() Config {
 		BlockSize:           32 << 10,
 		TableTargetSize:     8 << 20,
 		BlockCacheSize:      32 << 20,
-		QueueDepth:          32,
 		CPUPerOp:            2 * time.Microsecond,
 		Seed:                1,
 	}
@@ -110,6 +107,9 @@ var ErrClosed = errors.New("lsmdb: closed")
 // maxImmutables bounds the flush queue before writers stall (RocksDB
 // max_write_buffer_number - 1).
 const maxImmutables = 2
+
+// queueDepth is the submission queue depth opened on the device.
+const queueDepth = 32
 
 // walMaxPend bounds the accumulating group-commit batch; producers park
 // until the writer drains below it.
@@ -235,16 +235,13 @@ func Open(p *sim.Proc, env *sim.Env, dev Device, cfg Config) (*DB, error) {
 	if cfg.TableTargetSize == 0 {
 		cfg.TableTargetSize = 8 << 20
 	}
-	if cfg.QueueDepth == 0 {
-		cfg.QueueDepth = 32
-	}
 	if cfg.MaxLevels < 2 {
 		cfg.MaxLevels = 2
 	}
 	ss := int64(dev.SectorSize())
 	db := &DB{
 		cfg: cfg, env: env, ss: ss,
-		q:   blockdev.OpenQueue(env, dev, cfg.QueueDepth),
+		q:   blockdev.OpenQueue(env, dev, queueDepth),
 		rng: rand.New(rand.NewSource(cfg.Seed)),
 	}
 	db.blk = blockdev.NewQueueAdapter(env, db.q)

@@ -148,15 +148,15 @@ func (m *Member) submit(r *blockdev.Request) {
 	m.q.Submit(m.one[:]...)
 }
 
+// memberQueueDepth bounds sub-request concurrency per member queue.
+const memberQueueDepth = 32
+
 // Config assembles a fleet.
 type Config struct {
 	// Devices is the number of data devices; Spares adds hot spares to the
 	// manager's pool on top.
 	Devices int
 	Spares  int
-	// QueueDepth bounds sub-request concurrency per member queue
-	// (default 32).
-	QueueDepth int
 	// OCSSD is the per-device template; the zero value selects a compact
 	// 8-PU device. Each member's media seed is decorrelated from Seed.
 	OCSSD ocssd.Config
@@ -224,9 +224,6 @@ func NewManager(p *sim.Proc, env *sim.Env, cfg Config) (*Manager, error) {
 	if cfg.Devices < 1 {
 		return nil, fmt.Errorf("volume: fleet needs at least one device, got %d", cfg.Devices)
 	}
-	if cfg.QueueDepth == 0 {
-		cfg.QueueDepth = 32
-	}
 	if cfg.NamePrefix == "" {
 		cfg.NamePrefix = "fleet"
 	}
@@ -283,7 +280,7 @@ func (mgr *Manager) mount(p *sim.Proc, m *Member) error {
 		return fmt.Errorf("volume: mount %s: %w", tname, err)
 	}
 	m.tgt = tgt.(*pblk.Pblk)
-	m.q = blockdev.OpenQueue(mgr.env, m.tgt, mgr.cfg.QueueDepth)
+	m.q = blockdev.OpenQueue(mgr.env, m.tgt, memberQueueDepth)
 	m.sync = blockdev.NewQueueAdapter(mgr.env, m.q)
 	return nil
 }
