@@ -130,10 +130,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	for _, e := range exps {
 		fmt.Fprintf(stdout, "\n#### %s — %s\n", e.ID, e.Title)
 		start := time.Now()
-		if err := e.Run(opts, stdout); err != nil {
+		rep, err := e.Run(opts)
+		if err != nil {
 			fmt.Fprintf(stderr, "lnvm-bench: %s: %v\n", e.ID, err)
 			return 1
 		}
+		rep.WriteTo(stdout)
 		fmt.Fprintf(stdout, "\n[%s completed in %v wall time, peak RSS %d MB]\n",
 			e.ID, time.Since(start).Round(time.Millisecond), peakRSSMB())
 	}

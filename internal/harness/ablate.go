@@ -2,7 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"io"
 	"time"
 
 	"repro/internal/fio"
@@ -17,33 +16,32 @@ import (
 // isolates one mechanism and quantifies its contribution.
 
 func init() {
-	register(Experiment{ID: "ablate-pagecache", Title: "Ablation: controller page cache on/off (Table 1 read asymmetry)", Run: runAblatePageCache})
-	register(Experiment{ID: "ablate-vector", Title: "Ablation: vectored I/O vs serial per-sector commands (§3.3)", Run: runAblateVector})
-	register(Experiment{ID: "ablate-buffering", Title: "Ablation: host write buffering vs device CMB (§2.3 lesson 3)", Run: runAblateBuffering})
-	register(Experiment{ID: "ablate-gc-rl", Title: "Ablation: PID GC rate limiter vs unthrottled users (§4.2.4)", Run: runAblateGCRL})
-	register(Experiment{ID: "ablate-inflight", Title: "Ablation: per-PU write queue depth vs read tail latency", Run: runAblateInflight})
+	register("ablate-pagecache", "Ablation: controller page cache on/off (Table 1 read asymmetry)", runAblatePageCache)
+	register("ablate-vector", "Ablation: vectored I/O vs serial per-sector commands (§3.3)", runAblateVector)
+	register("ablate-buffering", "Ablation: host write buffering vs device CMB (§2.3 lesson 3)", runAblateBuffering)
+	register("ablate-gc-rl", "Ablation: PID GC rate limiter vs unthrottled users (§4.2.4)", runAblateGCRL)
+	register("ablate-inflight", "Ablation: per-PU write queue depth vs read tail latency", runAblateInflight)
+	register("ablate-suspend", "Ablation: program/erase suspend (§3.3 media hints)", runAblateSuspend)
 }
 
-func ablationDevice(o Options, pageCache bool) (*sim.Env, *ocssd.Device, error) {
+func ablationDevice(o Options, pageCache bool) (*sim.Env, *ocssd.Device) {
 	env := sim.NewEnv(o.Seed)
 	cfg := wearFreeConfig(ocssd.WestlakeGeometry(8), o.Seed)
 	cfg.PageCache = pageCache
 	dev, err := ocssd.New(env, cfg)
-	return env, dev, err
+	check(err)
+	return env, dev
 }
 
 // runAblatePageCache shows that the controller's per-PU page buffer is
 // what makes sequential 4K reads cheap (the paper's 40 µs average vs a
 // full flash page read per sector without it).
-func runAblatePageCache(o Options, w io.Writer) error {
-	o = Defaults(o)
-	section(w, "controller page cache: single-PU 4K sequential reads")
-	t := &table{header: []string{"page cache", "seq 4K MB/s", "avg us", "rand 4K MB/s"}}
+func runAblatePageCache(o Options) *Report {
+	rep := &Report{}
+	s := rep.section("controller page cache: single-PU 4K sequential reads")
+	t := s.table("page cache", "seq 4K MB/s", "avg us", "rand 4K MB/s")
 	for _, cache := range []bool{true, false} {
-		env, dev, err := ablationDevice(o, cache)
-		if err != nil {
-			return err
-		}
+		env, dev := ablationDevice(o, cache)
 		ln := lightnvm.Register("ocssd-pc", dev)
 		var seq, rnd *fio.Result
 		env.Go("main", func(p *sim.Proc) {
@@ -54,11 +52,10 @@ func runAblatePageCache(o Options, w io.Writer) error {
 			rnd = mustRun(p, raw, fio.Job{Name: "r", Pattern: fio.RandRead, BS: 4096, Size: size, Runtime: o.Duration, Seed: o.Seed})
 		})
 		env.Run()
-		t.add(fmt.Sprint(cache), mb(seq.ReadMBps()), us(seq.ReadLat.Mean()), mb(rnd.ReadMBps()))
+		t.add(label(fmt.Sprint(cache)), mb(seq.ReadMBps()), us(seq.ReadLat.Mean()), mb(rnd.ReadMBps()))
 	}
-	t.write(w)
-	fmt.Fprintln(w, "\nexpect: cache on gives ~2-3x sequential 4K bandwidth; random reads are unaffected.")
-	return nil
+	s.note("", "expect: cache on gives ~2-3x sequential 4K bandwidth; random reads are unaffected.")
+	return rep
 }
 
 // runAblateVector quantifies the vectored-I/O design: programming a 64 KB
@@ -66,12 +63,8 @@ func runAblatePageCache(o Options, w io.Writer) error {
 // commands (which also violate the full-page program rule, so the serial
 // case is measured with per-page 4-sector commands — the minimum legal
 // serialization).
-func runAblateVector(o Options, w io.Writer) error {
-	o = Defaults(o)
-	env, dev, err := ablationDevice(o, true)
-	if err != nil {
-		return err
-	}
+func runAblateVector(o Options) *Report {
+	env, dev := ablationDevice(o, true)
 	g := dev.Geometry()
 	units := 64
 	var vecDur, serDur time.Duration
@@ -103,28 +96,24 @@ func runAblateVector(o Options, w io.Writer) error {
 		serDur = env.Now() - t0
 	})
 	env.Run()
-	section(w, "vectored vs serial write commands (64 KB units)")
-	tt := &table{header: []string{"mode", "MB/s", "total"}}
+	rep := &Report{}
+	s := rep.section("vectored vs serial write commands (64 KB units)")
+	t := s.table("mode", "MB/s", "total")
 	vol := float64(units * g.PlanesPerPU * g.PageSize())
-	tt.add("vectored (1 cmd/unit)", mb(vol/vecDur.Seconds()/1e6), vecDur.String())
-	tt.add("serial (1 cmd/plane-page)", mb(vol/serDur.Seconds()/1e6), serDur.String())
-	tt.write(w)
-	fmt.Fprintln(w, "\nexpect: serial loses the multi-plane program merge (~4x program time) plus per-command overhead.")
-	return nil
+	t.add(label("vectored (1 cmd/unit)"), mb(vol/vecDur.Seconds()/1e6), duration(vecDur))
+	t.add(label("serial (1 cmd/plane-page)"), mb(vol/serDur.Seconds()/1e6), duration(serDur))
+	s.note("", "expect: serial loses the multi-plane program merge (~4x program time) plus per-command overhead.")
+	return rep
 }
 
 // runAblateBuffering compares the paper's two write-buffer placements for
 // a flush-heavy small-write workload: the host ring buffer (pblk) pads
 // flash pages on every flush, while a device-side CMB absorbs small writes
 // and defers programming.
-func runAblateBuffering(o Options, w io.Writer) error {
-	o = Defaults(o)
+func runAblateBuffering(o Options) *Report {
 	writes := 200
 	// Host buffering: pblk write+flush per 4K record.
-	env, dev, err := ablationDevice(o, true)
-	if err != nil {
-		return err
-	}
+	env, dev := ablationDevice(o, true)
 	ln := lightnvm.Register("ocssd-ab", dev)
 	var hostAck, hostFlush time.Duration
 	var hostPadding int64
@@ -145,10 +134,7 @@ func runAblateBuffering(o Options, w io.Writer) error {
 	env.Run()
 
 	// Device CMB: buffered vector writes, flush drains the controller.
-	env2, dev2, err := ablationDevice(o, true)
-	if err != nil {
-		return err
-	}
+	env2, dev2 := ablationDevice(o, true)
 	g := dev2.Geometry()
 	var cmbAck, cmbFlush time.Duration
 	env2.Go("cmb", func(p *sim.Proc) {
@@ -175,29 +161,26 @@ func runAblateBuffering(o Options, w io.Writer) error {
 	})
 	env2.Run()
 
-	section(w, "write buffering placement: 4K write + flush, 200 records")
-	t := &table{header: []string{"placement", "avg ack us", "avg flush us", "padding KB"}}
+	rep := &Report{}
+	s := rep.section("write buffering placement: 4K write + flush, 200 records")
+	t := s.table("placement", "avg ack us", "avg flush us", "padding KB")
 	n := time.Duration(writes)
-	t.add("host ring buffer (pblk)", us(hostAck/n), us(hostFlush/n), fmt.Sprint(hostPadding/1024))
-	t.add("device CMB", us(cmbAck/n), us(cmbFlush/n), "0")
-	t.write(w)
-	fmt.Fprintln(w, "\nexpect: host buffering acks fastest but pays page padding on every flush;")
-	fmt.Fprintln(w, "the CMB needs no padding (paper: 'a device-side buffer would significantly")
-	fmt.Fprintln(w, "reduce the amount of padding required') at the cost of device-side logic.")
-	return nil
+	t.add(label("host ring buffer (pblk)"), us(hostAck/n), us(hostFlush/n), num("%.0f", hostPadding/1024))
+	t.add(label("device CMB"), us(cmbAck/n), us(cmbFlush/n), num("%.0f", 0))
+	s.note("", "expect: host buffering acks fastest but pays page padding on every flush;",
+		"the CMB needs no padding (paper: 'a device-side buffer would significantly",
+		"reduce the amount of padding required') at the cost of device-side logic.")
+	return rep
 }
 
 // runAblateGCRL contrasts the PID rate limiter with unthrottled user
 // writes under sustained overwrite pressure at device capacity.
-func runAblateGCRL(o Options, w io.Writer) error {
-	o = Defaults(o)
-	section(w, "GC rate limiter: overwrites at capacity")
-	t := &table{header: []string{"rate limiter", "write MB/s", "w p99 ms", "w max ms", "recycled"}}
+func runAblateGCRL(o Options) *Report {
+	rep := &Report{}
+	s := rep.section("GC rate limiter: overwrites at capacity")
+	t := s.table("rate limiter", "write MB/s", "w p99 ms", "w max ms", "recycled")
 	for _, disabled := range []bool{false, true} {
-		env, dev, err := ablationDevice(o, true)
-		if err != nil {
-			return err
-		}
+		env, dev := ablationDevice(o, true)
 		ln := lightnvm.Register("ocssd-rl", dev)
 		var res *fio.Result
 		var recycled int64
@@ -219,33 +202,29 @@ func runAblateGCRL(o Options, w io.Writer) error {
 			recycled = k.Stats.GCBlocksRecycled
 		})
 		env.Run()
-		label := "PID (paper)"
+		name := "PID (paper)"
 		if disabled {
-			label = "disabled"
+			name = "disabled"
 		}
-		t.add(label, mb(res.WriteMBps()), ms(res.WriteLat.Percentile(99)), ms(res.WriteLat.Max()), fmt.Sprint(recycled))
+		t.add(label(name), mb(res.WriteMBps()), ms(res.WriteLat.Percentile(99)), ms(res.WriteLat.Max()), num("%.0f", recycled))
 	}
-	t.write(w)
-	fmt.Fprintln(w, "\nexpect: the PID loop paces user writes to GC progress — lower burst throughput")
-	fmt.Fprintln(w, "but several times more proactive recycling; disabling it lets writes race to the")
-	fmt.Fprintln(w, "free-block wall and depend entirely on the hard emergency stall.")
-	return nil
+	s.note("", "expect: the PID loop paces user writes to GC progress — lower burst throughput",
+		"but several times more proactive recycling; disabling it lets writes race to the",
+		"free-block wall and depend entirely on the hard emergency stall.")
+	return rep
 }
 
 // runAblateInflight sweeps the per-PU write queue bound: deeper queues
 // help write throughput slightly but multiply how long a read can be
 // stuck behind queued programs.
-func runAblateInflight(o Options, w io.Writer) error {
-	o = Defaults(o)
-	section(w, "per-PU write inflight bound vs read tail (mixed 4K reads / seq writes)")
-	t := &table{header: []string{"inflight/PU", "W MB/s", "R p99 us", "R max us"}}
+func runAblateInflight(o Options) *Report {
+	rep := &Report{}
+	s := rep.section("per-PU write inflight bound vs read tail (mixed 4K reads / seq writes)")
+	t := s.table("inflight/PU", "W MB/s", "R p99 us", "R max us")
 	for _, depth := range []int{1, 2, 4, 8} {
 		// A default-OP pblk on all 128 PUs needs the experiment-scale device:
 		// the 8-block ablation device is below its spare-pool floor.
-		env, _, ln, err := newOCSSD(o)
-		if err != nil {
-			return err
-		}
+		env, _, ln := newOCSSD(o)
 		var rres, wres *fio.Result
 		env.Go("main", func(p *sim.Proc) {
 			k, err := pblk.New(p, ln, "pblk0", pblk.Config{MaxInflightPerPU: depth})
@@ -264,33 +243,26 @@ func runAblateInflight(o Options, w io.Writer) error {
 			p.Wait(done)
 		})
 		env.Run()
-		t.add(fmt.Sprint(depth), mb(wres.WriteMBps()), us(rres.ReadLat.Percentile(99)), us(rres.ReadLat.Max()))
+		t.add(num("%.0f", depth), mb(wres.WriteMBps()), us(rres.ReadLat.Percentile(99)), us(rres.ReadLat.Max()))
 	}
-	t.write(w)
-	fmt.Fprintln(w, "\nexpect: read max latency grows roughly linearly with the queue bound.")
-	return nil
-}
-
-func init() {
-	register(Experiment{ID: "ablate-suspend", Title: "Ablation: program/erase suspend (§3.3 media hints)", Run: runAblateSuspend})
+	s.note("", "expect: read max latency grows roughly linearly with the queue bound.")
+	return rep
 }
 
 // runAblateSuspend quantifies the §3.3 erase/program-suspend hint: reads
 // that would otherwise wait out a 1.1 ms program or a 3 ms erase on their
 // PU preempt it within one suspend slice, at the cost of longer writes.
-func runAblateSuspend(o Options, w io.Writer) error {
-	o = Defaults(o)
-	section(w, "program/erase suspend: 4K reads against a continuous single-PU writer")
-	t := &table{header: []string{"suspend", "R p99 us", "R max us", "W MB/s", "suspensions"}}
+func runAblateSuspend(o Options) *Report {
+	rep := &Report{}
+	s := rep.section("program/erase suspend: 4K reads against a continuous single-PU writer")
+	t := s.table("suspend", "R p99 us", "R max us", "W MB/s", "suspensions")
 	for _, slice := range []time.Duration{0, 100 * time.Microsecond} {
 		env := sim.NewEnv(o.Seed)
 		cfg := wearFreeConfig(ocssd.WestlakeGeometry(8), o.Seed)
 		cfg.Timing.SuspendSlice = slice
 		cfg.Timing.SuspendPenalty = 50 * time.Microsecond
 		dev, err := ocssd.New(env, cfg)
-		if err != nil {
-			return err
-		}
+		check(err)
 		ln := lightnvm.Register("ocssd-sus", dev)
 		var rres, wres *fio.Result
 		env.Go("main", func(p *sim.Proc) {
@@ -310,18 +282,17 @@ func runAblateSuspend(o Options, w io.Writer) error {
 			p.Wait(done)
 		})
 		env.Run()
-		label := "off"
+		name := "off"
 		if slice > 0 {
-			label = slice.String()
+			name = slice.String()
 		}
-		t.add(label, us(rres.ReadLat.Percentile(99)), us(rres.ReadLat.Max()),
-			mb(wres.WriteMBps()), fmt.Sprint(dev.Stats.Suspensions))
+		t.add(label(name), us(rres.ReadLat.Percentile(99)), us(rres.ReadLat.Max()),
+			mb(wres.WriteMBps()), num("%.0f", dev.Stats.Suspensions))
 	}
-	t.write(w)
-	fmt.Fprintln(w, "\nreader and writer share one PU (reads over its two prepared blocks, the writer")
-	fmt.Fprintln(w, "cycling through the other six). expect: without suspend the read tail is a whole")
-	fmt.Fprintln(w, "block erase (3 ms; a program is 1.1 ms); suspend caps the wait at one slice plus a")
-	fmt.Fprintln(w, "write unit's transfer (~7x lower p99) while writes slow by the resume penalties —")
-	fmt.Fprintln(w, "the paper's stated trade-off.")
-	return nil
+	s.note("", "reader and writer share one PU (reads over its two prepared blocks, the writer",
+		"cycling through the other six). expect: without suspend the read tail is a whole",
+		"block erase (3 ms; a program is 1.1 ms); suspend caps the wait at one slice plus a",
+		"write unit's transfer (~7x lower p99) while writes slow by the resume penalties —",
+		"the paper's stated trade-off.")
+	return rep
 }

@@ -2,18 +2,13 @@ package harness
 
 import (
 	"fmt"
-	"io"
 
 	"repro/internal/fio"
 	"repro/internal/sim"
 )
 
 func init() {
-	register(Experiment{
-		ID:    "fig4",
-		Title: "Figure 4: SR/RR throughput and latency vs queue depth and block size",
-		Run:   runFig4,
-	})
+	register("fig4", "Figure 4: SR/RR throughput and latency vs queue depth and block size", runFig4)
 }
 
 // runFig4 reproduces the uniform read workloads: data is prepared with
@@ -21,12 +16,8 @@ func init() {
 // block sizes 4K..256K at queue depths 1..16. The paper's shape: SR
 // reaches ~4 GB/s at 256K QD16 (~1 ms latency); 4K QD1 tops out around
 // 105 MB/s at ~40 µs.
-func runFig4(o Options, w io.Writer) error {
-	o = Defaults(o)
-	env, _, ln, err := newOCSSD(o)
-	if err != nil {
-		return err
-	}
+func runFig4(o Options) *Report {
+	env, _, ln := newOCSSD(o)
 	blockSizes := []int{4 << 10, 8 << 10, 16 << 10, 32 << 10, 64 << 10, 128 << 10, 256 << 10}
 	depths := []int{1, 2, 4, 8, 16}
 	if o.Quick {
@@ -34,16 +25,15 @@ func runFig4(o Options, w io.Writer) error {
 		depths = []int{1, 16}
 	}
 
-	type cell struct {
+	type point struct {
 		mbps  float64
 		avgUS float64
 		p99US float64
 	}
-	results := map[string]map[[2]int]cell{"SR": {}, "RR": {}}
+	results := map[string]map[[2]int]point{"SR": {}, "RR": {}}
 
 	env.Go("fig4", func(p *sim.Proc) {
-		k, err := newPblk(p, ln, 0)
-		check(err)
+		k := newPblk(p, ln, 0)
 		defer k.Stop(p)
 		// Paper prepares 100 GB over the full device; scale to half the
 		// exported capacity.
@@ -61,7 +51,7 @@ func runFig4(o Options, w io.Writer) error {
 						Pattern: pat, BS: bs, QD: qd,
 						Size: prep, Runtime: o.Duration, Seed: o.Seed,
 					})
-					results[name][[2]int{qd, bs}] = cell{
+					results[name][[2]int{qd, bs}] = point{
 						mbps:  r.ReadMBps(),
 						avgUS: usF(r.ReadLat.Mean()),
 						p99US: usF(r.ReadLat.Percentile(99)),
@@ -72,33 +62,33 @@ func runFig4(o Options, w io.Writer) error {
 	})
 	env.Run()
 
+	rep := &Report{}
+	var s *section
 	for _, name := range []string{"SR", "RR"} {
-		section(w, fmt.Sprintf("Figure 4 %s: throughput (MB/s)", name))
-		t := &table{header: []string{"bs\\qd"}}
+		header := []string{"bs\\qd"}
 		for _, qd := range depths {
-			t.header = append(t.header, fmt.Sprintf("QD%d", qd))
+			header = append(header, fmt.Sprintf("QD%d", qd))
 		}
+		t := rep.section(fmt.Sprintf("Figure 4 %s: throughput (MB/s)", name)).table(header...)
 		for _, bs := range blockSizes {
-			row := []string{fmt.Sprintf("%dK", bs/1024)}
+			row := []cell{label(fmt.Sprintf("%dK", bs/1024))}
 			for _, qd := range depths {
 				row = append(row, mb(results[name][[2]int{qd, bs}].mbps))
 			}
 			t.add(row...)
 		}
-		t.write(w)
 
-		section(w, fmt.Sprintf("Figure 4 %s: average latency (us, p99 in parens)", name))
-		t2 := &table{header: t.header}
+		s = rep.section(fmt.Sprintf("Figure 4 %s: average latency (us, p99 in parens)", name))
+		t2 := s.table(header...)
 		for _, bs := range blockSizes {
-			row := []string{fmt.Sprintf("%dK", bs/1024)}
+			row := []cell{label(fmt.Sprintf("%dK", bs/1024))}
 			for _, qd := range depths {
 				c := results[name][[2]int{qd, bs}]
-				row = append(row, fmt.Sprintf("%.0f (%.0f)", c.avgUS, c.p99US))
+				row = append(row, num("%.0f (%.0f)", c.avgUS, c.p99US))
 			}
 			t2.add(row...)
 		}
-		t2.write(w)
 	}
-	fmt.Fprintln(w, "\npaper reference: SR 256K QD16 ~4GB/s @ ~970us avg / 1200us p99; 4K QD1 ~105MB/s @ ~40us")
-	return nil
+	s.note("", "paper reference: SR 256K QD16 ~4GB/s @ ~970us avg / 1200us p99; 4K QD1 ~105MB/s @ ~40us")
+	return rep
 }

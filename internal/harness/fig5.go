@@ -2,18 +2,13 @@ package harness
 
 import (
 	"fmt"
-	"io"
 
 	"repro/internal/fio"
 	"repro/internal/sim"
 )
 
 func init() {
-	register(Experiment{
-		ID:    "fig5",
-		Title: "Figure 5: mixed R/W vs number of active write PUs",
-		Run:   runFig5,
-	})
+	register("fig5", "Figure 5: mixed R/W vs number of active write PUs", runFig5)
 }
 
 // runFig5 reproduces the paper's key result: reads mixed with writes
@@ -23,12 +18,8 @@ func init() {
 // Panels: (a) throughput + 256K QD16 read latency under 256K QD1 writes;
 // (b) 4K QD1 read latency under the same writes; (c) same as (a) with
 // writes rate-limited to 200 MB/s.
-func runFig5(o Options, w io.Writer) error {
-	o = Defaults(o)
-	env, dev, ln, err := newOCSSD(o)
-	if err != nil {
-		return err
-	}
+func runFig5(o Options) *Report {
+	env, dev, ln := newOCSSD(o)
 	activeSets := []int{128, 64, 32, 16, 8, 4}
 	if o.Quick {
 		activeSets = []int{128, 16, 4}
@@ -47,8 +38,7 @@ func runFig5(o Options, w io.Writer) error {
 	var wRef, rRef float64
 
 	env.Go("fig5", func(p *sim.Proc) {
-		k, err := newPblk(p, ln, 0)
-		check(err)
+		k := newPblk(p, ln, 0)
 		defer k.Stop(p)
 		// Prepare the read dataset striped across all PUs (paper: same
 		// preparation as Fig 4), then write beyond it.
@@ -107,31 +97,20 @@ func runFig5(o Options, w io.Writer) error {
 	})
 	env.Run()
 
-	section(w, "Figure 5(a): throughput under mixed R/W (W 256K QD1, R 256K QD16)")
-	fmt.Fprintf(w, "reference: 100%% write %s MB/s, 100%% read %s MB/s\n", mb(wRef), mb(rRef))
-	ta := &table{header: []string{"active PUs", "W MB/s", "R MB/s", "R avg us", "R p99 us", "R max us"}}
+	rep := &Report{}
+	sa := rep.section("Figure 5(a): throughput under mixed R/W (W 256K QD1, R 256K QD16)")
+	sa.note(fmt.Sprintf("reference: 100%% write %.0f MB/s, 100%% read %.0f MB/s", wRef, rRef))
+	ta := sa.table("active PUs", "W MB/s", "R MB/s", "R avg us", "R p99 us", "R max us")
+	tb := rep.section("Figure 5(b): 4K QD1 read latency under writes").table("active PUs", "R avg us", "R p99 us", "R max us")
+	sc := rep.section("Figure 5(c): reads vs writes rate-limited to 200 MB/s (R 256K QD1)")
+	tc := sc.table("active PUs", "W MB/s", "R avg us", "R p99 us")
 	for _, r := range rows {
-		ta.add(fmt.Sprint(r.active), mb(r.wMBps), mb(r.rMBps),
-			fmt.Sprintf("%.0f", r.rAvg), fmt.Sprintf("%.0f", r.r99), fmt.Sprintf("%.0f", r.rMax))
+		ta.add(num("%.0f", r.active), mb(r.wMBps), mb(r.rMBps), num("%.0f", r.rAvg), num("%.0f", r.r99), num("%.0f", r.rMax))
+		tb.add(num("%.0f", r.active), num("%.0f", r.r4Avg), num("%.0f", r.r499), num("%.0f", r.r4Max))
+		tc.add(num("%.0f", r.active), mb(r.rlW), num("%.0f", r.rlAvg), num("%.0f", r.rl99))
 	}
-	ta.write(w)
-
-	section(w, "Figure 5(b): 4K QD1 read latency under writes")
-	tb := &table{header: []string{"active PUs", "R avg us", "R p99 us", "R max us"}}
-	for _, r := range rows {
-		tb.add(fmt.Sprint(r.active), fmt.Sprintf("%.0f", r.r4Avg), fmt.Sprintf("%.0f", r.r499), fmt.Sprintf("%.0f", r.r4Max))
-	}
-	tb.write(w)
-
-	section(w, "Figure 5(c): reads vs writes rate-limited to 200 MB/s (R 256K QD1)")
-	tc := &table{header: []string{"active PUs", "W MB/s", "R avg us", "R p99 us"}}
-	for _, r := range rows {
-		tc.add(fmt.Sprint(r.active), mb(r.rlW), fmt.Sprintf("%.0f", r.rlAvg), fmt.Sprintf("%.0f", r.rl99))
-	}
-	tc.write(w)
-
-	fmt.Fprintln(w, "\npaper shape: at 128 active PUs both R and W roughly halve vs reference and read")
-	fmt.Fprintln(w, "latency ~2x (max ~4x); shrinking to 4 active PUs restores reads to near-reference")
-	fmt.Fprintln(w, "while writes proceed at ~200 MB/s; variance shrinks even when writes are rate-limited.")
-	return nil
+	sc.note("", "paper shape: at 128 active PUs both R and W roughly halve vs reference and read",
+		"latency ~2x (max ~4x); shrinking to 4 active PUs restores reads to near-reference",
+		"while writes proceed at ~200 MB/s; variance shrinks even when writes are rate-limited.")
+	return rep
 }

@@ -2,29 +2,48 @@ package harness
 
 import (
 	"fmt"
-	"io"
-	"time"
 
 	"repro/internal/blockdev"
+	"repro/internal/lightnvm"
 	"repro/internal/lsmdb"
+	"repro/internal/ocssd"
+	"repro/internal/pblk"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
 func init() {
-	register(Experiment{
-		ID:    "fig6",
-		Title: "Figure 6 + Table 2: RocksDB-style workloads on NVMe SSD vs OCSSD-128 vs OCSSD-4",
-		Run:   runFig6,
-	})
+	register("fig6", "Figure 6 + Table 2: RocksDB-style workloads on NVMe SSD vs OCSSD-128 vs OCSSD-4", runFig6)
+}
+
+// appDevice is one of the three devices Figures 6 and 7 run an application
+// on: the NVMe SSD (activePUs < 0) or pblk over the open-channel SSD.
+type appDevice struct {
+	name      string
+	activePUs int
+}
+
+var appDevices = []appDevice{{"NVMe SSD", -1}, {"OCSSD 128", 0}, {"OCSSD 4", 4}}
+
+// build makes the device in env and returns it with its stop function.
+func (a appDevice) build(p *sim.Proc, env *sim.Env, o Options) (blockdev.Device, func(*sim.Proc) error) {
+	if a.activePUs < 0 {
+		d, err := newBaseline(p, env, o)
+		checkIn(a.name, err)
+		return d, d.Stop
+	}
+	dev, err := ocssd.New(env, wearFreeConfig(ocssd.WestlakeGeometry(o.BlocksPerPlane), o.Seed))
+	checkIn(a.name, err)
+	k, err := pblk.New(p, lightnvm.Register("ocssd-embed", dev), fmt.Sprintf("pblk-%d", a.activePUs), pblk.Config{ActivePUs: a.activePUs})
+	checkIn(a.name, err)
+	return k, k.Stop
 }
 
 // runFig6 drives the LSM engine (RocksDB stand-in) through db_bench-like
 // sequential write, random read, and read-while-writing workloads on the
 // three devices of the paper. Table 2 reports throughput; Figure 6 the
 // p95/p99/p99.9 latencies.
-func runFig6(o Options, w io.Writer) error {
-	o = Defaults(o)
+func runFig6(o Options) *Report {
 	type devRun struct {
 		name        string
 		sw, rr, mix *lsmdb.BenchResult
@@ -48,72 +67,40 @@ func runFig6(o Options, w io.Writer) error {
 		fillEntries /= 4
 	}
 
-	exec := func(name string, build func(p *sim.Proc, env *sim.Env) (blockdev.Device, func(*sim.Proc))) error {
+	for _, d := range appDevices {
 		env := sim.NewEnv(o.Seed)
-		run := devRun{name: name}
-		var failure error
+		run := devRun{name: d.name}
 		env.Go("main", func(p *sim.Proc) {
-			dev, stop := build(p, env)
+			dev, stop := d.build(p, env, o)
 			db, err := lsmdb.Open(p, env, dev, dbCfg)
-			if err != nil {
-				failure = err
-				return
-			}
+			checkIn(d.name, err)
 			run.sw = lsmdb.FillSeqN(p, db, 4, fillEntries)
 			db.Quiesce(p) // settle flush/compaction backlog between phases
 			run.rr = lsmdb.ReadRandom(p, db, 4, dur)
 			run.mix = lsmdb.ReadWhileWriting(p, db, 4, dur)
-			if err := db.Close(p); err != nil {
-				failure = err
-			}
-			if stop != nil {
-				stop(p)
-			}
+			checkIn(d.name, db.Close(p))
+			stop(p)
 		})
 		env.Run()
-		if failure != nil {
-			return fmt.Errorf("%s: %w", name, failure)
-		}
 		runs = append(runs, run)
-		return nil
 	}
 
-	if err := exec("NVMe SSD", func(p *sim.Proc, env *sim.Env) (blockdev.Device, func(*sim.Proc)) {
-		d, err := newBaseline(p, env, o)
-		check(err)
-		return d, func(pp *sim.Proc) { d.Stop(pp) }
-	}); err != nil {
-		return err
-	}
-	for _, act := range []int{0, 4} {
-		act := act
-		label := "OCSSD 128"
-		if act == 4 {
-			label = "OCSSD 4"
-		}
-		if err := exec(label, func(p *sim.Proc, env *sim.Env) (blockdev.Device, func(*sim.Proc)) {
-			return buildOCSSDOn(p, env, o, act)
-		}); err != nil {
-			return err
-		}
-	}
-
-	section(w, "Table 2: throughput (MB/s) — paper: SW 276/396/80, RR 5064/5819/5319, Mixed 2208/3897/4825")
-	t := &table{header: []string{"workload", "NVMe SSD", "OCSSD 128", "OCSSD 4"}}
-	get := func(f func(devRun) *lsmdb.BenchResult) []string {
-		out := make([]string, 0, 3)
+	rep := &Report{}
+	t := rep.section("Table 2: throughput (MB/s) — paper: SW 276/396/80, RR 5064/5819/5319, Mixed 2208/3897/4825").
+		table("workload", "NVMe SSD", "OCSSD 128", "OCSSD 4")
+	get := func(name string, f func(devRun) *lsmdb.BenchResult) []cell {
+		out := []cell{label(name)}
 		for _, r := range runs {
-			out = append(out, fmt.Sprintf("%.0f", f(r).UserMBps))
+			out = append(out, mb(f(r).UserMBps))
 		}
 		return out
 	}
-	t.add(append([]string{"SW (fillseq)"}, get(func(r devRun) *lsmdb.BenchResult { return r.sw })...)...)
-	t.add(append([]string{"RR (readrandom)"}, get(func(r devRun) *lsmdb.BenchResult { return r.rr })...)...)
-	t.add(append([]string{"Mixed (readwhilewriting)"}, get(func(r devRun) *lsmdb.BenchResult { return r.mix })...)...)
-	t.write(w)
+	t.add(get("SW (fillseq)", func(r devRun) *lsmdb.BenchResult { return r.sw })...)
+	t.add(get("RR (readrandom)", func(r devRun) *lsmdb.BenchResult { return r.rr })...)
+	t.add(get("Mixed (readwhilewriting)", func(r devRun) *lsmdb.BenchResult { return r.mix })...)
 
-	section(w, "Figure 6: latency percentiles (ms)")
-	lt := &table{header: []string{"workload", "device", "p95", "p99", "p99.9", "max"}}
+	s := rep.section("Figure 6: latency percentiles (ms)")
+	lt := s.table("workload", "device", "p95", "p99", "p99.9", "max")
 	for _, wl := range []struct {
 		name string
 		get  func(devRun) *stats.Hist
@@ -124,21 +111,10 @@ func runFig6(o Options, w io.Writer) error {
 	} {
 		for _, r := range runs {
 			h := wl.get(r)
-			lt.add(wl.name, r.name, ms(h.Percentile(95)), ms(h.Percentile(99)), ms(h.Percentile(99.9)), ms(h.Max()))
+			lt.add(label(wl.name), label(r.name), ms(h.Percentile(95)), ms(h.Percentile(99)), ms(h.Percentile(99.9)), ms(h.Max()))
 		}
 	}
-	lt.write(w)
-	fmt.Fprintln(w, "\npaper shape: OCSSD-4 writes are throughput-limited; random reads comparable across")
-	fmt.Fprintln(w, "devices; OCSSD cuts SW p99.9 ~2x and Mixed p99+ ~3x vs the NVMe SSD.")
-	return nil
+	s.note("", "paper shape: OCSSD-4 writes are throughput-limited; random reads comparable across",
+		"devices; OCSSD cuts SW p99.9 ~2x and Mixed p99+ ~3x vs the NVMe SSD.")
+	return rep
 }
-
-// buildOCSSDOn constructs the OCSSD + pblk stack inside an existing env,
-// returning the block device and a stop function.
-func buildOCSSDOn(p *sim.Proc, env *sim.Env, o Options, activePUs int) (blockdev.Device, func(*sim.Proc)) {
-	k, err := newPblkOn(p, env, o, activePUs)
-	check(err)
-	return k, func(pp *sim.Proc) { k.Stop(pp) }
-}
-
-var _ = time.Second

@@ -1,21 +1,13 @@
 package harness
 
 import (
-	"fmt"
-	"io"
-
-	"repro/internal/blockdev"
 	"repro/internal/pblk"
 	"repro/internal/sim"
 	"repro/internal/sqlbench"
 )
 
 func init() {
-	register(Experiment{
-		ID:    "fig7",
-		Title: "Figure 7: OLTP/OLAP transactions per second and latency",
-		Run:   runFig7,
-	})
+	register("fig7", "Figure 7: OLTP/OLAP transactions per second and latency", runFig7)
 }
 
 // runFig7 drives the Sysbench-style OLTP (flush-heavy) and OLAP
@@ -24,8 +16,7 @@ func init() {
 // in the OLTP latency tail, and pblk's padding counters reproduce the
 // paper's flush/padding observation (44,000 flushes and ~2 GB padding per
 // 10 GB OLTP writes vs 400 flushes / 16 MB for OLAP).
-func runFig7(o Options, w io.Writer) error {
-	o = Defaults(o)
+func runFig7(o Options) *Report {
 	dur := 2 * o.Duration
 
 	type devRun struct {
@@ -37,36 +28,15 @@ func runFig7(o Options, w io.Writer) error {
 	}
 	var runs []devRun
 
-	exec := func(name string, act int, baseline bool) error {
+	for _, d := range appDevices {
 		env := sim.NewEnv(o.Seed)
-		run := devRun{name: name}
-		var failure error
+		run := devRun{name: d.name}
 		env.Go("main", func(p *sim.Proc) {
-			var dev blockdev.Device
-			var k *pblk.Pblk
-			var stop func(*sim.Proc)
-			if baseline {
-				d, err := newBaseline(p, env, o)
-				if err != nil {
-					failure = err
-					return
-				}
-				dev = d
-				stop = func(pp *sim.Proc) { d.Stop(pp) }
-			} else {
-				var err error
-				k, err = newPblkOn(p, env, o, act)
-				if err != nil {
-					failure = err
-					return
-				}
-				dev = k
-				stop = func(pp *sim.Proc) { k.Stop(pp) }
-			}
+			dev, stop := d.build(p, env, o)
 			oltpCfg := sqlbench.DefaultOLTP()
 			oltpCfg.Seed = o.Seed
 			run.oltp = sqlbench.RunOLTP(p, env, dev, oltpCfg, dur)
-			if k != nil {
+			if k, ok := dev.(*pblk.Pblk); ok {
 				run.padBytes = k.Stats.PaddedSectors * int64(k.SectorSize())
 				run.ftlFlush = k.Stats.Flushes
 			}
@@ -76,37 +46,22 @@ func runFig7(o Options, w io.Writer) error {
 			stop(p)
 		})
 		env.Run()
-		if failure != nil {
-			return fmt.Errorf("%s: %w", name, failure)
-		}
 		runs = append(runs, run)
-		return nil
 	}
 
-	if err := exec("NVMe SSD", 0, true); err != nil {
-		return err
-	}
-	if err := exec("OCSSD 128", 0, false); err != nil {
-		return err
-	}
-	if err := exec("OCSSD 4", 4, false); err != nil {
-		return err
-	}
-
-	section(w, "Figure 7: OLTP / OLAP throughput and latency")
-	t := &table{header: []string{"device", "workload", "tps", "avg ms", "p95 ms", "p99 ms", "max ms", "flushes"}}
+	rep := &Report{}
+	t := rep.section("Figure 7: OLTP / OLAP throughput and latency").
+		table("device", "workload", "tps", "avg ms", "p95 ms", "p99 ms", "max ms", "flushes")
 	for _, r := range runs {
 		for _, res := range []*sqlbench.Result{r.oltp, r.olap} {
-			t.add(r.name, res.Name,
-				fmt.Sprintf("%.0f", res.TPS),
+			t.add(label(r.name), label(res.Name), num("%.0f", res.TPS),
 				ms(res.Lat.Mean()), ms(res.Lat.Percentile(95)), ms(res.Lat.Percentile(99)), ms(res.Lat.Max()),
-				fmt.Sprint(res.Flushes))
+				num("%.0f", res.Flushes))
 		}
 	}
-	t.write(w)
 
-	section(w, "Flush-driven padding on pblk (paper: OLTP 44k flushes ~2GB padding per 10GB; OLAP 400 flushes ~16MB)")
-	t2 := &table{header: []string{"device", "OLTP writes MB", "pblk padding MB", "padding/write ratio"}}
+	s := rep.section("Flush-driven padding on pblk (paper: OLTP 44k flushes ~2GB padding per 10GB; OLAP 400 flushes ~16MB)")
+	t2 := s.table("device", "OLTP writes MB", "pblk padding MB", "padding/write ratio")
 	for _, r := range runs {
 		if r.ftlFlush == 0 {
 			continue
@@ -117,11 +72,10 @@ func runFig7(o Options, w io.Writer) error {
 		if writtenMB > 0 {
 			ratio = padMB / writtenMB
 		}
-		t2.add(r.name, fmt.Sprintf("%.1f", writtenMB), fmt.Sprintf("%.1f", padMB), fmt.Sprintf("%.2f", ratio))
+		t2.add(label(r.name), num("%.1f", writtenMB), num("%.1f", padMB), num("%.2f", ratio))
 	}
-	t2.write(w)
-	fmt.Fprintln(w, "\npaper shape: OLTP/OLAP tps similar across devices (CPU bound); OLTP p95 latency")
-	fmt.Fprintln(w, "rises sharply on the NVMe SSD but stays near average on the open-channel SSD;")
-	fmt.Fprintln(w, "OLTP's per-commit flushes cause ~0.2 padding bytes per written byte on pblk.")
-	return nil
+	s.note("", "paper shape: OLTP/OLAP tps similar across devices (CPU bound); OLTP p95 latency",
+		"rises sharply on the NVMe SSD but stays near average on the open-channel SSD;",
+		"OLTP's per-commit flushes cause ~0.2 padding bytes per written byte on pblk.")
+	return rep
 }

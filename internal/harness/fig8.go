@@ -2,7 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"io"
 	"time"
 
 	"repro/internal/blockdev"
@@ -12,11 +11,7 @@ import (
 )
 
 func init() {
-	register(Experiment{
-		ID:    "fig8",
-		Title: "Figure 8: predictable latency via PU-isolated streams vs NVMe SSD",
-		Run:   runFig8,
-	})
+	register("fig8", "Figure 8: predictable latency via PU-isolated streams vs NVMe SSD", runFig8)
 }
 
 // runFig8 reproduces the application-specific FTL demonstration: two
@@ -25,16 +20,12 @@ func init() {
 // OCSSD each stream has a raw target on its own PU range, so read latency
 // stays flat as writes increase; the NVMe baseline mixes them and its read
 // tail grows even at 20% writes.
-func runFig8(o Options, w io.Writer) error {
-	o = Defaults(o)
+func runFig8(o Options) *Report {
 	mixes := [][2]int{{100, 0}, {80, 20}, {66, 33}, {50, 50}}
 	var ocRes, nvmeRes []stats.Hist
 
 	// ---- OCSSD: one raw target per stream, on disjoint PU ranges ----
-	env, _, ln, err := newOCSSD(o)
-	if err != nil {
-		return err
-	}
+	env, _, ln := newOCSSD(o)
 	env.Go("fig8-ocssd", func(p *sim.Proc) {
 		rd, wr := newRaw(p, ln, "raw-read", 0, 4), newRaw(p, ln, "raw-write", 64, 68)
 		prep := rd.BlockBytes(4)
@@ -60,18 +51,18 @@ func runFig8(o Options, w io.Writer) error {
 	})
 	env2.Run()
 
-	section(w, "Figure 8: 4K random-read latency (us) vs write share — OCSSD (PU-isolated) and NVMe SSD")
-	t := &table{header: []string{"R/W mix", "OCSSD p95", "OCSSD p99", "OCSSD max", "NVMe p95", "NVMe p99", "NVMe max"}}
+	rep := &Report{}
+	s := rep.section("Figure 8: 4K random-read latency (us) vs write share — OCSSD (PU-isolated) and NVMe SSD")
+	t := s.table("R/W mix", "OCSSD p95", "OCSSD p99", "OCSSD max", "NVMe p95", "NVMe p99", "NVMe max")
 	for i := range mixes {
 		oc, nv := ocRes[i], nvmeRes[i]
-		t.add(fmt.Sprintf("%d/%d", mixes[i][0], mixes[i][1]),
+		t.add(label(fmt.Sprintf("%d/%d", mixes[i][0], mixes[i][1])),
 			us(oc.Percentile(95)), us(oc.Percentile(99)), us(oc.Max()),
 			us(nv.Percentile(95)), us(nv.Percentile(99)), us(nv.Max()))
 	}
-	t.write(w)
-	fmt.Fprintln(w, "\npaper shape: OCSSD read latency stays flat as the write share grows; the NVMe SSD's")
-	fmt.Fprintln(w, "tail inflates already at 20% writes because it cannot separate the streams.")
-	return nil
+	s.note("", "paper shape: OCSSD read latency stays flat as the write share grows; the NVMe SSD's",
+		"tail inflates already at 20% writes because it cannot separate the streams.")
+	return rep
 }
 
 // runMix runs the figure's two streams for d and returns the read

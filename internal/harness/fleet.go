@@ -1,8 +1,8 @@
 package harness
 
 import (
+	"errors"
 	"fmt"
-	"io"
 	"time"
 
 	"repro/internal/fio"
@@ -12,11 +12,7 @@ import (
 )
 
 func init() {
-	register(Experiment{
-		ID:    "fleet",
-		Title: "Multi-device volumes: RAID-0 scaling, mirrored failover, online rebuild",
-		Run:   runFleet,
-	})
+	register("fleet", "Multi-device volumes: RAID-0 scaling, mirrored failover, online rebuild", runFleet)
 }
 
 // fleetConfig assembles one fleet of compact 8-PU members. Quick mode
@@ -42,12 +38,11 @@ func fleetConfig(o Options, devices, spares int) volume.Config {
 // mid-workload, the volume serves on in degraded mode, a hot spare is
 // rebuilt online at a capped rate, and checksum scans prove zero loss of
 // acknowledged data both degraded and after the rebuild.
-func runFleet(o Options, w io.Writer) error {
-	o = Defaults(o)
-	if err := runFleetScaling(o, w); err != nil {
-		return err
-	}
-	return runFleetFailover(o, w)
+func runFleet(o Options) *Report {
+	rep := &Report{}
+	runFleetScaling(o, rep)
+	runFleetFailover(o, rep)
+	return rep
 }
 
 // ---- part 1: RAID-0 scaling ----
@@ -57,60 +52,43 @@ type fleetScaleRow struct {
 	wMBps, rMBps float64
 }
 
-func runFleetScaling(o Options, w io.Writer) error {
+func runFleetScaling(o Options, rep *Report) {
 	span := int64(64) << 20
 	if o.Quick {
 		span = 16 << 20
 	}
 	var rows []fleetScaleRow
 	for _, n := range []int{1, 2, 4} {
-		row, err := runFleetScalePoint(o, n, span)
-		if err != nil {
-			return err
-		}
-		rows = append(rows, row)
+		rows = append(rows, runFleetScalePoint(o, n, span))
 	}
 
-	section(w, "RAID-0 scaling: one striped volume, 4K randread QD32x2 / 64K seqwrite QD32")
-	t := &table{header: []string{"devices", "write MB/s", "read MB/s", "write x", "read x"}}
+	s := rep.section("RAID-0 scaling: one striped volume, 4K randread QD32x2 / 64K seqwrite QD32")
+	t := s.table("devices", "write MB/s", "read MB/s", "write x", "read x")
 	for _, r := range rows {
-		t.add(fmt.Sprintf("%d", r.devs), mb(r.wMBps), mb(r.rMBps),
-			fmt.Sprintf("%.2f", r.wMBps/rows[0].wMBps),
-			fmt.Sprintf("%.2f", r.rMBps/rows[0].rMBps))
+		t.add(num("%.0f", r.devs), mb(r.wMBps), mb(r.rMBps),
+			num("%.2f", r.wMBps/rows[0].wMBps), num("%.2f", r.rMBps/rows[0].rMBps))
 	}
-	t.write(w)
-	fmt.Fprintf(w, "\n1->4 devices: write %.2fx, read %.2fx (paper shape: host striping scales\n",
-		rows[2].wMBps/rows[0].wMBps, rows[2].rMBps/rows[0].rMBps)
-	fmt.Fprintln(w, "across drives the way pblk scales across PUs inside one drive)")
-	return nil
+	s.note("", fmt.Sprintf("1->4 devices: write %.2fx, read %.2fx (paper shape: host striping scales",
+		rows[2].wMBps/rows[0].wMBps, rows[2].rMBps/rows[0].rMBps),
+		"across drives the way pblk scales across PUs inside one drive)")
 }
 
-func runFleetScalePoint(o Options, devs int, span int64) (fleetScaleRow, error) {
+func runFleetScalePoint(o Options, devs int, span int64) fleetScaleRow {
 	row := fleetScaleRow{devs: devs}
 	env := sim.NewEnv(o.Seed)
-	var runErr error
 	env.Go("fleet-scale", func(p *sim.Proc) {
 		mgr, err := volume.NewManager(p, env, fleetConfig(o, devs, 0))
-		if err != nil {
-			runErr = err
-			return
-		}
+		check(err)
 		ids := make([]int, devs)
 		for i := range ids {
 			ids[i] = i
 		}
 		v, err := mgr.CreateVolume("stripe", volume.Stripe(64<<10, ids...), volume.Options{})
-		if err != nil {
-			runErr = err
-			return
-		}
+		check(err)
 		if span > v.Capacity()/2 {
 			span = alignDown(v.Capacity()/2, 1<<20)
 		}
-		if err := fio.Prepare(p, v, 0, span); err != nil {
-			runErr = err
-			return
-		}
+		check(fio.Prepare(p, v, 0, span))
 		rd := mustRun(p, v, fio.Job{
 			Name: "scale-read", Pattern: fio.RandRead, BS: 4 << 10, QD: 32, NumJobs: 2,
 			Size: span, Runtime: o.Duration, Seed: o.Seed + 1,
@@ -123,7 +101,7 @@ func runFleetScalePoint(o Options, devs int, span int64) (fleetScaleRow, error) 
 		row.wMBps = wr.WriteMBps()
 	})
 	env.Run()
-	return row, runErr
+	return row
 }
 
 // ---- part 2: failover and rebuild drill ----
@@ -174,7 +152,7 @@ type fleetPhase struct {
 	res  *fio.Result
 }
 
-func runFleetFailover(o Options, w io.Writer) error {
+func runFleetFailover(o Options, rep *Report) {
 	data := int64(48) << 20
 	rebuildRate := 200.0
 	if o.Quick {
@@ -188,31 +166,18 @@ func runFleetFailover(o Options, w io.Writer) error {
 		rebuildOK              bool
 		vstats                 volume.Stats
 		status                 volume.Status
-		runErr                 error
 	)
 	env := sim.NewEnv(o.Seed + 100)
 	env.Go("fleet-failover", func(p *sim.Proc) {
-		fail := func(err error) bool {
-			if err != nil && runErr == nil {
-				runErr = err
-			}
-			return err != nil
-		}
 		mgr, err := volume.NewManager(p, env, fleetConfig(o, 4, 1))
-		if fail(err) {
-			return
-		}
+		check(err)
 		v, err := mgr.CreateVolume("vol", volume.StripeOfMirrors(128<<10, []int{0, 1}, []int{2, 3}),
 			volume.Options{Rebuild: volume.RebuildConfig{RateMBps: rebuildRate}})
-		if fail(err) {
-			return
-		}
+		check(err)
 		if data > v.Capacity()/2 {
 			data = alignDown(v.Capacity()/2, 1<<20)
 		}
-		if fail(fleetWritePattern(p, v, data)) {
-			return
-		}
+		check(fleetWritePattern(p, v, data))
 
 		readJob := func(name string, seed int64) *fio.Result {
 			return mustRun(p, v, fio.Job{
@@ -231,19 +196,14 @@ func runFleetFailover(o Options, w io.Writer) error {
 		phases = append(phases, fleetPhase{"degraded", readJob("degraded", o.Seed+5)})
 
 		mismDegraded, err = fleetVerifyPattern(p, v, data)
-		if fail(err) {
-			return
-		}
+		check(err)
 
 		// Online rebuild onto the hot spare, reads still running.
 		sp := mgr.TakeSpare()
 		if sp == nil {
-			runErr = fmt.Errorf("fleet: no hot spare in pool")
-			return
+			check(errors.New("fleet: no hot spare in pool"))
 		}
-		if fail(v.AttachSpare(sp)) {
-			return
-		}
+		check(v.AttachSpare(sp))
 		start := env.Now()
 		var during *fio.Result
 		rdDone := env.NewEvent()
@@ -261,35 +221,28 @@ func runFleetFailover(o Options, w io.Writer) error {
 
 		phases = append(phases, fleetPhase{"rebuilt", readJob("rebuilt", o.Seed+7)})
 		mismDone, err = fleetVerifyPattern(p, v, data)
-		if fail(err) {
-			return
-		}
+		check(err)
 		vstats = v.Stats()
 		status = v.Status()
 	})
 	env.Run()
-	if runErr != nil {
-		return runErr
-	}
 
-	section(w, "Failover drill: stripe[2]xmirror[2] + hot spare, member killed mid-workload")
-	t := &table{header: []string{"phase", "read MB/s", "p50 us", "p99 us", "p99.9 us", "errors"}}
+	s := rep.section("Failover drill: stripe[2]xmirror[2] + hot spare, member killed mid-workload")
+	t := s.table("phase", "read MB/s", "p50 us", "p99 us", "p99.9 us", "errors")
 	for _, ph := range phases {
-		t.add(ph.name, fmt.Sprintf("%.0f", ph.res.ReadMBps()),
+		t.add(label(ph.name), mb(ph.res.ReadMBps()),
 			us(ph.res.ReadLat.Percentile(50)), us(ph.res.ReadLat.Percentile(99)),
-			us(ph.res.ReadLat.Percentile(99.9)), fmt.Sprintf("%d", ph.res.Errors))
+			us(ph.res.ReadLat.Percentile(99.9)), num("%.0f", ph.res.Errors))
 	}
-	t.write(w)
-	fmt.Fprintf(w, "\ndataset: %d MB mirrored; checksum scan degraded: %d mismatched bytes; after rebuild: %d\n",
-		data>>20, mismDegraded, mismDone)
-	// The engine reconstructs one full member column: capacity/2 for a
-	// two-column stripe.
-	fmt.Fprintf(w, "rebuild: %.0f MB in %s ms (rate cap %.0f MB/s), success=%v; volume now %s, degraded=%v\n",
-		float64(status.Capacity/2)/1e6, ms(rebuildTime), rebuildRate, rebuildOK,
-		status.Layout, status.Degraded)
-	fmt.Fprintf(w, "volume stats: %d degraded chunk reads, %d retried reads, %d writes parked behind copy window, %d member deaths\n",
-		vstats.DegradedReads, vstats.RetriedReads, vstats.ParkedWrites, vstats.MemberDeaths)
-	fmt.Fprintln(w, "paper shape: acknowledged data survives a device death with zero loss; degraded and")
-	fmt.Fprintln(w, "rebuild tails stay bounded because the copy engine is rate-capped below device bandwidth")
-	return nil
+	s.note("", fmt.Sprintf("dataset: %d MB mirrored; checksum scan degraded: %d mismatched bytes; after rebuild: %d",
+		data>>20, mismDegraded, mismDone),
+		// The engine reconstructs one full member column: capacity/2 for a
+		// two-column stripe.
+		fmt.Sprintf("rebuild: %.0f MB in %s ms (rate cap %.0f MB/s), success=%v; volume now %s, degraded=%v",
+			float64(status.Capacity/2)/1e6, ms(rebuildTime).text, rebuildRate, rebuildOK,
+			status.Layout, status.Degraded),
+		fmt.Sprintf("volume stats: %d degraded chunk reads, %d retried reads, %d writes parked behind copy window, %d member deaths",
+			vstats.DegradedReads, vstats.RetriedReads, vstats.ParkedWrites, vstats.MemberDeaths),
+		"paper shape: acknowledged data survives a device death with zero loss; degraded and",
+		"rebuild tails stay bounded because the copy engine is rate-capped below device bandwidth")
 }

@@ -5,6 +5,7 @@
 package harness
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"math/rand"
@@ -37,6 +38,13 @@ type failure struct{ error }
 func check(err error) {
 	if err != nil {
 		panic(failure{err})
+	}
+}
+
+// checkIn is check for a step of the part of an experiment named name.
+func checkIn(name string, err error) {
+	if err != nil {
+		check(fmt.Errorf("%s: %w", name, err))
 	}
 }
 
@@ -86,22 +94,22 @@ func Defaults(o Options) Options {
 type Experiment struct {
 	ID    string
 	Title string
-	Run   func(o Options, w io.Writer) error
+	Run   func(Options) (*Report, error)
 }
 
 var registry []Experiment
 
-// register adds an experiment, its Run wrapped by guarded.
-func register(e Experiment) {
-	e.Run = guarded(e.Run)
-	registry = append(registry, e)
+// register adds an experiment; run sees the options completed by Defaults.
+func register(id, title string, run func(Options) *Report) {
+	withDefaults := func(o Options) *Report { return run(Defaults(o)) }
+	registry = append(registry, Experiment{ID: id, Title: title, Run: guarded(withDefaults)})
 }
 
 // guarded is where a check failure — raised in the experiment or in one of
 // its processes — becomes Run's error. Any other panic is a bug and goes on
 // with its trace.
-func guarded(run func(Options, io.Writer) error) func(Options, io.Writer) error {
-	return func(o Options, w io.Writer) (err error) {
+func guarded(run func(Options) *Report) func(Options) (*Report, error) {
+	return func(o Options) (rep *Report, err error) {
 		defer func() {
 			r := recover()
 			v := r
@@ -114,7 +122,7 @@ func guarded(run func(Options, io.Writer) error) func(Options, io.Writer) error 
 				panic(r)
 			}
 		}()
-		return run(o, w)
+		return run(o), nil
 	}
 }
 
@@ -183,13 +191,11 @@ func wearFreeConfig(geo ppa.Geometry, seed int64) ocssd.Config {
 }
 
 // newOCSSD builds a Westlake-like open-channel SSD scaled by the options.
-func newOCSSD(o Options) (*sim.Env, *ocssd.Device, *lightnvm.Device, error) {
+func newOCSSD(o Options) (*sim.Env, *ocssd.Device, *lightnvm.Device) {
 	env := sim.NewEnv(o.Seed)
 	dev, err := ocssd.New(env, wearFreeConfig(ocssd.WestlakeGeometry(o.BlocksPerPlane), o.Seed))
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return env, dev, lightnvm.Register("ocssd0", dev), nil
+	check(err)
+	return env, dev, lightnvm.Register("ocssd0", dev)
 }
 
 // newRaw creates a raw (FTL-less) target on PUs [begin, end) of ln: the
@@ -202,19 +208,10 @@ func newRaw(p *sim.Proc, ln *lightnvm.Device, name string, begin, end int) *ligh
 
 // newPblk instantiates a pblk target with the given active PU count
 // (0 = all).
-func newPblk(p *sim.Proc, ln *lightnvm.Device, activePUs int) (*pblk.Pblk, error) {
-	return pblk.New(p, ln, fmt.Sprintf("pblk-%d", activePUs), pblk.Config{ActivePUs: activePUs})
-}
-
-// newPblkOn builds the full OCSSD + LightNVM + pblk stack inside an
-// existing simulation environment.
-func newPblkOn(p *sim.Proc, env *sim.Env, o Options, activePUs int) (*pblk.Pblk, error) {
-	dev, err := ocssd.New(env, wearFreeConfig(ocssd.WestlakeGeometry(o.BlocksPerPlane), o.Seed))
-	if err != nil {
-		return nil, err
-	}
-	ln := lightnvm.Register("ocssd-embed", dev)
-	return newPblk(p, ln, activePUs)
+func newPblk(p *sim.Proc, ln *lightnvm.Device, activePUs int) *pblk.Pblk {
+	k, err := pblk.New(p, ln, fmt.Sprintf("pblk-%d", activePUs), pblk.Config{ActivePUs: activePUs})
+	check(err)
+	return k
 }
 
 // newBaseline builds the NVMe block-SSD baseline scaled to a comparable
@@ -227,15 +224,98 @@ func newBaseline(p *sim.Proc, env *sim.Env, o Options) (*nvmedev.Device, error) 
 	return nvmedev.New(p, env, cfg)
 }
 
-// ---- output helpers ----
+// ---- reports ----
+
+// Report is what an experiment returns: its sections in print order. Table
+// cells keep the values they print, so a claim reads a number by (section,
+// row, column) and never parses text. WriteTo prints it as lnvm-bench does.
+type Report struct{ sections []*section }
+
+// section is an optional "== title ==" header over tables and note lines, in
+// print order: items holds *table and string. Notes are derived text for the
+// reader; no claim reads them.
+type section struct {
+	title string
+	items []any
+}
+
+// section appends a section; "" is the untitled one before the first header.
+func (r *Report) section(title string) *section {
+	s := &section{title: title}
+	r.sections = append(r.sections, s)
+	return s
+}
+
+func (s *section) table(header ...string) *table {
+	t := &table{header: header}
+	s.items = append(s.items, t)
+	return t
+}
+
+// note appends lines of text; "" is a blank line.
+func (s *section) note(lines ...string) {
+	for _, l := range lines {
+		s.items = append(s.items, l)
+	}
+}
+
+// WriteTo renders r: each titled section as "\n== title ==\n", then its
+// tables and note lines in order.
+func (r *Report) WriteTo(w io.Writer) (int64, error) {
+	var b bytes.Buffer
+	for _, s := range r.sections {
+		if s.title != "" {
+			fmt.Fprintf(&b, "\n== %s ==\n", s.title)
+		}
+		for _, it := range s.items {
+			if t, ok := it.(*table); ok {
+				t.write(&b)
+			} else {
+				fmt.Fprintln(&b, it)
+			}
+		}
+	}
+	return b.WriteTo(w)
+}
+
+// cell is one table cell: its text and the values it was formatted from,
+// none for a label.
+type cell struct {
+	text string
+	vals []float64
+}
+
+func label(s string) cell { return cell{text: s} }
+
+// num is the cell fmt.Sprintf(format, vals...) prints, the vals made float64
+// (%.0f of a count prints what %d does).
+func num[T int | int64 | float64](format string, vals ...T) cell {
+	c := cell{vals: make([]float64, len(vals))}
+	args := make([]any, len(vals))
+	for i, v := range vals {
+		c.vals[i] = float64(v)
+		args[i] = c.vals[i]
+	}
+	c.text = fmt.Sprintf(format, args...)
+	return c
+}
+
+func mb(v float64) cell { return num("%.0f", v) }
+
+func us(d time.Duration) cell { return num("%.0f", usF(d)) }
+
+func ms(d time.Duration) cell { return num("%.2f", float64(d)/float64(time.Millisecond)) }
+
+// duration prints d as time.Duration does and keeps its seconds.
+func duration(d time.Duration) cell { return cell{text: d.String(), vals: []float64{d.Seconds()}} }
 
 // table renders aligned columns.
 type table struct {
 	header []string
-	rows   [][]string
+	rows   [][]cell
 }
 
-func (t *table) add(cells ...string) { t.rows = append(t.rows, cells) }
+func (t *table) add(cells ...cell) { t.rows = append(t.rows, cells) }
 
 func (t *table) write(w io.Writer) {
 	widths := make([]int, len(t.header))
@@ -244,7 +324,7 @@ func (t *table) write(w io.Writer) {
 	}
 	for _, r := range t.rows {
 		for i, c := range r {
-			if n := utf8.RuneCountInString(c); i < len(widths) && n > widths[i] {
+			if n := utf8.RuneCountInString(c.text); i < len(widths) && n > widths[i] {
 				widths[i] = n
 			}
 		}
@@ -263,7 +343,11 @@ func (t *table) write(w io.Writer) {
 	}
 	line(sep)
 	for _, r := range t.rows {
-		line(r)
+		texts := make([]string, len(r))
+		for i, c := range r {
+			texts[i] = c.text
+		}
+		line(texts)
 	}
 }
 
@@ -274,18 +358,4 @@ func pad(s string, w int) string {
 		return s
 	}
 	return s + strings.Repeat(" ", w-n)
-}
-
-func mb(v float64) string { return fmt.Sprintf("%.0f", v) }
-
-func us(d time.Duration) string {
-	return fmt.Sprintf("%.0f", float64(d)/float64(time.Microsecond))
-}
-
-func ms(d time.Duration) string {
-	return fmt.Sprintf("%.2f", float64(d)/float64(time.Millisecond))
-}
-
-func section(w io.Writer, title string) {
-	fmt.Fprintf(w, "\n== %s ==\n", title)
 }

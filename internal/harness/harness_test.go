@@ -1,10 +1,8 @@
 package harness
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"slices"
 	"strconv"
@@ -77,17 +75,17 @@ func moved(s goldenSection, got string) string {
 // quickRun is one experiment's run with Options{Quick: true}, which is what
 // lnvm-bench -quick passes.
 type quickRun struct {
-	out string
+	rep *Report
 	err error
 }
 
-// quickRuns memoizes quickOutput, so every test that reads an experiment's
-// -quick output shares one run of it per test binary. This package's tests
+// quickRuns memoizes quickReport, so every test that reads an experiment's
+// -quick report shares one run of it per test binary. This package's tests
 // do not run in parallel.
 var quickRuns = map[string]quickRun{}
 
-// quickOutput returns experiment id's -quick output, running it on first use.
-func quickOutput(t *testing.T, id string) string {
+// quickReport returns experiment id's -quick report, running it on first use.
+func quickReport(t *testing.T, id string) *Report {
 	t.Helper()
 	r, ok := quickRuns[id]
 	if !ok {
@@ -95,15 +93,56 @@ func quickOutput(t *testing.T, id string) string {
 		if !found {
 			t.Fatalf("experiment %q not registered", id)
 		}
-		var buf bytes.Buffer
-		r = quickRun{err: e.Run(Options{Quick: true}, &buf)}
-		r.out = buf.String()
+		r.rep, r.err = e.Run(Options{Quick: true})
 		quickRuns[id] = r
 	}
 	if r.err != nil {
 		t.Fatal(r.err)
 	}
-	return r.out
+	return r.rep
+}
+
+// text is rep as lnvm-bench prints it.
+func text(rep *Report) string {
+	var b strings.Builder
+	rep.WriteTo(&b)
+	return b.String()
+}
+
+// cellAt returns the values of the cell in column col of the row whose
+// leading cells read row, in the first table under a section whose title
+// starts with title. The error names the section, row or column missing.
+func cellAt(rep *Report, title, col string, row ...string) ([]float64, error) {
+	for _, s := range rep.sections {
+		for _, it := range s.items {
+			t, ok := it.(*table)
+			if !ok || !strings.HasPrefix(s.title, title) {
+				continue
+			}
+			c := slices.Index(t.header, col)
+			if c < 0 {
+				return nil, fmt.Errorf("section %q has no column %q", s.title, col)
+			}
+			for _, cells := range t.rows {
+				if slices.EqualFunc(cells[:len(row)], row, func(c cell, l string) bool { return c.text == l }) && len(cells[c].vals) > 0 {
+					return cells[c].vals, nil
+				}
+			}
+			return nil, fmt.Errorf("section %q has no row %q with a number in column %q", s.title, row, col)
+		}
+	}
+	return nil, fmt.Errorf("no table under a section titled %q...", title)
+}
+
+// value is the first value cellAt finds; a missing section, row or column
+// fails t.
+func value(t *testing.T, rep *Report, title, col string, row ...string) float64 {
+	t.Helper()
+	v, err := cellAt(rep, title, col, row...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v[0]
 }
 
 // The golden's sections are the registry: one per experiment, in All()'s
@@ -146,33 +185,35 @@ func TestQuickExperimentsRun(t *testing.T) {
 			t.Errorf("%s:%d: section %q names no registered experiment", golden, s.line, s.id)
 		}
 	}
-	claims := map[string]func(t *testing.T, out string){
+	claims := map[string]func(t *testing.T, rep *Report){
 		"lanes":  checkLanes,
 		"wa-e2e": checkWAE2E,
 	}
 	for _, e := range All() {
 		t.Run(e.ID, func(t *testing.T) {
-			out := quickOutput(t, e.ID)
+			rep := quickReport(t, e.ID)
 			s, ok := want[e.ID]
 			if !ok {
 				t.Fatalf("%s has no section for %s; regenerate it:\n\t%s", golden, e.ID, regenerate)
 			}
-			if got := fmt.Sprintf("\n#### %s — %s\n%s\n", e.ID, e.Title, out); got != s.text {
+			if got := fmt.Sprintf("\n#### %s — %s\n%s\n", e.ID, e.Title, text(rep)); got != s.text {
 				t.Error(moved(s, got))
 			}
 			if check := claims[e.ID]; check != nil {
-				check(t, out)
+				check(t, rep)
 			}
 		})
 	}
 }
 
+// Stream separation: dual-stream GC stops re-moving cold sectors, so its WA
+// is below the single-stream baseline's.
 func TestWAQuick(t *testing.T) {
-	out := quickOutput(t, "wa")
-	for _, want := range []string{"single-stream (baseline)", "dual-stream", "WA", "depth=1"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("wa output missing %q:\n%s", want, out)
-		}
+	rep := quickReport(t, "wa")
+	single := value(t, rep, "Stream separation", "WA", "single-stream (baseline)")
+	dual := value(t, rep, "Stream separation", "WA", "dual-stream depth=2 (default)")
+	if dual >= single {
+		t.Errorf("dual-stream WA %.2f, want below single-stream %.2f", dual, single)
 	}
 }
 
@@ -180,21 +221,17 @@ func TestWAQuick(t *testing.T) {
 // device below pblk's spare-pool floor and panic. The bound must show in the
 // read tail: eight writes queued per PU wait several times longer than one.
 func TestAblateInflightQuick(t *testing.T) {
-	out := quickOutput(t, "ablate-inflight")
+	rep := quickReport(t, "ablate-inflight")
 	var p99 []float64
-	for _, line := range strings.Split(out, "\n") {
-		var depth int
-		var wMBps, rP99, rMax float64
-		if n, _ := fmt.Sscan(line, &depth, &wMBps, &rP99, &rMax); n == 4 {
-			p99 = append(p99, rP99)
-		}
+	for _, depth := range []string{"1", "2", "4", "8"} {
+		p99 = append(p99, value(t, rep, "per-PU write inflight bound", "R p99 us", depth))
 	}
-	if len(p99) != 4 || p99[3] < 3*p99[0] {
-		t.Fatalf("read p99 by inflight bound = %v, want four rows rising at least 3x:\n%s", p99, out)
+	if p99[3] < 3*p99[0] {
+		t.Fatalf("read p99 at inflight bounds 1, 2, 4, 8 = %v us, want the last at least 3x the first", p99)
 	}
 	// Too small a device is an error from Run, not a panic.
 	e, _ := ByID("ablate-inflight")
-	if err := e.Run(Options{Quick: true, BlocksPerPlane: 8}, io.Discard); err == nil || !strings.Contains(err.Error(), "over-provisioning") {
+	if _, err := e.Run(Options{Quick: true, BlocksPerPlane: 8}); err == nil || !strings.Contains(err.Error(), "over-provisioning") {
 		t.Fatalf("8 blocks/plane: err = %v, want pblk's over-provisioning error", err)
 	}
 }
@@ -202,8 +239,8 @@ func TestAblateInflightQuick(t *testing.T) {
 // A check failure inside a simulation process is Run's error; a panic with
 // anything else is a bug and must reach the caller as it was.
 func TestOnlyCheckFailuresBecomeErrors(t *testing.T) {
-	inProc := func(v any) func(Options, io.Writer) error {
-		return func(Options, io.Writer) error {
+	inProc := func(v any) func(Options) *Report {
+		return func(Options) *Report {
 			env := sim.NewEnv(1)
 			env.Go("p", func(*sim.Proc) { panic(v) })
 			env.Run()
@@ -211,7 +248,7 @@ func TestOnlyCheckFailuresBecomeErrors(t *testing.T) {
 		}
 	}
 	boom := errors.New("boom")
-	if err := guarded(inProc(failure{boom}))(Options{}, nil); !errors.Is(err, boom) {
+	if _, err := guarded(inProc(failure{boom}))(Options{}); !errors.Is(err, boom) {
 		t.Fatalf("check failure in a process: Run returned %v", err)
 	}
 	defer func() {
@@ -219,7 +256,7 @@ func TestOnlyCheckFailuresBecomeErrors(t *testing.T) {
 			t.Fatal("a panic that is no check failure was swallowed or rewrapped")
 		}
 	}()
-	guarded(inProc("bug"))(Options{}, nil)
+	guarded(inProc("bug"))(Options{})
 }
 
 func TestDefaults(t *testing.T) {
@@ -233,33 +270,42 @@ func TestDefaults(t *testing.T) {
 	}
 }
 
+// A report renders to fixed bytes — an untitled leading section, then a
+// titled one with a table and notes — and a lookup returns the values a cell
+// was formatted from, or names what it could not find.
 func TestTablePrinter(t *testing.T) {
-	var buf bytes.Buffer
-	tb := &table{header: []string{"a", "longer"}}
-	tb.add("x", "1")
-	tb.add("yyyy", "22")
-	tb.add("100µs", "3")
-	tb.write(&buf)
-	out := buf.String()
-	lines := strings.Split(strings.TrimSpace(out), "\n")
-	if len(lines) != 5 {
-		t.Fatalf("got %d lines:\n%s", len(lines), out)
-	}
-	if !strings.HasPrefix(lines[0], "a") || !strings.Contains(lines[0], "longer") {
-		t.Fatalf("header malformed: %q", lines[0])
+	rep := &Report{}
+	rep.section("").note("", "lead")
+	s := rep.section("T")
+	tb := s.table("a", "longer")
+	tb.add(label("x"), num("%.0f (%.0f)", 37.2, 85.0))
+	tb.add(label("100µs"), duration(1500*time.Microsecond))
+	s.note("", "done")
+	out := text(rep)
+	if want := "\nlead\n\n== T ==\na      longer\n-----  -------\nx      37 (85)\n100µs  1.5ms\n\ndone\n"; out != want {
+		t.Fatalf("rendered\n%s\nwant\n%s", out, want)
 	}
 	// Cells pad by columns, not bytes: the two-byte µ takes one column.
+	lines := strings.Split(out, "\n")[4:8]
 	col := strings.Index(lines[0], "longer")
 	for _, l := range lines[1:] {
 		if r := []rune(l); len(r) <= col || r[col-1] != ' ' || r[col] == ' ' {
 			t.Errorf("second column of %q does not start at column %d:\n%s", l, col, out)
 		}
 	}
+	for row, want := range map[string][]float64{"x": {37.2, 85}, "100µs": {0.0015}} {
+		if v, err := cellAt(rep, "T", "longer", row); err != nil || !slices.Equal(v, want) {
+			t.Errorf("cell (T, %s, longer) = %v, %v; want %v", row, v, err, want)
+		}
+	}
+	if _, err := cellAt(rep, "T", "longer", "y"); err == nil || !strings.Contains(err.Error(), `"y"`) {
+		t.Errorf("cell (T, y, longer): err = %v, want it to name the missing row", err)
+	}
 }
 
 // TestOverheadExperiment checks the paper-matching deltas appear.
 func TestOverheadExperiment(t *testing.T) {
-	out := quickOutput(t, "overhead")
+	out := text(quickReport(t, "overhead"))
 	for _, want := range []string{"+18%", "+45%", "null block device"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)
@@ -267,19 +313,26 @@ func TestOverheadExperiment(t *testing.T) {
 	}
 }
 
-// TestAblatePageCache checks both page-cache settings report.
+// The controller's page cache makes sequential 4K reads 2-3x faster and
+// leaves random reads, which miss it, alone.
 func TestAblatePageCache(t *testing.T) {
-	out := quickOutput(t, "ablate-pagecache")
-	if !strings.Contains(out, "true") || !strings.Contains(out, "false") {
-		t.Fatalf("missing rows:\n%s", out)
+	rep := quickReport(t, "ablate-pagecache")
+	const title = "controller page cache"
+	seq := value(t, rep, title, "seq 4K MB/s", "true") / value(t, rep, title, "seq 4K MB/s", "false")
+	on, off := value(t, rep, title, "rand 4K MB/s", "true"), value(t, rep, title, "rand 4K MB/s", "false")
+	if seq < 2 || seq > 3 || max(on, off) > 1.10*min(on, off) {
+		t.Errorf("cache on vs off: seq 4K %.2fx (want 2-3x), rand 4K %.0f vs %.0f MB/s (want within 10%%)", seq, on, off)
 	}
 }
 
-// TestAblateVector checks both the vectored and the serial mode report.
+// One multi-plane vector per unit programs at least 3x faster than a
+// command per plane-page.
 func TestAblateVector(t *testing.T) {
-	out := quickOutput(t, "ablate-vector")
-	if !strings.Contains(out, "vectored") || !strings.Contains(out, "serial") {
-		t.Fatalf("missing rows:\n%s", out)
+	rep := quickReport(t, "ablate-vector")
+	vec := value(t, rep, "vectored vs serial", "MB/s", "vectored (1 cmd/unit)")
+	ser := value(t, rep, "vectored vs serial", "MB/s", "serial (1 cmd/plane-page)")
+	if vec < 3*ser {
+		t.Errorf("vectored %.0f MB/s, serial %.0f MB/s: want at least 3x", vec, ser)
 	}
 }
 
@@ -291,7 +344,8 @@ func TestAblateVector(t *testing.T) {
 // where volume-manager regressions (scaling, failover, rebuild) that unit
 // tests sample more narrowly are caught.
 func TestFleetQuick(t *testing.T) {
-	out := quickOutput(t, "fleet")
+	rep := quickReport(t, "fleet")
+	out := text(rep)
 	for _, want := range []string{
 		"RAID-0 scaling", "Failover drill",
 		"degraded: 0 mismatched bytes; after rebuild: 0",
@@ -301,23 +355,12 @@ func TestFleetQuick(t *testing.T) {
 			t.Fatalf("fleet output missing %q:\n%s", want, out)
 		}
 	}
-	var wx, rx float64
-	for _, line := range strings.Split(out, "\n") {
-		if strings.HasPrefix(line, "1->4 devices:") {
-			if _, err := fmt.Sscanf(line, "1->4 devices: write %fx, read %fx", &wx, &rx); err != nil {
-				t.Fatalf("cannot parse scaling line %q: %v", line, err)
-			}
-		}
-	}
+	wx, rx := value(t, rep, "RAID-0 scaling", "write x", "4"), value(t, rep, "RAID-0 scaling", "read x", "4")
 	if wx < 3 || rx < 3 {
 		t.Errorf("RAID-0 scaling 1->4 devices below 3x: write %.2fx read %.2fx\n%s", wx, rx, out)
 	}
-	e, _ := ByID("fleet")
-	var again bytes.Buffer
-	if err := e.Run(Options{Quick: true}, &again); err != nil {
-		t.Fatal(err)
-	}
-	if out != again.String() {
+	delete(quickRuns, "fleet") // run it again
+	if out != text(quickReport(t, "fleet")) {
 		t.Fatal("fleet output differs between two identical runs: determinism broken")
 	}
 }
@@ -325,19 +368,12 @@ func TestFleetQuick(t *testing.T) {
 // A PU-partitioned tenant's read tail tracks the solo run next to a
 // write-heavy neighbour; one shared pblk inflates it at least tenfold.
 func TestTenantsQuick(t *testing.T) {
-	out := quickOutput(t, "tenants")
-	part, shared := -1.0, -1.0
-	for _, line := range strings.Split(out, "\n") {
-		if strings.HasPrefix(line, "read p99:") {
-			var solo, partP99, sharedP99 string
-			if _, err := fmt.Sscanf(line, "read p99: solo %s partitioned %s (%fx solo), shared %s (%fx solo)",
-				&solo, &partP99, &part, &sharedP99, &shared); err != nil {
-				t.Fatalf("cannot parse %q: %v", line, err)
-			}
-		}
-	}
-	if part < 0 || part > 1.10 || shared < 10 {
-		t.Fatalf("read p99 vs solo: partitioned %.2fx (want <= 1.10x), shared %.2fx (want >= 10x):\n%s", part, shared, out)
+	rep := quickReport(t, "tenants")
+	p99 := func(config string) float64 { return value(t, rep, "Multi-tenant targets", "read p99", config) }
+	solo := p99("solo")
+	part, shared := p99("partitioned")/solo, p99("shared")/solo
+	if part > 1.10 || shared < 10 {
+		t.Fatalf("read p99 vs solo: partitioned %.2fx (want <= 1.10x), shared %.2fx (want >= 10x)", part, shared)
 	}
 }
 
@@ -345,76 +381,46 @@ func TestTenantsQuick(t *testing.T) {
 // every write share; the NVMe SSD's p99 at 20 % writes is several times
 // its read-only value.
 func TestFig8Quick(t *testing.T) {
-	out := quickOutput(t, "fig8")
-	var mixes []string
-	var ocP99, nvP99 []float64
-	for _, line := range strings.Split(out, "\n") {
-		var mix string
-		var ocP95, oc99, ocMax, nvP95, nv99, nvMax float64
-		if n, _ := fmt.Sscan(line, &mix, &ocP95, &oc99, &ocMax, &nvP95, &nv99, &nvMax); n == 7 {
-			mixes = append(mixes, mix)
-			ocP99 = append(ocP99, oc99)
-			nvP99 = append(nvP99, nv99)
-		}
+	rep := quickReport(t, "fig8")
+	var oc []float64
+	for _, mix := range []string{"100/0", "80/20", "66/33", "50/50"} {
+		oc = append(oc, value(t, rep, "Figure 8", "OCSSD p99", mix))
 	}
-	if len(mixes) != 4 || mixes[0] != "100/0" || mixes[1] != "80/20" {
-		t.Fatalf("want the four mixes from 100/0, got %v:\n%s", mixes, out)
+	if lo, hi := slices.Min(oc), slices.Max(oc); hi > 1.10*lo {
+		t.Errorf("OCSSD read p99 %v us moves more than 10%% across the mixes", oc)
 	}
-	if lo, hi := slices.Min(ocP99), slices.Max(ocP99); hi > 1.10*lo {
-		t.Errorf("OCSSD read p99 %v us moves more than 10%% across the mixes:\n%s", ocP99, out)
-	}
-	if nvP99[1] < 5*nvP99[0] {
-		t.Errorf("NVMe read p99 %v us at 80/20 below 5x its 100/0 value %v us:\n%s", nvP99[1], nvP99[0], out)
+	nv0, nv20 := value(t, rep, "Figure 8", "NVMe p99", "100/0"), value(t, rep, "Figure 8", "NVMe p99", "80/20")
+	if nv20 < 5*nv0 {
+		t.Errorf("NVMe read p99 %.0f us at 80/20 below 5x its 100/0 value %.0f us", nv20, nv0)
 	}
 }
 
 // checkLanes: write throughput scales at least 8x from 1 to 16 lanes, and
 // round-robin dispatch gives every lane the same number of units.
-func checkLanes(t *testing.T, out string) {
-	rows := 0
-	scaling := 0.0
-	for _, line := range strings.Split(out, "\n") {
-		var active, units, stalls, peak, padded int
-		var wMBps float64
-		var spread string
-		if n, _ := fmt.Sscan(line, &active, &wMBps, &units, &stalls, &peak, &padded, &spread); n == 7 {
-			rows++
-			var lo, hi int
-			if _, err := fmt.Sscanf(spread, "%d..%d", &lo, &hi); err != nil || lo != hi {
-				t.Errorf("%d lanes: units/lane %s, want min == max", active, spread)
-			}
+func checkLanes(t *testing.T, rep *Report) {
+	const title = "Write-lane scaling"
+	for _, lanes := range []string{"1", "16"} {
+		v, err := cellAt(rep, title, "units/lane min..max", lanes)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if strings.HasPrefix(line, "scaling:") {
-			var from, to int
-			if _, err := fmt.Sscanf(line, "scaling: %d lanes -> %d lanes = %fx", &from, &to, &scaling); err != nil {
-				t.Fatalf("cannot parse %q: %v", line, err)
-			}
+		if v[0] != v[1] {
+			t.Errorf("%s lanes: units/lane %.0f..%.0f, want min == max", lanes, v[0], v[1])
 		}
 	}
-	if rows != 2 || scaling < 8 {
-		t.Errorf("%d rows, scaling %.1fx: want 2 rows and at least 8x from 1 to 16 lanes:\n%s", rows, scaling, out)
+	if x := value(t, rep, title, "W MB/s", "16") / value(t, rep, title, "W MB/s", "1"); x < 8 {
+		t.Errorf("write throughput scales %.1fx from 1 to 16 lanes, want at least 8x", x)
 	}
 }
 
-// checkWAE2E: the flash-native stream leaves the FTL nothing to move (FTL
-// WA 1.00), so its combined WA beats the stacked baseline's.
-func checkWAE2E(t *testing.T, out string) {
-	ftlWA := ""
-	base, native := 0.0, 0.0
-	for _, line := range strings.Split(out, "\n") {
-		if rest, ok := strings.CutPrefix(line, "flash-native stream "); ok {
-			if f := strings.Fields(rest); len(f) > 1 {
-				ftlWA = f[1]
-			}
-		}
-		if strings.HasPrefix(line, "flash-native vs stacked:") {
-			if _, err := fmt.Sscanf(line, "flash-native vs stacked: combined WA %f -> %f,", &base, &native); err != nil {
-				t.Fatalf("cannot parse %q: %v", line, err)
-			}
-		}
-	}
-	if ftlWA != "1.00" || native <= 0 || native >= base {
-		t.Errorf("flash-native FTL WA %q (want 1.00), combined WA %.2f vs stacked %.2f (want lower):\n%s",
-			ftlWA, native, base, out)
+// checkWAE2E: the flash-native stream leaves the FTL next to nothing to move
+// (FTL WA reads 1.00), so its combined WA beats the stacked baseline's.
+func checkWAE2E(t *testing.T, rep *Report) {
+	const title = "End-to-end WA"
+	ftlWA := value(t, rep, title, "FTL WA", "flash-native stream")
+	base := value(t, rep, title, "combined", "stacked baseline (ignore)")
+	native := value(t, rep, title, "combined", "flash-native stream")
+	if ftlWA >= 1.005 || native >= base {
+		t.Errorf("flash-native FTL WA %.3f (want 1.00), combined WA %.2f vs stacked %.2f (want lower)", ftlWA, native, base)
 	}
 }

@@ -2,7 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"io"
 
 	"repro/internal/fio"
 	"repro/internal/pblk"
@@ -10,11 +9,7 @@ import (
 )
 
 func init() {
-	register(Experiment{
-		ID:    "lanes",
-		Title: "Write-lane scaling: QD32 write throughput vs active write PUs (sharded writers)",
-		Run:   runLanes,
-	})
+	register("lanes", "Write-lane scaling: QD32 write throughput vs active write PUs (sharded writers)", runLanes)
 }
 
 // runLanes measures how pblk's sharded write datapath scales with the
@@ -24,12 +19,8 @@ func init() {
 // experiment sweeps ActivePUs at QD32 sequential writes and reports
 // per-lane writer telemetry (queue depth high-water, semaphore stalls,
 // padding) alongside throughput.
-func runLanes(o Options, w io.Writer) error {
-	o = Defaults(o)
-	env, dev, ln, err := newOCSSD(o)
-	if err != nil {
-		return err
-	}
+func runLanes(o Options) *Report {
+	env, dev, ln := newOCSSD(o)
 	total := dev.Geometry().TotalPUs()
 	activeSets := []int{1, 4, 16, total}
 	if o.Quick {
@@ -48,8 +39,7 @@ func runLanes(o Options, w io.Writer) error {
 	var rows []row
 
 	env.Go("lanes", func(p *sim.Proc) {
-		k, err := newPblk(p, ln, activeSets[0])
-		check(err)
+		k := newPblk(p, ln, activeSets[0])
 		defer k.Stop(p)
 		span := alignDown(k.Capacity()/4, 256<<10)
 		for _, act := range activeSets {
@@ -100,21 +90,21 @@ func runLanes(o Options, w io.Writer) error {
 	})
 	env.Run()
 
-	section(w, "Write-lane scaling at QD32 (64K sequential writes)")
-	t := &table{header: []string{"active PUs", "W MB/s", "units", "sem stalls", "peak lane depth", "padded", "units/lane min..max"}}
+	rep := &Report{}
+	s := rep.section("Write-lane scaling at QD32 (64K sequential writes)")
+	t := s.table("active PUs", "W MB/s", "units", "sem stalls", "peak lane depth", "padded", "units/lane min..max")
 	for _, r := range rows {
-		t.add(fmt.Sprint(r.active), mb(r.wMBps), fmt.Sprint(r.units), fmt.Sprint(r.stalls),
-			fmt.Sprint(r.peak), fmt.Sprint(r.padded), fmt.Sprintf("%d..%d", r.minU, r.maxU))
+		t.add(num("%.0f", r.active), mb(r.wMBps), num("%.0f", r.units), num("%.0f", r.stalls),
+			num("%.0f", r.peak), num("%.0f", r.padded), num("%.0f..%.0f", r.minU, r.maxU))
 	}
-	t.write(w)
 	if len(rows) >= 2 {
 		first, last := rows[0], rows[len(rows)-1]
-		fmt.Fprintf(w, "\nscaling: %d lanes -> %d lanes = %.1fx write throughput\n",
-			first.active, last.active, last.wMBps/first.wMBps)
+		s.note("", fmt.Sprintf("scaling: %d lanes -> %d lanes = %.1fx write throughput",
+			first.active, last.active, last.wMBps/first.wMBps))
 	}
-	fmt.Fprintln(w, "expected shape: throughput grows with active PUs (each lane drains its own")
-	fmt.Fprintln(w, "shard of the ring buffer); per-lane unit counts stay balanced round-robin.")
-	return nil
+	s.note("expected shape: throughput grows with active PUs (each lane drains its own",
+		"shard of the ring buffer); per-lane unit counts stay balanced round-robin.")
+	return rep
 }
 
 type laneTotal struct {

@@ -2,7 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"io"
 	"sort"
 	"time"
 
@@ -16,11 +15,7 @@ import (
 )
 
 func init() {
-	register(Experiment{
-		ID:    "lifetime",
-		Title: "Device lifetime: durability and read tails across the P/E budget, scrubber on vs off",
-		Run:   runLifetime,
-	})
+	register("lifetime", "Device lifetime: durability and read tails across the P/E budget, scrubber on vs off", runLifetime)
 }
 
 // lifetimeGeometry is a small 8-PU device (same channel fan-out as the
@@ -64,8 +59,7 @@ type lifeRow struct {
 // exhaust them (lost sectors, GC-lost sectors); the scrubber-on run
 // refreshes cold groups before decay crosses the retry horizon and loses
 // nothing, at the cost of scrub write traffic.
-func runLifetime(o Options, w io.Writer) error {
-	o = Defaults(o)
+func runLifetime(o Options) *Report {
 	peLimit, accel, stages := 24, 1.0, 4
 	if o.Quick {
 		// Fewer stages means less wall-clock retention; bake harder so the
@@ -91,7 +85,7 @@ func runLifetime(o Options, w io.Writer) error {
 		return m
 	}
 
-	run := func(scrub bool) ([]lifeRow, time.Duration, error) {
+	run := func(scrub bool) ([]lifeRow, time.Duration) {
 		env := sim.NewEnv(o.Seed)
 		dev, err := ocssd.New(env, ocssd.Config{
 			Geometry:  lifetimeGeometry(blocks),
@@ -100,9 +94,7 @@ func runLifetime(o Options, w io.Writer) error {
 			PageCache: true,
 			Seed:      o.Seed,
 		})
-		if err != nil {
-			return nil, 0, err
-		}
+		check(err)
 		ln := lightnvm.Register(fmt.Sprintf("life-scrub%v", scrub), dev)
 		cfg := pblk.Config{OverProvision: 0.4, ActivePUs: 4}
 		if scrub {
@@ -172,43 +164,36 @@ func runLifetime(o Options, w io.Writer) error {
 			}
 		})
 		env.Run()
-		return rows, recovery, nil
+		return rows, recovery
 	}
 
-	emit := func(title string, rows []lifeRow, recovery time.Duration) {
-		section(w, title)
-		t := &table{header: []string{"stage", "life %", "max P/E", "bad blk", "lost", "gc lost", "read p99 us", "p99.9 us", "WA", "scrub MB", "refresh age/retry", "dev retries"}}
+	rep := &Report{}
+	rep.section("").note("", fmt.Sprintf("P/E budget %d cycles, retention accel %.0fx, %d read-retry tiers, %d life stages of %.0f drive-writes (95%% to the hot eighth)",
+		peLimit, accel, tiers, stages, agingX))
+	emit := func(title string, scrub bool) *section {
+		rows, recovery := run(scrub)
+		s := rep.section(title)
+		t := s.table("stage", "life %", "max P/E", "bad blk", "lost", "gc lost", "read p99 us", "p99.9 us", "WA", "scrub MB", "refresh age/retry", "dev retries")
 		for _, r := range rows {
-			t.add(fmt.Sprint(r.stage), fmt.Sprintf("%.0f", r.lifePct), fmt.Sprint(r.maxPE),
-				fmt.Sprint(r.bad), fmt.Sprint(r.lost), fmt.Sprint(r.gcLost),
-				us(r.p99), us(r.p999), fmt.Sprintf("%.2f", r.wa),
-				fmt.Sprintf("%.1f", r.scrubMB), fmt.Sprintf("%d/%d", r.ageRef, r.retryRef),
-				fmt.Sprint(r.retries))
+			t.add(num("%.0f", r.stage), num("%.0f", r.lifePct), num("%.0f", r.maxPE),
+				num("%.0f", r.bad), num("%.0f", r.lost), num("%.0f", r.gcLost),
+				us(r.p99), us(r.p999), num("%.2f", r.wa),
+				num("%.1f", r.scrubMB), num("%.0f/%.0f", r.ageRef, r.retryRef),
+				num("%.0f", r.retries))
 		}
-		t.write(w)
-		fmt.Fprintf(w, "mid-life crash: scan recovery remounted in %v\n", recovery.Round(time.Microsecond))
+		s.note(fmt.Sprintf("mid-life crash: scan recovery remounted in %v", recovery.Round(time.Microsecond)))
+		return s
 	}
-
-	offRows, offRec, err := run(false)
-	if err != nil {
-		return err
-	}
-	onRows, onRec, err := run(true)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "\nP/E budget %d cycles, retention accel %.0fx, %d read-retry tiers, %d life stages of %.0f drive-writes (95%% to the hot eighth)\n",
-		peLimit, accel, tiers, stages, agingX)
-	emit("scrubber off (baseline)", offRows, offRec)
-	emit("scrubber on (patrol + refresh + relocate)", onRows, onRec)
-	fmt.Fprintln(w, "\nexpected shape: without scrubbing, cold blocks age past the retry horizon —")
-	fmt.Fprintln(w, "reads burn ever deeper retry tiers until sectors become unreadable (lost /")
-	fmt.Fprintln(w, "gc lost). The scrubber refreshes cold groups before decay crosses the")
-	fmt.Fprintln(w, "horizon and loses nothing, paying for durability with scrub write traffic:")
-	fmt.Fprintln(w, "higher WA, faster P/E consumption, and refresh rewrites competing with host")
-	fmt.Fprintln(w, "reads (at real-time retention rates the patrol is far sparser than under")
-	fmt.Fprintln(w, "this accelerated bake).")
-	return nil
+	emit("scrubber off (baseline)", false)
+	emit("scrubber on (patrol + refresh + relocate)", true).note("",
+		"expected shape: without scrubbing, cold blocks age past the retry horizon —",
+		"reads burn ever deeper retry tiers until sectors become unreadable (lost /",
+		"gc lost). The scrubber refreshes cold groups before decay crosses the",
+		"horizon and loses nothing, paying for durability with scrub write traffic:",
+		"higher WA, faster P/E consumption, and refresh rewrites competing with host",
+		"reads (at real-time retention rates the patrol is far sparser than under",
+		"this accelerated bake).")
+	return rep
 }
 
 // lifeScan reads the whole LBA space at QD16, returning the number of

@@ -1,8 +1,6 @@
 package harness
 
 import (
-	"fmt"
-	"io"
 	"time"
 
 	"repro/internal/blockdev"
@@ -13,21 +11,14 @@ import (
 )
 
 func init() {
-	register(Experiment{
-		ID:    "overhead",
-		Title: "§5.1: pblk host overhead over a null block device",
-		Run:   runOverhead,
-	})
+	register("overhead", "§5.1: pblk host overhead over a null block device", runOverhead)
 }
 
 // runOverhead mirrors the paper's methodology: compare 4K request latency
 // on a null block device with and without pblk's host-side datapath cost.
 // The paper measures 1.97→2.32 µs reads (+18%) and 2.0→2.9 µs writes
 // (+45%).
-func runOverhead(o Options, w io.Writer) error {
-	o = Defaults(o)
-	section(w, "pblk CPU/latency overhead (paper: reads 1.97->2.32us +18%, writes 2.0->2.9us +45%)")
-
+func runOverhead(o Options) *Report {
 	cfg := pblk.Default(pblk.Config{})
 	measure := func(dev blockdev.Device) (r, wr time.Duration) {
 		env := sim.NewEnv(o.Seed)
@@ -46,13 +37,14 @@ func runOverhead(o Options, w io.Writer) error {
 	nullCfg.WriteLatency += cfg.HostWriteOverhead
 	r1, w1 := measure(nullblk.New(nullCfg))
 
-	t := &table{header: []string{"path", "read us", "write us"}}
-	t.add("null block device", fmt.Sprintf("%.2f", usF(r0)), fmt.Sprintf("%.2f", usF(w0)))
-	t.add("null + pblk datapath", fmt.Sprintf("%.2f", usF(r1)), fmt.Sprintf("%.2f", usF(w1)))
-	t.add("overhead", fmt.Sprintf("%.2f (+%.0f%%)", usF(r1-r0), pct(r1, r0)),
-		fmt.Sprintf("%.2f (+%.0f%%)", usF(w1-w0), pct(w1, w0)))
-	t.write(w)
-	return nil
+	rep := &Report{}
+	t := rep.section("pblk CPU/latency overhead (paper: reads 1.97->2.32us +18%, writes 2.0->2.9us +45%)").
+		table("path", "read us", "write us")
+	t.add(label("null block device"), num("%.2f", usF(r0)), num("%.2f", usF(w0)))
+	t.add(label("null + pblk datapath"), num("%.2f", usF(r1)), num("%.2f", usF(w1)))
+	t.add(label("overhead"), num("%.2f (+%.0f%%)", usF(r1-r0), pct(r1, r0)),
+		num("%.2f (+%.0f%%)", usF(w1-w0), pct(w1, w0)))
+	return rep
 }
 
 func usF(d time.Duration) float64 { return float64(d) / float64(time.Microsecond) }

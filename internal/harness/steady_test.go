@@ -18,26 +18,17 @@ func TestSteadyStateNoDeadlock(t *testing.T) {
 		t.Skip("multi-minute steady-state run")
 	}
 	o := Defaults(Options{Duration: 50 * time.Millisecond})
-	env, _, ln, err := newOCSSD(o)
-	if err != nil {
-		t.Fatal(err)
-	}
+	env, _, ln := newOCSSD(o)
 	done := false
 	var k *pblk.Pblk
 	env.Go("aggregate", func(p *sim.Proc) {
-		var err error
-		k, err = newPblk(p, ln, 0)
-		if err != nil {
-			panic(err)
-		}
+		k = newPblk(p, ln, 0)
 		const bs = 256 << 10
 		region := k.Capacity() / 8 / bs * bs
 		mustRun(p, k, fio.Job{Name: "maxw", Pattern: fio.SeqWrite, BS: bs, QD: 2, Size: region, MaxOps: region / bs})
 		k.Flush(p)
 		mustRun(p, k, fio.Job{Name: "maxr", Pattern: fio.SeqRead, BS: bs, QD: 16, NumJobs: 8, Size: region, Runtime: o.Duration})
-		if err := fio.Prepare(p, k, region, k.Capacity()-region); err != nil {
-			panic(err)
-		}
+		check(fio.Prepare(p, k, region, k.Capacity()-region))
 		overwrite := k.Capacity() / bs * bs
 		mustRun(p, k, fio.Job{Name: "steady", Pattern: fio.SeqWrite, BS: bs, QD: 2, Size: overwrite, MaxOps: overwrite / bs})
 		k.Flush(p)

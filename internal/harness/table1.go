@@ -2,37 +2,28 @@ package harness
 
 import (
 	"fmt"
-	"io"
 
 	"repro/internal/fio"
 	"repro/internal/sim"
 )
 
 func init() {
-	register(Experiment{
-		ID:    "table1",
-		Title: "Table 1: Solid-State Drive Characterization",
-		Run:   runTable1,
-	})
+	register("table1", "Table 1: Solid-State Drive Characterization", runTable1)
 }
 
 // runTable1 reproduces the drive characterization: per-PU bandwidths via
 // fio on raw (FTL-less) targets, aggregate bandwidths, and pblk factory vs
 // steady (GC-active) write throughput.
-func runTable1(o Options, w io.Writer) error {
-	o = Defaults(o)
-	section(w, "Table 1: Open-Channel SSD characterization (paper values in parentheses)")
-
-	env, dev, ln, err := newOCSSD(o)
-	if err != nil {
-		return err
-	}
+func runTable1(o Options) *Report {
+	rep := &Report{}
+	s := rep.section("Table 1: Open-Channel SSD characterization (paper values in parentheses)")
+	env, dev, ln := newOCSSD(o)
 	g := dev.Geometry()
-	fmt.Fprintf(w, "Channels %d, PUs/channel %d (total %d), planes %d, blocks/plane %d (paper: 1067), %d pages/block, page %dK+%dB OOB\n",
+	s.note(fmt.Sprintf("Channels %d, PUs/channel %d (total %d), planes %d, blocks/plane %d (paper: 1067), %d pages/block, page %dK+%dB OOB",
 		g.Channels, g.PUsPerChannel, g.TotalPUs(), g.PlanesPerPU, g.BlocksPerPlane,
-		g.PagesPerBlock, g.PageSize()/1024, g.OOBPerPage)
+		g.PagesPerBlock, g.PageSize()/1024, g.OOBPerPage))
 
-	t := &table{header: []string{"metric", "measured MB/s", "paper MB/s"}}
+	t := s.table("metric", "measured MB/s", "paper MB/s")
 	dur := o.Duration
 
 	var sw, sr4, sr64, rr4, rr64 *fio.Result
@@ -52,11 +43,11 @@ func runTable1(o Options, w io.Writer) error {
 		check(ln.RemoveTarget(p, "raw-write"))
 	})
 	env.Run()
-	t.add("Single Seq. PU Write", mb(sw.WriteMBps()), "47")
-	t.add("Single Seq. PU Read 4K", mb(sr4.ReadMBps()), "105")
-	t.add("Single Seq. PU Read 64K", mb(sr64.ReadMBps()), "280")
-	t.add("Single Rnd. PU Read 4K", mb(rr4.ReadMBps()), "56")
-	t.add("Single Rnd. PU Read 64K", mb(rr64.ReadMBps()), "273")
+	t.add(label("Single Seq. PU Write"), mb(sw.WriteMBps()), mb(47))
+	t.add(label("Single Seq. PU Read 4K"), mb(sr4.ReadMBps()), mb(105))
+	t.add(label("Single Seq. PU Read 64K"), mb(sr64.ReadMBps()), mb(280))
+	t.add(label("Single Rnd. PU Read 4K"), mb(rr4.ReadMBps()), mb(56))
+	t.add(label("Single Rnd. PU Read 64K"), mb(rr64.ReadMBps()), mb(273))
 
 	// Aggregate: pblk over all PUs. Writes are measured over a complete
 	// region fill including the final flush, so the host write buffer
@@ -64,8 +55,7 @@ func runTable1(o Options, w io.Writer) error {
 	var factoryMBps, maxReadMBps, steadyMBps float64
 	var recycled int64
 	env.Go("aggregate", func(p *sim.Proc) {
-		k, err := newPblk(p, ln, 0)
-		check(err)
+		k := newPblk(p, ln, 0)
 		const bs = 256 << 10
 		region := k.Capacity() / 8 / bs * bs
 		t0 := env.Now()
@@ -93,12 +83,10 @@ func runTable1(o Options, w io.Writer) error {
 		k.Stop(p)
 	})
 	env.Run()
-	t.add("Max Write (pblk factory)", mb(factoryMBps), "4000")
-	t.add("Max Read", mb(maxReadMBps), "4500")
-	t.add("pblk Steady Write (GC)", mb(steadyMBps), "3200")
-	t.write(w)
-	fmt.Fprintf(w, "\nsteady-state GC recycled %d block groups during the overwrite\n", recycled)
-
-	fmt.Fprintf(w, "\nChannel data bandwidth: %.0f MB/s (paper: 280)\n", dev.Timing().ChannelMBps)
-	return nil
+	t.add(label("Max Write (pblk factory)"), mb(factoryMBps), mb(4000))
+	t.add(label("Max Read"), mb(maxReadMBps), mb(4500))
+	t.add(label("pblk Steady Write (GC)"), mb(steadyMBps), mb(3200))
+	s.note("", fmt.Sprintf("steady-state GC recycled %d block groups during the overwrite", recycled),
+		"", fmt.Sprintf("Channel data bandwidth: %.0f MB/s (paper: 280)", dev.Timing().ChannelMBps))
+	return rep
 }

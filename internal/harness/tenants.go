@@ -2,7 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"io"
 	"time"
 
 	"repro/internal/fio"
@@ -13,11 +12,7 @@ import (
 )
 
 func init() {
-	register(Experiment{
-		ID:    "tenants",
-		Title: "Multi-tenant targets: PU-partitioned pblk instances vs one shared pblk",
-		Run:   runTenants,
-	})
+	register("tenants", "Multi-tenant targets: PU-partitioned pblk instances vs one shared pblk", runTenants)
 }
 
 // tenantRow is one configuration's measurement: the latency-critical
@@ -48,8 +43,7 @@ type tenantRow struct {
 // The partitioned reader's tail should track solo while the shared
 // reader's tail inflates — the kernel-deployable form of the paper's
 // PPA-level isolation claim.
-func runTenants(o Options, w io.Writer) error {
-	o = Defaults(o)
+func runTenants(o Options) *Report {
 	latMB, bulkMB := int64(128), int64(256)
 	if o.Quick {
 		latMB, bulkMB = 48, 96
@@ -61,29 +55,29 @@ func runTenants(o Options, w io.Writer) error {
 		runTenantScenario(o, "shared", latMB, bulkMB, true),
 	}
 
-	section(w, "Multi-tenant targets: latency tenant 4K randread QD1 vs write-heavy neighbour (64K seq)")
-	t := &table{header: []string{"config", "read p50", "read p99", "read p99.9", "read max", "kIOPS", "neighbour MB/s"}}
+	rep := &Report{}
+	s := rep.section("Multi-tenant targets: latency tenant 4K randread QD1 vs write-heavy neighbour (64K seq)")
+	t := s.table("config", "read p50", "read p99", "read p99.9", "read max", "kIOPS", "neighbour MB/s")
 	for _, r := range rows {
-		iops := "-"
+		iops := label("-")
 		if r.readDur > 0 {
-			iops = fmt.Sprintf("%.1f", float64(r.readOps)/r.readDur.Seconds()/1e3)
+			iops = num("%.1f", float64(r.readOps)/r.readDur.Seconds()/1e3)
 		}
-		wr := "-"
+		wr := label("-")
 		if r.wMBps > 0 {
 			wr = mb(r.wMBps)
 		}
-		t.add(r.name,
+		t.add(label(r.name),
 			us(r.reads.Percentile(50)), us(r.reads.Percentile(99)),
 			us(r.reads.Percentile(99.9)), us(r.reads.Max()), iops, wr)
 	}
-	t.write(w)
 	solo, part, shared := rows[0].reads.Percentile(99), rows[1].reads.Percentile(99), rows[2].reads.Percentile(99)
-	fmt.Fprintf(w, "\nread p99: solo %v, partitioned %v (%.2fx solo), shared %v (%.2fx solo)\n",
+	s.note("", fmt.Sprintf("read p99: solo %v, partitioned %v (%.2fx solo), shared %v (%.2fx solo)",
 		solo.Round(time.Microsecond), part.Round(time.Microsecond), ratio(part, solo),
-		shared.Round(time.Microsecond), ratio(shared, solo))
-	fmt.Fprintln(w, "paper shape: the PU-partitioned tenant's read tail stays flat next to a write-heavy")
-	fmt.Fprintln(w, "neighbour; the shared-FTL baseline's tail inflates because both stripe over all PUs.")
-	return nil
+		shared.Round(time.Microsecond), ratio(shared, solo)),
+		"paper shape: the PU-partitioned tenant's read tail stays flat next to a write-heavy",
+		"neighbour; the shared-FTL baseline's tail inflates because both stripe over all PUs.")
+	return rep
 }
 
 func ratio(a, b time.Duration) float64 {
@@ -98,8 +92,7 @@ func ratio(a, b time.Duration) float64 {
 // baseline instead of partitioned targets.
 func runTenantScenario(o Options, name string, latMB, bulkMB int64, shared bool) tenantRow {
 	row := tenantRow{name: name}
-	env, dev, ln, err := newOCSSD(o)
-	check(err)
+	env, dev, ln := newOCSSD(o)
 	total := dev.Geometry().TotalPUs()
 	half := total / 2
 

@@ -2,7 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"io"
 	"math/rand"
 	"sort"
 	"time"
@@ -16,11 +15,7 @@ import (
 )
 
 func init() {
-	register(Experiment{
-		ID:    "wa",
-		Title: "Steady-state overwrite: write amplification vs stream separation, throughput vs GC pipeline depth",
-		Run:   runWA,
-	})
+	register("wa", "Steady-state overwrite: write amplification vs stream separation, throughput vs GC pipeline depth", runWA)
 }
 
 // waGeometry is a deliberately small device (8 PUs) so each configuration
@@ -71,8 +66,7 @@ type waRow struct {
 // the depth-2 default should match or beat sequential reclaim; beyond
 // that, concurrent drains share the same lanes and only stretch the
 // stall to the next erase.
-func runWA(o Options, w io.Writer) error {
-	o = Defaults(o)
+func runWA(o Options) *Report {
 	sepSweep := []waConfig{
 		{"single-stream (baseline)", 1, true, 0.5, 8},
 		{"dual-stream depth=1", 1, false, 0.5, 8},
@@ -102,12 +96,10 @@ func runWA(o Options, w io.Writer) error {
 		measX = 0.5
 	}
 
-	run := func(c waConfig) (waRow, error) {
+	run := func(c waConfig) waRow {
 		env := sim.NewEnv(o.Seed)
 		dev, err := ocssd.New(env, wearFreeConfig(waGeometry(blocks), o.Seed))
-		if err != nil {
-			return waRow{}, err
-		}
+		check(err)
 		ln := lightnvm.Register(fmt.Sprintf("wa-%s-op%.2f-hm%d", c.name, c.op, c.hotMod), dev)
 		r := waRow{name: c.name}
 		env.Go("wa", func(p *sim.Proc) {
@@ -148,50 +140,34 @@ func runWA(o Options, w io.Writer) error {
 				r.p99 = lats[len(lats)*99/100]
 				r.max = lats[len(lats)-1]
 			}
-
 		})
 		env.Run()
-		return r, nil
+		return r
 	}
 
-	emit := func(title string, rows []waRow) {
-		section(w, title)
-		t := &table{header: []string{"config", "W MB/s", "WA", "gc moved", "recycled", "gc peak in-flight", "p99 write ms", "max write ms"}}
-		for _, r := range rows {
-			t.add(r.name, mb(r.wMBps), fmt.Sprintf("%.2f", r.wa),
-				fmt.Sprint(r.moved), fmt.Sprint(r.recycled), fmt.Sprint(r.peak),
+	rep := &Report{}
+	emit := func(title string, sweep []waConfig) *section {
+		s := rep.section(title)
+		t := s.table("config", "W MB/s", "WA", "gc moved", "recycled", "gc peak in-flight", "p99 write ms", "max write ms")
+		for _, c := range sweep {
+			r := run(c)
+			t.add(label(r.name), mb(r.wMBps), num("%.2f", r.wa),
+				num("%.0f", r.moved), num("%.0f", r.recycled), num("%.0f", r.peak),
 				ms(r.p99), ms(r.max))
 		}
-		t.write(w)
+		return s
 	}
-
-	var sepRows, depthRows []waRow
-	for _, c := range sepSweep {
-		r, err := run(c)
-		if err != nil {
-			return err
-		}
-		sepRows = append(sepRows, r)
-	}
-	for _, c := range depthSweep {
-		r, err := run(c)
-		if err != nil {
-			return err
-		}
-		depthRows = append(depthRows, r)
-	}
-
-	emit("Stream separation: 95% of writes to a strided hot eighth, QD32, OP 0.5", sepRows)
-	fmt.Fprintln(w, "\nexpected shape: dual-stream WA below the single-stream baseline — GC rewrites")
-	fmt.Fprintln(w, "stop cohabiting blocks with hot user data, so cold sectors are moved once")
-	fmt.Fprintln(w, "instead of on every collection of their mixed host block.")
-	emit("GC pipeline depth: uniform random overwrite, QD32, OP 0.4", depthRows)
-	fmt.Fprintln(w, "\nexpected shape: the depth-2 default matches or beats sequential reclaim —")
-	fmt.Fprintln(w, "gains appear in freeze-heavy phases, where the next victim's reads overlap")
-	fmt.Fprintln(w, "the current drain, and cost nothing in paced steady state (concurrency is")
-	fmt.Fprintln(w, "gated). Much deeper pipelines only stretch tail latency: concurrent drains")
-	fmt.Fprintln(w, "share the same lanes, so the stall to the next erase grows with depth.")
-	return nil
+	emit("Stream separation: 95% of writes to a strided hot eighth, QD32, OP 0.5", sepSweep).note("",
+		"expected shape: dual-stream WA below the single-stream baseline — GC rewrites",
+		"stop cohabiting blocks with hot user data, so cold sectors are moved once",
+		"instead of on every collection of their mixed host block.")
+	emit("GC pipeline depth: uniform random overwrite, QD32, OP 0.4", depthSweep).note("",
+		"expected shape: the depth-2 default matches or beats sequential reclaim —",
+		"gains appear in freeze-heavy phases, where the next victim's reads overlap",
+		"the current drain, and cost nothing in paced steady state (concurrency is",
+		"gated). Much deeper pipelines only stretch tail latency: concurrent drains",
+		"share the same lanes, so the stall to the next erase grows with depth.")
+	return rep
 }
 
 // overwriteWindow drives QD32 random chunk overwrites until totalChunks

@@ -2,7 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"io"
 	"time"
 
 	"repro/internal/lightnvm"
@@ -14,11 +13,7 @@ import (
 )
 
 func init() {
-	register(Experiment{
-		ID:    "wa-e2e",
-		Title: "LSM on open-channel: combined app x FTL write amplification vs hint policy",
-		Run:   runWAE2E,
-	})
+	register("wa-e2e", "LSM on open-channel: combined app x FTL write amplification vs hint policy", runWAE2E)
 }
 
 // waE2EGeometry is a small device (8 PUs, ~1 MB block groups) so every
@@ -107,8 +102,7 @@ func waE2EDBConfig(o Options, hints bool, segment int64) lsmdb.Config {
 // The flash-native stream should win combined WA and steady-state
 // overwrite throughput against the stacked baseline: its compaction
 // already erases whole table extents, so the FTL has nothing to move.
-func runWAE2E(o Options, w io.Writer) error {
-	o = Defaults(o)
+func runWAE2E(o Options) *Report {
 	blocks := 28
 	utils := []float64{0.42, 0.46}
 	warmPasses := 2
@@ -116,30 +110,21 @@ func runWAE2E(o Options, w io.Writer) error {
 		utils = []float64{0.46}
 	}
 
-	run := func(mode waE2EMode, util float64) (waE2ERow, error) {
+	run := func(mode waE2EMode, util float64) waE2ERow {
 		env := sim.NewEnv(o.Seed)
 		dev, err := ocssd.New(env, wearFreeConfig(waE2EGeometry(blocks), o.Seed))
-		if err != nil {
-			return waE2ERow{}, err
-		}
+		check(err)
 		ln := lightnvm.Register(fmt.Sprintf("wae2e-%s-u%02d", mode.name, int(util*100+0.5)), dev)
 		row := waE2ERow{name: mode.name}
-		var failure error
 		env.Go("wae2e", func(p *sim.Proc) {
 			k, err := pblk.New(p, ln, "pblk-wae2e", pblk.Config{
 				ActivePUs: 2, OverProvision: 0.10, HintPolicy: mode.policy,
 			})
-			if err != nil {
-				failure = err
-				return
-			}
+			checkIn(mode.name, err)
 			defer k.Stop(p)
 			cfg := waE2EDBConfig(o, mode.hints, int64(k.ActivePUs())*k.EraseUnitBytes())
 			db, err := lsmdb.Open(p, env, k, cfg)
-			if err != nil {
-				failure = err
-				return
-			}
+			checkIn(mode.name, err)
 			entries := int64(util*float64(k.Capacity())) / int64(cfg.KeySize+cfg.ValueSize)
 			lsmdb.FillRandomN(p, db, 4, entries)
 			for r := int64(1); r <= int64(warmPasses); r++ {
@@ -168,41 +153,33 @@ func runWAE2E(o Options, w io.Writer) error {
 			row.stalls = db.WriteStalls - stalls0
 			mix := lsmdb.ReadWhileWriting(p, db, 4, 2*o.Duration)
 			row.p99 = mix.ReadLat.Percentile(99)
-			if err := db.Close(p); err != nil {
-				failure = err
-			}
+			checkIn(mode.name, db.Close(p))
 		})
 		env.Run()
-		if failure != nil {
-			return row, fmt.Errorf("%s: %w", mode.name, failure)
-		}
-		return row, nil
+		return row
 	}
 
+	rep := &Report{}
+	var s *section
 	for _, util := range utils {
 		rows := make([]waE2ERow, 0, len(waE2EModes))
 		for _, mode := range waE2EModes {
-			r, err := run(mode, util)
-			if err != nil {
-				return err
-			}
-			rows = append(rows, r)
+			rows = append(rows, run(mode, util))
 		}
-		section(w, fmt.Sprintf("End-to-end WA, dataset %d%% of capacity: fillrandom + %d warm-up + 1 measured drive-write",
+		s = rep.section(fmt.Sprintf("End-to-end WA, dataset %d%% of capacity: fillrandom + %d warm-up + 1 measured drive-write",
 			int(util*100+0.5), warmPasses))
-		t := &table{header: []string{"stack", "app WA", "FTL WA", "combined", "W MB/s", "read p99 ms", "stalls"}}
+		t := s.table("stack", "app WA", "FTL WA", "combined", "W MB/s", "read p99 ms", "stalls")
 		for _, r := range rows {
-			t.add(r.name, fmt.Sprintf("%.2f", r.appWA), fmt.Sprintf("%.2f", r.ftlWA),
-				fmt.Sprintf("%.2f", r.comb), fmt.Sprintf("%.2f", r.wMBps), ms(r.p99), fmt.Sprint(r.stalls))
+			t.add(label(r.name), num("%.2f", r.appWA), num("%.2f", r.ftlWA),
+				num("%.2f", r.comb), num("%.2f", r.wMBps), ms(r.p99), num("%.0f", r.stalls))
 		}
-		t.write(w)
 		base, native := rows[0], rows[len(rows)-1]
-		fmt.Fprintf(w, "\nflash-native vs stacked: combined WA %.2f -> %.2f, overwrite %.2f -> %.2f MB/s\n",
-			base.comb, native.comb, base.wMBps, native.wMBps)
+		s.note("", fmt.Sprintf("flash-native vs stacked: combined WA %.2f -> %.2f, overwrite %.2f -> %.2f MB/s",
+			base.comb, native.comb, base.wMBps, native.wMBps))
 	}
-	fmt.Fprintln(w, "\nexpected shape: the stacked baseline pays twice — the engine's own compaction")
-	fmt.Fprintln(w, "rewrites plus FTL GC untangling WAL laps from table extents in shared blocks.")
-	fmt.Fprintln(w, "Cold-stream hints remove tables from the hot stream; the flash-native stream")
-	fmt.Fprintln(w, "also erases whole table extents at compaction, leaving GC a pure erase.")
-	return nil
+	s.note("", "expected shape: the stacked baseline pays twice — the engine's own compaction",
+		"rewrites plus FTL GC untangling WAL laps from table extents in shared blocks.",
+		"Cold-stream hints remove tables from the hot stream; the flash-native stream",
+		"also erases whole table extents at compaction, leaving GC a pure erase.")
+	return rep
 }
