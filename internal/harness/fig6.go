@@ -99,7 +99,7 @@ func runFig6(o Options) *Report {
 	t.add(get("RR (readrandom)", func(r devRun) *lsmdb.BenchResult { return r.rr })...)
 	t.add(get("Mixed (readwhilewriting)", func(r devRun) *lsmdb.BenchResult { return r.mix })...)
 
-	s := rep.section("Figure 6: latency percentiles (ms)")
+	s := rep.section("Figure 6: latency percentiles (us)")
 	lt := s.table("workload", "device", "p95", "p99", "p99.9", "max")
 	for _, wl := range []struct {
 		name string
@@ -111,7 +111,7 @@ func runFig6(o Options) *Report {
 	} {
 		for _, r := range runs {
 			h := wl.get(r)
-			lt.add(label(wl.name), label(r.name), ms(h.Percentile(95)), ms(h.Percentile(99)), ms(h.Percentile(99.9)), ms(h.Max()))
+			lt.add(label(wl.name), label(r.name), us(h.Percentile(95)), us(h.Percentile(99)), us(h.Percentile(99.9)), us(h.Max()))
 		}
 	}
 	s.note("", "paper shape: OCSSD-4 writes are throughput-limited; random reads comparable across",
