@@ -125,15 +125,12 @@ func (r *Request) Latency() time.Duration { return r.Done - r.Submitted }
 // zeroed. Recycling an in-flight request, recycling twice, or submitting
 // a request that is still pooled panics.
 type ReqPool struct {
-	free []*Request
+	free sim.Pool[*Request]
 }
 
 // Get returns a zeroed request, reusing a recycled one when available.
 func (p *ReqPool) Get() *Request {
-	if n := len(p.free); n > 0 {
-		r := p.free[n-1]
-		p.free[n-1] = nil
-		p.free = p.free[:n-1]
+	if r := p.free.Get(); r != nil {
 		r.state = reqIdle
 		return r
 	}
@@ -149,7 +146,7 @@ func (p *ReqPool) Put(r *Request) {
 		panic("blockdev: recycle of an in-flight Request")
 	}
 	*r = Request{state: reqPooled}
-	p.free = append(p.free, r)
+	p.free.Put(r)
 }
 
 // Queue is one submission/completion queue pair. At most Depth requests
@@ -364,10 +361,9 @@ type syncCall struct {
 // it completes. Calls reuse pooled request/event pairs, so concurrent
 // callers are safe and the steady state allocates nothing.
 type SyncAdapter struct {
-	env   *sim.Env
 	dev   Geometry
 	issue IssueFunc
-	free  []*syncCall
+	calls sim.Pool[*syncCall]
 }
 
 // NewSyncAdapter returns the blocking calls of the device with geometry dev
@@ -377,7 +373,13 @@ type SyncAdapter struct {
 // processes calling a Device expect. env must be the environment issue
 // completes on.
 func NewSyncAdapter(env *sim.Env, dev Geometry, issue IssueFunc) *SyncAdapter {
-	return &SyncAdapter{env: env, dev: dev, issue: issue}
+	s := &SyncAdapter{dev: dev, issue: issue}
+	s.calls.New = func() *syncCall {
+		c := &syncCall{ev: env.NewEvent()}
+		c.req.OnComplete = func(*Request) { c.ev.Signal() }
+		return c
+	}
+	return s
 }
 
 // NewQueueAdapter returns blocking calls that are submitted to q, sharing
@@ -395,18 +397,6 @@ func NewQueueAdapter(env *sim.Env, q Queue) *SyncAdapter {
 	})
 }
 
-func (s *SyncAdapter) getCall() *syncCall {
-	if n := len(s.free); n > 0 {
-		c := s.free[n-1]
-		s.free[n-1] = nil
-		s.free = s.free[:n-1]
-		return c
-	}
-	c := &syncCall{ev: s.env.NewEvent()}
-	c.req.OnComplete = func(*Request) { c.ev.Signal() }
-	return c
-}
-
 // syncDone is the done every SyncAdapter hands its issue function: the
 // same function on every call, as IssueFunc promises, with the waiting
 // process found through the request's own pre-bound OnComplete.
@@ -416,7 +406,7 @@ func syncDone(r *Request) { r.OnComplete(r) }
 // call every layer shares. hint is the write-lifetime hint
 // (HintNone/HintCold); Read, Write, Flush and Trim are Do with HintNone.
 func (s *SyncAdapter) Do(p *sim.Proc, op ReqOp, off int64, buf []byte, length int64, hint uint8) error {
-	c := s.getCall()
+	c := s.calls.Get()
 	c.req.Op, c.req.Off, c.req.Buf, c.req.Length, c.req.Hint, c.req.Err = op, off, buf, length, hint, nil
 	err := validate(s.dev, &c.req)
 	if err == nil {
@@ -426,7 +416,7 @@ func (s *SyncAdapter) Do(p *sim.Proc, op ReqOp, off int64, buf []byte, length in
 		err = c.req.Err
 	}
 	c.req.Buf = nil
-	s.free = append(s.free, c)
+	s.calls.Put(c)
 	return err
 }
 

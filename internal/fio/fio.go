@@ -288,9 +288,9 @@ type queueWorker struct {
 	// kick is reused (Reset) across wait cycles; the pump drains the fired
 	// state before re-arming.
 	kick *sim.Event
-	// Completed requests return to a per-worker free list: a worker in
-	// steady state reuses the same QD request objects for the whole run.
-	free []*blockdev.Request
+	// Completed requests return to a per-worker pool: a worker in steady
+	// state reuses the same QD request objects for the whole run.
+	reqs sim.Pool[*blockdev.Request]
 	// prepared is an op that consumed budget (and, for rate-limited
 	// writes, claimed a token) but has not been submitted yet.
 	prepared        *blockdev.Request
@@ -309,15 +309,15 @@ func newQueueWorker(env *sim.Env, q blockdev.Queue, job Job, st *jobState, rng *
 	w.kick = env.NewEvent()
 	w.batch = make([]*blockdev.Request, 0, job.QD+1)
 	w.pumpFn = w.pump
-	// Pre-fill the free list from one slab: a worker's steady state is QD
-	// requests in flight (plus a prepared op and a flush), so the whole
-	// run draws from these two allocations instead of QD cold misses.
+	// Pre-fill the pool from one slab. A worker holds at most QD+1
+	// requests (QD in flight, batched or prepared, plus a flush), so the
+	// pool never runs dry and needs no New: the whole run draws from these
+	// two allocations instead of QD cold misses.
 	slab := make([]blockdev.Request, job.QD+2)
-	w.free = make([]*blockdev.Request, 0, job.QD+2)
 	cb := w.onComplete // bind the method value once, not per request
 	for i := range slab {
 		slab[i].OnComplete = cb
-		w.free = append(w.free, &slab[i])
+		w.reqs.Put(&slab[i])
 	}
 	return w
 }
@@ -325,18 +325,15 @@ func newQueueWorker(env *sim.Env, q blockdev.Queue, job Job, st *jobState, rng *
 func (w *queueWorker) onComplete(req *blockdev.Request) {
 	w.inflight--
 	w.st.record(req, int64(w.job.BS))
-	w.free = append(w.free, req)
+	req.Err = nil
+	w.reqs.Put(req)
 	w.kick.Signal()
 }
 
 func (w *queueWorker) newReq(op blockdev.ReqOp, off int64, length int64) *blockdev.Request {
-	if n := len(w.free); n > 0 {
-		r := w.free[n-1]
-		w.free = w.free[:n-1]
-		r.Op, r.Off, r.Length, r.Err = op, off, length, nil
-		return r
-	}
-	return &blockdev.Request{Op: op, Off: off, Length: length, OnComplete: w.onComplete}
+	r := w.reqs.Get()
+	r.Op, r.Off, r.Length = op, off, length
+	return r
 }
 
 func (w *queueWorker) pump() {

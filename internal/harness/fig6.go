@@ -75,9 +75,12 @@ func runFig6(o Options) *Report {
 			db, err := lsmdb.Open(p, env, dev, dbCfg)
 			checkIn(d.name, err)
 			run.sw = lsmdb.FillSeqN(p, db, 4, fillEntries)
+			checkIn(d.name, run.sw.Err)
 			db.Quiesce(p) // settle flush/compaction backlog between phases
 			run.rr = lsmdb.ReadRandom(p, db, 4, dur)
+			checkIn(d.name, run.rr.Err)
 			run.mix = lsmdb.ReadWhileWriting(p, db, 4, dur)
+			checkIn(d.name, run.mix.Err)
 			checkIn(d.name, db.Close(p))
 			stop(p)
 		})

@@ -126,9 +126,9 @@ func runWAE2E(o Options) *Report {
 			db, err := lsmdb.Open(p, env, k, cfg)
 			checkIn(mode.name, err)
 			entries := int64(util*float64(k.Capacity())) / int64(cfg.KeySize+cfg.ValueSize)
-			lsmdb.FillRandomN(p, db, 4, entries)
+			checkIn(mode.name, lsmdb.FillRandomN(p, db, 4, entries).Err)
 			for r := int64(1); r <= int64(warmPasses); r++ {
-				lsmdb.OverwriteRandomN(p, db, 4, entries, r)
+				checkIn(mode.name, lsmdb.OverwriteRandomN(p, db, 4, entries, r).Err)
 			}
 			ftl0 := k.Stats
 			walB := db.WALBytes
@@ -137,6 +137,7 @@ func runWAE2E(o Options) *Report {
 			inB := db.UserBytesIn
 			stalls0 := db.WriteStalls
 			res := lsmdb.OverwriteRandomN(p, db, 4, entries, int64(warmPasses)+1)
+			checkIn(mode.name, res.Err)
 			appOut := (db.WALBytes - walB) + (db.FlushedBytes - flushB) + (db.CompactionWriteBytes - compB)
 			appIn := db.UserBytesIn - inB
 			user := k.Stats.UserWrites - ftl0.UserWrites
@@ -152,6 +153,7 @@ func runWAE2E(o Options) *Report {
 			row.wMBps = res.UserMBps
 			row.stalls = db.WriteStalls - stalls0
 			mix := lsmdb.ReadWhileWriting(p, db, 4, 2*o.Duration)
+			checkIn(mode.name, mix.Err)
 			row.p99 = mix.ReadLat.Percentile(99)
 			checkIn(mode.name, db.Close(p))
 		})

@@ -213,7 +213,7 @@ func (db *DB) mergeIters(p *sim.Proc, inputs []*tableIter, ranks []int, bottom b
 			return nil, err
 		}
 	}
-	b := db.getBuilder()
+	b := db.builders.Get()
 	defer db.putBuilder(b)
 	var outputs []*tableMeta
 	cut := func() error {
@@ -283,7 +283,7 @@ func (db *DB) mergeIters(p *sim.Proc, inputs []*tableIter, ranks []int, bottom b
 
 // flushMemtable writes one immutable memtable as an L0 table.
 func (db *DB) flushMemtable(p *sim.Proc, m *memtable) (*tableMeta, error) {
-	b := db.getBuilder()
+	b := db.builders.Get()
 	defer db.putBuilder(b)
 	it := m.iter()
 	for it.next() {

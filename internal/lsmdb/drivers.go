@@ -26,6 +26,16 @@ type BenchResult struct {
 	WriteLat stats.Hist // for mixed workloads: writer latency
 	Elapsed  time.Duration
 	Stalls   int64
+	// Err is the first Put or Get error of the run; the worker that met it
+	// stopped there.
+	Err error
+}
+
+// fail records err unless the run already has an error.
+func (res *BenchResult) fail(err error) {
+	if res.Err == nil {
+		res.Err = err
+	}
 }
 
 // benchKey encodes index i into the trailing 8 bytes of a KeySize key.
@@ -97,14 +107,15 @@ func join(p *sim.Proc, procs []*sim.Proc) {
 
 // timedPut writes key index idx at generation gen and adds the Put's
 // latency to lat.
-func (db *DB) timedPut(p *sim.Proc, w *worker, idx, gen int64, lat *stats.Hist) {
+func (db *DB) timedPut(p *sim.Proc, w *worker, idx, gen int64, lat *stats.Hist) error {
 	w.key = db.benchKey(w.key, idx)
 	w.val = db.benchVal(w.val, idx, gen)
 	t0 := db.env.Now()
 	if err := db.Put(p, w.key, w.val); err != nil {
-		panic(err)
+		return err
 	}
 	lat.Add(db.env.Now() - t0)
+	return nil
 }
 
 // readers starts `threads` workers that look up keys drawn uniformly from
@@ -119,7 +130,8 @@ func (db *DB) readers(threads int, id int64, until time.Duration, res *BenchResu
 			var err error
 			w.dst, _, err = db.Get(p, w.key, w.dst)
 			if err != nil {
-				panic(err)
+				res.fail(err)
+				return
 			}
 			lat.Add(db.env.Now() - t0)
 			res.Ops++
@@ -168,7 +180,10 @@ func fillN(p *sim.Proc, db *DB, threads int, entries int64, random bool) *BenchR
 				idx = next
 				next++
 			}
-			db.timedPut(pw, w, idx, 0, &res.Lat)
+			if err := db.timedPut(pw, w, idx, 0, &res.Lat); err != nil {
+				res.fail(err)
+				return
+			}
 			res.Ops++
 			if !random {
 				db.noteLoaded(idx)
@@ -192,7 +207,10 @@ func OverwriteRandomN(p *sim.Proc, db *DB, threads int, count, round int64) *Ben
 	join(p, db.workers(max(threads, 1), "db_bench.overwriter", 1000*round, func(pw *sim.Proc, w *worker) {
 		for remaining > 0 {
 			remaining--
-			db.timedPut(pw, w, w.rng.Int63n(space), round, &res.Lat)
+			if err := db.timedPut(pw, w, w.rng.Int63n(space), round, &res.Lat); err != nil {
+				res.fail(err)
+				return
+			}
 			res.Ops++
 		}
 	}))
@@ -220,7 +238,10 @@ func ReadWhileWriting(p *sim.Proc, db *DB, threads int, d time.Duration) *BenchR
 	w := db.newWorker(3000)
 	writer := db.env.Go("db_bench.writer", func(pw *sim.Proc) {
 		for gen := int64(1 << 20); !stop; gen++ {
-			db.timedPut(pw, w, w.rng.Int63n(space), gen, &res.WriteLat)
+			if err := db.timedPut(pw, w, w.rng.Int63n(space), gen, &res.WriteLat); err != nil {
+				res.fail(err)
+				return
+			}
 		}
 	})
 	join(p, db.readers(threads, 4000, start+d, res, &res.ReadLat))

@@ -146,7 +146,7 @@ type DB struct {
 
 	mem       *memtable
 	immQ      sim.FIFO[*memtable]
-	memPool   []*memtable
+	memPool   sim.Pool[*memtable]
 	flushKick *sim.Event
 	stallEv   *sim.Event
 	advanceEv *sim.Event // fires on flush/compaction progress (WAL space, stalls)
@@ -187,10 +187,10 @@ type DB struct {
 
 	// Pools: fire-and-forget trim requests, SSTable builders and iterators,
 	// block scratch buffers.
-	trimPool    blockdev.ReqPool
-	builderFree []*tableBuilder
-	iterFree    []*tableIter
-	blockFree   [][]byte
+	trimPool  blockdev.ReqPool
+	builders  sim.Pool[*tableBuilder]
+	iters     sim.Pool[*tableIter]
+	blockBufs sim.Pool[[]byte]
 
 	// Driver state: highest key index loaded, shared by the db_bench-style
 	// drivers so read phases know the populated range.
@@ -245,6 +245,13 @@ func Open(p *sim.Proc, env *sim.Env, dev Device, cfg Config) (*DB, error) {
 		rng: rand.New(rand.NewSource(cfg.Seed)),
 	}
 	db.blk = blockdev.NewQueueAdapter(env, db.q)
+	db.memPool.New = func() *memtable {
+		m := &memtable{db: db}
+		m.nodes = append(m.nodes, mnode{}) // head sentinel
+		return m
+	}
+	db.builders.New = func() *tableBuilder { return &tableBuilder{db: db} }
+	db.iters.New = func() *tableIter { return &tableIter{db: db} }
 	walSize := cfg.WALSize
 	if walSize == 0 {
 		walSize = 4 * cfg.MemtableSize
@@ -305,7 +312,7 @@ func Open(p *sim.Proc, env *sim.Env, dev Device, cfg Config) (*DB, error) {
 	db.manifestMu = env.NewResource(1)
 	db.tableWriteMu = env.NewResource(1)
 	db.cache.init(cfg.BlockCacheSize, cfg.BlockSize+2*int(ss))
-	db.mem = db.getMemtable()
+	db.mem = db.memPool.Get()
 	if err := db.recover(p); err != nil {
 		return nil, err
 	}
@@ -441,7 +448,7 @@ func (db *DB) sealActive() {
 	}
 	db.mem.walMark = db.walHead
 	db.immQ.Push(db.mem)
-	db.mem = db.getMemtable()
+	db.mem = db.memPool.Get()
 	db.flushKick.Signal()
 }
 

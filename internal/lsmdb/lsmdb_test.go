@@ -2,6 +2,7 @@ package lsmdb
 
 import (
 	"encoding/binary"
+	"errors"
 	"testing"
 	"time"
 
@@ -562,6 +563,29 @@ func TestDriversOverNullblk(t *testing.T) {
 	if db.FlushedBytes == 0 {
 		t.Fatal("drivers never flushed a memtable")
 	}
+}
+
+// TestDriversOnClosedDB: every driver run on a closed engine returns
+// ErrClosed in its result instead of panicking.
+func TestDriversOnClosedDB(t *testing.T) {
+	env, db, _ := newNullDB(t, testConfig())
+	runDB(env, func(p *sim.Proc) {
+		FillSeqN(p, db, 1, 100)
+		if err := db.Close(p); err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range []*BenchResult{
+			FillSeqN(p, db, 2, 100),
+			FillRandomN(p, db, 2, 100),
+			OverwriteRandomN(p, db, 2, 100, 1),
+			ReadRandom(p, db, 2, time.Millisecond),
+			ReadWhileWriting(p, db, 2, time.Millisecond),
+		} {
+			if !errors.Is(r.Err, ErrClosed) || r.Ops != 0 {
+				t.Errorf("%s on a closed DB: Err %v, %d ops; want ErrClosed, 0", r.Name, r.Err, r.Ops)
+			}
+		}
+	})
 }
 
 // BenchmarkLSMReadWrite measures the mixed Put+Get hot path over nullblk.

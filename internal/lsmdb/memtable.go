@@ -35,18 +35,6 @@ type memtable struct {
 	db      *DB
 }
 
-func (db *DB) getMemtable() *memtable {
-	if n := len(db.memPool); n > 0 {
-		m := db.memPool[n-1]
-		db.memPool[n-1] = nil
-		db.memPool = db.memPool[:n-1]
-		return m
-	}
-	m := &memtable{db: db}
-	m.nodes = append(m.nodes, mnode{}) // head sentinel
-	return m
-}
-
 func (db *DB) putMemtable(m *memtable) {
 	m.nodes = m.nodes[:1]
 	m.nodes[0] = mnode{}
@@ -54,7 +42,7 @@ func (db *DB) putMemtable(m *memtable) {
 	m.size = 0
 	m.maxSeq = 0
 	m.walMark = 0
-	db.memPool = append(db.memPool, m)
+	db.memPool.Put(m)
 }
 
 func (m *memtable) nodeKey(i int32) []byte {

@@ -55,22 +55,17 @@ type indexEntry struct {
 // ---- block scratch pool ----
 
 func (db *DB) getBlockBuf(n int) []byte {
-	if l := len(db.blockFree); l > 0 {
-		b := db.blockFree[l-1]
-		db.blockFree[l-1] = nil
-		db.blockFree = db.blockFree[:l-1]
-		if cap(b) >= n {
-			return b[:n]
-		}
+	if b := db.blockBufs.Get(); b != nil && cap(b) >= n {
+		return b[:n]
 	}
 	return make([]byte, n, n+int(db.ss))
 }
 
 func (db *DB) putBlockBuf(b []byte) {
-	if cap(b) == 0 || len(db.blockFree) >= 8 {
+	if cap(b) == 0 || db.blockBufs.Len() >= 8 {
 		return
 	}
-	db.blockFree = append(db.blockFree, b[:0])
+	db.blockBufs.Put(b[:0])
 }
 
 // ---- bloom filter ----
@@ -148,19 +143,9 @@ type tableBuilder struct {
 	count    int64
 }
 
-func (db *DB) getBuilder() *tableBuilder {
-	if n := len(db.builderFree); n > 0 {
-		b := db.builderFree[n-1]
-		db.builderFree[n-1] = nil
-		db.builderFree = db.builderFree[:n-1]
-		return b
-	}
-	return &tableBuilder{db: db}
-}
-
 func (db *DB) putBuilder(b *tableBuilder) {
 	b.reset()
-	db.builderFree = append(db.builderFree, b)
+	db.builders.Put(b)
 }
 
 func (b *tableBuilder) reset() {
@@ -458,15 +443,7 @@ type tableIter struct {
 }
 
 func (db *DB) getIter(t *tableMeta) *tableIter {
-	var it *tableIter
-	if n := len(db.iterFree); n > 0 {
-		it = db.iterFree[n-1]
-		db.iterFree[n-1] = nil
-		db.iterFree = db.iterFree[:n-1]
-	} else {
-		it = &tableIter{}
-	}
-	it.db = db
+	it := db.iters.Get()
 	it.t = t
 	it.block = 0
 	it.off = 0
@@ -483,7 +460,7 @@ func (db *DB) putIter(it *tableIter) {
 	it.t = nil
 	it.key, it.val = nil, nil
 	it.valid = false
-	db.iterFree = append(db.iterFree, it)
+	db.iters.Put(it)
 }
 
 // next loads the following record; false at end of table.

@@ -20,7 +20,7 @@ func TestDecodeMalformedBlocks(t *testing.T) {
 	ss := dev.SectorSize()
 
 	keys := [][]byte{[]byte("apple"), []byte("berry"), []byte("cherry")}
-	b := db.getBuilder()
+	b := db.builders.Get()
 	for i, k := range keys {
 		b.add(k, bytes.Repeat([]byte{byte('A' + i)}, 40), uint64(i+1), i == 1)
 	}

@@ -16,6 +16,8 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
+
+	"repro/internal/sim"
 )
 
 // Errors returned by media operations. Device-level code distinguishes them
@@ -192,11 +194,9 @@ type Die struct {
 	// device model wires it to its simulation environment).
 	nowFn func() int64
 
-	// free is the LIFO list of page buffers erased blocks gave back; held
-	// counts the buffers blocks currently own. The simulation is
-	// single-threaded, so neither needs a lock and reuse order is a
-	// function of simulation state alone.
-	free [][]byte
+	// free holds the page buffers erased blocks gave back; held counts the
+	// buffers blocks currently own.
+	free sim.Pool[[]byte]
 	held int
 
 	// Stats counts media operations for utilization reporting.
@@ -224,6 +224,7 @@ type Stats struct {
 // failure injection and must not be shared across goroutines.
 func NewDie(dims Dims, cfg Config, rng *rand.Rand) *Die {
 	d := &Die{dims: dims, cfg: cfg, rng: rng}
+	d.free.New = func() []byte { return make([]byte, dims.PageBytes()) }
 	d.blocks = make([]block, dims.Planes*dims.BlocksPerPlane)
 	d.stateWords = pageKinds * ((dims.PagesPerBlock + 63) / 64)
 	d.state = make(pageBits, len(d.blocks)*d.stateWords)
@@ -298,7 +299,7 @@ func (d *Die) recycle(buf []byte) {
 		poison(buf)
 	}
 	d.held--
-	d.free = append(d.free, buf)
+	d.free.Put(buf)
 }
 
 // poison overwrites a buffer whose content is no longer valid, so a reader
@@ -331,7 +332,7 @@ func (d *Die) retire(b *block, st pageBits) {
 // ones programmed blocks own plus the free list. OOB arenas and the per-block
 // tables are not counted.
 func (d *Die) PayloadBytes() int64 {
-	return int64(d.held+len(d.free)) * int64(d.dims.PageBytes())
+	return int64(d.held+d.free.Len()) * int64(d.dims.PageBytes())
 }
 
 // Program writes one full page (payload data plus oob) at the given address.
@@ -412,13 +413,7 @@ func (d *Die) program(plane, blockIdx, page, dataLen, oobLen int) (data, oob []b
 		if b.pages == nil {
 			b.pages = make([][]byte, d.dims.PagesPerBlock)
 		}
-		if n := len(d.free); n > 0 {
-			data = d.free[n-1]
-			d.free[n-1] = nil // a retired block must be able to drop it
-			d.free = d.free[:n-1]
-		} else {
-			data = make([]byte, pb)
-		}
+		data = d.free.Get()
 		d.held++
 		b.pages[page] = data
 		st.set(hasData, page)

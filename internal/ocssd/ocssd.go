@@ -250,23 +250,23 @@ type Device struct {
 	chs  []*channel
 	pus  []*punit // indexed by global PU (ch*PUsPerChannel + pu)
 
-	// doFree pools the event+result box used by Do, so blocking wrappers
+	// dos pools the event+result box used by Do, so blocking wrappers
 	// (recovery scans issue hundreds of thousands) allocate nothing in
 	// steady state.
-	doFree []*doBox
+	dos sim.Pool[*doBox]
 
 	// pendingCMB counts buffered writes not yet programmed to media.
 	pendingCMB int
 	cmbDrained *sim.Event
 
 	// Hot-path pools: Submit splits each vector into per-PU sub-command
-	// tasks; tasks, submissions and completions cycle through free lists
-	// so steady-state I/O allocates nothing.
-	taskFree []*puTask
-	subFree  []*submission
-	compFree []*Completion
-	taskOf   []*puTask // per-PU scratch used during one Submit call
-	puOrder  []int     // scratch: PUs touched by the current Submit
+	// tasks; tasks, submissions and completions cycle through pools so
+	// steady-state I/O allocates nothing.
+	tasks   sim.Pool[*puTask]
+	subs    sim.Pool[*submission]
+	comps   sim.Pool[*Completion]
+	taskOf  []*puTask // per-PU scratch used during one Submit call
+	puOrder []int     // scratch: PUs touched by the current Submit
 	// gpuOf[i] is the global PU of the current command's Addrs[i]: validate
 	// decodes each address once and the PU split reads the result.
 	gpuOf [MaxVectorLen]int
@@ -300,6 +300,20 @@ func New(env *sim.Env, cfg Config) (*Device, error) {
 		return nil, fmt.Errorf("ocssd: channel bandwidth must be positive")
 	}
 	d := &Device{env: env, cfg: cfg, fmtr: f}
+	d.tasks.New = func() *puTask {
+		t := &puTask{d: d}
+		t.stepFn = t.step
+		t.idx1[0] = t.index1[:]
+		t.one[0].planes, t.one[0].idx = t.plane1[:], t.idx1[:]
+		return t
+	}
+	d.subs.New = func() *submission { return &submission{d: d} }
+	d.comps.New = func() *Completion { return new(Completion) }
+	d.dos.New = func() *doBox {
+		b := &doBox{ev: env.NewEvent()}
+		b.fn = func(c *Completion) { b.out = c; b.ev.Signal() }
+		return b
+	}
 	for n := range d.xfer {
 		d.xfer[n] = time.Duration(float64(n*cfg.Geometry.SectorSize) / (cfg.Timing.ChannelMBps * 1e6) * float64(time.Second))
 	}
@@ -483,28 +497,13 @@ func (s *submission) finish() {
 	d, comp, done := s.d, s.comp, s.done
 	comp.Done = d.env.Now()
 	s.comp, s.done = nil, nil
-	d.subFree = append(d.subFree, s)
+	d.subs.Put(s)
 	done(comp)
-}
-
-func (d *Device) getSub() *submission {
-	if n := len(d.subFree); n > 0 {
-		s := d.subFree[n-1]
-		d.subFree = d.subFree[:n-1]
-		return s
-	}
-	return &submission{d: d}
 }
 
 // getComp returns a zeroed pooled completion sized for n addresses.
 func (d *Device) getComp(n int, read bool) *Completion {
-	var c *Completion
-	if m := len(d.compFree); m > 0 {
-		c = d.compFree[m-1]
-		d.compFree = d.compFree[:m-1]
-	} else {
-		c = &Completion{}
-	}
+	c := d.comps.Get()
 	c.Status = 0
 	c.noRecycle = false
 	c.Retries, c.Relocate = 0, 0
@@ -546,7 +545,7 @@ func (d *Device) Recycle(c *Completion) {
 	if c == nil || c.noRecycle {
 		return
 	}
-	d.compFree = append(d.compFree, c)
+	d.comps.Put(c)
 }
 
 // Submit issues a vector command asynchronously; done runs in simulation
@@ -588,7 +587,7 @@ func (d *Device) Submit(cmd *Vector, done func(*Completion)) {
 		d.Stats.Erases++
 	}
 
-	sub := d.getSub()
+	sub := d.subs.Get()
 	sub.comp = comp
 	sub.done = done
 	if len(cmd.Addrs) == 1 {
@@ -640,20 +639,13 @@ type doBox struct {
 
 // Do submits cmd and blocks the calling process until completion.
 func (d *Device) Do(p *sim.Proc, cmd *Vector) *Completion {
-	var b *doBox
-	if n := len(d.doFree); n > 0 {
-		b = d.doFree[n-1]
-		d.doFree = d.doFree[:n-1]
-	} else {
-		b = &doBox{ev: d.env.NewEvent()}
-		b.fn = func(c *Completion) { b.out = c; b.ev.Signal() }
-	}
+	b := d.dos.Get()
 	d.Submit(cmd, b.fn)
 	p.Wait(b.ev)
 	out := b.out
 	b.out = nil
 	b.ev.Reset()
-	d.doFree = append(d.doFree, b)
+	d.dos.Put(b)
 	return out
 }
 
@@ -713,9 +705,9 @@ type puTask struct {
 	hit   bool      // current read op was served from the page buffer
 	ops   []flashOp // grouped media operations
 	// one is the op of a one-address command, built in place over the three
-	// arrays below (wired together once, in newTask) instead of in the pooled
-	// storage opsBuf, which the general grouping reuses from command to
-	// command.
+	// arrays below (wired together once, by the device's task pool) instead
+	// of in the pooled storage opsBuf, which the general grouping reuses from
+	// command to command.
 	one    [1]flashOp
 	plane1 [1]int
 	idx1   [1][]int
@@ -735,16 +727,7 @@ type puTask struct {
 
 // newTask returns a pooled task set up to run cmd's share on global PU gpu.
 func (d *Device) newTask(sub *submission, cmd *Vector, gpu int) *puTask {
-	var t *puTask
-	if n := len(d.taskFree); n > 0 {
-		t = d.taskFree[n-1]
-		d.taskFree = d.taskFree[:n-1]
-	} else {
-		t = &puTask{d: d}
-		t.stepFn = t.step
-		t.idx1[0] = t.index1[:]
-		t.one[0].planes, t.one[0].idx = t.plane1[:], t.idx1[:]
-	}
+	t := d.tasks.Get()
 	t.sub = sub
 	t.cmp = sub.comp
 	t.pu = d.pus[gpu]
@@ -763,7 +746,7 @@ func (d *Device) putTask(t *puTask) {
 	t.pu = nil
 	t.ch = nil
 	t.cmd = nil
-	d.taskFree = append(d.taskFree, t)
+	d.tasks.Put(t)
 }
 
 // group turns the task's share of the vector into flash ops. Writes must

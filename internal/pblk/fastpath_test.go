@@ -129,8 +129,8 @@ func TestScanReclaimsForeignAndTornGroups(t *testing.T) {
 	run := func(t *testing.T, wornOut bool, want groupState, wantErases int, wantRetired int64) {
 		devCfg := testDeviceConfig()
 		if wornOut {
-			// EraseFailProb would fail the system group's erase too, which
-			// fails the mount; a cycle limit fails only the pre-worn blocks.
+			// EraseFailProb would retire the system group too; a cycle limit
+			// fails only the pre-worn blocks.
 			devCfg.Media.PECycleLimit = 1
 		}
 		e := newEnv(t, devCfg)
@@ -178,6 +178,39 @@ func TestScanReclaimsForeignAndTornGroups(t *testing.T) {
 	}
 	t.Run("erased", func(t *testing.T) { run(t, false, stFree, 1, 0) })
 	t.Run("erase-fails", func(t *testing.T) { run(t, true, stBad, 0, 3) })
+}
+
+// TestMountWithFailingErases mounts a device on which every erase fails.
+// The scan's erase of the system group retires that group, as a failed GC
+// erase retires a victim, and the mount goes on: flushed data survives a
+// crash and a second mount, which finds the system group bad.
+func TestMountWithFailingErases(t *testing.T) {
+	devCfg := testDeviceConfig()
+	devCfg.Media.EraseFailProb = 1
+	e := newEnv(t, devCfg)
+	e.run(func(p *sim.Proc) {
+		k := e.newPblk(p, Config{ActivePUs: 4})
+		if k.Stats.BadBlocks != 1 || k.Stats.EraseErrors != 1 {
+			t.Errorf("first mount: BadBlocks %d, EraseErrors %d; want 1 each", k.Stats.BadBlocks, k.Stats.EraseErrors)
+		}
+		data := fill(64<<10, 5)
+		if err := k.Write(p, 0, data, int64(len(data))); err != nil {
+			t.Fatal(err)
+		}
+		if err := k.Flush(p); err != nil {
+			t.Fatal(err)
+		}
+		k.Crash()
+		k2 := e.newPblk(p, Config{ActivePUs: 4})
+		defer k2.Stop(p)
+		got := make([]byte, len(data))
+		if err := k2.Read(p, 0, got, int64(len(got))); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, data) {
+			t.Fatal("flushed data did not survive the crash")
+		}
+	})
 }
 
 // TestDeterministicMixedWorkload drives two fresh environments with the

@@ -537,64 +537,14 @@ func (rc *gcChunk) submit() {
 	rc.k.dev.Submit(&rc.vec, rc.cbFn)
 }
 
-func (k *Pblk) getGCChunk() *gcChunk {
-	if n := len(k.gcChunkFree); n > 0 {
-		rc := k.gcChunkFree[n-1]
-		k.gcChunkFree = k.gcChunkFree[:n-1]
-		rc.done.Reset()
-		return rc
-	}
-	rc := &gcChunk{k: k, done: k.env.NewEvent()}
-	rc.cbFn = rc.onData
-	return rc
-}
-
+// putGCChunk re-arms a drained chunk (its read completed, so no waiter is
+// parked on done) and returns it to the pool.
 func (k *Pblk) putGCChunk(rc *gcChunk) {
 	rc.moves = nil
 	rc.c = nil
-	k.gcChunkFree = append(k.gcChunkFree, rc)
+	rc.done.Reset()
+	k.gcChunks.Put(rc)
 }
-
-func (k *Pblk) getGCMoves() []gcMove {
-	if n := len(k.gcMovesFree); n > 0 {
-		m := k.gcMovesFree[n-1]
-		k.gcMovesFree = k.gcMovesFree[:n-1]
-		return m
-	}
-	return nil
-}
-
-func (k *Pblk) putGCMoves(m []gcMove) { k.gcMovesFree = append(k.gcMovesFree, m[:0]) }
-
-func (k *Pblk) getGCChunkList() []*gcChunk {
-	if n := len(k.gcChunkLists); n > 0 {
-		l := k.gcChunkLists[n-1]
-		k.gcChunkLists = k.gcChunkLists[:n-1]
-		return l
-	}
-	return nil
-}
-
-func (k *Pblk) putGCChunkList(l []*gcChunk) {
-	clear(l)
-	k.gcChunkLists = append(k.gcChunkLists, l[:0])
-}
-
-// getEvent draws a one-shot event from the pool (re-armed) or creates
-// one. Only events whose waiters have all been extracted by Signal may be
-// returned with putEvent; Signal detaches waiters before scheduling them,
-// so pooling immediately after Signal is safe.
-func (k *Pblk) getEvent() *sim.Event {
-	if n := len(k.eventFree); n > 0 {
-		ev := k.eventFree[n-1]
-		k.eventFree = k.eventFree[:n-1]
-		ev.Reset()
-		return ev
-	}
-	return k.env.NewEvent()
-}
-
-func (k *Pblk) putEvent(ev *sim.Event) { k.eventFree = append(k.eventFree, ev) }
 
 // moveValid rewrites every still-valid sector of g through the write buffer
 // and waits until all moves are persisted. The reverse map comes from the
@@ -609,7 +559,7 @@ func (k *Pblk) putEvent(ev *sim.Event) { k.eventFree = append(k.eventFree, ev) }
 func (k *Pblk) moveValid(p *sim.Proc, g *group) {
 	lbas := k.readGroupLBAs(p, g)
 	// Gather sectors whose mapping still points into this group.
-	moves := k.getGCMoves()
+	moves := k.gcMoves.Get()
 	for i, lba := range lbas {
 		if lba == padLBA || lba < 0 || lba >= k.capacityLBAs {
 			continue
@@ -618,13 +568,13 @@ func (k *Pblk) moveValid(p *sim.Proc, g *group) {
 			moves = append(moves, gcMove{lba: lba, entry: v})
 		}
 	}
-	chunks := k.getGCChunkList()
+	chunks := k.gcChunkLists.Get()
 	for lo := 0; lo < len(moves); lo += ocssd.MaxVectorLen {
 		hi := lo + ocssd.MaxVectorLen
 		if hi > len(moves) {
 			hi = len(moves)
 		}
-		rc := k.getGCChunk()
+		rc := k.gcChunks.Get()
 		rc.moves = moves[lo:hi]
 		chunks = append(chunks, rc)
 	}
@@ -686,8 +636,9 @@ func (k *Pblk) moveValid(p *sim.Proc, g *group) {
 		k.putGCChunk(rc)
 		k.kickWriters()
 	}
-	k.putGCMoves(moves)
-	k.putGCChunkList(chunks)
+	k.gcMoves.Put(moves[:0])
+	clear(chunks)
+	k.gcChunkLists.Put(chunks[:0])
 	release()
 	if g.gcPending > 0 {
 		// Force the moves out with an internal flush so the victim drains
@@ -701,7 +652,7 @@ func (k *Pblk) moveValid(p *sim.Proc, g *group) {
 		} else {
 			g.gcDone.Reset()
 		}
-		k.flushes.Push(flushReq{pos: k.rb.head - 1, ev: k.getEvent()})
+		k.flushes.Push(flushReq{pos: k.rb.head - 1, ev: k.events.Get()})
 		k.kickWriters()
 		p.Wait(g.gcDone)
 	}

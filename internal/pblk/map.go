@@ -231,7 +231,7 @@ func (k *Pblk) openGroup(g *group, st int) {
 		clear(g.unitDone)
 		clear(g.unitFinal)
 	}
-	ms := k.getMetaScratch()
+	ms := k.metaScratches.Get()
 	ms.close = false
 	stamp := k.nextStamp()
 	ms.prep(g, 0, stamp)

@@ -253,21 +253,10 @@ type metaScratch struct {
 	cbFn     func(*ocssd.Completion)
 }
 
-func (k *Pblk) getMetaScratch() *metaScratch {
-	if n := len(k.metaScratchFree); n > 0 {
-		ms := k.metaScratchFree[n-1]
-		k.metaScratchFree = k.metaScratchFree[:n-1]
-		return ms
-	}
-	ms := &metaScratch{k: k}
-	ms.cbFn = ms.onProgrammed
-	return ms
-}
-
 func (k *Pblk) putMetaScratch(ms *metaScratch) {
 	ms.g = nil
 	ms.vec.Addrs, ms.vec.Data, ms.vec.OOB = nil, nil, nil
-	k.metaScratchFree = append(k.metaScratchFree, ms)
+	k.metaScratches.Put(ms)
 }
 
 // prep sizes the scratch for one unit on group g: payload sectors are
@@ -362,7 +351,7 @@ func (k *Pblk) submitCloseMeta(p *sim.Proc, g *group) {
 	g.metaRemaining = k.metaUnits
 	for m := 0; m < k.metaUnits; m++ {
 		unit := k.firstMetaUnit() + m
-		ms := k.getMetaScratch()
+		ms := k.metaScratches.Get()
 		ms.close = true
 		ms.prep(g, unit, k.unitStamp)
 		for s := range ms.addrs {

@@ -402,32 +402,32 @@ type Pblk struct {
 
 	// Read fan-out pools (read.go): per-PU grouping scratch and the
 	// request/chunk objects of the asynchronous read path.
-	readPULists   [][]mediaSector
-	readPUOrder   []int
-	readReqFree   []*readReq
-	readChunkFree []*readChunk
+	readPULists [][]mediaSector
+	readPUOrder []int
+	readReqs    sim.Pool[*readReq]
+	readChunks  sim.Pool[*readChunk]
 
 	// Write-path pools: vector-write scratch (write.go) and the ring
 	// entries' sector payload buffers, recycled when the tail frees them.
-	unitScratchFree []*unitScratch
-	dataBufFree     [][]byte
-	// possFree recycles the ring-position lists that travel from dispatch
+	unitScratches sim.Pool[*unitScratch]
+	dataBufs      sim.Pool[[]byte]
+	// possLists recycles the ring-position lists that travel from dispatch
 	// (chunk.poss) into writeUnitOn and from setPending (group.pending)
 	// back out of finalizeGroup, so steady-state unit formation allocates
 	// nothing.
-	possFree [][]uint64
-	// metaScratchFree recycles the metadata-unit write contexts (open
-	// marks and close-meta units, meta.go); closeMetaBuf is the reused
+	possLists sim.Pool[[]uint64]
+	// metaScratches recycles the metadata-unit write contexts (open marks
+	// and close-meta units, meta.go); closeMetaBuf is the reused
 	// close-metadata serialization buffer.
-	metaScratchFree []*metaScratch
-	closeMetaBuf    []byte
+	metaScratches sim.Pool[*metaScratch]
+	closeMetaBuf  []byte
 	// GC victim-drain pools (gc.go): move lists, vector-read chunks and
-	// their per-victim chunk lists. eventFree recycles fired one-shot
-	// events (flush barriers).
-	gcMovesFree  [][]gcMove
-	gcChunkFree  []*gcChunk
-	gcChunkLists [][]*gcChunk
-	eventFree    []*sim.Event
+	// their per-victim chunk lists. events recycles fired one-shot events
+	// (flush barriers).
+	gcMoves      sim.Pool[[]gcMove]
+	gcChunks     sim.Pool[*gcChunk]
+	gcChunkLists sim.Pool[[]*gcChunk]
+	events       sim.Pool[*sim.Event]
 
 	flushes    sim.FIFO[flushReq]
 	gcKick     *sim.Event
@@ -532,6 +532,7 @@ func NewView(p *sim.Proc, view *lightnvm.MediaView, name string, cfg Config) (*P
 		cfg:  cfg,
 	}
 	k.blk = blockdev.NewSyncAdapter(k.env, k, k.IssueAsync)
+	k.initPools()
 	k.unitSectors = geo.PlanesPerPU * geo.SectorsPerPage
 	k.unitsPerGroup = geo.PagesPerBlock
 	k.metaUnits = k.closeMetaUnits()
@@ -597,6 +598,39 @@ func NewView(p *sim.Proc, view *lightnvm.MediaView, name string, cfg Config) (*P
 		k.scrubDone.Signal()
 	}
 	return k, nil
+}
+
+// initPools gives each object pool the constructor of its misses. Every
+// pooled context binds its completion callback here, once for its lifetime.
+func (k *Pblk) initPools() {
+	k.readReqs.New = func() *readReq {
+		r := &readReq{k: k}
+		r.resolveFn = r.resolve
+		return r
+	}
+	k.readChunks.New = func() *readChunk {
+		c := &readChunk{}
+		c.cbFn = c.onComplete
+		return c
+	}
+	k.unitScratches.New = func() *unitScratch {
+		u := &unitScratch{k: k}
+		u.cbFn = u.onProgrammed
+		return u
+	}
+	k.dataBufs.New = func() []byte { return make([]byte, k.geo.SectorSize) }
+	k.possLists.New = func() []uint64 { return make([]uint64, 0, k.unitSectors) }
+	k.metaScratches.New = func() *metaScratch {
+		ms := &metaScratch{k: k}
+		ms.cbFn = ms.onProgrammed
+		return ms
+	}
+	k.gcChunks.New = func() *gcChunk {
+		rc := &gcChunk{k: k, done: k.env.NewEvent()}
+		rc.cbFn = rc.onData
+		return rc
+	}
+	k.events.New = k.env.NewEvent
 }
 
 // initGroups builds the group table and free lists. Group 0 on the

@@ -196,7 +196,7 @@ func (k *Pblk) startFlush(fin func(error)) {
 		k.env.Schedule(0, func() { fin(nil) })
 		return
 	}
-	req := flushReq{pos: k.rb.head - 1, ev: k.getEvent()}
+	req := flushReq{pos: k.rb.head - 1, ev: k.events.Get()}
 	k.flushes.Push(req)
 	k.kickWriters()
 	req.ev.OnFire(func() { fin(nil) })

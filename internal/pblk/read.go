@@ -14,7 +14,7 @@ import (
 // and fans it out. The blockdev request and its completion callback ride
 // in the pooled readReq, so issuing a read allocates nothing.
 func (k *Pblk) startReadReq(req *blockdev.Request, done func(*blockdev.Request)) {
-	r := k.getReadReq()
+	r := k.readReqs.Get()
 	r.off, r.buf, r.length = req.Off, req.Buf, req.Length
 	r.breq, r.bdone = req, done
 	k.env.Schedule(k.cfg.HostReadOverhead, r.resolveFn)
@@ -48,7 +48,7 @@ func (r *readReq) finish(err error) {
 	k := r.k
 	breq, bdone := r.breq, r.bdone
 	r.buf, r.breq, r.bdone, r.firstErr = nil, nil, nil, nil
-	k.readReqFree = append(k.readReqFree, r)
+	k.readReqs.Put(r)
 	breq.Err = err
 	bdone(breq)
 }
@@ -61,28 +61,6 @@ type readChunk struct {
 	vec  ocssd.Vector
 	sect []int
 	cbFn func(*ocssd.Completion)
-}
-
-func (k *Pblk) getReadReq() *readReq {
-	if n := len(k.readReqFree); n > 0 {
-		r := k.readReqFree[n-1]
-		k.readReqFree = k.readReqFree[:n-1]
-		return r
-	}
-	r := &readReq{k: k}
-	r.resolveFn = r.resolve
-	return r
-}
-
-func (k *Pblk) getReadChunk() *readChunk {
-	if n := len(k.readChunkFree); n > 0 {
-		c := k.readChunkFree[n-1]
-		k.readChunkFree = k.readChunkFree[:n-1]
-		return c
-	}
-	c := &readChunk{}
-	c.cbFn = c.onComplete
-	return c
 }
 
 // resolve serves each sector from the write buffer when its mapping is
@@ -150,7 +128,7 @@ func (r *readReq) resolve() {
 			if hi > len(list) {
 				hi = len(list)
 			}
-			c := k.getReadChunk()
+			c := k.readChunks.Get()
 			c.req = r
 			for _, m := range list[lo:hi] {
 				c.vec.Addrs = append(c.vec.Addrs, k.fmtr.Decode(m.ppa))
@@ -196,7 +174,7 @@ func (c *readChunk) onComplete(comp *ocssd.Completion) {
 	c.req = nil
 	c.vec.Addrs = c.vec.Addrs[:0]
 	c.sect = c.sect[:0]
-	k.readChunkFree = append(k.readChunkFree, c)
+	k.readChunks.Put(c)
 	req.outstanding--
 	if req.outstanding == 0 {
 		req.finish(req.firstErr)

@@ -159,12 +159,18 @@ func (k *Pblk) scanRecover(p *sim.Proc) error {
 	}
 
 	k.seqCounter = maxSeq
-	// The system group may hold a torn snapshot; clear it.
+	// The system group may hold a torn snapshot; clear it. A failed erase
+	// has retired the block and is counted as recycle counts one; a later
+	// mount's loadSnapshot reads the bad group as no snapshot.
 	sys := k.sysGroup()
-	if err := k.eraseGroup(p, sys); err == nil {
+	switch err := k.eraseGroup(p, sys); {
+	case err == nil:
 		sys.erases++
 		k.eraseTotal++
-	} else if !errors.Is(err, nand.ErrBadBlock) {
+	case errors.Is(err, nand.ErrEraseFail), errors.Is(err, nand.ErrWornOut):
+		k.Stats.EraseErrors++
+		k.Stats.BadBlocks++
+	case !errors.Is(err, nand.ErrBadBlock):
 		return err
 	}
 	k.Stats.RecoverScanTime += k.env.Now() - scanStart
@@ -351,7 +357,7 @@ func (k *Pblk) waitGroupClosed(p *sim.Proc, g *group) {
 // differs by caller (recovery, GC, the snapshot area), and each keeps its own.
 func (k *Pblk) eraseGroup(p *sim.Proc, g *group) error {
 	ch, pu := k.dev.PUAddr(g.gpu)
-	ms := k.getMetaScratch() // its own: several movers can sit in Do at once
+	ms := k.metaScratches.Get() // its own: several movers can sit in Do at once
 	ms.addrs = ms.addrs[:0]
 	for pl := 0; pl < k.geo.PlanesPerPU; pl++ {
 		ms.addrs = append(ms.addrs, ppa.Addr{Ch: ch, PU: pu, Plane: pl, Block: g.blk})

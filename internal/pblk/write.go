@@ -16,13 +16,7 @@ import (
 // copySector stages one sector payload in a pooled buffer; the buffer
 // returns to the pool when the ring frees its entry.
 func (k *Pblk) copySector(src []byte) []byte {
-	var b []byte
-	if n := len(k.dataBufFree); n > 0 {
-		b = k.dataBufFree[n-1]
-		k.dataBufFree = k.dataBufFree[:n-1]
-	} else {
-		b = make([]byte, k.geo.SectorSize)
-	}
+	b := k.dataBufs.Get()
 	copy(b, src)
 	return b
 }
@@ -32,7 +26,7 @@ func (k *Pblk) copySector(src []byte) []byte {
 // payloads return to the pool.
 func (k *Pblk) releaseEntryData(e *rbEntry) {
 	if !e.isGC && e.data != nil {
-		k.dataBufFree = append(k.dataBufFree, e.data)
+		k.dataBufs.Put(e.data)
 	}
 }
 
@@ -158,7 +152,7 @@ func (k *Pblk) dispatch() {
 				}
 				n = len(k.pend[st])
 			}
-			poss := append(k.getPoss(), k.pend[st][:n]...)
+			poss := append(k.possLists.Get(), k.pend[st][:n]...)
 			if len(k.pend[st]) == n {
 				k.pend[st] = k.pend[st][:0]
 			} else {
@@ -385,23 +379,14 @@ func (s *slot) nextChunk() (chunk, bool) {
 	return c, true
 }
 
-// getPoss draws a ring-position list from the pool; putPoss returns one.
-// Lists flow dispatch → chunk → writeUnitOn (recycled there) and
-// setPending → group.pending → finalizeGroup (recycled there).
-func (k *Pblk) getPoss() []uint64 {
-	if n := len(k.possFree); n > 0 {
-		p := k.possFree[n-1]
-		k.possFree = k.possFree[:n-1]
-		return p
-	}
-	return make([]uint64, 0, k.unitSectors)
-}
-
+// putPoss returns a ring-position list to its pool. Lists flow dispatch →
+// chunk → writeUnitOn (recycled there) and setPending → group.pending →
+// finalizeGroup (recycled there).
 func (k *Pblk) putPoss(p []uint64) {
 	if p == nil {
 		return
 	}
-	k.possFree = append(k.possFree, p[:0])
+	k.possLists.Put(p[:0])
 }
 
 // unitScratch is the pooled context of one vector write: the Vector, its
@@ -456,18 +441,7 @@ func (u *unitScratch) onProgrammed(c *ocssd.Completion) {
 	k.dev.Recycle(c)
 	u.g, u.s = nil, nil
 	u.vec.Addrs, u.vec.Data, u.vec.OOB = nil, nil, nil
-	k.unitScratchFree = append(k.unitScratchFree, u)
-}
-
-func (k *Pblk) getUnitScratch() *unitScratch {
-	if n := len(k.unitScratchFree); n > 0 {
-		u := k.unitScratchFree[n-1]
-		k.unitScratchFree = k.unitScratchFree[:n-1]
-		return u
-	}
-	u := &unitScratch{k: k}
-	u.cbFn = u.onProgrammed
-	return u
+	k.unitScratches.Put(u)
 }
 
 // writeUnitOn forms one write unit on lane s from the next retry or
@@ -528,9 +502,9 @@ func (k *Pblk) writeUnitOn(p *sim.Proc, s *slot) {
 	g := s.grp[st]
 	unit := g.nextUnit
 	g.nextUnit++
-	u := k.getUnitScratch()
+	u := k.unitScratches.Get()
 	u.prep(k, s, g, unit)
-	poss := k.getPoss()
+	poss := k.possLists.Get()
 	for i := range u.addrs {
 		if i >= len(c.poss) {
 			// Padding (paper: "pblk adds padding before the write
@@ -681,7 +655,7 @@ func (k *Pblk) coverPairs(p *sim.Proc, s *slot) {
 func (k *Pblk) padUnit(p *sim.Proc, s *slot, g *group) {
 	unit := g.nextUnit
 	g.nextUnit++
-	u := k.getUnitScratch()
+	u := k.unitScratches.Get()
 	u.prep(k, s, g, unit)
 	stamp := k.nextStamp()
 	for i := range u.oob {
@@ -795,9 +769,10 @@ func (k *Pblk) checkFlushes() {
 	for k.flushes.Len() > 0 && k.rb.tail > k.flushes.Front().pos {
 		ev := k.flushes.Pop().ev
 		ev.Signal()
-		// Signal extracted the waiters, so the event can go straight back
-		// to the pool.
-		k.putEvent(ev)
+		// Signal extracted the waiters, so the event can be re-armed and go
+		// straight back to the pool.
+		ev.Reset()
+		k.events.Put(ev)
 	}
 	if k.flushes.Len() > 0 {
 		// Wake the covered lanes: padding (or pair covering) may be
@@ -886,7 +861,7 @@ func (k *Pblk) requeuePairLower(g *group, unit int) {
 	if lower < 0 || g.pending == nil || len(g.pending[lower]) == 0 || g.unitFinal[lower] {
 		return
 	}
-	requeued := k.getPoss()
+	requeued := k.possLists.Get()
 	for _, pos := range g.pending[lower] {
 		e := k.rb.at(pos)
 		if e.state != esSubmitted {

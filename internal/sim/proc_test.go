@@ -38,7 +38,7 @@ func TestProcSwitchAllocatesNothing(t *testing.T) {
 // A process borrows a carrier from its first resume to its function's
 // return: once the Env has as many carriers as processes were ever alive at
 // once, Go allocates the Proc and nothing else, and starts no goroutine.
-// (With every process finished, len(env.idle) is the number of carriers the
+// (With every process finished, env.idle.Len() is the number of carriers the
 // Env ever made.)
 func TestSpawnReusesCarrier(t *testing.T) {
 	env := NewEnv(1)
@@ -58,8 +58,8 @@ func TestSpawnReusesCarrier(t *testing.T) {
 	if allocs > 1 {
 		t.Fatalf("a spawn to completion allocates %v objects, want the Proc alone", allocs)
 	}
-	if n := runtime.NumGoroutine(); n > before || len(env.idle) != 1 {
-		t.Fatalf("%d sequential spawns: goroutines %d -> %d, %d carriers; want no growth, 1 carrier", runs, before, n, len(env.idle))
+	if n := runtime.NumGoroutine(); n > before || env.idle.Len() != 1 {
+		t.Fatalf("%d sequential spawns: goroutines %d -> %d, %d carriers; want no growth, 1 carrier", runs, before, n, env.idle.Len())
 	}
 
 	// Eight alive at once take eight carriers; the next eight reuse them.
@@ -72,13 +72,13 @@ func TestSpawnReusesCarrier(t *testing.T) {
 			})
 		}
 		env.Run()
-		if len(env.idle) != 0 {
-			t.Fatalf("batch %d: %d carriers idle beside 8 parked processes", batch, len(env.idle))
+		if env.idle.Len() != 0 {
+			t.Fatalf("batch %d: %d carriers idle beside 8 parked processes", batch, env.idle.Len())
 		}
 		gate.Signal()
 		env.Run()
-		if finished != 8 || len(env.idle) != 8 {
-			t.Fatalf("batch %d: %d of 8 processes finished on %d carriers, want 8 on 8", batch, finished, len(env.idle))
+		if finished != 8 || env.idle.Len() != 8 {
+			t.Fatalf("batch %d: %d of 8 processes finished on %d carriers, want 8 on 8", batch, finished, env.idle.Len())
 		}
 	}
 	if n := runtime.NumGoroutine(); n > before+7 {
@@ -123,8 +123,8 @@ func TestProcPanicLeavesEnvUsable(t *testing.T) {
 	if !finished || !p.Done().Fired() {
 		t.Fatal("a process started after a panic did not run to completion")
 	}
-	if len(env.idle) != 1 {
-		t.Fatalf("%d carriers after two processes, want 1: the panicked process's was not reused", len(env.idle))
+	if env.idle.Len() != 1 {
+		t.Fatalf("%d carriers after two processes, want 1: the panicked process's was not reused", env.idle.Len())
 	}
 }
 

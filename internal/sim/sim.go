@@ -71,9 +71,9 @@ type Env struct {
 	timedAt  time.Duration // never when no timed event is pending
 	timedSrc int           // lane index, or srcHeap
 
-	// idle holds the carriers no process is bound to, most recently freed
-	// last; resumeProc binds from the end.
-	idle []*carrier
+	// idle holds the carriers no process is bound to; resumeProc binds the
+	// most recently freed one.
+	idle Pool[*carrier]
 
 	rng      *rand.Rand
 	panicked *ProcPanic // set by the carrier whose process panicked, raised by resumeProc
@@ -93,6 +93,7 @@ func NewEnv(seed int64) *Env {
 	return &Env{
 		rng:     rand.New(rand.NewSource(seed)),
 		timedAt: never,
+		idle:    Pool[*carrier]{New: newCarrier},
 	}
 }
 
@@ -385,12 +386,7 @@ func resumeProc(arg any) {
 	e := p.env
 	c := p.carrier
 	if c == nil {
-		if n := len(e.idle); n > 0 {
-			c, e.idle[n-1] = e.idle[n-1], nil
-			e.idle = e.idle[:n-1]
-		} else {
-			c = newCarrier()
-		}
+		c = e.idle.Get()
 		c.p, p.carrier = p, c
 	}
 	c.next()
@@ -424,7 +420,7 @@ func newCarrier() *carrier {
 		for {
 			e := c.p.env
 			c.run()
-			e.idle = append(e.idle, c)
+			e.idle.Put(c)
 			yield(struct{}{})
 		}
 	})

@@ -22,6 +22,7 @@ package volume
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/blockdev"
@@ -197,7 +198,7 @@ type Manager struct {
 	cfg Config
 
 	members []*Member // data devices then spares, indexed by id
-	spares  []*Member // current hot-spare pool (subset of members)
+	spares  []*Member // current hot-spare pool, highest id first: a stack
 
 	// downtime is set between CrashAll and Recover: sub-request failures
 	// during a fleet-wide power cut are outage noise, not member faults,
@@ -243,6 +244,7 @@ func NewManager(p *sim.Proc, env *sim.Env, cfg Config) (*Manager, error) {
 		}
 		mgr.members = append(mgr.members, m)
 	}
+	slices.Reverse(mgr.spares)
 	return mgr, nil
 }
 
@@ -343,22 +345,20 @@ func (mgr *Manager) onDeviceDeath(m *Member) {
 
 // dropSpare removes a dead device from the hot-spare pool.
 func (mgr *Manager) dropSpare(m *Member) {
-	for i, s := range mgr.spares {
-		if s == m {
-			mgr.spares = append(mgr.spares[:i], mgr.spares[i+1:]...)
-			return
-		}
+	if i := slices.Index(mgr.spares, m); i >= 0 {
+		mgr.spares = slices.Delete(mgr.spares, i, i+1)
 	}
 }
 
 // TakeSpare pops the lowest-numbered hot spare from the pool, nil when
 // empty.
 func (mgr *Manager) TakeSpare() *Member {
-	if len(mgr.spares) == 0 {
+	n := len(mgr.spares)
+	if n == 0 {
 		return nil
 	}
-	s := mgr.spares[0]
-	mgr.spares = mgr.spares[1:]
+	s := mgr.spares[n-1]
+	mgr.spares = slices.Delete(mgr.spares, n-1, n)
 	return s
 }
 

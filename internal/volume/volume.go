@@ -128,17 +128,16 @@ type Volume struct {
 
 	// Fan-out object pools: the split path reuses a bounded working set of
 	// fan-out trackers, per-chunk operations, and sub-request legs instead
-	// of allocating per parent request. Simulation context is
-	// single-threaded, so plain free lists suffice. Every pooled object
-	// keeps its completion callback bound from first construction, so
-	// steady-state traffic creates no method-value closures either.
-	foFree       []*fanOut
-	readFree     []*readOp
-	writeFree    []*writeOp
-	subWFree     []*subWrite
-	trimFree     []*trimOp
-	subTFree     []*subTrim
-	subFFree     []*subFlush
+	// of allocating per parent request. Every pooled object keeps its
+	// completion callback bound from first construction, so steady-state
+	// traffic creates no method-value closures either.
+	fanOuts      sim.Pool[*fanOut]
+	readOps      sim.Pool[*readOp]
+	writeOps     sim.Pool[*writeOp]
+	subWrites    sim.Pool[*subWrite]
+	trimOps      sim.Pool[*trimOp]
+	subTrims     sim.Pool[*subTrim]
+	subFlushes   sim.Pool[*subFlush]
 	flushScratch []*Member // issueFlush target gather; valid within one call
 }
 
@@ -212,6 +211,7 @@ func (mgr *Manager) CreateVolume(name string, l Layout, opt Options) (*Volume, e
 		}
 	}
 	v.sync = blockdev.NewSyncAdapter(v.env, v, v.issue)
+	v.initPools()
 	mgr.vols[name] = v
 	mgr.volOrder = append(mgr.volOrder, name)
 	return v, nil
@@ -263,6 +263,34 @@ func (v *Volume) Trim(p *sim.Proc, off, n int64) error {
 
 // ---- asynchronous fan-out datapath ----
 
+// initPools gives each fan-out pool the constructor of its misses, which
+// binds the object's completion callback once for its lifetime.
+func (v *Volume) initPools() {
+	v.fanOuts.New = func() *fanOut { return &fanOut{v: v} }
+	v.readOps.New = func() *readOp {
+		op := &readOp{}
+		op.sub.OnComplete = op.complete
+		return op
+	}
+	v.writeOps.New = func() *writeOp { return new(writeOp) }
+	v.subWrites.New = func() *subWrite {
+		s := &subWrite{}
+		s.r.OnComplete = s.complete
+		return s
+	}
+	v.trimOps.New = func() *trimOp { return new(trimOp) }
+	v.subTrims.New = func() *subTrim {
+		s := &subTrim{}
+		s.r.OnComplete = s.complete
+		return s
+	}
+	v.subFlushes.New = func() *subFlush {
+		s := &subFlush{}
+		s.r.OnComplete = s.complete
+		return s
+	}
+}
+
 // issue is the volume's blockdev.IssueFunc: one validated parent request
 // in, exactly one asynchronous done callback out.
 func (v *Volume) issue(req *blockdev.Request, done func(*blockdev.Request)) {
@@ -287,13 +315,9 @@ type fanOut struct {
 }
 
 func (v *Volume) getFanOut(req *blockdev.Request, done func(*blockdev.Request)) *fanOut {
-	if k := len(v.foFree); k > 0 {
-		f := v.foFree[k-1]
-		v.foFree = v.foFree[:k-1]
-		f.req, f.done, f.remaining, f.err = req, done, 0, nil
-		return f
-	}
-	return &fanOut{v: v, req: req, done: done}
+	f := v.fanOuts.Get()
+	f.req, f.done, f.remaining, f.err = req, done, 0, nil
+	return f
 }
 
 // resolve records one sub-operation outcome; the last one completes the
@@ -308,7 +332,7 @@ func (f *fanOut) resolve(err error) {
 		v, req, done := f.v, f.req, f.done
 		req.Err = f.err
 		f.req, f.done, f.err = nil, nil, nil
-		v.foFree = append(v.foFree, f)
+		v.fanOuts.Put(f)
 		done(req)
 	}
 }
@@ -378,14 +402,7 @@ type readOp struct {
 }
 
 func (v *Volume) getReadOp(fo *fanOut, set *mirrorSet, off, n int64, buf []byte) *readOp {
-	var op *readOp
-	if k := len(v.readFree); k > 0 {
-		op = v.readFree[k-1]
-		v.readFree = v.readFree[:k-1]
-	} else {
-		op = &readOp{}
-		op.sub.OnComplete = op.complete // bound once for the object's lifetime
-	}
+	op := v.readOps.Get()
 	op.fo, op.set, op.off, op.n, op.buf, op.attempts = fo, set, off, n, buf, 0
 	return op
 }
@@ -393,7 +410,7 @@ func (v *Volume) getReadOp(fo *fanOut, set *mirrorSet, off, n int64, buf []byte)
 func (v *Volume) putReadOp(op *readOp) {
 	op.fo, op.set, op.buf = nil, nil, nil
 	op.sub.Buf = nil
-	v.readFree = append(v.readFree, op)
+	v.readOps.Put(op)
 }
 
 func (op *readOp) start() {
@@ -456,13 +473,7 @@ type writeOp struct {
 }
 
 func (v *Volume) getWriteOp(fo *fanOut, set *mirrorSet, off, n int64, buf []byte) *writeOp {
-	var op *writeOp
-	if k := len(v.writeFree); k > 0 {
-		op = v.writeFree[k-1]
-		v.writeFree = v.writeFree[:k-1]
-	} else {
-		op = &writeOp{}
-	}
+	op := v.writeOps.Get()
 	op.fo, op.set, op.off, op.n, op.buf = fo, set, off, n, buf
 	op.outstanding, op.succ, op.firstErr = 0, 0, nil
 	return op
@@ -471,7 +482,7 @@ func (v *Volume) getWriteOp(fo *fanOut, set *mirrorSet, off, n int64, buf []byte
 func (v *Volume) putWriteOp(op *writeOp) {
 	op.fo, op.set, op.buf, op.firstErr = nil, nil, nil, nil
 	op.targets = op.targets[:0]
-	v.writeFree = append(v.writeFree, op)
+	v.writeOps.Put(op)
 }
 
 func (op *writeOp) start() {
@@ -507,7 +518,7 @@ func (op *writeOp) start() {
 
 func (op *writeOp) issueTo(m *Member, attempt int) {
 	v := op.fo.v
-	s := v.getSubWrite()
+	s := v.subWrites.Get()
 	s.op, s.m, s.attempt = op, m, attempt
 	s.r.Op, s.r.Off, s.r.Buf, s.r.Length, s.r.Err =
 		blockdev.ReqWrite, op.off, op.buf, op.n, nil
@@ -524,23 +535,12 @@ type subWrite struct {
 	r       blockdev.Request
 }
 
-func (v *Volume) getSubWrite() *subWrite {
-	if k := len(v.subWFree); k > 0 {
-		s := v.subWFree[k-1]
-		v.subWFree = v.subWFree[:k-1]
-		return s
-	}
-	s := &subWrite{}
-	s.r.OnComplete = s.complete // bound once for the object's lifetime
-	return s
-}
-
 func (s *subWrite) complete(r *blockdev.Request) {
 	op, m, attempt, err := s.op, s.m, s.attempt, r.Err
 	v := op.fo.v
 	s.op, s.m = nil, nil
 	s.r.Buf = nil
-	v.subWFree = append(v.subWFree, s)
+	v.subWrites.Put(s)
 	if err == nil {
 		op.replicaDone(nil)
 		return
@@ -595,13 +595,7 @@ type trimOp struct {
 }
 
 func (v *Volume) getTrimOp(fo *fanOut, set *mirrorSet, off, n int64) *trimOp {
-	var op *trimOp
-	if k := len(v.trimFree); k > 0 {
-		op = v.trimFree[k-1]
-		v.trimFree = v.trimFree[:k-1]
-	} else {
-		op = &trimOp{}
-	}
+	op := v.trimOps.Get()
 	op.fo, op.set, op.off, op.n, op.outstanding, op.err = fo, set, off, n, 0, nil
 	return op
 }
@@ -609,7 +603,7 @@ func (v *Volume) getTrimOp(fo *fanOut, set *mirrorSet, off, n int64) *trimOp {
 func (v *Volume) putTrimOp(op *trimOp) {
 	op.fo, op.set, op.err = nil, nil, nil
 	op.targets = op.targets[:0]
-	v.trimFree = append(v.trimFree, op)
+	v.trimOps.Put(op)
 }
 
 func (op *trimOp) start() {
@@ -628,7 +622,7 @@ func (op *trimOp) start() {
 	}
 	op.outstanding = len(op.targets)
 	for _, m := range op.targets {
-		s := v.getSubTrim()
+		s := v.subTrims.Get()
 		s.op, s.m = op, m
 		s.r.Op, s.r.Off, s.r.Buf, s.r.Length, s.r.Err =
 			blockdev.ReqTrim, op.off, nil, op.n, nil
@@ -643,22 +637,11 @@ type subTrim struct {
 	r  blockdev.Request
 }
 
-func (v *Volume) getSubTrim() *subTrim {
-	if k := len(v.subTFree); k > 0 {
-		s := v.subTFree[k-1]
-		v.subTFree = v.subTFree[:k-1]
-		return s
-	}
-	s := &subTrim{}
-	s.r.OnComplete = s.complete // bound once for the object's lifetime
-	return s
-}
-
 func (s *subTrim) complete(r *blockdev.Request) {
 	op, m, err := s.op, s.m, r.Err
 	v := op.fo.v
 	s.op, s.m = nil, nil
-	v.subTFree = append(v.subTFree, s)
+	v.subTrims.Put(s)
 	if err != nil && m.state == StateHealthy && op.err == nil {
 		op.err = err
 	}
@@ -691,7 +674,7 @@ func (v *Volume) issueFlush(req *blockdev.Request, done func(*blockdev.Request))
 	}
 	fo.remaining = len(v.flushScratch)
 	for _, m := range v.flushScratch {
-		s := v.getSubFlush()
+		s := v.subFlushes.Get()
 		s.fo, s.m = fo, m
 		s.r.Op, s.r.Off, s.r.Buf, s.r.Length, s.r.Err =
 			blockdev.ReqFlush, 0, nil, 0, nil
@@ -707,22 +690,11 @@ type subFlush struct {
 	r  blockdev.Request
 }
 
-func (v *Volume) getSubFlush() *subFlush {
-	if k := len(v.subFFree); k > 0 {
-		s := v.subFFree[k-1]
-		v.subFFree = v.subFFree[:k-1]
-		return s
-	}
-	s := &subFlush{}
-	s.r.OnComplete = s.complete // bound once for the object's lifetime
-	return s
-}
-
 func (s *subFlush) complete(r *blockdev.Request) {
 	fo, m, err := s.fo, s.m, r.Err
 	v := fo.v
 	s.fo, s.m = nil, nil
-	v.subFFree = append(v.subFFree, s)
+	v.subFlushes.Put(s)
 	if m.state == StateDead {
 		err = nil
 	}
@@ -738,7 +710,7 @@ func (v *Volume) memberDied(m *Member) {
 			if err := v.AttachSpare(sp); err != nil {
 				// No set is waiting for a replacement; return the spare.
 				sp.state = StateSpare
-				v.mgr.spares = append([]*Member{sp}, v.mgr.spares...)
+				v.mgr.spares = append(v.mgr.spares, sp)
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package volume
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"repro/internal/blockdev"
@@ -343,6 +344,32 @@ func TestAutoRebuildOnDeath(t *testing.T) {
 			t.Fatal("volume still degraded after auto rebuild")
 		}
 		readVerify(t, p, v, 0, 1<<20, 0x44, "post-auto-rebuild readback")
+	})
+}
+
+// The spare pool hands out the lowest id first, and a spare that memberDied
+// takes but cannot attach goes back on top.
+func TestSparePoolOrder(t *testing.T) {
+	runSim(t, 8, func(p *sim.Proc, env *sim.Env) {
+		cfg := testConfig(1, 3, 8)
+		cfg.AutoRebuild = true
+		mgr := newFleet(t, p, env, cfg)
+		v := mustVolume(t, mgr, "s0", Mirror(0), Options{})
+		if sp := mgr.TakeSpare(); sp.ID() != 1 {
+			t.Fatalf("first spare taken is %d, want 1", sp.ID())
+		}
+		// Member 0 is healthy, so no replica awaits the spare this takes.
+		v.memberDied(mgr.Member(0))
+		var got []int
+		for sp := mgr.TakeSpare(); sp != nil; sp = mgr.TakeSpare() {
+			if sp.State() != StateSpare {
+				t.Fatalf("spare %d is %v", sp.ID(), sp.State())
+			}
+			got = append(got, sp.ID())
+		}
+		if !slices.Equal(got, []int{2, 3}) {
+			t.Fatalf("spares taken after the return: %v, want [2 3]", got)
+		}
 	})
 }
 
