@@ -55,7 +55,8 @@ const (
 	// StateHealthy members serve reads and writes.
 	StateHealthy MemberState = iota
 	// StateRebuilding marks a spare being filled by the rebuild engine: it
-	// takes writes (behind the rebuild cursor) but serves no reads.
+	// takes writes and trims (behind the rebuild cursor) but serves no
+	// reads.
 	StateRebuilding
 	// StateDead members are failed devices; nothing is routed to them.
 	StateDead

@@ -9,8 +9,8 @@ import (
 // RebuildConfig tunes the online rebuild engine.
 type RebuildConfig struct {
 	// CopyChunk is the copy unit in bytes (default 1 MB). Foreground
-	// writes overlapping the chunk currently being copied park until the
-	// copy window moves past them.
+	// writes and trims overlapping the chunk currently being copied park
+	// until the copy window moves past them.
 	CopyChunk int64
 	// RateMBps caps the rebuild copy rate (decimal MB/s of reconstructed
 	// data). 0 disables the limiter: the rebuild runs as fast as the
@@ -27,11 +27,11 @@ func (c RebuildConfig) withDefaults() RebuildConfig {
 
 // rebuild is one column's online rebuild: a process that walks the member
 // address space, reads each chunk from a surviving replica, and writes it
-// to the spare. The cursor marks the synced prefix: foreground writes
-// behind it fan out to the spare too, writes ahead of it are left for the
-// copy loop, and writes into the active copy window park until the window
-// advances — so the spare converges without ever taking a stale write
-// over a newer one.
+// to the spare. The cursor marks the synced prefix: foreground writes and
+// trims behind it fan out to the spare too, those ahead of it are left for
+// the copy loop, and those into the active copy window park until the
+// window advances — so the spare converges without ever taking a stale
+// copy over a newer update.
 type rebuild struct {
 	v     *Volume
 	set   *mirrorSet
@@ -40,21 +40,20 @@ type rebuild struct {
 
 	cursor             int64 // member-space offset synced so far
 	activeLo, activeHi int64 // chunk being copied; empty when equal
-	waiters            []*writeOp
+	waiters            []*updateOp
 
 	aborted bool
 	ok      bool
 	started time.Duration
 	copied  int64
-	doneEv  *sim.Event
+	proc    *sim.Proc // the engine; WaitRebuild joins its Done()
 }
 
 // startRebuild wires a rebuild onto the set and spawns its engine.
 func (v *Volume) startRebuild(set *mirrorSet, sp *Member) {
-	rb := &rebuild{v: v, set: set, spare: sp, cfg: v.rebuildCfg,
-		started: v.env.Now(), doneEv: v.env.NewEvent()}
+	rb := &rebuild{v: v, set: set, spare: sp, cfg: v.rebuildCfg, started: v.env.Now()}
 	set.rb = rb
-	v.env.Go("volume.rebuild."+sp.name, rb.run)
+	rb.proc = v.env.Go("volume.rebuild."+sp.name, rb.run)
 }
 
 // abort stops the engine at the next chunk boundary (CrashAll, or the
@@ -116,7 +115,7 @@ func (rb *rebuild) copyChunk(p *sim.Proc, lo int64, buf []byte) error {
 	return rb.spare.sync.Write(p, lo, buf, n)
 }
 
-// finish tears the rebuild down and restarts any parked writes; on
+// finish tears the rebuild down and restarts any parked updates; on
 // failure the spare keeps whatever it has but serves nothing until a
 // later rebuild (or crash recovery restart) finishes the job.
 func (rb *rebuild) finish(ok bool) {
@@ -125,15 +124,14 @@ func (rb *rebuild) finish(ok bool) {
 		rb.set.rb = nil
 	}
 	rb.release()
-	rb.doneEv.Signal()
 }
 
-// release restarts writes that parked behind the active copy window.
+// release restarts updates that parked behind the active copy window.
 func (rb *rebuild) release() {
 	ws := rb.waiters
 	rb.waiters = nil
-	for _, op := range ws {
-		rb.v.env.ScheduleArg(0, startWriteArg, op)
+	for _, u := range ws {
+		rb.v.env.ScheduleArg(0, startUpdateArg, u)
 	}
 }
 

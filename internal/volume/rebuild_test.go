@@ -134,3 +134,61 @@ func TestCrashRecoverySansRebuild(t *testing.T) {
 		readVerify(t, p, v, 0, total, 0xE7, "flushed data after power cut")
 	})
 }
+
+// TestTrimReachesRebuildingSpare trims a mirror while a spare is being
+// rebuilt: a trim behind the cursor must reach the spare, and one into the
+// active copy window must park until the window moves, or the rebuilt
+// spare keeps bytes its peer dropped and reads alternate between them.
+func TestTrimReachesRebuildingSpare(t *testing.T) {
+	cases := []struct {
+		name string
+		trim func(t *testing.T, p *sim.Proc, v *Volume)
+	}{
+		{"behind cursor", func(t *testing.T, p *sim.Proc, v *Volume) {
+			for rb := v.sets[0].rb; rb != nil && rb.cursor < 512<<10; rb = v.sets[0].rb {
+				p.Sleep(50 * time.Microsecond)
+			}
+			if err := v.Trim(p, 0, 256<<10); err != nil {
+				t.Fatalf("trim behind cursor: %v", err)
+			}
+		}},
+		{"chasing cursor", func(t *testing.T, p *sim.Proc, v *Volume) {
+			for rb := v.sets[0].rb; rb != nil && rb.cursor < v.colCap; rb = v.sets[0].rb {
+				if err := v.Trim(p, rb.cursor, v.Chunk()); err != nil {
+					t.Fatalf("trim at cursor %d: %v", rb.cursor, err)
+				}
+			}
+			if v.Stats().ParkedWrites == 0 {
+				t.Error("no trim ever parked behind the copy window; park path untested")
+			}
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			runSim(t, 12, func(p *sim.Proc, env *sim.Env) {
+				mgr := newFleet(t, p, env, testConfig(2, 1, 12))
+				v := mustVolume(t, mgr, "tr0", Mirror(0, 1),
+					Options{Rebuild: RebuildConfig{CopyChunk: 256 << 10}})
+				writeRange(t, p, v, 0, 2<<20, 0x5A)
+				if err := v.Flush(p); err != nil {
+					t.Fatalf("flush: %v", err)
+				}
+				mgr.Kill(1)
+				if err := v.AttachSpare(mgr.TakeSpare()); err != nil {
+					t.Fatalf("AttachSpare: %v", err)
+				}
+				tc.trim(t, p, v)
+				if !v.WaitRebuild(p) {
+					t.Fatal("rebuild did not complete")
+				}
+				rep, err := v.Resync(p)
+				if err != nil {
+					t.Fatalf("resync: %v", err)
+				}
+				if rep.ChunksMismatched != 0 {
+					t.Fatalf("rebuilt spare diverged from its peer: %+v", rep)
+				}
+			})
+		})
+	}
+}

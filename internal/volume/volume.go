@@ -38,8 +38,8 @@ func StripeOfMirrors(chunk int64, sets ...[]int) Layout {
 }
 
 // retryLimit is the number of attempts per member for transiently failing
-// sub-requests. A write that still fails after retryLimit attempts ejects
-// the member from the array.
+// sub-requests. A write or trim that still fails after retryLimit attempts
+// ejects the member from the array.
 const retryLimit = 3
 
 // Options tune a volume's redundancy behaviour.
@@ -53,9 +53,9 @@ type Stats struct {
 	Reads, Writes int64 // parent requests accepted
 	DegradedReads int64 // chunk reads served while their set was degraded
 	RetriedReads  int64 // chunk read attempts re-routed after a failure
-	RetriedWrites int64 // replica write attempts retried after a failure
-	ParkedWrites  int64 // writes held behind the rebuild copy window
-	Ejections     int64 // members ejected for persistent write failure
+	RetriedWrites int64 // replica write and trim attempts retried after a failure
+	ParkedWrites  int64 // writes and trims held behind the rebuild copy window
+	Ejections     int64 // members ejected for persistent write or trim failure
 	MemberDeaths  int64
 	RebuildsDone  int64
 }
@@ -133,17 +133,15 @@ type Volume struct {
 	// traffic creates no method-value closures either.
 	fanOuts      sim.Pool[*fanOut]
 	readOps      sim.Pool[*readOp]
-	writeOps     sim.Pool[*writeOp]
-	subWrites    sim.Pool[*subWrite]
-	trimOps      sim.Pool[*trimOp]
-	subTrims     sim.Pool[*subTrim]
+	updateOps    sim.Pool[*updateOp]
+	subUpdates   sim.Pool[*subUpdate]
 	subFlushes   sim.Pool[*subFlush]
 	flushScratch []*Member // issueFlush target gather; valid within one call
 }
 
-// startWriteArg is the closure-free Schedule trampoline for restarting a
-// parked chunk write (rebuild window release).
-var startWriteArg = func(a any) { a.(*writeOp).start() }
+// startUpdateArg is the closure-free Schedule trampoline for restarting a
+// parked chunk update (rebuild window release).
+var startUpdateArg = func(a any) { a.(*updateOp).start() }
 
 // CreateVolume composes healthy, unassigned fleet members into a volume.
 // Member capacities are aligned down to the chunk size; the volume's
@@ -187,7 +185,7 @@ func (mgr *Manager) CreateVolume(name string, l Layout, opt Options) (*Volume, e
 		return nil, fmt.Errorf("volume: chunk %dB is not a positive multiple of the %dB sector", l.Chunk, v.ssize)
 	}
 	v.chunk = l.Chunk
-	// The rebuild cursor must stay chunk-aligned: a chunk write can then
+	// The rebuild cursor must stay chunk-aligned: a chunk update can then
 	// never straddle it (behind → spare too, ahead → survivors only, and
 	// anything overlapping the active copy window parks).
 	if rem := v.rebuildCfg.CopyChunk % v.chunk; rem != 0 {
@@ -272,15 +270,9 @@ func (v *Volume) initPools() {
 		op.sub.OnComplete = op.complete
 		return op
 	}
-	v.writeOps.New = func() *writeOp { return new(writeOp) }
-	v.subWrites.New = func() *subWrite {
-		s := &subWrite{}
-		s.r.OnComplete = s.complete
-		return s
-	}
-	v.trimOps.New = func() *trimOp { return new(trimOp) }
-	v.subTrims.New = func() *subTrim {
-		s := &subTrim{}
+	v.updateOps.New = func() *updateOp { return new(updateOp) }
+	v.subUpdates.New = func() *subUpdate {
+		s := &subUpdate{}
 		s.r.OnComplete = s.complete
 		return s
 	}
@@ -369,13 +361,10 @@ func (v *Volume) issueData(req *blockdev.Request, done func(*blockdev.Request)) 
 		if req.Buf != nil {
 			buf = req.Buf[bufLo : bufLo+n]
 		}
-		switch req.Op {
-		case blockdev.ReqRead:
+		if req.Op == blockdev.ReqRead {
 			v.getReadOp(fo, set, moff, n, buf).start()
-		case blockdev.ReqWrite:
-			v.getWriteOp(fo, set, moff, n, buf).start()
-		default:
-			v.getTrimOp(fo, set, moff, n).start()
+		} else {
+			v.getUpdateOp(fo, set, moff, n, buf).start()
 		}
 		off += n
 		bufLo += n
@@ -455,13 +444,17 @@ func (op *readOp) complete(r *blockdev.Request) {
 	fo.resolve(err)
 }
 
-// writeOp fans one chunk write out to every writable replica of its set:
-// the live ones, plus a rebuilding spare once the chunk lies behind the
-// rebuild cursor. Writes overlapping the rebuild engine's active copy
-// window park until the window moves. A replica that keeps failing after
-// retries is ejected (its device is failed), so a stale replica can never
-// serve reads; the write succeeds as long as one replica holds the data.
-type writeOp struct {
+// updateOp fans one chunk write or trim (its parent request's op) out to
+// every replica of its set that must take it: the live ones, plus a
+// rebuilding spare once the chunk lies behind the rebuild cursor. An update
+// overlapping the rebuild engine's active copy window parks until the
+// window moves. A replica that keeps failing after retries is ejected (its
+// device is failed), so a stale replica can never serve reads; the update
+// succeeds as long as one replica took it. Writes and trims share all of
+// it: a trim that skipped the spare or slipped past the copy window would
+// leave the spare holding bytes its peers dropped (DESIGN.md §"Mirror
+// updates").
+type updateOp struct {
 	fo          *fanOut
 	set         *mirrorSet
 	off, n      int64
@@ -472,185 +465,115 @@ type writeOp struct {
 	targets     []*Member // per-op gather, reused across recycles
 }
 
-func (v *Volume) getWriteOp(fo *fanOut, set *mirrorSet, off, n int64, buf []byte) *writeOp {
-	op := v.writeOps.Get()
-	op.fo, op.set, op.off, op.n, op.buf = fo, set, off, n, buf
-	op.outstanding, op.succ, op.firstErr = 0, 0, nil
-	return op
+func (v *Volume) getUpdateOp(fo *fanOut, set *mirrorSet, off, n int64, buf []byte) *updateOp {
+	u := v.updateOps.Get()
+	u.fo, u.set, u.off, u.n, u.buf = fo, set, off, n, buf
+	u.outstanding, u.succ, u.firstErr = 0, 0, nil
+	return u
 }
 
-func (v *Volume) putWriteOp(op *writeOp) {
-	op.fo, op.set, op.buf, op.firstErr = nil, nil, nil, nil
-	op.targets = op.targets[:0]
-	v.writeOps.Put(op)
+func (v *Volume) putUpdateOp(u *updateOp) {
+	u.fo, u.set, u.buf, u.firstErr = nil, nil, nil, nil
+	u.targets = u.targets[:0]
+	v.updateOps.Put(u)
 }
 
-func (op *writeOp) start() {
-	v := op.fo.v
-	set := op.set
-	if rb := set.rb; rb != nil && op.off < rb.activeHi && op.off+op.n > rb.activeLo {
+func (u *updateOp) start() {
+	v := u.fo.v
+	set := u.set
+	if rb := set.rb; rb != nil && u.off < rb.activeHi && u.off+u.n > rb.activeLo {
 		v.stats.ParkedWrites++
-		rb.waiters = append(rb.waiters, op)
+		rb.waiters = append(rb.waiters, u)
 		return
 	}
-	op.targets = op.targets[:0]
+	u.targets = u.targets[:0]
 	for _, m := range set.reps {
 		switch m.state {
 		case StateHealthy:
-			op.targets = append(op.targets, m)
+			u.targets = append(u.targets, m)
 		case StateRebuilding:
-			if rb := set.rb; rb != nil && op.off+op.n <= rb.cursor {
-				op.targets = append(op.targets, m)
+			if rb := set.rb; rb != nil && u.off+u.n <= rb.cursor {
+				u.targets = append(u.targets, m)
 			}
 		}
 	}
-	if len(op.targets) == 0 {
-		fo := op.fo
-		v.putWriteOp(op)
+	if len(u.targets) == 0 {
+		fo := u.fo
+		v.putUpdateOp(u)
 		fo.failAsync(ErrNoReplica)
 		return
 	}
-	op.outstanding = len(op.targets)
-	for _, m := range op.targets {
-		op.issueTo(m, 1)
+	u.outstanding = len(u.targets)
+	for _, m := range u.targets {
+		u.issueTo(m, 1)
 	}
 }
 
-func (op *writeOp) issueTo(m *Member, attempt int) {
-	v := op.fo.v
-	s := v.subWrites.Get()
-	s.op, s.m, s.attempt = op, m, attempt
+func (u *updateOp) issueTo(m *Member, attempt int) {
+	v := u.fo.v
+	s := v.subUpdates.Get()
+	s.u, s.m, s.attempt = u, m, attempt
 	s.r.Op, s.r.Off, s.r.Buf, s.r.Length, s.r.Err =
-		blockdev.ReqWrite, op.off, op.buf, op.n, nil
+		u.fo.req.Op, u.off, u.buf, u.n, nil
 	m.submit(&s.r)
 }
 
-// subWrite is one replica leg of a chunk write. Pooled: complete moves its
-// fields to locals and recycles the leg up front, so any resubmission
+// subUpdate is one replica leg of a chunk update. Pooled: complete moves
+// its fields to locals and recycles the leg up front, so any resubmission
 // triggered further down the callback chain may reuse it immediately.
-type subWrite struct {
-	op      *writeOp
+type subUpdate struct {
+	u       *updateOp
 	m       *Member
 	attempt int
 	r       blockdev.Request
 }
 
-func (s *subWrite) complete(r *blockdev.Request) {
-	op, m, attempt, err := s.op, s.m, s.attempt, r.Err
-	v := op.fo.v
-	s.op, s.m = nil, nil
+func (s *subUpdate) complete(r *blockdev.Request) {
+	u, m, attempt, err := s.u, s.m, s.attempt, r.Err
+	v := u.fo.v
+	s.u, s.m = nil, nil
 	s.r.Buf = nil
-	v.subWrites.Put(s)
+	v.subUpdates.Put(s)
 	if err == nil {
-		op.replicaDone(nil)
+		u.replicaDone(nil)
 		return
 	}
 	if v.mgr.downtime {
-		op.replicaDone(err)
+		u.replicaDone(err)
 		return
 	}
 	if m.state == StateHealthy && attempt < retryLimit {
 		v.stats.RetriedWrites++
-		op.issueTo(m, attempt+1)
+		u.issueTo(m, attempt+1)
 		return
 	}
 	if m.state == StateHealthy {
-		// Persistent write failure on a live member: eject it. Leaving it
-		// in the array would let a replica missing this write serve reads.
+		// Persistent failure on a live member: eject it. Leaving it in the
+		// array would let a replica missing this update serve reads.
 		v.stats.Ejections++
 		m.oc.Fail()
 	}
-	op.replicaDone(err)
+	u.replicaDone(err)
 }
 
-// replicaDone accounts one finished replica leg. The write acknowledges
-// when every leg has finished: it succeeds if any replica took the data
-// (failed legs were ejected) and fails only when all did.
-func (op *writeOp) replicaDone(err error) {
+// replicaDone accounts one finished replica leg. The update acknowledges
+// when every leg has finished: it succeeds if any replica took it (failed
+// legs were ejected) and fails only when all did.
+func (u *updateOp) replicaDone(err error) {
 	if err == nil {
-		op.succ++
-	} else if op.firstErr == nil {
-		op.firstErr = err
+		u.succ++
+	} else if u.firstErr == nil {
+		u.firstErr = err
 	}
-	if op.outstanding--; op.outstanding > 0 {
+	if u.outstanding--; u.outstanding > 0 {
 		return
 	}
-	fo, succ, firstErr := op.fo, op.succ, op.firstErr
-	fo.v.putWriteOp(op)
+	fo, succ, firstErr := u.fo, u.succ, u.firstErr
+	fo.v.putUpdateOp(u)
 	if succ > 0 {
 		firstErr = nil
 	}
 	fo.resolve(firstErr)
-}
-
-// trimOp forwards one chunk trim to every live replica. Failures on
-// members that died mid-flight are ignored; any other failure propagates.
-type trimOp struct {
-	fo          *fanOut
-	set         *mirrorSet
-	off, n      int64
-	outstanding int
-	err         error
-	targets     []*Member // per-op gather, reused across recycles
-}
-
-func (v *Volume) getTrimOp(fo *fanOut, set *mirrorSet, off, n int64) *trimOp {
-	op := v.trimOps.Get()
-	op.fo, op.set, op.off, op.n, op.outstanding, op.err = fo, set, off, n, 0, nil
-	return op
-}
-
-func (v *Volume) putTrimOp(op *trimOp) {
-	op.fo, op.set, op.err = nil, nil, nil
-	op.targets = op.targets[:0]
-	v.trimOps.Put(op)
-}
-
-func (op *trimOp) start() {
-	v := op.fo.v
-	op.targets = op.targets[:0]
-	for _, m := range op.set.reps {
-		if m.state == StateHealthy {
-			op.targets = append(op.targets, m)
-		}
-	}
-	if len(op.targets) == 0 {
-		fo := op.fo
-		v.putTrimOp(op)
-		fo.failAsync(ErrNoReplica)
-		return
-	}
-	op.outstanding = len(op.targets)
-	for _, m := range op.targets {
-		s := v.subTrims.Get()
-		s.op, s.m = op, m
-		s.r.Op, s.r.Off, s.r.Buf, s.r.Length, s.r.Err =
-			blockdev.ReqTrim, op.off, nil, op.n, nil
-		m.submit(&s.r)
-	}
-}
-
-// subTrim is one replica leg of a chunk trim.
-type subTrim struct {
-	op *trimOp
-	m  *Member
-	r  blockdev.Request
-}
-
-func (s *subTrim) complete(r *blockdev.Request) {
-	op, m, err := s.op, s.m, r.Err
-	v := op.fo.v
-	s.op, s.m = nil, nil
-	v.subTrims.Put(s)
-	if err != nil && m.state == StateHealthy && op.err == nil {
-		op.err = err
-	}
-	op.outstanding--
-	if op.outstanding == 0 {
-		fo, e := op.fo, op.err
-		v.putTrimOp(op)
-		fo.resolve(e)
-	}
 }
 
 // issueFlush fans the barrier out to every member currently holding live
@@ -780,7 +703,7 @@ func (v *Volume) WaitRebuild(p *sim.Proc) bool {
 	for _, set := range v.sets {
 		for set.rb != nil {
 			rb := set.rb
-			p.Wait(rb.doneEv)
+			p.Wait(rb.proc.Done())
 			ok = ok && rb.ok
 		}
 	}
