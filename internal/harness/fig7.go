@@ -36,6 +36,7 @@ func runFig7(o Options) *Report {
 			oltpCfg := sqlbench.DefaultOLTP()
 			oltpCfg.Seed = o.Seed
 			run.oltp = sqlbench.RunOLTP(p, env, dev, oltpCfg, dur)
+			checkIn(d.name, run.oltp.Err)
 			if k, ok := dev.(*pblk.Pblk); ok {
 				run.padBytes = k.Stats.PaddedSectors * int64(k.SectorSize())
 				run.ftlFlush = k.Stats.Flushes
@@ -43,6 +44,7 @@ func runFig7(o Options) *Report {
 			olapCfg := sqlbench.DefaultOLAP()
 			olapCfg.Seed = o.Seed
 			run.olap = sqlbench.RunOLAP(p, env, dev, olapCfg, dur)
+			checkIn(d.name, run.olap.Err)
 			stop(p)
 		})
 		env.Run()

@@ -90,6 +90,16 @@ type Result struct {
 	Flushes                       int64
 	RedoBytes                     int64
 	DataReadBytes, DataWriteBytes int64
+	// Err is the first I/O error of the run; the client or page cleaner
+	// that met it stopped there.
+	Err error
+}
+
+// fail records err unless the run already has an error.
+func (r *Result) fail(err error) {
+	if r.Err == nil {
+		r.Err = err
+	}
 }
 
 func (r *Result) String() string {
@@ -194,7 +204,8 @@ func (e *engine) cleaner(p *sim.Proc) {
 		for i := int64(0); i < batch; i++ {
 			off := e.dataBase + e.rng.Int63n(pages)*ps
 			if err := e.dev.Write(p, off, nil, ps); err != nil {
-				panic(fmt.Sprintf("sqlbench: writeback failed: %v", err))
+				e.res.fail(err)
+				return
 			}
 			e.res.DataWriteBytes += ps
 		}
@@ -214,9 +225,9 @@ func maxInt(a, b int) int {
 }
 
 // run drives cfg.Threads client processes for duration d, each executing
-// txn back to back with a random stream of its own, then stops the engine
-// and completes the result.
-func (e *engine) run(p *sim.Proc, d time.Duration, txn func(pr *sim.Proc, rng *rand.Rand)) *Result {
+// txn back to back with a random stream of its own until the time is up or
+// a transaction fails, then stops the engine and completes the result.
+func (e *engine) run(p *sim.Proc, d time.Duration, txn func(pr *sim.Proc, rng *rand.Rand) error) *Result {
 	env, res := e.env, e.res
 	start := env.Now()
 	clients := make([]*sim.Proc, e.cfg.Threads)
@@ -225,7 +236,10 @@ func (e *engine) run(p *sim.Proc, d time.Duration, txn func(pr *sim.Proc, rng *r
 		clients[th] = env.Go(fmt.Sprintf("%s.%d", res.Name, th), func(pr *sim.Proc) {
 			for env.Now() < start+d {
 				t0 := env.Now()
-				txn(pr, rng)
+				if err := txn(pr, rng); err != nil {
+					res.fail(err)
+					return
+				}
 				res.Lat.Add(env.Now() - t0)
 				res.Txns++
 			}
@@ -243,19 +257,17 @@ func (e *engine) run(p *sim.Proc, d time.Duration, txn func(pr *sim.Proc, rng *r
 // RunOLTP executes the OLTP workload for duration d.
 func RunOLTP(p *sim.Proc, env *sim.Env, dev blockdev.Device, cfg Config, d time.Duration) *Result {
 	e := newEngine(env, dev, cfg, &Result{Name: "oltp"})
-	return e.run(p, d, func(pr *sim.Proc, _ *rand.Rand) {
+	return e.run(p, d, func(pr *sim.Proc, _ *rand.Rand) error {
 		for i := 0; i < cfg.ReadsPerTxn; i++ {
 			if err := e.readPage(pr); err != nil {
-				panic(err)
+				return err
 			}
 		}
 		for i := 0; i < cfg.WritesPerTxn; i++ {
 			e.dirtyPage()
 		}
 		pr.Sleep(cfg.CPUPerTxn)
-		if err := e.appendRedo(pr, int64(cfg.RedoPerTxn)); err != nil {
-			panic(err)
-		}
+		return e.appendRedo(pr, int64(cfg.RedoPerTxn))
 	})
 }
 
@@ -265,7 +277,7 @@ func RunOLAP(p *sim.Proc, env *sim.Env, dev blockdev.Device, cfg Config, d time.
 	res := &Result{Name: "olap"}
 	e := newEngine(env, dev, cfg, res)
 	const scanChunk = 256 << 10
-	return e.run(p, d, func(pr *sim.Proc, rng *rand.Rand) {
+	return e.run(p, d, func(pr *sim.Proc, rng *rand.Rand) error {
 		// Scan a contiguous region of the table space.
 		span := e.dataSize - cfg.ScanBytesPerQuery
 		if span < 1 {
@@ -277,7 +289,7 @@ func RunOLAP(p *sim.Proc, env *sim.Env, dev blockdev.Device, cfg Config, d time.
 				continue
 			}
 			if err := dev.Read(pr, base+got, nil, scanChunk); err != nil {
-				panic(err)
+				return err
 			}
 			res.DataReadBytes += scanChunk
 		}
@@ -286,14 +298,15 @@ func RunOLAP(p *sim.Proc, env *sim.Env, dev blockdev.Device, cfg Config, d time.
 		// queries keeps flush counts two orders below OLTP.
 		if rng.Intn(100) == 0 {
 			if err := e.appendRedo(pr, int64(cfg.RedoPerTxn)); err != nil {
-				panic(err)
+				return err
 			}
 			if !cfg.FlushEveryCommit {
 				if err := dev.Flush(pr); err != nil {
-					panic(err)
+					return err
 				}
 				res.Flushes++
 			}
 		}
+		return nil
 	})
 }

@@ -1,10 +1,16 @@
 package sqlbench
 
 import (
+	"errors"
 	"testing"
 	"time"
 
+	"repro/internal/lightnvm"
+	"repro/internal/nand"
 	"repro/internal/nullblk"
+	"repro/internal/ocssd"
+	"repro/internal/pblk"
+	"repro/internal/ppa"
 	"repro/internal/sim"
 )
 
@@ -126,5 +132,50 @@ func TestCommitGroupBatchesFlushes(t *testing.T) {
 	perTxnBatched := float64(batched.Flushes) / float64(batched.Txns)
 	if perTxnBatched >= perTxnSingle/2 {
 		t.Fatalf("group commit did not reduce flush rate: %.3f vs %.3f", perTxnBatched, perTxnSingle)
+	}
+}
+
+// TestRunsOnStoppedPblk: both workloads on a stopped pblk target return
+// ErrStopped in their result instead of panicking, from the clients and
+// the page cleaner alike.
+func TestRunsOnStoppedPblk(t *testing.T) {
+	env := sim.NewEnv(3)
+	m := nand.DefaultConfig()
+	m.PECycleLimit = 0
+	m.WearLatencyFactor = 0
+	dev, err := ocssd.New(env, ocssd.Config{
+		Geometry: ppa.Geometry{
+			Channels: 2, PUsPerChannel: 2, PlanesPerPU: 2,
+			BlocksPerPlane: 40, PagesPerBlock: 32,
+			SectorsPerPage: 4, SectorSize: 4096, OOBPerPage: 64,
+		},
+		Timing: ocssd.DefaultTiming(),
+		Media:  m,
+		Seed:   3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var results []*Result
+	env.Go("main", func(p *sim.Proc) {
+		k, err := pblk.New(p, lightnvm.Register("d", dev), "pblk0", pblk.Config{ActivePUs: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := k.Stop(p); err != nil {
+			t.Fatal(err)
+		}
+		results = append(results,
+			RunOLTP(p, env, k, DefaultOLTP(), 50*time.Millisecond),
+			RunOLAP(p, env, k, DefaultOLAP(), 50*time.Millisecond))
+	})
+	env.Run()
+	if len(results) != 2 {
+		t.Fatalf("got %d results, want 2", len(results))
+	}
+	for _, r := range results {
+		if !errors.Is(r.Err, pblk.ErrStopped) || r.Txns != 0 {
+			t.Errorf("%s on a stopped pblk: Err %v, %d txns; want ErrStopped, 0", r.Name, r.Err, r.Txns)
+		}
 	}
 }
