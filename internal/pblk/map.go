@@ -266,12 +266,17 @@ func (k *Pblk) drainOpenGroups(p *sim.Proc) {
 }
 
 // padAndClose fills the remainder of a lane's open group with padding and
-// writes its close metadata, blocking until submitted.
+// writes its close metadata, blocking until submitted. A write error
+// completing during a pad can detach the group from the lane (as
+// coverPairs re-checks); the fold then stops and closes nothing.
 func (k *Pblk) padAndClose(p *sim.Proc, s *slot, st int) {
-	for s.grp[st].nextUnit < k.firstMetaUnit() {
-		k.padUnit(p, s, s.grp[st])
+	g := s.grp[st]
+	for s.grp[st] == g && g.nextUnit < k.firstMetaUnit() {
+		k.padUnit(p, s, g)
 	}
-	k.closeGroup(p, s, st)
+	if s.grp[st] == g {
+		k.closeGroup(p, s, st)
+	}
 }
 
 // closeGroup writes the group's close metadata and detaches it from the

@@ -457,10 +457,7 @@ func (k *Pblk) writeUnitOn(p *sim.Proc, s *slot) {
 		// partial group here is a slip to repair, not in-flight data.
 		s.appRealign = false
 		if g := s.grp[streamApp]; g != nil && g.nextUnit > 0 {
-			for g.nextUnit < k.firstMetaUnit() {
-				k.padUnit(p, s, g)
-			}
-			k.closeGroup(p, s, streamApp)
+			k.padAndClose(p, s, streamApp)
 		}
 	}
 	s.acquire(p)
@@ -619,14 +616,7 @@ func (k *Pblk) closeStaleOpen(p *sim.Proc, s *slot) {
 			continue
 		}
 		k.Stats.ScrubStaleCloses++
-		// Mirror coverPairs' re-checks: a write error completing during a
-		// pad can detach the group from the lane mid-fold.
-		for s.grp[st] == g && g.nextUnit < k.firstMetaUnit() {
-			k.padUnit(p, s, g)
-		}
-		if s.grp[st] == g {
-			k.closeGroup(p, s, st)
-		}
+		k.padAndClose(p, s, st)
 	}
 }
 
