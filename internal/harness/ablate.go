@@ -232,15 +232,13 @@ func runAblateInflight(o Options) *Report {
 			defer k.Stop(p)
 			prep := k.Capacity() / 4
 			check(fio.Prepare(p, k, 0, prep))
-			done := env.NewEvent()
-			env.Go("w", func(pw *sim.Proc) {
+			w := env.Go("w", func(pw *sim.Proc) {
 				wres = mustRun(pw, k, fio.Job{Name: "w", Pattern: fio.SeqWrite, BS: 256 << 10,
 					Offset: prep, Size: k.Capacity() - prep, Runtime: o.Duration})
-				done.Signal()
 			})
 			rres = mustRun(p, k, fio.Job{Name: "r", Pattern: fio.RandRead, BS: 4096,
 				Size: prep, Runtime: o.Duration, Seed: o.Seed})
-			p.Wait(done)
+			p.Wait(w.Done())
 		})
 		env.Run()
 		t.add(num("%.0f", depth), mb(wres.WriteMBps()), us(rres.ReadLat.Percentile(99)), us(rres.ReadLat.Max()))
@@ -271,15 +269,13 @@ func runAblateSuspend(o Options) *Report {
 			raw := newRaw(p, ln, "raw0", 0, 1)
 			prep := raw.BlockBytes(2)
 			check(fio.Prepare(p, raw, 0, prep))
-			done := env.NewEvent()
-			env.Go("writer", func(pw *sim.Proc) {
+			w := env.Go("writer", func(pw *sim.Proc) {
 				wres = mustRun(pw, raw, fio.Job{Name: "w", Pattern: fio.SeqWrite, BS: 64 << 10,
 					Offset: prep, Size: raw.BlockBytes(6), Runtime: o.Duration})
-				done.Signal()
 			})
 			rres = mustRun(p, raw, fio.Job{Name: "r", Pattern: fio.RandRead, BS: 4 << 10,
 				Size: prep, Runtime: o.Duration, Seed: o.Seed})
-			p.Wait(done)
+			p.Wait(w.Done())
 		})
 		env.Run()
 		name := "off"

@@ -65,21 +65,19 @@ func runFig5(o Options) *Report {
 			}
 			check(k.SetActivePUs(p, act))
 			run := func(readBS, readQD int, rateMBps float64) (*fio.Result, *fio.Result) {
-				wDoneEv := env.NewEvent()
 				var wres *fio.Result
-				env.Go("writer", func(pw *sim.Proc) {
+				w := env.Go("writer", func(pw *sim.Proc) {
 					// Warm the write buffer to steady state before the
 					// measured window.
 					mustRun(pw, k, fio.Job{Name: "warm", Pattern: fio.SeqWrite, BS: 256 << 10, QD: 1,
 						Offset: wOff, Size: wSpan, Runtime: o.Duration / 2, WriteRateMBps: rateMBps})
 					wres = mustRun(pw, k, fio.Job{Name: "W", Pattern: fio.SeqWrite, BS: 256 << 10, QD: 1,
 						Offset: wOff, Size: wSpan, Runtime: o.Duration, WriteRateMBps: rateMBps})
-					wDoneEv.Signal()
 				})
 				p.Sleep(o.Duration / 2)
 				rres := mustRun(p, k, fio.Job{Name: "R", Pattern: fio.RandRead, BS: readBS, QD: readQD,
 					Size: prep, Runtime: o.Duration, Seed: o.Seed})
-				p.Wait(wDoneEv)
+				p.Wait(w.Done())
 				return wres, rres
 			}
 			wa, ra := run(256<<10, 16, 0)

@@ -72,21 +72,20 @@ func runFig8(o Options) *Report {
 // the time one write keeps the device busy — a duty cycle that is all
 // writes at 50 %, from where on the writer runs unpaced.
 func runMix(p *sim.Proc, rdev, wdev blockdev.Device, prep, wOff int64, writePct int, cost, d time.Duration, seed int64) stats.Hist {
-	wDone := p.Env().NewEvent()
-	if writePct == 0 {
-		wDone.Signal()
-	} else {
+	var w *sim.Proc
+	if writePct > 0 {
 		writer := fio.Job{Name: "fig8.writer", Pattern: fio.SeqWrite, BS: 64 << 10, Offset: wOff, Runtime: d}
 		if writePct < 50 {
 			period := cost * 100 / time.Duration(2*writePct)
 			writer.WriteRateMBps = float64(writer.BS) / period.Seconds() / 1e6
 		}
-		p.Env().Go("fig8.writer", func(pw *sim.Proc) {
+		w = p.Env().Go("fig8.writer", func(pw *sim.Proc) {
 			mustRun(pw, wdev, writer)
-			wDone.Signal()
 		})
 	}
 	r := mustRun(p, rdev, fio.Job{Name: "fig8.reader", Pattern: fio.RandRead, BS: 4096, Size: prep, Runtime: d, Seed: seed})
-	p.Wait(wDone)
+	if w != nil {
+		p.Wait(w.Done())
+	}
 	return r.ReadLat
 }

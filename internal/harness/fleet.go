@@ -206,17 +206,15 @@ func runFleetFailover(o Options, rep *Report) {
 		check(v.AttachSpare(sp))
 		start := env.Now()
 		var during *fio.Result
-		rdDone := env.NewEvent()
-		env.Go("fleet-rebuild-reader", func(rp *sim.Proc) {
+		reader := env.Go("fleet-rebuild-reader", func(rp *sim.Proc) {
 			during = mustRun(rp, v, fio.Job{
 				Name: "during-rebuild", Pattern: fio.RandRead, BS: 4 << 10, QD: 16,
 				Size: data, Runtime: o.Duration, Seed: o.Seed + 6,
 			})
-			rdDone.Signal()
 		})
 		rebuildOK = v.WaitRebuild(p)
 		rebuildTime = env.Now() - start
-		p.Wait(rdDone)
+		p.Wait(reader.Done())
 		phases = append(phases, fleetPhase{"during rebuild", during})
 
 		phases = append(phases, fleetPhase{"rebuilt", readJob("rebuilt", o.Seed+7)})

@@ -119,14 +119,14 @@ func runTenantScenario(o Options, name string, latMB, bulkMB int64, shared bool)
 		latSpan := alignDown(min(latDev.Capacity()/4, latMB<<20), 256<<10)
 		check(fio.Prepare(p, latDev, 0, latSpan))
 
-		done := env.NewEvent()
+		var bulk *sim.Proc
 		if bulkDev != nil {
 			bulkOff := int64(0)
 			if shared {
 				bulkOff = latSpan
 			}
 			bulkSpan := alignDown(min(bulkDev.Capacity()-bulkOff, bulkMB<<20), 64<<10)
-			env.Go("tenants-bulk", func(pw *sim.Proc) {
+			bulk = env.Go("tenants-bulk", func(pw *sim.Proc) {
 				r := mustRun(pw, bulkDev, fio.Job{
 					Name: "bulk", Pattern: fio.SeqWrite, BS: 64 << 10, QD: 8,
 					Offset: bulkOff, Size: bulkSpan, Runtime: o.Duration, Seed: o.Seed,
@@ -134,10 +134,7 @@ func runTenantScenario(o Options, name string, latMB, bulkMB int64, shared bool)
 				if r.Elapsed > 0 {
 					row.wMBps = float64(r.WriteBytes) / 1e6 / r.Elapsed.Seconds()
 				}
-				done.Signal()
 			})
-		} else {
-			done.Signal()
 		}
 
 		r := mustRun(p, latDev, fio.Job{
@@ -147,7 +144,9 @@ func runTenantScenario(o Options, name string, latMB, bulkMB int64, shared bool)
 		row.reads = r.ReadLat
 		row.readOps = r.Reads
 		row.readDur = r.Elapsed
-		p.Wait(done)
+		if bulk != nil {
+			p.Wait(bulk.Done())
+		}
 	})
 	env.Run()
 	return row
