@@ -4,8 +4,9 @@ wall time and peak resident set (VmHWM, from the child's rusage). Exits
 non-zero when a package fails, peaks over 4 GB or runs over 3 minutes, so the
 simulator's memory cannot creep back up behind a green `go test ./...`. Ends
 with the Go line counts outside bench/, test and non-test: the falling line
-count ROADMAP's north star tracks, in every CI log. internal/harness's own
-counts follow, since ROADMAP states the experiment harness's exits in them."""
+count ROADMAP's north star tracks, in every CI log. Each package directory's
+own counts follow, sorted, so a change's line delta per package reads off two
+logs."""
 import os
 import subprocess
 import sys
@@ -36,18 +37,17 @@ with tempfile.TemporaryDirectory() as tmp:
         print(f"{pkg:36} {wall:8.1f} {rss:9.0f}  {', '.join(why)}", flush=True)
         if why:
             bad.append(pkg)
-lines = {False: 0, True: 0}
-harness = {False: 0, True: 0}
+pkglines = {}
 for root, dirs, files in os.walk("."):
     dirs[:] = [d for d in dirs if not d.startswith(".") and (root, d) != (".", "bench")]
     for name in files:
         if name.endswith(".go"):
             with open(os.path.join(root, name), "rb") as f:
                 n, test = f.read().count(b"\n"), name.endswith("_test.go")
-            lines[test] += n
-            if os.path.normpath(root) == os.path.join("internal", "harness"):
-                harness[test] += n
-print(f"Go lines outside bench/: {lines[False]} non-test, {lines[True]} test")
-print(f"  internal/harness: {harness[False]} non-test, {harness[True]} test")
+            pkglines.setdefault(os.path.normpath(root), [0, 0])[test] += n
+total = [sum(c[i] for c in pkglines.values()) for i in (0, 1)]
+print(f"Go lines outside bench/: {total[0]} non-test, {total[1]} test")
+for pkg, (nontest, test) in sorted(pkglines.items()):
+    print(f"  {pkg}: {nontest} non-test, {test} test")
 if bad:
     sys.exit("tier-1 budget missed by: " + ", ".join(bad))
