@@ -42,12 +42,11 @@ type Config struct {
 	// WALSize is the circular WAL region in bytes. 0 derives 4x
 	// MemtableSize, clamped to 1/8 of the device.
 	WALSize int64
-	// WALSyncBytes is the group-commit sync granularity: with SyncWAL, a
-	// device flush is issued every WALSyncBytes of log.
+	// WALSyncBytes is the group-commit sync granularity: a device flush is
+	// issued every WALSyncBytes of log. Put always waits until its record's
+	// WAL batch write completes (the paper runs with sync enabled "to
+	// guarantee data integrity").
 	WALSyncBytes int
-	// SyncWAL makes Put wait until its record's WAL batch write completes
-	// (the paper runs with sync enabled "to guarantee data integrity").
-	SyncWAL bool
 	// DisableWAL skips the log entirely (db_bench --disable_wal).
 	DisableWAL bool
 	// L0CompactionTrigger starts a compaction; L0StallLimit stalls writers.
@@ -88,7 +87,6 @@ func DefaultConfig() Config {
 		ValueSize:           1008, // 1 KB entries keep user MB/s comparable to the paper
 		MemtableSize:        32 << 20,
 		WALSyncBytes:        32 << 10,
-		SyncWAL:             true,
 		L0CompactionTrigger: 4,
 		L0StallLimit:        8,
 		LevelRatio:          10,

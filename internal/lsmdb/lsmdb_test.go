@@ -397,7 +397,7 @@ func TestDirtyReopenReplaysWAL(t *testing.T) {
 	})
 }
 
-// TestSyncWALGroupCommit runs concurrent writers with SyncWAL: device
+// TestSyncWALGroupCommit runs concurrent writers on the synced WAL: device
 // flushes must be issued, but group commit shares them — far fewer syncs
 // than Puts.
 func TestSyncWALGroupCommit(t *testing.T) {
@@ -433,28 +433,6 @@ func TestSyncWALGroupCommit(t *testing.T) {
 		t.Fatalf("no group commit: %d syncs for %d puts", db.Syncs, writers*each)
 	}
 	runDB(env, func(p *sim.Proc) { db.Close(p) })
-}
-
-func TestNoSyncNoSyncs(t *testing.T) {
-	cfg := testConfig()
-	cfg.SyncWAL = false
-	env := sim.NewEnv(1)
-	db := openDB(t, env, newMemDevice(64<<20), cfg)
-	runDB(env, func(p *sim.Proc) {
-		var key, val []byte
-		for i := int64(0); i < 200; i++ {
-			key = db.benchKey(key, i)
-			val = db.benchVal(val, i, 1)
-			db.Put(p, key, val)
-		}
-		db.Close(p)
-	})
-	if db.Syncs != 0 {
-		t.Fatalf("SyncWAL off but %d WAL syncs issued", db.Syncs)
-	}
-	if db.WALBytes == 0 {
-		t.Fatal("WAL disabled entirely: no log bytes written")
-	}
 }
 
 func TestDisableWAL(t *testing.T) {
@@ -493,7 +471,7 @@ func TestDisableWAL(t *testing.T) {
 func TestWriteStalls(t *testing.T) {
 	cfg := testConfig()
 	cfg.MemtableSize = 16 << 10
-	cfg.SyncWAL = false
+	cfg.DisableWAL = true // let the writer outrun memtable flushing
 	md := newMemDevice(64 << 20)
 	md.wlat = 2 * time.Millisecond
 	env := sim.NewEnv(1)

@@ -34,8 +34,8 @@ const walFlagTomb = 1
 // oversized record. Replay rejects headers claiming more as torn.
 const walMaxBatch = walMaxPend + (1 << 20)
 
-// walAppend adds one record to the accumulating batch and, with SyncWAL,
-// parks until the batch containing it has been written to the device.
+// walAppend adds one record to the accumulating batch and parks until the
+// batch containing it has been written to the device.
 func (db *DB) walAppend(p *sim.Proc, key, val []byte, tomb bool, seq uint64) error {
 	if db.cfg.DisableWAL {
 		return nil
@@ -63,13 +63,11 @@ func (db *DB) walAppend(p *sim.Proc, key, val []byte, tomb bool, seq uint64) err
 	db.walPend = append(db.walPend, val...)
 	db.walPendCount++
 	db.walKick.Signal()
-	if db.cfg.SyncWAL {
-		for db.walWrittenSeq < seq {
-			if db.failed != nil {
-				return db.failed
-			}
-			db.waitBatch(p)
+	for db.walWrittenSeq < seq {
+		if db.failed != nil {
+			return db.failed
 		}
+		db.waitBatch(p)
 	}
 	return nil
 }
@@ -82,7 +80,7 @@ func (db *DB) waitBatch(p *sim.Proc) {
 func (db *DB) walFree() int64 { return db.walSize - (db.walHead - db.walTail) }
 
 // walWriter is the group-commit drain: swap out the pending batch, frame
-// it, write it at the head, and flush every WALSyncBytes when SyncWAL.
+// it, write it at the head, and flush every WALSyncBytes.
 func (db *DB) walWriter(p *sim.Proc) {
 	for {
 		if len(db.walPend) == 0 {
@@ -137,7 +135,7 @@ func (db *DB) walWriter(p *sim.Proc) {
 		db.WALBytes += batchLen
 		db.walSinceSync += batchLen
 		db.walWrittenSeq = first + uint64(count) - 1
-		if db.cfg.SyncWAL && db.walSinceSync >= int64(db.cfg.WALSyncBytes) {
+		if db.walSinceSync >= int64(db.cfg.WALSyncBytes) {
 			db.walSinceSync = 0
 			db.Syncs++
 			if err := db.blk.Flush(p); err != nil {

@@ -3,8 +3,9 @@
 // A Die holds planes of blocks of pages of sectors plus per-page
 // out-of-band (OOB) bytes, and enforces the three fundamental programming
 // constraints: whole-page programs, sequential programs within a block, and
-// erase-before-rewrite. It also models multi-level-cell page pairing,
-// program/erase wear, bad blocks, and injectable failure modes (§2.2).
+// erase-before-rewrite. It also models program/erase wear, bad blocks, and
+// injectable failure modes (§2.2). Pages are unpaired: a page's charge
+// depends on its own program only (DESIGN.md §"Media model: unpaired pages").
 //
 // Timing is not modelled here; the device model (internal/ocssd) charges
 // virtual time for operations and uses Die.WearFactor to age access times.
@@ -23,16 +24,15 @@ import (
 // Errors returned by media operations. Device-level code distinguishes them
 // to drive the paper's error-handling paths (§4.2.3).
 var (
-	ErrBadBlock       = errors.New("nand: block is marked bad")
-	ErrNonSequential  = errors.New("nand: program must be sequential within block")
-	ErrNotErased      = errors.New("nand: program to non-erased page")
-	ErrWriteFail      = errors.New("nand: program failed")
-	ErrEraseFail      = errors.New("nand: erase failed")
-	ErrReadFail       = errors.New("nand: uncorrectable read (ECC exhausted)")
-	ErrUnwritten      = errors.New("nand: read of unwritten page")
-	ErrPairIncomplete = errors.New("nand: lower page unreadable before paired upper page is programmed")
-	ErrWornOut        = errors.New("nand: block exceeded program/erase cycle limit")
-	ErrOOBTooLarge    = errors.New("nand: oob larger than page OOB area")
+	ErrBadBlock      = errors.New("nand: block is marked bad")
+	ErrNonSequential = errors.New("nand: program must be sequential within block")
+	ErrNotErased     = errors.New("nand: program to non-erased page")
+	ErrWriteFail     = errors.New("nand: program failed")
+	ErrEraseFail     = errors.New("nand: erase failed")
+	ErrReadFail      = errors.New("nand: uncorrectable read (ECC exhausted)")
+	ErrUnwritten     = errors.New("nand: read of unwritten page")
+	ErrWornOut       = errors.New("nand: block exceeded program/erase cycle limit")
+	ErrOOBTooLarge   = errors.New("nand: oob larger than page OOB area")
 )
 
 // Dims gives the media dimensions of one die.
@@ -63,13 +63,6 @@ type Config struct {
 	ReadFailProb float64
 	// InitialBadBlockProb marks factory bad blocks.
 	InitialBadBlockProb float64
-	// StrictPairRead enforces the multi-level-cell rule that a lower page
-	// may not be read until its paired upper page is programmed (§2.2).
-	StrictPairRead bool
-	// PairStride is the distance from a lower page to its paired upper
-	// page. Pages alternate in runs of PairStride lowers then PairStride
-	// uppers; 0 disables pairing (SLC-like).
-	PairStride int
 	// WearLatencyFactor scales access latency as blocks age: factor =
 	// 1 + WearLatencyFactor * pe/PECycleLimit (paper §2.3, lesson 4).
 	WearLatencyFactor float64
@@ -124,8 +117,6 @@ func DefaultConfig() Config {
 		WriteFailProb:     0,
 		EraseFailProb:     0,
 		ReadFailProb:      0,
-		StrictPairRead:    false,
-		PairStride:        2,
 		WearLatencyFactor: 0.3,
 	}
 }
@@ -139,7 +130,7 @@ func DefaultConfig() Config {
 const (
 	hasData   = iota // the page owns a payload buffer, block.pages[page]
 	fullOOB          // programmed with exactly OOBPerPage bytes of OOB
-	corrupt          // charge destroyed by a failed program, the page's own or its upper pair's
+	corrupt          // charge destroyed by the page's own failed program
 	pageKinds        // state words per 64 pages
 )
 
@@ -213,11 +204,9 @@ type Stats struct {
 	EraseFails   int64
 	// ReadRetries totals retry tiers charged across all reads; GrownBad
 	// counts blocks that failed an erase through the wear-driven grown-bad
-	// model; PairCorruptions counts lower pages destroyed by a failed
-	// program of their paired upper page.
-	ReadRetries     int64
-	GrownBad        int64
-	PairCorruptions int64
+	// model.
+	ReadRetries int64
+	GrownBad    int64
 }
 
 // NewDie builds a die with the given dimensions and behaviour. The rng seeds
@@ -251,46 +240,6 @@ func (d *Die) blk(plane, blockIdx int) (*block, pageBits, error) {
 	}
 	i := plane*d.dims.BlocksPerPlane + blockIdx
 	return &d.blocks[i], d.state[i*d.stateWords : (i+1)*d.stateWords], nil
-}
-
-// isLower reports whether page is a lower page whose pair is page+stride.
-func (d *Die) isLower(page int) bool {
-	s := d.cfg.PairStride
-	if s <= 0 {
-		return false
-	}
-	return (page/s)%2 == 0 && page+s < d.dims.PagesPerBlock
-}
-
-// PairOf returns the paired upper page for a lower page, or -1 when page has
-// no pair (uppers and unpaired tail pages).
-func (d *Die) PairOf(page int) int {
-	if d.isLower(page) {
-		return page + d.cfg.PairStride
-	}
-	return -1
-}
-
-// lowerOf returns the paired lower page for an upper page, or -1 when page
-// is not an upper page.
-func (d *Die) lowerOf(page int) int {
-	s := d.cfg.PairStride
-	if s <= 0 || (page/s)%2 == 0 {
-		return -1
-	}
-	return page - s
-}
-
-// loseCharge destroys a programmed page's content: its payload goes back to
-// the free list and subsequent reads fail uncorrectably. ReadRetry checks the
-// corrupt bit before it looks for OOB, so the page's OOB state needs no reset.
-func (d *Die) loseCharge(b *block, st pageBits, page int) {
-	if st.has(hasData, page) {
-		d.recycle(b.pages[page])
-		b.pages[page] = nil
-		st.unset(hasData, page)
-	}
-	st.set(corrupt, page)
 }
 
 // recycle returns a block-owned page buffer to the free list.
@@ -397,16 +346,9 @@ func (d *Die) program(plane, blockIdx, page, dataLen, oobLen int) (data, oob []b
 	b.writePtr++
 	if d.cfg.WriteFailProb > 0 && d.rng.Float64() < d.cfg.WriteFailProb {
 		d.Stats.ProgramFails++
-		// Content of the failed page is lost; on MLC (strict pairing), a
-		// failed upper-page program also destroys the charge of its
-		// already-programmed lower pair (§2.2).
-		d.loseCharge(b, st, page)
-		if d.cfg.StrictPairRead {
-			if lower := d.lowerOf(page); lower >= 0 && lower < b.writePtr {
-				d.loseCharge(b, st, lower)
-				d.Stats.PairCorruptions++
-			}
-		}
+		// The failed page holds no payload yet; its content is lost and
+		// reads of it fail uncorrectably.
+		st.set(corrupt, page)
 		return nil, nil, ErrWriteFail
 	}
 	if dataLen >= 0 {
@@ -437,13 +379,11 @@ func (d *Die) program(plane, blockIdx, page, dataLen, oobLen int) (data, oob []b
 }
 
 // Read returns the payload and OOB of a programmed page. Unwritten pages
-// return ErrUnwritten. Under StrictPairRead, a lower page in a still-open
-// block whose upper pair is unprogrammed returns ErrPairIncomplete.
+// return ErrUnwritten.
 // The returned slices are the stored pages themselves: they must be treated
-// as read-only and are valid only until the block is erased (or a failed
-// program in it destroys the page's charge), which hands the payload buffer
-// to the next program on this die and lets the OOB area be rewritten in
-// place. A reader that needs the bytes longer copies them out.
+// as read-only and are valid only until the block is erased, which hands the
+// payload buffer to the next program on this die and lets the OOB area be
+// rewritten in place. A reader that needs the bytes longer copies them out.
 // Pages programmed with an unspecified (nil) payload return nil data;
 // readers treat that as zeros. What a page owns is recorded in the die's
 // per-page state bits (pageBits), not by a nil or zero table entry.
@@ -477,11 +417,6 @@ func (d *Die) ReadRetry(plane, blockIdx, page int) (data, oob []byte, retries in
 	}
 	if page >= b.writePtr {
 		return nil, nil, 0, ErrUnwritten
-	}
-	if d.cfg.StrictPairRead {
-		if pair := d.PairOf(page); pair >= 0 && pair >= b.writePtr {
-			return nil, nil, 0, ErrPairIncomplete
-		}
 	}
 	d.Stats.PageReads++
 	b.reads++

@@ -105,39 +105,6 @@ func TestWrongPayloadSize(t *testing.T) {
 	}
 }
 
-func TestPairing(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.PairStride = 2
-	d := newTestDie(cfg)
-	// Pages 0,1 are lower (pairs 2,3); 4,5 lower (pairs 6,7).
-	cases := []struct{ page, pair int }{{0, 2}, {1, 3}, {2, -1}, {3, -1}, {4, 6}, {5, 7}, {6, -1}, {7, -1}}
-	for _, c := range cases {
-		if got := d.PairOf(c.page); got != c.pair {
-			t.Errorf("PairOf(%d) = %d, want %d", c.page, got, c.pair)
-		}
-	}
-}
-
-func TestStrictPairRead(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.StrictPairRead = true
-	cfg.PairStride = 2
-	d := newTestDie(cfg)
-	d.Program(0, 0, 0, nil, nil) // lower page, pair = 2
-	if _, _, err := d.Read(0, 0, 0); !errors.Is(err, ErrPairIncomplete) {
-		t.Fatalf("lower page before pair: err = %v, want ErrPairIncomplete", err)
-	}
-	d.Program(0, 0, 1, nil, nil)
-	d.Program(0, 0, 2, nil, nil) // upper pair of page 0
-	if _, _, err := d.Read(0, 0, 0); err != nil {
-		t.Fatalf("lower page after pair programmed: %v", err)
-	}
-	// Page 1's pair (3) still unwritten.
-	if _, _, err := d.Read(0, 0, 1); !errors.Is(err, ErrPairIncomplete) {
-		t.Fatalf("page 1 readable before pair: %v", err)
-	}
-}
-
 func TestWearOut(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.PECycleLimit = 3
@@ -258,48 +225,6 @@ func TestFailedProgramCorruptsPage(t *testing.T) {
 	// A failed page must read back uncorrectable, not as silent zeros.
 	if _, _, err := d.Read(0, 0, 0); !errors.Is(err, ErrReadFail) {
 		t.Fatalf("read of failed page: err = %v, want ErrReadFail", err)
-	}
-}
-
-func TestFailedUpperProgramCorruptsPair(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.StrictPairRead = true
-	cfg.PairStride = 2
-	d := newTestDie(cfg)
-	page := bytes.Repeat([]byte{0x11}, smallDims().PageBytes())
-	for pg := 0; pg < 2; pg++ { // lowers 0,1
-		if err := d.Program(0, 0, pg, page, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Fail the program of upper page 2 (pair of lower 0).
-	d.cfg.WriteFailProb = 1.0
-	if err := d.Program(0, 0, 2, page, nil); !errors.Is(err, ErrWriteFail) {
-		t.Fatalf("err = %v, want ErrWriteFail", err)
-	}
-	d.cfg.WriteFailProb = 0
-	if d.Stats.PairCorruptions != 1 {
-		t.Fatalf("PairCorruptions = %d, want 1", d.Stats.PairCorruptions)
-	}
-	// Lower 0's charge is destroyed along with its failed upper.
-	if _, _, err := d.Read(0, 0, 0); !errors.Is(err, ErrReadFail) {
-		t.Fatalf("read of corrupted lower pair: err = %v, want ErrReadFail", err)
-	}
-	// Lower 1 pairs with upper 3, untouched by the failure; its pair is
-	// unprogrammed so strict pairing still blocks it — program page 3 and
-	// verify it survived.
-	if err := d.Program(0, 0, 3, page, nil); err != nil {
-		t.Fatal(err)
-	}
-	if got, _, err := d.Read(0, 0, 1); err != nil || !bytes.Equal(got, page) {
-		t.Fatalf("unrelated lower page lost: %v", err)
-	}
-	// Erase resurrects the block: corruption is per-cycle state.
-	if err := d.Erase(0, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Program(0, 0, 0, page, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -582,45 +507,6 @@ func TestMixedNilAndPayloadPages(t *testing.T) {
 		if err := d.Erase(0, 0); err != nil {
 			t.Fatal(err)
 		}
-	}
-}
-
-func TestLostChargeStaysUnreadableAfterBufferReuse(t *testing.T) {
-	dims := smallDims()
-	cfg := DefaultConfig()
-	cfg.StrictPairRead = true
-	cfg.PairStride = 2
-	d := newTestDie(cfg)
-	old := bytes.Repeat([]byte{0x11}, dims.PageBytes())
-	for pg := 0; pg < 2; pg++ { // lowers 0,1
-		if err := d.Program(0, 0, pg, old, []byte{0x11}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	d.cfg.WriteFailProb = 1.0 // upper page 2 fails and takes lower 0 with it
-	if err := d.Program(0, 0, 2, old, nil); !errors.Is(err, ErrWriteFail) {
-		t.Fatalf("err = %v, want ErrWriteFail", err)
-	}
-	d.cfg.WriteFailProb = 0
-	if got, want := d.PayloadBytes(), int64(2*dims.PageBytes()); got != want {
-		t.Fatalf("PayloadBytes = %d, want %d (page 1 held, page 0's buffer free)", got, want)
-	}
-	// Another block takes over page 0's buffer (three pages, so that its
-	// page 0 has its upper pair and is readable under strict pairing).
-	fresh := bytes.Repeat([]byte{0x22}, dims.PageBytes())
-	for pg := 0; pg < 3; pg++ {
-		if err := d.Program(1, 1, pg, fresh, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got, want := d.PayloadBytes(), int64(4*dims.PageBytes()); got != want {
-		t.Fatalf("PayloadBytes = %d, want %d (freed buffer reused, two allocated)", got, want)
-	}
-	if _, _, err := d.Read(0, 0, 0); !errors.Is(err, ErrReadFail) {
-		t.Fatalf("read of lost page after its buffer was reused: err = %v, want ErrReadFail", err)
-	}
-	if got, _, err := d.Read(1, 1, 0); err != nil || !bytes.Equal(got, fresh) {
-		t.Fatalf("page programmed on the reused buffer read back wrong: %v", err)
 	}
 }
 

@@ -144,57 +144,6 @@ func TestPageStateMixedBlock(t *testing.T) {
 	}
 }
 
-// A lower page destroyed by its upper pair's failed program gives its buffer
-// back at once and not a second time at the erase: the next fill of the block
-// must get real buffers for every page.
-func TestPageStateLostChargeReleasesBuffer(t *testing.T) {
-	for _, pages := range statePages {
-		t.Run(fmt.Sprint(pages), func(t *testing.T) {
-			dims := stateDims(pages)
-			cfg := DefaultConfig()
-			cfg.StrictPairRead = true
-			cfg.PairStride = 32 // the block's last page is an upper one: of page 0 (33 pages), of page 267 (300)
-			d := NewDie(dims, cfg, rand.New(rand.NewSource(1)))
-			upper := pages - 1
-			lower := d.lowerOf(upper)
-			if lower < 0 {
-				t.Fatalf("page %d is not an upper page", upper)
-			}
-			want := make([]wantPage, pages)
-			for p := range want {
-				want[p].data = bytes.Repeat([]byte{byte(p%200 + 1)}, dims.PageBytes())
-				want[p].oob = bytes.Repeat([]byte{byte(p%199 + 2)}, dims.OOBPerPage)
-				if p == upper {
-					d.cfg.WriteFailProb = 1
-				}
-				err := d.Program(0, 0, p, want[p].data, want[p].oob)
-				d.cfg.WriteFailProb = 0
-				if (p == upper) != errors.Is(err, ErrWriteFail) || (p != upper && err != nil) {
-					t.Fatalf("page %d: err = %v", p, err)
-				}
-			}
-			want[upper], want[lower] = wantPage{lost: true}, wantPage{lost: true}
-			checkPages(t, d, 0, want)
-			if got := d.held; got != pages-2 {
-				t.Fatalf("block holds %d buffers after losing pages %d and %d, want %d", got, lower, upper, pages-2)
-			}
-			if err := d.Erase(0, 0); err != nil {
-				t.Fatal(err)
-			}
-			for p := range want {
-				want[p] = wantPage{data: bytes.Repeat([]byte{byte(p%198 + 3)}, dims.PageBytes())}
-				if err := d.Program(0, 0, p, want[p].data, nil); err != nil {
-					t.Fatal(err)
-				}
-			}
-			checkPages(t, d, 0, want)
-			if got, all := d.PayloadBytes(), int64(pages*dims.PageBytes()); got != all {
-				t.Fatalf("PayloadBytes = %d after refilling the block, want %d", got, all)
-			}
-		})
-	}
-}
-
 // A block that went bad keeps no per-page state, whichever way it went:
 // retiring it again (pblk marks a block bad after its erase failed) must not
 // release its buffers a second time.

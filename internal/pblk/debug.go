@@ -90,7 +90,11 @@ func (k *Pblk) DebugState() string {
 	minValid, maxValid, pending := 1<<30, -1, 0
 	for _, g := range k.groups {
 		states[g.state]++
-		pending += len(g.pendUnits)
+		for _, poss := range g.pending {
+			if poss != nil {
+				pending++
+			}
+		}
 		if g.state == stClosed {
 			if g.valid < minValid {
 				minValid = g.valid
@@ -233,6 +237,28 @@ func (k *Pblk) CheckInvariants() error {
 					g.id, prev.lane, streamName(prev.stream), s.lane, streamName(st))
 			}
 			groupOwner[g.id] = owner{lane: s.lane, stream: st}
+		}
+	}
+	// Submitted units: each position a group's pending lists hold is in
+	// [tail, disp), belongs to an entry still in flight, and is held nowhere
+	// else — finalizeUnit drops the list when the unit's program completes.
+	for _, g := range k.groups {
+		for unit, poss := range g.pending {
+			if len(poss) == 0 {
+				continue
+			}
+			owner := fmt.Sprintf("group %d unit %d", g.id, unit)
+			for _, pos := range poss {
+				if pos < r.tail || pos >= r.disp {
+					return fmt.Errorf("%s holds pos %d outside [tail=%d, disp=%d)", owner, pos, r.tail, r.disp)
+				}
+				if st := r.at(pos).state; st != esSubmitted {
+					return fmt.Errorf("%s holds pos %d in entry state %d, want submitted", owner, pos, st)
+				}
+				if err := claim(pos, owner); err != nil {
+					return err
+				}
+			}
 		}
 	}
 	free := 0

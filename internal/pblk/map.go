@@ -137,8 +137,6 @@ func (k *Pblk) returnFreeGroup(g *group) {
 	// on this group reuses their backing arrays.
 	g.lbas = g.lbas[:0]
 	g.stamps = g.stamps[:0]
-	g.unitDone = g.unitDone[:0]
-	g.unitFinal = g.unitFinal[:0]
 	g.valid = 0
 	g.gcPending = 0
 	g.closedAt = 0
@@ -148,7 +146,6 @@ func (k *Pblk) returnFreeGroup(g *group) {
 	// group's GC cycles and is always fired between cycles, so a stray
 	// Signal from releaseGCRef before the next drain re-arms it is a no-op.
 	clear(g.pending)
-	g.pendUnits = g.pendUnits[:0]
 	k.freePerPU[g.gpu].put(g)
 	k.freeGroups++
 	k.rl.update(k.freeGroups)
@@ -222,14 +219,8 @@ func (k *Pblk) openGroup(g *group, st int) {
 	} else {
 		g.stamps = g.stamps[:0]
 	}
-	if cap(g.unitDone) < k.unitsPerGroup {
-		g.unitDone = make([]bool, k.unitsPerGroup)
-		g.unitFinal = make([]bool, k.unitsPerGroup)
-	} else {
-		g.unitDone = g.unitDone[:k.unitsPerGroup]
-		g.unitFinal = g.unitFinal[:k.unitsPerGroup]
-		clear(g.unitDone)
-		clear(g.unitFinal)
+	if g.pending == nil {
+		g.pending = make([][]uint64, k.unitsPerGroup)
 	}
 	ms := k.metaScratches.Get()
 	ms.close = false
@@ -267,8 +258,8 @@ func (k *Pblk) drainOpenGroups(p *sim.Proc) {
 
 // padAndClose fills the remainder of a lane's open group with padding and
 // writes its close metadata, blocking until submitted. A write error
-// completing during a pad can detach the group from the lane (as
-// coverPairs re-checks); the fold then stops and closes nothing.
+// completing during a pad can detach the group from the lane; the fold
+// then stops and closes nothing.
 func (k *Pblk) padAndClose(p *sim.Proc, s *slot, st int) {
 	g := s.grp[st]
 	for s.grp[st] == g && g.nextUnit < k.firstMetaUnit() {

@@ -1,112 +1,11 @@
 package pblk
 
 import (
-	"bytes"
 	"testing"
 	"time"
 
-	"repro/internal/nand"
-	"repro/internal/ocssd"
 	"repro/internal/sim"
 )
-
-// strictDeviceConfig enables the multi-level-cell rule: lower pages are
-// unreadable until their paired upper page is programmed.
-func strictDeviceConfig() ocssd.Config {
-	cfg := testDeviceConfig()
-	m := nand.DefaultConfig()
-	m.PECycleLimit = 0
-	m.WearLatencyFactor = 0
-	m.StrictPairRead = true
-	m.PairStride = 2
-	cfg.Media = m
-	return cfg
-}
-
-func TestStrictPairBufferedReads(t *testing.T) {
-	// With strict pairing, a freshly written sector whose flash page pair
-	// is not yet programmed must be served from the write buffer (paper:
-	// "reads are directed to the write buffer until all page pairs have
-	// been persisted").
-	e := newEnv(t, strictDeviceConfig())
-	e.run(func(p *sim.Proc) {
-		k := e.newPblk(p, Config{ActivePUs: 4})
-		defer k.Stop(p)
-		data := fill(4096, 0x21)
-		if err := k.Write(p, 0, data, 4096); err != nil {
-			t.Fatal(err)
-		}
-		// Give the consumer time to submit and program the unit; the entry
-		// must stay cached until its pair page lands.
-		p.Sleep(5 * time.Millisecond)
-		got := make([]byte, 4096)
-		if err := k.Read(p, 0, got, 4096); err != nil {
-			t.Fatalf("read under strict pairing: %v", err)
-		}
-		if !bytes.Equal(got, data) {
-			t.Fatal("data mismatch")
-		}
-	})
-}
-
-func TestStrictPairFlushCoversPairs(t *testing.T) {
-	e := newEnv(t, strictDeviceConfig())
-	e.run(func(p *sim.Proc) {
-		k := e.newPblk(p, Config{ActivePUs: 4})
-		defer k.Stop(p)
-		const chunk = 32 * 1024
-		for i := 0; i < 8; i++ {
-			if err := k.Write(p, int64(i)*chunk, fill(chunk, byte(i+1)), chunk); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := k.Flush(p); err != nil {
-			t.Fatal(err)
-		}
-		// After a flush all data must be readable — whether from buffer or
-		// media — and pair covering must have added padding.
-		got := make([]byte, chunk)
-		for i := 0; i < 8; i++ {
-			if err := k.Read(p, int64(i)*chunk, got, chunk); err != nil {
-				t.Fatalf("chunk %d: %v", i, err)
-			}
-			if !bytes.Equal(got, fill(chunk, byte(i+1))) {
-				t.Fatalf("chunk %d mismatch", i)
-			}
-		}
-	})
-}
-
-func TestStrictPairCrashRecovery(t *testing.T) {
-	e := newEnv(t, strictDeviceConfig())
-	e.run(func(p *sim.Proc) {
-		k := e.newPblk(p, Config{ActivePUs: 4})
-		const chunk = 32 * 1024
-		for i := 0; i < 12; i++ {
-			if err := k.Write(p, int64(i)*chunk, fill(chunk, byte(i+1)), chunk); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := k.Flush(p); err != nil {
-			t.Fatal(err)
-		}
-		k.Crash()
-		// Recovery must pad half-written blocks before reading them
-		// (paper §4.2.2: "padding must be implemented on the second phase
-		// of recovery").
-		k2 := e.newPblk(p, Config{ActivePUs: 4})
-		defer k2.Stop(p)
-		got := make([]byte, chunk)
-		for i := 0; i < 12; i++ {
-			if err := k2.Read(p, int64(i)*chunk, got, chunk); err != nil {
-				t.Fatalf("chunk %d after strict-pair recovery: %v", i, err)
-			}
-			if !bytes.Equal(got, fill(chunk, byte(i+1))) {
-				t.Fatalf("chunk %d lost across strict-pair crash", i)
-			}
-		}
-	})
-}
 
 func TestDynamicWearLeveling(t *testing.T) {
 	// Repeated overwrites must spread erases across groups rather than
@@ -214,57 +113,6 @@ func TestEraseFailureRetiresBlock(t *testing.T) {
 		}
 		if k.Stats.BadBlocks < k.Stats.EraseErrors {
 			t.Fatalf("erase errors %d but only %d retired blocks", k.Stats.EraseErrors, k.Stats.BadBlocks)
-		}
-	})
-}
-
-func TestStrictPairFailedUpperRescuesLower(t *testing.T) {
-	// A failed upper-page program corrupts the paired lower page on MLC
-	// media (the nand model now implements the pair loss). The lower
-	// unit's acknowledged-but-unfinalized entries must be re-buffered and
-	// rewritten before the suspect group waives pair covering — otherwise
-	// finalize would point the L2P at corrupt flash and the data is gone.
-	cfg := strictDeviceConfig()
-	m := cfg.Media
-	m.WriteFailProb = 0.02
-	cfg.Media = m
-	e := newEnv(t, cfg)
-	e.run(func(p *sim.Proc) {
-		k := e.newPblk(p, Config{ActivePUs: 4, OverProvision: 0.3})
-		defer k.Stop(p)
-		const chunk = 32 * 1024
-		span := k.Capacity() / 2 / chunk * chunk
-		bufs := make(map[int64]byte)
-		vol := 2 * k.Device().Geometry().TotalBytes()
-		var written int64
-		for written = 0; written < vol; written += chunk {
-			off := written % span
-			seed := byte(written/chunk%251) + 1
-			if err := k.Write(p, off, fill(chunk, seed), chunk); err != nil {
-				t.Fatal(err)
-			}
-			bufs[off] = seed
-		}
-		if err := k.Flush(p); err != nil {
-			t.Fatal(err)
-		}
-		if k.Stats.WriteErrors == 0 {
-			t.Skip("no write failures injected at this seed")
-		}
-		if k.Stats.PairRescuedSectors == 0 {
-			t.Skip("no upper-page failures with pending lower pairs at this seed")
-		}
-		got := make([]byte, chunk)
-		for off, seed := range bufs {
-			if err := k.Read(p, off, got, chunk); err != nil {
-				t.Fatalf("read at %d after pair loss: %v", off, err)
-			}
-			if !bytes.Equal(got, fill(chunk, seed)) {
-				t.Fatalf("data at %d lost across failed-upper pair corruption", off)
-			}
-		}
-		if err := k.CheckInvariants(); err != nil {
-			t.Fatal(err)
 		}
 	})
 }

@@ -242,7 +242,6 @@ func (k *Pblk) parseCloseMeta(b []byte) (seq uint64, stream uint8, lbas []int64,
 type metaScratch struct {
 	k        *Pblk
 	g        *group
-	unit     int
 	close    bool // close-meta unit (vs open mark)
 	vec      ocssd.Vector
 	addrs    []ppa.Addr
@@ -264,7 +263,7 @@ func (k *Pblk) putMetaScratch(ms *metaScratch) {
 // points at one shared pad record stamped with stamp.
 func (ms *metaScratch) prep(g *group, unit int, stamp uint64) {
 	k := ms.k
-	ms.g, ms.unit = g, unit
+	ms.g = g
 	ms.addrs = k.unitAddrsInto(ms.addrs, g, unit)
 	n := len(ms.addrs)
 	ss := k.geo.SectorSize
@@ -298,18 +297,10 @@ func (ms *metaScratch) submit() {
 }
 
 func (ms *metaScratch) onProgrammed(c *ocssd.Completion) {
-	k, g, unit, isClose := ms.k, ms.g, ms.unit, ms.close
+	k, g, isClose := ms.k, ms.g, ms.close
 	if c.Failed() {
-		k.requeuePairLower(g, unit)
-	}
-	if !isClose && c.Failed() {
-		// A failed open mark is treated like any write failure: the group
-		// is suspect and will be retired once drained.
-		k.markSuspect(g)
-	}
-	g.unitDone[unit] = true
-	g.unitFinal[unit] = true
-	if isClose && c.Failed() {
+		// A failed open mark or close-meta unit is treated like any write
+		// failure: the group is suspect and will be retired once drained.
 		k.markSuspect(g)
 	}
 	k.putMetaScratch(ms)
@@ -321,8 +312,6 @@ func (ms *metaScratch) onProgrammed(c *ocssd.Completion) {
 				g.state = stClosed
 				k.noteGroupClosed(g)
 			}
-			// Meta covers any trailing pair pages; re-run finalize.
-			k.finalizeGroup(g)
 			k.rb.advanceTail()
 			k.checkFlushes()
 			k.maybeKickGC()

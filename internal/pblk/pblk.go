@@ -3,10 +3,10 @@
 // as a traditional block device.
 //
 // Responsibilities, mirroring the paper:
-//   - write buffering in a host-side ring buffer sized to flash page,
-//     lower/upper pair depth, and PU count (§4.2.1), drained by per-lane
-//     writer processes behind a sharding dispatcher so every active PU
-//     programs independently;
+//   - write buffering in a host-side ring buffer sized to write unit, the
+//     paper's lower/upper pair depth, and PU count (§4.2.1), drained by
+//     per-lane writer processes behind a sharding dispatcher so every
+//     active PU programs independently;
 //   - two write streams per lane — user data and GC rewrites — so hot and
 //     cold data never share a block group;
 //   - L2P mapping at 4 KB sector granularity, with striping across channels
@@ -155,9 +155,6 @@ type Stats struct {
 	ScrubAgeRefreshes   int64 // refreshes triggered by retention age
 	ScrubRetryRefreshes int64 // refreshes triggered by deep-retry pressure
 	ScrubStaleCloses    int64 // stale open groups folded closed for patrol
-	// PairRescuedSectors counts lower-pair sectors re-queued for rewrite
-	// after an upper-page program failure corrupted their media copy.
-	PairRescuedSectors int64
 	// RecoverScanTime is the virtual time spent in mount-time scan
 	// recovery (classify, close-meta reads, OOB scans, replay).
 	RecoverScanTime time.Duration
@@ -215,15 +212,11 @@ type group struct {
 	// same order as lbas; scan recovery replays sectors across concurrently
 	// open groups (several per PU, one per stream) in stamp order.
 	stamps []uint64
-	// unitDone marks programmed units; unitFinal marks units whose entries
-	// have been finalized into the L2P.
-	unitDone, unitFinal []bool
 	// pending[unit] holds the ring positions a submitted unit carries,
-	// consumed when the unit finalizes; pendUnits lists the units with a
-	// live entry (the allocation-free replacement for the former map).
-	pending   [][]uint64
-	pendUnits []int
-	prev      int64 // previously opened group, stored in the open mark
+	// consumed when the unit's program completes. openGroup allocates the
+	// table, and it is kept across the group's erase cycles.
+	pending [][]uint64
+	prev    int64 // previously opened group, stored in the open mark
 
 	valid int // sectors whose current L2P mapping points into this group
 	// gcPending counts in-flight GC rewrites out of this group; gcDone
@@ -352,8 +345,6 @@ type Pblk struct {
 	unitsPerGroup int // pages per block
 	metaUnits     int // trailing units holding close metadata
 	dataSectors   int // data sectors per group
-	pairStride    int
-	strictPair    bool
 	capacityLBAs  int64
 
 	l2p          []uint64
@@ -412,8 +403,8 @@ type Pblk struct {
 	unitScratches sim.Pool[*unitScratch]
 	dataBufs      sim.Pool[[]byte]
 	// possLists recycles the ring-position lists that travel from dispatch
-	// (chunk.poss) into writeUnitOn and from setPending (group.pending)
-	// back out of finalizeGroup, so steady-state unit formation allocates
+	// (chunk.poss) into writeUnitOn and from there (group.pending) back
+	// out of finalizeUnit, so steady-state unit formation allocates
 	// nothing.
 	possLists sim.Pool[[]uint64]
 	// metaScratches recycles the metadata-unit write contexts (open marks
@@ -543,14 +534,12 @@ func NewView(p *sim.Proc, view *lightnvm.MediaView, name string, cfg Config) (*P
 	if view.SectorOOBSize() < oobBytes {
 		return nil, fmt.Errorf("pblk: per-sector OOB %dB too small, need %dB for L2P metadata", view.SectorOOBSize(), oobBytes)
 	}
-	media := view.Identify().Media
-	k.pairStride = media.PairStride
-	k.strictPair = media.StrictPairRead
 	k.lastOpened = -1
 	k.initGroups()
 	k.initCapacity()
-	// The paper's buffer sizing (§4.2.1): write unit × lower/upper page
-	// pair depth (8) × PUs.
+	// The paper's buffer sizing (§4.2.1): write unit × PUs × 8, the depth
+	// it sizes for its MLC drive's lower/upper page pairs. Pages here are
+	// unpaired, so nothing waits on that depth; it stays the buffer size.
 	ringCap := k.unitSectors * 8 * nPUs
 	// The spare pool must cover the emergency reserve (which scales with
 	// the ring backlog), open groups on every lane (one per stream), and
@@ -687,30 +676,6 @@ func (k *Pblk) initCapacity() {
 	if k.capacityLBAs < 1 {
 		k.capacityLBAs = 1
 	}
-}
-
-// pairOf returns the paired upper unit for a lower unit, or -1.
-func (k *Pblk) pairOf(unit int) int {
-	s := k.pairStride
-	if s <= 0 {
-		return -1
-	}
-	if (unit/s)%2 == 0 && unit+s < k.unitsPerGroup {
-		return unit + s
-	}
-	return -1
-}
-
-// lowerPairOf returns the paired lower unit for an upper unit, or -1.
-func (k *Pblk) lowerPairOf(unit int) int {
-	s := k.pairStride
-	if s <= 0 {
-		return -1
-	}
-	if (unit/s)%2 == 1 {
-		return unit - s
-	}
-	return -1
 }
 
 // buildSlots partitions the instance's PU space over ActivePUs write

@@ -63,16 +63,18 @@ type readChunk struct {
 	cbFn func(*ocssd.Completion)
 }
 
-// resolve serves each sector from the write buffer when its mapping is
-// a cacheline (paper §4.2.1: "reads are directed to the write buffer until
-// all page pairs have been persisted"), as zeros when unmapped, and from
-// media otherwise — gathered into vector reads submitted through the
-// device's asynchronous interface, which parallelizes across PUs and
-// channels. Media sectors are grouped per PU before chunking, so a
-// MaxVectorLen chunk never straddles PUs it doesn't need to and a long
-// read pays one command overhead per PU per 64 sectors instead of one per
-// PU per chunk. Media read failures surface as ErrReadFailed: pblk has no
-// read recovery (§4.2.3, ECC and threshold tuning live in the device).
+// resolve serves each sector from the write buffer when its mapping is a
+// cacheline — its unit's program has not completed (paper §4.2.1 keeps
+// reads on the buffer "until all page pairs have been persisted"; pages
+// here are unpaired, DESIGN.md §"Media model: unpaired pages") — as zeros
+// when unmapped, and from media otherwise — gathered into vector reads
+// submitted through the device's asynchronous interface, which
+// parallelizes across PUs and channels. Media sectors are grouped per PU
+// before chunking, so a MaxVectorLen chunk never straddles PUs it doesn't
+// need to and a long read pays one command overhead per PU per 64 sectors
+// instead of one per PU per chunk. Media read failures surface as
+// ErrReadFailed: pblk has no read recovery (§4.2.3, ECC and threshold
+// tuning live in the device).
 func (r *readReq) resolve() {
 	k := r.k
 	if k.stopping {

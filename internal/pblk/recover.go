@@ -88,8 +88,8 @@ type found struct {
 // scanRecover performs the two-phase recovery: classify every group as
 // free, fully written, or partially written by reading its first and last
 // pages; gather fully written groups' FTL logs, then partially written
-// groups' per-page OOB (padding them to completion so page pairs become
-// readable, paper §4.2.2). Sectors are finally replayed into the L2P in
+// groups' per-page OOB (padding them to completion and closing them, paper
+// §4.2.2). Sectors are finally replayed into the L2P in
 // global admission-stamp order — groups fill concurrently on different
 // lanes AND several groups are open per PU (one per write stream, plus GC
 // victims draining), so neither group order nor classification phase
@@ -128,8 +128,7 @@ func (k *Pblk) scanRecover(p *sim.Proc) error {
 	}
 
 	// Phase two: partially written blocks — scanned linearly until an
-	// unwritten page, then padded so half-written lower/upper pairs become
-	// readable.
+	// unwritten page, then padded and closed.
 	sort.Slice(partials, func(i, j int) bool { return partials[i].seq < partials[j].seq })
 	for _, f := range partials {
 		watermark, lbas, stamps := k.scanGroupOOB(p, f.g)
@@ -274,10 +273,6 @@ func classifyCompletion(c *ocssd.Completion) (gid int, seq uint64, state groupSt
 		return 0, 0, stFree
 	case errors.Is(e, nand.ErrBadBlock):
 		return 0, 0, stBad
-	case errors.Is(e, nand.ErrPairIncomplete):
-		// Mark exists but pair-unreadable; extremely early crash. Treat as
-		// unparseable so the group is reclaimed.
-		return -1, 0, stOpen
 	case e != nil:
 		return -1, 0, stOpen
 	}
@@ -326,8 +321,6 @@ func (k *Pblk) padGroupTail(p *sim.Proc, g *group, watermark int, lbas []int64, 
 			full[i] = padLBA
 		}
 		copy(full, lbas)
-		g.unitDone = make([]bool, k.unitsPerGroup)
-		g.unitFinal = make([]bool, k.unitsPerGroup)
 		g.lbas = full
 		g.stamps = fullStamps
 		g.state = stOpen // submitCloseMeta flips it to closed on completion

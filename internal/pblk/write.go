@@ -233,7 +233,7 @@ func (k *Pblk) kickWriters() {
 		// round trip; a stopping lane is woken to exit. A stale group is not
 		// this scan's to announce: the scrubber marks it before it wakes
 		// the lane (scrub.go).
-		if w := k.laneNext(s); k.stopping || s.quit || w == laneWrite || w == laneCover {
+		if k.stopping || s.quit || k.laneNext(s) == laneWrite {
 			s.wake()
 		}
 	}
@@ -245,7 +245,6 @@ type laneWork int
 const (
 	laneIdle      laneWork = iota // park, or exit when stopping
 	laneWrite                     // form and submit a write unit
-	laneCover                     // pad forward to cover lower/upper pairs
 	laneFoldStale                 // pad-close a stale open group
 )
 
@@ -260,8 +259,6 @@ func (k *Pblk) laneNext(s *slot) laneWork {
 		pending > 0 && s.quit,
 		s.retry.Len() > 0 && k.rb.free() <= k.rb.capacity()/4:
 		return laneWrite
-	case k.strictPair && k.flushes.Len() > 0 && k.lanePairCoverNeeded(s):
-		return laneCover
 	case k.laneStaleOpen(s):
 		return laneFoldStale
 	}
@@ -305,17 +302,6 @@ func (k *Pblk) laneTailBlocked(s *slot) bool {
 	return false
 }
 
-// lanePairCoverNeeded reports whether any of the lane's open groups has a
-// submitted unit with an uncovered lower/upper pair.
-func (k *Pblk) lanePairCoverNeeded(s *slot) bool {
-	for _, g := range s.grp {
-		if g != nil && k.groupNeedsPairCover(g) {
-			return true
-		}
-	}
-	return false
-}
-
 // ---- per-lane writer ----
 
 // laneWriter is one of pblk's per-lane writer processes (the sharded
@@ -332,9 +318,6 @@ func (k *Pblk) laneWriter(p *sim.Proc, s *slot) {
 		switch k.laneNext(s) {
 		case laneWrite:
 			k.writeUnitOn(p, s)
-		case laneCover:
-			k.coverPairs(p, s)
-			k.laneWait(p, s)
 		case laneFoldStale:
 			k.closeStaleOpen(p, s)
 		default:
@@ -380,8 +363,8 @@ func (s *slot) nextChunk() (chunk, bool) {
 }
 
 // putPoss returns a ring-position list to its pool. Lists flow dispatch →
-// chunk → writeUnitOn (recycled there) and setPending → group.pending →
-// finalizeGroup (recycled there).
+// chunk → writeUnitOn (recycled there) and writeUnitOn → group.pending →
+// finalizeUnit (recycled there).
 func (k *Pblk) putPoss(p []uint64) {
 	if p == nil {
 		return
@@ -523,22 +506,13 @@ func (k *Pblk) writeUnitOn(p *sim.Proc, s *slot) {
 		g.stamps = append(g.stamps, e.stamp)
 		poss = append(poss, e.pos)
 	}
-	k.setPending(g, unit, poss)
+	g.pending[unit] = poss
 	k.putPoss(c.poss)
 	s.unitsWritten++
 	u.submit()
 	if g.nextUnit == k.firstMetaUnit() {
 		k.closeGroup(p, s, st)
 	}
-}
-
-// setPending records a submitted unit's ring positions on its group.
-func (k *Pblk) setPending(g *group, unit int, poss []uint64) {
-	if g.pending == nil {
-		g.pending = make([][]uint64, k.unitsPerGroup)
-	}
-	g.pending[unit] = poss
-	g.pendUnits = append(g.pendUnits, unit)
 }
 
 // shedTargetAtExhaustion returns another lane that can absorb a chunk of
@@ -620,28 +594,8 @@ func (k *Pblk) closeStaleOpen(p *sim.Proc, s *slot) {
 	}
 }
 
-// coverPairs pads lane s's open groups forward under strict pairing so
-// that their flushed data becomes readable from media: every submitted
-// unit with an uncovered lower/upper pair is covered, on both streams.
-func (k *Pblk) coverPairs(p *sim.Proc, s *slot) {
-	for st := range s.grp {
-		for s.grp[st] != nil && k.groupNeedsPairCover(s.grp[st]) {
-			g := s.grp[st]
-			if g.nextUnit >= k.firstMetaUnit() {
-				k.closeGroup(p, s, st)
-				break
-			}
-			k.padUnit(p, s, g)
-			if g.nextUnit == k.firstMetaUnit() {
-				k.closeGroup(p, s, st)
-				break
-			}
-		}
-	}
-}
-
 // padUnit writes one all-padding unit onto group g of lane s, charging
-// the lane's telemetry; shared by pair covering and group drain.
+// the lane's telemetry.
 func (k *Pblk) padUnit(p *sim.Proc, s *slot, g *group) {
 	unit := g.nextUnit
 	g.nextUnit++
@@ -660,70 +614,28 @@ func (k *Pblk) padUnit(p *sim.Proc, s *slot, g *group) {
 	u.submit()
 }
 
-// groupNeedsPairCover reports whether any submitted unit's pair page is
-// still unwritten.
-func (k *Pblk) groupNeedsPairCover(g *group) bool {
-	for _, u := range g.pendUnits {
-		if pair := k.pairOf(u); pair >= 0 && pair >= g.nextUnit {
-			return true
-		}
-	}
-	return false
-}
-
 // onUnitProgrammed runs at vector-write completion: handle per-sector
-// failures, mark the unit programmed, finalize pair-covered units, advance
-// the ring tail, and complete satisfied flushes. It runs in scheduler
-// context and must not block.
+// failures, finalize the unit, advance the ring tail, and complete
+// satisfied flushes. It runs in scheduler context and must not block.
 func (k *Pblk) onUnitProgrammed(g *group, unit int, c *ocssd.Completion) {
 	if c.Failed() {
 		k.handleWriteError(g, unit, c)
 	}
-	g.unitDone[unit] = true
-	k.finalizeGroup(g)
+	k.finalizeUnit(g, unit)
 	k.rb.advanceTail()
 	k.checkFlushes()
 	k.notifyState()
 }
 
-// finalizeGroup finalizes every programmed unit whose lower/upper pair
-// constraint is satisfied (paper §4.2.1: "the L2P table is not modified as
-// pages are mapped ... until all page pairs have been persisted").
-func (k *Pblk) finalizeGroup(g *group) {
-	for i := 0; i < len(g.pendUnits); {
-		u := g.pendUnits[i]
-		if g.unitFinal[u] {
-			// Already finalized elsewhere; drop the stale entry.
-			k.putPoss(g.pending[u])
-			g.pending[u] = nil
-			last := len(g.pendUnits) - 1
-			g.pendUnits[i] = g.pendUnits[last]
-			g.pendUnits = g.pendUnits[:last]
-			continue
-		}
-		if !g.unitDone[u] || !k.unitPairCovered(g, u) {
-			i++
-			continue
-		}
-		g.unitFinal[u] = true
-		for _, pos := range g.pending[u] {
-			k.finalizeEntry(g, k.rb.at(pos))
-		}
-		k.putPoss(g.pending[u])
-		g.pending[u] = nil
-		last := len(g.pendUnits) - 1
-		g.pendUnits[i] = g.pendUnits[last]
-		g.pendUnits = g.pendUnits[:last]
+// finalizeUnit finalizes the entries of a programmed unit: until its
+// program completes the L2P points into the ring buffer, and reads are
+// served from there (paper §4.2.1).
+func (k *Pblk) finalizeUnit(g *group, unit int) {
+	for _, pos := range g.pending[unit] {
+		k.finalizeEntry(g, k.rb.at(pos))
 	}
-}
-
-// unitPairCovered reports whether unit u's data is stable for reads.
-func (k *Pblk) unitPairCovered(g *group, u int) bool {
-	if !k.strictPair || g.state == stSuspect || g.state == stBad {
-		return true
-	}
-	pair := k.pairOf(u)
-	return pair < 0 || g.unitDone[pair]
+	k.putPoss(g.pending[unit])
+	g.pending[unit] = nil
 }
 
 // finalizeEntry moves one buffer entry of group g to its terminal state:
@@ -765,8 +677,8 @@ func (k *Pblk) checkFlushes() {
 		k.events.Put(ev)
 	}
 	if k.flushes.Len() > 0 {
-		// Wake the covered lanes: padding (or pair covering) may be
-		// required to let the tail progress past the barrier.
+		// Wake the covered lanes: padding may be required to let the tail
+		// progress past the barrier.
 		k.kickWriters()
 	}
 }
@@ -775,10 +687,7 @@ func (k *Pblk) checkFlushes() {
 // re-submitted ahead of buffered data on the lane covering the failed PU;
 // the block is marked suspect, drained by priority GC, and retired.
 func (k *Pblk) handleWriteError(g *group, unit int, c *ocssd.Completion) {
-	var poss []uint64
-	if g.pending != nil {
-		poss = g.pending[unit]
-	}
+	poss := g.pending[unit]
 	// Map failed vector indices back to ring entries via each entry's
 	// position in the unit's plane-major address layout.
 	failed := make([]uint64, 0, 4)
@@ -800,7 +709,7 @@ func (k *Pblk) handleWriteError(g *group, unit int, c *ocssd.Completion) {
 			}
 		}
 	}
-	// Remove failed entries from the unit's pending list so finalizeGroup
+	// Remove failed entries from the unit's pending list so finalizeUnit
 	// does not complete them against the bad block.
 	if len(failed) > 0 {
 		kept := poss[:0]
@@ -830,55 +739,8 @@ func (k *Pblk) handleWriteError(g *group, unit int, c *ocssd.Completion) {
 		}
 		s.wake()
 	}
-	k.requeuePairLower(g, unit)
 	k.markSuspect(g)
 	k.kickWriters()
-}
-
-// requeuePairLower rescues the MLC pair of a failed upper-page program.
-// On strict-pair media the die corrupts the shared cells, so the paired
-// lower unit's data — possibly already acknowledged — is gone on flash.
-// Any of its entries still pending (not yet finalized) are re-buffered
-// and resubmitted through the lane retry queue before markSuspect waives
-// the group's pair covering. The entries keep their admission stamps:
-// the corrupt originals are unreadable so replay cannot resurrect them,
-// and readable duplicates on other planes carry identical content.
-func (k *Pblk) requeuePairLower(g *group, unit int) {
-	if !k.strictPair || g.state == stSuspect || g.state == stBad {
-		return
-	}
-	lower := k.lowerPairOf(unit)
-	if lower < 0 || g.pending == nil || len(g.pending[lower]) == 0 || g.unitFinal[lower] {
-		return
-	}
-	requeued := k.possLists.Get()
-	for _, pos := range g.pending[lower] {
-		e := k.rb.at(pos)
-		if e.state != esSubmitted {
-			continue
-		}
-		if k.entryIsCurrent(e) {
-			e.state = esBuffered
-			requeued = append(requeued, pos)
-		} else {
-			k.releaseGCRef(e)
-			e.state = esDone
-		}
-	}
-	// finalizeGroup's stale-unit branch recycles g.pending[lower] once it
-	// sees unitFinal; the rescued positions travel in a fresh list.
-	g.unitFinal[lower] = true
-	if len(requeued) == 0 {
-		k.putPoss(requeued)
-		return
-	}
-	k.Stats.PairRescuedSectors += int64(len(requeued))
-	s := k.laneOf(g.gpu)
-	s.retry.Push(chunk{stream: int(g.stream), poss: requeued})
-	if d := s.pendingSectors(); d > s.peakDepth {
-		s.peakDepth = d
-	}
-	s.wake()
 }
 
 // laneOf returns the lane whose PU span covers the partition-relative PU
@@ -915,7 +777,6 @@ func (k *Pblk) markSuspect(g *group) {
 	}
 	g.state = stSuspect
 	k.suspects.Push(g.id)
-	k.finalizeGroup(g) // suspect groups waive pair covering
 	k.rb.advanceTail()
 	k.checkFlushes()
 	k.maybeKickGC()
