@@ -6,8 +6,9 @@
 // appends values to per-PU log blocks it manages itself: no mapping-table
 // indirection on the data path, whole-block invalidation on log rotation
 // (no sector-granular GC), and put/get streams placed on the exact PUs the
-// application chooses. The index lives in host memory, keyed to packed
-// 64-bit PPAs.
+// application chooses. The store's PUs are a lightnvm reservation, so no
+// other target can mount over them. The index lives in host memory, keyed
+// to packed 64-bit PPAs.
 package main
 
 import (
@@ -16,6 +17,7 @@ import (
 	"log"
 	"time"
 
+	"repro/internal/lightnvm"
 	"repro/internal/ocssd"
 	"repro/internal/ppa"
 	"repro/internal/sim"
@@ -23,17 +25,17 @@ import (
 
 // kvStore is a tiny append-only KV store over raw PPAs.
 type kvStore struct {
-	dev   *ocssd.Device
+	view  *lightnvm.MediaView
 	fmtr  ppa.Format
-	pus   []int
+	pus   []int             // partition-relative
 	index map[string]uint64 // key -> packed PPA of the value's sector
 
 	cursor map[int]*struct{ blk, page int }
 }
 
-func newKVStore(dev *ocssd.Device, pus []int) *kvStore {
+func newKVStore(view *lightnvm.MediaView, pus []int) *kvStore {
 	s := &kvStore{
-		dev: dev, fmtr: dev.Format(), pus: pus,
+		view: view, fmtr: view.Format(), pus: pus,
 		index:  make(map[string]uint64),
 		cursor: make(map[int]*struct{ blk, page int }),
 	}
@@ -47,9 +49,9 @@ func newKVStore(dev *ocssd.Device, pus []int) *kvStore {
 // page per plane set can be programmed; for brevity this demo writes one
 // page (all sectors carry the value replicated) per put on plane 0.
 func (s *kvStore) put(p *sim.Proc, key string, value []byte) error {
-	g := s.dev.Geometry()
+	g := s.view.Geometry()
 	pu := s.pus[len(s.index)%len(s.pus)] // spread keys across our PUs
-	ch, puIdx := s.fmtr.PUAddr(pu)
+	ch, puIdx := s.view.PUAddr(pu)
 	cur := s.cursor[pu]
 	// Program one full page on every plane (the device's write rule), with
 	// the value in the first sector.
@@ -67,7 +69,7 @@ func (s *kvStore) put(p *sim.Proc, key string, value []byte) error {
 			}
 		}
 	}
-	c := s.dev.Do(p, &ocssd.Vector{Op: ocssd.OpWrite, Addrs: addrs, Data: data})
+	c := s.view.Do(p, &ocssd.Vector{Op: ocssd.OpWrite, Addrs: addrs, Data: data})
 	if c.Failed() {
 		return fmt.Errorf("put %q: %v", key, c.FirstErr())
 	}
@@ -88,7 +90,7 @@ func (s *kvStore) get(p *sim.Proc, key string) ([]byte, error) {
 		return nil, fmt.Errorf("get %q: not found", key)
 	}
 	addr := s.fmtr.Decode(packed)
-	c := s.dev.Do(p, &ocssd.Vector{Op: ocssd.OpRead, Addrs: []ppa.Addr{addr}})
+	c := s.view.Do(p, &ocssd.Vector{Op: ocssd.OpRead, Addrs: []ppa.Addr{addr}})
 	if c.Failed() {
 		return nil, c.FirstErr()
 	}
@@ -103,8 +105,13 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	// PUs [0, 32) are channels 0..3; the store takes one PU on each.
+	view, err := lightnvm.Register("nvme0n1", dev).Reserve("kvstore", lightnvm.PURange{Begin: 0, End: 32})
+	if err != nil {
+		log.Fatal(err)
+	}
 	env.Go("main", func(p *sim.Proc) {
-		store := newKVStore(dev, []int{0, 8, 16, 24}) // one PU per channel 0..3
+		store := newKVStore(view, []int{0, 8, 16, 24})
 
 		n := 64
 		t0 := env.Now()

@@ -28,18 +28,18 @@ func main() {
 	}
 
 	// 2. Register with the LightNVM subsystem; this exposes geometry and
-	//    the target framework.
+	//    the media manager that hands each target its PUs.
 	ln := lightnvm.Register("nvme0n1", dev)
 	fmt.Println("registered:", ln.Name(), ln.Geometry())
 
 	env.Go("main", func(p *sim.Proc) {
 		// 3. Create a pblk target: a full host-side FTL exposing the SSD
-		//    as a block device (the `nvm create -t pblk` analogue).
-		tgt, err := ln.CreateTarget(p, "pblk", "pblk0", lightnvm.PURange{}, pblk.Config{})
+		//    as a block device (the `nvm create -t pblk` analogue). It
+		//    reserves every PU of the device until it stops.
+		k, err := pblk.New(p, ln, "pblk0", pblk.Config{})
 		if err != nil {
 			log.Fatal(err)
 		}
-		k := tgt.(*pblk.Pblk)
 		fmt.Printf("pblk0: %d MB usable, %d active write PUs\n",
 			k.Capacity()>>20, k.ActivePUs())
 
@@ -68,7 +68,7 @@ func main() {
 		fmt.Printf("stats: %d sectors written, %d padded, %d flushes, %d free block groups\n",
 			k.Stats.UserWrites, k.Stats.PaddedSectors, k.Stats.Flushes, k.FreeGroups())
 
-		if err := ln.RemoveTarget(p, "pblk0"); err != nil {
+		if err := k.Stop(p); err != nil {
 			log.Fatal(err)
 		}
 	})

@@ -82,24 +82,25 @@ func forEachDevice(t *testing.T, fn func(t *testing.T, env *sim.Env, p *sim.Proc
 		ln := lightnvm.Register("conf-mt", raw)
 		ln.EnableOwnerGuard()
 		env.Go("main", func(p *sim.Proc) {
-			cfg := pblk.Config{ActivePUs: 2, OverProvision: 0.3}
-			a, err := ln.CreateTarget(p, "pblk", "a", lightnvm.PURange{Begin: 0, End: 2}, cfg)
-			if err != nil {
-				panic(err)
+			var ks []*pblk.Pblk
+			for i, name := range []string{"a", "b"} {
+				v, err := ln.Reserve(name, lightnvm.PURange{Begin: 2 * i, End: 2*i + 2})
+				if err != nil {
+					panic(err)
+				}
+				k, err := pblk.NewView(p, v, pblk.Config{ActivePUs: 2, OverProvision: 0.3})
+				if err != nil {
+					panic(err)
+				}
+				ks = append(ks, k)
 			}
-			b, err := ln.CreateTarget(p, "pblk", "b", lightnvm.PURange{Begin: 2, End: 4}, cfg)
-			if err != nil {
-				panic(err)
+			for _, k := range ks {
+				t.Run(k.MediaView().Name(), func(t *testing.T) { fn(t, env, p, k) })
 			}
-			for _, tgt := range []lightnvm.Target{a, b} {
-				k := tgt.(*pblk.Pblk)
-				t.Run(k.TargetName(), func(t *testing.T) { fn(t, env, p, k) })
-			}
-			if err := ln.RemoveTarget(p, "a"); err != nil {
-				panic(err)
-			}
-			if err := ln.RemoveTarget(p, "b"); err != nil {
-				panic(err)
+			for _, k := range ks {
+				if err := k.Stop(p); err != nil {
+					panic(err)
+				}
 			}
 		})
 		env.Run()

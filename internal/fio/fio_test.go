@@ -239,15 +239,15 @@ func smallOCSSD(t *testing.T) (*sim.Env, *lightnvm.Device) {
 	return env, ln
 }
 
-// rawOn creates a raw target on PUs [begin, end) and, with prepare set,
+// rawOn mounts a raw target on PUs [begin, end) and, with prepare set,
 // fills the four blocks per PU the jobs below run over. Like rawJob it
 // panics instead of t.Fatal: both run inside simulation processes.
 func rawOn(p *sim.Proc, ln *lightnvm.Device, name string, begin, end int, prepare bool) (*lightnvm.Raw, int64) {
-	tgt, err := ln.CreateTarget(p, "raw", name, lightnvm.PURange{Begin: begin, End: end}, nil)
+	v, err := ln.Reserve(name, lightnvm.PURange{Begin: begin, End: end})
 	if err != nil {
 		panic(err)
 	}
-	raw := tgt.(*lightnvm.Raw)
+	raw := lightnvm.NewRaw(v)
 	size := raw.BlockBytes(4)
 	if prepare {
 		if err := Prepare(p, raw, 0, size); err != nil {

@@ -45,7 +45,7 @@ func runAblatePageCache(o Options) *Report {
 		ln := lightnvm.Register("ocssd-pc", dev)
 		var seq, rnd *fio.Result
 		env.Go("main", func(p *sim.Proc) {
-			raw := newRaw(p, ln, "raw0", 0, 1)
+			raw := newRaw(ln, "raw0", 0, 1)
 			size := raw.BlockBytes(4)
 			check(fio.Prepare(p, raw, 0, size))
 			seq = mustRun(p, raw, fio.Job{Name: "s", Pattern: fio.SeqRead, BS: 4096, Size: size, Runtime: o.Duration})
@@ -266,7 +266,7 @@ func runAblateSuspend(o Options) *Report {
 		env.Go("main", func(p *sim.Proc) {
 			// One PU for both, the worst case: reads over its two prepared
 			// blocks, the writer cycling through the other six.
-			raw := newRaw(p, ln, "raw0", 0, 1)
+			raw := newRaw(ln, "raw0", 0, 1)
 			prep := raw.BlockBytes(2)
 			check(fio.Prepare(p, raw, 0, prep))
 			w := env.Go("writer", func(pw *sim.Proc) {

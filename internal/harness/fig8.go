@@ -27,7 +27,7 @@ func runFig8(o Options) *Report {
 	// ---- OCSSD: one raw target per stream, on disjoint PU ranges ----
 	env, _, ln := newOCSSD(o)
 	env.Go("fig8-ocssd", func(p *sim.Proc) {
-		rd, wr := newRaw(p, ln, "raw-read", 0, 4), newRaw(p, ln, "raw-write", 64, 68)
+		rd, wr := newRaw(ln, "raw-read", 0, 4), newRaw(ln, "raw-write", 64, 68)
 		prep := rd.BlockBytes(4)
 		check(fio.Prepare(p, rd, 0, prep))
 		for _, m := range mixes {

@@ -198,12 +198,12 @@ func newOCSSD(o Options) (*sim.Env, *ocssd.Device, *lightnvm.Device) {
 	return env, dev, lightnvm.Register("ocssd0", dev)
 }
 
-// newRaw creates a raw (FTL-less) target on PUs [begin, end) of ln: the
+// newRaw mounts a raw (FTL-less) target on PUs [begin, end) of ln: the
 // device under a direct-PPA fio job.
-func newRaw(p *sim.Proc, ln *lightnvm.Device, name string, begin, end int) *lightnvm.Raw {
-	t, err := ln.CreateTarget(p, "raw", name, lightnvm.PURange{Begin: begin, End: end}, nil)
+func newRaw(ln *lightnvm.Device, name string, begin, end int) *lightnvm.Raw {
+	v, err := ln.Reserve(name, lightnvm.PURange{Begin: begin, End: end})
 	check(err)
-	return t.(*lightnvm.Raw)
+	return lightnvm.NewRaw(v)
 }
 
 // newPblk instantiates a pblk target with the given active PU count

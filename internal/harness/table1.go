@@ -30,7 +30,7 @@ func runTable1(o Options) *Report {
 	env.Go("perPU", func(p *sim.Proc) {
 		// One raw target per PU under test: PU 1 is prepared for the read
 		// jobs, PU 0 takes the write job.
-		rd, wr := newRaw(p, ln, "raw-read", 1, 2), newRaw(p, ln, "raw-write", 0, 1)
+		rd, wr := newRaw(ln, "raw-read", 1, 2), newRaw(ln, "raw-write", 0, 1)
 		size := rd.BlockBytes(4)
 		check(fio.Prepare(p, rd, 0, size))
 		sw = mustRun(p, wr, fio.Job{Name: "w", Pattern: fio.SeqWrite, BS: 64 << 10, Size: size, Runtime: dur})
@@ -39,8 +39,8 @@ func runTable1(o Options) *Report {
 		rr4 = mustRun(p, rd, fio.Job{Name: "rr4", Pattern: fio.RandRead, BS: 4 << 10, Size: size, Runtime: dur, Seed: o.Seed})
 		rr64 = mustRun(p, rd, fio.Job{Name: "rr64", Pattern: fio.RandRead, BS: 64 << 10, QD: 2, Size: size, Runtime: dur, Seed: o.Seed})
 		// The aggregate half mounts pblk on the whole device.
-		check(ln.RemoveTarget(p, "raw-read"))
-		check(ln.RemoveTarget(p, "raw-write"))
+		rd.Stop()
+		wr.Stop()
 	})
 	env.Run()
 	t.add(label("Single Seq. PU Write"), mb(sw.WriteMBps()), mb(47))

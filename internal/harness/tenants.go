@@ -33,8 +33,8 @@ type tenantRow struct {
 //
 //   - solo:        the latency tenant alone on a half-device partition
 //     (the reference for "flat" latency);
-//   - partitioned: two pblk targets created over disjoint PU ranges
-//     through lightnvm.CreateTarget, one per tenant — the writer's
+//   - partitioned: two pblk targets on disjoint PU ranges, each reserved
+//     through lightnvm.Device.Reserve, one per tenant — the writer's
 //     programs and GC never touch the reader's PUs;
 //   - shared:      one full-device pblk serving both tenants on disjoint
 //     LBA regions — the FTL stripes both over all PUs, so reads queue
@@ -97,22 +97,21 @@ func runTenantScenario(o Options, name string, latMB, bulkMB int64, shared bool)
 	half := total / 2
 
 	env.Go("tenants-"+name, func(p *sim.Proc) {
+		mount := func(name string, r lightnvm.PURange) *pblk.Pblk {
+			v, err := ln.Reserve(name, r)
+			check(err)
+			k, err := pblk.NewView(p, v, pblk.Config{})
+			check(err)
+			return k
+		}
 		var latDev, bulkDev *pblk.Pblk
 		if shared {
-			tgt, err := ln.CreateTarget(p, "pblk", "pblk-shared", lightnvm.PURange{}, pblk.Config{})
-			check(err)
-			latDev = tgt.(*pblk.Pblk)
+			latDev = mount("pblk-shared", lightnvm.PURange{})
 			bulkDev = latDev
 		} else {
-			tgt, err := ln.CreateTarget(p, "pblk", "pblk-lat",
-				lightnvm.PURange{Begin: 0, End: half}, pblk.Config{})
-			check(err)
-			latDev = tgt.(*pblk.Pblk)
+			latDev = mount("pblk-lat", lightnvm.PURange{Begin: 0, End: half})
 			if bulkMB > 0 {
-				btgt, err := ln.CreateTarget(p, "pblk", "pblk-bulk",
-					lightnvm.PURange{Begin: half, End: total}, pblk.Config{})
-				check(err)
-				bulkDev = btgt.(*pblk.Pblk)
+				bulkDev = mount("pblk-bulk", lightnvm.PURange{Begin: half, End: total})
 			}
 		}
 

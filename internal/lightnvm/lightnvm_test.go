@@ -31,31 +31,20 @@ func newDevice(t *testing.T) (*sim.Env, *Device) {
 	return env, Register("nvme0n1", dev)
 }
 
-type fakeTarget struct {
-	name    string
-	view    *MediaView
-	stopped bool
-}
-
-func (f *fakeTarget) TargetName() string     { return f.name }
-func (f *fakeTarget) Stop(p *sim.Proc) error { f.stopped = true; return nil }
-
-func init() {
-	RegisterTargetType("fake", func(p *sim.Proc, view *MediaView, name string, cfg any) (Target, error) {
-		if cfg == "fail" {
-			return nil, errors.New("nope")
-		}
-		return &fakeTarget{name: name, view: view}, nil
-	})
-	// slowfake yields during construction, like pblk running its recovery
-	// scan; it exposes the create/create race window.
-	RegisterTargetType("slowfake", func(p *sim.Proc, view *MediaView, name string, cfg any) (Target, error) {
-		p.Sleep(time.Millisecond)
-		if cfg == "fail" {
-			return nil, errors.New("nope")
-		}
-		return &fakeTarget{name: name, view: view}, nil
-	})
+// mount follows a target constructor's contract on a reservation: reserve,
+// construct with device I/O that yields (here a sleep, like pblk's
+// recovery scan), and release the view when construction fails.
+func mount(p *sim.Proc, d *Device, name string, r PURange, fail bool) (*MediaView, error) {
+	v, err := d.Reserve(name, r)
+	if err != nil {
+		return nil, err
+	}
+	p.Sleep(time.Millisecond)
+	if fail {
+		v.Release()
+		return nil, errors.New("construction failed")
+	}
+	return v, nil
 }
 
 func TestGeometryExposed(t *testing.T) {
@@ -74,229 +63,146 @@ func TestGeometryExposed(t *testing.T) {
 	}
 }
 
-func TestTargetTypeRegistry(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("duplicate registration did not panic")
-		}
-	}()
-	RegisterTargetType("fake", nil)
-}
-
+// A reservation holds its name until released, Release is idempotent, and
+// a stale view's Release leaves a newer reservation alone.
 func TestTargetLifecycle(t *testing.T) {
-	env, d := newDevice(t)
-	env.Go("main", func(p *sim.Proc) {
-		tgt, err := d.CreateTarget(p, "fake", "inst0", PURange{}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := d.Targets(); len(got) != 1 || got[0] != "inst0" {
-			t.Fatalf("targets = %v", got)
-		}
-		if _, err := d.CreateTarget(p, "fake", "inst0", PURange{}, nil); err == nil {
-			t.Fatal("duplicate instance accepted")
-		}
-		if _, err := d.CreateTarget(p, "missing", "x", PURange{}, nil); err == nil {
-			t.Fatal("unknown type accepted")
-		}
-		if _, err := d.CreateTarget(p, "fake", "bad", PURange{}, "fail"); err == nil {
-			t.Fatal("factory error swallowed")
-		}
-		if err := d.RemoveTarget(p, "inst0"); err != nil {
-			t.Fatal(err)
-		}
-		if !tgt.(*fakeTarget).stopped {
-			t.Fatal("Stop not called on removal")
-		}
-		if err := d.RemoveTarget(p, "inst0"); err == nil {
-			t.Fatal("double remove accepted")
-		}
-	})
-	env.Run()
+	_, d := newDevice(t)
+	v, err := d.Reserve("inst0", PURange{0, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v.Name() != "inst0" {
+		t.Fatalf("view name %q", v.Name())
+	}
+	if _, err := d.Reserve("inst0", PURange{2, 3}); err == nil {
+		t.Fatal("a live name reserved twice")
+	}
+	v.Release()
+	v.Release()
+	v2, err := d.Reserve("inst0", PURange{})
+	if err != nil {
+		t.Fatalf("name not released: %v", err)
+	}
+	if v2.Range() != (PURange{0, 4}) {
+		t.Fatalf("zero range reserved %v, want the whole device", v2.Range())
+	}
+	v.Release()
+	if _, err := d.Reserve("x", PURange{0, 1}); err == nil {
+		t.Fatal("a stale Release freed a newer reservation")
+	}
+	v2.Release()
 }
 
 func TestConcurrentCreateSameName(t *testing.T) {
-	// Two simultaneous creates of one instance name, both yielding during
-	// construction: exactly one may win; the loser must fail the duplicate
-	// check instead of silently replacing the winner in the registry.
+	// Two simultaneous mounts of one name, both yielding during
+	// construction: exactly one may win, because the reservation is taken
+	// before the constructor yields.
 	env, d := newDevice(t)
-	var targets []Target
+	var views []*MediaView
 	var errs []error
 	for i := 0; i < 2; i++ {
 		env.Go("creator", func(p *sim.Proc) {
-			tgt, err := d.CreateTarget(p, "slowfake", "inst0", PURange{}, nil)
+			v, err := mount(p, d, "inst0", PURange{2 * i, 2*i + 2}, false)
 			if err != nil {
 				errs = append(errs, err)
 				return
 			}
-			targets = append(targets, tgt)
+			views = append(views, v)
 		})
 	}
 	env.Run()
-	if len(targets) != 1 || len(errs) != 1 {
-		t.Fatalf("wins=%d errs=%d, want exactly one of each", len(targets), len(errs))
+	if len(views) != 1 || len(errs) != 1 {
+		t.Fatalf("wins=%d errs=%d, want exactly one of each", len(views), len(errs))
 	}
-	if got := d.Targets(); len(got) != 1 || got[0] != "inst0" {
-		t.Fatalf("targets = %v", got)
-	}
-	env.Go("check", func(p *sim.Proc) {
-		if err := d.RemoveTarget(p, "inst0"); err != nil {
-			t.Errorf("remove winner: %v", err)
-		}
-	})
-	env.Run()
-	if !targets[0].(*fakeTarget).stopped {
-		t.Fatal("winner not stopped on removal")
+	views[0].Release()
+	if _, err := d.Reserve("inst0", PURange{}); err != nil {
+		t.Fatalf("winner's release: %v", err)
 	}
 }
 
 func TestCreateFailureReleasesReservation(t *testing.T) {
 	env, d := newDevice(t)
 	env.Go("main", func(p *sim.Proc) {
-		if _, err := d.CreateTarget(p, "slowfake", "inst0", PURange{}, "fail"); err == nil {
-			t.Error("factory error swallowed")
+		if _, err := mount(p, d, "inst0", PURange{}, true); err == nil {
+			t.Error("construction error swallowed")
 		}
-		if got := d.Targets(); len(got) != 0 {
-			t.Errorf("failed create left registry entry: %v", got)
-		}
-		// The name must be reusable after the failed create.
-		if _, err := d.CreateTarget(p, "slowfake", "inst0", PURange{}, nil); err != nil {
-			t.Errorf("recreate after failure: %v", err)
-		}
-	})
-	env.Run()
-}
-
-func TestRemoveDuringCreateRejected(t *testing.T) {
-	env, d := newDevice(t)
-	created := env.NewEvent()
-	env.Go("creator", func(p *sim.Proc) {
-		if _, err := d.CreateTarget(p, "slowfake", "inst0", PURange{}, nil); err != nil {
-			t.Errorf("create: %v", err)
-		}
-		created.Signal()
-	})
-	env.Go("remover", func(p *sim.Proc) {
-		// Runs while the creator is still inside construction.
-		if err := d.RemoveTarget(p, "inst0"); err == nil {
-			t.Error("remove of a half-created target accepted")
-		}
-		p.Wait(created)
-		if err := d.RemoveTarget(p, "inst0"); err != nil {
-			t.Errorf("remove after creation: %v", err)
+		// The name must be reusable after the failed mount.
+		if _, err := mount(p, d, "inst0", PURange{}, false); err != nil {
+			t.Errorf("remount after failure: %v", err)
 		}
 	})
 	env.Run()
 }
 
 func TestPartitionedCreateAndOverlap(t *testing.T) {
-	env, d := newDevice(t) // 4 PUs total
-	env.Go("main", func(p *sim.Proc) {
-		a, err := d.CreateTarget(p, "fake", "a", PURange{0, 2}, nil)
-		if err != nil {
-			t.Fatal(err)
+	_, d := newDevice(t) // 4 PUs total
+	a, err := d.Reserve("a", PURange{0, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Any overlap with a's range must be rejected.
+	for _, r := range []PURange{{0, 1}, {1, 3}, {0, 4}, {}} {
+		if _, err := d.Reserve("b", r); err == nil {
+			t.Fatalf("overlapping range %v accepted", r)
 		}
-		if r, ok := d.TargetRange("a"); !ok || r != (PURange{0, 2}) {
-			t.Fatalf("TargetRange(a) = %v,%v", r, ok)
+	}
+	// Invalid ranges are rejected outright.
+	for _, r := range []PURange{{-1, 2}, {2, 2}, {3, 2}, {2, 5}} {
+		if _, err := d.Reserve("b", r); err == nil {
+			t.Fatalf("invalid range %v accepted", r)
 		}
-		// Any overlap with a's range must be rejected.
-		for _, r := range []PURange{{0, 1}, {1, 3}, {0, 4}, {}} {
-			if _, err := d.CreateTarget(p, "fake", "b", r, nil); err == nil {
-				t.Fatalf("overlapping range %v accepted", r)
-			}
-		}
-		// Invalid ranges are rejected outright.
-		for _, r := range []PURange{{-1, 2}, {2, 2}, {3, 2}, {2, 5}} {
-			if _, err := d.CreateTarget(p, "fake", "b", r, nil); err == nil {
-				t.Fatalf("invalid range %v accepted", r)
-			}
-		}
-		// The disjoint remainder works, and both coexist.
-		b, err := d.CreateTarget(p, "fake", "b", PURange{2, 4}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := d.Targets(); len(got) != 2 {
-			t.Fatalf("targets = %v", got)
-		}
-		av, bv := a.(*fakeTarget).view, b.(*fakeTarget).view
-		if av.PUs() != 2 || av.GlobalPU(1) != 1 || bv.PUs() != 2 || bv.GlobalPU(0) != 2 {
-			t.Fatalf("view translation wrong: a=%v b=%v", av.Range(), bv.Range())
-		}
-		// Removing a releases its PUs for a new tenant.
-		if err := d.RemoveTarget(p, "a"); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := d.CreateTarget(p, "c", "c", PURange{0, 2}, nil); err == nil {
-			t.Fatal("unknown type accepted")
-		}
-		if _, err := d.CreateTarget(p, "fake", "c", PURange{0, 2}, nil); err != nil {
-			t.Fatalf("range not released on remove: %v", err)
-		}
-	})
-	env.Run()
-}
-
-func TestPartitionTablePersistsAcrossRestart(t *testing.T) {
-	env, d := newDevice(t)
-	env.Go("main", func(p *sim.Proc) {
-		if _, err := d.CreateTarget(p, "fake", "a", PURange{1, 3}, nil); err != nil {
-			t.Fatal(err)
-		}
-		if err := d.RemoveTarget(p, "a"); err != nil {
-			t.Fatal(err)
-		}
-		// Re-creating "a" with a zero range restores its recorded
-		// partition instead of claiming the whole device.
-		a2, err := d.CreateTarget(p, "fake", "a", PURange{}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r := a2.(*fakeTarget).view.Range(); r != (PURange{1, 3}) {
-			t.Fatalf("restarted target got range %v, want [1,3)", r)
-		}
-		// The rest of the device is still free for others.
-		if _, err := d.CreateTarget(p, "fake", "b", PURange{0, 1}, nil); err != nil {
-			t.Fatal(err)
-		}
-		parts := d.Partitions()
-		if len(parts) != 2 || parts[0].Name != "b" || parts[1].Name != "a" || !parts[1].Active {
-			t.Fatalf("partition table = %+v", parts)
-		}
-		// An explicit new range overrides and re-records.
-		if err := d.RemoveTarget(p, "a"); err != nil {
-			t.Fatal(err)
-		}
-		a3, err := d.CreateTarget(p, "fake", "a", PURange{3, 4}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r := a3.(*fakeTarget).view.Range(); r != (PURange{3, 4}) {
-			t.Fatalf("explicit re-range got %v", r)
-		}
-	})
-	env.Run()
+	}
+	// The disjoint remainder works, and both coexist.
+	b, err := d.Reserve("b", PURange{2, 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.PUs() != 2 || a.GlobalPU(1) != 1 || b.PUs() != 2 || b.GlobalPU(0) != 2 {
+		t.Fatalf("view translation wrong: a=%v b=%v", a.Range(), b.Range())
+	}
+	// Releasing a frees its PUs for a new tenant.
+	a.Release()
+	if _, err := d.Reserve("c", PURange{0, 2}); err != nil {
+		t.Fatalf("range not released: %v", err)
+	}
 }
 
 func TestCreateFailureReleasesPUs(t *testing.T) {
 	env, d := newDevice(t)
 	env.Go("main", func(p *sim.Proc) {
-		if _, err := d.CreateTarget(p, "slowfake", "a", PURange{0, 2}, "fail"); err == nil {
-			t.Fatal("factory error swallowed")
+		if _, err := mount(p, d, "a", PURange{0, 2}, true); err == nil {
+			t.Fatal("construction error swallowed")
 		}
-		// The failed create must not leave PUs owned or a partition record
-		// that would shrink an unrelated target's zero-range create.
-		if _, err := d.CreateTarget(p, "fake", "b", PURange{0, 2}, nil); err != nil {
-			t.Fatalf("PUs not released after failed create: %v", err)
+		if _, err := mount(p, d, "b", PURange{0, 2}, false); err != nil {
+			t.Fatalf("PUs not released after failed mount: %v", err)
 		}
 	})
 	env.Run()
 }
 
+// Power loss takes the host state that held a reservation with it, so a
+// crashed view's range and name are free at once, for a partition and for
+// the whole device alike.
+func TestCrashReleasesView(t *testing.T) {
+	_, d := newDevice(t)
+	for _, r := range []PURange{{1, 3}, {}} {
+		v, err := d.Reserve("a", r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v.Crash()
+		v2, err := d.Reserve("a", r)
+		if err != nil {
+			t.Fatalf("range %v not released by Crash: %v", r, err)
+		}
+		v2.Release()
+	}
+}
+
 func TestMediaViewSubmitRejectsOutOfPartition(t *testing.T) {
 	env, d := newDevice(t)
 	env.Go("main", func(p *sim.Proc) {
-		v, err := d.View("a", PURange{0, 2})
+		v, err := d.Reserve("a", PURange{0, 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -336,7 +242,7 @@ func TestOwnerGuardPanicsOnForeignSubmit(t *testing.T) {
 	env, d := newDevice(t)
 	d.EnableOwnerGuard()
 	env.Go("main", func(p *sim.Proc) {
-		if _, err := d.CreateTarget(p, "fake", "a", PURange{0, 2}, nil); err != nil {
+		if _, err := d.Reserve("a", PURange{0, 2}); err != nil {
 			t.Fatal(err)
 		}
 		// A raw (untagged) submit onto a guarded PU must fail loudly.
@@ -354,105 +260,39 @@ func TestOwnerGuardClearedOnRemove(t *testing.T) {
 	env, d := newDevice(t)
 	d.EnableOwnerGuard()
 	env.Go("main", func(p *sim.Proc) {
-		if _, err := d.CreateTarget(p, "fake", "a", PURange{0, 2}, nil); err != nil {
-			t.Fatal(err)
-		}
-		if err := d.RemoveTarget(p, "a"); err != nil {
-			t.Fatal(err)
-		}
-		// After removal the PUs are unguarded again.
-		c := d.Raw().Do(p, &ocssd.Vector{Op: ocssd.OpRead, Addrs: []ppa.Addr{{}}})
-		_ = c
-	})
-	env.Run()
-}
-
-// slowStopTarget yields inside Stop, like pblk draining GC and lane
-// writers with real device I/O.
-type slowStopTarget struct {
-	name    string
-	stopped bool
-}
-
-func (f *slowStopTarget) TargetName() string { return f.name }
-func (f *slowStopTarget) Stop(p *sim.Proc) error {
-	p.Sleep(time.Millisecond)
-	f.stopped = true
-	return nil
-}
-
-func init() {
-	RegisterTargetType("slowstop", func(p *sim.Proc, view *MediaView, name string, cfg any) (Target, error) {
-		return &slowStopTarget{name: name}, nil
-	})
-}
-
-func TestRemoveHoldsPUsUntilStopCompletes(t *testing.T) {
-	// RemoveTarget drops the name immediately but must keep the PU range
-	// reserved while Stop is still quiescing the target (it performs
-	// device I/O): a new tenant taking the range mid-Stop would let two
-	// FTLs program the same blocks.
-	env, d := newDevice(t)
-	var tgt Target
-	env.Go("setup", func(p *sim.Proc) {
-		var err error
-		tgt, err = d.CreateTarget(p, "slowstop", "old", PURange{0, 2}, nil)
+		v, err := d.Reserve("a", PURange{0, 2})
 		if err != nil {
 			t.Fatal(err)
 		}
-	})
-	env.Run()
-	removed := env.NewEvent()
-	env.Go("remover", func(p *sim.Proc) {
-		if err := d.RemoveTarget(p, "old"); err != nil {
-			t.Errorf("remove: %v", err)
-		}
-		removed.Signal()
-	})
-	env.Go("newcomer", func(p *sim.Proc) {
-		// Interleaves while "old" is still inside Stop: the range must be
-		// refused until Stop returns.
-		if _, err := d.CreateTarget(p, "fake", "new", PURange{0, 2}, nil); err == nil {
-			if !tgt.(*slowStopTarget).stopped {
-				t.Error("range handed to a new tenant while the old target was still stopping")
-			}
-			return
-		}
-		p.Wait(removed)
-		if !tgt.(*slowStopTarget).stopped {
-			t.Error("RemoveTarget returned before Stop completed")
-		}
-		if _, err := d.CreateTarget(p, "fake", "new", PURange{0, 2}, nil); err != nil {
-			t.Errorf("range not released after Stop: %v", err)
-		}
+		v.Release()
+		// After the release the PUs are unguarded again.
+		d.Raw().Do(p, &ocssd.Vector{Op: ocssd.OpRead, Addrs: []ppa.Addr{{}}})
 	})
 	env.Run()
 }
 
 func TestViewRejectsReservedPUs(t *testing.T) {
-	// An untracked View (e.g. a direct full-device pblk.New) must not be
-	// able to span a live tenant's PUs: its recovery scan would reclaim
-	// the tenant's blocks as foreign metadata.
-	env, d := newDevice(t)
-	env.Go("main", func(p *sim.Proc) {
-		if _, err := d.CreateTarget(p, "fake", "a", PURange{0, 2}, nil); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := d.View("x", PURange{}); err == nil {
-			t.Error("full-device view granted over a live tenant's PUs")
-		}
-		if _, err := d.View("x", PURange{1, 3}); err == nil {
-			t.Error("overlapping view granted")
-		}
-		if _, err := d.View("x", PURange{2, 4}); err != nil {
-			t.Errorf("disjoint view refused: %v", err)
-		}
-		if err := d.RemoveTarget(p, "a"); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := d.View("x", PURange{}); err != nil {
-			t.Errorf("full-device view refused after removal: %v", err)
-		}
-	})
-	env.Run()
+	// A full-device reservation (what pblk.New asks for) must not span a
+	// live tenant's PUs: its recovery scan would reclaim the tenant's
+	// blocks as foreign metadata.
+	_, d := newDevice(t)
+	a, err := d.Reserve("a", PURange{0, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.Reserve("x", PURange{}); err == nil {
+		t.Error("full-device view granted over a live tenant's PUs")
+	}
+	if _, err := d.Reserve("x", PURange{1, 3}); err == nil {
+		t.Error("overlapping view granted")
+	}
+	x, err := d.Reserve("x", PURange{2, 4})
+	if err != nil {
+		t.Errorf("disjoint view refused: %v", err)
+	}
+	a.Release()
+	x.Release()
+	if _, err := d.Reserve("x", PURange{}); err != nil {
+		t.Errorf("full-device view refused after release: %v", err)
+	}
 }

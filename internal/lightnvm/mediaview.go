@@ -14,60 +14,46 @@ import (
 // touches a PU outside the submitting view's partition.
 var ErrOutOfPartition = errors.New("lightnvm: address outside target partition")
 
-// MediaView is a target's window onto a device: the PU range it owns,
-// addressed with partition-relative PU indices 0..PUs()-1. All target
-// device I/O goes through the view — Submit rejects any PPA whose PU lies
-// outside the partition, so a target can never touch a sibling's media —
-// and the view translates between relative and global PU numbering, which
-// lets the target's internal structures (pblk's group table, lane spans,
-// read fan-out lists) stay dense and partition-local.
+// MediaView is a target's window onto a device: the PU range Reserve
+// granted it, addressed with partition-relative PU indices 0..PUs()-1. All
+// target device I/O goes through the view — Submit rejects any PPA whose
+// PU lies outside the partition, so a target can never touch a sibling's
+// media — and the view translates between relative and global PU
+// numbering, which lets the target's internal structures (pblk's group
+// table, lane spans, read fan-out lists) stay dense and partition-local.
 //
 // Views over the full device behave exactly like the raw device plus the
 // bounds check, so a single-target setup is unchanged.
 type MediaView struct {
+	ln         *Device // the reserving device, for Release
 	dev        *ocssd.Device
 	fmtr       ppa.Format
-	tag        string // owner tag stamped on submitted vectors
+	tag        string // reservation name, stamped on submitted vectors
 	begin, end int    // global PU range [begin, end)
 	full       bool   // covers the whole device: Submit skips the bounds loop
 }
 
-// newView builds a view over r for the given owner tag.
-func (d *Device) newView(tag string, r PURange) *MediaView {
-	return &MediaView{
-		dev: d.dev, fmtr: d.dev.Format(), tag: tag,
-		begin: r.Begin, end: r.End,
-		full: r.Begin == 0 && r.End == d.dev.Geometry().TotalPUs(),
-	}
-}
-
-// View builds an untracked MediaView over r (zero = whole device): the
-// range is bounds-checked and must not overlap any PUs reserved by a
-// live target — a full-device view next to a mounted tenant would let a
-// foreign recovery scan reclaim the tenant's blocks — but it is NOT
-// reserved in the ownership table itself. Use CreateTarget for tracked,
-// exclusive partitions; View serves direct target constructors and
-// tests.
-func (d *Device) View(tag string, r PURange) (*MediaView, error) {
-	total := d.dev.Geometry().TotalPUs()
-	if r.IsZero() {
-		r = PURange{0, total}
-	}
-	if r.Begin < 0 || r.End > total || r.Begin >= r.End {
-		return nil, fmt.Errorf("lightnvm: PU range %v invalid for %d-PU device", r, total)
-	}
+// Release gives the view's PUs and name back to the device; a later
+// Reserve may claim them at once. It is idempotent. The view must carry
+// no further I/O: its owner has stopped, shut down or crashed.
+func (v *MediaView) Release() {
+	d := v.ln
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	for pu := r.Begin; pu < r.End; pu++ {
-		if own := d.owners[pu]; own != "" {
-			return nil, fmt.Errorf("lightnvm: PU range %v overlaps target %q (PU %d) on %s", r, own, pu, d.name)
+	if d.owners[v.begin] != v {
+		return // already released
+	}
+	for pu := v.begin; pu < v.end; pu++ {
+		d.owners[pu] = nil
+		if d.guard {
+			d.dev.ClearPUOwner(pu)
 		}
 	}
-	return d.newView(tag, r), nil
 }
 
-// Tag returns the owner tag the view stamps on its vectors.
-func (v *MediaView) Tag() string { return v.tag }
+// Name returns the name the view was reserved under, which it stamps on
+// its vectors as the owner tag.
+func (v *MediaView) Name() string { return v.tag }
 
 // Range returns the partition's global PU range.
 func (v *MediaView) Range() PURange { return PURange{v.begin, v.end} }
@@ -178,11 +164,13 @@ func (v *MediaView) Recycle(c *ocssd.Completion) { v.dev.Recycle(c) }
 // Crash simulates power loss as seen by this partition: volatile
 // controller state for the partition's PUs is dropped. A full-device view
 // crashes the whole device (including pending buffered writes), matching
-// the single-target behaviour.
+// the single-target behaviour. The host state that held the reservation is
+// gone with the power, so Crash also releases the view.
 func (v *MediaView) Crash() {
-	if v.begin == 0 && v.end == v.dev.Geometry().TotalPUs() {
+	if v.full {
 		v.dev.Crash()
-		return
+	} else {
+		v.dev.CrashPUs(v.begin, v.end)
 	}
-	v.dev.CrashPUs(v.begin, v.end)
+	v.Release()
 }

@@ -2,7 +2,6 @@ package lightnvm
 
 import (
 	"errors"
-	"fmt"
 
 	"repro/internal/blockdev"
 	"repro/internal/ocssd"
@@ -16,48 +15,38 @@ var (
 	ErrRawTrim        = errors.New("lightnvm: raw target cannot trim; a block is erased when its first page is rewritten")
 )
 
-// Raw is the FTL-less target, registered as type "raw": the PU range of a
-// MediaView as a blockdev.Device behind a static LBA → PPA map, for callers
-// that place data themselves — the paper's fio with the PPA I/O engine
-// (§5.1 per-PU characterization, §5.5 PU-isolated streams). Write units
-// (one page on every plane of a PU) are striped round-robin over the
-// range: unit u lives on PU u mod n at page u div n, pages counting through
-// the blocks. The media's rules are the caller's to keep: a write covers
-// whole units, reaches the pages of a block in order, and rewriting a
-// block's first page erases the block. Nothing is buffered, so Flush has
-// nothing to do, and there is no map to Trim. The target takes no
-// configuration and runs nothing in the background.
+// Raw is the FTL-less target: the PU range of a MediaView as a
+// blockdev.Device behind a static LBA → PPA map, for callers that place
+// data themselves — the paper's fio with the PPA I/O engine (§5.1 per-PU
+// characterization, §5.5 PU-isolated streams). Write units (one page on
+// every plane of a PU) are striped round-robin over the range: unit u
+// lives on PU u mod n at page u div n, pages counting through the blocks.
+// The media's rules are the caller's to keep: a write covers whole units,
+// reaches the pages of a block in order, and rewriting a block's first
+// page erases the block. Nothing is buffered, so Flush has nothing to do,
+// and there is no map to Trim. The target takes no configuration and runs
+// nothing in the background.
 type Raw struct {
 	*blockdev.SyncAdapter // the blocking Read/Write/Flush/Trim, over issue
-	name                  string
 	view                  *MediaView
 	geo                   ppa.Geometry
 	unit                  int64 // sectors per write unit
 	lanes                 []rawLane
 }
 
-var (
-	_ blockdev.Device = (*Raw)(nil)
-	_ Target          = (*Raw)(nil)
-)
+var _ blockdev.Device = (*Raw)(nil)
 
-func init() {
-	RegisterTargetType("raw", func(_ *sim.Proc, view *MediaView, name string, cfg any) (Target, error) {
-		if cfg != nil {
-			return nil, fmt.Errorf("lightnvm: the raw target takes no configuration, got %T", cfg)
-		}
-		g := view.Geometry()
-		r := &Raw{name: name, view: view, geo: g, unit: int64(g.PlanesPerPU * g.SectorsPerPage), lanes: make([]rawLane, view.PUs())}
-		r.SyncAdapter = blockdev.NewSyncAdapter(view.Env(), r, r.issue)
-		return r, nil
-	})
+// NewRaw mounts a raw target on a reserved view.
+func NewRaw(view *MediaView) *Raw {
+	g := view.Geometry()
+	r := &Raw{view: view, geo: g, unit: int64(g.PlanesPerPU * g.SectorsPerPage), lanes: make([]rawLane, view.PUs())}
+	r.SyncAdapter = blockdev.NewSyncAdapter(view.Env(), r, r.issue)
+	return r
 }
 
-// TargetName implements Target.
-func (r *Raw) TargetName() string { return r.name }
-
-// Stop implements Target. All I/O is the caller's: drain your queues first.
-func (r *Raw) Stop(*sim.Proc) error { return nil }
+// Stop releases the target's view. All I/O is the caller's: drain your
+// queues first.
+func (r *Raw) Stop() { r.view.Release() }
 
 // SectorSize implements blockdev.Device.
 func (r *Raw) SectorSize() int { return r.geo.SectorSize }

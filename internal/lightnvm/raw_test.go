@@ -43,18 +43,18 @@ func rawDevice(t *testing.T, suspendSlice time.Duration) (*sim.Env, *Device) {
 
 // mustRaw panics rather than t.Fatal: it runs inside simulation processes,
 // and a panic there surfaces through env.Run on the test goroutine.
-func mustRaw(p *sim.Proc, ln *Device, name string, begin, end int) *Raw {
-	tgt, err := ln.CreateTarget(p, "raw", name, PURange{begin, end}, nil)
+func mustRaw(ln *Device, name string, begin, end int) *Raw {
+	v, err := ln.Reserve(name, PURange{begin, end})
 	if err != nil {
 		panic(err)
 	}
-	return tgt.(*Raw)
+	return NewRaw(v)
 }
 
 func TestRawMapIsABijectionOntoTheView(t *testing.T) {
 	env, ln := rawDevice(t, 0)
 	env.Go("main", func(p *sim.Proc) {
-		raw := mustRaw(p, ln, "raw0", 1, 3) // straddles the two channels
+		raw := mustRaw(ln, "raw0", 1, 3) // straddles the two channels
 		f, seen := raw.view.Format(), map[int64]bool{}
 		sectors := raw.Capacity() / int64(raw.SectorSize())
 		for lba := int64(0); lba < sectors; lba++ {
@@ -75,7 +75,7 @@ func TestRawMapIsABijectionOntoTheView(t *testing.T) {
 func TestRawPayloadRoundTrip(t *testing.T) {
 	env, ln := rawDevice(t, 0)
 	env.Go("main", func(p *sim.Proc) {
-		raw := mustRaw(p, ln, "raw0", 1, 3)
+		raw := mustRaw(ln, "raw0", 1, 3)
 		const ss, unit = 4096, 64 << 10
 		payload := make([]byte, 6*unit) // three units per PU, 96 sectors
 		rand.New(rand.NewSource(1)).Read(payload)
@@ -108,11 +108,8 @@ func TestRawPayloadRoundTrip(t *testing.T) {
 func TestRawContractViolationsAreErrors(t *testing.T) {
 	env, ln := rawDevice(t, 0)
 	env.Go("main", func(p *sim.Proc) {
-		if _, err := ln.CreateTarget(p, "raw", "cfg", PURange{0, 1}, 7); err == nil {
-			t.Error("a raw target accepted a configuration")
-		}
-		raw := mustRaw(p, ln, "raw0", 0, 2)
-		if _, err := ln.CreateTarget(p, "raw", "greedy", PURange{1, 3}, nil); err == nil {
+		raw := mustRaw(ln, "raw0", 0, 2)
+		if _, err := ln.Reserve("greedy", PURange{1, 3}); err == nil {
 			t.Error("a raw target was created over a PU another owns")
 		}
 		const unit = 64 << 10
@@ -151,7 +148,7 @@ func TestRawContractViolationsAreErrors(t *testing.T) {
 func TestRawKeepsProgramOrderUnderSuspension(t *testing.T) {
 	env, ln := rawDevice(t, 100*time.Microsecond)
 	env.Go("main", func(p *sim.Proc) {
-		raw := mustRaw(p, ln, "raw0", 0, 2)
+		raw := mustRaw(ln, "raw0", 0, 2)
 		const chunk = 256 << 10 // two units per PU
 		// One and a half passes over two blocks per PU: the wrap erases and
 		// rewrites the first block of each.

@@ -242,22 +242,26 @@ func TestCrashMidCompactionRecovers(t *testing.T) {
 
 // TestCrashOnTenantPartition runs the same power-cut on a partition-scoped
 // pblk target (half the device's PUs): the engine's durability contract
-// must hold on a shared device, and the remount must come back on the
-// recorded partition.
+// must hold on a shared device, and the crash must release the partition
+// for the remount.
 func TestCrashOnTenantPartition(t *testing.T) {
 	e := newCrashEnv(t)
-	pcfg := pblk.Config{ActivePUs: 2, OverProvision: 0.3}
-	r := lightnvm.PURange{Begin: 0, End: 2}
+	mount := func(p *sim.Proc) (*pblk.Pblk, error) {
+		v, err := e.lnvm.Reserve("tenant0", lightnvm.PURange{Begin: 0, End: 2})
+		if err != nil {
+			return nil, err
+		}
+		return pblk.NewView(p, v, pblk.Config{ActivePUs: 2, OverProvision: 0.3})
+	}
 	dbcfg := crashDBConfig()
 
 	st := &crashState{}
 	e.sim.Go("workload", func(p *sim.Proc) {
-		tgt, err := e.lnvm.CreateTarget(p, "pblk", "tenant0", r, pcfg)
+		k, err := mount(p)
 		if err != nil {
 			t.Error(err)
 			return
 		}
-		k := tgt.(*pblk.Pblk)
 		st.k = k
 		db, err := Open(p, e.sim, k, dbcfg)
 		if err != nil {
@@ -279,20 +283,12 @@ func TestCrashOnTenantPartition(t *testing.T) {
 	synced, last := e.crashWhen(st, "a flush in progress", func() bool { return st.db.Flushing() })
 
 	e.sim.Go("verify", func(p *sim.Proc) {
-		// Host restart: drop the dead registration, remount through the
-		// recorded partition table (zero range restores the old one).
-		if err := e.lnvm.RemoveTarget(p, "tenant0"); err != nil {
-			t.Error(err)
-			return
-		}
-		tgt, err := e.lnvm.CreateTarget(p, "pblk", "tenant0", lightnvm.PURange{}, pcfg)
+		// Host restart: the crash released the partition, so the tenant
+		// remounts on it at once.
+		k2, err := mount(p)
 		if err != nil {
 			t.Error(err)
 			return
-		}
-		k2 := tgt.(*pblk.Pblk)
-		if k2.Partition() != r {
-			t.Errorf("remounted on %v, want %v", k2.Partition(), r)
 		}
 		db2, err := Open(p, e.sim, k2, dbcfg)
 		if err != nil {

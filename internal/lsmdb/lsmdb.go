@@ -162,9 +162,9 @@ type DB struct {
 	manifestBuf []byte
 	manifestMu  *sim.Resource
 
-	freeExt   []extent // sorted free extents of the table area
-	tableSlot int64    // uniform table extent size (fragmentation-proof)
-	slotPad   bool     // pad table images to tableSlot (erase-unit alignment)
+	slotUsed  []bool // per table slot: part of a live (or unreaped) table
+	tableSlot int64  // uniform table extent size (fragmentation-proof)
+	slotPad   bool   // pad table images to tableSlot (erase-unit alignment)
 
 	// tableWriteMu serializes whole table-image writes: without it a flush
 	// and a compaction output interleave their chunks in the device's
@@ -298,6 +298,7 @@ func Open(p *sim.Proc, env *sim.Env, dev Device, cfg Config) (*DB, error) {
 		db.tableSlot = slot
 		db.slotPad = true
 	}
+	db.slotUsed = make([]bool, (db.areaEnd-db.areaBase)/db.tableSlot)
 	db.levels = make([][]*tableMeta, cfg.MaxLevels)
 	db.levelBytes = make([]int64, cfg.MaxLevels)
 	db.nextTableID = 1

@@ -3,6 +3,8 @@ package lsmdb
 import (
 	"encoding/binary"
 	"errors"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -335,6 +337,98 @@ func TestReopenRecovery(t *testing.T) {
 		checkStamp(t, dst, 42, 9)
 		if err := db2.Close(p); err != nil {
 			t.Error(err)
+		}
+	})
+}
+
+// Table images take uniform slots: a compaction output one, the flush of a
+// memtable larger than TableTargetSize several, and always the lowest free
+// run of them. Recovery marks the same slots from the manifest and rejects
+// a table off a slot boundary, because the manifest is input read from the
+// device.
+func TestTableSlots(t *testing.T) {
+	const n = 3000
+	md := newMemDevice(128 << 20)
+	cfg := testConfig()
+	cfg.TableTargetSize = 16 << 10 // below the 64 KiB memtable: flushes span slots
+	env := sim.NewEnv(1)
+	db := openDB(t, env, md, cfg)
+	runDB(env, func(p *sim.Proc) {
+		var key, val []byte
+		for i := int64(0); i < n; i++ {
+			key, val = db.benchKey(key, i), db.benchVal(val, i, 1)
+			if err := db.Put(p, key, val); err != nil {
+				t.Errorf("put %d: %v", i, err)
+				return
+			}
+		}
+		db.Quiesce(p)
+		multi := false
+		for _, lv := range db.levels {
+			for _, tb := range lv {
+				rel := tb.off - db.areaBase
+				if rel%db.tableSlot != 0 || slices.Contains(db.slotUsed[rel/db.tableSlot:][:db.slots(tb.size)], false) {
+					t.Errorf("table %d at %d does not hold its slots", tb.id, tb.off)
+				}
+				multi = multi || db.slots(tb.size) > 1
+			}
+		}
+		if !multi {
+			t.Error("no table spans more than one slot")
+		}
+		// With slots 0, 2 and 3 free, a two-slot image takes 2 and 3, a
+		// one-slot image then takes 0, and nothing fits after that.
+		saved := slices.Clone(db.slotUsed)
+		for i := range db.slotUsed {
+			db.slotUsed[i] = i == 1 || i > 3
+		}
+		if off, err := db.allocSlots(2); err != nil || off != db.areaBase+2*db.tableSlot {
+			t.Errorf("allocSlots(2) = %d, %v; want slot 2 at %d", off, err, db.areaBase+2*db.tableSlot)
+		}
+		if off, err := db.allocSlots(1); err != nil || off != db.areaBase {
+			t.Errorf("allocSlots(1) = %d, %v; want slot 0 at %d", off, err, db.areaBase)
+		}
+		if _, err := db.allocSlots(1); err == nil {
+			t.Error("a full table area allocated a slot")
+		}
+		copy(db.slotUsed, saved)
+		if err := db.Close(p); err != nil {
+			t.Error(err)
+		}
+	})
+
+	env2 := sim.NewEnv(2)
+	db2 := openDB(t, env2, md, cfg)
+	if !slices.Equal(db2.slotUsed, db.slotUsed) {
+		t.Error("reopen marked other slots used than the closed engine held")
+	}
+	runDB(env2, func(p *sim.Proc) {
+		var key, dst []byte
+		for i := int64(0); i < n; i++ {
+			key = db2.benchKey(key, i)
+			var ok bool
+			var err error
+			if dst, ok, err = db2.Get(p, key, dst); err != nil || !ok || !checkStamp(t, dst, i, 1) {
+				t.Errorf("key %d after reopen: ok=%v err=%v", i, ok, err)
+				return
+			}
+		}
+		// Shift one live table off its slot boundary in a committed
+		// manifest, then abandon the engine.
+		for _, lv := range db2.levels {
+			if len(lv) > 0 {
+				lv[0].off += db2.ss
+				break
+			}
+		}
+		if err := db2.commitManifest(p); err != nil {
+			t.Fatal(err)
+		}
+	})
+	env3 := sim.NewEnv(3)
+	runDB(env3, func(p *sim.Proc) {
+		if _, err := Open(p, env3, md, cfg); err == nil || !strings.Contains(err.Error(), "bad extent") {
+			t.Errorf("reopen over a misaligned manifest table: %v, want a bad extent error", err)
 		}
 	})
 }

@@ -31,77 +31,32 @@ const (
 	manifestHdrLen   = 48
 )
 
-// extent is one free range of the table area.
-type extent struct {
-	off, size int64
-}
+// slots is the number of uniform slots a table image of size bytes spans:
+// one for a compaction output, whose size the slot is sized for, more for
+// the flush of a memtable larger than TableTargetSize.
+func (db *DB) slots(size int64) int { return int((size + db.tableSlot - 1) / db.tableSlot) }
 
-// extentSpan is the allocator-visible size of a table image: rounded up
-// to a whole number of uniform slots (one, in practice — the slot is
-// sized for the worst-case table). Alloc, free, and recovery all round
-// identically, so every hole in the area is a usable multiple of the
-// slot.
-func (db *DB) extentSpan(size int64) int64 {
-	if db.tableSlot <= 0 {
-		return size
-	}
-	if size <= db.tableSlot {
-		return db.tableSlot
-	}
-	return (size + db.tableSlot - 1) / db.tableSlot * db.tableSlot
-}
-
-// allocExtent reserves a table extent (first fit over the sorted free
-// list).
-func (db *DB) allocExtent(size int64) (int64, error) {
-	for i := range db.freeExt {
-		e := &db.freeExt[i]
-		if e.size >= size {
-			off := e.off
-			e.off += size
-			e.size -= size
-			if e.size == 0 {
-				db.freeExt = append(db.freeExt[:i], db.freeExt[i+1:]...)
-			}
+// allocSlots reserves the lowest run of n free slots and returns its
+// offset: the choice first fit makes over the area's free runs.
+func (db *DB) allocSlots(n int) (int64, error) {
+	run := 0
+	for i, used := range db.slotUsed {
+		if run++; used {
+			run = 0
+		} else if run == n {
+			off := db.areaBase + int64(i+1-n)*db.tableSlot
+			db.setSlots(off, n, true)
 			return off, nil
 		}
 	}
-	var free, maxE int64
-	for _, e := range db.freeExt {
-		free += e.size
-		if e.size > maxE {
-			maxE = e.size
-		}
-	}
-	return 0, fmt.Errorf("lsmdb: table area exhausted allocating %d bytes (live %d tables, area %d, free %d in %d exts, max ext %d, levelBytes %v)", size, db.liveTables(), db.areaEnd-db.areaBase, free, len(db.freeExt), maxE, db.levelBytes)
+	return 0, fmt.Errorf("lsmdb: table area exhausted allocating %d slots (area %d slots, levelBytes %v)", n, len(db.slotUsed), db.levelBytes)
 }
 
-func (db *DB) liveTables() int {
-	n := 0
-	for _, lv := range db.levels {
-		n += len(lv)
-	}
-	return n
-}
-
-// freeExtent returns a dead table's range to the allocator, coalescing
-// with adjacent free ranges.
-func (db *DB) freeExtent(off, size int64) {
-	i := 0
-	for i < len(db.freeExt) && db.freeExt[i].off < off {
-		i++
-	}
-	db.freeExt = append(db.freeExt, extent{})
-	copy(db.freeExt[i+1:], db.freeExt[i:])
-	db.freeExt[i] = extent{off: off, size: size}
-	// Coalesce with the right neighbour, then the left.
-	if i+1 < len(db.freeExt) && db.freeExt[i].off+db.freeExt[i].size == db.freeExt[i+1].off {
-		db.freeExt[i].size += db.freeExt[i+1].size
-		db.freeExt = append(db.freeExt[:i+1], db.freeExt[i+2:]...)
-	}
-	if i > 0 && db.freeExt[i-1].off+db.freeExt[i-1].size == db.freeExt[i].off {
-		db.freeExt[i-1].size += db.freeExt[i].size
-		db.freeExt = append(db.freeExt[:i], db.freeExt[i+1:]...)
+// setSlots marks the n slots from offset off used or free.
+func (db *DB) setSlots(off int64, n int, used bool) {
+	i := int((off - db.areaBase) / db.tableSlot)
+	for j := i; j < i+n; j++ {
+		db.slotUsed[j] = used
 	}
 }
 
@@ -225,7 +180,7 @@ func decodeManifest(buf []byte) (st manifestState, ok bool) {
 }
 
 // recover loads the newer valid manifest slot, reloads every live table's
-// bloom filter and index from its footer, rebuilds the free-extent list,
+// bloom filter and index from its footer, marks the tables' slots used,
 // trims dead space, and replays the WAL.
 func (db *DB) recover(p *sim.Proc) error {
 	best := manifestState{}
@@ -246,7 +201,6 @@ func (db *DB) recover(p *sim.Proc) error {
 		// still replay — a crash before the first manifest commit leaves all
 		// of the data in the log (on a truly fresh device the region is
 		// zeros and replay stops at the first invalid batch).
-		db.freeExt = []extent{{off: db.areaBase, size: db.areaEnd - db.areaBase}}
 		return db.walReplay(p)
 	}
 	db.manifestVer = best.version
@@ -263,24 +217,43 @@ func (db *DB) recover(p *sim.Proc) error {
 			if err := db.loadTable(p, t); err != nil {
 				return err
 			}
+			db.setSlots(t.off, db.slots(t.size), true)
 			db.levels[lv] = append(db.levels[lv], t)
 			db.levelBytes[lv] += t.size
 		}
 	}
-	db.rebuildFreeExtents()
-	// Trim dead space so a crash between manifest commit and extent trim
-	// does not leave the FTL carrying stale sectors.
-	for _, e := range db.freeExt {
-		db.asyncTrim(e.off, e.size)
+	// Trim dead space so a crash between manifest commit and slot trim
+	// does not leave the FTL carrying stale sectors: each maximal run of
+	// free slots once, the last run with the area's sub-slot tail.
+	run := db.areaBase
+	for i, used := range db.slotUsed {
+		if off := db.areaBase + int64(i)*db.tableSlot; used {
+			if off > run {
+				db.asyncTrim(run, off-run)
+			}
+			run = off + db.tableSlot
+		}
+	}
+	if run < db.areaEnd {
+		db.asyncTrim(run, db.areaEnd-run)
 	}
 	db.TrimmedBytes = 0 // recovery trims are not workload writes
 	return db.walReplay(p)
 }
 
 // loadTable reloads a manifest table's resident footer, index and bloom
-// filter from the device.
+// filter from the device. The manifest is input read from the device, so
+// the table must start on a slot boundary and span slots of the area that
+// no other table holds.
 func (db *DB) loadTable(p *sim.Proc, t *tableMeta) error {
-	if t.size < int64(tableFooterLen) || t.off < db.areaBase || t.off+t.size > db.areaEnd {
+	rel := t.off - db.areaBase
+	first := int(rel / db.tableSlot)
+	end := first + db.slots(min(t.size, db.areaEnd)) // capped: a corrupt size must not overflow
+	bad := t.size < int64(tableFooterLen) || rel < 0 || rel%db.tableSlot != 0 || end > len(db.slotUsed)
+	for i := first; !bad && i < end; i++ {
+		bad = db.slotUsed[i]
+	}
+	if bad {
 		return fmt.Errorf("lsmdb: manifest table %d has bad extent [%d,%d)", t.id, t.off, t.off+t.size)
 	}
 	foot := db.getBlockBuf(int(db.ss))
@@ -355,34 +328,4 @@ func (db *DB) loadTable(p *sim.Proc, t *tableMeta) error {
 		}
 	}
 	return nil
-}
-
-// rebuildFreeExtents computes the free list as the complement of the live
-// tables over the table area.
-func (db *DB) rebuildFreeExtents() {
-	var live []extent
-	for _, lv := range db.levels {
-		for _, t := range lv {
-			live = append(live, extent{off: t.off, size: db.extentSpan(t.size)})
-		}
-	}
-	// Insertion sort by offset (table counts are small).
-	for i := 1; i < len(live); i++ {
-		for j := i; j > 0 && live[j].off < live[j-1].off; j-- {
-			live[j], live[j-1] = live[j-1], live[j]
-		}
-	}
-	db.freeExt = db.freeExt[:0]
-	cur := db.areaBase
-	for _, e := range live {
-		if e.off > cur {
-			db.freeExt = append(db.freeExt, extent{off: cur, size: e.off - cur})
-		}
-		if e.off+e.size > cur {
-			cur = e.off + e.size
-		}
-	}
-	if cur < db.areaEnd {
-		db.freeExt = append(db.freeExt, extent{off: cur, size: db.areaEnd - cur})
-	}
 }

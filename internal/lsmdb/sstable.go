@@ -209,7 +209,7 @@ func (b *tableBuilder) finishBlock() {
 	b.blockCount = 0
 }
 
-// finish seals the image (bloom, index, footer), allocates an extent,
+// finish seals the image (bloom, index, footer), allocates a slot,
 // writes it with the configured lifetime hint, flushes the device, and
 // returns the live tableMeta. The caller commits the manifest.
 func (b *tableBuilder) finish(p *sim.Proc) (*tableMeta, error) {
@@ -256,7 +256,7 @@ func (b *tableBuilder) finish(p *sim.Proc) (*tableMeta, error) {
 	// One table image at a time: interleaved flush/compaction chunks would
 	// scramble extents across append-stream groups.
 	db.tableWriteMu.Acquire(p)
-	off, err := db.allocExtent(db.extentSpan(size))
+	off, err := db.allocSlots(db.slots(size))
 	if err != nil {
 		db.tableWriteMu.Release()
 		return nil, err
@@ -309,7 +309,7 @@ func (b *tableBuilder) finish(p *sim.Proc) (*tableMeta, error) {
 
 // ---- table lifecycle ----
 
-// killTable marks a replaced table dead; its extent is freed and trimmed
+// killTable marks a replaced table dead; its slot is freed and trimmed
 // once no reader holds a reference.
 func (db *DB) killTable(t *tableMeta) {
 	t.dead = true
@@ -320,9 +320,9 @@ func (db *DB) maybeReap(t *tableMeta) {
 	if !t.dead || t.refs != 0 || t.size == 0 {
 		return
 	}
-	span := db.extentSpan(t.size)
-	db.freeExtent(t.off, span)
-	db.asyncTrim(t.off, span)
+	n := db.slots(t.size)
+	db.setSlots(t.off, n, false)
+	db.asyncTrim(t.off, int64(n)*db.tableSlot)
 	t.size = 0
 }
 

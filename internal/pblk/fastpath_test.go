@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/blockdev"
-	"repro/internal/lightnvm"
 	"repro/internal/nand"
 	"repro/internal/sim"
 )
@@ -70,11 +69,10 @@ func TestRecoverScanRestoresWhatWasFlushed(t *testing.T) {
 	e, flushed := dirtyDevice(t)
 	e.lnvm.EnableOwnerGuard()
 	mount := func(p *sim.Proc) *Pblk {
-		tgt, err := e.lnvm.CreateTarget(p, "pblk", "pblk1", lightnvm.PURange{}, Config{ActivePUs: 4})
+		k, err := New(p, e.lnvm, "pblk1", Config{ActivePUs: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
-		k := tgt.(*Pblk)
 		if k.Stats.Recoveries != 1 || k.Stats.SnapshotLoads != 0 {
 			t.Fatalf("Recoveries = %d, SnapshotLoads = %d, want a scan recovery", k.Stats.Recoveries, k.Stats.SnapshotLoads)
 		}
@@ -107,9 +105,6 @@ func TestRecoverScanRestoresWhatWasFlushed(t *testing.T) {
 		// overhead and the array read, so a scan that issues one command at
 		// a time cannot beat their sum; one process per PU must halve it.
 		k.Crash()
-		if err := e.lnvm.RemoveTarget(p, "pblk1"); err != nil {
-			t.Fatal(err)
-		}
 		readsBefore := e.dev.Stats.Reads
 		k = mount(p)
 		defer k.Stop(p)

@@ -322,8 +322,8 @@ type flushReq struct {
 	ev  *sim.Event
 }
 
-// Pblk is a pblk target instance. It implements blockdev.Device and
-// lightnvm.Target. All methods must be called from simulation context.
+// Pblk is a pblk target instance. It implements blockdev.Device. All
+// methods must be called from simulation context.
 //
 // A pblk instance owns a partition of the device — a contiguous PU range
 // wrapped in a lightnvm.MediaView — and every PU index inside pblk (group
@@ -465,42 +465,32 @@ var (
 )
 
 var _ blockdev.Device = (*Pblk)(nil)
-var _ lightnvm.Target = (*Pblk)(nil)
 
-func init() {
-	lightnvm.RegisterTargetType("pblk", func(p *sim.Proc, view *lightnvm.MediaView, name string, cfg any) (lightnvm.Target, error) {
-		var c Config
-		switch v := cfg.(type) {
-		case nil:
-		case Config:
-			c = v
-		case *Config:
-			c = *v
-		default:
-			return nil, fmt.Errorf("pblk: config must be pblk.Config, got %T", cfg)
-		}
-		return NewView(p, view, name, c)
-	})
-}
-
-// New creates a pblk instance over the whole device, running recovery
-// (snapshot load or two-phase scan) before returning. It must be called
+// New creates a pblk instance over the whole device: it reserves every
+// PU under name and mounts NewView on the reservation. It must be called
 // from simulation context because recovery performs device I/O. For a
-// partitioned instance sharing the device with other targets, create it
-// through Device.CreateTarget with a PU range (which also reserves the
-// range) or call NewView directly.
+// partitioned instance sharing the device with other targets, reserve its
+// range with Device.Reserve and call NewView.
 func New(p *sim.Proc, dev *lightnvm.Device, name string, cfg Config) (*Pblk, error) {
-	view, err := dev.View(name, lightnvm.PURange{})
+	view, err := dev.Reserve(name, lightnvm.PURange{})
 	if err != nil {
 		return nil, err
 	}
-	return NewView(p, view, name, cfg)
+	return NewView(p, view, cfg)
 }
 
-// NewView creates a pblk instance on a media view — the partition of the
-// device this instance owns. All of the instance's state (group table,
-// lanes, L2P, recovery) is confined to the view's PU range.
-func NewView(p *sim.Proc, view *lightnvm.MediaView, name string, cfg Config) (*Pblk, error) {
+// NewView creates a pblk instance named after its media view — the
+// partition of the device this instance owns — running recovery (snapshot
+// load or two-phase scan) before returning. All of the instance's state
+// (group table, lanes, L2P, recovery) is confined to the view's PU range.
+// The instance holds the view until Stop, Shutdown or Crash releases it;
+// when construction fails, NewView releases it at once.
+func NewView(p *sim.Proc, view *lightnvm.MediaView, cfg Config) (k *Pblk, err error) {
+	defer func() {
+		if err != nil {
+			view.Release()
+		}
+	}()
 	cfg = Default(cfg)
 	geo := view.Geometry()
 	nPUs := view.PUs()
@@ -513,8 +503,8 @@ func NewView(p *sim.Proc, view *lightnvm.MediaView, name string, cfg Config) (*P
 	if nPUs%cfg.ActivePUs != 0 {
 		return nil, fmt.Errorf("pblk: ActivePUs %d must divide partition PUs %d", cfg.ActivePUs, nPUs)
 	}
-	k := &Pblk{
-		name: name,
+	k = &Pblk{
+		name: view.Name(),
 		env:  view.Env(),
 		dev:  view,
 		fmtr: view.Format(),
@@ -580,9 +570,9 @@ func NewView(p *sim.Proc, view *lightnvm.MediaView, name string, cfg Config) (*P
 	k.rl.update(k.freeGroups)
 	k.startWriters()
 	k.startMovers()
-	k.env.Go("pblk."+name+".gc", k.gcLoop)
+	k.env.Go("pblk."+k.name+".gc", k.gcLoop)
 	if k.scrubOn() {
-		k.env.Go("pblk."+name+".scrub", k.scrubLoop)
+		k.env.Go("pblk."+k.name+".scrub", k.scrubLoop)
 	} else {
 		k.scrubDone.Signal()
 	}
@@ -730,9 +720,6 @@ func (k *Pblk) stopWriters(p *sim.Proc) {
 	}
 }
 
-// TargetName implements lightnvm.Target.
-func (k *Pblk) TargetName() string { return k.name }
-
 // SectorSize implements blockdev.Device.
 func (k *Pblk) SectorSize() int { return k.geo.SectorSize }
 
@@ -813,11 +800,18 @@ func (k *Pblk) SetActivePUs(p *sim.Proc, n int) error {
 	return nil
 }
 
-// Stop implements lightnvm.Target: quiesce GC, flush all buffered data,
-// stop the lane writers. The device is left fully consistent for scan
-// recovery but no snapshot is written; use Shutdown for a graceful
-// power-down.
+// Stop quiesces GC, flushes all buffered data, stops the lane writers and
+// releases the instance's view. The device is left fully consistent for
+// scan recovery but no snapshot is written; use Shutdown for a graceful
+// power-down. The PUs stay reserved until Stop returns: it performs device
+// I/O, and a new tenant on the range meanwhile would share its blocks.
 func (k *Pblk) Stop(p *sim.Proc) error {
+	defer k.dev.Release()
+	return k.stop(p)
+}
+
+// stop is Stop without the release, shared with Shutdown.
+func (k *Pblk) stop(p *sim.Proc) error {
 	if k.stopping {
 		return nil
 	}
@@ -841,10 +835,11 @@ func (k *Pblk) Stop(p *sim.Proc) error {
 }
 
 // Shutdown performs a graceful power-down: flush, quiesce, pad and close
-// every open block group, and persist a full L2P snapshot to the reserved
-// system group (paper §4.2.2, snapshot form).
+// every open block group, persist a full L2P snapshot to the reserved
+// system group (paper §4.2.2, snapshot form), and release the view.
 func (k *Pblk) Shutdown(p *sim.Proc) error {
-	if err := k.Stop(p); err != nil {
+	defer k.dev.Release()
+	if err := k.stop(p); err != nil {
 		return err
 	}
 	k.drainOpenGroups(p)
@@ -882,9 +877,9 @@ func (k *Pblk) quiesce(p *sim.Proc) {
 	}
 }
 
-// Crash abandons all host state without flushing, simulating power loss.
-// The instance becomes unusable; create a new instance on the same device
-// to exercise recovery.
+// Crash abandons all host state without flushing, simulating power loss,
+// and releases the view with it. The instance becomes unusable; create a
+// new instance on the same range to exercise recovery.
 func (k *Pblk) Crash() {
 	k.stopping = true
 	k.crashed = true

@@ -517,29 +517,25 @@ func TestStopRejectsFurtherIO(t *testing.T) {
 	})
 }
 
+// A full-device pblk holds every PU until it stops: a second instance,
+// under its name or any other, cannot mount beside it, and one mounts as
+// soon as Stop returns.
 func TestLightNVMTargetLifecycle(t *testing.T) {
 	e := newEnv(t, testDeviceConfig())
 	e.run(func(p *sim.Proc) {
-		tgt, err := e.lnvm.CreateTarget(p, "pblk", "pblk0", lightnvm.PURange{}, Config{ActivePUs: 4})
-		if err != nil {
-			t.Fatal(err)
+		k := e.newPblk(p, Config{ActivePUs: 4})
+		for _, name := range []string{"pblk0", "pblk1"} {
+			if _, err := New(p, e.lnvm, name, Config{ActivePUs: 4}); err == nil {
+				t.Fatalf("second pblk %q mounted over a live one", name)
+			}
 		}
-		if got := e.lnvm.Targets(); len(got) != 1 || got[0] != "pblk0" {
-			t.Fatalf("targets = %v", got)
-		}
-		if _, err := e.lnvm.CreateTarget(p, "pblk", "pblk0", lightnvm.PURange{}, Config{ActivePUs: 4}); err == nil {
-			t.Fatal("duplicate target name accepted")
-		}
-		k := tgt.(*Pblk)
 		if err := k.Write(p, 0, nil, 4096); err != nil {
 			t.Fatal(err)
 		}
-		if err := e.lnvm.RemoveTarget(p, "pblk0"); err != nil {
+		if err := k.Stop(p); err != nil {
 			t.Fatal(err)
 		}
-		if len(e.lnvm.Targets()) != 0 {
-			t.Fatal("target not removed")
-		}
+		e.newPblk(p, Config{ActivePUs: 4}).Stop(p)
 	})
 }
 

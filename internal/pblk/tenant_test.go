@@ -17,22 +17,29 @@ func tenantConfig() Config {
 	return Config{ActivePUs: 2, OverProvision: 0.3}
 }
 
-// createTenant makes a pblk target on a PU range through the media
-// manager, asserting the partition geometry took hold.
+// mountTenant reserves a PU range through the media manager and mounts a
+// pblk target on it.
+func mountTenant(p *sim.Proc, ln *lightnvm.Device, name string, r lightnvm.PURange, cfg Config) (*Pblk, error) {
+	v, err := ln.Reserve(name, r)
+	if err != nil {
+		return nil, err
+	}
+	return NewView(p, v, cfg)
+}
+
+// createTenant is mountTenant that must succeed, asserting the partition
+// geometry took hold.
 func createTenant(t *testing.T, p *sim.Proc, ln *lightnvm.Device, name string, r lightnvm.PURange, cfg Config) *Pblk {
 	t.Helper()
-	tgt, err := ln.CreateTarget(p, "pblk", name, r, cfg)
+	k, err := mountTenant(p, ln, name, r, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	k := tgt.(*Pblk)
-	if !r.IsZero() {
-		if k.Partition() != r {
-			t.Fatalf("%s: partition = %v, want %v", name, k.Partition(), r)
-		}
-		if k.nPUs != r.Width() {
-			t.Fatalf("%s: nPUs = %d, want %d", name, k.nPUs, r.Width())
-		}
+	if k.Partition() != r {
+		t.Fatalf("%s: partition = %v, want %v", name, k.Partition(), r)
+	}
+	if k.nPUs != r.Width() {
+		t.Fatalf("%s: nPUs = %d, want %d", name, k.nPUs, r.Width())
 	}
 	return k
 }
@@ -139,8 +146,8 @@ func TestTwoTenantsConcurrentIO(t *testing.T) {
 		t.Error("partitioned tenant capacity not confined to its PU range")
 	}
 	e.sim.Go("teardown", func(p *sim.Proc) {
-		for i := range tenants {
-			if err := e.lnvm.RemoveTarget(p, fmt.Sprintf("pblk%d", i)); err != nil {
+		for _, tn := range tenants {
+			if err := tn.k.Stop(p); err != nil {
 				t.Error(err)
 			}
 		}
@@ -151,7 +158,7 @@ func TestTwoTenantsConcurrentIO(t *testing.T) {
 // TestTenantShutdownSnapshotIndependent gives each partition its own
 // snapshot area: one tenant shuts down gracefully (snapshot), its sibling
 // crashes (scan recovery), and both recover their data independently
-// after a remount through the recorded partition table.
+// after a remount on their old ranges.
 func TestTenantShutdownSnapshotIndependent(t *testing.T) {
 	e := newEnv(t, testDeviceConfig())
 	e.lnvm.EnableOwnerGuard()
@@ -188,21 +195,10 @@ func TestTenantShutdownSnapshotIndependent(t *testing.T) {
 	e.sim.Run()
 
 	e.sim.Go("verify", func(p *sim.Proc) {
-		// Remount both with a zero range: the partition table must hand
-		// each instance its old range back. (pblk1 crashed without
-		// RemoveTarget, so release its registration first — the "module
-		// reload" step of a restart within one run.)
-		if err := e.lnvm.RemoveTarget(p, "pblk0"); err != nil {
-			t.Fatal(err)
-		}
-		if err := e.lnvm.RemoveTarget(p, "pblk1"); err != nil {
-			t.Fatal(err)
-		}
+		// Shutdown and Crash both released their ranges, so each remounts
+		// at once.
 		for _, name := range []string{"pblk0", "pblk1"} {
-			k := createTenant(t, p, e.lnvm, name, lightnvm.PURange{}, tenantConfig())
-			if k.Partition() != ranges[name] {
-				t.Fatalf("%s: remount range %v, want %v", name, k.Partition(), ranges[name])
-			}
+			k := createTenant(t, p, e.lnvm, name, ranges[name], tenantConfig())
 			wantSnap := int64(0)
 			if name == "pblk0" {
 				wantSnap = 1
@@ -236,22 +232,23 @@ func TestPartitionActivePUValidation(t *testing.T) {
 	e.run(func(p *sim.Proc) {
 		cfg := tenantConfig()
 		cfg.ActivePUs = 4 // device has 4, but the partition only 2
-		if _, err := e.lnvm.CreateTarget(p, "pblk", "t", lightnvm.PURange{Begin: 0, End: 2}, cfg); err == nil {
+		if _, err := mountTenant(p, e.lnvm, "t", lightnvm.PURange{Begin: 0, End: 2}, cfg); err == nil {
 			t.Fatal("ActivePUs beyond the partition accepted")
 		}
+		// The failed mount released its reservation: the same name and
+		// range mount at once.
 		cfg.ActivePUs = 1
-		tgt, err := e.lnvm.CreateTarget(p, "pblk", "t", lightnvm.PURange{Begin: 0, End: 2}, cfg)
+		k, err := mountTenant(p, e.lnvm, "t", lightnvm.PURange{Begin: 0, End: 2}, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		k := tgt.(*Pblk)
 		if err := k.SetActivePUs(p, 4); err == nil {
 			t.Fatal("SetActivePUs beyond the partition accepted")
 		}
 		if err := k.SetActivePUs(p, 2); err != nil {
 			t.Fatal(err)
 		}
-		if err := e.lnvm.RemoveTarget(p, "t"); err != nil {
+		if err := k.Stop(p); err != nil {
 			t.Fatal(err)
 		}
 	})

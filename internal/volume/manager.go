@@ -168,9 +168,6 @@ type Config struct {
 	// (default "fleet").
 	NamePrefix string
 	Seed       int64
-	// AutoRebuild attaches a pool spare and starts the rebuild engine
-	// automatically when a volume member dies.
-	AutoRebuild bool
 }
 
 // DefaultDeviceConfig is the compact per-member device used when
@@ -267,22 +264,15 @@ func (mgr *Manager) addDevice(p *sim.Proc, id int) (*Member, error) {
 }
 
 // mount creates the member's full-device pblk target and opens its queue.
-// On remount (crash recovery) the previous crashed instance is removed
-// first; the media manager's partition table hands the new instance the
-// whole device back and pblk's scan recovery rebuilds the L2P.
+// On remount after a crash the crashed instance has already released the
+// device; pblk's scan recovery rebuilds the L2P.
 func (mgr *Manager) mount(p *sim.Proc, m *Member) error {
 	tname := m.name + "-pblk"
-	if m.tgt != nil {
-		if err := m.ln.RemoveTarget(p, tname); err != nil {
-			return fmt.Errorf("volume: unmount %s: %w", tname, err)
-		}
-		m.tgt = nil
-	}
-	tgt, err := m.ln.CreateTarget(p, "pblk", tname, lightnvm.PURange{}, mgr.cfg.Pblk)
+	k, err := pblk.New(p, m.ln, tname, mgr.cfg.Pblk)
 	if err != nil {
 		return fmt.Errorf("volume: mount %s: %w", tname, err)
 	}
-	m.tgt = tgt.(*pblk.Pblk)
+	m.tgt = k
 	m.q = blockdev.OpenQueue(mgr.env, m.tgt, memberQueueDepth)
 	m.sync = blockdev.NewQueueAdapter(mgr.env, m.q)
 	return nil
@@ -318,10 +308,9 @@ func (mgr *Manager) Volume(name string) (*Volume, bool) {
 }
 
 // Kill fails a fleet device whole — the drive drops off the bus. The
-// ocssd death hook flips the member into degraded routing, crashes its
-// pblk instance (volatile FTL state is gone with the device), and, under
-// AutoRebuild, attaches a hot spare and starts the rebuild engine. It
-// must run in simulation context.
+// ocssd death hook flips the member into degraded routing and crashes its
+// pblk instance (volatile FTL state is gone with the device). It must run
+// in simulation context.
 func (mgr *Manager) Kill(id int) { mgr.members[id].oc.Fail() }
 
 // onDeviceDeath is the ocssd death hook: stop routing to the member, then
@@ -340,7 +329,7 @@ func (mgr *Manager) onDeviceDeath(m *Member) {
 		return
 	}
 	if m.vol != nil {
-		m.vol.memberDied(m)
+		m.vol.stats.MemberDeaths++ // its state already routes the column degraded
 	}
 }
 

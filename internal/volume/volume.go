@@ -624,21 +624,6 @@ func (s *subFlush) complete(r *blockdev.Request) {
 	fo.resolve(err)
 }
 
-// memberDied flips the volume into degraded mode for the dead member's
-// column and, under AutoRebuild, pulls a hot spare in immediately.
-func (v *Volume) memberDied(m *Member) {
-	v.stats.MemberDeaths++
-	if v.mgr.cfg.AutoRebuild && !v.mgr.downtime {
-		if sp := v.mgr.TakeSpare(); sp != nil {
-			if err := v.AttachSpare(sp); err != nil {
-				// No set is waiting for a replacement; return the spare.
-				sp.state = StateSpare
-				v.mgr.spares = append(v.mgr.spares, sp)
-			}
-		}
-	}
-}
-
 // AttachSpare replaces the first dead replica in the volume with sp and
 // starts the online rebuild engine filling it. sp must be an unassigned
 // pool spare (TakeSpare). Must run in simulation context.

@@ -320,46 +320,10 @@ func TestRebuildToSpare(t *testing.T) {
 	})
 }
 
-func TestAutoRebuildOnDeath(t *testing.T) {
-	runSim(t, 7, func(p *sim.Proc, env *sim.Env) {
-		cfg := testConfig(2, 1, 7)
-		cfg.AutoRebuild = true
-		mgr := newFleet(t, p, env, cfg)
-		v := mustVolume(t, mgr, "a0", Mirror(0, 1), Options{})
-		writeRange(t, p, v, 0, 1<<20, 0x44)
-		if err := v.Flush(p); err != nil {
-			t.Fatalf("flush: %v", err)
-		}
-		mgr.Kill(0)
-		if !v.Rebuilding() {
-			t.Fatal("AutoRebuild did not attach the pool spare")
-		}
-		if mgr.SparesLeft() != 0 {
-			t.Fatalf("spare pool = %d, want 0", mgr.SparesLeft())
-		}
-		if !v.WaitRebuild(p) {
-			t.Fatal("auto rebuild failed")
-		}
-		if v.Degraded() {
-			t.Fatal("volume still degraded after auto rebuild")
-		}
-		readVerify(t, p, v, 0, 1<<20, 0x44, "post-auto-rebuild readback")
-	})
-}
-
-// The spare pool hands out the lowest id first, and a spare that memberDied
-// takes but cannot attach goes back on top.
+// The spare pool hands out the lowest id first.
 func TestSparePoolOrder(t *testing.T) {
 	runSim(t, 8, func(p *sim.Proc, env *sim.Env) {
-		cfg := testConfig(1, 3, 8)
-		cfg.AutoRebuild = true
-		mgr := newFleet(t, p, env, cfg)
-		v := mustVolume(t, mgr, "s0", Mirror(0), Options{})
-		if sp := mgr.TakeSpare(); sp.ID() != 1 {
-			t.Fatalf("first spare taken is %d, want 1", sp.ID())
-		}
-		// Member 0 is healthy, so no replica awaits the spare this takes.
-		v.memberDied(mgr.Member(0))
+		mgr := newFleet(t, p, env, testConfig(1, 3, 8))
 		var got []int
 		for sp := mgr.TakeSpare(); sp != nil; sp = mgr.TakeSpare() {
 			if sp.State() != StateSpare {
@@ -367,8 +331,8 @@ func TestSparePoolOrder(t *testing.T) {
 			}
 			got = append(got, sp.ID())
 		}
-		if !slices.Equal(got, []int{2, 3}) {
-			t.Fatalf("spares taken after the return: %v, want [2 3]", got)
+		if !slices.Equal(got, []int{1, 2, 3}) {
+			t.Fatalf("spares taken: %v, want [1 2 3]", got)
 		}
 	})
 }
