@@ -43,13 +43,6 @@ const (
 	// HintCold marks long-lived sequential data (SSTable flush/compaction
 	// output) that the application erases in whole extents.
 	HintCold
-	// HintColdSeg marks the first write of a new cold append segment. A
-	// stream-aware FTL placing cold data in a dedicated append stream may
-	// realign that stream to an erase-unit boundary at the marker (the ZNS
-	// finish-zone-per-SSTable discipline), so segments sized to the erase
-	// unit map onto whole units and die whole when the application trims
-	// them. Devices without stream placement treat it exactly as HintCold.
-	HintColdSeg
 )
 
 func (o ReqOp) String() string {

@@ -8,9 +8,9 @@ import (
 	"repro/internal/sim"
 )
 
-// PreparePPA sequentially programs the first `blocks` block groups of each
-// listed PU with synthetic data, straight at the device. Only bench/ still
-// calls it (the ladder's bare-device rung, frozen outside benchmark PRs);
+// Bench-only: PreparePPA sequentially programs the first `blocks` block
+// groups of each listed PU with synthetic data, straight at the device.
+// Only the benchmark module calls it (the ladder's bare-device rung);
 // everything else prepares a lightnvm raw target with Prepare.
 func PreparePPA(p *sim.Proc, dev *ocssd.Device, pus []int, blocks int) error {
 	g := dev.Geometry()

@@ -413,14 +413,14 @@ func checkLanes(t *testing.T, rep *Report) {
 	}
 }
 
-// checkWAE2E: the flash-native stream leaves the FTL next to nothing to move
-// (FTL WA reads 1.00), so its combined WA beats the stacked baseline's.
+// checkWAE2E: cold-stream hints leave the FTL next to nothing to move (FTL
+// WA reads 1.00), so their combined WA beats the stacked baseline's.
 func checkWAE2E(t *testing.T, rep *Report) {
 	const title = "End-to-end WA"
-	ftlWA := value(t, rep, title, "FTL WA", "flash-native stream")
-	base := value(t, rep, title, "combined", "stacked baseline (ignore)")
-	native := value(t, rep, title, "combined", "flash-native stream")
-	if ftlWA >= 1.005 || native >= base {
-		t.Errorf("flash-native FTL WA %.3f (want 1.00), combined WA %.2f vs stacked %.2f (want lower)", ftlWA, native, base)
+	ftlWA := value(t, rep, title, "FTL WA", "cold-stream hints")
+	base := value(t, rep, title, "combined", "stacked baseline")
+	hinted := value(t, rep, title, "combined", "cold-stream hints")
+	if ftlWA >= 1.005 || hinted >= base {
+		t.Errorf("cold-stream FTL WA %.3f (want 1.00), combined WA %.2f vs stacked %.2f (want lower)", ftlWA, hinted, base)
 	}
 }

@@ -29,23 +29,19 @@ func waE2EGeometry(blocksPerPlane int) ppa.Geometry {
 
 // waE2EMode is one stacking of the LSM engine over pblk.
 type waE2EMode struct {
-	name   string
-	policy pblk.HintPolicy
-	hints  bool // engine tags SSTable writes HintCold
+	name  string
+	hints bool // engine tags SSTable writes HintCold
 }
 
 var waE2EModes = []waE2EMode{
 	// The log-on-log baseline: the FTL sees one undifferentiated write
 	// stream, so WAL laps, flushed memtables, and compaction output share
 	// block groups and GC untangles them by copying.
-	{"stacked baseline (ignore)", pblk.HintIgnore, false},
-	// Hinted table writes ride the GC/cold stream: segregated from hot
-	// WAL traffic but still mixed with the collector's own rewrites.
-	{"cold-stream hints", pblk.HintColdStream, true},
-	// Flash-native: table writes get a dedicated append stream, so a
-	// compaction that erases its inputs leaves whole groups invalid and
-	// reclaim is a pure erase — the LSM's compaction IS the GC.
-	{"flash-native stream", pblk.HintNativeStream, true},
+	{"stacked baseline", false},
+	// Hinted table writes ride pblk's GC (cold) stream: segregated from
+	// hot WAL traffic, so a compaction that trims its inputs leaves whole
+	// groups invalid and reclaim is a near-pure erase.
+	{"cold-stream hints", true},
 }
 
 type waE2ERow struct {
@@ -62,9 +58,9 @@ type waE2ERow struct {
 // deployment would: 2 KB entries packed two to a 4 KB block (one record
 // is 15+16+2016 = 2047 bytes, so a block is exactly one sector — zero
 // format padding), and table slots set to the FTL's erase unit so every
-// SSTable consumes exactly one block group of the append stream. All
-// three stacks run the identical engine config; only the hint policy
-// differs, so the comparison isolates what the FTL does with the stream.
+// SSTable consumes exactly one block group of the append stream. Both
+// stacks run the identical engine config; only the hints differ, so the
+// comparison isolates what the FTL does with the stream.
 // The segment (table slot) spans lanes x erase unit: pblk stripes a
 // stream's units round-robin over its lanes, so a segment this size lays
 // down exactly one whole block group per lane and a trimmed table
@@ -91,7 +87,7 @@ func waE2EDBConfig(o Options, hints bool, segment int64) lsmdb.Config {
 
 // runWAE2E measures the end-to-end cost of the log-on-log stack and what
 // stream separation buys back. For each space-amplification target
-// (dataset as a fraction of device capacity) and each hint policy, the
+// (dataset as a fraction of device capacity), with and without hints, the
 // run is fillrandom to the target, warm-up overwrite passes to reach GC
 // steady state, one measured overwrite pass, then readwhilewriting:
 //
@@ -99,9 +95,9 @@ func waE2EDBConfig(o Options, hints bool, segment int64) lsmdb.Config {
 //	FTL  WA     = (user + GC-moved + padded sectors) / user sectors
 //	combined WA = app WA x FTL WA  (media bytes per user KV byte)
 //
-// The flash-native stream should win combined WA and steady-state
-// overwrite throughput against the stacked baseline: its compaction
-// already erases whole table extents, so the FTL has nothing to move.
+// Cold hints should win combined WA and steady-state overwrite throughput
+// against the stacked baseline: compaction already erases whole table
+// extents in the cold stream, so the FTL has next to nothing to move.
 func runWAE2E(o Options) *Report {
 	blocks := 28
 	utils := []float64{0.42, 0.46}
@@ -118,7 +114,7 @@ func runWAE2E(o Options) *Report {
 		row := waE2ERow{name: mode.name}
 		env.Go("wae2e", func(p *sim.Proc) {
 			k, err := pblk.New(p, ln, "pblk-wae2e", pblk.Config{
-				ActivePUs: 2, OverProvision: 0.10, HintPolicy: mode.policy,
+				ActivePUs: 2, OverProvision: 0.10,
 			})
 			checkIn(mode.name, err)
 			defer k.Stop(p)
@@ -175,13 +171,13 @@ func runWAE2E(o Options) *Report {
 			t.add(label(r.name), num("%.2f", r.appWA), num("%.2f", r.ftlWA),
 				num("%.2f", r.comb), num("%.2f", r.wMBps), ms(r.p99), num("%.0f", r.stalls))
 		}
-		base, native := rows[0], rows[len(rows)-1]
-		s.note("", fmt.Sprintf("flash-native vs stacked: combined WA %.2f -> %.2f, overwrite %.2f -> %.2f MB/s",
-			base.comb, native.comb, base.wMBps, native.wMBps))
+		base, hinted := rows[0], rows[1]
+		s.note("", fmt.Sprintf("cold hints vs stacked: combined WA %.2f -> %.2f, overwrite %.2f -> %.2f MB/s",
+			base.comb, hinted.comb, base.wMBps, hinted.wMBps))
 	}
 	s.note("", "expected shape: the stacked baseline pays twice — the engine's own compaction",
 		"rewrites plus FTL GC untangling WAL laps from table extents in shared blocks.",
-		"Cold-stream hints remove tables from the hot stream; the flash-native stream",
-		"also erases whole table extents at compaction, leaving GC a pure erase.")
+		"Cold-stream hints keep tables out of the hot stream, so compaction's trims",
+		"invalidate whole table extents and GC is left a near-pure erase.")
 	return rep
 }

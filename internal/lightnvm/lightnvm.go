@@ -62,9 +62,9 @@ func Register(name string, dev *ocssd.Device) *Device {
 	return &Device{name: name, dev: dev, owners: make([]*MediaView, dev.Geometry().TotalPUs())}
 }
 
-// UnregisterAll does nothing: there is no device registry to empty. It
-// remains for the benchmark module, which calls it between runs and which
-// changes only in a PR of its own.
+// Bench-only: UnregisterAll does nothing, as there is no device registry
+// to empty. It remains for the benchmark module, which calls it between
+// runs and which changes only in a PR of its own.
 func UnregisterAll() {}
 
 // Name returns the device name.

@@ -213,7 +213,7 @@ func TestCrashMidFlushRecovers(t *testing.T) {
 // and no durable key may be lost.
 func TestCrashMidCompactionRecovers(t *testing.T) {
 	e := newCrashEnv(t)
-	pcfg := pblk.Config{ActivePUs: 4, OverProvision: 0.3, HintPolicy: pblk.HintColdStream}
+	pcfg := pblk.Config{ActivePUs: 4, OverProvision: 0.3}
 	dbcfg := crashDBConfig()
 	dbcfg.ColdHints = true
 	st := &crashState{}

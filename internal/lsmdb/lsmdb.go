@@ -13,11 +13,11 @@
 // All device I/O rides the blockdev.Queue asynchronous datapath through
 // pooled requests (blockdev.SyncAdapter), so the steady-state read/write path
 // allocates nothing. SSTable flush and compaction output may be tagged with
-// blockdev.HintCold (Config.ColdHints): a hint-aware FTL (pblk) then
-// segregates them into a cold or dedicated app append stream, and because
-// lsmdb erases whole table extents with ReqTrim after each compaction,
-// the FTL never has to relocate SSTable data — compaction is the garbage
-// collection (the paper's argument against log-on-log stacking).
+// blockdev.HintCold (Config.ColdHints): pblk then writes them on its GC
+// (cold) stream, away from the hot WAL, and because lsmdb erases whole
+// table extents with ReqTrim after each compaction, the FTL has next to
+// nothing to relocate — compaction is the garbage collection (the paper's
+// argument against log-on-log stacking).
 package lsmdb
 
 import (
@@ -62,17 +62,19 @@ type Config struct {
 	TableTargetSize int64
 	// TableSlotSize, when >0, fixes the uniform table extent size instead
 	// of the computed worst case, and pads every table image to fill its
-	// slot exactly. Set it to the device's erase unit (pblk.EraseUnitBytes)
-	// for flash-native alignment: each table then consumes exactly one
-	// reclaim unit of the FTL's append stream, so erasing a table leaves a
-	// whole unit invalid and GC never has to move SSTable data. The slot
-	// must exceed the worst-case table image (TableTargetSize plus entry
-	// overshoot, bloom, index, footer) or Open fails.
+	// slot exactly. Set it to pblk's erase unit (EraseUnitBytes) times its
+	// active PUs: a table hinted cold (ColdHints) then fills one block group
+	// per lane of pblk's GC stream, so trimming it leaves those groups
+	// invalid save for GC rewrites placed among them. The slot must exceed
+	// the worst-case table image (TableTargetSize plus entry overshoot,
+	// bloom, index, footer) or Open fails.
 	TableSlotSize int64
 	// BlockCacheSize bounds the clock block cache in bytes (0 disables).
 	BlockCacheSize int64
 	// ColdHints tags SSTable flush and compaction writes with
-	// blockdev.HintCold so a hint-aware FTL can segregate them.
+	// blockdev.HintCold. It is the one switch for hinting: pblk writes every
+	// cold-hinted sector on its GC stream, apart from hot WAL and user
+	// data; devices without streams ignore the hint.
 	ColdHints bool
 	// CPUPerOp is the host CPU cost charged to every Put and Get
 	// (memtable/skiplist work, comparisons, checksums).

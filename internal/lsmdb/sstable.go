@@ -268,14 +268,7 @@ func (b *tableBuilder) finish(p *sim.Proc) (*tableMeta, error) {
 		if size-done < n {
 			n = size - done
 		}
-		h := hint
-		if done == 0 && db.slotPad && hint != blockdev.HintNone {
-			// First write of an erase-unit-sized segment: a stream-placing
-			// FTL realigns its append stream here, so the whole table maps
-			// onto whole erase units.
-			h = blockdev.HintColdSeg
-		}
-		if err := db.blk.Do(p, blockdev.ReqWrite, off+done, b.buf[done:done+n], n, h); err != nil {
+		if err := db.blk.Do(p, blockdev.ReqWrite, off+done, b.buf[done:done+n], n, hint); err != nil {
 			db.tableWriteMu.Release()
 			return nil, err
 		}

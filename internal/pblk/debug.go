@@ -8,45 +8,39 @@ import (
 // LaneStat is a snapshot of one write lane, exposed for the harness
 // lane-scaling experiment and the benchmark's per-layer counters.
 type LaneStat struct {
-	Lane          int
-	PULo, PUHi    int // PU span [PULo, PUHi)
-	CurPU         int
-	OpenGroup     int // open user-stream group id, -1 when none
-	GCOpenGroup   int // open GC-stream group id, -1 when none
-	AppOpenGroup  int // open app-stream group id, -1 when none
-	QueueDepth    int // dispatched user sectors awaiting unit formation
-	GCQueueDepth  int // dispatched GC-stream sectors awaiting unit formation
-	AppQueueDepth int // dispatched app-stream sectors awaiting unit formation
-	Retries       int // write-failed sectors awaiting resubmission
-	PeakDepth     int // high-water mark of queued+retried sectors
-	Inflight      int // write units outstanding on the PU
-	UnitsWritten  int64
-	SemStalls     int64 // writer blocked on the per-PU in-flight semaphore
-	Waits         int64 // writer parked with no work
-	Padded        int64 // padding sectors this lane wrote
+	Lane         int
+	PULo, PUHi   int // PU span [PULo, PUHi)
+	CurPU        int
+	OpenGroup    int // open user-stream group id, -1 when none
+	GCOpenGroup  int // open GC-stream group id, -1 when none
+	QueueDepth   int // dispatched user sectors awaiting unit formation
+	GCQueueDepth int // dispatched GC-stream sectors awaiting unit formation
+	Retries      int // write-failed sectors awaiting resubmission
+	PeakDepth    int // high-water mark of queued+retried sectors
+	Inflight     int // write units outstanding on the PU
+	UnitsWritten int64
+	SemStalls    int64 // writer blocked on the per-PU in-flight semaphore
+	Waits        int64 // writer parked with no work
+	Padded       int64 // padding sectors this lane wrote
 }
 
 // LaneStats returns a per-lane snapshot of the sharded write datapath.
 func (k *Pblk) LaneStats() []LaneStat {
 	out := make([]LaneStat, len(k.slots))
 	for i, s := range k.slots {
-		grp, gcGrp, appGrp := -1, -1, -1
+		grp, gcGrp := -1, -1
 		if s.grp[streamUser] != nil {
 			grp = s.grp[streamUser].id
 		}
 		if s.grp[streamGC] != nil {
 			gcGrp = s.grp[streamGC].id
 		}
-		if s.grp[streamApp] != nil {
-			appGrp = s.grp[streamApp].id
-		}
 		out[i] = LaneStat{
 			Lane: s.lane, PULo: s.puLo, PUHi: s.puHi, CurPU: s.curPU,
-			OpenGroup: grp, GCOpenGroup: gcGrp, AppOpenGroup: appGrp,
+			OpenGroup: grp, GCOpenGroup: gcGrp,
 			QueueDepth: s.qSectors[streamUser], GCQueueDepth: s.qSectors[streamGC],
-			AppQueueDepth: s.qSectors[streamApp],
-			Retries:       s.retrySectors(),
-			PeakDepth:     s.peakDepth, Inflight: s.sem.InUse(),
+			Retries:   s.retrySectors(),
+			PeakDepth: s.peakDepth, Inflight: s.sem.InUse(),
 			UnitsWritten: s.unitsWritten, SemStalls: s.stalls,
 			Waits: s.waits, Padded: s.padded,
 		}
@@ -79,9 +73,9 @@ func (k *Pblk) DebugState() string {
 	fmt.Fprintf(&b, "free=%d/%d spare=%d gcStart=%d gcStop=%d gcActive=%v gcInFlight=%d/%d rlIdle=%v quota=%d emergency=%d\n",
 		k.freeGroups, k.usableGroups, k.spareGroups(), k.gcStartGroups(), k.gcStopGroups(),
 		k.gcActive, k.gcInFlight, k.cfg.GCPipelineDepth, k.rl.idle, k.rl.userQuota, k.emergencyReserve())
-	fmt.Fprintf(&b, "ring head=%d disp=%d tail=%d userIn=%d gcIn=%d free=%d cap=%d pendUser=%d pendGC=%d pendApp=%d\n",
+	fmt.Fprintf(&b, "ring head=%d disp=%d tail=%d userIn=%d gcIn=%d free=%d cap=%d pendUser=%d pendGC=%d\n",
 		k.rb.head, k.rb.disp, k.rb.tail, k.rb.userIn, k.rb.gcIn, k.rb.free(), k.rb.capacity(),
-		len(k.pend[streamUser]), len(k.pend[streamGC]), len(k.pend[streamApp]))
+		len(k.pend[streamUser]), len(k.pend[streamGC]))
 	fmt.Fprintf(&b, "retry=%d flushes=%d suspects=%d stopping=%v rebuilding=%v gcStopping=%v\n",
 		k.retryCount(), k.flushes.Len(), k.suspects.Len(), k.stopping, k.rebuilding, k.gcStopping)
 	fmt.Fprintf(&b, "gc moved=%d recycled=%d gcLost=%d gcPeakInFlight=%d\n",

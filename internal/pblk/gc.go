@@ -428,15 +428,6 @@ func (k *Pblk) pickVictim(maxValidFrac float64) (victim *group, anyGarbage bool)
 		if g.valid >= k.dataSectors {
 			continue
 		}
-		if g.stream == streamApp && g.valid > 0 && k.freeGroups > k.emergencyReserve() {
-			// Compaction-as-GC: app-stream groups hold SSTable extents the
-			// application erases as a unit (trim after a manifest commit), so
-			// relocating their live sectors would just duplicate the LSM's
-			// own reclaim. They become ordinary victims once fully dead —
-			// zero-cost erases — and the exemption lifts at the emergency
-			// floor so a misbehaving application cannot wedge the device.
-			continue
-		}
 		anyGarbage = true
 		if g.valid > maxValid {
 			continue

@@ -64,15 +64,9 @@ type Config struct {
 	// data, as the pre-stream datapath did. Baselines only — mixing hot
 	// and cold data inflates write amplification.
 	SingleStream bool
-	// HintPolicy selects how write-lifetime hints (blockdev.Request.Hint)
-	// are honoured. HintIgnore (default) drops them: hinted writes ride the
-	// user stream like everything else. HintColdStream folds hinted writes
-	// into the GC (cold) stream, so application cold data and GC rewrites
-	// share blocks but stay out of hot user blocks. HintNativeStream opens
-	// a third, dedicated app stream for hinted writes and exempts its block
-	// groups from GC victim selection while they hold valid data — the
-	// application promises to erase those extents wholesale (trim), so its
-	// own reclaim (LSM compaction) replaces FTL GC for that data.
+	// Bench-only: HintPolicy is never read; a write hinted blockdev.HintCold
+	// always rides the GC stream. It remains for the benchmark module, which
+	// sets it and which changes only in a PR of its own.
 	HintPolicy HintPolicy
 	// DisableRateLimiter lets characterization runs (paper §5.1 "rate-
 	// limiter disabled") bypass user-write throttling.
@@ -91,18 +85,12 @@ type Config struct {
 	ScrubRetryThreshold int
 }
 
-// HintPolicy selects how pblk treats write-lifetime hints.
+// Bench-only: HintPolicy is the type of the unread Config.HintPolicy.
 type HintPolicy uint8
 
-const (
-	// HintIgnore drops write hints: every user write rides the user stream.
-	HintIgnore HintPolicy = iota
-	// HintColdStream routes hinted (cold) writes onto the GC stream.
-	HintColdStream
-	// HintNativeStream routes hinted writes onto a dedicated app stream
-	// whose groups are exempt from GC while they hold valid data.
-	HintNativeStream
-)
+// Bench-only: HintNativeStream once selected a third write stream for
+// hinted writes; pblk has two streams and ignores the value.
+const HintNativeStream HintPolicy = 2
 
 // Default fills unset Config fields with the paper-faithful defaults.
 func Default(cfg Config) Config {
@@ -266,14 +254,6 @@ type slot struct {
 	kick     *sim.Event      // wakes the lane writer
 	writer   *sim.Proc       // the lane writer, nil until startWriters
 	quit     bool            // drain everything, then exit (lane rebuild)
-	// appRealign asks the writer to pad-close a partially written
-	// app-stream group before its next unit: a HintColdSeg marker arrived,
-	// so the stream must restart on an erase-unit boundary. Segments sized
-	// to lanes x erase unit leave nothing to pad in steady state; the flag
-	// only costs writes after a slip (forced sub-unit dispatch under a
-	// flush barrier), and then it stops the slip from shearing every later
-	// segment across two groups.
-	appRealign bool
 
 	// Lane telemetry, surfaced by LaneStats.
 	unitsWritten int64 // write units submitted by this lane
@@ -367,10 +347,6 @@ type Pblk struct {
 	// streams stripe evenly across the active PUs.
 	rrNext     [numStreams]int
 	lastOpened int // most recently opened group id, -1 initially
-	// lastAppHint is the hint of the last app-stream entry the dispatcher
-	// scanned: a HintNone/HintCold -> HintColdSeg transition marks a new
-	// segment and raises appRealign on the lanes.
-	lastAppHint uint8
 	// unitStamp is the global write-order counter; every admitted sector
 	// gets the next value, persisted in OOB and close metadata.
 	unitStamp uint64
@@ -530,26 +506,12 @@ func NewView(p *sim.Proc, view *lightnvm.MediaView, cfg Config) (k *Pblk, err er
 	// The paper's buffer sizing (§4.2.1): write unit × PUs × 8, the depth
 	// it sizes for its MLC drive's lower/upper page pairs. Pages here are
 	// unpaired, so nothing waits on that depth; it stays the buffer size.
-	ringCap := k.unitSectors * 8 * nPUs
-	// The spare pool must cover the emergency reserve (which scales with
-	// the ring backlog), open groups on every lane (one per stream), and
-	// hysteresis slack — or user admission can freeze permanently at
-	// capacity below a floor the device cannot climb back over.
-	reserveGroups := (ringCap+k.dataSectors-1)/k.dataSectors + 4
-	spare := int64(k.usableGroups)*int64(k.dataSectors) - k.capacityLBAs
-	// Each lane can hold one open group per stream it actually uses: two
-	// (user+GC) normally, three when the native app stream is enabled.
-	activeStreams := 2
-	if cfg.HintPolicy == HintNativeStream {
-		activeStreams = numStreams
-	}
-	if need := int64(reserveGroups+activeStreams*cfg.ActivePUs+2) * int64(k.dataSectors); spare < need {
-		return nil, fmt.Errorf("pblk: over-provisioning too small: %d spare sectors, need %d for %d active PUs (raise OverProvision or BlocksPerPlane)",
-			spare, need, cfg.ActivePUs)
+	k.rb.init(k.env, k.unitSectors*8*nPUs)
+	if err := k.checkSpare(cfg.ActivePUs); err != nil {
+		return nil, err
 	}
 	k.l2p = make([]uint64, k.capacityLBAs)
 	k.readPULists = make([][]mediaSector, nPUs)
-	k.rb.init(k.env, ringCap)
 	k.rb.freeEntry = k.releaseEntryData
 	k.rl = newRateLimiter(k.rb.capacity(), k.unitSectors)
 	k.gcKick = k.env.NewEvent()
@@ -577,6 +539,21 @@ func NewView(p *sim.Proc, view *lightnvm.MediaView, cfg Config) (k *Pblk, err er
 		k.scrubDone.Signal()
 	}
 	return k, nil
+}
+
+// checkSpare reports an error unless the spare pool covers n active PUs:
+// the emergency reserve (which scales with the ring backlog), one open
+// group per stream on every lane, and hysteresis slack. Short of that,
+// user admission can freeze permanently at capacity below a floor the
+// device cannot climb back over.
+func (k *Pblk) checkSpare(n int) error {
+	reserveGroups := (k.rb.capacity()+k.dataSectors-1)/k.dataSectors + 4
+	spare := int64(k.usableGroups)*int64(k.dataSectors) - k.capacityLBAs
+	if need := int64(reserveGroups+numStreams*n+2) * int64(k.dataSectors); spare < need {
+		return fmt.Errorf("pblk: over-provisioning too small: %d spare sectors, need %d for %d active PUs (raise OverProvision or BlocksPerPlane)",
+			spare, need, n)
+	}
+	return nil
 }
 
 // initPools gives each object pool the constructor of its misses. Every
@@ -767,6 +744,9 @@ func (k *Pblk) SetActivePUs(p *sim.Proc, n int) error {
 	}
 	if k.rebuilding {
 		return fmt.Errorf("pblk: concurrent SetActivePUs")
+	}
+	if err := k.checkSpare(n); err != nil {
+		return err
 	}
 	k.rebuilding = true
 	defer func() {

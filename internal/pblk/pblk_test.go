@@ -3,9 +3,11 @@ package pblk
 import (
 	"bytes"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/blockdev"
 	"repro/internal/lightnvm"
 	"repro/internal/nand"
 	"repro/internal/ocssd"
@@ -475,6 +477,100 @@ func TestSetActivePUs(t *testing.T) {
 			t.Fatal("non-divisor active PU count accepted")
 		}
 	})
+}
+
+// TestSetActivePUsChecksOverProvisioning: SetActivePUs refuses a lane
+// count whose open groups the spare pool cannot cover, exactly as New does,
+// and the refused call leaves the instance taking writes. Accepting one
+// wedged random overwrites for good once free space ran out.
+func TestSetActivePUsChecksOverProvisioning(t *testing.T) {
+	devCfg := testDeviceConfig()
+	devCfg.Geometry.Channels, devCfg.Geometry.PUsPerChannel, devCfg.Geometry.BlocksPerPlane = 4, 4, 24
+	e := newEnv(t, devCfg)
+	e.run(func(p *sim.Proc) {
+		for _, n := range []int{4, 8, 16} {
+			if _, err := New(p, e.lnvm, "pblk0", Config{ActivePUs: n, OverProvision: 0.04}); err == nil ||
+				!strings.Contains(err.Error(), "over-provisioning") {
+				t.Fatalf("New with %d active PUs: %v, want an over-provisioning error", n, err)
+			}
+		}
+		k := e.newPblk(p, Config{ActivePUs: 1, OverProvision: 0.04})
+		defer k.Stop(p)
+		if err := k.SetActivePUs(p, 2); err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range []int{4, 8, 16} {
+			if err := k.SetActivePUs(p, n); err == nil || !strings.Contains(err.Error(), "over-provisioning") {
+				t.Errorf("SetActivePUs(%d): %v, want an over-provisioning error", n, err)
+			}
+		}
+		if k.ActivePUs() != 2 {
+			t.Fatalf("active PUs %d after refused retunes, want 2", k.ActivePUs())
+		}
+		data := fill(1<<20, 5)
+		if err := k.Write(p, 0, data, int64(len(data))); err != nil {
+			t.Fatal(err)
+		}
+		if err := k.Flush(p); err != nil {
+			t.Fatal(err)
+		}
+		got := make([]byte, len(data))
+		if err := k.Read(p, 0, got, int64(len(got))); err != nil || !bytes.Equal(got, data) {
+			t.Fatalf("read-back after refused retunes: %v", err)
+		}
+		if err := k.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// TestColdHintRidesGCStream: a write hinted blockdev.HintCold lands in a
+// GC-stream group and an unhinted one in a user-stream group; under
+// SingleStream both land in user-stream groups. Both read back either way.
+func TestColdHintRidesGCStream(t *testing.T) {
+	for _, single := range []bool{false, true} {
+		e := newEnv(t, testDeviceConfig())
+		e.run(func(p *sim.Proc) {
+			k := e.newPblk(p, Config{ActivePUs: 4, SingleStream: single})
+			defer k.Stop(p)
+			const n = 256 << 10
+			hot, cold := fill(n, 1), fill(n, 2)
+			if err := k.blk.Do(p, blockdev.ReqWrite, 0, hot, n, blockdev.HintNone); err != nil {
+				t.Fatal(err)
+			}
+			if err := k.blk.Do(p, blockdev.ReqWrite, n, cold, n, blockdev.HintCold); err != nil {
+				t.Fatal(err)
+			}
+			if err := k.Flush(p); err != nil {
+				t.Fatal(err)
+			}
+			coldStream := uint8(streamGC)
+			if single {
+				coldStream = streamUser
+			}
+			sectors := int64(n / k.geo.SectorSize)
+			for lba := int64(0); lba < 2*sectors; lba++ {
+				want := uint8(streamUser)
+				if lba >= sectors {
+					want = coldStream
+				}
+				v := k.l2p[lba]
+				if !isMedia(v) {
+					t.Fatalf("single=%v: LBA %d not on media after flush", single, lba)
+				}
+				if g := k.groupOfEntry(v); g.stream != want {
+					t.Fatalf("single=%v: LBA %d in %s-stream group %d, want %s", single, lba,
+						streamName(int(g.stream)), g.id, streamName(int(want)))
+				}
+			}
+			got := make([]byte, n)
+			for i, want := range [][]byte{hot, cold} {
+				if err := k.Read(p, int64(i*n), got, n); err != nil || !bytes.Equal(got, want) {
+					t.Fatalf("single=%v: read-back of range %d: %v", single, i, err)
+				}
+			}
+		})
+	}
 }
 
 func TestStripingUsesAllActivePUs(t *testing.T) {

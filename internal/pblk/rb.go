@@ -47,24 +47,18 @@ const padLBA int64 = -1
 // Write streams (paper §4.2.3 separates user data from GC rewrites so hot
 // and cold data never share a block): every ring entry belongs to exactly
 // one stream, the dispatcher cuts stream-homogeneous chunks, and each lane
-// keeps one open block group per stream. The app stream carries
-// hint-tagged application writes (SSTable flush/compaction output) under
-// Config.HintPolicy == HintNativeStream: those groups are erased by the
-// application trimming whole extents, so GC leaves them alone
-// (compaction-as-GC, see pickVictim).
+// keeps one open block group per stream. Application writes hinted cold
+// (blockdev.HintCold: SSTable flush and compaction output) ride the GC
+// stream, so long-lived data stays out of hot user blocks.
 const (
 	streamUser = 0
 	streamGC   = 1
-	streamApp  = 2
-	numStreams = 3
+	numStreams = 2
 )
 
 func streamName(st int) string {
-	switch st {
-	case streamGC:
+	if st == streamGC {
 		return "gc"
-	case streamApp:
-		return "app"
 	}
 	return "user"
 }
@@ -90,7 +84,7 @@ type rbEntry struct {
 	state  entryState
 	isGC   bool
 	// hint is the write-lifetime hint the sector was admitted with
-	// (blockdev.HintNone/HintCold); streamOf may route on it.
+	// (blockdev.HintNone/HintCold); streamOf routes on it.
 	hint uint8
 }
 
@@ -209,27 +203,14 @@ func (k *Pblk) nextStamp() uint64 {
 	return k.unitStamp
 }
 
-// streamOf returns the write stream an entry belongs to. With stream
-// separation disabled (Config.SingleStream), GC rewrites ride the user
-// stream and cohabit blocks with user data, as the pre-stream datapath
-// did — kept for write-amplification baselines. Hint-tagged entries route
-// by the instance's HintPolicy: HintColdStream folds them into the GC
-// (cold) stream; HintNativeStream gives them a dedicated app stream whose
-// groups GC never relocates while they hold valid data.
+// streamOf returns the write stream an entry belongs to: GC rewrites and
+// cold-hinted writes ride the GC stream, everything else the user stream.
+// With stream separation disabled (Config.SingleStream) everything rides
+// the user stream, as the pre-stream datapath did — kept for
+// write-amplification baselines.
 func (k *Pblk) streamOf(e *rbEntry) int {
-	if k.cfg.SingleStream {
-		return streamUser
-	}
-	if e.isGC {
+	if !k.cfg.SingleStream && (e.isGC || e.hint == blockdev.HintCold) {
 		return streamGC
-	}
-	if e.hint == blockdev.HintCold || e.hint == blockdev.HintColdSeg {
-		switch k.cfg.HintPolicy {
-		case HintColdStream:
-			return streamGC
-		case HintNativeStream:
-			return streamApp
-		}
 	}
 	return streamUser
 }

@@ -1,7 +1,6 @@
 package pblk
 
 import (
-	"repro/internal/blockdev"
 	"repro/internal/ocssd"
 	"repro/internal/ppa"
 	"repro/internal/sim"
@@ -129,17 +128,6 @@ func (k *Pblk) dispatch() {
 	for k.rb.disp < k.rb.head {
 		e := k.rb.at(k.rb.disp)
 		st := k.streamOf(e)
-		if st == streamApp {
-			// A new cold segment begins: tell every lane to restart its
-			// app-stream group on an erase-unit boundary before writing
-			// this segment's units.
-			if e.hint == blockdev.HintColdSeg && k.lastAppHint != blockdev.HintColdSeg {
-				for _, s := range k.slots {
-					s.appRealign = true
-				}
-			}
-			k.lastAppHint = e.hint
-		}
 		k.pend[st] = append(k.pend[st], k.rb.disp)
 		k.rb.disp++
 	}
@@ -433,16 +421,6 @@ func (u *unitScratch) onProgrammed(c *ocssd.Completion) {
 // chunk per unit: chunks are stream-homogeneous, so a unit never mixes
 // user data with GC rewrites.
 func (k *Pblk) writeUnitOn(p *sim.Proc, s *slot) {
-	if s.appRealign {
-		// Segment boundary: restart the app stream on a fresh group. By the
-		// time the marker was admitted the previous segment's units were all
-		// programmed (the writer completes each before acknowledging), so a
-		// partial group here is a slip to repair, not in-flight data.
-		s.appRealign = false
-		if g := s.grp[streamApp]; g != nil && g.nextUnit > 0 {
-			k.padAndClose(p, s, streamApp)
-		}
-	}
 	s.acquire(p)
 	if k.crashed || (k.stopping && s.pendingSectors() == 0) {
 		s.sem.Release()
