@@ -61,7 +61,8 @@ type Job struct {
 	// WriteRateMBps rate-limits writes (fio rate); 0 = unlimited.
 	WriteRateMBps float64
 	// Runtime is the virtual duration to run; MaxOps is an alternative
-	// stop condition (whichever comes first; zero means unused).
+	// stop condition (whichever comes first; zero means unused). A job
+	// sets at least one of them; neither may be negative.
 	Runtime time.Duration
 	MaxOps  int64
 	// SyncEvery issues a flush after every N writes (0 = never).
@@ -101,6 +102,9 @@ func (j Job) validate(dev blockdev.Device) error {
 	}
 	if j.WriteRateMBps < 0 {
 		return fmt.Errorf("fio: negative WriteRateMBps %g", j.WriteRateMBps)
+	}
+	if j.Runtime < 0 || j.MaxOps < 0 || (j.Runtime == 0 && j.MaxOps == 0) {
+		return fmt.Errorf("fio: Runtime %v and MaxOps %d: want one positive stop condition, neither negative", j.Runtime, j.MaxOps)
 	}
 	if j.Offset < 0 || j.Offset%ss != 0 {
 		return fmt.Errorf("fio: offset %d is not sector aligned", j.Offset)

@@ -195,6 +195,18 @@ func TestRunRejectsNegativeDepthAndJobs(t *testing.T) {
 		if _, err := Run(p, dev, Job{Name: "t", Pattern: RandWrite, BS: 4096, WriteRateMBps: -5, MaxOps: 1}); err == nil {
 			t.Error("want error for negative WriteRateMBps, got nil")
 		}
+		if _, err := Run(p, dev, Job{Name: "t", Pattern: RandRead, BS: 4096, Runtime: -time.Second}); err == nil {
+			t.Error("want error for negative Runtime, got nil")
+		}
+		if _, err := Run(p, dev, Job{Name: "t", Pattern: RandRead, BS: 4096, MaxOps: -1}); err == nil {
+			t.Error("want error for negative MaxOps, got nil")
+		}
+		if _, err := Run(p, dev, Job{Name: "t", Pattern: RandRead, BS: 4096, Runtime: time.Millisecond, MaxOps: -1}); err == nil {
+			t.Error("want error for negative MaxOps beside a positive Runtime, got nil")
+		}
+		if _, err := Run(p, dev, Job{Name: "t", Pattern: RandRead, BS: 4096}); err == nil {
+			t.Error("want error for a job with neither Runtime nor MaxOps, got nil")
+		}
 	})
 	env.Run()
 }

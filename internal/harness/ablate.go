@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/blockdev"
 	"repro/internal/fio"
 	"repro/internal/lightnvm"
 	"repro/internal/ocssd"
@@ -18,7 +19,7 @@ import (
 func init() {
 	register("ablate-pagecache", "Ablation: controller page cache on/off (Table 1 read asymmetry)", runAblatePageCache)
 	register("ablate-vector", "Ablation: vectored I/O vs serial per-sector commands (§3.3)", runAblateVector)
-	register("ablate-buffering", "Ablation: host write buffering vs device CMB (§2.3 lesson 3)", runAblateBuffering)
+	register("ablate-buffering", "Ablation: host write buffering vs NVMe write cache (§2.3 lesson 3)", runAblateBuffering)
 	register("ablate-gc-rl", "Ablation: PID GC rate limiter vs unthrottled users (§4.2.4)", runAblateGCRL)
 	register("ablate-inflight", "Ablation: per-PU write queue depth vs read tail latency", runAblateInflight)
 	register("ablate-suspend", "Ablation: program/erase suspend (§3.3 media hints)", runAblateSuspend)
@@ -108,68 +109,52 @@ func runAblateVector(o Options) *Report {
 
 // runAblateBuffering compares the paper's two write-buffer placements for
 // a flush-heavy small-write workload: the host ring buffer (pblk) pads
-// flash pages on every flush, while a device-side CMB absorbs small writes
-// and defers programming.
+// flash pages on every flush, while the NVMe baseline's power-protected DRAM
+// write cache acks the flush at once and programs only full pages.
 func runAblateBuffering(o Options) *Report {
-	writes := 200
-	// Host buffering: pblk write+flush per 4K record.
-	env, dev := ablationDevice(o, true)
-	ln := lightnvm.Register("ocssd-ab", dev)
-	var hostAck, hostFlush time.Duration
-	var hostPadding int64
-	env.Go("host", func(p *sim.Proc) {
-		k, err := pblk.New(p, ln, "pblk0", pblk.Config{ActivePUs: 4})
-		check(err)
-		defer k.Stop(p)
-		for i := 0; i < writes; i++ {
-			t0 := env.Now()
-			check(k.Write(p, int64(i)*4096, nil, 4096))
-			hostAck += env.Now() - t0
-			t0 = env.Now()
-			check(k.Flush(p))
-			hostFlush += env.Now() - t0
-		}
-		hostPadding = k.Stats.PaddedSectors * 4096
-	})
-	env.Run()
-
-	// Device CMB: buffered vector writes, flush drains the controller.
-	env2, dev2 := ablationDevice(o, true)
-	g := dev2.Geometry()
-	var cmbAck, cmbFlush time.Duration
-	env2.Go("cmb", func(p *sim.Proc) {
-		page, sector := 0, 0
-		for i := 0; i < writes; i++ {
-			// Stage one sector in the CMB; the controller programs a page
-			// when it is full (no padding needed for durability).
-			sector++
-			t0 := env2.Now()
-			if sector == g.SectorsPerPage {
-				full := make([]ppa.Addr, g.SectorsPerPage)
-				for s := range full {
-					full[s] = ppa.Addr{PU: 0, Plane: 0, Block: 0, Page: page, Sector: s}
-				}
-				check(dev2.Do(p, &ocssd.Vector{Op: ocssd.OpWrite, Addrs: full, Buffered: true}).FirstErr())
-				sector = 0
-				page++
-			}
-			cmbAck += env2.Now() - t0
-			t0 = env2.Now()
-			dev2.FlushCMB(p)
-			cmbFlush += env2.Now() - t0
-		}
-	})
-	env2.Run()
-
+	const writes = 200
 	rep := &Report{}
 	s := rep.section("write buffering placement: 4K write + flush, 200 records")
 	t := s.table("placement", "avg ack us", "avg flush us", "padding KB")
-	n := time.Duration(writes)
-	t.add(label("host ring buffer (pblk)"), us(hostAck/n), us(hostFlush/n), num("%.0f", hostPadding/1024))
-	t.add(label("device CMB"), us(cmbAck/n), us(cmbFlush/n), num("%.0f", 0))
+	// row issues the records on the device mount returns, one write and one
+	// flush each, and prints their mean latencies and the FTL's padding.
+	row := func(name string, mount func(p *sim.Proc, env *sim.Env) (blockdev.Device, func() pblk.Stats, func(*sim.Proc) error)) {
+		env := sim.NewEnv(o.Seed)
+		var ack, flush time.Duration
+		var padded int64
+		env.Go("main", func(p *sim.Proc) {
+			d, stats, stop := mount(p, env)
+			defer stop(p)
+			for i := 0; i < writes; i++ {
+				t0 := env.Now()
+				check(d.Write(p, int64(i)*4096, nil, 4096))
+				ack += env.Now() - t0
+				t0 = env.Now()
+				check(d.Flush(p))
+				flush += env.Now() - t0
+			}
+			padded = stats().PaddedSectors * 4096
+		})
+		env.Run()
+		n := time.Duration(writes)
+		t.add(label(name), us(ack/n), us(flush/n), num("%.0f", padded/1024))
+	}
+	row("host ring buffer (pblk)", func(p *sim.Proc, env *sim.Env) (blockdev.Device, func() pblk.Stats, func(*sim.Proc) error) {
+		dev, err := ocssd.New(env, wearFreeConfig(ocssd.WestlakeGeometry(8), o.Seed))
+		check(err)
+		k, err := pblk.New(p, lightnvm.Register("ocssd-ab", dev), "pblk0", pblk.Config{ActivePUs: 4})
+		check(err)
+		return k, func() pblk.Stats { return k.Stats }, k.Stop
+	})
+	row("NVMe write cache", func(p *sim.Proc, env *sim.Env) (blockdev.Device, func() pblk.Stats, func(*sim.Proc) error) {
+		d, err := newBaseline(p, env, o)
+		check(err)
+		return d, d.FTLStats, d.Stop
+	})
 	s.note("", "expect: host buffering acks fastest but pays page padding on every flush;",
-		"the CMB needs no padding (paper: 'a device-side buffer would significantly",
-		"reduce the amount of padding required') at the cost of device-side logic.")
+		"the device write cache needs no padding (paper: 'a device-side buffer would",
+		"significantly reduce the amount of padding required') at the cost of",
+		"device-side logic and power-loss protection.")
 	return rep
 }
 
@@ -209,7 +194,7 @@ func runAblateGCRL(o Options) *Report {
 		t.add(label(name), mb(res.WriteMBps()), ms(res.WriteLat.Percentile(99)), ms(res.WriteLat.Max()), num("%.0f", recycled))
 	}
 	s.note("", "expect: the PID loop paces user writes to GC progress — lower burst throughput",
-		"but several times more proactive recycling; disabling it lets writes race to the",
+		"but over twice the proactive recycling; disabling it lets writes race to the",
 		"free-block wall and depend entirely on the hard emergency stall.")
 	return rep
 }

@@ -215,6 +215,14 @@ func TestWAQuick(t *testing.T) {
 	if dual >= single {
 		t.Errorf("dual-stream WA %.2f, want below single-stream %.2f", dual, single)
 	}
+	// A deeper GC pipeline leaves WA flat and stretches the write tail.
+	const depth, seq, deep = "GC pipeline depth", "depth=1 (sequential reclaim)", "depth=4"
+	wa1, wa4 := value(t, rep, depth, "WA", seq), value(t, rep, depth, "WA", deep)
+	max1, max4 := value(t, rep, depth, "max write ms", seq), value(t, rep, depth, "max write ms", deep)
+	if max(wa1, wa4) > 1.05*min(wa1, wa4) || max4 <= max1 {
+		t.Errorf("depth 1 vs 4: WA %.2f vs %.2f (want within 5%%), max write %.2f vs %.2f ms (want depth 4 above)",
+			wa1, wa4, max1, max4)
+	}
 }
 
 // ablate-inflight mounts a default-OP pblk on all 128 PUs; it used to build a
@@ -333,6 +341,54 @@ func TestAblateVector(t *testing.T) {
 	ser := value(t, rep, "vectored vs serial", "MB/s", "serial (1 cmd/plane-page)")
 	if vec < 3*ser {
 		t.Errorf("vectored %.0f MB/s, serial %.0f MB/s: want at least 3x", vec, ser)
+	}
+}
+
+// A flush on the host ring buffer pads the open page; the NVMe write cache
+// needs no padding and acks the flush in command-handling time, while the
+// host buffer acks the write itself fastest.
+func TestAblateBuffering(t *testing.T) {
+	rep := quickReport(t, "ablate-buffering")
+	const title, host, dev = "write buffering placement", "host ring buffer (pblk)", "NVMe write cache"
+	hostPad, devPad := value(t, rep, title, "padding KB", host), value(t, rep, title, "padding KB", dev)
+	hostAck, devAck := value(t, rep, title, "avg ack us", host), value(t, rep, title, "avg ack us", dev)
+	hostFlush, devFlush := value(t, rep, title, "avg flush us", host), value(t, rep, title, "avg flush us", dev)
+	if hostPad <= 0 || devPad != 0 {
+		t.Errorf("padding: host %.0f KB (want > 0), device %.0f KB (want 0)", hostPad, devPad)
+	}
+	if hostAck >= devAck || devFlush*100 >= hostFlush {
+		t.Errorf("ack host %.0f vs device %.0f us (want host below); flush host %.0f vs device %.0f us (want device under 1/100)",
+			hostAck, devAck, hostFlush, devFlush)
+	}
+}
+
+// Without suspend a read waits out a whole erase; 100 µs slices cut the p99
+// at least 5x and cost write throughput.
+func TestAblateSuspend(t *testing.T) {
+	rep := quickReport(t, "ablate-suspend")
+	const title = "program/erase suspend"
+	off, on := value(t, rep, title, "R p99 us", "off"), value(t, rep, title, "R p99 us", "100µs")
+	if off < 3000 || off < 5*on {
+		t.Errorf("read p99 off %.0f us, on %.0f us: want off at least one erase (3000 us) and 5x on", off, on)
+	}
+	if wOff, wOn := value(t, rep, title, "W MB/s", "off"), value(t, rep, title, "W MB/s", "100µs"); wOn >= wOff {
+		t.Errorf("write %.0f MB/s with suspend, %.0f without: want slower with suspend", wOn, wOff)
+	}
+	if sOff, sOn := value(t, rep, title, "suspensions", "off"), value(t, rep, title, "suspensions", "100µs"); sOff != 0 || sOn == 0 {
+		t.Errorf("suspensions off %.0f, on %.0f: want 0 and more than 0", sOff, sOn)
+	}
+}
+
+// The PID rate limiter paces user writes to GC progress: slower writes and at
+// least twice the recycled groups of the unthrottled run.
+func TestAblateGCRL(t *testing.T) {
+	rep := quickReport(t, "ablate-gc-rl")
+	const title, pid, off = "GC rate limiter", "PID (paper)", "disabled"
+	rPID, rOff := value(t, rep, title, "recycled", pid), value(t, rep, title, "recycled", off)
+	wPID, wOff := value(t, rep, title, "write MB/s", pid), value(t, rep, title, "write MB/s", off)
+	if rPID < 2*rOff || wPID >= wOff {
+		t.Errorf("PID vs disabled: recycled %.0f vs %.0f (want at least 2x), write %.0f vs %.0f MB/s (want PID slower)",
+			rPID, rOff, wPID, wOff)
 	}
 }
 

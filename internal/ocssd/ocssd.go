@@ -156,11 +156,6 @@ type Vector struct {
 	// OOB holds per-sector out-of-band metadata for writes; each entry is
 	// limited to OOBPerPage/SectorsPerPage bytes.
 	OOB [][]byte
-	// Buffered marks a write for the device-side controller memory buffer:
-	// the command completes once data reaches the controller, and media
-	// programming proceeds asynchronously (flushed by FlushCMB). This is
-	// the paper's §2.3 lesson-3 device-buffering mode.
-	Buffered bool
 	// Tag identifies the submitter for the optional per-PU owner guard
 	// (SetPUOwner). lightnvm.MediaView stamps it with the target instance
 	// name; it has no effect unless a touched PU carries an owner tag.
@@ -188,10 +183,6 @@ type Completion struct {
 	Relocate uint64
 	// Submitted and Done are the virtual submission/completion times.
 	Submitted, Done time.Duration
-
-	// noRecycle marks completions the device still appends to after the
-	// done callback (Buffered writes); Recycle ignores them.
-	noRecycle bool
 }
 
 // Failed reports whether any address failed.
@@ -213,7 +204,6 @@ type Stats struct {
 	SectorsRead, SectorsWritten int64
 	FlashReads, FlashPrograms   int64 // media page ops (multi-plane counts once)
 	CacheHits                   int64
-	BufferedWrites              int64
 	Suspensions                 int64 // program/erase suspensions granted
 	ReadRetries                 int64 // read-retry tiers charged across all reads
 	RelocateAdvised             int64 // addresses flagged for host relocation (deep retries)
@@ -254,10 +244,6 @@ type Device struct {
 	// (recovery scans issue hundreds of thousands) allocate nothing in
 	// steady state.
 	dos sim.Pool[*doBox]
-
-	// pendingCMB counts buffered writes not yet programmed to media.
-	pendingCMB int
-	cmbDrained *sim.Event
 
 	// Hot-path pools: Submit splits each vector into per-PU sub-command
 	// tasks; tasks, submissions and completions cycle through pools so
@@ -505,7 +491,6 @@ func (s *submission) finish() {
 func (d *Device) getComp(n int, read bool) *Completion {
 	c := d.comps.Get()
 	c.Status = 0
-	c.noRecycle = false
 	c.Retries, c.Relocate = 0, 0
 	c.Submitted, c.Done = 0, 0
 	c.Errs = resize(c.Errs, n)
@@ -537,21 +522,18 @@ func resize[T any](s []T, n int) []T {
 // entries point at is not the completion's: it belongs to the media and
 // stays valid until its block is erased, recycled or not (pblk GC hands
 // such entries to its write buffer and recycles the container at once).
-// Recycling is optional —
-// completions that escape to long-lived callers are simply collected by
-// the GC — and completions of Buffered writes are ignored, because the
-// device keeps appending per-address status to them after the early ack.
+// Recycling is optional: completions that escape to long-lived callers are
+// simply collected by the GC.
 func (d *Device) Recycle(c *Completion) {
-	if c == nil || c.noRecycle {
+	if c == nil {
 		return
 	}
 	d.comps.Put(c)
 }
 
 // Submit issues a vector command asynchronously; done runs in simulation
-// context when all addresses complete (or, for Buffered writes, when data
-// reaches the controller). Submit itself must be called from simulation
-// context (a process or scheduled callback). The steady-state path spawns
+// context when all addresses complete. Submit itself must be called from
+// simulation context (a process or scheduled callback). The steady-state path spawns
 // no goroutines: every PU sub-command is a pooled continuation.
 func (d *Device) Submit(cmd *Vector, done func(*Completion)) {
 	comp := d.getComp(len(cmd.Addrs), cmd.Op == OpRead)
@@ -579,10 +561,6 @@ func (d *Device) Submit(cmd *Vector, done func(*Completion)) {
 	case OpWrite:
 		d.Stats.Writes++
 		d.Stats.SectorsWritten += int64(len(cmd.Addrs))
-		if cmd.Buffered {
-			d.Stats.BufferedWrites++
-			comp.noRecycle = true
-		}
 	case OpErase:
 		d.Stats.Erases++
 	}
@@ -651,8 +629,9 @@ func (d *Device) Do(p *sim.Proc, cmd *Vector) *Completion {
 
 // fail records a per-address failure.
 func (t *puTask) fail(idx int, err error) {
-	t.cmp.Errs[idx] = err
-	t.cmp.Status |= 1 << uint(idx)
+	comp := t.sub.comp
+	comp.Errs[idx] = err
+	comp.Status |= 1 << uint(idx)
 }
 
 // puTask states. The machine transcribes the old process-based runSub
@@ -660,27 +639,23 @@ func (t *puTask) fail(idx int, err error) {
 // TryAcquire/AcquireFn pair, so the event-queue footprint (and with it
 // the deterministic trace) is unchanged.
 const (
-	tsBegin          = iota // wait for the PU, then charge command overhead
-	tsOverhead              // PU held: charge command overhead
-	tsGrouped               // overhead charged: group into flash ops, branch per opcode
-	tsRead                  // start the next read op, or finish
-	tsReadCollect           // flash array latency charged: gather data, start transfer
-	tsReadRetry             // retry-tier latency charged: start transfer or next op
-	tsReadXfer              // channel held: charge transfer time
-	tsReadXferDone          // transfer done: release channel, next op
-	tsWrite                 // start the next write op, or finish
-	tsWriteXfer             // channel held: charge transfer time
-	tsWriteXferDone         // release channel, start program occupancy
-	tsWriteProgram          // occupancy charged: commit to media, next op
-	tsBufXfer               // buffered write: channel held, charge whole transfer
-	tsBufXferDone           // release channel, ack the host, start programming
-	tsBufProgram            // start occupancy for the next buffered op, or wind down
-	tsBufProgramDone        // occupancy charged: commit to media, next op
-	tsErase                 // start the next erase op, or finish
-	tsEraseDone             // occupancy charged: commit erase, next op
-	tsOccWake               // occupancy slice elapsed: maybe suspend, continue
-	tsOccReacquired         // PU reacquired after a suspension
-	tsOccNext               // schedule the next occupancy slice, or finish
+	tsBegin         = iota // wait for the PU, then charge command overhead
+	tsOverhead             // PU held: charge command overhead
+	tsGrouped              // overhead charged: group into flash ops, branch per opcode
+	tsRead                 // start the next read op, or finish
+	tsReadCollect          // flash array latency charged: gather data, start transfer
+	tsReadRetry            // retry-tier latency charged: start transfer or next op
+	tsReadXfer             // channel held: charge transfer time
+	tsReadXferDone         // transfer done: release channel, next op
+	tsWrite                // start the next write op, or finish
+	tsWriteXfer            // channel held: charge transfer time
+	tsWriteXferDone        // release channel, start program occupancy
+	tsWriteProgram         // occupancy charged: commit to media, next op
+	tsErase                // start the next erase op, or finish
+	tsEraseDone            // occupancy charged: commit erase, next op
+	tsOccWake              // occupancy slice elapsed: maybe suspend, continue
+	tsOccReacquired        // PU reacquired after a suspension
+	tsOccNext              // schedule the next occupancy slice, or finish
 )
 
 // puTask is one PU's share of a vector command, executed as a continuation
@@ -689,13 +664,8 @@ const (
 type puTask struct {
 	// What a one-address read touches comes first, so that it stays within
 	// the task's first few cache lines.
-	d   *Device
-	sub *submission
-	// cmp is the command's completion, held directly: a Buffered write
-	// acks (and lets finish recycle the submission) while the task still
-	// programs in the background, so the task must not reach the
-	// completion through the submission.
-	cmp   *Completion
+	d     *Device
+	sub   *submission
 	pu    *punit
 	ch    *channel
 	cmd   *Vector
@@ -729,7 +699,6 @@ type puTask struct {
 func (d *Device) newTask(sub *submission, cmd *Vector, gpu int) *puTask {
 	t := d.tasks.Get()
 	t.sub = sub
-	t.cmp = sub.comp
 	t.pu = d.pus[gpu]
 	t.ch = d.chs[t.pu.ch]
 	t.cmd = cmd
@@ -742,7 +711,6 @@ func (d *Device) putTask(t *puTask) {
 	t.ops = nil
 	t.indices = t.indices[:0]
 	t.sub = nil
-	t.cmp = nil
 	t.pu = nil
 	t.ch = nil
 	t.cmd = nil
@@ -903,17 +871,7 @@ func (t *puTask) step() {
 			case OpRead:
 				t.state = tsRead
 			case OpWrite:
-				if t.cmd.Buffered {
-					// Ack once data is staged in the controller buffer
-					// (one channel transfer), then program in the
-					// background while still holding the PU.
-					t.xfer = len(t.indices)
-					if !t.acquire(t.ch.xfer, tsBufXfer) {
-						return
-					}
-				} else {
-					t.state = tsWrite
-				}
+				t.state = tsWrite
 			case OpErase:
 				t.state = tsErase
 			}
@@ -952,7 +910,7 @@ func (t *puTask) step() {
 				d.Stats.FlashReads++
 			}
 			op := &t.ops[t.opi]
-			comp := t.cmp
+			comp := t.sub.comp
 			sectors := 0
 			opRetries := 0
 			for pi, plane := range op.planes {
@@ -1049,39 +1007,6 @@ func (t *puTask) step() {
 			t.commitProgram(&t.ops[t.opi])
 			t.opi++
 			t.state = tsWrite
-			continue
-
-		case tsBufXfer:
-			t.sleep(d.xferTime(t.xfer), tsBufXferDone)
-			return
-
-		case tsBufXferDone:
-			t.ch.xfer.Release()
-			d.pendingCMB++
-			t.sub.finish()
-			t.state = tsBufProgram
-			continue
-
-		case tsBufProgram:
-			if t.opi >= len(t.ops) {
-				d.pendingCMB--
-				if d.pendingCMB == 0 && d.cmbDrained != nil {
-					d.cmbDrained.Signal()
-					d.cmbDrained = nil
-				}
-				t.pu.busy.Release()
-				d.putTask(t)
-				return
-			}
-			op := &t.ops[t.opi]
-			t.startOccupy(time.Duration(float64(d.cfg.Timing.PageProgram)*t.maxWear(op)), tsBufProgramDone)
-			return
-
-		case tsBufProgramDone:
-			d.Stats.FlashPrograms++
-			t.commitProgram(&t.ops[t.opi])
-			t.opi++
-			t.state = tsBufProgram
 			continue
 
 		case tsErase:
@@ -1211,18 +1136,6 @@ func sliceOOB(pageOOB []byte, sector, per int) []byte {
 	return pageOOB[lo:hi]
 }
 
-// FlushCMB blocks until all buffered (CMB) writes have been programmed to
-// media (the PPA flush command, §3.2 characteristic 4).
-func (d *Device) FlushCMB(p *sim.Proc) {
-	if d.pendingCMB == 0 {
-		return
-	}
-	if d.cmbDrained == nil {
-		d.cmbDrained = d.env.NewEvent()
-	}
-	p.Wait(d.cmbDrained)
-}
-
 // Fail marks the device dead — the whole-device failure model (controller
 // death, power domain loss, hot unplug). Every submission from then on
 // completes with ErrDeviceDead on all addresses; commands already executing
@@ -1263,15 +1176,12 @@ func (pu *punit) dropCache() {
 	}
 }
 
-// Crash simulates power loss: volatile controller state (page caches, CMB
-// contents not yet programmed) is lost; media content persists. The host
-// must run recovery before reuse.
+// Crash simulates power loss: volatile controller state (the page caches)
+// is lost; media content persists. The host must run recovery before reuse.
 func (d *Device) Crash() {
 	for _, pu := range d.pus {
 		pu.dropCache()
 	}
-	d.pendingCMB = 0
-	d.cmbDrained = nil
 }
 
 // CrashPUs drops the volatile controller state (page caches) of the

@@ -315,35 +315,6 @@ func TestOOBTooLarge(t *testing.T) {
 	})
 }
 
-func TestBufferedWriteAcksEarly(t *testing.T) {
-	env, dev := newTestDevice(t, testConfig())
-	run(env, func(p *sim.Proc) {
-		g := dev.Geometry()
-		var addrs []ppa.Addr
-		for pl := 0; pl < g.PlanesPerPU; pl++ {
-			for s := 0; s < g.SectorsPerPage; s++ {
-				addrs = append(addrs, ppa.Addr{Plane: pl, Page: 0, Sector: s})
-			}
-		}
-		start := env.Now()
-		dev.Do(p, &Vector{Op: OpWrite, Addrs: addrs, Buffered: true})
-		ack := env.Now() - start
-		if ack > 400*time.Microsecond {
-			t.Fatalf("buffered write acked in %v, want transfer-only ~235µs", ack)
-		}
-		start = env.Now()
-		dev.FlushCMB(p)
-		if env.Now()-start < 500*time.Microsecond {
-			t.Fatal("FlushCMB returned before programming finished")
-		}
-		// Data must be durable after flush.
-		c := dev.Do(p, &Vector{Op: OpRead, Addrs: addrs[:1]})
-		if c.Failed() {
-			t.Fatalf("read after CMB flush: %v", c.FirstErr())
-		}
-	})
-}
-
 func TestIdentify(t *testing.T) {
 	_, dev := newTestDevice(t, testConfig())
 	id := dev.Identify()
@@ -465,7 +436,7 @@ func TestSuspendCountsStat(t *testing.T) {
 }
 
 // TestSubmitSpawnsNoGoroutines guards the continuation datapath: vector
-// reads, writes (vectored and buffered) and erases must execute without
+// reads, vectored writes and erases must execute without
 // starting a single simulation process — every PU sub-command is a pooled
 // state machine driven by the scheduler.
 func TestSubmitSpawnsNoGoroutines(t *testing.T) {
@@ -489,17 +460,6 @@ func TestSubmitSpawnsNoGoroutines(t *testing.T) {
 		if c := dev.Do(p, &Vector{Op: OpErase, Addrs: []ppa.Addr{{Block: 1}}}); c.Failed() {
 			t.Fatalf("erase failed: %v", c.FirstErr())
 		}
-		bw := &Vector{Op: OpWrite, Buffered: true}
-		g := dev.Geometry()
-		for pl := 0; pl < g.PlanesPerPU; pl++ {
-			for s := 0; s < g.SectorsPerPage; s++ {
-				bw.Addrs = append(bw.Addrs, ppa.Addr{Block: 2, Plane: pl, Sector: s})
-			}
-		}
-		if c := dev.Do(p, bw); c.Failed() {
-			t.Fatalf("buffered write failed: %v", c.FirstErr())
-		}
-		dev.FlushCMB(p)
 		if got := env.Spawns(); got != base {
 			t.Fatalf("device datapath spawned %d goroutine(s); must spawn none", got-base)
 		}
@@ -585,33 +545,6 @@ func TestCompletionPoolReuse(t *testing.T) {
 	if allocs != 0 || failed != 0 {
 		t.Fatalf("write then read on one pooled completion: %.2f allocs per pair, %d failed commands; want 0 and 0", allocs, failed)
 	}
-}
-
-// TestBufferedWriteErrorAfterAck reproduces the pooled-submission hazard:
-// a Buffered write acks (recycling the submission) while the task still
-// programs in the background, so a post-ack program failure must land on
-// the caller's completion — not crash or corrupt a pooled object.
-func TestBufferedWriteErrorAfterAck(t *testing.T) {
-	cfg := testConfig()
-	cfg.Media.WriteFailProb = 1.0
-	env, dev := newTestDevice(t, cfg)
-	run(env, func(p *sim.Proc) {
-		g := dev.Geometry()
-		bw := &Vector{Op: OpWrite, Buffered: true}
-		for pl := 0; pl < g.PlanesPerPU; pl++ {
-			for s := 0; s < g.SectorsPerPage; s++ {
-				bw.Addrs = append(bw.Addrs, ppa.Addr{Block: 1, Plane: pl, Sector: s})
-			}
-		}
-		c := dev.Do(p, bw)
-		if c.Failed() {
-			t.Fatal("buffered write failed at ack; programming has not happened yet")
-		}
-		dev.FlushCMB(p)
-		if !c.Failed() {
-			t.Fatal("program failure after the ack did not reach the completion")
-		}
-	})
 }
 
 func TestDeviceFailDeathHook(t *testing.T) {
