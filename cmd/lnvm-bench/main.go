@@ -6,9 +6,10 @@
 //	lnvm-bench [-quick] [-blocks N] [-duration D] <experiment-id>...
 //	lnvm-bench all
 //
-// Experiment ids: table1, overhead, fig4, fig5, fig6, fig7, fig8, and the
-// ablation studies (ablate-*). Output is plain text, one section per
-// table/figure, with the paper's reference values inline.
+// Experiment ids: table1, fig4, fig5, fig6, fig7, fig8, the ablation
+// studies (ablate-*), and fleet, lanes, lifetime, wa and wa-e2e; -list
+// prints them all. Output is plain text, one section per table/figure,
+// with the paper's reference values inline.
 //
 // The profiling flags (-cpuprofile, -memprofile, -trace) cover the whole
 // invocation.
@@ -31,21 +32,35 @@ import (
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
+// options holds lnvm-bench's flag values.
+type options struct {
+	list, quick                       bool
+	blocks                            int
+	duration                          time.Duration
+	seed                              int64
+	cpuprofile, memprofile, traceFile string
+}
+
+// flags declares lnvm-bench's flags on a new set that reports to stderr.
+func flags(stderr io.Writer) (*flag.FlagSet, *options) {
+	fs := flag.NewFlagSet("lnvm-bench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	o := &options{}
+	fs.BoolVar(&o.list, "list", false, "list experiments and exit")
+	fs.BoolVar(&o.quick, "quick", false, "shrink sweeps for a fast smoke run")
+	fs.IntVar(&o.blocks, "blocks", 0, "blocks per plane (device scale; 0 = default)")
+	fs.DurationVar(&o.duration, "duration", 0, "virtual measurement window per data point (0 = default)")
+	fs.Int64Var(&o.seed, "seed", 0, "simulation seed (0 = default)")
+	fs.StringVar(&o.cpuprofile, "cpuprofile", "", "write a CPU profile of the run to this file")
+	fs.StringVar(&o.memprofile, "memprofile", "", "write an allocation profile at exit to this file")
+	fs.StringVar(&o.traceFile, "trace", "", "write a runtime execution trace to this file")
+	return fs, o
+}
+
 // run is main with its arguments, streams and exit code as values, so a test
 // can drive it.
 func run(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("lnvm-bench", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	var (
-		list       = fs.Bool("list", false, "list experiments and exit")
-		quick      = fs.Bool("quick", false, "shrink sweeps for a fast smoke run")
-		blocks     = fs.Int("blocks", 0, "blocks per plane (device scale; 0 = default)")
-		duration   = fs.Duration("duration", 0, "virtual measurement window per data point (0 = default)")
-		seed       = fs.Int64("seed", 0, "simulation seed (0 = default)")
-		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
-		memprofile = fs.String("memprofile", "", "write an allocation profile at exit to this file")
-		traceFile  = fs.String("trace", "", "write a runtime execution trace to this file")
-	)
+	fs, o := flags(stderr)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
@@ -53,8 +68,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
+	if o.cpuprofile != "" {
+		f, err := os.Create(o.cpuprofile)
 		if err != nil {
 			fmt.Fprintf(stderr, "lnvm-bench: -cpuprofile: %v\n", err)
 			return 1
@@ -66,8 +81,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		defer pprof.StopCPUProfile()
 	}
-	if *traceFile != "" {
-		f, err := os.Create(*traceFile)
+	if o.traceFile != "" {
+		f, err := os.Create(o.traceFile)
 		if err != nil {
 			fmt.Fprintf(stderr, "lnvm-bench: -trace: %v\n", err)
 			return 1
@@ -79,8 +94,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		defer trace.Stop()
 	}
-	if *memprofile != "" {
-		f, err := os.Create(*memprofile)
+	if o.memprofile != "" {
+		f, err := os.Create(o.memprofile)
 		if err != nil {
 			fmt.Fprintf(stderr, "lnvm-bench: -memprofile: %v\n", err)
 			return 1
@@ -94,7 +109,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}()
 	}
 
-	if *list {
+	if o.list {
 		for _, e := range harness.All() {
 			fmt.Fprintf(stdout, "%-12s %s\n", e.ID, e.Title)
 		}
@@ -106,10 +121,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	opts := harness.Options{
-		BlocksPerPlane: *blocks,
-		Duration:       *duration,
-		Quick:          *quick,
-		Seed:           *seed,
+		BlocksPerPlane: o.blocks,
+		Duration:       o.duration,
+		Quick:          o.quick,
+		Seed:           o.seed,
 	}
 
 	// Resolve every id before running anything: a typo in the last one must

@@ -2,8 +2,13 @@ package main
 
 import (
 	"bytes"
+	"io"
+	"os"
+	"regexp"
 	"strings"
 	"testing"
+
+	"repro/internal/harness"
 )
 
 // A bad command line is rejected before the first experiment runs: nothing
@@ -13,8 +18,8 @@ func TestBadCommandLineRunsNothing(t *testing.T) {
 		args []string
 		want string
 	}{
-		{[]string{"-quick", "overhead", "tpyo"}, `unknown experiment "tpyo"`},
-		{[]string{"-parallel", "overhead"}, "flag provided but not defined: -parallel"},
+		{[]string{"-quick", "fig8", "tpyo"}, `unknown experiment "tpyo"`},
+		{[]string{"-parallel", "fig8"}, "flag provided but not defined: -parallel"},
 		{nil, "usage: lnvm-bench"},
 	} {
 		var stdout, stderr bytes.Buffer
@@ -34,5 +39,69 @@ func TestTooSmallDeviceIsAnError(t *testing.T) {
 	code := run([]string{"-quick", "-blocks", "4", "fig5"}, &stdout, &stderr)
 	if code != 1 || !strings.Contains(stderr.String(), "over-provisioning") {
 		t.Errorf("run = %d, stderr %q; want 1 and pblk's over-provisioning error", code, stderr.String())
+	}
+}
+
+// docCommands are the lnvm-bench command lines of the documents that tell a
+// reader what to run, as argument lists: the lines of fenced code blocks
+// and the inline code spans, a span's line breaks read as spaces. A command
+// ends at a shell operator or comment; "<...>" placeholders are dropped.
+func docCommands(t *testing.T, path string) [][]string {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var code []string
+	fenced := regexp.MustCompile("(?s)\n[ \t]*```[a-z]*\n(.*?)\n[ \t]*```")
+	text := fenced.ReplaceAllStringFunc(string(data), func(block string) string {
+		code = append(code, strings.Split(fenced.FindStringSubmatch(block)[1], "\n")...)
+		return "\n"
+	})
+	for _, m := range regexp.MustCompile("`([^`]+)`").FindAllStringSubmatch(text, -1) {
+		code = append(code, strings.Join(strings.Fields(m[1]), " "))
+	}
+	var cmds [][]string
+	for _, c := range code {
+		_, after, ok := strings.Cut(c, "lnvm-bench ")
+		if !ok {
+			continue
+		}
+		var args []string
+		for _, w := range strings.Fields(after) {
+			if strings.ContainsAny(w[:1], "|>#;&") {
+				break
+			}
+			if !strings.HasPrefix(w, "<") {
+				args = append(args, w)
+			}
+		}
+		cmds = append(cmds, args)
+	}
+	return cmds
+}
+
+// Every experiment id on a documented lnvm-bench command line is
+// registered, so deleting or renaming an experiment fails here until the
+// documents that name it move too.
+func TestDocCommandsNameRegisteredExperiments(t *testing.T) {
+	n := 0
+	for _, path := range []string{"../../README.md", "../../.claude/skills/verify/SKILL.md"} {
+		for _, args := range docCommands(t, path) {
+			fs, _ := flags(io.Discard)
+			if err := fs.Parse(args); err != nil {
+				t.Errorf("%s: lnvm-bench %s: %v", path, strings.Join(args, " "), err)
+				continue
+			}
+			for _, id := range fs.Args() {
+				n++
+				if _, ok := harness.ByID(id); !ok && id != "all" {
+					t.Errorf("%s: lnvm-bench %s: unknown experiment %q", path, strings.Join(args, " "), id)
+				}
+			}
+		}
+	}
+	if n == 0 {
+		t.Fatal("found no experiment id on any documented lnvm-bench command line")
 	}
 }

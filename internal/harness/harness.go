@@ -304,6 +304,8 @@ func mb(v float64) cell { return num("%.0f", v) }
 
 func us(d time.Duration) cell { return num("%.0f", usF(d)) }
 
+func usF(d time.Duration) float64 { return float64(d) / float64(time.Microsecond) }
+
 func ms(d time.Duration) cell { return num("%.2f", float64(d)/float64(time.Millisecond)) }
 
 // duration prints d as time.Duration does and keeps its seconds.

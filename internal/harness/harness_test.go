@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/ocssd"
 	"repro/internal/sim"
 )
 
@@ -311,16 +312,6 @@ func TestTablePrinter(t *testing.T) {
 	}
 }
 
-// TestOverheadExperiment checks the paper-matching deltas appear.
-func TestOverheadExperiment(t *testing.T) {
-	out := text(quickReport(t, "overhead"))
-	for _, want := range []string{"+18%", "+45%", "null block device"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("output missing %q:\n%s", want, out)
-		}
-	}
-}
-
 // The controller's page cache makes sequential 4K reads 2-3x faster and
 // leaves random reads, which miss it, alone.
 func TestAblatePageCache(t *testing.T) {
@@ -421,33 +412,65 @@ func TestFleetQuick(t *testing.T) {
 	}
 }
 
-// A PU-partitioned tenant's read tail tracks the solo run next to a
-// write-heavy neighbour; one shared pblk inflates it at least tenfold.
-func TestTenantsQuick(t *testing.T) {
-	rep := quickReport(t, "tenants")
-	p99 := func(config string) float64 { return value(t, rep, "Multi-tenant targets", "read p99", config) }
-	solo := p99("solo")
-	part, shared := p99("partitioned")/solo, p99("shared")/solo
-	if part > 1.10 || shared < 10 {
-		t.Fatalf("read p99 vs solo: partitioned %.2fx (want <= 1.10x), shared %.2fx (want >= 10x)", part, shared)
+// Figure 8: a stream's read tail stays flat on channels of its own, and on
+// a shared channel it is bounded by one 64K transfer per writer unit queued
+// ahead of the read: read + k × unit transfer + CmdOverhead, k = 1 for the
+// raw QD1 writer, k = 4 for the pblk writer's four PUs on channel 7. One
+// shared pblk and the NVMe SSD inflate the tail with the write share.
+func TestFig8Quick(t *testing.T) {
+	rep := quickReport(t, "fig8")
+	mixes := []string{"100/0", "80/20", "66/33", "50/50"}
+	p99 := func(placement, mix string) float64 { return value(t, rep, "Figure 8", mix, placement) }
+	maxAt := func(placement, mix string) float64 {
+		v, err := cellAt(rep, "Figure 8", mix, placement)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v[1]
+	}
+	for _, pl := range []string{"raw, disjoint channels", "pblk, split at 64"} {
+		for _, mix := range mixes {
+			if v, solo := p99(pl, mix), p99(pl, "100/0"); v > 1.10*solo {
+				t.Errorf("%s: read p99 %.0f us at %s, want within 10%% of %.0f us at 100/0", pl, v, mix, solo)
+			}
+		}
+	}
+	tm := ocssd.DefaultTiming()
+	sector := float64(4096) / (tm.ChannelMBps * 1e6) * 1e6 // us on the channel
+	read, unit := usF(tm.CmdOverhead+tm.PageRead)+sector, 16*sector
+	bound := func(k int) float64 { return read + float64(k)*unit + usF(tm.CmdOverhead) }
+	for _, c := range []struct {
+		placement string
+		k         int
+	}{{"raw, shared channel", 1}, {"pblk, split at 60", 4}} {
+		for _, mix := range mixes {
+			if m := maxAt(c.placement, mix); m > bound(c.k) {
+				t.Errorf("%s: read max %.0f us at %s, above %.1f us (read + %d unit transfers + command)", c.placement, m, mix, bound(c.k), c.k)
+			}
+		}
+	}
+	if v, solo := p99("raw, shared channel", "50/50"), p99("raw, shared channel", "100/0"); v < 2*solo {
+		t.Errorf("raw, shared channel: read p99 %.0f us at 50/50, want at least 2x its %.0f us at 100/0: does the writer share the channel?", v, solo)
+	}
+	if lo, mid, hi := p99("pblk, split at 64", "50/50"), p99("pblk, split at 60", "50/50"), p99("one shared pblk", "50/50"); lo >= mid || mid >= hi {
+		t.Errorf("50/50 read p99: split at 64 %.0f, at 60 %.0f, shared pblk %.0f us; want strictly rising", lo, mid, hi)
+	}
+	if v, solo := p99("one shared pblk", "50/50"), p99("one shared pblk", "100/0"); v < 10*solo {
+		t.Errorf("one shared pblk: read p99 %.0f us at 50/50, want at least 10x its %.0f us at 100/0", v, solo)
+	}
+	if nv, raw := p99("NVMe SSD", "80/20"), p99("raw, shared channel", "80/20"); nv < 4*raw {
+		t.Errorf("80/20 read p99: NVMe %.0f us, want at least 4x the raw shared channel's %.0f us", nv, raw)
 	}
 }
 
-// Figure 8: a raw target on PUs of its own keeps the reader's p99 flat at
-// every write share; the NVMe SSD's p99 at 20 % writes is several times
-// its read-only value.
-func TestFig8Quick(t *testing.T) {
-	rep := quickReport(t, "fig8")
-	var oc []float64
-	for _, mix := range []string{"100/0", "80/20", "66/33", "50/50"} {
-		oc = append(oc, value(t, rep, "Figure 8", "OCSSD p99", mix))
-	}
-	if lo, hi := slices.Min(oc), slices.Max(oc); hi > 1.10*lo {
-		t.Errorf("OCSSD read p99 %v us moves more than 10%% across the mixes", oc)
-	}
-	nv0, nv20 := value(t, rep, "Figure 8", "NVMe p99", "100/0"), value(t, rep, "Figure 8", "NVMe p99", "80/20")
-	if nv20 < 5*nv0 {
-		t.Errorf("NVMe read p99 %.0f us at 80/20 below 5x its 100/0 value %.0f us", nv20, nv0)
+// Figure 7: OLTP's per-commit flushes pad about 0.2 bytes per written byte
+// on pblk (paper §5.4).
+func TestFig7Padding(t *testing.T) {
+	rep := quickReport(t, "fig7")
+	for _, dev := range []string{"OCSSD 128", "OCSSD 4"} {
+		if r := value(t, rep, "Flush-driven padding", "padding/write ratio", dev); r < 0.1 || r > 0.3 {
+			t.Errorf("%s: padding/write ratio %.2f, want 0.1-0.3 (paper about 0.2)", dev, r)
+		}
 	}
 }
 

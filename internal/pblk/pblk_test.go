@@ -168,6 +168,53 @@ func TestFlushDurability(t *testing.T) {
 	})
 }
 
+// A flush queued behind another flush forces out its own data. Writer A
+// writes a sector and flushes; while A's unit programs, writer B does the
+// same on another lane. B's flush must cost one unit's transfer plus
+// program, not wait for A's unit to finish before its own unit starts.
+func TestSecondFlushForcesItsOwnData(t *testing.T) {
+	e := newEnv(t, testDeviceConfig())
+	var second time.Duration
+	e.run(func(p *sim.Proc) {
+		k := e.newPblk(p, Config{ActivePUs: 4})
+		defer k.Stop(p)
+		// Open a group on every lane, so no flush below waits for an open
+		// mark's program, and let the device go idle.
+		warm := int64(k.nPUs * k.unitSectors * k.SectorSize())
+		if err := k.Write(p, 2<<20, nil, warm); err != nil {
+			t.Fatal(err)
+		}
+		if err := k.Flush(p); err != nil {
+			t.Fatal(err)
+		}
+		p.Sleep(10 * time.Millisecond)
+		b := p.Env().Go("writer-b", func(p *sim.Proc) {
+			p.Sleep(200 * time.Microsecond) // A's unit is past the channel, programming
+			if err := k.Write(p, 1<<20, fill(4096, 2), 4096); err != nil {
+				t.Fatal(err)
+			}
+			start := e.sim.Now()
+			if err := k.Flush(p); err != nil {
+				t.Fatal(err)
+			}
+			second = e.sim.Now() - start
+		})
+		if err := k.Write(p, 0, fill(4096, 1), 4096); err != nil {
+			t.Fatal(err)
+		}
+		if err := k.Flush(p); err != nil {
+			t.Fatal(err)
+		}
+		p.Wait(b.Done())
+	})
+	tm, geo := e.dev.Timing(), testGeometry()
+	unitBytes := geo.PlanesPerPU * geo.SectorsPerPage * geo.SectorSize
+	xfer := time.Duration(float64(unitBytes) / (tm.ChannelMBps * 1e6) * float64(time.Second))
+	if bound := tm.CmdOverhead + xfer + tm.PageProgram + 10*time.Microsecond; second > bound {
+		t.Fatalf("second flush took %v, want at most one unit's transfer plus program (%v)", second, bound)
+	}
+}
+
 func TestCacheReadsServedFromBuffer(t *testing.T) {
 	e := newEnv(t, testDeviceConfig())
 	e.run(func(p *sim.Proc) {

@@ -192,15 +192,16 @@ func (k *Pblk) gcLaneFor() *slot {
 }
 
 // forceDispatch reports whether a partial (sub-unit) chunk of stream st
-// must be handed to a lane now: the earliest flush barrier still covers
-// the stream's oldest pending entry, the datapath is draining for
-// stop/rebuild, or the ring is completely full with this stream's pending
+// must be handed to a lane now: the newest flush barrier covers the
+// stream's oldest pending entry (barriers are pushed in ring order, so a
+// flush queued behind another forces out its own data too), the datapath
+// is draining for stop/rebuild, or the ring is completely full with this stream's pending
 // front as the tail blocker (the only way to free space is to write it).
 func (k *Pblk) forceDispatch(st int) bool {
 	if k.stopping || k.rebuilding {
 		return true
 	}
-	if k.flushes.Len() > 0 && k.flushes.Front().pos >= k.pend[st][0] {
+	if k.flushes.Len() > 0 && k.flushes.At(k.flushes.Len()-1).pos >= k.pend[st][0] {
 		return true
 	}
 	return k.rb.free() == 0 && k.pend[st][0] == k.rb.tail
@@ -254,11 +255,11 @@ func (k *Pblk) laneNext(s *slot) laneWork {
 }
 
 // laneFlushPending reports whether lane s must submit (and pad) now to let
-// the earliest flush barrier complete: it holds write-failed sectors
+// the open flush barriers complete: it holds write-failed sectors
 // awaiting resubmission, or either stream queue's front sits at or below
-// the barrier. Lanes whose queued data all arrived after the barrier are
-// not covered — the flush does not pad them (paper §4.2.1 pads only what
-// the flush forces out).
+// the newest barrier. Lanes whose queued data all arrived after it are not
+// covered — the flush does not pad them (paper §4.2.1 pads only what the
+// flush forces out).
 func (k *Pblk) laneFlushPending(s *slot) bool {
 	if k.flushes.Len() == 0 {
 		return false
@@ -267,7 +268,7 @@ func (k *Pblk) laneFlushPending(s *slot) bool {
 		return true
 	}
 	for st := range s.q {
-		if s.q[st].Len() > 0 && s.q[st].Front().poss[0] <= k.flushes.Front().pos {
+		if s.q[st].Len() > 0 && s.q[st].Front().poss[0] <= k.flushes.At(k.flushes.Len()-1).pos {
 			return true
 		}
 	}
