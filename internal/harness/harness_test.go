@@ -412,54 +412,73 @@ func TestFleetQuick(t *testing.T) {
 	}
 }
 
-// Figure 8: a stream's read tail stays flat on channels of its own, and on
-// a shared channel it is bounded by one 64K transfer per writer unit queued
-// ahead of the read: read + k × unit transfer + CmdOverhead, k = 1 for the
-// raw QD1 writer, k = 4 for the pblk writer's four PUs on channel 7. One
-// shared pblk and the NVMe SSD inflate the tail with the write share.
-func TestFig8Quick(t *testing.T) {
+// fig8Rows reads fig8's quick report: p99 and max read latency of a
+// placement at a mix, and the closed-form read-tail bound on a shared
+// channel, read + k × 64K unit transfer + CmdOverhead.
+func fig8Rows(t *testing.T) (p99, maxAt func(placement, mix string) float64, bound func(k int) float64) {
+	t.Helper()
 	rep := quickReport(t, "fig8")
-	mixes := []string{"100/0", "80/20", "66/33", "50/50"}
-	p99 := func(placement, mix string) float64 { return value(t, rep, "Figure 8", mix, placement) }
-	maxAt := func(placement, mix string) float64 {
+	p99 = func(placement, mix string) float64 { return value(t, rep, "Figure 8", mix, placement) }
+	maxAt = func(placement, mix string) float64 {
 		v, err := cellAt(rep, "Figure 8", mix, placement)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return v[1]
 	}
-	for _, pl := range []string{"raw, disjoint channels", "pblk, split at 64"} {
-		for _, mix := range mixes {
-			if v, solo := p99(pl, mix), p99(pl, "100/0"); v > 1.10*solo {
-				t.Errorf("%s: read p99 %.0f us at %s, want within 10%% of %.0f us at 100/0", pl, v, mix, solo)
-			}
-		}
-	}
 	tm := ocssd.DefaultTiming()
 	sector := float64(4096) / (tm.ChannelMBps * 1e6) * 1e6 // us on the channel
 	read, unit := usF(tm.CmdOverhead+tm.PageRead)+sector, 16*sector
-	bound := func(k int) float64 { return read + float64(k)*unit + usF(tm.CmdOverhead) }
-	for _, c := range []struct {
-		placement string
-		k         int
-	}{{"raw, shared channel", 1}, {"pblk, split at 60", 4}} {
-		for _, mix := range mixes {
-			if m := maxAt(c.placement, mix); m > bound(c.k) {
-				t.Errorf("%s: read max %.0f us at %s, above %.1f us (read + %d unit transfers + command)", c.placement, m, mix, bound(c.k), c.k)
-			}
+	bound = func(k int) float64 { return read + float64(k)*unit + usF(tm.CmdOverhead) }
+	return p99, maxAt, bound
+}
+
+var fig8Mixes = []string{"100/0", "80/20", "66/33", "50/50"}
+
+// Figure 8, raw targets and NVMe: a raw target's read tail stays flat on
+// channels of its own, and on a shared channel it is bounded by one 64K
+// transfer (k = 1 for the raw QD1 writer). The NVMe SSD inflates the tail
+// with the write share.
+func TestFig8Quick(t *testing.T) {
+	p99, maxAt, bound := fig8Rows(t)
+	const disjoint, shared = "raw, disjoint channels", "raw, shared channel"
+	for _, mix := range fig8Mixes {
+		if v, solo := p99(disjoint, mix), p99(disjoint, "100/0"); v > 1.10*solo {
+			t.Errorf("%s: read p99 %.0f us at %s, want within 10%% of %.0f us at 100/0", disjoint, v, mix, solo)
+		}
+		if m := maxAt(shared, mix); m > bound(1) {
+			t.Errorf("%s: read max %.0f us at %s, above %.1f us (read + 1 unit transfer + command)", shared, m, mix, bound(1))
 		}
 	}
-	if v, solo := p99("raw, shared channel", "50/50"), p99("raw, shared channel", "100/0"); v < 2*solo {
-		t.Errorf("raw, shared channel: read p99 %.0f us at 50/50, want at least 2x its %.0f us at 100/0: does the writer share the channel?", v, solo)
+	if v, solo := p99(shared, "50/50"), p99(shared, "100/0"); v < 2*solo {
+		t.Errorf("%s: read p99 %.0f us at 50/50, want at least 2x its %.0f us at 100/0: does the writer share the channel?", shared, v, solo)
 	}
-	if lo, mid, hi := p99("pblk, split at 64", "50/50"), p99("pblk, split at 60", "50/50"), p99("one shared pblk", "50/50"); lo >= mid || mid >= hi {
+	if nv, raw := p99("NVMe SSD", "80/20"), p99(shared, "80/20"); nv < 4*raw {
+		t.Errorf("80/20 read p99: NVMe %.0f us, want at least 4x the raw shared channel's %.0f us", nv, raw)
+	}
+}
+
+// Figure 8, pblk tenants: a tenant on PUs of its own (split at 64, a
+// channel boundary) keeps its read tail flat; split at 60, channel 7 is
+// shared and the tail is bounded by k = 4 unit transfers (the writer's four
+// PUs there); one shared pblk inflates it at least 10x. At 50/50 the p99
+// rises strictly from split 64 to split 60 to one shared pblk.
+func TestTenantsQuick(t *testing.T) {
+	p99, maxAt, bound := fig8Rows(t)
+	const split64, split60, shared = "pblk, split at 64", "pblk, split at 60", "one shared pblk"
+	for _, mix := range fig8Mixes {
+		if v, solo := p99(split64, mix), p99(split64, "100/0"); v > 1.10*solo {
+			t.Errorf("%s: read p99 %.0f us at %s, want within 10%% of %.0f us at 100/0", split64, v, mix, solo)
+		}
+		if m := maxAt(split60, mix); m > bound(4) {
+			t.Errorf("%s: read max %.0f us at %s, above %.1f us (read + 4 unit transfers + command)", split60, m, mix, bound(4))
+		}
+	}
+	if lo, mid, hi := p99(split64, "50/50"), p99(split60, "50/50"), p99(shared, "50/50"); lo >= mid || mid >= hi {
 		t.Errorf("50/50 read p99: split at 64 %.0f, at 60 %.0f, shared pblk %.0f us; want strictly rising", lo, mid, hi)
 	}
-	if v, solo := p99("one shared pblk", "50/50"), p99("one shared pblk", "100/0"); v < 10*solo {
-		t.Errorf("one shared pblk: read p99 %.0f us at 50/50, want at least 10x its %.0f us at 100/0", v, solo)
-	}
-	if nv, raw := p99("NVMe SSD", "80/20"), p99("raw, shared channel", "80/20"); nv < 4*raw {
-		t.Errorf("80/20 read p99: NVMe %.0f us, want at least 4x the raw shared channel's %.0f us", nv, raw)
+	if v, solo := p99(shared, "50/50"), p99(shared, "100/0"); v < 10*solo {
+		t.Errorf("%s: read p99 %.0f us at 50/50, want at least 10x its %.0f us at 100/0", shared, v, solo)
 	}
 }
 
