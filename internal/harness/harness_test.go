@@ -493,6 +493,48 @@ func TestFig7Padding(t *testing.T) {
 	}
 }
 
+// Table 1: pblk's steady write under GC holds at least 80 % of the paper's
+// 3200 MB/s. It rests on GC feeding PUs whose free list ran dry
+// (pickVictim's needy diversion); lanes stall on those PUs without it.
+func TestTable1Quick(t *testing.T) {
+	rep := quickReport(t, "table1")
+	const title, row = "Table 1", "pblk Steady Write (GC)"
+	got, paper := value(t, rep, title, "measured MB/s", row), value(t, rep, title, "paper MB/s", row)
+	if got < 0.8*paper {
+		t.Errorf("%s: %.0f MB/s, want at least 80%% of the paper's %.0f", row, got, paper)
+	}
+}
+
+// lifetime: at every seed the scrubber loses no sector, neither to a read
+// nor to GC, while the baseline without it loses sectors by its second
+// stage. The scrubber relies on GC's victim choice to hold: a greedy score
+// loses sectors with the scrubber on.
+func TestLifetimeQuick(t *testing.T) {
+	e, _ := ByID("lifetime")
+	for _, seed := range []int64{1, 2, 3, 5, 7, 42} {
+		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) {
+			var rep *Report
+			if seed == Defaults(Options{}).Seed {
+				rep = quickReport(t, "lifetime")
+			} else {
+				var err error
+				if rep, err = e.Run(Options{Quick: true, Seed: seed}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			const on, off = "scrubber on", "scrubber off"
+			for _, stage := range []string{"1", "2"} {
+				if lost, gcLost := value(t, rep, on, "lost", stage), value(t, rep, on, "gc lost", stage); lost+gcLost > 0 {
+					t.Errorf("scrubber on, stage %s: %.0f lost, %.0f gc lost; want none", stage, lost, gcLost)
+				}
+			}
+			if lost, gcLost := value(t, rep, off, "lost", "2"), value(t, rep, off, "gc lost", "2"); lost+gcLost == 0 {
+				t.Error("scrubber off, stage 2: no sector lost; the baseline shows nothing for the scrubber to prevent")
+			}
+		})
+	}
+}
+
 // checkLanes: write throughput scales at least 8x from 1 to 16 lanes, and
 // round-robin dispatch gives every lane the same number of units.
 func checkLanes(t *testing.T, rep *Report) {

@@ -737,7 +737,8 @@ func (t *puTask) group() error {
 	}
 	// Entries of opsBuf past its length, and of an entry's planes and idx
 	// past theirs, are earlier commands' and are reused in place, so the
-	// arrays grow to the largest vector seen and then stay.
+	// array grows to the largest vector seen and then stays. A slot is
+	// sized for the geometry when first used (newOp).
 	ops := t.opsBuf[:0]
 	for _, i := range t.indices {
 		a := &cmd.Addrs[i]
@@ -746,10 +747,12 @@ func (t *puTask) group() error {
 			oi++
 		}
 		if oi == len(ops) {
-			if oi < cap(ops) {
-				ops = ops[:oi+1]
-			} else {
+			if oi == cap(ops) {
 				ops = append(ops, flashOp{})
+			}
+			ops = ops[:oi+1]
+			if ops[oi].idx == nil {
+				ops[oi] = newOp(g)
 			}
 			ops[oi].block, ops[oi].page = a.Block, a.Page
 			ops[oi].planes, ops[oi].idx = ops[oi].planes[:0], ops[oi].idx[:0]
@@ -761,12 +764,8 @@ func (t *puTask) group() error {
 		}
 		if pi == len(op.planes) {
 			op.planes = append(op.planes, a.Plane)
-			if pi < cap(op.idx) {
-				op.idx = op.idx[:pi+1]
-				op.idx[pi] = op.idx[pi][:0]
-			} else {
-				op.idx = append(op.idx, make([]int, 0, 8))
-			}
+			op.idx = op.idx[:pi+1]
+			op.idx[pi] = op.idx[pi][:0]
 		}
 		op.idx[pi] = append(op.idx[pi], i)
 	}
@@ -781,6 +780,17 @@ func (t *puTask) group() error {
 		}
 	}
 	return nil
+}
+
+// newOp returns a grouping slot with room for every plane of g and a page
+// of sectors on each, so reusing it for any later command allocates nothing.
+func newOp(g ppa.Geometry) flashOp {
+	sectors := make([]int, g.PlanesPerPU*g.SectorsPerPage)
+	idx := make([][]int, g.PlanesPerPU)
+	for pi := range idx {
+		idx[pi] = sectors[pi*g.SectorsPerPage : pi*g.SectorsPerPage : (pi+1)*g.SectorsPerPage]
+	}
+	return flashOp{planes: make([]int, 0, g.PlanesPerPU), idx: idx}
 }
 
 func partialPage(block, page, have, want int) error {

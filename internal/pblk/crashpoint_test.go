@@ -3,6 +3,8 @@ package pblk
 import (
 	"bytes"
 	"fmt"
+	"maps"
+	"slices"
 	"testing"
 	"time"
 
@@ -29,9 +31,9 @@ func TestCrashMidGCMultiVictim(t *testing.T) {
 
 			// hist holds every generation written to a chunk, in order;
 			// durIdx marks the newest generation covered by a completed
-			// flush. After a crash, a chunk must read back SOME generation
-			// at or after its durable one — intermediate post-flush
-			// generations may legitimately survive.
+			// flush. After a crash, each sector of a chunk must read back
+			// SOME generation at or after its durable one — intermediate
+			// post-flush generations may legitimately survive.
 			hist := map[int64][]byte{}
 			durIdx := map[int64]int{}
 
@@ -90,21 +92,26 @@ func TestCrashMidGCMultiVictim(t *testing.T) {
 				if err := k2.CheckInvariants(); err != nil {
 					t.Error(err)
 				}
+				// Durability is per sector: the sectors of one unflushed
+				// chunk write can reach media on different lanes, so they
+				// may read different generations after the crash.
+				ss := e.dev.Geometry().SectorSize
 				got := make([]byte, chunk)
-				for ci, di := range durIdx {
+				for _, ci := range slices.Sorted(maps.Keys(durIdx)) {
+					di := durIdx[ci]
 					if err := k2.Read(p, ci*chunk, got, chunk); err != nil {
 						t.Errorf("chunk %d: read after recovery: %v", ci, err)
 						return
 					}
-					ok := false
+					held := make([]bool, chunk/int64(ss))
 					for _, gen := range hist[ci][di:] {
-						if bytes.Equal(got, fill(int(chunk), gen)) {
-							ok = true
-							break
+						want := fill(int(chunk), gen)
+						for s := range held {
+							held[s] = held[s] || bytes.Equal(got[s*ss:(s+1)*ss], want[s*ss:(s+1)*ss])
 						}
 					}
-					if !ok {
-						t.Errorf("chunk %d: flushed generation %d lost after mid-GC crash", ci, hist[ci][di])
+					if s := slices.Index(held, false); s >= 0 {
+						t.Errorf("chunk %d sector %d: flushed generation %d lost after mid-GC crash", ci, s, hist[ci][di])
 						return
 					}
 				}

@@ -257,19 +257,20 @@ func (k *Pblk) CheckInvariants() error {
 	}
 	free := 0
 	for gpu := range k.freePerPU {
-		for _, it := range k.freePerPU[gpu] {
-			g := k.groups[it.id]
+		q := &k.freePerPU[gpu]
+		for i := 0; i < q.Len(); i++ {
+			g := k.groups[q.At(i)]
 			if g.state != stFree {
-				return fmt.Errorf("free heap of PU %d holds group %d in state %v", gpu, it.id, g.state)
+				return fmt.Errorf("free list of PU %d holds group %d in state %v", gpu, g.id, g.state)
 			}
 			if g.gpu != gpu {
-				return fmt.Errorf("free heap of PU %d holds foreign group %d (pu %d)", gpu, it.id, g.gpu)
+				return fmt.Errorf("free list of PU %d holds foreign group %d (pu %d)", gpu, g.id, g.gpu)
 			}
 			free++
 		}
 	}
 	if free != k.freeGroups {
-		return fmt.Errorf("freeGroups=%d but heaps hold %d", k.freeGroups, free)
+		return fmt.Errorf("freeGroups=%d but free lists hold %d", k.freeGroups, free)
 	}
 	if k.gcInFlight < 0 || k.gcInFlight > k.cfg.GCPipelineDepth {
 		return fmt.Errorf("gcInFlight=%d outside [0,%d]", k.gcInFlight, k.cfg.GCPipelineDepth)

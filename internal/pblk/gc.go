@@ -225,6 +225,10 @@ type gcMover struct {
 	kick   *sim.Event
 	g      *group // the victim; nil when the mover is released
 	retire bool
+	// meta and done serve one victim at a time and are reused: the
+	// reverse-map read buffers and the event the drain waits on.
+	meta metaBufs
+	done *sim.Event
 }
 
 // startMovers spawns the GC workers. They must park before the scheduler
@@ -232,7 +236,7 @@ type gcMover struct {
 // spawning a worker per victim queued its start.
 func (k *Pblk) startMovers() {
 	for i := 0; i < k.cfg.GCPipelineDepth; i++ {
-		m := &gcMover{kick: k.env.NewEvent()}
+		m := &gcMover{kick: k.env.NewEvent(), done: k.env.NewEvent()}
 		k.gcIdle = append(k.gcIdle, m)
 		k.env.Go(fmt.Sprintf("pblk.%s.gcmover%d", k.name, i), func(p *sim.Proc) { k.runMover(p, m) })
 	}
@@ -249,7 +253,7 @@ func (k *Pblk) runMover(p *sim.Proc, m *gcMover) {
 			return
 		}
 		p.SetName(g.mover)
-		k.recycle(p, g, m.retire)
+		k.recycle(p, m)
 		m.g = nil
 		k.gcInFlight--
 		if m.retire {
@@ -334,35 +338,15 @@ func (k *Pblk) launchVictims() {
 	}
 }
 
-// gcScore is the cost-benefit victim policy (replacing pure greedy
-// min-valid): the classic (1-u)/(1+u) benefit/cost ratio — free space
-// gained over the cost of reading and rewriting the live fraction u —
-// weighted by the group's age (older groups are colder, so their live
-// data is less likely to be invalidated right after the move) and by a
-// wear term that prefers recycling groups with fewer erase cycles than
-// the fleet average (dynamic wear leveling: a cold block re-enters the
-// free pool and absorbs new writes). Both modifiers are bounded — the
-// combined weight stays within [0.5, 2.5] — so the valid ratio always
-// dominates: an unbounded age term would happily move nearly-full old
-// blocks and multiply write amplification.
+// gcScore is the cost-benefit victim policy of LFS (Rosenblum & Ousterhout,
+// TOCS 1992): free space gained (1-u) times the age of the data, over the
+// cost of reading the live fraction u and writing it back (1+u). Age is
+// counted in group allocations since the group was opened; an old group's
+// surviving data is cold and is unlikely to die right after the move, so
+// an old group is worth more than a young one at equal occupancy.
 func (k *Pblk) gcScore(g *group) float64 {
 	u := float64(g.valid) / float64(k.dataSectors)
-	// age saturates at 1 once the group is older than about one full
-	// allocation sweep of the device.
-	age := float64(k.seqCounter - g.seq)
-	ageBoost := age / (age + float64(k.usableGroups) + 1)
-	wearBoost := 0.0
-	if k.usableGroups > 0 {
-		avg := float64(k.eraseTotal) / float64(k.usableGroups)
-		wearBoost = (avg - float64(g.erases)) / (2 * (avg + 1))
-		if wearBoost > 0.5 {
-			wearBoost = 0.5
-		}
-		if wearBoost < -0.5 {
-			wearBoost = -0.5
-		}
-	}
-	return (1 - u) / (1 + u) * (1 + ageBoost + wearBoost)
+	return (1 - u) * float64(k.seqCounter-g.seq+1) / (1 + u)
 }
 
 // gcMaxValidFrac is the victim admission ceiling: the fraction of still-
@@ -415,7 +399,7 @@ func (k *Pblk) gcMaxValidFrac(first bool) float64 {
 // no space and are skipped; anyGarbage reports whether any group held
 // garbage at all (ceiling aside), distinguishing "all victims too
 // expensive for now" from "truly nothing to reclaim". PUs whose free
-// list ran dry take priority: recycling there refills the heap a lane's
+// list ran dry take priority: recycling there refills the list a lane's
 // rotation prefers.
 func (k *Pblk) pickVictim(maxValidFrac float64) (victim *group, anyGarbage bool) {
 	maxValid := int(maxValidFrac * float64(k.dataSectors))
@@ -436,7 +420,7 @@ func (k *Pblk) pickVictim(maxValidFrac float64) (victim *group, anyGarbage bool)
 		if best == nil || score > bestScore {
 			best, bestScore = g, score
 		}
-		if len(k.freePerPU[g.gpu]) == 0 && (bestNeedy == nil || score > bestNeedyScore) {
+		if k.freePerPU[g.gpu].Len() == 0 && (bestNeedy == nil || score > bestNeedyScore) {
 			bestNeedy, bestNeedyScore = g, score
 		}
 	}
@@ -454,10 +438,11 @@ func (k *Pblk) pickVictim(maxValidFrac float64) (victim *group, anyGarbage bool)
 // recycle moves a group's valid sectors back through the write buffer, then
 // erases and frees it — or retires it when it is suspect. It runs in a GC
 // worker process; several recycles proceed concurrently.
-func (k *Pblk) recycle(p *sim.Proc, g *group, retire bool) {
+func (k *Pblk) recycle(p *sim.Proc, m *gcMover) {
+	g, retire := m.g, m.retire
 	g.state = stGC
 	if g.valid > 0 {
-		k.moveValid(p, g)
+		k.moveValid(p, g, m)
 	}
 	if k.crashed {
 		return
@@ -483,8 +468,6 @@ func (k *Pblk) recycle(p *sim.Proc, g *group, retire bool) {
 		k.notifyState()
 		return
 	}
-	g.erases++
-	k.eraseTotal++
 	k.Stats.GCBlocksRecycled++
 	k.returnFreeGroup(g)
 }
@@ -547,8 +530,8 @@ func (k *Pblk) putGCChunk(rc *gcChunk) {
 // in flight via asynchronous submission while earlier chunks are admitted
 // into the ring, so a victim's read latency overlaps its own admission —
 // and, with several victims in flight, the drains of sibling victims.
-func (k *Pblk) moveValid(p *sim.Proc, g *group) {
-	lbas := k.readGroupLBAs(p, g)
+func (k *Pblk) moveValid(p *sim.Proc, g *group, m *gcMover) {
+	lbas := k.readGroupLBAs(p, g, &m.meta)
 	// Gather sectors whose mapping still points into this group.
 	moves := k.gcMoves.Get()
 	for i, lba := range lbas {
@@ -635,17 +618,14 @@ func (k *Pblk) moveValid(p *sim.Proc, g *group) {
 		// Force the moves out with an internal flush so the victim drains
 		// even when user traffic is idle. The moves are sharded over the
 		// lane queues like any writes; a stalled lane delays only its own
-		// share of the drain. The done event is per-group and reused across
-		// the group's GC cycles; it is always in the fired state between
-		// cycles, so stray Signals from a previous cycle are no-ops.
-		if g.gcDone == nil {
-			g.gcDone = k.env.NewEvent()
-		} else {
-			g.gcDone.Reset()
-		}
+		// share of the drain. releaseGCRef signals g.gcDone, set only for
+		// the wait, when the last move is finalized.
+		m.done.Rearm()
+		g.gcDone = m.done
 		k.flushes.Push(flushReq{pos: k.rb.head - 1, ev: k.events.Get()})
 		k.kickWriters()
-		p.Wait(g.gcDone)
+		p.Wait(m.done)
+		g.gcDone = nil
 	}
 }
 

@@ -206,38 +206,17 @@ func TestGCLostSectors(t *testing.T) {
 	})
 }
 
-// TestGCScoreOrdering pins the cost-benefit policy's shape: emptier beats
-// fuller, older beats younger at equal occupancy, and less-worn beats
-// more-worn at equal occupancy and age — with occupancy dominating both
-// modifiers.
+// TestGCScoreOrdering pins the cost-benefit rule: at equal age the emptier
+// group wins, and at equal occupancy the older group wins.
 func TestGCScoreOrdering(t *testing.T) {
 	k := metaHarness(t)
 	k.seqCounter = 1000
-	k.eraseTotal = int64(k.usableGroups) * 4 // fleet average 4 erases
-	mk := func(valid int, seq uint64, erases int) *group {
-		return &group{valid: valid, seq: seq, erases: erases}
+	mk := func(valid int, seq uint64) *group { return &group{valid: valid, seq: seq} }
+	if k.gcScore(mk(k.dataSectors/8, 900)) <= k.gcScore(mk(k.dataSectors/2, 900)) {
+		t.Fatal("fuller group scored at least as high as emptier group of the same age")
 	}
-	low := mk(k.dataSectors/8, 900, 4)
-	high := mk(k.dataSectors/2, 900, 4)
-	if k.gcScore(low) <= k.gcScore(high) {
-		t.Fatal("fuller group scored at least as high as emptier group")
-	}
-	young := mk(k.dataSectors/2, 999, 4)
-	old := mk(k.dataSectors/2, 1, 4)
-	if k.gcScore(old) <= k.gcScore(young) {
+	if k.gcScore(mk(k.dataSectors/2, 1)) <= k.gcScore(mk(k.dataSectors/2, 999)) {
 		t.Fatal("older group did not outscore younger at equal occupancy")
-	}
-	worn := mk(k.dataSectors/2, 900, 40)
-	fresh := mk(k.dataSectors/2, 900, 0)
-	if k.gcScore(fresh) <= k.gcScore(worn) {
-		t.Fatal("less-worn group did not outscore worn at equal occupancy")
-	}
-	// Occupancy dominates: a nearly-full ancient group must not beat a
-	// nearly-empty young one.
-	fullOld := mk(k.dataSectors*9/10, 1, 0)
-	emptyYoung := mk(k.dataSectors/10, 999, 8)
-	if k.gcScore(fullOld) >= k.gcScore(emptyYoung) {
-		t.Fatal("age/wear boost overpowered the valid ratio")
 	}
 }
 

@@ -42,111 +42,33 @@ func (k *Pblk) unitAddrsInto(dst []ppa.Addr, g *group, unit int) []ppa.Addr {
 // firstMetaUnit returns the unit index where close metadata begins.
 func (k *Pblk) firstMetaUnit() int { return k.unitsPerGroup - k.metaUnits }
 
-// freeItem is one entry of a per-PU free-group heap. The erase count is
-// frozen at push time — it only changes while the group is allocated — so
-// the heap order stays valid without sift-downs on foreign updates.
-type freeItem struct {
-	erases int
-	id     int
-}
-
-// freeHeap is a min-heap of free groups keyed on erase count (dynamic
-// wear leveling, paper §2.3 lesson 4) with the group id as a
-// deterministic tie-break. It replaces the O(n) min-erase scan that ran
-// on every group allocation and GC recycle. The sift routines are
-// hand-rolled (same element placement as container/heap) because the
-// stdlib interface boxes every pushed and popped freeItem onto the heap —
-// two allocations per group cycle on the hot recycle path.
-type freeHeap []freeItem
-
-func (h freeHeap) less(i, j int) bool {
-	if h[i].erases != h[j].erases {
-		return h[i].erases < h[j].erases
-	}
-	return h[i].id < h[j].id
-}
-
-func (h *freeHeap) put(g *group) {
-	*h = append(*h, freeItem{erases: g.erases, id: g.id})
-	h.up(len(*h) - 1)
-}
-
-func (h *freeHeap) take() (int, bool) {
-	if len(*h) == 0 {
-		return 0, false
-	}
-	v := (*h)[0]
-	n := len(*h) - 1
-	(*h)[0], (*h)[n] = (*h)[n], freeItem{}
-	*h = (*h)[:n]
-	if n > 0 {
-		h.down(0)
-	}
-	return v.id, true
-}
-
-func (h freeHeap) up(i int) {
-	for i > 0 {
-		p := (i - 1) / 2
-		if !h.less(i, p) {
-			break
-		}
-		h[i], h[p] = h[p], h[i]
-		i = p
-	}
-}
-
-func (h freeHeap) down(i int) {
-	n := len(h)
-	for {
-		l := 2*i + 1
-		if l >= n {
-			break
-		}
-		m := l
-		if r := l + 1; r < n && h.less(r, l) {
-			m = r
-		}
-		if !h.less(m, i) {
-			break
-		}
-		h[i], h[m] = h[m], h[i]
-		i = m
-	}
-}
-
-// takeFreeGroup removes and returns the free group with the fewest erase
-// cycles on gpu, or nil.
+// takeFreeGroup removes and returns the free group at the head of gpu's
+// free list, or nil. The list is FIFO, as kernel pblk's free_list is: a
+// recycled group joins the tail, so every free group is used before any is
+// reused, which spreads erases over a PU's blocks without counting them.
 func (k *Pblk) takeFreeGroup(gpu int) *group {
-	id, ok := k.freePerPU[gpu].take()
-	if !ok {
+	if k.freePerPU[gpu].Len() == 0 {
 		return nil
 	}
+	id := k.freePerPU[gpu].Pop()
 	k.freeGroups--
 	k.rl.update(k.freeGroups)
 	k.maybeKickGC()
 	return k.groups[id]
 }
 
-// returnFreeGroup places an erased group back on its PU's free heap.
+// returnFreeGroup places an erased group at the tail of its PU's free list.
 func (k *Pblk) returnFreeGroup(g *group) {
 	g.state = stFree
 	g.stream = streamUser
 	g.nextUnit = 0
-	// Truncate rather than drop the per-group slices: the next openGroup
-	// on this group reuses their backing arrays.
-	g.lbas = g.lbas[:0]
-	g.stamps = g.stamps[:0]
 	g.valid = 0
 	g.gcPending = 0
 	g.closedAt = 0
 	g.retryHints = 0
 	g.scrubQueued = false
-	// g.gcDone is deliberately kept: it is reused (via Reset) across the
-	// group's GC cycles and is always fired between cycles, so a stray
-	// Signal from releaseGCRef before the next drain re-arms it is a no-op.
 	clear(g.pending)
-	k.freePerPU[g.gpu].put(g)
+	k.freePerPU[g.gpu].Push(g.id)
 	k.freeGroups++
 	k.rl.update(k.freeGroups)
 	k.rb.signalSpace() // user admission may have been gated on free blocks
@@ -209,16 +131,7 @@ func (k *Pblk) openGroup(g *group, st int) {
 	g.prev = int64(k.lastOpened)
 	k.lastOpened = g.id
 	g.nextUnit = 1
-	if cap(g.lbas) < k.dataSectors {
-		g.lbas = make([]int64, 0, k.dataSectors)
-	} else {
-		g.lbas = g.lbas[:0]
-	}
-	if cap(g.stamps) < k.dataSectors {
-		g.stamps = make([]uint64, 0, k.dataSectors)
-	} else {
-		g.stamps = g.stamps[:0]
-	}
+	g.lbas, g.stamps = k.lbaLists.Get(), k.stampLists.Get()
 	if g.pending == nil {
 		g.pending = make([][]uint64, k.unitsPerGroup)
 	}

@@ -9,7 +9,7 @@ import (
 
 func TestDynamicWearLeveling(t *testing.T) {
 	// Repeated overwrites must spread erases across groups rather than
-	// hammering one block (min-erase free-group selection).
+	// hammering one block (FIFO free lists).
 	e := newEnv(t, testDeviceConfig())
 	e.run(func(p *sim.Proc) {
 		k := e.newPblk(p, Config{ActivePUs: 4, OverProvision: 0.3})
@@ -26,17 +26,20 @@ func TestDynamicWearLeveling(t *testing.T) {
 		k.Flush(p)
 		// Groups holding still-valid data legitimately sit at zero erases
 		// (static wear leveling is out of scope, §4.2.4); among groups
-		// that did recycle, dynamic wear leveling must keep counts tight.
+		// that did recycle, the FIFO free lists must keep the device's P/E
+		// counts tight.
 		maxE, total, n := 0, 0, 0
 		for _, g := range k.groups {
-			if g.state == stSys || g.state == stBad || g.erases == 0 {
+			if g.state == stSys || g.state == stBad {
+				continue
+			}
+			pe := k.dev.Die(g.gpu).PECycles(0, g.blk)
+			if pe == 0 {
 				continue
 			}
 			n++
-			total += g.erases
-			if g.erases > maxE {
-				maxE = g.erases
-			}
+			total += pe
+			maxE = max(maxE, pe)
 		}
 		if n == 0 {
 			t.Fatal("no erases recorded")

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"slices"
 
 	"repro/internal/nand"
 	"repro/internal/ocssd"
@@ -202,7 +203,9 @@ func (k *Pblk) encodeCloseMetaInto(b []byte, g *group, lbas []int64, stamps []ui
 	return b
 }
 
-func (k *Pblk) parseCloseMeta(b []byte) (seq uint64, stream uint8, lbas []int64, stamps []uint64, ok bool) {
+// parseCloseMeta decodes close metadata b, appending the group's LBAs and
+// stamps to lbas[:0] and stamps[:0].
+func (k *Pblk) parseCloseMeta(b []byte, lbas []int64, stamps []uint64) (seq uint64, stream uint8, _ []int64, _ []uint64, ok bool) {
 	if len(b) < 44 {
 		return 0, 0, nil, nil, false
 	}
@@ -220,16 +223,10 @@ func (k *Pblk) parseCloseMeta(b []byte) (seq uint64, stream uint8, lbas []int64,
 	if le.Uint32(b[size-4:size]) != crc32.ChecksumIEEE(b[40:size-4]) {
 		return 0, 0, nil, nil, false
 	}
-	lbas = make([]int64, count)
-	off := 40
-	for i := range lbas {
-		lbas[i] = decLBA(le.Uint64(b[off : off+8]))
-		off += 8
-	}
-	stamps = make([]uint64, count)
-	for i := range stamps {
-		stamps[i] = le.Uint64(b[off : off+8])
-		off += 8
+	lbas, stamps = lbas[:0], stamps[:0]
+	for off := 40; off < 40+8*count; off += 8 {
+		lbas = append(lbas, decLBA(le.Uint64(b[off:off+8])))
+		stamps = append(stamps, le.Uint64(b[off+8*count:off+8*count+8]))
 	}
 	return le.Uint64(b[16:24]), b[28], lbas, stamps, true
 }
@@ -333,8 +330,9 @@ func (k *Pblk) submitCloseMeta(p *sim.Proc, g *group) {
 		clear(k.closeMetaBuf)
 	}
 	meta := k.encodeCloseMetaInto(k.closeMetaBuf, g, g.lbas, g.stamps)
-	g.lbas = g.lbas[:0]
-	g.stamps = g.stamps[:0]
+	k.lbaLists.Put(g.lbas[:0])
+	k.stampLists.Put(g.stamps[:0])
+	g.lbas, g.stamps = nil, nil
 	ss := k.geo.SectorSize
 	unitBytes := k.unitSectors * ss
 	g.metaRemaining = k.metaUnits
@@ -356,13 +354,19 @@ func (k *Pblk) submitCloseMeta(p *sim.Proc, g *group) {
 	g.nextUnit = k.unitsPerGroup
 }
 
-// readUnits reads n whole units of g, starting at unit first, into one flat
-// buffer; ok is false as soon as any sector fails to read.
-func (k *Pblk) readUnits(p *sim.Proc, g *group, first, n int) (buf []byte, ok bool) {
+// readUnits reads n whole units of g, starting at unit first, into buf,
+// grown as needed; ok is false as soon as any sector fails to read.
+func (k *Pblk) readUnits(p *sim.Proc, g *group, first, n int, buf []byte) (_ []byte, ok bool) {
 	ss := k.geo.SectorSize
-	buf = make([]byte, n*k.unitSectors*ss)
+	size := n * k.unitSectors * ss
+	buf = slices.Grow(buf[:0], size)[:size]
+	clear(buf) // a sector read back without data reads as zeros
+	ms := k.metaScratches.Get()
+	defer k.putMetaScratch(ms)
 	for u := 0; u < n; u++ {
-		c := k.dev.Do(p, &ocssd.Vector{Op: ocssd.OpRead, Addrs: k.unitAddrs(g, first+u)})
+		ms.addrs = k.unitAddrsInto(ms.addrs, g, first+u)
+		ms.vec.Op, ms.vec.Addrs = ocssd.OpRead, ms.addrs
+		c := k.dev.Do(p, &ms.vec)
 		failed := c.FirstErr() != nil
 		if !failed {
 			for s, d := range c.Data {
@@ -373,27 +377,36 @@ func (k *Pblk) readUnits(p *sim.Proc, g *group, first, n int) (buf []byte, ok bo
 		// container can go back to the device pool.
 		k.dev.Recycle(c)
 		if failed {
-			return nil, false
+			return buf, false
 		}
 	}
 	return buf, true
 }
 
-// readCloseMeta fetches and parses a group's close metadata from media.
-func (k *Pblk) readCloseMeta(p *sim.Proc, g *group) (seq uint64, stream uint8, lbas []int64, stamps []uint64, ok bool) {
-	buf, ok := k.readUnits(p, g, k.firstMetaUnit(), k.metaUnits)
-	if !ok {
-		return 0, 0, nil, nil, false
+// metaBufs holds one read of a group's close metadata: the raw units and
+// the decoded lists. A caller that keeps nothing it read reuses them.
+type metaBufs struct {
+	raw    []byte
+	lbas   []int64
+	stamps []uint64
+}
+
+// readCloseMeta fetches and parses a group's close metadata from media
+// into m.
+func (k *Pblk) readCloseMeta(p *sim.Proc, g *group, m *metaBufs) (seq uint64, stream uint8, ok bool) {
+	if m.raw, ok = k.readUnits(p, g, k.firstMetaUnit(), k.metaUnits, m.raw); !ok {
+		return 0, 0, false
 	}
-	return k.parseCloseMeta(buf)
+	seq, stream, m.lbas, m.stamps, ok = k.parseCloseMeta(m.raw, m.lbas, m.stamps)
+	return seq, stream, ok
 }
 
 // readGroupLBAs returns the logical address of every data sector in g, in
 // mapping order: from close metadata when available, falling back to an
 // OOB scan for groups that died before their metadata was written.
-func (k *Pblk) readGroupLBAs(p *sim.Proc, g *group) []int64 {
-	if _, _, lbas, _, ok := k.readCloseMeta(p, g); ok {
-		return lbas
+func (k *Pblk) readGroupLBAs(p *sim.Proc, g *group, m *metaBufs) []int64 {
+	if _, _, ok := k.readCloseMeta(p, g, m); ok {
+		return m.lbas
 	}
 	_, lbas, _ := k.scanGroupOOB(p, g)
 	return lbas
@@ -441,11 +454,18 @@ func isUnwritten(err error) bool { return errors.Is(err, nand.ErrUnwritten) }
 
 // ---- L2P snapshot (graceful shutdown) ----
 
+// snapGroupBytes is one group's snapshot record: seq, state, stream.
+const snapGroupBytes = 10
+
+// snapshotSize is the byte length of a snapshot of n LBAs and ng groups:
+// header, L2P table, group table and a trailing CRC.
+func snapshotSize(n, ng int) int { return 48 + 8*n + snapGroupBytes*ng + 4 }
+
 // snapshotBytes serializes the full FTL state: header, L2P table, and the
-// group table (state, seq, erases, stream).
+// group table (seq, state, stream).
 func (k *Pblk) snapshotBytes() []byte {
 	n := int(k.capacityLBAs)
-	size := 48 + 8*n + 16*len(k.groups) + 4
+	size := snapshotSize(n, len(k.groups))
 	b := make([]byte, size)
 	le.PutUint64(b[0:8], snapMagic)
 	le.PutUint64(b[8:16], uint64(n))
@@ -460,10 +480,9 @@ func (k *Pblk) snapshotBytes() []byte {
 	}
 	for _, g := range k.groups {
 		le.PutUint64(b[off:off+8], g.seq)
-		le.PutUint32(b[off+8:off+12], uint32(g.erases))
-		b[off+12] = byte(g.state)
-		b[off+13] = g.stream
-		off += 16
+		b[off+8] = byte(g.state)
+		b[off+9] = g.stream
+		off += snapGroupBytes
 	}
 	le.PutUint32(b[size-4:size], crc32.ChecksumIEEE(b[48:size-4]))
 	return b
@@ -481,7 +500,7 @@ func (k *Pblk) applySnapshot(b []byte) error {
 	if n != int(k.capacityLBAs) || ng != len(k.groups) {
 		return fmt.Errorf("pblk: snapshot shape mismatch")
 	}
-	size := 48 + 8*n + 16*ng + 4
+	size := snapshotSize(n, ng)
 	if len(b) < size || le.Uint32(b[size-4:size]) != crc32.ChecksumIEEE(b[48:size-4]) {
 		return fmt.Errorf("pblk: snapshot body corrupt")
 	}
@@ -494,10 +513,9 @@ func (k *Pblk) applySnapshot(b []byte) error {
 	}
 	for _, g := range k.groups {
 		g.seq = le.Uint64(b[off : off+8])
-		g.erases = int(le.Uint32(b[off+8 : off+12]))
-		st := groupState(b[off+12])
-		g.stream = b[off+13]
-		off += 16
+		st := groupState(b[off+8])
+		g.stream = b[off+9]
+		off += snapGroupBytes
 		if g.state == stSys || g.state == stBad {
 			continue
 		}
@@ -580,11 +598,11 @@ func (k *Pblk) loadSnapshot(p *sim.Proc) bool {
 	}
 	n := int(le.Uint64(first.Data[0][8:16]))
 	ng := int(le.Uint64(first.Data[0][16:24]))
-	size := 48 + 8*n + 16*ng + 4
+	size := snapshotSize(n, ng)
 	if n != int(k.capacityLBAs) || ng != len(k.groups) || size <= 0 {
 		return false
 	}
-	buf, ok := k.readUnits(p, k.sysGroup(), 0, (size+unitBytes-1)/unitBytes)
+	buf, ok := k.readUnits(p, k.sysGroup(), 0, (size+unitBytes-1)/unitBytes, nil)
 	if !ok || k.applySnapshot(buf[:size]) != nil {
 		return false
 	}

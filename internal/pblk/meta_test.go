@@ -116,7 +116,7 @@ func TestCloseMetaRoundTrip(t *testing.T) {
 	g := &group{id: 12, seq: 55, stream: streamGC}
 	size := k.closeMetaSizeFor(k.dataSectors)
 	b := k.encodeCloseMetaInto(make([]byte, size), g, lbas, stamps)
-	seq, stream, got, gotStamps, ok := k.parseCloseMeta(b)
+	seq, stream, got, gotStamps, ok := k.parseCloseMeta(b, nil, nil)
 	if !ok || seq != 55 {
 		t.Fatalf("parse failed: seq=%d ok=%v", seq, ok)
 	}
@@ -135,13 +135,13 @@ func TestCloseMetaRoundTrip(t *testing.T) {
 	}
 	// Short list gets padded.
 	b2 := k.encodeCloseMetaInto(make([]byte, size), g, lbas[:10], stamps[:2])
-	_, _, got2, _, ok := k.parseCloseMeta(b2)
+	_, _, got2, _, ok := k.parseCloseMeta(b2, nil, nil)
 	if !ok || got2[10] != padLBA {
 		t.Fatal("short list not padded")
 	}
 	// Corruption in the body must be caught.
 	b[len(b)-10] ^= 0x01
-	if _, _, _, _, ok := k.parseCloseMeta(b); ok {
+	if _, _, _, _, ok := k.parseCloseMeta(b, nil, nil); ok {
 		t.Fatal("corrupt close meta accepted")
 	}
 }
@@ -173,7 +173,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	k.seqCounter = 777
 	k.groups[5].state = stClosed
 	k.groups[5].seq = 10
-	k.groups[5].erases = 3
+	k.groups[5].stream = streamGC
 	snap := k.snapshotBytes()
 
 	// Apply onto a second instance.
@@ -189,7 +189,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 			t.Fatalf("l2p[%d] mismatch", i)
 		}
 	}
-	if g := k2.groups[5]; g.state != stClosed || g.seq != 10 || g.erases != 3 {
+	if g := k2.groups[5]; g.state != stClosed || g.seq != 10 || g.stream != streamGC {
 		t.Fatalf("group not restored: %+v", g)
 	}
 	// Corruption rejected.

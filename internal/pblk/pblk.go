@@ -189,12 +189,12 @@ type group struct {
 	blk    int // block index within each plane
 	state  groupState
 	seq    uint64 // allocation sequence number, for recovery ordering
-	erases int    // host-tracked PE cycles, for dynamic wear leveling
 	stream uint8  // write stream the group was opened for (user or GC)
 
 	nextUnit int // next write unit (page index) to map
 	// lbas accumulates the logical address of every mapped data sector, in
-	// order, for the close metadata (the paper's block-level FTL log).
+	// order, for the close metadata (the paper's block-level FTL log). It
+	// and stamps are held from open until the close metadata is encoded.
 	lbas []int64
 	// stamps holds the admission stamp of every mapped data sector, in the
 	// same order as lbas; scan recovery replays sectors across concurrently
@@ -207,8 +207,9 @@ type group struct {
 	prev    int64 // previously opened group, stored in the open mark
 
 	valid int // sectors whose current L2P mapping points into this group
-	// gcPending counts in-flight GC rewrites out of this group; gcDone
-	// fires when it reaches zero.
+	// gcPending counts in-flight GC rewrites out of this group; gcDone, set
+	// while the group's mover waits for the drain, fires when it reaches
+	// zero.
 	gcPending int
 	gcDone    *sim.Event
 	// metaRemaining counts the group's close-metadata units still being
@@ -330,10 +331,9 @@ type Pblk struct {
 	l2p          []uint64
 	rb           ring
 	groups       []*group
-	freePerPU    []freeHeap
+	freePerPU    []sim.FIFO[int] // free group ids per PU, oldest-freed first
 	freeGroups   int
-	usableGroups int   // groups that can ever hold data (excludes sys/bad at init)
-	eraseTotal   int64 // sum of host-tracked erase counts, for the GC wear term
+	usableGroups int // groups that can ever hold data (excludes sys/bad at init)
 	seqCounter   uint64
 
 	slots []*slot
@@ -388,6 +388,11 @@ type Pblk struct {
 	// close-metadata serialization buffer.
 	metaScratches sim.Pool[*metaScratch]
 	closeMetaBuf  []byte
+	// lbaLists and stampLists hold open groups' mapping logs (group.lbas,
+	// group.stamps): a group takes a pair when it opens and gives it back
+	// once its close metadata is encoded, so a closed group holds none.
+	lbaLists   sim.Pool[[]int64]
+	stampLists sim.Pool[[]uint64]
 	// GC victim-drain pools (gc.go): move lists, vector-read chunks and
 	// their per-victim chunk lists. events recycles fired one-shot events
 	// (flush barriers).
@@ -576,6 +581,8 @@ func (k *Pblk) initPools() {
 	}
 	k.dataBufs.New = func() []byte { return make([]byte, k.geo.SectorSize) }
 	k.possLists.New = func() []uint64 { return make([]uint64, 0, k.unitSectors) }
+	k.lbaLists.New = func() []int64 { return make([]int64, 0, k.dataSectors) }
+	k.stampLists.New = func() []uint64 { return make([]uint64, 0, k.dataSectors) }
 	k.metaScratches.New = func() *metaScratch {
 		ms := &metaScratch{k: k}
 		ms.cbFn = ms.onProgrammed
@@ -597,7 +604,7 @@ func (k *Pblk) initGroups() {
 	nPU := k.nPUs
 	perPU := k.geo.BlocksPerPlane
 	k.groups = make([]*group, nPU*perPU)
-	k.freePerPU = make([]freeHeap, nPU)
+	k.freePerPU = make([]sim.FIFO[int], nPU)
 	// One slab for all group structs: at fleet geometries the table runs
 	// to thousands of entries, and per-entry allocations dominate mount.
 	slab := make([]group, nPU*perPU)
@@ -617,7 +624,7 @@ func (k *Pblk) initGroups() {
 				k.Stats.BadBlocks++
 				continue
 			}
-			k.freePerPU[gpu].put(g)
+			k.freePerPU[gpu].Push(id)
 			k.freeGroups++
 			k.usableGroups++
 		}

@@ -29,20 +29,14 @@ func (k *Pblk) recover(p *sim.Proc) error {
 	return nil
 }
 
-// rebuildFreeLists reconstructs the per-PU free heaps from group states
-// and re-derives the fleet erase total for the GC wear term.
+// rebuildFreeLists reconstructs the per-PU free lists from group states,
+// in group id order.
 func (k *Pblk) rebuildFreeLists() {
-	for i := range k.freePerPU {
-		k.freePerPU[i] = k.freePerPU[i][:0]
-	}
+	clear(k.freePerPU)
 	k.freeGroups = 0
-	k.eraseTotal = 0
 	for _, g := range k.groups {
-		if g.state != stSys && g.state != stBad {
-			k.eraseTotal += int64(g.erases)
-		}
 		if g.state == stFree {
-			k.freePerPU[g.gpu].put(g)
+			k.freePerPU[g.gpu].Push(g.id)
 			k.freeGroups++
 		}
 	}
@@ -163,13 +157,10 @@ func (k *Pblk) scanRecover(p *sim.Proc) error {
 	// mount's loadSnapshot reads the bad group as no snapshot.
 	sys := k.sysGroup()
 	switch err := k.eraseGroup(p, sys); {
-	case err == nil:
-		sys.erases++
-		k.eraseTotal++
 	case errors.Is(err, nand.ErrEraseFail), errors.Is(err, nand.ErrWornOut):
 		k.Stats.EraseErrors++
 		k.Stats.BadBlocks++
-	case !errors.Is(err, nand.ErrBadBlock):
+	case err != nil && !errors.Is(err, nand.ErrBadBlock):
 		return err
 	}
 	k.Stats.RecoverScanTime += k.env.Now() - scanStart
@@ -229,8 +220,6 @@ func (k *Pblk) classifyGroups(p *sim.Proc, groups []*group) (fulls, partials []f
 			// Foreign or torn metadata: reclaim the group. A failed erase
 			// retires it and is counted as recycle counts one.
 			if k.eraseGroup(p, g) == nil {
-				g.erases++
-				k.eraseTotal++
 				g.state = stFree
 			} else {
 				g.state = stBad
@@ -243,9 +232,10 @@ func (k *Pblk) classifyGroups(p *sim.Proc, groups []*group) (fulls, partials []f
 		if seq > maxSeq {
 			maxSeq = seq
 		}
-		if metaSeq, stream, lbas, stamps, ok := k.readCloseMeta(p, g); ok && metaSeq == seq {
+		var m metaBufs // kept by found: fresh per group
+		if metaSeq, stream, ok := k.readCloseMeta(p, g, &m); ok && metaSeq == seq {
 			g.stream = stream
-			fulls = append(fulls, found{g: g, seq: seq, lbas: lbas, stamps: stamps})
+			fulls = append(fulls, found{g: g, seq: seq, lbas: m.lbas, stamps: m.stamps})
 		} else {
 			partials = append(partials, found{g: g, seq: seq})
 		}
@@ -346,8 +336,8 @@ func (k *Pblk) waitGroupClosed(p *sim.Proc, g *group) {
 }
 
 // eraseGroup erases every plane block of g and reports the first failure.
-// It counts nothing: what an erase does to g.erases, k.eraseTotal and Stats
-// differs by caller (recovery, GC, the snapshot area), and each keeps its own.
+// It counts nothing: what an erase does to Stats differs by caller
+// (recovery, GC, the snapshot area), and each keeps its own.
 func (k *Pblk) eraseGroup(p *sim.Proc, g *group) error {
 	ch, pu := k.dev.PUAddr(g.gpu)
 	ms := k.metaScratches.Get() // its own: several movers can sit in Do at once

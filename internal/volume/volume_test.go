@@ -337,6 +337,28 @@ func TestSparePoolOrder(t *testing.T) {
 	})
 }
 
+// A hot spare that dies leaves the pool: it no longer counts as left and
+// TakeSpare never hands it out.
+func TestDeadSpareLeavesPool(t *testing.T) {
+	runSim(t, 8, func(p *sim.Proc, env *sim.Env) {
+		mgr := newFleet(t, p, env, testConfig(1, 3, 8))
+		mgr.Kill(2)
+		if st := mgr.Member(2).State(); st != StateDead {
+			t.Fatalf("killed spare is %v, want %v", st, StateDead)
+		}
+		if n := mgr.SparesLeft(); n != 2 {
+			t.Fatalf("SparesLeft after a spare died = %d, want 2", n)
+		}
+		var got []int
+		for sp := mgr.TakeSpare(); sp != nil; sp = mgr.TakeSpare() {
+			got = append(got, sp.ID())
+		}
+		if !slices.Equal(got, []int{1, 3}) {
+			t.Fatalf("spares taken: %v, want [1 3]", got)
+		}
+	})
+}
+
 // TestQueueFanoutFlushBarrier drives the volume through its native
 // asynchronous queue: concurrent writes, a flush barrier, and reads must
 // complete in contract order across the fan-out.
