@@ -352,8 +352,11 @@ type syncCall struct {
 // log I/O, the volume layer's rebuild and resync copies). Each call
 // validates one request, issues it and suspends the calling process until
 // it completes. Calls reuse pooled request/event pairs, so concurrent
-// callers are safe and the steady state allocates nothing.
+// callers are safe and the steady state allocates nothing. A device that
+// embeds it gets both call styles from its issue function: the blocking
+// calls and OpenQueue.
 type SyncAdapter struct {
+	env   *sim.Env
 	dev   Geometry
 	issue IssueFunc
 	calls sim.Pool[*syncCall]
@@ -366,13 +369,21 @@ type SyncAdapter struct {
 // processes calling a Device expect. env must be the environment issue
 // completes on.
 func NewSyncAdapter(env *sim.Env, dev Geometry, issue IssueFunc) *SyncAdapter {
-	s := &SyncAdapter{dev: dev, issue: issue}
+	s := &SyncAdapter{env: env, dev: dev, issue: issue}
 	s.calls.New = func() *syncCall {
 		c := &syncCall{ev: env.NewEvent()}
 		c.req.OnComplete = func(*Request) { c.ev.Signal() }
 		return c
 	}
 	return s
+}
+
+// OpenQueue implements QueueProvider: a queue pair on the same issue
+// function, completing on the adapter's environment (env is ignored). A
+// device whose issue function binds state per caller opens its own queues
+// instead, each on a fresh issue value.
+func (s *SyncAdapter) OpenQueue(_ *sim.Env, depth int) Queue {
+	return NewQueue(s.env, s.dev, depth, s.issue)
 }
 
 // NewQueueAdapter returns blocking calls that are submitted to q, sharing

@@ -216,13 +216,17 @@ func TestWAQuick(t *testing.T) {
 	if dual >= single {
 		t.Errorf("dual-stream WA %.2f, want below single-stream %.2f", dual, single)
 	}
-	// A deeper GC pipeline leaves WA flat and stretches the write tail.
+	// A deeper GC pipeline leaves WA flat, costs some throughput and
+	// stretches the write tail.
 	const depth, seq, deep = "GC pipeline depth", "depth=1 (sequential reclaim)", "depth=4"
 	wa1, wa4 := value(t, rep, depth, "WA", seq), value(t, rep, depth, "WA", deep)
 	max1, max4 := value(t, rep, depth, "max write ms", seq), value(t, rep, depth, "max write ms", deep)
 	if max(wa1, wa4) > 1.05*min(wa1, wa4) || max4 <= max1 {
 		t.Errorf("depth 1 vs 4: WA %.2f vs %.2f (want within 5%%), max write %.2f vs %.2f ms (want depth 4 above)",
 			wa1, wa4, max1, max4)
+	}
+	if w1, w4 := value(t, rep, depth, "W MB/s", seq), value(t, rep, depth, "W MB/s", deep); w4 < 0.8*w1 || w4 > w1 {
+		t.Errorf("depth 4 writes %.0f MB/s against depth 1's %.0f, want within [0.8, 1.0] of it", w4, w1)
 	}
 }
 

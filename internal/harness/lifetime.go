@@ -100,7 +100,6 @@ func runLifetime(o Options) *Report {
 		if scrub {
 			cfg.ScrubInterval = 5 * time.Millisecond
 			cfg.ScrubRetentionAge = 800 * time.Millisecond
-			cfg.ScrubRetryThreshold = 2
 		}
 		geo := lifetimeGeometry(blocks)
 		totalBlocks := geo.TotalPUs() * geo.PlanesPerPU * geo.BlocksPerPlane

@@ -61,12 +61,12 @@ type waRow struct {
 //
 // Pipeline depth: a uniform random overwrite under tighter
 // over-provisioning drives recurring admission freezes, where reclaim
-// latency gates user progress. WA stays flat across depths and throughput
-// within a few percent up to depth 4; each extra concurrent victim shares
-// the same lanes and stretches the stall to the next erase, so the write
-// tail grows with depth. The depth-2 default is kept for read tails under
-// mixed traffic, which this overwrite does not measure (DESIGN.md §"GC
-// pipeline depth: why 2").
+// latency gates user progress. WA stays flat across depths while
+// throughput dips: depth 4 writes up to a fifth slower than depth 1. Each
+// extra concurrent victim shares the same lanes and stretches the stall to
+// the next erase, so the write tail grows with depth. The depth-2 default
+// is kept for read tails under mixed traffic, which this overwrite does not
+// measure (DESIGN.md §"GC pipeline depth: why 2").
 func runWA(o Options) *Report {
 	sepSweep := []waConfig{
 		{"single-stream (baseline)", 1, true, 0.5, 8},
@@ -163,11 +163,11 @@ func runWA(o Options) *Report {
 		"stop cohabiting blocks with hot user data, so cold sectors are moved once",
 		"instead of on every collection of their mixed host block.")
 	emit("GC pipeline depth: uniform random overwrite, QD32, OP 0.4", depthSweep).note("",
-		"expected shape: WA stays flat across depths and throughput within a few",
-		"percent of depth 1 up to depth 4, while each extra concurrent victim stretches",
-		"the write tail: concurrent drains share the same lanes, so the stall to the",
-		"next erase grows with depth. The depth-2 default is kept for read tails under",
-		"mixed traffic, which this table does not show.")
+		"expected shape: WA stays flat across depths while throughput dips (depth 4",
+		"writes up to a fifth slower than depth 1), and each extra concurrent victim",
+		"stretches the write tail: concurrent drains share the same lanes, so the stall",
+		"to the next erase grows with depth. The depth-2 default is kept for read tails",
+		"under mixed traffic, which this table does not show.")
 	return rep
 }
 

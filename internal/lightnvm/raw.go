@@ -27,7 +27,7 @@ var (
 // and there is no map to Trim. The target takes no configuration and runs
 // nothing in the background.
 type Raw struct {
-	*blockdev.SyncAdapter // the blocking Read/Write/Flush/Trim, over issue
+	*blockdev.SyncAdapter // OpenQueue and the blocking Read/Write/Flush/Trim, over issue
 	view                  *MediaView
 	geo                   ppa.Geometry
 	unit                  int64 // sectors per write unit
@@ -58,11 +58,6 @@ func (r *Raw) Capacity() int64 { return r.BlockBytes(r.geo.BlocksPerPlane) }
 // blocks (all planes) of every PU in the range — how jobs size a region.
 func (r *Raw) BlockBytes(n int) int64 {
 	return int64(n) * int64(len(r.lanes)) * int64(r.geo.PlanesPerPU) * r.geo.BlockBytes()
-}
-
-// OpenQueue implements blockdev.QueueProvider.
-func (r *Raw) OpenQueue(_ *sim.Env, depth int) blockdev.Queue {
-	return blockdev.NewQueue(r.view.Env(), r, depth, r.issue)
 }
 
 // unitAddr returns the PU (partition-relative) and the plane-0, sector-0

@@ -197,9 +197,8 @@ type DB struct {
 	loaded int64
 
 	// Stats observable by the harness.
-	Puts, Gets           int64
+	Gets                 int64
 	UserBytesIn          int64
-	UserBytesOut         int64
 	FlushedBytes         int64
 	CompactionReadBytes  int64
 	CompactionWriteBytes int64
@@ -432,7 +431,6 @@ func (db *DB) write(p *sim.Proc, key, val []byte, tomb bool) error {
 		return err
 	}
 	db.mem.insert(key, val, s, tomb)
-	db.Puts++
 	db.UserBytesIn += int64(len(key) + len(val))
 	if db.mem.size >= db.cfg.MemtableSize {
 		db.sealActive()
@@ -546,7 +544,6 @@ func (db *DB) finishGet(dst, v []byte, tomb bool) ([]byte, bool, error) {
 	if tomb {
 		return dst, false, nil
 	}
-	db.UserBytesOut += int64(len(v))
 	return append(dst[:0], v...), true, nil
 }
 

@@ -201,7 +201,6 @@ type Stats struct {
 	BlockErases  int64
 	ReadFails    int64
 	ProgramFails int64
-	EraseFails   int64
 	// ReadRetries totals retry tiers charged across all reads; GrownBad
 	// counts blocks that failed an erase through the wear-driven grown-bad
 	// model.
@@ -491,12 +490,10 @@ func (d *Die) Erase(plane, blockIdx int) error {
 	d.Stats.BlockErases++
 	b.pe++
 	if d.cfg.PECycleLimit > 0 && b.pe > d.cfg.PECycleLimit {
-		d.Stats.EraseFails++
 		d.retire(b, st)
 		return ErrWornOut
 	}
 	if d.cfg.EraseFailProb > 0 && d.rng.Float64() < d.cfg.EraseFailProb {
-		d.Stats.EraseFails++
 		d.retire(b, st)
 		return ErrEraseFail
 	}
@@ -505,7 +502,6 @@ func (d *Die) Erase(plane, blockIdx int) error {
 	if d.cfg.GrownBadProb > 0 && d.cfg.PECycleLimit > 0 {
 		r := float64(b.pe) / float64(d.cfg.PECycleLimit)
 		if d.rng.Float64() < d.cfg.GrownBadProb*r*r*r*r {
-			d.Stats.EraseFails++
 			d.Stats.GrownBad++
 			d.retire(b, st)
 			return ErrEraseFail
@@ -606,3 +602,9 @@ func (d *Die) WearFactor(plane, blockIdx int) float64 {
 
 // Config returns the die's media configuration.
 func (d *Die) Config() Config { return d.cfg }
+
+// SetReadFailProb changes the die's Config.ReadFailProb while it is live:
+// from then on every read of a programmed page fails with ErrReadFail with
+// probability p, drawn from the die's own seeded source. Reads of unwritten
+// pages keep returning ErrUnwritten; they draw no coin.
+func (d *Die) SetReadFailProb(p float64) { d.cfg.ReadFailProb = p }

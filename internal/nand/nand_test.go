@@ -163,6 +163,38 @@ func TestInjectedReadFailure(t *testing.T) {
 	}
 }
 
+// SetReadFailProb turns uncorrectable reads on and off on a live die: the
+// pages it already holds fail while it is 1 and read again at 0.
+func TestSetReadFailProbOnLiveDie(t *testing.T) {
+	d := newTestDie(DefaultConfig())
+	page := bytes.Repeat([]byte{0x5c}, smallDims().PageBytes())
+	for pg := 0; pg < 2; pg++ {
+		if err := d.Program(0, 0, pg, page, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d.SetReadFailProb(1)
+	for pg := 0; pg < 2; pg++ {
+		if _, _, err := d.Read(0, 0, pg); !errors.Is(err, ErrReadFail) {
+			t.Fatalf("page %d at prob 1: err = %v, want ErrReadFail", pg, err)
+		}
+	}
+	if d.Stats.ReadFails != 2 {
+		t.Fatalf("ReadFails = %d, want 2", d.Stats.ReadFails)
+	}
+	if _, _, err := d.Read(0, 0, 2); !errors.Is(err, ErrUnwritten) {
+		t.Fatalf("unwritten page at prob 1: err = %v, want ErrUnwritten", err)
+	}
+	if d.Stats.ReadFails != 2 {
+		t.Fatalf("an unwritten page counted as a read failure: ReadFails = %d", d.Stats.ReadFails)
+	}
+	d.SetReadFailProb(0)
+	got, _, err := d.Read(0, 0, 1)
+	if err != nil || !bytes.Equal(got, page) {
+		t.Fatalf("read at prob 0: err = %v, payload intact = %v", err, bytes.Equal(got, page))
+	}
+}
+
 func TestFactoryBadBlocks(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.InitialBadBlockProb = 1.0

@@ -65,10 +65,11 @@ func DefaultConfig(blocksPerPlane int) Config {
 
 // Device is the baseline block SSD. It implements blockdev.Device.
 type Device struct {
+	*blockdev.SyncAdapter // the blocking calls; OpenQueue is the device's own
+
 	env *sim.Env
 	raw *ocssd.Device
 	ftl *pblk.Pblk
-	blk *blockdev.SyncAdapter // the blocking calls
 	// firmware per-command latency, standing in for the embedded
 	// controller's request handling.
 	cmdLatency time.Duration
@@ -106,7 +107,7 @@ func New(p *sim.Proc, env *sim.Env, cfg Config) (*Device, error) {
 		return nil, err
 	}
 	d := &Device{env: env, raw: raw, ftl: ftl, cmdLatency: 2 * time.Microsecond}
-	d.blk = blockdev.NewSyncAdapter(env, d, d.newIssue())
+	d.SyncAdapter = blockdev.NewSyncAdapter(env, d, d.newIssue())
 	return d, nil
 }
 
@@ -136,7 +137,8 @@ func (d *Device) newIssue() blockdev.IssueFunc {
 	}
 }
 
-// OpenQueue implements blockdev.QueueProvider. On a queue pair a flush is
+// OpenQueue implements blockdev.QueueProvider, on an issue value of the
+// queue's own (newIssue binds the caller's done). On a queue pair a flush is
 // still a barrier for ordering.
 func (d *Device) OpenQueue(_ *sim.Env, depth int) blockdev.Queue {
 	return blockdev.NewQueue(d.env, d, depth, d.newIssue())
@@ -153,24 +155,6 @@ func (d *Device) SectorSize() int { return d.ftl.SectorSize() }
 
 // Capacity implements blockdev.Device.
 func (d *Device) Capacity() int64 { return d.ftl.Capacity() }
-
-// Read implements blockdev.Device.
-func (d *Device) Read(p *sim.Proc, off int64, buf []byte, length int64) error {
-	return d.blk.Read(p, off, buf, length)
-}
-
-// Write implements blockdev.Device.
-func (d *Device) Write(p *sim.Proc, off int64, buf []byte, length int64) error {
-	return d.blk.Write(p, off, buf, length)
-}
-
-// Flush implements blockdev.Device.
-func (d *Device) Flush(p *sim.Proc) error { return d.blk.Flush(p) }
-
-// Trim implements blockdev.Device.
-func (d *Device) Trim(p *sim.Proc, off, length int64) error {
-	return d.blk.Trim(p, off, length)
-}
 
 // Stop quiesces the device's background work (for clean test teardown).
 func (d *Device) Stop(p *sim.Proc) error { return d.ftl.Stop(p) }

@@ -62,8 +62,9 @@ var (
 	ErrOOBSize      = errors.New("ocssd: per-sector OOB exceeds its share of the page OOB area")
 	ErrEmptyVector  = errors.New("ocssd: empty address vector")
 	// ErrDeviceDead is returned on every address of a command submitted to
-	// a device after Fail() — the whole-device death model used by the
-	// volume layer's fleet fault injection.
+	// a device after Fail() — the whole-device death model, reached through
+	// the volume layer's Kill and its ejection of a member whose writes keep
+	// failing.
 	ErrDeviceDead = errors.New("ocssd: device dead")
 )
 

@@ -10,14 +10,7 @@ import (
 type LaneStat struct {
 	Lane         int
 	PULo, PUHi   int // PU span [PULo, PUHi)
-	CurPU        int
-	OpenGroup    int // open user-stream group id, -1 when none
-	GCOpenGroup  int // open GC-stream group id, -1 when none
-	QueueDepth   int // dispatched user sectors awaiting unit formation
-	GCQueueDepth int // dispatched GC-stream sectors awaiting unit formation
-	Retries      int // write-failed sectors awaiting resubmission
 	PeakDepth    int // high-water mark of queued+retried sectors
-	Inflight     int // write units outstanding on the PU
 	UnitsWritten int64
 	SemStalls    int64 // writer blocked on the per-PU in-flight semaphore
 	Waits        int64 // writer parked with no work
@@ -28,19 +21,8 @@ type LaneStat struct {
 func (k *Pblk) LaneStats() []LaneStat {
 	out := make([]LaneStat, len(k.slots))
 	for i, s := range k.slots {
-		grp, gcGrp := -1, -1
-		if s.grp[streamUser] != nil {
-			grp = s.grp[streamUser].id
-		}
-		if s.grp[streamGC] != nil {
-			gcGrp = s.grp[streamGC].id
-		}
 		out[i] = LaneStat{
-			Lane: s.lane, PULo: s.puLo, PUHi: s.puHi, CurPU: s.curPU,
-			OpenGroup: grp, GCOpenGroup: gcGrp,
-			QueueDepth: s.qSectors[streamUser], GCQueueDepth: s.qSectors[streamGC],
-			Retries:   s.retrySectors(),
-			PeakDepth: s.peakDepth, Inflight: s.sem.InUse(),
+			Lane: s.lane, PULo: s.puLo, PUHi: s.puHi, PeakDepth: s.peakDepth,
 			UnitsWritten: s.unitsWritten, SemStalls: s.stalls,
 			Waits: s.waits, Padded: s.padded,
 		}
@@ -49,9 +31,8 @@ func (k *Pblk) LaneStats() []LaneStat {
 }
 
 // Crashed reports whether the instance was abandoned by Crash (simulated
-// power loss). A crashed instance serves no further I/O; the volume
-// manager's health monitor uses this to distinguish a dead member from a
-// stopped one.
+// power loss). A crashed instance serves no further I/O; tests use this to
+// tell a crashed instance from a stopped one.
 func (k *Pblk) Crashed() bool { return k.crashed }
 
 // retryCount sums write-failed sectors awaiting resubmission across lanes.

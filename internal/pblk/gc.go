@@ -325,7 +325,6 @@ func (k *Pblk) launchVictims() {
 			k.gcRetiring++
 		}
 		if scrub {
-			k.Stats.ScrubbedGroups++
 			k.Stats.ScrubbedSectors += int64(g.valid)
 		}
 		if int64(k.gcInFlight) > k.Stats.GCPeakInFlight {

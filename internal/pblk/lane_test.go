@@ -254,7 +254,7 @@ func TestLaneIsolationUnderStall(t *testing.T) {
 func ExamplePblk_LaneStats() {
 	// LaneStats exposes one row per write lane; fields are stable for
 	// tooling even though DebugState's format is not.
-	s := LaneStat{Lane: 0, PULo: 0, PUHi: 4, CurPU: 1, OpenGroup: -1}
-	fmt.Printf("lane %d pus [%d,%d) cur %d\n", s.Lane, s.PULo, s.PUHi, s.CurPU)
-	// Output: lane 0 pus [0,4) cur 1
+	s := LaneStat{Lane: 0, PULo: 0, PUHi: 4, UnitsWritten: 12}
+	fmt.Printf("lane %d pus [%d,%d) units %d\n", s.Lane, s.PULo, s.PUHi, s.UnitsWritten)
+	// Output: lane 0 pus [0,4) units 12
 }

@@ -142,11 +142,10 @@ func TestWornOutConvergesUnderGCAndScrub(t *testing.T) {
 	e := newEnv(t, cfg)
 	e.run(func(p *sim.Proc) {
 		k := e.newPblk(p, Config{
-			ActivePUs:           4,
-			OverProvision:       0.3,
-			ScrubInterval:       2 * time.Millisecond,
-			ScrubRetentionAge:   40 * time.Millisecond,
-			ScrubRetryThreshold: 2,
+			ActivePUs:         4,
+			OverProvision:     0.3,
+			ScrubInterval:     2 * time.Millisecond,
+			ScrubRetentionAge: 40 * time.Millisecond,
 		})
 		defer k.Stop(p)
 		const chunk = 64 * 1024

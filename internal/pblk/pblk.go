@@ -21,7 +21,8 @@
 //     flight, each moved by one of a fixed set of worker processes —
 //     behind a PID-controlled rate limiter (§4.2.4).
 //
-// pblk registers itself as the "pblk" LightNVM target type on import.
+// A target mounts on a reserved lightnvm media view (NewView), or on a
+// whole device, which New reserves for it.
 package pblk
 
 import (
@@ -75,14 +76,13 @@ type Config struct {
 	// patrol process (scrub.go) that refreshes closed groups whose data is
 	// at risk: groups older than ScrubRetentionAge since close, or whose
 	// reads needed deep retry tiers ("relocate advised" hints from the
-	// device) at least ScrubRetryThreshold times, are drained through the
+	// device) at least scrubRetryThreshold times, are drained through the
 	// cold write stream and erased exactly like GC victims. The patrol
 	// stands down while free space is below the GC start threshold. An
 	// enabled scrubber keeps a patrol timer armed, so simulations must
 	// Stop the target to run to completion.
-	ScrubInterval       time.Duration
-	ScrubRetentionAge   time.Duration
-	ScrubRetryThreshold int
+	ScrubInterval     time.Duration
+	ScrubRetentionAge time.Duration
 }
 
 // Bench-only: HintPolicy is the type of the unread Config.HintPolicy.
@@ -112,9 +112,6 @@ func Default(cfg Config) Config {
 	if cfg.GCPipelineDepth < 1 {
 		cfg.GCPipelineDepth = 1
 	}
-	if cfg.ScrubInterval > 0 && cfg.ScrubRetryThreshold == 0 {
-		cfg.ScrubRetryThreshold = 1
-	}
 	return cfg
 }
 
@@ -124,7 +121,6 @@ type Stats struct {
 	UserWrites       int64 // sectors acknowledged
 	UserReads        int64 // sectors served
 	CacheReads       int64 // sectors served from the write buffer
-	MediaReads       int64 // sectors read from flash
 	Flushes          int64
 	PaddedSectors    int64 // padding written for flushes and partial units
 	GCMovedSectors   int64
@@ -138,11 +134,9 @@ type Stats struct {
 	Recoveries       int64 // full scans performed at init
 	SnapshotLoads    int64
 	// Scrubber (media self-healing) accounting.
-	ScrubbedGroups      int64 // closed groups refreshed by the scrubber
 	ScrubbedSectors     int64 // valid sectors rewritten by scrub refreshes
 	ScrubAgeRefreshes   int64 // refreshes triggered by retention age
 	ScrubRetryRefreshes int64 // refreshes triggered by deep-retry pressure
-	ScrubStaleCloses    int64 // stale open groups folded closed for patrol
 	// RecoverScanTime is the virtual time spent in mount-time scan
 	// recovery (classify, close-meta reads, OOB scans, replay).
 	RecoverScanTime time.Duration
@@ -313,10 +307,11 @@ type flushReq struct {
 // boundary and rejects any address outside the partition, so several pblk
 // instances coexist on one device without seeing each other's media.
 type Pblk struct {
+	*blockdev.SyncAdapter // OpenQueue and the blocking Device calls, over IssueAsync
+
 	name string
 	env  *sim.Env
 	dev  *lightnvm.MediaView
-	blk  *blockdev.SyncAdapter // the blocking Device calls, over IssueAsync
 	fmtr ppa.Format
 	geo  ppa.Geometry
 	nPUs int // parallel units in this instance's partition
@@ -493,7 +488,7 @@ func NewView(p *sim.Proc, view *lightnvm.MediaView, cfg Config) (k *Pblk, err er
 		nPUs: nPUs,
 		cfg:  cfg,
 	}
-	k.blk = blockdev.NewSyncAdapter(k.env, k, k.IssueAsync)
+	k.SyncAdapter = blockdev.NewSyncAdapter(k.env, k, k.IssueAsync)
 	k.initPools()
 	k.unitSectors = geo.PlanesPerPU * geo.SectorsPerPage
 	k.unitsPerGroup = geo.PagesPerBlock

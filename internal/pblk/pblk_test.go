@@ -582,10 +582,10 @@ func TestColdHintRidesGCStream(t *testing.T) {
 			defer k.Stop(p)
 			const n = 256 << 10
 			hot, cold := fill(n, 1), fill(n, 2)
-			if err := k.blk.Do(p, blockdev.ReqWrite, 0, hot, n, blockdev.HintNone); err != nil {
+			if err := k.Do(p, blockdev.ReqWrite, 0, hot, n, blockdev.HintNone); err != nil {
 				t.Fatal(err)
 			}
-			if err := k.blk.Do(p, blockdev.ReqWrite, n, cold, n, blockdev.HintCold); err != nil {
+			if err := k.Do(p, blockdev.ReqWrite, n, cold, n, blockdev.HintCold); err != nil {
 				t.Fatal(err)
 			}
 			if err := k.Flush(p); err != nil {

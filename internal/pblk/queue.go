@@ -1,16 +1,14 @@
 package pblk
 
-import (
-	"repro/internal/blockdev"
-	"repro/internal/sim"
-)
+import "repro/internal/blockdev"
 
 // pblk's datapath, the one issue function behind both its queue pairs and
 // its blocking Read/Write/Flush/Trim: reads fan out through the device's
 // asynchronous vector submission, writes complete on ring-buffer admission
 // (paper §4.2.1, producers), and flushes ride the flush-barrier machinery.
 // The queue state machine and the blocking call live in blockdev (NewQueue,
-// SyncAdapter); this file supplies the per-operation issue paths.
+// SyncAdapter, which Pblk embeds); this file supplies the per-operation
+// issue paths.
 //
 // Write admission is a continuation pump, not a process: it admits whole
 // requests in FIFO order, charging the host write overhead one request at
@@ -19,41 +17,18 @@ import (
 // entries it parks as a callback on the ring's space event instead of
 // blocking a goroutine. Steady-state I/O therefore spawns nothing.
 
-// OpenQueue implements blockdev.QueueProvider. The queue completes on
-// pblk's own simulation environment; env is accepted for interface
-// symmetry and may be nil.
-func (k *Pblk) OpenQueue(env *sim.Env, depth int) blockdev.Queue {
-	return blockdev.NewQueue(k.env, k, depth, k.IssueAsync)
-}
-
-// Blocking blockdev.Device calls, on the same issue function.
-
-// Read implements blockdev.Device.
-func (k *Pblk) Read(p *sim.Proc, off int64, buf []byte, length int64) error {
-	return k.blk.Read(p, off, buf, length)
-}
-
-// Write implements blockdev.Device: it returns once the sectors are in the
-// ring buffer, so it blocks only while the buffer is full or the rate
-// limiter withholds user entries.
-func (k *Pblk) Write(p *sim.Proc, off int64, buf []byte, length int64) error {
-	return k.blk.Write(p, off, buf, length)
-}
-
-// Flush implements blockdev.Device (paper §4.2.1): all data buffered at
-// call time is forced to media, padding the final flash page if needed.
-func (k *Pblk) Flush(p *sim.Proc) error { return k.blk.Flush(p) }
-
-// Trim implements blockdev.Device: mappings are dropped host-side; the
-// freed sectors become garbage for GC.
-func (k *Pblk) Trim(p *sim.Proc, off, length int64) error {
-	return k.blk.Trim(p, off, length)
-}
-
-// IssueAsync is pblk's blockdev.IssueFunc: it starts one pre-validated
-// request. It is exported for embedding devices (nvmedev wraps it behind
-// its firmware command handling). done runs in simulation context once the
-// request finishes; req.Err is set by then.
+// IssueAsync is pblk's blockdev.IssueFunc, behind both call styles the
+// embedded SyncAdapter derives from it: it starts one pre-validated request.
+// It is exported for embedding devices (nvmedev wraps it behind its
+// firmware command handling). done runs in simulation context once the
+// request finishes; req.Err is set by then. Per operation (paper §4.2.1):
+//   - a write completes once its sectors are in the ring buffer, so it waits
+//     only while the buffer is full or the rate limiter withholds user
+//     entries;
+//   - a flush completes once everything buffered at issue time is on media,
+//     the final flash page padded if needed;
+//   - a trim drops the range's mappings host-side; the freed sectors become
+//     garbage for GC.
 func (k *Pblk) IssueAsync(req *blockdev.Request, done func(*blockdev.Request)) {
 	switch req.Op {
 	case blockdev.ReqRead:

@@ -102,7 +102,6 @@ func (r *readReq) resolve() {
 				}
 			}
 		case isMedia(v):
-			k.Stats.MediaReads++
 			a := v &^ l2pMediaBit
 			rel := k.dev.RelativePU(k.fmtr.GlobalPUOf(a))
 			if len(k.readPULists[rel]) == 0 {

@@ -18,6 +18,10 @@ import (
 
 func (k *Pblk) scrubOn() bool { return k.cfg.ScrubInterval > 0 }
 
+// scrubRetryThreshold is the number of relocate-advised hints that make a
+// closed group due for a refresh.
+const scrubRetryThreshold = 2
+
 // scrubLoop parks on scrubKick between sweeps; a sweep never blocks.
 // Kicks arrive from group closes, freed groups, deep-retry pressure
 // crossing the threshold, Stop/Crash, and the single armed pacing timer.
@@ -34,7 +38,7 @@ func (k *Pblk) scrubLoop(p *sim.Proc) {
 // scrubDue reports whether a closed group needs a refresh now, and
 // whether retry pressure (rather than retention age) drove the decision.
 func (k *Pblk) scrubDue(g *group, now int64) (due, retryDriven bool) {
-	if t := k.cfg.ScrubRetryThreshold; t > 0 && g.retryHints >= t {
+	if g.retryHints >= scrubRetryThreshold {
 		return true, true
 	}
 	if a := int64(k.cfg.ScrubRetentionAge); a > 0 && now-g.closedAt >= a {
@@ -214,8 +218,7 @@ func (k *Pblk) noteReadRetryPressure(comp *ocssd.Completion, c *readChunk) {
 		}
 		g := k.groupOf(c.vec.Addrs[j])
 		g.retryHints++
-		if k.scrubOn() && g.state == stClosed && k.cfg.ScrubRetryThreshold > 0 &&
-			g.retryHints == k.cfg.ScrubRetryThreshold {
+		if k.scrubOn() && g.state == stClosed && g.retryHints == scrubRetryThreshold {
 			k.scrubKick.Signal()
 		}
 	}

@@ -568,7 +568,6 @@ func (k *Pblk) closeStaleOpen(p *sim.Proc, s *slot) {
 			g.scrubQueued = false
 			continue
 		}
-		k.Stats.ScrubStaleCloses++
 		k.padAndClose(p, s, st)
 	}
 }

@@ -11,12 +11,17 @@
 // work unchanged, so the volume layer scales the paper's single-SSD stack
 // to aggregate bandwidth and fault tolerance a single device cannot give.
 //
-// The fault model lives at this layer: whole-device death (ocssd.Fail,
-// delivered through the device death hook) and seeded transient I/O
-// failure injection per member. Mirrored volumes keep serving in degraded
-// mode from the surviving replicas; a hot spare from the manager's pool
-// can be attached and filled by the online rebuild engine (rebuild.go),
-// whose copy rate is limited so foreground tail latency stays bounded.
+// Faults reach this layer from the layers below. A member device dies
+// whole (ocssd.Fail, delivered through the device death hook). A sub-read
+// fails when the member's media cannot correct a page (nand's
+// ReadFailProb, surfacing as pblk.ErrReadFailed); it is retried on the next
+// healthy replica. pblk remaps failed programs itself, so a sub-write fails
+// only once the member's FTL takes no more I/O (pblk.ErrStopped, or a dead
+// device); a member whose writes keep failing is ejected. Mirrored volumes
+// keep serving in degraded mode from the surviving replicas; a hot spare
+// from the manager's pool can be attached and filled by the online rebuild
+// engine (rebuild.go), whose copy rate is limited so foreground tail
+// latency stays bounded.
 package volume
 
 import (
@@ -36,9 +41,6 @@ import (
 
 // Volume-layer errors.
 var (
-	// ErrInjected is the transient I/O failure delivered by the per-member
-	// fault injector.
-	ErrInjected = errors.New("volume: injected transient I/O failure")
 	// ErrMemberDead reports a sub-request routed to a member that has died.
 	ErrMemberDead = errors.New("volume: member device dead")
 	// ErrNoReplica reports that no live replica remains for a range: the
@@ -89,17 +91,15 @@ type Member struct {
 	ln   *lightnvm.Device
 	tgt  *pblk.Pblk
 	q    blockdev.Queue
-	// sync makes blocking calls on q, bypassing the fault injector — the
-	// path rebuild copies and resync repairs ride on.
+	// sync makes blocking calls on q, outside the volume's retry and
+	// ejection rules — the path rebuild copies and resync repairs ride on.
 	sync *blockdev.SyncAdapter
 
-	state  MemberState
-	vol    *Volume
-	faults *Faults
+	state MemberState
+	vol   *Volume
 
 	// Per-member routing counters, for the operator view.
 	SubReads, SubWrites int64
-	Injected            int64
 
 	// one is the single-request scratch for queue submission: passing an
 	// existing slice through the variadic Queue.Submit avoids the
@@ -126,17 +126,11 @@ func (m *Member) Target() *pblk.Pblk { return m.tgt }
 func (m *Member) Volume() *Volume { return m.vol }
 
 // submit routes one volume sub-request to the member, applying the death
-// gate and the transient fault injector. It must run in simulation
-// context; the request's OnComplete always fires asynchronously.
+// gate. It must run in simulation context; the request's OnComplete always
+// fires asynchronously.
 func (m *Member) submit(r *blockdev.Request) {
 	if m.state == StateDead || m.state == StateSpare {
 		r.Err = ErrMemberDead
-		m.mgr.env.ScheduleArg(0, completeReqArg, r)
-		return
-	}
-	if m.faults != nil && m.faults.trip(r.Op) {
-		m.Injected++
-		r.Err = ErrInjected
 		m.mgr.env.ScheduleArg(0, completeReqArg, r)
 		return
 	}
@@ -208,8 +202,8 @@ type Manager struct {
 }
 
 // completeReqArg is the closure-free Schedule trampoline for failing a
-// sub-request from scheduler context (dead-member and injected-fault
-// paths): the request's Err is set before scheduling.
+// sub-request routed to a dead member from scheduler context: the
+// request's Err is set before scheduling.
 var completeReqArg = func(a any) {
 	r := a.(*blockdev.Request)
 	r.OnComplete(r)
@@ -350,12 +344,6 @@ func (mgr *Manager) TakeSpare() *Member {
 	s := mgr.spares[n-1]
 	mgr.spares = slices.Delete(mgr.spares, n-1, n)
 	return s
-}
-
-// InjectFaults arms (or, with a zero config, disarms) the transient fault
-// injector on one member.
-func (mgr *Manager) InjectFaults(id int, cfg FaultConfig) {
-	mgr.members[id].faults = newFaults(cfg)
 }
 
 // CrashAll power-cuts the whole fleet: every live member's pblk instance

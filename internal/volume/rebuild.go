@@ -92,7 +92,6 @@ func (rb *rebuild) run(p *sim.Proc) {
 		return
 	}
 	rb.spare.state = StateHealthy
-	v.stats.RebuildsDone++
 	rb.finish(true)
 }
 

@@ -3,6 +3,7 @@ package volume
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/blockdev"
@@ -37,8 +38,8 @@ func StripeOfMirrors(chunk int64, sets ...[]int) Layout {
 	return Layout{Chunk: chunk, Sets: sets}
 }
 
-// retryLimit is the number of attempts per member for transiently failing
-// sub-requests. A write or trim that still fails after retryLimit attempts
+// retryLimit is the number of attempts per member for a failing
+// sub-request. A write or trim that still fails after retryLimit attempts
 // ejects the member from the array.
 const retryLimit = 3
 
@@ -57,7 +58,6 @@ type Stats struct {
 	ParkedWrites  int64 // writes and trims held behind the rebuild copy window
 	Ejections     int64 // members ejected for persistent write or trim failure
 	MemberDeaths  int64
-	RebuildsDone  int64
 }
 
 // mirrorSet is one stripe column: its replicas and, while a spare is
@@ -81,15 +81,30 @@ func (s *mirrorSet) healthy() []*Member {
 	return live
 }
 
-// pickRead returns the replica a chunk read goes to: the set's healthy
-// replicas in turn, by a cursor of the set's own — one shared by the columns
-// advances once per chunk and phase-locks with a request of one chunk per
-// column. It returns nil when no replica is healthy.
+// pickRead returns the replica a chunk read goes to first: the set's
+// healthy replicas in turn, by a cursor of the set's own — one shared by the
+// columns advances once per chunk and phase-locks with a request of one chunk
+// per column. It returns nil when no replica is healthy.
 func (s *mirrorSet) pickRead() *Member {
 	for range s.reps {
 		m := s.reps[s.next%len(s.reps)]
 		s.next++
 		if m.state == StateHealthy {
+			return m
+		}
+	}
+	return nil
+}
+
+// pickRetry returns the replica a chunk read that failed on failed goes to
+// next: the first healthy replica after it in set order, failed itself only
+// when it is the only healthy one, nil when none is. It leaves the cursor
+// alone: while the failed read took device time, other reads moved it, and
+// it may point straight back at failed (DESIGN.md §"Replica choice").
+func (s *mirrorSet) pickRetry(failed *Member) *Member {
+	i := slices.Index(s.reps, failed) // -1 once a spare took its slot
+	for k := 1; k <= len(s.reps); k++ {
+		if m := s.reps[(i+k)%len(s.reps)]; m.state == StateHealthy {
 			return m
 		}
 	}
@@ -111,6 +126,8 @@ func (s *mirrorSet) degraded() bool {
 // calls alike, requests are split at chunk boundaries and fanned out to
 // the member queues.
 type Volume struct {
+	*blockdev.SyncAdapter // OpenQueue and the blocking Device calls, over issue
+
 	name string
 	mgr  *Manager
 	env  *sim.Env
@@ -123,8 +140,6 @@ type Volume struct {
 	rebuildCfg RebuildConfig
 
 	stats Stats
-
-	sync *blockdev.SyncAdapter // the blocking Device calls, over issue
 
 	// Fan-out object pools: the split path reuses a bounded working set of
 	// fan-out trackers, per-chunk operations, and sub-request legs instead
@@ -208,7 +223,7 @@ func (mgr *Manager) CreateVolume(name string, l Layout, opt Options) (*Volume, e
 			m.vol = v
 		}
 	}
-	v.sync = blockdev.NewSyncAdapter(v.env, v, v.issue)
+	v.SyncAdapter = blockdev.NewSyncAdapter(v.env, v, v.issue)
 	v.initPools()
 	mgr.vols[name] = v
 	mgr.volOrder = append(mgr.volOrder, name)
@@ -229,35 +244,6 @@ func (v *Volume) Chunk() int64 { return v.chunk }
 
 // Stats returns a snapshot of the volume datapath counters.
 func (v *Volume) Stats() Stats { return v.stats }
-
-// OpenQueue implements blockdev.QueueProvider: the volume's native
-// asynchronous datapath, sharing the generic queue state machine (depth
-// bounding, flush barriers, drain) with every other device model.
-func (v *Volume) OpenQueue(_ *sim.Env, depth int) blockdev.Queue {
-	return blockdev.NewQueue(v.env, v, depth, v.issue)
-}
-
-// Blocking blockdev.Device calls, on the same issue function.
-
-// Read implements blockdev.Device.
-func (v *Volume) Read(p *sim.Proc, off int64, buf []byte, n int64) error {
-	return v.sync.Read(p, off, buf, n)
-}
-
-// Write implements blockdev.Device.
-func (v *Volume) Write(p *sim.Proc, off int64, buf []byte, n int64) error {
-	return v.sync.Write(p, off, buf, n)
-}
-
-// Flush implements blockdev.Device.
-func (v *Volume) Flush(p *sim.Proc) error {
-	return v.sync.Flush(p)
-}
-
-// Trim implements blockdev.Device.
-func (v *Volume) Trim(p *sim.Proc, off, n int64) error {
-	return v.sync.Trim(p, off, n)
-}
 
 // ---- asynchronous fan-out datapath ----
 
@@ -377,13 +363,14 @@ func (f *fanOut) failAsync(err error) {
 	f.v.env.Schedule(0, func() { f.resolve(err) })
 }
 
-// readOp serves one chunk read from one replica, failing over to the
-// others (and re-rolling transient faults) before giving up. Pooled: the
-// op recycles itself right before its final resolve, so it must not touch
-// its fields afterwards.
+// readOp serves one chunk read from one replica, retrying a failed read on
+// the next healthy replica (pickRetry) before giving up. Pooled: the op
+// recycles itself right before its final resolve, so it must not touch its
+// fields afterwards.
 type readOp struct {
 	fo       *fanOut
 	set      *mirrorSet
+	m        *Member // the replica serving the current attempt
 	off, n   int64
 	buf      []byte
 	attempts int
@@ -397,23 +384,27 @@ func (v *Volume) getReadOp(fo *fanOut, set *mirrorSet, off, n int64, buf []byte)
 }
 
 func (v *Volume) putReadOp(op *readOp) {
-	op.fo, op.set, op.buf = nil, nil, nil
+	op.fo, op.set, op.m, op.buf = nil, nil, nil, nil
 	op.sub.Buf = nil
 	v.readOps.Put(op)
 }
 
-func (op *readOp) start() {
+func (op *readOp) start() { op.issue(op.set.pickRead()) }
+
+// issue sends the chunk read to m, failing it with ErrNoReplica when m is
+// nil.
+func (op *readOp) issue(m *Member) {
 	v := op.fo.v
-	m := op.set.pickRead()
 	if m == nil {
 		fo := op.fo
 		v.putReadOp(op)
 		fo.failAsync(ErrNoReplica)
 		return
 	}
-	if op.set.degraded() {
+	if op.attempts == 0 && op.set.degraded() {
 		v.stats.DegradedReads++
 	}
+	op.m = m
 	op.sub.Op, op.sub.Off, op.sub.Buf, op.sub.Length, op.sub.Err =
 		blockdev.ReqRead, op.off, op.buf, op.n, nil
 	m.submit(&op.sub)
@@ -436,7 +427,7 @@ func (op *readOp) complete(r *blockdev.Request) {
 	}
 	if op.attempts < retryLimit*len(op.set.reps) {
 		v.stats.RetriedReads++
-		op.start() // the cursor moves on to the next replica
+		op.issue(op.set.pickRetry(op.m))
 		return
 	}
 	fo, err := op.fo, r.Err
