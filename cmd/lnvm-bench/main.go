@@ -11,6 +11,10 @@
 // prints them all. Output is plain text, one section per table/figure,
 // with the paper's reference values inline.
 //
+// -blocks scales every experiment's device. Each size in the experiments is
+// stated at the default 24 blocks per plane: wa's 8-block device runs 16
+// blocks at -blocks 48.
+//
 // The profiling flags (-cpuprofile, -memprofile, -trace) cover the whole
 // invocation.
 package main
@@ -48,7 +52,7 @@ func flags(stderr io.Writer) (*flag.FlagSet, *options) {
 	o := &options{}
 	fs.BoolVar(&o.list, "list", false, "list experiments and exit")
 	fs.BoolVar(&o.quick, "quick", false, "shrink sweeps for a fast smoke run")
-	fs.IntVar(&o.blocks, "blocks", 0, "blocks per plane (device scale; 0 = default)")
+	fs.IntVar(&o.blocks, "blocks", 0, "blocks per plane of every experiment's device (0 = default 24; smaller devices scale by N/24)")
 	fs.DurationVar(&o.duration, "duration", 0, "virtual measurement window per data point (0 = default)")
 	fs.Int64Var(&o.seed, "seed", 0, "simulation seed (0 = default)")
 	fs.StringVar(&o.cpuprofile, "cpuprofile", "", "write a CPU profile of the run to this file")

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/blockdev"
 	"repro/internal/fio"
-	"repro/internal/lightnvm"
 	"repro/internal/ocssd"
 	"repro/internal/pblk"
 	"repro/internal/ppa"
@@ -25,13 +24,10 @@ func init() {
 	register("ablate-suspend", "Ablation: program/erase suspend (§3.3 media hints)", runAblateSuspend)
 }
 
-func ablationDevice(o Options, pageCache bool) (*sim.Env, *ocssd.Device) {
-	env := sim.NewEnv(o.Seed)
-	cfg := wearFreeConfig(ocssd.WestlakeGeometry(8), o.Seed)
-	cfg.PageCache = pageCache
-	dev, err := ocssd.New(env, cfg)
-	check(err)
-	return env, dev
+// ablationConfig is the Westlake with 8 blocks per plane at the default
+// size: the ablations that need no more than a few PUs' worth of blocks.
+func ablationConfig(o Options) ocssd.Config {
+	return wearFreeConfig(o, ocssd.WestlakeGeometry(o.scaled(8)))
 }
 
 // runAblatePageCache shows that the controller's per-PU page buffer is
@@ -42,8 +38,9 @@ func runAblatePageCache(o Options) *Report {
 	s := rep.section("controller page cache: single-PU 4K sequential reads")
 	t := s.table("page cache", "seq 4K MB/s", "avg us", "rand 4K MB/s")
 	for _, cache := range []bool{true, false} {
-		env, dev := ablationDevice(o, cache)
-		ln := lightnvm.Register("ocssd-pc", dev)
+		cfg := ablationConfig(o)
+		cfg.PageCache = cache
+		env, _, ln := newOCSSD(cfg)
 		var seq, rnd *fio.Result
 		env.Go("main", func(p *sim.Proc) {
 			raw := newRaw(ln, "raw0", 0, 1)
@@ -65,7 +62,7 @@ func runAblatePageCache(o Options) *Report {
 // case is measured with per-page 4-sector commands — the minimum legal
 // serialization).
 func runAblateVector(o Options) *Report {
-	env, dev := ablationDevice(o, true)
+	env, dev, _ := newOCSSD(ablationConfig(o))
 	g := dev.Geometry()
 	units := 64
 	var vecDur, serDur time.Duration
@@ -140,9 +137,8 @@ func runAblateBuffering(o Options) *Report {
 		t.add(label(name), us(ack/n), us(flush/n), num("%.0f", padded/1024))
 	}
 	row("host ring buffer (pblk)", func(p *sim.Proc, env *sim.Env) (blockdev.Device, func() pblk.Stats, func(*sim.Proc) error) {
-		dev, err := ocssd.New(env, wearFreeConfig(ocssd.WestlakeGeometry(8), o.Seed))
-		check(err)
-		k, err := pblk.New(p, lightnvm.Register("ocssd-ab", dev), "pblk0", pblk.Config{ActivePUs: 4})
+		_, ln := ocssdIn(env, ablationConfig(o))
+		k, err := pblk.New(p, ln, "pblk0", pblk.Config{ActivePUs: 4})
 		check(err)
 		return k, func() pblk.Stats { return k.Stats }, k.Stop
 	})
@@ -165,8 +161,7 @@ func runAblateGCRL(o Options) *Report {
 	s := rep.section("GC rate limiter: overwrites at capacity")
 	t := s.table("rate limiter", "write MB/s", "w p99 ms", "w max ms", "recycled")
 	for _, disabled := range []bool{false, true} {
-		env, dev := ablationDevice(o, true)
-		ln := lightnvm.Register("ocssd-rl", dev)
+		env, _, ln := newOCSSD(ablationConfig(o))
 		var res *fio.Result
 		var recycled int64
 		env.Go("main", func(p *sim.Proc) {
@@ -208,14 +203,14 @@ func runAblateInflight(o Options) *Report {
 	t := s.table("inflight/PU", "W MB/s", "R p99 us", "R max us")
 	for _, depth := range []int{1, 2, 4, 8} {
 		// A default-OP pblk on all 128 PUs needs the experiment-scale device:
-		// the 8-block ablation device is below its spare-pool floor.
-		env, _, ln := newOCSSD(o)
+		// the ablation device is below its spare-pool floor.
+		env, _, ln := newOCSSD(westlake(o))
 		var rres, wres *fio.Result
 		env.Go("main", func(p *sim.Proc) {
 			k, err := pblk.New(p, ln, "pblk0", pblk.Config{MaxInflightPerPU: depth})
 			check(err)
 			defer k.Stop(p)
-			prep := k.Capacity() / 4
+			prep := alignDown(k.Capacity()/4, int64(k.SectorSize()))
 			check(fio.Prepare(p, k, 0, prep))
 			w := env.Go("w", func(pw *sim.Proc) {
 				wres = mustRun(pw, k, fio.Job{Name: "w", Pattern: fio.SeqWrite, BS: 256 << 10,
@@ -240,13 +235,10 @@ func runAblateSuspend(o Options) *Report {
 	s := rep.section("program/erase suspend: 4K reads against a continuous single-PU writer")
 	t := s.table("suspend", "R p99 us", "R max us", "W MB/s", "suspensions")
 	for _, slice := range []time.Duration{0, 100 * time.Microsecond} {
-		env := sim.NewEnv(o.Seed)
-		cfg := wearFreeConfig(ocssd.WestlakeGeometry(8), o.Seed)
+		cfg := ablationConfig(o)
 		cfg.Timing.SuspendSlice = slice
 		cfg.Timing.SuspendPenalty = 50 * time.Microsecond
-		dev, err := ocssd.New(env, cfg)
-		check(err)
-		ln := lightnvm.Register("ocssd-sus", dev)
+		env, dev, ln := newOCSSD(cfg)
 		var rres, wres *fio.Result
 		env.Go("main", func(p *sim.Proc) {
 			// One PU for both, the worst case: reads over its two prepared

@@ -17,7 +17,7 @@ func init() {
 // reaches ~4 GB/s at 256K QD16 (~1 ms latency); 4K QD1 tops out around
 // 105 MB/s at ~40 µs.
 func runFig4(o Options) *Report {
-	env, _, ln := newOCSSD(o)
+	env, _, ln := newOCSSD(westlake(o))
 	blockSizes := []int{4 << 10, 8 << 10, 16 << 10, 32 << 10, 64 << 10, 128 << 10, 256 << 10}
 	depths := []int{1, 2, 4, 8, 16}
 	if o.Quick {

@@ -19,7 +19,7 @@ func init() {
 // (b) 4K QD1 read latency under the same writes; (c) same as (a) with
 // writes rate-limited to 200 MB/s.
 func runFig5(o Options) *Report {
-	env, dev, ln := newOCSSD(o)
+	env, dev, ln := newOCSSD(westlake(o))
 	activeSets := []int{128, 64, 32, 16, 8, 4}
 	if o.Quick {
 		activeSets = []int{128, 16, 4}

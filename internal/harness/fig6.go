@@ -4,9 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/blockdev"
-	"repro/internal/lightnvm"
 	"repro/internal/lsmdb"
-	"repro/internal/ocssd"
 	"repro/internal/pblk"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -32,9 +30,8 @@ func (a appDevice) build(p *sim.Proc, env *sim.Env, o Options) (blockdev.Device,
 		checkIn(a.name, err)
 		return d, d.Stop
 	}
-	dev, err := ocssd.New(env, wearFreeConfig(ocssd.WestlakeGeometry(o.BlocksPerPlane), o.Seed))
-	checkIn(a.name, err)
-	k, err := pblk.New(p, lightnvm.Register("ocssd-embed", dev), fmt.Sprintf("pblk-%d", a.activePUs), pblk.Config{ActivePUs: a.activePUs})
+	_, ln := ocssdIn(env, westlake(o))
+	k, err := pblk.New(p, ln, fmt.Sprintf("pblk-%d", a.activePUs), pblk.Config{ActivePUs: a.activePUs})
 	checkIn(a.name, err)
 	return k, k.Stop
 }

@@ -1,12 +1,12 @@
 package harness
 
 import (
+	"errors"
 	"time"
 
 	"repro/internal/blockdev"
 	"repro/internal/fio"
 	"repro/internal/lightnvm"
-	"repro/internal/ocssd"
 	"repro/internal/pblk"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -25,9 +25,9 @@ type placement struct {
 }
 
 // streams builds a device on p's Env and returns the reader's and the
-// writer's device, the reader's span [0, prep) and the writer's first
-// offset.
-type streams func(p *sim.Proc) (rd, wr blockdev.Device, prep, wOff int64)
+// writer's device, the reader's span [0, prep), the writer's first offset,
+// and what stops the targets it mounted.
+type streams func(p *sim.Proc) (rd, wr blockdev.Device, prep, wOff int64, stop func(*sim.Proc) error)
 
 // runFig8 reproduces the application-specific FTL demonstration: two
 // streams — 4K random reads at QD1 and 64K writes at QD1 — at read/write
@@ -39,24 +39,23 @@ type streams func(p *sim.Proc) (rd, wr blockdev.Device, prep, wOff int64)
 // NVMe SSD mixes them in its own FTL.
 func runFig8(o Options) *Report {
 	writePcts := []int{0, 20, 33, 50} // the table's R/W mixes
-	ocssdIn := func(p *sim.Proc) *lightnvm.Device {
-		dev, err := ocssd.New(p.Env(), wearFreeConfig(ocssd.WestlakeGeometry(o.BlocksPerPlane), o.Seed))
-		check(err)
-		return lightnvm.Register("ocssd0", dev)
-	}
 	raw := func(wBegin int) streams {
-		return func(p *sim.Proc) (blockdev.Device, blockdev.Device, int64, int64) {
-			ln := ocssdIn(p)
+		return func(p *sim.Proc) (blockdev.Device, blockdev.Device, int64, int64, func(*sim.Proc) error) {
+			_, ln := ocssdIn(p.Env(), westlake(o))
 			rd, wr := newRaw(ln, "raw-read", 0, 4), newRaw(ln, "raw-write", wBegin, wBegin+4)
-			return rd, wr, rd.BlockBytes(4), 0
+			return rd, wr, rd.BlockBytes(4), 0, func(*sim.Proc) error {
+				rd.Stop()
+				wr.Stop()
+				return nil
+			}
 		}
 	}
 	// tenants mounts the reader's pblk on PUs [0, split) and the writer's on
 	// the rest. Split 0 reserves the whole device for one pblk that serves
 	// both streams, the writer above the reader's span.
 	tenants := func(split int) streams {
-		return func(p *sim.Proc) (blockdev.Device, blockdev.Device, int64, int64) {
-			ln := ocssdIn(p)
+		return func(p *sim.Proc) (blockdev.Device, blockdev.Device, int64, int64, func(*sim.Proc) error) {
+			_, ln := ocssdIn(p.Env(), westlake(o))
 			mount := func(name string, r lightnvm.PURange) *pblk.Pblk {
 				v, err := ln.Reserve(name, r)
 				check(err)
@@ -67,16 +66,17 @@ func runFig8(o Options) *Report {
 			rd := mount("pblk-read", lightnvm.PURange{End: split})
 			prep := alignDown(min(rd.Capacity()/4, 48<<20), 256<<10)
 			if split == 0 {
-				return rd, rd, prep, prep
+				return rd, rd, prep, prep, rd.Stop
 			}
-			return rd, mount("pblk-write", lightnvm.PURange{Begin: split, End: ln.Geometry().TotalPUs()}), prep, 0
+			wr := mount("pblk-write", lightnvm.PURange{Begin: split, End: ln.Geometry().TotalPUs()})
+			return rd, wr, prep, 0, func(p *sim.Proc) error { return errors.Join(rd.Stop(p), wr.Stop(p)) }
 		}
 	}
-	nvme := func(p *sim.Proc) (blockdev.Device, blockdev.Device, int64, int64) {
+	nvme := func(p *sim.Proc) (blockdev.Device, blockdev.Device, int64, int64, func(*sim.Proc) error) {
 		d, err := newBaseline(p, p.Env(), o)
 		check(err)
 		prep := alignDown(d.Capacity()/2, 256<<10)
-		return d, d, prep, prep
+		return d, d, prep, prep, d.Stop
 	}
 	oc := 1330 * time.Microsecond // about one 64K unit's transfer and program
 	placements := []placement{
@@ -95,13 +95,14 @@ func runFig8(o Options) *Report {
 		row := []cell{label(pl.name)}
 		env := sim.NewEnv(o.Seed)
 		env.Go("fig8", func(p *sim.Proc) {
-			rd, wr, prep, wOff := pl.setup(p)
+			rd, wr, prep, wOff, stop := pl.setup(p)
 			check(fio.Prepare(p, rd, 0, prep))
 			p.Sleep(100 * time.Millisecond) // let write buffers drain
 			for _, w := range writePcts {
 				lat := runMix(p, rd, wr, prep, wOff, w, pl.cost, o.Duration, o.Seed)
 				row = append(row, num("%.0f / %.0f", usF(lat.Percentile(99)), usF(lat.Max())))
 			}
+			check(stop(p))
 		})
 		env.Run()
 		t.add(row...)

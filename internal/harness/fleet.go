@@ -20,7 +20,7 @@ func init() {
 func fleetConfig(o Options, devices, spares int) volume.Config {
 	bpp := o.BlocksPerPlane
 	if o.Quick {
-		bpp = 16
+		bpp = o.scaled(16)
 	}
 	return volume.Config{
 		Devices: devices,
@@ -43,6 +43,13 @@ func runFleet(o Options) *Report {
 	runFleetScaling(o, rep)
 	runFleetFailover(o, rep)
 	return rep
+}
+
+// stopFleet stops every member's FTL, a killed member's included.
+func stopFleet(p *sim.Proc, mgr *volume.Manager) {
+	for _, m := range mgr.Members() {
+		check(m.Target().Stop(p))
+	}
 }
 
 // ---- part 1: RAID-0 scaling ----
@@ -99,6 +106,7 @@ func runFleetScalePoint(o Options, devs int, span int64) fleetScaleRow {
 			Size: span, Runtime: o.Duration, Seed: o.Seed + 2,
 		})
 		row.wMBps = wr.WriteMBps()
+		stopFleet(p, mgr)
 	})
 	env.Run()
 	return row
@@ -222,6 +230,7 @@ func runFleetFailover(o Options, rep *Report) {
 		check(err)
 		vstats = v.Stats()
 		status = v.Status()
+		stopFleet(p, mgr)
 	})
 	env.Run()
 

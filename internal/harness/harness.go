@@ -65,9 +65,10 @@ func alignDown(n, unit int64) int64 { return n / unit * unit }
 
 // Options scales experiments. The zero value is completed by Defaults.
 type Options struct {
-	// BlocksPerPlane scales the simulated drive; the paper's Westlake has
-	// 1067 (2 TB) — the default keeps the same structure with less host
-	// memory.
+	// BlocksPerPlane scales every experiment's device; the paper's
+	// Westlake has 1067 (2 TB). The default, 24, keeps the same structure
+	// with less host memory. Experiments on a smaller device state its
+	// size at the default, and scale it by BlocksPerPlane/24 (scaled).
 	BlocksPerPlane int
 	// Duration is the virtual measurement window per data point.
 	Duration time.Duration
@@ -76,10 +77,17 @@ type Options struct {
 	Seed  int64
 }
 
+// defaultBlocks is BlocksPerPlane's default.
+const defaultBlocks = 24
+
+// scaled is n, a blocks-per-plane count stated at the default size, at the
+// options' size. A result too small for its device is the device's error.
+func (o Options) scaled(n int) int { return n * o.BlocksPerPlane / defaultBlocks }
+
 // Defaults fills unset options.
 func Defaults(o Options) Options {
 	if o.BlocksPerPlane == 0 {
-		o.BlocksPerPlane = 24
+		o.BlocksPerPlane = defaultBlocks
 	}
 	if o.Duration == 0 {
 		o.Duration = 100 * time.Millisecond
@@ -179,23 +187,40 @@ func ByID(id string) (Experiment, bool) {
 
 // ---- shared builders ----
 
-// wearFreeConfig is the device every characterization experiment runs on:
-// default timing and media with the page cache on, and wear off —
-// characterization runs should not age the media. Callers adjust the
-// fields their experiment varies.
-func wearFreeConfig(geo ppa.Geometry, seed int64) ocssd.Config {
+// wearFreeMedia is the default media with wear off: characterization runs
+// should not age the media.
+func wearFreeMedia() nand.Config {
 	m := nand.DefaultConfig()
 	m.PECycleLimit = 0
 	m.WearLatencyFactor = 0
-	return ocssd.Config{Geometry: geo, Timing: ocssd.DefaultTiming(), Media: m, PageCache: true, Seed: seed}
+	return m
 }
 
-// newOCSSD builds a Westlake-like open-channel SSD scaled by the options.
-func newOCSSD(o Options) (*sim.Env, *ocssd.Device, *lightnvm.Device) {
-	env := sim.NewEnv(o.Seed)
-	dev, err := ocssd.New(env, wearFreeConfig(ocssd.WestlakeGeometry(o.BlocksPerPlane), o.Seed))
+// wearFreeConfig is the device of geometry geo every characterization
+// experiment runs on: default timing, wear-free media, the page cache on.
+// Callers adjust the fields their experiment varies.
+func wearFreeConfig(o Options, geo ppa.Geometry) ocssd.Config {
+	return ocssd.Config{Geometry: geo, Timing: ocssd.DefaultTiming(), Media: wearFreeMedia(), PageCache: true, Seed: o.Seed}
+}
+
+// westlake is the Westlake-like open-channel SSD scaled by the options.
+func westlake(o Options) ocssd.Config {
+	return wearFreeConfig(o, ocssd.WestlakeGeometry(o.BlocksPerPlane))
+}
+
+// newOCSSD builds cfg's open-channel SSD in a new env of the device's seed.
+func newOCSSD(cfg ocssd.Config) (*sim.Env, *ocssd.Device, *lightnvm.Device) {
+	env := sim.NewEnv(cfg.Seed)
+	dev, ln := ocssdIn(env, cfg)
+	return env, dev, ln
+}
+
+// ocssdIn builds cfg's open-channel SSD in env and registers it with
+// LightNVM.
+func ocssdIn(env *sim.Env, cfg ocssd.Config) (*ocssd.Device, *lightnvm.Device) {
+	dev, err := ocssd.New(env, cfg)
 	check(err)
-	return env, dev, lightnvm.Register("ocssd0", dev)
+	return dev, lightnvm.Register("ocssd0", dev)
 }
 
 // newRaw mounts a raw (FTL-less) target on PUs [begin, end) of ln: the
@@ -218,8 +243,7 @@ func newPblk(p *sim.Proc, ln *lightnvm.Device, activePUs int) *pblk.Pblk {
 // capacity.
 func newBaseline(p *sim.Proc, env *sim.Env, o Options) (*nvmedev.Device, error) {
 	cfg := nvmedev.DefaultConfig(o.BlocksPerPlane * 2) // 1/4 the PUs, 2x blocks
-	cfg.Media.PECycleLimit = 0
-	cfg.Media.WearLatencyFactor = 0
+	cfg.Media = wearFreeMedia()
 	cfg.Seed = o.Seed
 	return nvmedev.New(p, env, cfg)
 }

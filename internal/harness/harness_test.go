@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"runtime"
 	"slices"
 	"strconv"
 	"strings"
@@ -171,10 +172,16 @@ func TestRegistryComplete(t *testing.T) {
 	}
 }
 
+// heapAfterRun bounds the heap an experiment may leave in use once it has
+// returned and the collector has run: a target left mounted keeps its
+// processes parked, and with them its whole device.
+const heapAfterRun = 64 << 20
+
 // Every registered experiment, run as lnvm-bench -quick runs it, prints
-// exactly its section of the golden; lanes and wa-e2e also check the claims
-// they print. mustRun fails a job with I/O errors, so ablate-suspend also
-// asserts here that every read aimed at a raw target found programmed media.
+// exactly its section of the golden and leaves no device behind; lanes and
+// wa-e2e also check the claims they print. mustRun fails a job with I/O
+// errors, so ablate-suspend also asserts here that every read aimed at a
+// raw target found programmed media.
 func TestQuickExperimentsRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every experiment")
@@ -203,14 +210,42 @@ func TestQuickExperimentsRun(t *testing.T) {
 			if check := claims[e.ID]; check != nil {
 				check(t, rep)
 			}
+			runtime.GC()
+			var ms runtime.MemStats
+			runtime.ReadMemStats(&ms)
+			if ms.HeapInuse >= heapAfterRun {
+				t.Errorf("%d MB of heap in use after %s returned, want under %d MB: does it stop every target it mounts?",
+					ms.HeapInuse>>20, e.ID, heapAfterRun>>20)
+			}
 		})
 	}
 }
 
-// Stream separation: dual-stream GC stops re-moving cold sectors, so its WA
-// is below the single-stream baseline's.
-func TestWAQuick(t *testing.T) {
-	rep := quickReport(t, "wa")
+// wa's claims at the default size.
+func TestWAQuick(t *testing.T) { checkWA(t, quickReport(t, "wa")) }
+
+// At twice the default size wa runs a device of twice the blocks, and its
+// claims hold there too. A size the rule scales to nothing is Run's error.
+func TestWAScaled(t *testing.T) {
+	e, _ := ByID("wa")
+	rep, err := e.Run(Options{Quick: true, BlocksPerPlane: 2 * defaultBlocks})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const depth, seq = "GC pipeline depth", "depth=1 (sequential reclaim)"
+	if moved := value(t, rep, depth, "gc moved", seq); moved == value(t, quickReport(t, "wa"), depth, "gc moved", seq) {
+		t.Errorf("%.0f sectors moved at %d and %d blocks per plane: does wa read BlocksPerPlane?", moved, 2*defaultBlocks, defaultBlocks)
+	}
+	checkWA(t, rep)
+	if _, err := e.Run(Options{Quick: true, BlocksPerPlane: 2}); err == nil {
+		t.Error("2 blocks per plane scales wa's device to 0 blocks, want an error")
+	}
+}
+
+// checkWA: stream separation — dual-stream GC stops re-moving cold sectors,
+// so its WA is below the single-stream baseline's.
+func checkWA(t *testing.T, rep *Report) {
+	t.Helper()
 	single := value(t, rep, "Stream separation", "WA", "single-stream (baseline)")
 	dual := value(t, rep, "Stream separation", "WA", "dual-stream depth=2 (default)")
 	if dual >= single {

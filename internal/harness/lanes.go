@@ -20,7 +20,7 @@ func init() {
 // per-lane writer telemetry (queue depth high-water, semaphore stalls,
 // padding) alongside throughput.
 func runLanes(o Options) *Report {
-	env, dev, ln := newOCSSD(o)
+	env, dev, ln := newOCSSD(westlake(o))
 	total := dev.Geometry().TotalPUs()
 	activeSets := []int{1, 4, 16, total}
 	if o.Quick {

@@ -10,23 +10,11 @@ import (
 	"repro/internal/nand"
 	"repro/internal/ocssd"
 	"repro/internal/pblk"
-	"repro/internal/ppa"
 	"repro/internal/sim"
 )
 
 func init() {
 	register("lifetime", "Device lifetime: durability and read tails across the P/E budget, scrubber on vs off", runLifetime)
-}
-
-// lifetimeGeometry is a small 8-PU device (same channel fan-out as the
-// wa experiment) that can be aged through its whole P/E budget in seconds
-// of virtual time.
-func lifetimeGeometry(blocksPerPlane int) ppa.Geometry {
-	return ppa.Geometry{
-		Channels: 4, PUsPerChannel: 2, PlanesPerPU: 4,
-		BlocksPerPlane: blocksPerPlane, PagesPerBlock: 32,
-		SectorsPerPage: 4, SectorSize: 4096, OOBPerPage: 64,
-	}
 }
 
 // lifeRow is one life stage of one configuration.
@@ -46,7 +34,9 @@ type lifeRow struct {
 	retries  int64 // device read-retry tiers charged this stage
 }
 
-// runLifetime ages a small device through most of its P/E budget under a
+// runLifetime ages the compact device (4 planes of 32-page blocks, 8 blocks
+// per plane at the default size: small enough to age through its whole P/E
+// budget in seconds of virtual time) through most of that budget under a
 // hot/cold overwrite (95% of writes to a strided hot eighth), with a bake
 // pause per stage so retention errors accumulate on the cold majority. At
 // every stage boundary a full scan measures durability (unreadable
@@ -66,43 +56,32 @@ func runLifetime(o Options) *Report {
 		// decay story still completes within two stages.
 		peLimit, accel, stages = 14, 2, 2
 	}
-	const tiers = 6 // device read-retry tiers
-	const blocks = 8
+	const tiers = 6    // device read-retry tiers
 	const agingX = 3.0 // drive-writes of overwrite per stage
 	const bake = 1500 * time.Millisecond
 
-	media := func() nand.Config {
-		m := nand.DefaultConfig()
-		m.PECycleLimit = peLimit
-		m.BERWearCoeff = 2e-3
-		m.BERRetentionCoeff = 1e-3
-		m.RetentionAccel = accel
-		m.BERDisturbCoeff = 1e-5
-		m.ECCBER = 1e-3
-		m.ReadRetryStep = 1e-3
-		m.ReadRetryTiers = tiers
-		m.GrownBadProb = 0.1
-		return m
-	}
+	devCfg := wearFreeConfig(o, ocssd.CompactGeometry(4, 32, o.scaled(8)))
+	m := nand.DefaultConfig()
+	m.PECycleLimit = peLimit
+	m.BERWearCoeff = 2e-3
+	m.BERRetentionCoeff = 1e-3
+	m.RetentionAccel = accel
+	m.BERDisturbCoeff = 1e-5
+	m.ECCBER = 1e-3
+	m.ReadRetryStep = 1e-3
+	m.ReadRetryTiers = tiers
+	m.GrownBadProb = 0.1
+	devCfg.Media = m
+	geo := devCfg.Geometry
+	totalBlocks := geo.TotalPUs() * geo.PlanesPerPU * geo.BlocksPerPlane
 
 	run := func(scrub bool) ([]lifeRow, time.Duration) {
-		env := sim.NewEnv(o.Seed)
-		dev, err := ocssd.New(env, ocssd.Config{
-			Geometry:  lifetimeGeometry(blocks),
-			Timing:    ocssd.DefaultTiming(),
-			Media:     media(),
-			PageCache: true,
-			Seed:      o.Seed,
-		})
-		check(err)
-		ln := lightnvm.Register(fmt.Sprintf("life-scrub%v", scrub), dev)
+		env, dev, ln := newOCSSD(devCfg)
 		cfg := pblk.Config{OverProvision: 0.4, ActivePUs: 4}
 		if scrub {
 			cfg.ScrubInterval = 5 * time.Millisecond
 			cfg.ScrubRetentionAge = 800 * time.Millisecond
 		}
-		geo := lifetimeGeometry(blocks)
-		totalBlocks := geo.TotalPUs() * geo.PlanesPerPU * geo.BlocksPerPlane
 		var rows []lifeRow
 		var recovery time.Duration
 		env.Go("lifetime", func(p *sim.Proc) {

@@ -18,7 +18,7 @@ func TestSteadyStateNoDeadlock(t *testing.T) {
 		t.Skip("multi-minute steady-state run")
 	}
 	o := Defaults(Options{Duration: 50 * time.Millisecond})
-	env, _, ln := newOCSSD(o)
+	env, _, ln := newOCSSD(westlake(o))
 	done := false
 	var k *pblk.Pblk
 	env.Go("aggregate", func(p *sim.Proc) {

@@ -17,7 +17,7 @@ func init() {
 func runTable1(o Options) *Report {
 	rep := &Report{}
 	s := rep.section("Table 1: Open-Channel SSD characterization (paper values in parentheses)")
-	env, dev, ln := newOCSSD(o)
+	env, dev, ln := newOCSSD(westlake(o))
 	g := dev.Geometry()
 	s.note(fmt.Sprintf("Channels %d, PUs/channel %d (total %d), planes %d, blocks/plane %d (paper: 1067), %d pages/block, page %dK+%dB OOB",
 		g.Channels, g.PUsPerChannel, g.TotalPUs(), g.PlanesPerPU, g.BlocksPerPlane,

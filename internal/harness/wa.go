@@ -1,32 +1,18 @@
 package harness
 
 import (
-	"fmt"
 	"math/rand"
 	"sort"
 	"time"
 
 	"repro/internal/blockdev"
-	"repro/internal/lightnvm"
 	"repro/internal/ocssd"
 	"repro/internal/pblk"
-	"repro/internal/ppa"
 	"repro/internal/sim"
 )
 
 func init() {
 	register("wa", "Steady-state overwrite: write amplification vs stream separation, throughput vs GC pipeline depth", runWA)
-}
-
-// waGeometry is a deliberately small device (8 PUs) so each configuration
-// reaches GC steady state — the device fully written and every new write
-// paid for by reclaim — within seconds of virtual time.
-func waGeometry(blocksPerPlane int) ppa.Geometry {
-	return ppa.Geometry{
-		Channels: 4, PUsPerChannel: 2, PlanesPerPU: 4,
-		BlocksPerPlane: blocksPerPlane, PagesPerBlock: 256,
-		SectorsPerPage: 4, SectorSize: 4096, OOBPerPage: 64,
-	}
 }
 
 // waConfig is one measured point of the steady-state overwrite sweep.
@@ -83,12 +69,14 @@ func runWA(o Options) *Report {
 		sepSweep = []waConfig{sepSweep[0], sepSweep[2]}
 		depthSweep = []waConfig{depthSweep[0], depthSweep[2]}
 	}
-	// Steady state needs several drive-writes of overwrite volume, so the
-	// device is kept small: 8 blocks per plane over 8 PUs is ~1 GB raw.
-	// Overwrite volume is measured in device-capacity multiples: a warm-up
-	// reaches GC steady state, then the reported delta covers a fixed
-	// volume so WA is comparable across configurations.
-	const blocks = 8
+	// Steady state — the device fully written and every new write paid for
+	// by reclaim — needs several drive-writes of overwrite volume, so the
+	// device is the compact 8 PUs with 4 planes of 256-page blocks, 8 blocks
+	// per plane at the default size (~1 GB raw). Overwrite volume is
+	// measured in device-capacity multiples: a warm-up reaches GC steady
+	// state, then the reported delta covers a fixed volume so WA is
+	// comparable across configurations.
+	geo := ocssd.CompactGeometry(4, 256, o.scaled(8))
 	// The warm-up cannot shrink in quick mode: stream separation only pays
 	// off once GC has fully sorted the prefill generation, about three
 	// drive-writes in; only the measured delta is shortened.
@@ -98,10 +86,7 @@ func runWA(o Options) *Report {
 	}
 
 	run := func(c waConfig) waRow {
-		env := sim.NewEnv(o.Seed)
-		dev, err := ocssd.New(env, wearFreeConfig(waGeometry(blocks), o.Seed))
-		check(err)
-		ln := lightnvm.Register(fmt.Sprintf("wa-%s-op%.2f-hm%d", c.name, c.op, c.hotMod), dev)
+		env, _, ln := newOCSSD(wearFreeConfig(o, geo))
 		r := waRow{name: c.name}
 		env.Go("wa", func(p *sim.Proc) {
 			k, err := pblk.New(p, ln, "pblk-wa", pblk.Config{

@@ -4,27 +4,14 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/lightnvm"
 	"repro/internal/lsmdb"
 	"repro/internal/ocssd"
 	"repro/internal/pblk"
-	"repro/internal/ppa"
 	"repro/internal/sim"
 )
 
 func init() {
 	register("wa-e2e", "LSM on open-channel: combined app x FTL write amplification vs hint policy", runWAE2E)
-}
-
-// waE2EGeometry is a small device (8 PUs, ~1 MB block groups) so every
-// stack cycles the media — the whole free pool consumed and reclaimed —
-// within a few drive-writes of overwrite volume.
-func waE2EGeometry(blocksPerPlane int) ppa.Geometry {
-	return ppa.Geometry{
-		Channels: 4, PUsPerChannel: 2, PlanesPerPU: 2,
-		BlocksPerPlane: blocksPerPlane, PagesPerBlock: 32,
-		SectorsPerPage: 4, SectorSize: 4096, OOBPerPage: 64,
-	}
 }
 
 // waE2EMode is one stacking of the LSM engine over pblk.
@@ -99,7 +86,11 @@ func waE2EDBConfig(o Options, hints bool, segment int64) lsmdb.Config {
 // against the stacked baseline: compaction already erases whole table
 // extents in the cold stream, so the FTL has next to nothing to move.
 func runWAE2E(o Options) *Report {
-	blocks := 28
+	// The compact device with 2 planes of 32-page blocks, 28 blocks per
+	// plane at the default size: every stack cycles the media — the whole
+	// free pool consumed and reclaimed — within a few drive-writes of
+	// overwrite volume.
+	geo := ocssd.CompactGeometry(2, 32, o.scaled(28))
 	utils := []float64{0.42, 0.46}
 	warmPasses := 2
 	if o.Quick {
@@ -107,10 +98,7 @@ func runWAE2E(o Options) *Report {
 	}
 
 	run := func(mode waE2EMode, util float64) waE2ERow {
-		env := sim.NewEnv(o.Seed)
-		dev, err := ocssd.New(env, wearFreeConfig(waE2EGeometry(blocks), o.Seed))
-		check(err)
-		ln := lightnvm.Register(fmt.Sprintf("wae2e-%s-u%02d", mode.name, int(util*100+0.5)), dev)
+		env, _, ln := newOCSSD(wearFreeConfig(o, geo))
 		row := waE2ERow{name: mode.name}
 		env.Go("wae2e", func(p *sim.Proc) {
 			k, err := pblk.New(p, ln, "pblk-wae2e", pblk.Config{

@@ -26,20 +26,20 @@ import (
 
 // Config shapes the baseline device.
 type Config struct {
-	// Geometry defaults to P3700Geometry(blocksPerPlane=32) when zero.
-	Geometry ppa.Geometry
-	Timing   ocssd.Timing
-	Media    nand.Config
-	// OverProvision is the device's fixed internal spare factor.
-	OverProvision float64
-	Seed          int64
+	// BlocksPerPlane sizes the drive's p3700Geometry.
+	BlocksPerPlane int
+	Media          nand.Config
+	Seed           int64
 }
 
-// P3700Geometry approximates the baseline drive's internal layout: half
+// overProvision is the device's fixed internal spare factor.
+const overProvision = 0.12
+
+// p3700Geometry approximates the baseline drive's internal layout: half
 // the channels and PUs of the Westlake OCSSD, same MLC media (the paper
 // notes the OCSSD "has more internal parallelism that can be leveraged by
 // writes").
-func P3700Geometry(blocksPerPlane int) ppa.Geometry {
+func p3700Geometry(blocksPerPlane int) ppa.Geometry {
 	return ppa.Geometry{
 		Channels:       8,
 		PUsPerChannel:  4,
@@ -54,13 +54,7 @@ func P3700Geometry(blocksPerPlane int) ppa.Geometry {
 
 // DefaultConfig returns a baseline device with the given blocks per plane.
 func DefaultConfig(blocksPerPlane int) Config {
-	return Config{
-		Geometry:      P3700Geometry(blocksPerPlane),
-		Timing:        ocssd.DefaultTiming(),
-		Media:         nand.DefaultConfig(),
-		OverProvision: 0.12,
-		Seed:          2,
-	}
+	return Config{BlocksPerPlane: blocksPerPlane, Media: nand.DefaultConfig(), Seed: 2}
 }
 
 // Device is the baseline block SSD. It implements blockdev.Device.
@@ -83,12 +77,9 @@ var _ blockdev.Device = (*Device)(nil)
 // New builds the baseline device inside env. Like a real drive it arrives
 // "formatted": the internal FTL initializes before first use.
 func New(p *sim.Proc, env *sim.Env, cfg Config) (*Device, error) {
-	if cfg.Geometry.Channels == 0 {
-		cfg = DefaultConfig(32)
-	}
 	raw, err := ocssd.New(env, ocssd.Config{
-		Geometry:  cfg.Geometry,
-		Timing:    cfg.Timing,
+		Geometry:  p3700Geometry(cfg.BlocksPerPlane),
+		Timing:    ocssd.DefaultTiming(),
 		Media:     cfg.Media,
 		PageCache: true,
 		Seed:      cfg.Seed,
@@ -99,7 +90,7 @@ func New(p *sim.Proc, env *sim.Env, cfg Config) (*Device, error) {
 	ln := lightnvm.Register("nvme-internal", raw)
 	ftl, err := pblk.New(p, ln, "embedded-ftl", pblk.Config{
 		ActivePUs:         0, // all PUs: fixed page-granularity striping
-		OverProvision:     cfg.OverProvision,
+		OverProvision:     overProvision,
 		HostReadOverhead:  time.Nanosecond, // firmware cost charged below
 		HostWriteOverhead: time.Nanosecond,
 	})

@@ -134,6 +134,23 @@ func WestlakeGeometry(blocksPerPlane int) ppa.Geometry {
 	}
 }
 
+// CompactGeometry is the small 8-PU device (4 channels × 2 PUs, Westlake's
+// pages and sectors) that the fleet's members and the experiments which
+// must cycle their media many times run on; planes and pages per block
+// size its block groups.
+func CompactGeometry(planes, pagesPerBlock, blocksPerPlane int) ppa.Geometry {
+	return ppa.Geometry{
+		Channels:       4,
+		PUsPerChannel:  2,
+		PlanesPerPU:    planes,
+		BlocksPerPlane: blocksPerPlane,
+		PagesPerBlock:  pagesPerBlock,
+		SectorsPerPage: 4,
+		SectorSize:     4096,
+		OOBPerPage:     64,
+	}
+}
+
 // DefaultConfig returns a Westlake-like device with the given blocks per
 // plane.
 func DefaultConfig(blocksPerPlane int) Config {

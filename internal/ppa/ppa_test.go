@@ -196,10 +196,10 @@ func repoGeometries() map[string]Geometry {
 		"westlake-24":      shape(16, 8, 4, 24, 256), // ocssd.WestlakeGeometry(24)
 		"westlake-1067":    westlake(),               // the paper's 2 TB Westlake
 		"volume-member-64": shape(4, 2, 2, 64, 32),   // volume.DefaultDeviceConfig(64)
-		"wa-64":            shape(4, 2, 4, 64, 256),  // harness waGeometry
-		"wa-e2e-64":        shape(4, 2, 2, 64, 32),   // harness waE2EGeometry
-		"lifetime-64":      shape(4, 2, 4, 64, 32),   // harness lifetimeGeometry
-		"p3700-64":         shape(8, 4, 4, 64, 256),  // nvmedev.P3700Geometry
+		"wa-64":            shape(4, 2, 4, 64, 256),  // harness wa: ocssd.CompactGeometry(4, 256, 64)
+		"wa-e2e-64":        shape(4, 2, 2, 64, 32),   // harness wa-e2e: ocssd.CompactGeometry(2, 32, 64)
+		"lifetime-64":      shape(4, 2, 4, 64, 32),   // harness lifetime: ocssd.CompactGeometry(4, 32, 64)
+		"p3700-64":         shape(8, 4, 4, 64, 256),  // nvmedev's P3700 at 64 blocks per plane
 		"pblk-test":        shape(2, 2, 2, 40, 32),   // pblk's test device
 		"odd":              odd,                      // 3 ch x 5 PUs x 3 planes
 	}

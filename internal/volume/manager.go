@@ -35,7 +35,6 @@ import (
 	"repro/internal/nand"
 	"repro/internal/ocssd"
 	"repro/internal/pblk"
-	"repro/internal/ppa"
 	"repro/internal/sim"
 )
 
@@ -165,18 +164,15 @@ type Config struct {
 }
 
 // DefaultDeviceConfig is the compact per-member device used when
-// Config.OCSSD is zero: 8 PUs across 4 channels, enough internal
-// parallelism to show fleet scaling without Westlake's 128-PU cost.
+// Config.OCSSD is zero: ocssd's compact 8 PUs across 4 channels, enough
+// internal parallelism to show fleet scaling without Westlake's 128-PU
+// cost, with 2 planes of 32-page blocks.
 func DefaultDeviceConfig(blocksPerPlane int) ocssd.Config {
 	m := nand.DefaultConfig()
 	m.PECycleLimit = 0
 	m.WearLatencyFactor = 0
 	return ocssd.Config{
-		Geometry: ppa.Geometry{
-			Channels: 4, PUsPerChannel: 2, PlanesPerPU: 2,
-			BlocksPerPlane: blocksPerPlane, PagesPerBlock: 32,
-			SectorsPerPage: 4, SectorSize: 4096, OOBPerPage: 64,
-		},
+		Geometry:  ocssd.CompactGeometry(2, 32, blocksPerPlane),
 		Timing:    ocssd.DefaultTiming(),
 		Media:     m,
 		PageCache: true,
