@@ -87,7 +87,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		var dev blockdev.Device
 		var stop func(*sim.Proc) error
 		if *device == "pblk" {
-			raw, err := ocssd.New(env, ocssd.DefaultConfig(*blocks))
+			raw, err := ocssd.New(env, ocssd.DefaultConfig(ocssd.WestlakeGeometry(*blocks)))
 			if err != nil {
 				code = fail(1, "%v", err)
 				return
@@ -99,7 +99,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 			dev, stop = k, k.Stop
 		} else {
-			d, err := nvmedev.New(p, env, nvmedev.DefaultConfig(*blocks*2))
+			d, err := nvmedev.New(p, env, *blocks*2, 2)
 			if err != nil {
 				code = fail(1, "%v", err)
 				return

@@ -101,7 +101,7 @@ func (s *kvStore) get(p *sim.Proc, key string) ([]byte, error) {
 
 func main() {
 	env := sim.NewEnv(5)
-	dev, err := ocssd.New(env, ocssd.DefaultConfig(8))
+	dev, err := ocssd.New(env, ocssd.DefaultConfig(ocssd.WestlakeGeometry(8)))
 	if err != nil {
 		log.Fatal(err)
 	}

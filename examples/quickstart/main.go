@@ -22,7 +22,7 @@ func main() {
 
 	// 1. An open-channel SSD: 16 channels x 8 PUs of MLC NAND (Westlake
 	//    geometry, scaled down to 24 blocks per plane ≈ 52 GB).
-	dev, err := ocssd.New(env, ocssd.DefaultConfig(24))
+	dev, err := ocssd.New(env, ocssd.DefaultConfig(ocssd.WestlakeGeometry(24)))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -27,7 +27,7 @@ func TestNilPayloadPrefillStaysSmall(t *testing.T) {
 		return int64(ms.HeapAlloc)
 	}
 	env := sim.NewEnv(1)
-	dev, err := ocssd.New(env, ocssd.DefaultConfig(24))
+	dev, err := ocssd.New(env, ocssd.DefaultConfig(ocssd.WestlakeGeometry(24)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/blockdev"
 	"repro/internal/lightnvm"
-	"repro/internal/nand"
 	"repro/internal/nullblk"
 	"repro/internal/nvmedev"
 	"repro/internal/ocssd"
@@ -22,6 +21,17 @@ import (
 	"repro/internal/sim"
 	"repro/internal/volume"
 )
+
+// pblkDevice is the 4-PU open-channel SSD under the pblk cases.
+func pblkDevice() ocssd.Config {
+	cfg := ocssd.DefaultConfig(ppa.Geometry{
+		Channels: 2, PUsPerChannel: 2, PlanesPerPU: 2,
+		BlocksPerPlane: 40, PagesPerBlock: 32,
+		SectorsPerPage: 4, SectorSize: 4096, OOBPerPage: 64,
+	})
+	cfg.Seed = 5
+	return cfg
+}
 
 // forEachDevice runs fn against every device model. fn runs inside a
 // simulation process with the device ready for I/O.
@@ -34,17 +44,7 @@ func forEachDevice(t *testing.T, fn func(t *testing.T, env *sim.Env, p *sim.Proc
 	})
 	t.Run("pblk", func(t *testing.T) {
 		env := sim.NewEnv(2)
-		m := nand.DefaultConfig()
-		m.PECycleLimit = 0
-		m.WearLatencyFactor = 0
-		raw, err := ocssd.New(env, ocssd.Config{
-			Geometry: ppa.Geometry{
-				Channels: 2, PUsPerChannel: 2, PlanesPerPU: 2,
-				BlocksPerPlane: 40, PagesPerBlock: 32,
-				SectorsPerPage: 4, SectorSize: 4096, OOBPerPage: 64,
-			},
-			Timing: ocssd.DefaultTiming(), Media: m, PageCache: true, Seed: 5,
-		})
+		raw, err := ocssd.New(env, pblkDevice())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -65,17 +65,7 @@ func forEachDevice(t *testing.T, fn func(t *testing.T, env *sim.Env, p *sim.Proc
 	// cross the partition boundary.
 	t.Run("pblk-partitioned", func(t *testing.T) {
 		env := sim.NewEnv(4)
-		m := nand.DefaultConfig()
-		m.PECycleLimit = 0
-		m.WearLatencyFactor = 0
-		raw, err := ocssd.New(env, ocssd.Config{
-			Geometry: ppa.Geometry{
-				Channels: 2, PUsPerChannel: 2, PlanesPerPU: 2,
-				BlocksPerPlane: 40, PagesPerBlock: 32,
-				SectorsPerPage: 4, SectorSize: 4096, OOBPerPage: 64,
-			},
-			Timing: ocssd.DefaultTiming(), Media: m, PageCache: true, Seed: 5,
-		})
+		raw, err := ocssd.New(env, pblkDevice())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,11 +142,8 @@ func forEachDevice(t *testing.T, fn func(t *testing.T, env *sim.Env, p *sim.Proc
 	}
 	t.Run("nvmedev", func(t *testing.T) {
 		env := sim.NewEnv(3)
-		cfg := nvmedev.DefaultConfig(24)
-		cfg.Media.PECycleLimit = 0
-		cfg.Media.WearLatencyFactor = 0
 		env.Go("main", func(p *sim.Proc) {
-			d, err := nvmedev.New(p, env, cfg)
+			d, err := nvmedev.New(p, env, 24, 2)
 			if err != nil {
 				panic(err)
 			}

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/lightnvm"
-	"repro/internal/nand"
 	"repro/internal/nullblk"
 	"repro/internal/ocssd"
 	"repro/internal/pblk"
@@ -223,26 +222,19 @@ func TestRunRejectsMisalignedBS(t *testing.T) {
 
 // ---- Direct PPA I/O: the one engine on raw (FTL-less) targets ----
 
-// smallOCSSD is a wear-free 2 × 2 PU device with Westlake's 64 KiB write
-// unit. The owner guard is on: a command of one raw target reaching a PU
-// of another panics at the device.
+// smallOCSSD is a 2 × 2 PU device with Westlake's 64 KiB write unit. The
+// owner guard is on: a command of one raw target reaching a PU of another
+// panics at the device.
 func smallOCSSD(t *testing.T) (*sim.Env, *lightnvm.Device) {
 	t.Helper()
 	env := sim.NewEnv(3)
-	m := nand.DefaultConfig()
-	m.PECycleLimit = 0
-	m.WearLatencyFactor = 0
-	dev, err := ocssd.New(env, ocssd.Config{
-		Geometry: ppa.Geometry{
-			Channels: 2, PUsPerChannel: 2, PlanesPerPU: 4,
-			BlocksPerPlane: 8, PagesPerBlock: 32,
-			SectorsPerPage: 4, SectorSize: 4096, OOBPerPage: 64,
-		},
-		Timing:    ocssd.DefaultTiming(),
-		Media:     m,
-		PageCache: true,
-		Seed:      5,
+	cfg := ocssd.DefaultConfig(ppa.Geometry{
+		Channels: 2, PUsPerChannel: 2, PlanesPerPU: 4,
+		BlocksPerPlane: 8, PagesPerBlock: 32,
+		SectorsPerPage: 4, SectorSize: 4096, OOBPerPage: 64,
 	})
+	cfg.Seed = 5
+	dev, err := ocssd.New(env, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,20 +343,13 @@ func TestPPAIsolatedStreamsDoNotInterfere(t *testing.T) {
 
 func TestBlockEngineOverPblk(t *testing.T) {
 	env := sim.NewEnv(8)
-	m := nand.DefaultConfig()
-	m.PECycleLimit = 0
-	m.WearLatencyFactor = 0
-	dev, err := ocssd.New(env, ocssd.Config{
-		Geometry: ppa.Geometry{
-			Channels: 2, PUsPerChannel: 2, PlanesPerPU: 2,
-			BlocksPerPlane: 40, PagesPerBlock: 32,
-			SectorsPerPage: 4, SectorSize: 4096, OOBPerPage: 64,
-		},
-		Timing:    ocssd.DefaultTiming(),
-		Media:     m,
-		PageCache: true,
-		Seed:      5,
+	cfg := ocssd.DefaultConfig(ppa.Geometry{
+		Channels: 2, PUsPerChannel: 2, PlanesPerPU: 2,
+		BlocksPerPlane: 40, PagesPerBlock: 32,
+		SectorsPerPage: 4, SectorSize: 4096, OOBPerPage: 64,
 	})
+	cfg.Seed = 5
+	dev, err := ocssd.New(env, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,7 +27,9 @@ func init() {
 // ablationConfig is the Westlake with 8 blocks per plane at the default
 // size: the ablations that need no more than a few PUs' worth of blocks.
 func ablationConfig(o Options) ocssd.Config {
-	return wearFreeConfig(o, ocssd.WestlakeGeometry(o.scaled(8)))
+	cfg := ocssd.DefaultConfig(ocssd.WestlakeGeometry(o.scaled(8)))
+	cfg.Seed = o.Seed
+	return cfg
 }
 
 // runAblatePageCache shows that the controller's per-PU page buffer is
@@ -43,8 +45,9 @@ func runAblatePageCache(o Options) *Report {
 		env, _, ln := newOCSSD(cfg)
 		var seq, rnd *fio.Result
 		env.Go("main", func(p *sim.Proc) {
+			// Half the PU's blocks: 4 at the default size.
 			raw := newRaw(ln, "raw0", 0, 1)
-			size := raw.BlockBytes(4)
+			size := raw.BlockBytes(max(cfg.Geometry.BlocksPerPlane/2, 1))
 			check(fio.Prepare(p, raw, 0, size))
 			seq = mustRun(p, raw, fio.Job{Name: "s", Pattern: fio.SeqRead, BS: 4096, Size: size, Runtime: o.Duration})
 			rnd = mustRun(p, raw, fio.Job{Name: "r", Pattern: fio.RandRead, BS: 4096, Size: size, Runtime: o.Duration, Seed: o.Seed})
@@ -178,7 +181,7 @@ func runAblateGCRL(o Options) *Report {
 			overwrite := k.Capacity() / 2
 			res = mustRun(p, k, fio.Job{Name: "ow", Pattern: fio.RandWrite, BS: 64 << 10, QD: 4,
 				Size: k.Capacity(), MaxOps: overwrite / (64 << 10), Seed: o.Seed})
-			k.Flush(p)
+			check(k.Flush(p))
 			recycled = k.Stats.GCBlocksRecycled
 		})
 		env.Run()
@@ -241,14 +244,15 @@ func runAblateSuspend(o Options) *Report {
 		env, dev, ln := newOCSSD(cfg)
 		var rres, wres *fio.Result
 		env.Go("main", func(p *sim.Proc) {
-			// One PU for both, the worst case: reads over its two prepared
-			// blocks, the writer cycling through the other six.
+			// One PU for both, the worst case: reads over the first quarter
+			// of its blocks, prepared beforehand, while the writer cycles
+			// through the rest (2 and 6 blocks at the default size).
 			raw := newRaw(ln, "raw0", 0, 1)
-			prep := raw.BlockBytes(2)
+			prep := raw.BlockBytes(max(cfg.Geometry.BlocksPerPlane/4, 1))
 			check(fio.Prepare(p, raw, 0, prep))
 			w := env.Go("writer", func(pw *sim.Proc) {
 				wres = mustRun(pw, raw, fio.Job{Name: "w", Pattern: fio.SeqWrite, BS: 64 << 10,
-					Offset: prep, Size: raw.BlockBytes(6), Runtime: o.Duration})
+					Offset: prep, Size: raw.Capacity() - prep, Runtime: o.Duration})
 			})
 			rres = mustRun(p, raw, fio.Job{Name: "r", Pattern: fio.RandRead, BS: 4 << 10,
 				Size: prep, Runtime: o.Duration, Seed: o.Seed})

@@ -54,7 +54,7 @@ func runFig5(o Options) *Report {
 			Offset: wOff, Size: wSpan, Runtime: o.Duration / 2})
 		refW := mustRun(p, k, fio.Job{Name: "refW", Pattern: fio.SeqWrite, BS: 256 << 10, QD: 1,
 			Offset: wOff, Size: wSpan, Runtime: o.Duration})
-		k.Flush(p)
+		check(k.Flush(p))
 		refR := mustRun(p, k, fio.Job{Name: "refR", Pattern: fio.RandRead, BS: 256 << 10, QD: 16,
 			Size: prep, Runtime: o.Duration, Seed: o.Seed})
 		wRef, rRef = refW.WriteMBps(), refR.ReadMBps()

@@ -17,11 +17,9 @@ import (
 	"repro/internal/blockdev"
 	"repro/internal/fio"
 	"repro/internal/lightnvm"
-	"repro/internal/nand"
 	"repro/internal/nvmedev"
 	"repro/internal/ocssd"
 	"repro/internal/pblk"
-	"repro/internal/ppa"
 	"repro/internal/sim"
 )
 
@@ -187,25 +185,11 @@ func ByID(id string) (Experiment, bool) {
 
 // ---- shared builders ----
 
-// wearFreeMedia is the default media with wear off: characterization runs
-// should not age the media.
-func wearFreeMedia() nand.Config {
-	m := nand.DefaultConfig()
-	m.PECycleLimit = 0
-	m.WearLatencyFactor = 0
-	return m
-}
-
-// wearFreeConfig is the device of geometry geo every characterization
-// experiment runs on: default timing, wear-free media, the page cache on.
-// Callers adjust the fields their experiment varies.
-func wearFreeConfig(o Options, geo ppa.Geometry) ocssd.Config {
-	return ocssd.Config{Geometry: geo, Timing: ocssd.DefaultTiming(), Media: wearFreeMedia(), PageCache: true, Seed: o.Seed}
-}
-
 // westlake is the Westlake-like open-channel SSD scaled by the options.
 func westlake(o Options) ocssd.Config {
-	return wearFreeConfig(o, ocssd.WestlakeGeometry(o.BlocksPerPlane))
+	cfg := ocssd.DefaultConfig(ocssd.WestlakeGeometry(o.BlocksPerPlane))
+	cfg.Seed = o.Seed
+	return cfg
 }
 
 // newOCSSD builds cfg's open-channel SSD in a new env of the device's seed.
@@ -242,10 +226,7 @@ func newPblk(p *sim.Proc, ln *lightnvm.Device, activePUs int) *pblk.Pblk {
 // newBaseline builds the NVMe block-SSD baseline scaled to a comparable
 // capacity.
 func newBaseline(p *sim.Proc, env *sim.Env, o Options) (*nvmedev.Device, error) {
-	cfg := nvmedev.DefaultConfig(o.BlocksPerPlane * 2) // 1/4 the PUs, 2x blocks
-	cfg.Media = wearFreeMedia()
-	cfg.Seed = o.Seed
-	return nvmedev.New(p, env, cfg)
+	return nvmedev.New(p, env, o.BlocksPerPlane*2, o.Seed) // 1/4 the PUs, 2x blocks
 }
 
 // ---- reports ----

@@ -409,6 +409,17 @@ func TestAblateSuspend(t *testing.T) {
 	}
 }
 
+// The raw spans of ablate-pagecache and ablate-suspend are fractions of the
+// raw target's own blocks, so both run on a device a third the default size.
+func TestRawSpansScale(t *testing.T) {
+	for _, id := range []string{"ablate-pagecache", "ablate-suspend"} {
+		e, _ := ByID(id)
+		if _, err := e.Run(Options{Quick: true, BlocksPerPlane: 8}); err != nil {
+			t.Errorf("%s at 8 blocks per plane: %v", id, err)
+		}
+	}
+}
+
 // The PID rate limiter paces user writes to GC progress: slower writes and at
 // least twice the recycled groups of the unthrottled run.
 func TestAblateGCRL(t *testing.T) {

@@ -60,18 +60,20 @@ func runLifetime(o Options) *Report {
 	const agingX = 3.0 // drive-writes of overwrite per stage
 	const bake = 1500 * time.Millisecond
 
-	devCfg := wearFreeConfig(o, ocssd.CompactGeometry(4, 32, o.scaled(8)))
-	m := nand.DefaultConfig()
-	m.PECycleLimit = peLimit
-	m.BERWearCoeff = 2e-3
-	m.BERRetentionCoeff = 1e-3
-	m.RetentionAccel = accel
-	m.BERDisturbCoeff = 1e-5
-	m.ECCBER = 1e-3
-	m.ReadRetryStep = 1e-3
-	m.ReadRetryTiers = tiers
-	m.GrownBadProb = 0.1
-	devCfg.Media = m
+	devCfg := ocssd.DefaultConfig(ocssd.CompactGeometry(4, 32, o.scaled(8)))
+	devCfg.Seed = o.Seed
+	devCfg.Media = nand.Config{
+		PECycleLimit:      peLimit,
+		WearLatencyFactor: 0.3,
+		BERWearCoeff:      2e-3,
+		BERRetentionCoeff: 1e-3,
+		RetentionAccel:    accel,
+		BERDisturbCoeff:   1e-5,
+		ECCBER:            1e-3,
+		ReadRetryStep:     1e-3,
+		ReadRetryTiers:    tiers,
+		GrownBadProb:      0.1,
+	}
 	geo := devCfg.Geometry
 	totalBlocks := geo.TotalPUs() * geo.PlanesPerPU * geo.BlocksPerPlane
 

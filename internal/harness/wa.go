@@ -76,7 +76,8 @@ func runWA(o Options) *Report {
 	// measured in device-capacity multiples: a warm-up reaches GC steady
 	// state, then the reported delta covers a fixed volume so WA is
 	// comparable across configurations.
-	geo := ocssd.CompactGeometry(4, 256, o.scaled(8))
+	devCfg := ocssd.DefaultConfig(ocssd.CompactGeometry(4, 256, o.scaled(8)))
+	devCfg.Seed = o.Seed
 	// The warm-up cannot shrink in quick mode: stream separation only pays
 	// off once GC has fully sorted the prefill generation, about three
 	// drive-writes in; only the measured delta is shortened.
@@ -86,7 +87,7 @@ func runWA(o Options) *Report {
 	}
 
 	run := func(c waConfig) waRow {
-		env, _, ln := newOCSSD(wearFreeConfig(o, geo))
+		env, _, ln := newOCSSD(devCfg)
 		r := waRow{name: c.name}
 		env.Go("wa", func(p *sim.Proc) {
 			k, err := pblk.New(p, ln, "pblk-wa", pblk.Config{

@@ -82,15 +82,20 @@ func waE2EDBConfig(o Options, hints bool, segment int64) lsmdb.Config {
 //	FTL  WA     = (user + GC-moved + padded sectors) / user sectors
 //	combined WA = app WA x FTL WA  (media bytes per user KV byte)
 //
-// Cold hints should win combined WA and steady-state overwrite throughput
-// against the stacked baseline: compaction already erases whole table
-// extents in the cold stream, so the FTL has next to nothing to move.
+// The claim is on WA alone (checkWAE2E): cold hints keep the FTL's WA at
+// 1.00, because compaction already erases whole table extents in the cold
+// stream and leaves the FTL next to nothing to move, so they win combined WA
+// against the stacked baseline (-quick at seed 42: 9.34 against 10.01 at the
+// default size, 12.81 against 13.06 at -blocks 48). Throughput is not
+// claimed: hinted overwrites read 3.87 against 3.80 MB/s at the default
+// size but 2.82 against 2.84 MB/s at -blocks 48.
 func runWAE2E(o Options) *Report {
 	// The compact device with 2 planes of 32-page blocks, 28 blocks per
 	// plane at the default size: every stack cycles the media — the whole
 	// free pool consumed and reclaimed — within a few drive-writes of
 	// overwrite volume.
-	geo := ocssd.CompactGeometry(2, 32, o.scaled(28))
+	devCfg := ocssd.DefaultConfig(ocssd.CompactGeometry(2, 32, o.scaled(28)))
+	devCfg.Seed = o.Seed
 	utils := []float64{0.42, 0.46}
 	warmPasses := 2
 	if o.Quick {
@@ -98,7 +103,7 @@ func runWAE2E(o Options) *Report {
 	}
 
 	run := func(mode waE2EMode, util float64) waE2ERow {
-		env, _, ln := newOCSSD(wearFreeConfig(o, geo))
+		env, _, ln := newOCSSD(devCfg)
 		row := waE2ERow{name: mode.name}
 		env.Go("wae2e", func(p *sim.Proc) {
 			k, err := pblk.New(p, ln, "pblk-wae2e", pblk.Config{

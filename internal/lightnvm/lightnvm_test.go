@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/nand"
 	"repro/internal/ocssd"
 	"repro/internal/ppa"
 	"repro/internal/sim"
@@ -14,17 +13,14 @@ import (
 func newDevice(t *testing.T) (*sim.Env, *Device) {
 	t.Helper()
 	env := sim.NewEnv(1)
-	m := nand.DefaultConfig()
-	dev, err := ocssd.New(env, ocssd.Config{
-		Geometry: ppa.Geometry{
-			Channels: 2, PUsPerChannel: 2, PlanesPerPU: 2,
-			BlocksPerPlane: 4, PagesPerBlock: 8,
-			SectorsPerPage: 4, SectorSize: 4096, OOBPerPage: 64,
-		},
-		Timing: ocssd.DefaultTiming(),
-		Media:  m,
-		Seed:   1,
+	cfg := ocssd.DefaultConfig(ppa.Geometry{
+		Channels: 2, PUsPerChannel: 2, PlanesPerPU: 2,
+		BlocksPerPlane: 4, PagesPerBlock: 8,
+		SectorsPerPage: 4, SectorSize: 4096, OOBPerPage: 64,
 	})
+	cfg.PageCache = false
+	cfg.Seed = 1
+	dev, err := ocssd.New(env, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,25 +14,20 @@ import (
 	"repro/internal/sim"
 )
 
-// rawDevice is a wear-free 2 × 2 PU device with Westlake's 64 KiB write
-// unit, registered with the owner guard on: a raw target whose map strays
-// onto a foreign PU panics at the device boundary.
+// rawDevice is a 2 × 2 PU device with Westlake's 64 KiB write unit,
+// registered with the owner guard on: a raw target whose map strays onto a
+// foreign PU panics at the device boundary.
 func rawDevice(t *testing.T, suspendSlice time.Duration) (*sim.Env, *Device) {
 	t.Helper()
 	env := sim.NewEnv(3)
-	m := nand.DefaultConfig()
-	m.PECycleLimit = 0
-	m.WearLatencyFactor = 0
-	tm := ocssd.DefaultTiming()
-	tm.SuspendSlice = suspendSlice
-	dev, err := ocssd.New(env, ocssd.Config{
-		Geometry: ppa.Geometry{
-			Channels: 2, PUsPerChannel: 2, PlanesPerPU: 4,
-			BlocksPerPlane: 8, PagesPerBlock: 32,
-			SectorsPerPage: 4, SectorSize: 4096, OOBPerPage: 64,
-		},
-		Timing: tm, Media: m, PageCache: true, Seed: 5,
+	cfg := ocssd.DefaultConfig(ppa.Geometry{
+		Channels: 2, PUsPerChannel: 2, PlanesPerPU: 4,
+		BlocksPerPlane: 8, PagesPerBlock: 32,
+		SectorsPerPage: 4, SectorSize: 4096, OOBPerPage: 64,
 	})
+	cfg.Timing.SuspendSlice = suspendSlice
+	cfg.Seed = 5
+	dev, err := ocssd.New(env, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,29 +4,24 @@ import (
 	"testing"
 
 	"repro/internal/lightnvm"
-	"repro/internal/nand"
 	"repro/internal/ocssd"
 	"repro/internal/pblk"
 	"repro/internal/ppa"
 	"repro/internal/sim"
 )
 
-// guardedDevice is a wear-free 2 × 2 PU device with the owner guard on, so
-// a target that submits onto a PU it does not hold panics.
+// guardedDevice is a 2 × 2 PU device with the owner guard on, so a target
+// that submits onto a PU it does not hold panics.
 func guardedDevice(t *testing.T) (*sim.Env, *lightnvm.Device) {
 	t.Helper()
 	env := sim.NewEnv(1)
-	m := nand.DefaultConfig()
-	m.PECycleLimit = 0
-	m.WearLatencyFactor = 0
-	dev, err := ocssd.New(env, ocssd.Config{
-		Geometry: ppa.Geometry{
-			Channels: 2, PUsPerChannel: 2, PlanesPerPU: 2,
-			BlocksPerPlane: 40, PagesPerBlock: 32,
-			SectorsPerPage: 4, SectorSize: 4096, OOBPerPage: 64,
-		},
-		Timing: ocssd.DefaultTiming(), Media: m, PageCache: true, Seed: 5,
+	cfg := ocssd.DefaultConfig(ppa.Geometry{
+		Channels: 2, PUsPerChannel: 2, PlanesPerPU: 2,
+		BlocksPerPlane: 40, PagesPerBlock: 32,
+		SectorsPerPage: 4, SectorSize: 4096, OOBPerPage: 64,
 	})
+	cfg.Seed = 5
+	dev, err := ocssd.New(env, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/lightnvm"
-	"repro/internal/nand"
 	"repro/internal/ocssd"
 	"repro/internal/pblk"
 	"repro/internal/ppa"
@@ -35,18 +34,14 @@ type crashEnv struct {
 
 func newCrashEnv(t *testing.T) *crashEnv {
 	t.Helper()
-	m := nand.DefaultConfig()
-	m.PECycleLimit = 0
-	m.WearLatencyFactor = 0
 	s := sim.NewEnv(11)
-	dev, err := ocssd.New(s, ocssd.Config{
-		Geometry: ppa.Geometry{
-			Channels: 2, PUsPerChannel: 2, PlanesPerPU: 2,
-			BlocksPerPlane: 40, PagesPerBlock: 32,
-			SectorsPerPage: 4, SectorSize: 4096, OOBPerPage: 64,
-		},
-		Timing: ocssd.DefaultTiming(), Media: m, PageCache: true, Seed: 7,
+	cfg := ocssd.DefaultConfig(ppa.Geometry{
+		Channels: 2, PUsPerChannel: 2, PlanesPerPU: 2,
+		BlocksPerPlane: 40, PagesPerBlock: 32,
+		SectorsPerPage: 4, SectorSize: 4096, OOBPerPage: 64,
 	})
+	cfg.Seed = 7
+	dev, err := ocssd.New(s, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -51,7 +51,8 @@ func (d Dims) PageBytes() int { return d.SectorsPerPage * d.SectorSize }
 // Config controls media behaviour beyond the geometry.
 type Config struct {
 	// PECycleLimit is the number of program/erase cycles a block endures
-	// before erases start failing (MLC is ~3000; paper §2.1).
+	// before erases start failing (MLC is ~3000; paper §2.1). 0 turns wear
+	// off: no limit, and no wear term in latency, BER or grown bad blocks.
 	PECycleLimit int
 	// WriteFailProb is the probability a program fails (block must then be
 	// recovered and retired by the host, §4.2.3).
@@ -109,17 +110,11 @@ type Config struct {
 	GrownBadProb float64
 }
 
-// DefaultConfig returns an MLC-like configuration matching the paper's
-// evaluation device.
-func DefaultConfig() Config {
-	return Config{
-		PECycleLimit:      3000,
-		WriteFailProb:     0,
-		EraseFailProb:     0,
-		ReadFailProb:      0,
-		WearLatencyFactor: 0.3,
-	}
-}
+// DefaultConfig returns fresh media, as the paper's evaluation measures its
+// drive (§5): no wear, no failure injection, no bit errors. Wear is opt-in:
+// a study of aging sets PECycleLimit and WearLatencyFactor itself (DESIGN.md
+// §"The characterization device").
+func DefaultConfig() Config { return Config{} }
 
 // Per-page state is bits, one a page for each kind below, in a slab the die
 // keeps beside its block headers. A table indexed by page (block.pages,

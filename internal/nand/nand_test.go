@@ -125,6 +125,21 @@ func TestWearOut(t *testing.T) {
 	}
 }
 
+// TestDefaultMediaDoesNotWear: the default media is the fresh drive the
+// paper measures, so no number of erases wears a block out or slows it, even
+// past MLC's ~3000-cycle endurance.
+func TestDefaultMediaDoesNotWear(t *testing.T) {
+	d := newTestDie(DefaultConfig())
+	for i := 0; i < 3001; i++ {
+		if err := d.Erase(0, 0); err != nil {
+			t.Fatalf("erase %d: %v", i, err)
+		}
+	}
+	if f := d.WearFactor(0, 0); f != 1 {
+		t.Fatalf("wear factor after 3001 erases = %v, want 1", f)
+	}
+}
+
 func TestInjectedWriteFailure(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.WriteFailProb = 1.0
@@ -205,10 +220,7 @@ func TestFactoryBadBlocks(t *testing.T) {
 }
 
 func TestWearFactorGrows(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.PECycleLimit = 10
-	cfg.WearLatencyFactor = 0.5
-	d := newTestDie(cfg)
+	d := newTestDie(Config{PECycleLimit: 10, WearLatencyFactor: 0.5})
 	if f := d.WearFactor(0, 0); f != 1 {
 		t.Fatalf("fresh wear factor = %v, want 1", f)
 	}
@@ -263,7 +275,6 @@ func TestFailedProgramCorruptsPage(t *testing.T) {
 func TestWearBERReadRetry(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.PECycleLimit = 10
-	cfg.WearLatencyFactor = 0
 	cfg.BERWearCoeff = 1e-2 // rawBER = 1e-2 * (pe/10)^2
 	cfg.ECCBER = 1e-3
 	cfg.ReadRetryStep = 2e-3

@@ -17,20 +17,11 @@ import (
 
 	"repro/internal/blockdev"
 	"repro/internal/lightnvm"
-	"repro/internal/nand"
 	"repro/internal/ocssd"
 	"repro/internal/pblk"
 	"repro/internal/ppa"
 	"repro/internal/sim"
 )
-
-// Config shapes the baseline device.
-type Config struct {
-	// BlocksPerPlane sizes the drive's p3700Geometry.
-	BlocksPerPlane int
-	Media          nand.Config
-	Seed           int64
-}
 
 // overProvision is the device's fixed internal spare factor.
 const overProvision = 0.12
@@ -52,11 +43,6 @@ func p3700Geometry(blocksPerPlane int) ppa.Geometry {
 	}
 }
 
-// DefaultConfig returns a baseline device with the given blocks per plane.
-func DefaultConfig(blocksPerPlane int) Config {
-	return Config{BlocksPerPlane: blocksPerPlane, Media: nand.DefaultConfig(), Seed: 2}
-}
-
 // Device is the baseline block SSD. It implements blockdev.Device.
 type Device struct {
 	*blockdev.SyncAdapter // the blocking calls; OpenQueue is the device's own
@@ -74,16 +60,14 @@ type Device struct {
 
 var _ blockdev.Device = (*Device)(nil)
 
-// New builds the baseline device inside env. Like a real drive it arrives
-// "formatted": the internal FTL initializes before first use.
-func New(p *sim.Proc, env *sim.Env, cfg Config) (*Device, error) {
-	raw, err := ocssd.New(env, ocssd.Config{
-		Geometry:  p3700Geometry(cfg.BlocksPerPlane),
-		Timing:    ocssd.DefaultTiming(),
-		Media:     cfg.Media,
-		PageCache: true,
-		Seed:      cfg.Seed,
-	})
+// New builds the baseline device inside env: the characterization device
+// (ocssd.DefaultConfig) of p3700Geometry(blocksPerPlane), its media seeded
+// with seed. Like a real drive it arrives "formatted": the internal FTL
+// initializes before first use.
+func New(p *sim.Proc, env *sim.Env, blocksPerPlane int, seed int64) (*Device, error) {
+	cfg := ocssd.DefaultConfig(p3700Geometry(blocksPerPlane))
+	cfg.Seed = seed
+	raw, err := ocssd.New(env, cfg)
 	if err != nil {
 		return nil, err
 	}

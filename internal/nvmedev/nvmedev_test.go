@@ -9,17 +9,13 @@ import (
 	"repro/internal/sim"
 )
 
-func testConfig() Config {
-	cfg := DefaultConfig(24) // enough spare groups for the 32-PU embedded FTL
-	cfg.Media.PECycleLimit = 0
-	cfg.Media.WearLatencyFactor = 0
-	return cfg
-}
+// testBlocks leaves enough spare groups for the 32-PU embedded FTL.
+const testBlocks = 24
 
 func TestWriteReadRoundTrip(t *testing.T) {
 	env := sim.NewEnv(1)
 	env.Go("main", func(p *sim.Proc) {
-		d, err := New(p, env, testConfig())
+		d, err := New(p, env, testBlocks, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -44,7 +40,7 @@ func TestFlushIsCheap(t *testing.T) {
 	// media (paper §5.4: OLTP flushes are absorbed by the device buffer).
 	env := sim.NewEnv(1)
 	env.Go("main", func(p *sim.Proc) {
-		d, err := New(p, env, testConfig())
+		d, err := New(p, env, testBlocks, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,7 +66,7 @@ func TestReadsSufferBehindDeviceWrites(t *testing.T) {
 	env := sim.NewEnv(1)
 	var quiet, noisy *fio.Result
 	env.Go("main", func(p *sim.Proc) {
-		d, err := New(p, env, testConfig())
+		d, err := New(p, env, testBlocks, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,7 +106,7 @@ func TestReadsSufferBehindDeviceWrites(t *testing.T) {
 func TestCapacityAndSectorSize(t *testing.T) {
 	env := sim.NewEnv(1)
 	env.Go("main", func(p *sim.Proc) {
-		d, err := New(p, env, testConfig())
+		d, err := New(p, env, testBlocks, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -128,7 +124,7 @@ func TestCapacityAndSectorSize(t *testing.T) {
 func TestTrimAndGCStats(t *testing.T) {
 	env := sim.NewEnv(1)
 	env.Go("main", func(p *sim.Proc) {
-		d, err := New(p, env, testConfig())
+		d, err := New(p, env, testBlocks, 2)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -151,16 +151,12 @@ func CompactGeometry(planes, pagesPerBlock, blocksPerPlane int) ppa.Geometry {
 	}
 }
 
-// DefaultConfig returns a Westlake-like device with the given blocks per
-// plane.
-func DefaultConfig(blocksPerPlane int) Config {
-	return Config{
-		Geometry:  WestlakeGeometry(blocksPerPlane),
-		Timing:    DefaultTiming(),
-		Media:     nand.DefaultConfig(),
-		PageCache: true,
-		Seed:      1,
-	}
+// DefaultConfig returns the characterization device of geometry geo
+// (DESIGN.md §"The characterization device"): DefaultTiming, fresh media
+// (nand.DefaultConfig, wear off), the page cache on and seed 0. Callers set
+// the fields their experiment varies.
+func DefaultConfig(geo ppa.Geometry) Config {
+	return Config{Geometry: geo, Timing: DefaultTiming(), Media: nand.DefaultConfig(), PageCache: true}
 }
 
 // Vector is one PPA data command. The Vector and its slices must stay

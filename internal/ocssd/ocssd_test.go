@@ -11,12 +11,8 @@ import (
 	"repro/internal/sim"
 )
 
-func testConfig() Config {
-	cfg := DefaultConfig(8) // 8 blocks/plane keeps tests light
-	cfg.Media.PECycleLimit = 0
-	cfg.Media.WearLatencyFactor = 0
-	return cfg
-}
+// testConfig is the Westlake at 8 blocks per plane, which keeps tests light.
+func testConfig() Config { return DefaultConfig(WestlakeGeometry(8)) }
 
 func newTestDevice(t *testing.T, cfg Config) (*sim.Env, *Device) {
 	t.Helper()

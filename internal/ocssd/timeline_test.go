@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/nand"
 	"repro/internal/ppa"
 )
 
@@ -26,12 +27,10 @@ const timelineGolden uint64 = 0x463563607435532d
 // order, so a reordered same-nanosecond tie, a moved event or a changed
 // duration all change the digest.
 func TestCommandTimelineGolden(t *testing.T) {
-	cfg := DefaultConfig(8)
-	cfg.Geometry = ppa.Geometry{
-		Channels: 4, PUsPerChannel: 2, PlanesPerPU: 4,
-		BlocksPerPlane: 8, PagesPerBlock: 256,
-		SectorsPerPage: 4, SectorSize: 4096, OOBPerPage: 64,
-	}
+	cfg := DefaultConfig(CompactGeometry(4, 256, 8))
+	// The digest was recorded on media that wears: each erase slows the
+	// block's later commands.
+	cfg.Media = nand.Config{PECycleLimit: 3000, WearLatencyFactor: 0.3}
 	cfg.Timing.SuspendSlice = 100 * time.Microsecond
 	cfg.Timing.SuspendPenalty = 50 * time.Microsecond
 	env, dev := newTestDevice(t, cfg)

@@ -4,23 +4,15 @@ import (
 	"testing"
 
 	"repro/internal/lightnvm"
-	"repro/internal/nand"
 	"repro/internal/ocssd"
 	"repro/internal/sim"
 )
 
 func TestDebugOverwrite(t *testing.T) {
 	s := sim.NewEnv(42)
-	m := nand.DefaultConfig()
-	m.PECycleLimit = 0
-	m.WearLatencyFactor = 0
-	dev, err := ocssd.New(s, ocssd.Config{
-		Geometry:  ocssd.WestlakeGeometry(20),
-		Timing:    ocssd.DefaultTiming(),
-		Media:     m,
-		PageCache: true,
-		Seed:      42,
-	})
+	cfg := ocssd.DefaultConfig(ocssd.WestlakeGeometry(20))
+	cfg.Seed = 42
+	dev, err := ocssd.New(s, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/blockdev"
 	"repro/internal/lightnvm"
-	"repro/internal/nand"
 	"repro/internal/ocssd"
 	"repro/internal/ppa"
 	"repro/internal/sim"
@@ -26,16 +25,9 @@ func testGeometry() ppa.Geometry {
 }
 
 func testDeviceConfig() ocssd.Config {
-	m := nand.DefaultConfig()
-	m.PECycleLimit = 0
-	m.WearLatencyFactor = 0
-	return ocssd.Config{
-		Geometry:  testGeometry(),
-		Timing:    ocssd.DefaultTiming(),
-		Media:     m,
-		PageCache: true,
-		Seed:      7,
-	}
+	cfg := ocssd.DefaultConfig(testGeometry())
+	cfg.Seed = 7
+	return cfg
 }
 
 type env struct {

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/lightnvm"
-	"repro/internal/nand"
 	"repro/internal/nullblk"
 	"repro/internal/ocssd"
 	"repro/internal/pblk"
@@ -140,19 +139,13 @@ func TestCommitGroupBatchesFlushes(t *testing.T) {
 // the page cleaner alike.
 func TestRunsOnStoppedPblk(t *testing.T) {
 	env := sim.NewEnv(3)
-	m := nand.DefaultConfig()
-	m.PECycleLimit = 0
-	m.WearLatencyFactor = 0
-	dev, err := ocssd.New(env, ocssd.Config{
-		Geometry: ppa.Geometry{
-			Channels: 2, PUsPerChannel: 2, PlanesPerPU: 2,
-			BlocksPerPlane: 40, PagesPerBlock: 32,
-			SectorsPerPage: 4, SectorSize: 4096, OOBPerPage: 64,
-		},
-		Timing: ocssd.DefaultTiming(),
-		Media:  m,
-		Seed:   3,
+	cfg := ocssd.DefaultConfig(ppa.Geometry{
+		Channels: 2, PUsPerChannel: 2, PlanesPerPU: 2,
+		BlocksPerPlane: 40, PagesPerBlock: 32,
+		SectorsPerPage: 4, SectorSize: 4096, OOBPerPage: 64,
 	})
+	cfg.Seed = 3
+	dev, err := ocssd.New(env, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,7 +32,6 @@ import (
 
 	"repro/internal/blockdev"
 	"repro/internal/lightnvm"
-	"repro/internal/nand"
 	"repro/internal/ocssd"
 	"repro/internal/pblk"
 	"repro/internal/sim"
@@ -168,15 +167,7 @@ type Config struct {
 // internal parallelism to show fleet scaling without Westlake's 128-PU
 // cost, with 2 planes of 32-page blocks.
 func DefaultDeviceConfig(blocksPerPlane int) ocssd.Config {
-	m := nand.DefaultConfig()
-	m.PECycleLimit = 0
-	m.WearLatencyFactor = 0
-	return ocssd.Config{
-		Geometry:  ocssd.CompactGeometry(2, 32, blocksPerPlane),
-		Timing:    ocssd.DefaultTiming(),
-		Media:     m,
-		PageCache: true,
-	}
+	return ocssd.DefaultConfig(ocssd.CompactGeometry(2, 32, blocksPerPlane))
 }
 
 // Manager owns the fleet: data members, the hot-spare pool, and the
