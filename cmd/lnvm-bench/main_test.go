@@ -35,10 +35,17 @@ func TestBadCommandLineRunsNothing(t *testing.T) {
 // spare-pool floor — is an error on stderr and exit 1. A panic would end the
 // test binary instead.
 func TestTooSmallDeviceIsAnError(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	code := run([]string{"-quick", "-blocks", "4", "fig5"}, &stdout, &stderr)
-	if code != 1 || !strings.Contains(stderr.String(), "over-provisioning") {
-		t.Errorf("run = %d, stderr %q; want 1 and pblk's over-provisioning error", code, stderr.String())
+	for _, c := range []struct{ blocks, id, want string }{
+		{"4", "fig5", "over-provisioning"},
+		// One block per plane leaves ablate-suspend's writer no block
+		// beside the reader's.
+		{"3", "ablate-suspend", "need 2 blocks per plane"},
+	} {
+		var stdout, stderr bytes.Buffer
+		code := run([]string{"-quick", "-blocks", c.blocks, c.id}, &stdout, &stderr)
+		if code != 1 || !strings.Contains(stderr.String(), c.want) {
+			t.Errorf("-blocks %s %s: run = %d, stderr %q; want 1 and %q", c.blocks, c.id, code, stderr.String(), c.want)
+		}
 	}
 }
 

@@ -14,7 +14,9 @@ package main
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"time"
 
 	"repro/internal/lightnvm"
@@ -100,15 +102,22 @@ func (s *kvStore) get(p *sim.Proc, key string) ([]byte, error) {
 }
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run puts and gets 64 values; it prints to w.
+func run(w io.Writer) error {
 	env := sim.NewEnv(5)
 	dev, err := ocssd.New(env, ocssd.DefaultConfig(ocssd.WestlakeGeometry(8)))
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	// PUs [0, 32) are channels 0..3; the store takes one PU on each.
 	view, err := lightnvm.Register("nvme0n1", dev).Reserve("kvstore", lightnvm.PURange{Begin: 0, End: 32})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	env.Go("main", func(p *sim.Proc) {
 		store := newKVStore(view, []int{0, 8, 16, 24})
@@ -118,30 +127,32 @@ func main() {
 		for i := 0; i < n; i++ {
 			key := fmt.Sprintf("user:%04d", i)
 			val := bytes.Repeat([]byte{byte(i)}, 128)
-			if err := store.put(p, key, val); err != nil {
-				log.Fatal(err)
+			if err = store.put(p, key, val); err != nil {
+				return
 			}
 		}
 		putDur := env.Now() - t0
-		fmt.Printf("put %d values in %v virtual (%.0f puts/s)\n",
+		fmt.Fprintf(w, "put %d values in %v virtual (%.0f puts/s)\n",
 			n, putDur.Round(time.Microsecond), float64(n)/putDur.Seconds())
 
 		t0 = env.Now()
 		for i := 0; i < n; i++ {
 			key := fmt.Sprintf("user:%04d", i)
-			val, err := store.get(p, key)
-			if err != nil {
-				log.Fatal(err)
+			var val []byte
+			if val, err = store.get(p, key); err != nil {
+				return
 			}
 			if val[0] != byte(i) {
-				log.Fatalf("corruption at %s", key)
+				err = fmt.Errorf("corruption at %s", key)
+				return
 			}
 		}
 		getDur := env.Now() - t0
-		fmt.Printf("got %d values in %v virtual (avg %v per get — one flash read, no FTL)\n",
+		fmt.Fprintf(w, "got %d values in %v virtual (avg %v per get — one flash read, no FTL)\n",
 			n, getDur.Round(time.Microsecond), (getDur / time.Duration(n)).Round(time.Microsecond))
-		fmt.Printf("device stats: %d flash programs, %d flash reads, %d cache hits\n",
+		fmt.Fprintf(w, "device stats: %d flash programs, %d flash reads, %d cache hits\n",
 			dev.Stats.FlashPrograms, dev.Stats.FlashReads, dev.Stats.CacheHits)
 	})
 	env.Run()
+	return err
 }

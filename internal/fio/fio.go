@@ -109,7 +109,10 @@ func (j Job) validate(dev blockdev.Device) error {
 	if j.Offset < 0 || j.Offset%ss != 0 {
 		return fmt.Errorf("fio: offset %d is not sector aligned", j.Offset)
 	}
-	if j.Size <= 0 || j.Offset+j.Size > dev.Capacity() {
+	if j.Size <= 0 {
+		return fmt.Errorf("fio: empty region: Size %dB at offset %d", j.Size, j.Offset)
+	}
+	if j.Offset+j.Size > dev.Capacity() {
 		return fmt.Errorf("fio: region [%d, %d) outside device capacity %dB", j.Offset, j.Offset+j.Size, dev.Capacity())
 	}
 	maxOff := j.Size / int64(j.BS)

@@ -3,6 +3,7 @@ package fio
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -163,6 +164,11 @@ func TestRunRejectsRegionSmallerThanOneRequest(t *testing.T) {
 	env.Go("main", func(p *sim.Proc) {
 		if _, err := Run(p, dev, Job{Name: "t", Pattern: RandRead, BS: 65536, Size: 4096, MaxOps: 1}); err == nil {
 			t.Error("want error for region smaller than BS, got nil")
+		}
+		// An empty region is named as such, not as one outside the device.
+		_, err := Run(p, dev, Job{Name: "t", Pattern: SeqWrite, BS: 4096, Offset: dev.Capacity(), Size: 0, MaxOps: 1})
+		if err == nil || !strings.Contains(err.Error(), "empty region") {
+			t.Errorf("Size 0 at the end of the device: got %v, want an empty-region error", err)
 		}
 	})
 	env.Run()

@@ -234,6 +234,14 @@ func runAblateInflight(o Options) *Report {
 // that would otherwise wait out a 1.1 ms program or a 3 ms erase on their
 // PU preempt it within one suspend slice, at the cost of longer writes.
 func runAblateSuspend(o Options) *Report {
+	// One PU for both, the worst case: reads over the first quarter of its
+	// blocks, prepared beforehand, while the writer cycles through the rest
+	// (2 and 6 blocks at the default size).
+	blocks := ablationConfig(o).Geometry.BlocksPerPlane
+	if blocks < 2 {
+		check(fmt.Errorf("a reader and a writer on one PU need 2 blocks per plane, the device has %d", blocks))
+	}
+	prepared := max(blocks/4, 1)
 	rep := &Report{}
 	s := rep.section("program/erase suspend: 4K reads against a continuous single-PU writer")
 	t := s.table("suspend", "R p99 us", "R max us", "W MB/s", "suspensions")
@@ -244,11 +252,8 @@ func runAblateSuspend(o Options) *Report {
 		env, dev, ln := newOCSSD(cfg)
 		var rres, wres *fio.Result
 		env.Go("main", func(p *sim.Proc) {
-			// One PU for both, the worst case: reads over the first quarter
-			// of its blocks, prepared beforehand, while the writer cycles
-			// through the rest (2 and 6 blocks at the default size).
 			raw := newRaw(ln, "raw0", 0, 1)
-			prep := raw.BlockBytes(max(cfg.Geometry.BlocksPerPlane/4, 1))
+			prep := raw.BlockBytes(prepared)
 			check(fio.Prepare(p, raw, 0, prep))
 			w := env.Go("writer", func(pw *sim.Proc) {
 				wres = mustRun(pw, raw, fio.Job{Name: "w", Pattern: fio.SeqWrite, BS: 64 << 10,
@@ -266,10 +271,23 @@ func runAblateSuspend(o Options) *Report {
 		t.add(label(name), us(rres.ReadLat.Percentile(99)), us(rres.ReadLat.Max()),
 			mb(wres.WriteMBps()), num("%.0f", dev.Stats.Suspensions))
 	}
-	s.note("", "reader and writer share one PU (reads over its two prepared blocks, the writer",
-		"cycling through the other six). expect: without suspend the read tail is a whole",
+	noun := "blocks"
+	if prepared == 1 {
+		noun = "block"
+	}
+	s.note("", fmt.Sprintf("reader and writer share one PU (reads over its %s prepared %s, the writer", spelled(prepared), noun),
+		fmt.Sprintf("cycling through the other %s). expect: without suspend the read tail is a whole", spelled(blocks-prepared)),
 		"block erase (3 ms; a program is 1.1 ms); suspend caps the wait at one slice plus a",
 		"write unit's transfer (~7x lower p99) while writes slow by the resume penalties —",
 		"the paper's stated trade-off.")
 	return rep
+}
+
+// spelled writes n in words up to twelve, in digits past it.
+func spelled(n int) string {
+	words := []string{"no", "one", "two", "three", "four", "five", "six", "seven", "eight", "nine", "ten", "eleven", "twelve"}
+	if n < len(words) {
+		return words[n]
+	}
+	return fmt.Sprint(n)
 }

@@ -26,12 +26,12 @@ func TestSteadyStateNoDeadlock(t *testing.T) {
 		const bs = 256 << 10
 		region := k.Capacity() / 8 / bs * bs
 		mustRun(p, k, fio.Job{Name: "maxw", Pattern: fio.SeqWrite, BS: bs, QD: 2, Size: region, MaxOps: region / bs})
-		k.Flush(p)
+		check(k.Flush(p))
 		mustRun(p, k, fio.Job{Name: "maxr", Pattern: fio.SeqRead, BS: bs, QD: 16, NumJobs: 8, Size: region, Runtime: o.Duration})
 		check(fio.Prepare(p, k, region, k.Capacity()-region))
 		overwrite := k.Capacity() / bs * bs
 		mustRun(p, k, fio.Job{Name: "steady", Pattern: fio.SeqWrite, BS: bs, QD: 2, Size: overwrite, MaxOps: overwrite / bs})
-		k.Flush(p)
+		check(k.Flush(p))
 		done = true
 	})
 	env.Run()

@@ -134,27 +134,21 @@ func (d *Device) Reserve(name string, r PURange) (*MediaView, error) {
 
 // Wear aggregates media wear over a PU range — the media manager's
 // per-tenant wear accounting. TotalPE is the sum of block P/E cycles over
-// the range, MaxPE the worst single block, BadBlocks the grown + factory
-// bad count. Divided by the range width these tell the operator which
-// tenant is burning which partition.
+// the range and MaxPE the worst single block; divided by the range width
+// they tell the operator which tenant is burning which partition.
 type Wear struct {
-	PUs       int
-	TotalPE   int64
-	MaxPE     int
-	BadBlocks int
+	TotalPE int64
+	MaxPE   int
 }
 
 // WearOf aggregates wear counters over a PU range straight from the dies;
 // it reads device state only, so it is safe outside simulation context.
 func (d *Device) WearOf(r PURange) Wear {
-	w := Wear{PUs: r.Width()}
+	var w Wear
 	for pu := r.Begin; pu < r.End; pu++ {
-		total, max, bad := d.dev.Die(pu).WearSummary()
+		total, worst := d.dev.Die(pu).WearSummary()
 		w.TotalPE += total
-		if max > w.MaxPE {
-			w.MaxPE = max
-		}
-		w.BadBlocks += bad
+		w.MaxPE = max(w.MaxPE, worst)
 	}
 	return w
 }

@@ -70,9 +70,6 @@ func (v *MediaView) Geometry() ppa.Geometry { return v.dev.Geometry() }
 // Format returns the device's PPA bit layout.
 func (v *MediaView) Format() ppa.Format { return v.fmtr }
 
-// Identify returns the device self-description.
-func (v *MediaView) Identify() ocssd.Identify { return v.dev.Identify() }
-
 // SectorOOBSize returns the per-sector share of the page OOB area.
 func (v *MediaView) SectorOOBSize() int { return v.dev.SectorOOBSize() }
 
@@ -130,8 +127,7 @@ func (v *MediaView) outside(cmd *ocssd.Vector) *ocssd.Completion {
 				comp.Errs[i] = err
 				comp.Status |= 1 << uint(i)
 			}
-			now := v.dev.Env().Now()
-			comp.Submitted, comp.Done = now, now
+			comp.Done = v.dev.Env().Now()
 			return comp
 		}
 	}

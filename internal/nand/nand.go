@@ -566,20 +566,14 @@ func (d *Die) BlockReads(plane, blockIdx int) int {
 }
 
 // WearSummary aggregates wear across the die: total and maximum per-block
-// P/E cycles plus the bad-block count. Inspection tooling uses it for
-// per-tenant wear accounting.
-func (d *Die) WearSummary() (totalPE int64, maxPE, bad int) {
+// P/E cycles. Inspection tooling uses it for per-tenant wear accounting.
+func (d *Die) WearSummary() (totalPE int64, maxPE int) {
 	for i := range d.blocks {
-		b := &d.blocks[i]
-		totalPE += int64(b.pe)
-		if b.pe > maxPE {
-			maxPE = b.pe
-		}
-		if b.bad {
-			bad++
-		}
+		pe := d.blocks[i].pe
+		totalPE += int64(pe)
+		maxPE = max(maxPE, pe)
 	}
-	return totalPE, maxPE, bad
+	return totalPE, maxPE
 }
 
 // WearFactor returns the access-latency multiplier for a block given its
@@ -594,9 +588,6 @@ func (d *Die) WearFactor(plane, blockIdx int) float64 {
 	}
 	return 1 + d.cfg.WearLatencyFactor*float64(b.pe)/float64(d.cfg.PECycleLimit)
 }
-
-// Config returns the die's media configuration.
-func (d *Die) Config() Config { return d.cfg }
 
 // SetReadFailProb changes the die's Config.ReadFailProb while it is live:
 // from then on every read of a programmed page fails with ErrReadFail with

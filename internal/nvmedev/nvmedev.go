@@ -48,7 +48,6 @@ type Device struct {
 	*blockdev.SyncAdapter // the blocking calls; OpenQueue is the device's own
 
 	env *sim.Env
-	raw *ocssd.Device
 	ftl *pblk.Pblk
 	// firmware per-command latency, standing in for the embedded
 	// controller's request handling.
@@ -81,7 +80,7 @@ func New(p *sim.Proc, env *sim.Env, blocksPerPlane int, seed int64) (*Device, er
 	if err != nil {
 		return nil, err
 	}
-	d := &Device{env: env, raw: raw, ftl: ftl, cmdLatency: 2 * time.Microsecond}
+	d := &Device{env: env, ftl: ftl, cmdLatency: 2 * time.Microsecond}
 	d.SyncAdapter = blockdev.NewSyncAdapter(env, d, d.newIssue())
 	return d, nil
 }
@@ -118,9 +117,6 @@ func (d *Device) newIssue() blockdev.IssueFunc {
 func (d *Device) OpenQueue(_ *sim.Env, depth int) blockdev.Queue {
 	return blockdev.NewQueue(d.env, d, depth, d.newIssue())
 }
-
-// Raw exposes the internal device for instrumentation in tests and benches.
-func (d *Device) Raw() *ocssd.Device { return d.raw }
 
 // FTLStats returns the embedded FTL's counters (GC volume etc.).
 func (d *Device) FTLStats() pblk.Stats { return d.ftl.Stats }

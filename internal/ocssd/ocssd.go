@@ -195,8 +195,8 @@ type Completion struct {
 	// hint that the host should refresh that data soon (§4.2.3).
 	Retries  int32
 	Relocate uint64
-	// Submitted and Done are the virtual submission/completion times.
-	Submitted, Done time.Duration
+	// Done is the virtual completion time.
+	Done time.Duration
 }
 
 // Failed reports whether any address failed.
@@ -506,7 +506,7 @@ func (d *Device) getComp(n int, read bool) *Completion {
 	c := d.comps.Get()
 	c.Status = 0
 	c.Retries, c.Relocate = 0, 0
-	c.Submitted, c.Done = 0, 0
+	c.Done = 0
 	c.Errs = resize(c.Errs, n)
 	if !read {
 		n = 0 // a write or erase returns no buffers, but keeps the arrays
@@ -551,7 +551,6 @@ func (d *Device) Recycle(c *Completion) {
 // no goroutines: every PU sub-command is a pooled continuation.
 func (d *Device) Submit(cmd *Vector, done func(*Completion)) {
 	comp := d.getComp(len(cmd.Addrs), cmd.Op == OpRead)
-	comp.Submitted = d.env.Now()
 	err := d.validate(cmd)
 	if err == nil && d.dead {
 		err = ErrDeviceDead

@@ -182,10 +182,9 @@ func (k *Pblk) gcLoop(p *sim.Proc) {
 		k.gcDone.Signal()
 		// Release the parked movers: a nil victim ends a mover. Busy ones
 		// see the stop when their victim is done.
-		for _, m := range k.gcIdle {
-			m.kick.Signal()
+		for k.gcIdle.Len() > 0 {
+			k.gcIdle.Get().kick.Signal()
 		}
-		k.gcIdle = nil
 	}()
 	for !k.stopping && !k.gcStopping {
 		k.launchVictims()
@@ -237,7 +236,7 @@ type gcMover struct {
 func (k *Pblk) startMovers() {
 	for i := 0; i < k.cfg.GCPipelineDepth; i++ {
 		m := &gcMover{kick: k.env.NewEvent(), done: k.env.NewEvent()}
-		k.gcIdle = append(k.gcIdle, m)
+		k.gcIdle.Put(m)
 		k.env.Go(fmt.Sprintf("pblk.%s.gcmover%d", k.name, i), func(p *sim.Proc) { k.runMover(p, m) })
 	}
 }
@@ -264,7 +263,7 @@ func (k *Pblk) runMover(p *sim.Proc, m *gcMover) {
 		if k.stopping || k.gcStopping {
 			return
 		}
-		k.gcIdle = append(k.gcIdle, m)
+		k.gcIdle.Put(m)
 	}
 }
 
@@ -330,8 +329,7 @@ func (k *Pblk) launchVictims() {
 		if int64(k.gcInFlight) > k.Stats.GCPeakInFlight {
 			k.Stats.GCPeakInFlight = int64(k.gcInFlight)
 		}
-		m := k.gcIdle[len(k.gcIdle)-1]
-		k.gcIdle = k.gcIdle[:len(k.gcIdle)-1]
+		m := k.gcIdle.Get()
 		m.g, m.retire = g, retire
 		m.kick.Signal()
 	}

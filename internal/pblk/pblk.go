@@ -68,7 +68,7 @@ type Config struct {
 	// Bench-only: HintPolicy is never read; a write hinted blockdev.HintCold
 	// always rides the GC stream. It remains for the benchmark module, which
 	// sets it and which changes only in a PR of its own.
-	HintPolicy HintPolicy
+	HintPolicy uint8
 	// DisableRateLimiter lets characterization runs (paper §5.1 "rate-
 	// limiter disabled") bypass user-write throttling.
 	DisableRateLimiter bool
@@ -85,12 +85,9 @@ type Config struct {
 	ScrubRetentionAge time.Duration
 }
 
-// Bench-only: HintPolicy is the type of the unread Config.HintPolicy.
-type HintPolicy uint8
-
 // Bench-only: HintNativeStream once selected a third write stream for
 // hinted writes; pblk has two streams and ignores the value.
-const HintNativeStream HintPolicy = 2
+const HintNativeStream = 2
 
 // Default fills unset Config fields with the paper-faithful defaults.
 func Default(cfg Config) Config {
@@ -405,7 +402,7 @@ type Pblk struct {
 	gcActive   bool // GC hysteresis state
 	gcInFlight int  // victims currently owned by a GC worker
 	// gcIdle holds the GC movers parked without a victim.
-	gcIdle []*gcMover
+	gcIdle sim.Pool[*gcMover]
 	// gcRetiring counts in-flight victims on the retire (suspect) path:
 	// they end as bad blocks, not free groups, so hysteresis must not
 	// treat them as prospective free space.

@@ -139,9 +139,6 @@ func NewFormat(g Geometry) (Format, error) {
 	return f, nil
 }
 
-// Geometry returns the geometry the format was derived from.
-func (f Format) Geometry() Geometry { return f.geo }
-
 // Encode packs a into the device's 64-bit PPA representation. Encode does
 // not validate field ranges; use Valid for that.
 func (f *Format) Encode(a Addr) uint64 {

@@ -469,9 +469,6 @@ func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
 	return p
 }
 
-// Name returns the process name: the one given to Go, or the last SetName.
-func (p *Proc) Name() string { return p.name }
-
 // SetName renames the process, for the ProcPanic it may raise: a
 // long-lived worker names itself after the job it has taken on.
 func (p *Proc) SetName(name string) { p.name = name }

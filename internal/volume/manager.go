@@ -108,9 +108,6 @@ type Member struct {
 // ID returns the member's fleet index.
 func (m *Member) ID() int { return m.id }
 
-// Name returns the member's device name.
-func (m *Member) Name() string { return m.name }
-
 // State returns the member's health.
 func (m *Member) State() MemberState { return m.state }
 
@@ -119,9 +116,6 @@ func (m *Member) Device() *ocssd.Device { return m.oc }
 
 // Target returns the member's mounted pblk instance.
 func (m *Member) Target() *pblk.Pblk { return m.tgt }
-
-// Volume returns the volume the member belongs to, nil for pool spares.
-func (m *Member) Volume() *Volume { return m.vol }
 
 // submit routes one volume sub-request to the member, applying the death
 // gate. It must run in simulation context; the request's OnComplete always
@@ -259,9 +253,6 @@ func (mgr *Manager) mount(p *sim.Proc, m *Member) error {
 	return nil
 }
 
-// Env returns the fleet's simulation environment.
-func (mgr *Manager) Env() *sim.Env { return mgr.env }
-
 // Members returns the fleet roster, data devices first, then spares.
 func (mgr *Manager) Members() []*Member {
 	return append([]*Member(nil), mgr.members...)
@@ -280,12 +271,6 @@ func (mgr *Manager) Volumes() []*Volume {
 		out = append(out, mgr.vols[n])
 	}
 	return out
-}
-
-// Volume returns a volume by name.
-func (mgr *Manager) Volume(name string) (*Volume, bool) {
-	v, ok := mgr.vols[name]
-	return v, ok
 }
 
 // Kill fails a fleet device whole — the drive drops off the bus. The

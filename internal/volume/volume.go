@@ -230,9 +230,6 @@ func (mgr *Manager) CreateVolume(name string, l Layout, opt Options) (*Volume, e
 	return v, nil
 }
 
-// Name returns the volume name.
-func (v *Volume) Name() string { return v.name }
-
 // SectorSize implements blockdev.Device.
 func (v *Volume) SectorSize() int { return v.ssize }
 
