@@ -59,10 +59,11 @@ func forEachDevice(t *testing.T, fn func(t *testing.T, env *sim.Env, p *sim.Proc
 		})
 		env.Run()
 	})
-	// Two pblk targets partitioned over one device (2 PUs each), with the
-	// per-PU owner guard armed: the full conformance contract must hold
-	// per-target while the sibling tenant is mounted, and no command may
-	// cross the partition boundary.
+	// Two pblk targets partitioned over one device (2 PUs each): the full
+	// conformance contract must hold per-target while the sibling tenant is
+	// mounted, and no command may cross the partition boundary — one that
+	// did would fail at its view and count as a media error on healthy
+	// media.
 	t.Run("pblk-partitioned", func(t *testing.T) {
 		env := sim.NewEnv(4)
 		raw, err := ocssd.New(env, pblkDevice())
@@ -70,7 +71,6 @@ func forEachDevice(t *testing.T, fn func(t *testing.T, env *sim.Env, p *sim.Proc
 			t.Fatal(err)
 		}
 		ln := lightnvm.Register("conf-mt", raw)
-		ln.EnableOwnerGuard()
 		env.Go("main", func(p *sim.Proc) {
 			var ks []*pblk.Pblk
 			for i, name := range []string{"a", "b"} {
@@ -90,6 +90,10 @@ func forEachDevice(t *testing.T, fn func(t *testing.T, env *sim.Env, p *sim.Proc
 			for _, k := range ks {
 				if err := k.Stop(p); err != nil {
 					panic(err)
+				}
+				if st := k.Stats; st.WriteErrors != 0 || st.GCWriteErrors != 0 || st.EraseErrors != 0 {
+					t.Errorf("%s: %d write errors (%d in GC), %d erase errors on healthy media",
+						k.MediaView().Name(), st.WriteErrors, st.GCWriteErrors, st.EraseErrors)
 				}
 			}
 		})

@@ -228,9 +228,9 @@ func TestRunRejectsMisalignedBS(t *testing.T) {
 
 // ---- Direct PPA I/O: the one engine on raw (FTL-less) targets ----
 
-// smallOCSSD is a 2 × 2 PU device with Westlake's 64 KiB write unit. The
-// owner guard is on: a command of one raw target reaching a PU of another
-// panics at the device.
+// smallOCSSD is a 2 × 2 PU device with Westlake's 64 KiB write unit and
+// healthy media: a command of one raw target reaching a PU of another
+// fails at its view, and rawOn and rawJob panic on the error.
 func smallOCSSD(t *testing.T) (*sim.Env, *lightnvm.Device) {
 	t.Helper()
 	env := sim.NewEnv(3)
@@ -244,9 +244,7 @@ func smallOCSSD(t *testing.T) (*sim.Env, *lightnvm.Device) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ln := lightnvm.Register("small", dev)
-	ln.EnableOwnerGuard()
-	return env, ln
+	return env, lightnvm.Register("small", dev)
 }
 
 // rawOn mounts a raw target on PUs [begin, end) and, with prepare set,

@@ -79,7 +79,7 @@ func runFig6(o Options) *Report {
 			run.mix = lsmdb.ReadWhileWriting(p, db, 4, dur)
 			checkIn(d.name, run.mix.Err)
 			checkIn(d.name, db.Close(p))
-			stop(p)
+			checkIn(d.name, stop(p))
 		})
 		env.Run()
 		runs = append(runs, run)

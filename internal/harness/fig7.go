@@ -45,7 +45,7 @@ func runFig7(o Options) *Report {
 			olapCfg.Seed = o.Seed
 			run.olap = sqlbench.RunOLAP(p, env, dev, olapCfg, dur)
 			checkIn(d.name, run.olap.Err)
-			stop(p)
+			checkIn(d.name, stop(p))
 		})
 		env.Run()
 		runs = append(runs, run)

@@ -80,7 +80,7 @@ func runTable1(o Options) *Report {
 		check(k.Flush(p))
 		steadyMBps = float64(overwrite) / (env.Now() - t0).Seconds() / 1e6
 		recycled = k.Stats.GCBlocksRecycled
-		k.Stop(p)
+		check(k.Stop(p))
 	})
 	env.Run()
 	t.add(label("Max Write (pblk factory)"), mb(factoryMBps), mb(4000))

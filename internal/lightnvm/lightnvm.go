@@ -49,10 +49,6 @@ type Device struct {
 	// owners maps every global PU to the live view reserving it, nil when
 	// free. Reserve fills a range; MediaView.Release empties it.
 	owners []*MediaView
-	// guard, when enabled, tags each reserved PU on the ocssd device with
-	// the view's name, so any Submit reaching a foreign partition — a
-	// translation bug — panics at the device boundary.
-	guard bool
 }
 
 // Register wraps an ocssd device into the subsystem. The handle is the
@@ -76,21 +72,8 @@ func (d *Device) Geometry() ppa.Geometry { return d.dev.Geometry() }
 // Identify returns the device's full self-description.
 func (d *Device) Identify() ocssd.Identify { return d.dev.Identify() }
 
-// Raw returns the underlying device for targets issuing vector I/O.
-func (d *Device) Raw() *ocssd.Device { return d.dev }
-
 // Env returns the device's simulation environment.
 func (d *Device) Env() *sim.Env { return d.dev.Env() }
-
-// EnableOwnerGuard turns on the per-PU owner tags on the underlying
-// device: every view reserved afterwards gets its PUs tagged with its
-// name, and any vector command carrying a different tag panics. Debug aid
-// for tests of the partition translation; off by default.
-func (d *Device) EnableOwnerGuard() {
-	d.mu.Lock()
-	d.guard = true
-	d.mu.Unlock()
-}
 
 // Reserve hands out a MediaView named name over PU range r (zero = the
 // whole device), the only way to obtain one. The PUs are the view's alone
@@ -125,9 +108,6 @@ func (d *Device) Reserve(name string, r PURange) (*MediaView, error) {
 	}
 	for pu := r.Begin; pu < r.End; pu++ {
 		d.owners[pu] = v
-		if d.guard {
-			d.dev.SetPUOwner(pu, name)
-		}
 	}
 	return v, nil
 }

@@ -10,7 +10,9 @@ import (
 	"repro/internal/sim"
 )
 
-func newDevice(t *testing.T) (*sim.Env, *Device) {
+// newDevice registers a 2 × 2 PU device; the raw device is returned too,
+// for tests that look behind the views.
+func newDevice(t *testing.T) (*sim.Env, *Device, *ocssd.Device) {
 	t.Helper()
 	env := sim.NewEnv(1)
 	cfg := ocssd.DefaultConfig(ppa.Geometry{
@@ -24,7 +26,7 @@ func newDevice(t *testing.T) (*sim.Env, *Device) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return env, Register("nvme0n1", dev)
+	return env, Register("nvme0n1", dev), dev
 }
 
 // mount follows a target constructor's contract on a reservation: reserve,
@@ -44,7 +46,7 @@ func mount(p *sim.Proc, d *Device, name string, r PURange, fail bool) (*MediaVie
 }
 
 func TestGeometryExposed(t *testing.T) {
-	_, d := newDevice(t)
+	_, d, dev := newDevice(t)
 	if d.Name() != "nvme0n1" {
 		t.Fatal("name")
 	}
@@ -54,15 +56,15 @@ func TestGeometryExposed(t *testing.T) {
 	if d.Identify().MaxVectorLen != ocssd.MaxVectorLen {
 		t.Fatal("identify not exposed")
 	}
-	if d.Raw() == nil || d.Env() == nil {
-		t.Fatal("raw accessors")
+	if d.Env() != dev.Env() {
+		t.Fatal("env not exposed")
 	}
 }
 
 // A reservation holds its name until released, Release is idempotent, and
 // a stale view's Release leaves a newer reservation alone.
 func TestTargetLifecycle(t *testing.T) {
-	_, d := newDevice(t)
+	_, d, _ := newDevice(t)
 	v, err := d.Reserve("inst0", PURange{0, 1})
 	if err != nil {
 		t.Fatal(err)
@@ -93,7 +95,7 @@ func TestConcurrentCreateSameName(t *testing.T) {
 	// Two simultaneous mounts of one name, both yielding during
 	// construction: exactly one may win, because the reservation is taken
 	// before the constructor yields.
-	env, d := newDevice(t)
+	env, d, _ := newDevice(t)
 	var views []*MediaView
 	var errs []error
 	for i := 0; i < 2; i++ {
@@ -117,7 +119,7 @@ func TestConcurrentCreateSameName(t *testing.T) {
 }
 
 func TestCreateFailureReleasesReservation(t *testing.T) {
-	env, d := newDevice(t)
+	env, d, _ := newDevice(t)
 	env.Go("main", func(p *sim.Proc) {
 		if _, err := mount(p, d, "inst0", PURange{}, true); err == nil {
 			t.Error("construction error swallowed")
@@ -131,7 +133,7 @@ func TestCreateFailureReleasesReservation(t *testing.T) {
 }
 
 func TestPartitionedCreateAndOverlap(t *testing.T) {
-	_, d := newDevice(t) // 4 PUs total
+	_, d, _ := newDevice(t) // 4 PUs total
 	a, err := d.Reserve("a", PURange{0, 2})
 	if err != nil {
 		t.Fatal(err)
@@ -164,7 +166,7 @@ func TestPartitionedCreateAndOverlap(t *testing.T) {
 }
 
 func TestCreateFailureReleasesPUs(t *testing.T) {
-	env, d := newDevice(t)
+	env, d, _ := newDevice(t)
 	env.Go("main", func(p *sim.Proc) {
 		if _, err := mount(p, d, "a", PURange{0, 2}, true); err == nil {
 			t.Fatal("construction error swallowed")
@@ -180,7 +182,7 @@ func TestCreateFailureReleasesPUs(t *testing.T) {
 // crashed view's range and name are free at once, for a partition and for
 // the whole device alike.
 func TestCrashReleasesView(t *testing.T) {
-	_, d := newDevice(t)
+	_, d, _ := newDevice(t)
 	for _, r := range []PURange{{1, 3}, {}} {
 		v, err := d.Reserve("a", r)
 		if err != nil {
@@ -196,14 +198,14 @@ func TestCrashReleasesView(t *testing.T) {
 }
 
 func TestMediaViewSubmitRejectsOutOfPartition(t *testing.T) {
-	env, d := newDevice(t)
+	env, d, dev := newDevice(t)
 	env.Go("main", func(p *sim.Proc) {
 		v, err := d.Reserve("a", PURange{0, 2})
 		if err != nil {
 			t.Fatal(err)
 		}
 		// PU 2 lives at ch 1, pu 0 on this 2x2 device: outside the view.
-		ch, pu := d.Raw().Format().PUAddr(2)
+		ch, pu := dev.Format().PUAddr(2)
 		bad := ppa.Addr{Ch: ch, PU: pu}
 		c := v.Do(p, &ocssd.Vector{Op: ocssd.OpRead, Addrs: []ppa.Addr{bad}})
 		if !c.Failed() || !errors.Is(c.Errs[0], ErrOutOfPartition) {
@@ -227,42 +229,9 @@ func TestMediaViewSubmitRejectsOutOfPartition(t *testing.T) {
 		if v.RelativePU(v.GlobalPU(1)) != 1 {
 			t.Fatal("PU translation not inverse")
 		}
-		if v.Die(0) != d.Raw().Die(0) {
+		if v.Die(0) != dev.Die(0) {
 			t.Fatal("Die translation wrong")
 		}
-	})
-	env.Run()
-}
-
-func TestOwnerGuardPanicsOnForeignSubmit(t *testing.T) {
-	env, d := newDevice(t)
-	d.EnableOwnerGuard()
-	env.Go("main", func(p *sim.Proc) {
-		if _, err := d.Reserve("a", PURange{0, 2}); err != nil {
-			t.Fatal(err)
-		}
-		// A raw (untagged) submit onto a guarded PU must fail loudly.
-		defer func() {
-			if recover() == nil {
-				t.Error("foreign submit on guarded PU did not panic")
-			}
-		}()
-		d.Raw().Do(p, &ocssd.Vector{Op: ocssd.OpRead, Addrs: []ppa.Addr{{}}})
-	})
-	env.Run()
-}
-
-func TestOwnerGuardClearedOnRemove(t *testing.T) {
-	env, d := newDevice(t)
-	d.EnableOwnerGuard()
-	env.Go("main", func(p *sim.Proc) {
-		v, err := d.Reserve("a", PURange{0, 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		v.Release()
-		// After the release the PUs are unguarded again.
-		d.Raw().Do(p, &ocssd.Vector{Op: ocssd.OpRead, Addrs: []ppa.Addr{{}}})
 	})
 	env.Run()
 }
@@ -271,7 +240,7 @@ func TestViewRejectsReservedPUs(t *testing.T) {
 	// A full-device reservation (what pblk.New asks for) must not span a
 	// live tenant's PUs: its recovery scan would reclaim the tenant's
 	// blocks as foreign metadata.
-	_, d := newDevice(t)
+	_, d, _ := newDevice(t)
 	a, err := d.Reserve("a", PURange{0, 2})
 	if err != nil {
 		t.Fatal(err)

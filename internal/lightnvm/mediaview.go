@@ -28,7 +28,7 @@ type MediaView struct {
 	ln         *Device // the reserving device, for Release
 	dev        *ocssd.Device
 	fmtr       ppa.Format
-	tag        string // reservation name, stamped on submitted vectors
+	tag        string // reservation name
 	begin, end int    // global PU range [begin, end)
 	full       bool   // covers the whole device: Submit skips the bounds loop
 }
@@ -45,14 +45,10 @@ func (v *MediaView) Release() {
 	}
 	for pu := v.begin; pu < v.end; pu++ {
 		d.owners[pu] = nil
-		if d.guard {
-			d.dev.ClearPUOwner(pu)
-		}
 	}
 }
 
-// Name returns the name the view was reserved under, which it stamps on
-// its vectors as the owner tag.
+// Name returns the name the view was reserved under.
 func (v *MediaView) Name() string { return v.tag }
 
 // Range returns the partition's global PU range.
@@ -76,10 +72,6 @@ func (v *MediaView) SectorOOBSize() int { return v.dev.SectorOOBSize() }
 // Env returns the simulation environment the device runs in.
 func (v *MediaView) Env() *sim.Env { return v.dev.Env() }
 
-// Raw returns the underlying device. Diagnostics and capacity accounting
-// only — datapaths must go through the view so the partition check holds.
-func (v *MediaView) Raw() *ocssd.Device { return v.dev }
-
 // GlobalPU translates a partition-relative PU index to the device-wide
 // index.
 func (v *MediaView) GlobalPU(rel int) int { return v.begin + rel }
@@ -101,12 +93,11 @@ func (v *MediaView) Contains(a ppa.Addr) bool {
 	return gpu >= v.begin && gpu < v.end
 }
 
-// admit stamps cmd with the view's owner tag, for the device's optional
-// per-PU owner guard, and checks it against the partition: a command
-// touching any PU outside the view gets back a completion that fails every
-// address with ErrOutOfPartition, and must not reach the device.
+// admit is the subsystem's one partition check: a command touching any PU
+// outside the view gets back a completion that fails every address with
+// ErrOutOfPartition, and never reaches the device. No accessor hands a
+// target the device itself, so every command a target issues passes here.
 func (v *MediaView) admit(cmd *ocssd.Vector) (rejected *ocssd.Completion) {
-	cmd.Tag = v.tag
 	if v.full {
 		// Whole-device view: the partition check cannot fail and the
 		// device validates raw bounds itself, so the single-target fast
@@ -157,16 +148,11 @@ func (v *MediaView) Do(p *sim.Proc, cmd *ocssd.Vector) *ocssd.Completion {
 // Recycle returns a completion to the device pool.
 func (v *MediaView) Recycle(c *ocssd.Completion) { v.dev.Recycle(c) }
 
-// Crash simulates power loss as seen by this partition: volatile
-// controller state for the partition's PUs is dropped. A full-device view
-// crashes the whole device (including pending buffered writes), matching
-// the single-target behaviour. The host state that held the reservation is
-// gone with the power, so Crash also releases the view.
+// Crash simulates power loss as seen by this partition: the volatile
+// controller state of the view's PUs is dropped, whatever the view's width
+// (a full-device view crashes every PU). The host state that held the
+// reservation is gone with the power, so Crash also releases the view.
 func (v *MediaView) Crash() {
-	if v.full {
-		v.dev.Crash()
-	} else {
-		v.dev.CrashPUs(v.begin, v.end)
-	}
+	v.dev.CrashPUs(v.begin, v.end)
 	v.Release()
 }

@@ -14,9 +14,10 @@ import (
 	"repro/internal/sim"
 )
 
-// rawDevice is a 2 × 2 PU device with Westlake's 64 KiB write unit,
-// registered with the owner guard on: a raw target whose map strays onto a
-// foreign PU panics at the device boundary.
+// rawDevice is a 2 × 2 PU device with Westlake's 64 KiB write unit and
+// healthy media: a raw target whose map strays onto a foreign PU gets
+// ErrOutOfPartition back from its view, which the tests' error checks
+// report.
 func rawDevice(t *testing.T, suspendSlice time.Duration) (*sim.Env, *Device) {
 	t.Helper()
 	env := sim.NewEnv(3)
@@ -31,9 +32,7 @@ func rawDevice(t *testing.T, suspendSlice time.Duration) (*sim.Env, *Device) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ln := Register("raw-test", dev)
-	ln.EnableOwnerGuard()
-	return env, ln
+	return env, Register("raw-test", dev)
 }
 
 // mustRaw panics rather than t.Fatal: it runs inside simulation processes,

@@ -10,9 +10,10 @@ import (
 	"repro/internal/sim"
 )
 
-// guardedDevice is a 2 × 2 PU device with the owner guard on, so a target
-// that submits onto a PU it does not hold panics.
-func guardedDevice(t *testing.T) (*sim.Env, *lightnvm.Device) {
+// tenantDevice is a 2 × 2 PU device with healthy media, so a pblk target
+// that submits onto a PU it does not hold sees the view's rejection as a
+// media error (stop checks for them).
+func tenantDevice(t *testing.T) (*sim.Env, *lightnvm.Device) {
 	t.Helper()
 	env := sim.NewEnv(1)
 	cfg := ocssd.DefaultConfig(ppa.Geometry{
@@ -25,9 +26,7 @@ func guardedDevice(t *testing.T) (*sim.Env, *lightnvm.Device) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ln := lightnvm.Register("nvme0n1", dev)
-	ln.EnableOwnerGuard()
-	return env, ln
+	return env, lightnvm.Register("nvme0n1", dev)
 }
 
 var half = lightnvm.PURange{Begin: 0, End: 2}
@@ -46,6 +45,24 @@ func mountPblk(p *sim.Proc, ln *lightnvm.Device, name string, r lightnvm.PURange
 	return k, k.Write(p, 0, nil, 64<<10)
 }
 
+// stop stops k, then fails the test on any write or erase error it saw:
+// on healthy media, each is a command its view rejected.
+func stop(t *testing.T, p *sim.Proc, k *pblk.Pblk) {
+	t.Helper()
+	if err := k.Stop(p); err != nil {
+		t.Fatal(err)
+	}
+	noMediaErrors(t, k)
+}
+
+func noMediaErrors(t *testing.T, k *pblk.Pblk) {
+	t.Helper()
+	if st := k.Stats; st.WriteErrors != 0 || st.GCWriteErrors != 0 || st.EraseErrors != 0 {
+		t.Errorf("%s: %d write errors (%d in GC), %d erase errors on healthy media",
+			k.MediaView().Name(), st.WriteErrors, st.GCWriteErrors, st.EraseErrors)
+	}
+}
+
 // Every way a target ends gives its range back at once: a new target
 // mounts on it in the same instant.
 func TestReleaseRule(t *testing.T) {
@@ -55,12 +72,10 @@ func TestReleaseRule(t *testing.T) {
 	}{
 		{"pblk/Stop", func(t *testing.T, p *sim.Proc, ln *lightnvm.Device) {
 			k, err := mountPblk(p, ln, "old", half)
-			if err == nil {
-				err = k.Stop(p)
-			}
 			if err != nil {
 				t.Fatal(err)
 			}
+			stop(t, p, k)
 		}},
 		{"pblk/Shutdown", func(t *testing.T, p *sim.Proc, ln *lightnvm.Device) {
 			k, err := mountPblk(p, ln, "old", half)
@@ -70,6 +85,7 @@ func TestReleaseRule(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			noMediaErrors(t, k)
 		}},
 		{"pblk/Crash", func(t *testing.T, p *sim.Proc, ln *lightnvm.Device) {
 			k, err := mountPblk(p, ln, "old", half)
@@ -77,6 +93,7 @@ func TestReleaseRule(t *testing.T) {
 				t.Fatal(err)
 			}
 			k.Crash()
+			noMediaErrors(t, k)
 		}},
 		{"raw/Stop", func(t *testing.T, p *sim.Proc, ln *lightnvm.Device) {
 			v, err := ln.Reserve("old", half)
@@ -87,16 +104,14 @@ func TestReleaseRule(t *testing.T) {
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			env, ln := guardedDevice(t)
+			env, ln := tenantDevice(t)
 			env.Go("main", func(p *sim.Proc) {
 				tc.end(t, p, ln)
 				k, err := mountPblk(p, ln, "next", half)
 				if err != nil {
 					t.Fatalf("range not released: %v", err)
 				}
-				if err := k.Stop(p); err != nil {
-					t.Fatal(err)
-				}
+				stop(t, p, k)
 				if _, err := ln.Reserve("old", lightnvm.PURange{}); err != nil {
 					t.Errorf("device not free after both targets ended: %v", err)
 				}
@@ -110,7 +125,7 @@ func TestRemoveHoldsPUsUntilStopCompletes(t *testing.T) {
 	// Stop performs device I/O (the flush of buffered writes), so it
 	// yields; the range must stay reserved until it returns, or a new
 	// tenant would program the same blocks as the stopping target.
-	env, ln := guardedDevice(t)
+	env, ln := tenantDevice(t)
 	var k *pblk.Pblk
 	env.Go("setup", func(p *sim.Proc) {
 		var err error
@@ -124,6 +139,7 @@ func TestRemoveHoldsPUsUntilStopCompletes(t *testing.T) {
 		if err := k.Stop(p); err != nil {
 			t.Error(err)
 		}
+		noMediaErrors(t, k)
 		stopped.Signal()
 	})
 	env.Go("newcomer", func(p *sim.Proc) {
@@ -141,7 +157,7 @@ func TestRemoveHoldsPUsUntilStopCompletes(t *testing.T) {
 // A full-device pblk holds every PU: no second pblk, raw target or
 // partitioned pblk mounts beside it.
 func TestNoTargetBesideAFullDevicePblk(t *testing.T) {
-	env, ln := guardedDevice(t)
+	env, ln := tenantDevice(t)
 	env.Go("main", func(p *sim.Proc) {
 		k, err := pblk.New(p, ln, "pblk0", pblk.Config{ActivePUs: 4})
 		if err != nil {
@@ -156,9 +172,7 @@ func TestNoTargetBesideAFullDevicePblk(t *testing.T) {
 		if _, err := mountPblk(p, ln, "tenant", lightnvm.PURange{Begin: 2, End: 4}); err == nil {
 			t.Error("a partitioned pblk mounted over a live pblk.New")
 		}
-		if err := k.Stop(p); err != nil {
-			t.Fatal(err)
-		}
+		stop(t, p, k)
 	})
 	env.Run()
 }

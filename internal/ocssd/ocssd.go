@@ -160,7 +160,10 @@ func DefaultConfig(geo ppa.Geometry) Config {
 }
 
 // Vector is one PPA data command. The Vector and its slices must stay
-// valid and unmodified until the submission's done callback runs.
+// valid and unmodified until the submission's done callback runs. The
+// device checks addresses against its geometry only: which PUs a command
+// may touch is decided before it arrives, by the lightnvm.MediaView it was
+// submitted through.
 type Vector struct {
 	Op    Op
 	Addrs []ppa.Addr
@@ -170,10 +173,6 @@ type Vector struct {
 	// OOB holds per-sector out-of-band metadata for writes; each entry is
 	// limited to OOBPerPage/SectorsPerPage bytes.
 	OOB [][]byte
-	// Tag identifies the submitter for the optional per-PU owner guard
-	// (SetPUOwner). lightnvm.MediaView stamps it with the target instance
-	// name; it has no effect unless a touched PU carries an owner tag.
-	Tag string
 }
 
 // Completion reports the outcome of a vector command.
@@ -246,7 +245,10 @@ type channel struct {
 	xfer *sim.Resource // serializes transfers; duration models bandwidth
 }
 
-// Device is an open-channel SSD instance.
+// Device is an open-channel SSD instance. Only the code that builds one
+// holds it (the harness, the volume manager, the NVMe baseline, tests);
+// targets reach it through a lightnvm.MediaView, which admits only
+// commands inside its reserved PU range.
 type Device struct {
 	env  *sim.Env
 	cfg  Config
@@ -275,11 +277,6 @@ type Device struct {
 	// duration depends only on its sector count, so the float divide is paid
 	// once per count at construction instead of once per transfer.
 	xfer [MaxVectorLen + 1]time.Duration
-
-	// ownerTags, when non-nil, holds a per-PU owner tag; Submit panics on
-	// any vector whose Tag differs from a touched PU's tag (debug guard
-	// for partition-translation bugs). nil (the default) costs one branch.
-	ownerTags []string
 
 	// dead marks a whole-device failure: every later submission completes
 	// with ErrDeviceDead. deathHooks run once, in registration order, when
@@ -429,40 +426,6 @@ func (d *Device) validate(cmd *Vector) error {
 	return nil
 }
 
-// SetPUOwner tags a global PU with an owner: any subsequent Submit whose
-// vector touches the PU with a different (or empty) Tag panics. This is a
-// debug guard — tests enable it (directly or via the lightnvm owner
-// guard) so a command that escapes its partition, e.g. through a
-// relative→global translation bug, fails loudly at the device boundary
-// instead of silently corrupting a neighbour. An empty tag clears the PU.
-func (d *Device) SetPUOwner(globalPU int, tag string) {
-	if d.ownerTags == nil {
-		if tag == "" {
-			return
-		}
-		d.ownerTags = make([]string, d.cfg.Geometry.TotalPUs())
-	}
-	d.ownerTags[globalPU] = tag
-}
-
-// ClearPUOwner removes a PU's owner tag.
-func (d *Device) ClearPUOwner(globalPU int) {
-	if d.ownerTags != nil {
-		d.ownerTags[globalPU] = ""
-	}
-}
-
-// checkOwners enforces the per-PU owner guard on a validated command.
-func (d *Device) checkOwners(cmd *Vector) {
-	for i, a := range cmd.Addrs {
-		gpu := d.gpuOf[i]
-		if t := d.ownerTags[gpu]; t != "" && t != cmd.Tag {
-			panic(fmt.Sprintf("ocssd: %v %v touches pu %d owned by %q (submitter tag %q)",
-				cmd.Op, a, gpu, t, cmd.Tag))
-		}
-	}
-}
-
 // flashOp is one media operation: a page read/program or block erase,
 // possibly spanning multiple planes (multi-plane mode), carrying the vector
 // indices it serves. The planes/idx slices, inner ones included, are pooled
@@ -563,9 +526,6 @@ func (d *Device) Submit(cmd *Vector, done func(*Completion)) {
 		comp.Done = d.env.Now()
 		d.env.Schedule(0, func() { done(comp) })
 		return
-	}
-	if d.ownerTags != nil {
-		d.checkOwners(cmd)
 	}
 	switch cmd.Op {
 	case OpRead:
@@ -1199,17 +1159,10 @@ func (pu *punit) dropCache() {
 	}
 }
 
-// Crash simulates power loss: volatile controller state (the page caches)
-// is lost; media content persists. The host must run recovery before reuse.
-func (d *Device) Crash() {
-	for _, pu := range d.pus {
-		pu.dropCache()
-	}
-}
-
-// CrashPUs drops the volatile controller state (page caches) of the
-// global PU range [begin, end) only, the partition-scoped form of Crash
-// used when one tenant of a shared device power-fails its view.
+// CrashPUs simulates power loss on the global PU range [begin, end): the
+// volatile controller state of those PUs (their page caches) is lost; media
+// content persists. The host must run recovery before reuse. A target's
+// view crashes its own range; [0, TotalPUs) crashes the whole device.
 func (d *Device) CrashPUs(begin, end int) {
 	for gpu := begin; gpu < end && gpu < len(d.pus); gpu++ {
 		d.pus[gpu].dropCache()

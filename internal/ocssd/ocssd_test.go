@@ -327,7 +327,7 @@ func TestCrashDropsCaches(t *testing.T) {
 	run(env, func(p *sim.Proc) {
 		writeUnit(p, dev, 0, 0, 0, 0, 0x42)
 		dev.Do(p, &Vector{Op: OpRead, Addrs: []ppa.Addr{{Page: 0, Sector: 0}}})
-		dev.Crash()
+		dev.CrashPUs(0, dev.Geometry().TotalPUs())
 		start := env.Now()
 		c := dev.Do(p, &Vector{Op: OpRead, Addrs: []ppa.Addr{{Page: 0, Sector: 1}}})
 		if c.Failed() {

@@ -38,7 +38,10 @@ func TestDebugOverwrite(t *testing.T) {
 				progress = int64(pass)*n + i
 			}
 		}
-		k.Flush(p)
+		if err := k.Flush(p); err != nil {
+			t.Errorf("flush: %v", err)
+			return
+		}
 		done = true
 	})
 	s.Run()

@@ -27,7 +27,7 @@ func churn(t *testing.T, p *sim.Proc, k *Pblk, coldChunks int, passes int64) {
 	hotBase := int64(coldChunks) * chunk
 	hotSpan := k.Capacity() - hotBase - chunk
 	rng := rand.New(rand.NewSource(21))
-	for vol := int64(0); vol < passes*k.Device().Geometry().TotalBytes(); vol += chunk {
+	for vol := int64(0); vol < passes*k.MediaView().Geometry().TotalBytes(); vol += chunk {
 		off := hotBase + rng.Int63n(hotSpan/chunk)*chunk
 		if err := k.Write(p, off, nil, chunk); err != nil {
 			t.Fatal(err)
@@ -183,17 +183,21 @@ func TestGCLostSectors(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		k.Flush(p)
+		if err := k.Flush(p); err != nil {
+			t.Fatal(err)
+		}
 		hotBase := int64(8) * chunk
 		hotSpan := k.Capacity() - hotBase - chunk
 		rng := rand.New(rand.NewSource(3))
-		for vol := int64(0); vol < 3*k.Device().Geometry().TotalBytes(); vol += chunk {
+		for vol := int64(0); vol < 3*k.MediaView().Geometry().TotalBytes(); vol += chunk {
 			off := hotBase + rng.Int63n(hotSpan/chunk)*chunk
 			if err := k.Write(p, off, nil, chunk); err != nil {
 				t.Fatal(err)
 			}
 		}
-		k.Flush(p)
+		if err := k.Flush(p); err != nil {
+			t.Fatal(err)
+		}
 		if k.Stats.GCMovedSectors == 0 {
 			t.Fatal("workload did not trigger GC moves")
 		}

@@ -16,14 +16,16 @@ func TestDynamicWearLeveling(t *testing.T) {
 		defer k.Stop(p)
 		const chunk = 64 * 1024
 		span := k.Capacity() / 2
-		vol := 3 * k.Device().Geometry().TotalBytes()
+		vol := 3 * k.MediaView().Geometry().TotalBytes()
 		for written := int64(0); written < vol; written += chunk {
 			off := (written / chunk * chunk) % span
 			if err := k.Write(p, off, nil, chunk); err != nil {
 				t.Fatal(err)
 			}
 		}
-		k.Flush(p)
+		if err := k.Flush(p); err != nil {
+			t.Fatal(err)
+		}
 		// Groups holding still-valid data legitimately sit at zero erases
 		// (static wear leveling is out of scope, §4.2.4); among groups
 		// that did recycle, the FIFO free lists must keep the device's P/E
@@ -104,13 +106,15 @@ func TestEraseFailureRetiresBlock(t *testing.T) {
 		defer k.Stop(p)
 		const chunk = 64 * 1024
 		span := k.Capacity() / 2
-		vol := 2 * k.Device().Geometry().TotalBytes()
+		vol := 2 * k.MediaView().Geometry().TotalBytes()
 		for written := int64(0); written < vol; written += chunk {
 			if err := k.Write(p, written%span/chunk*chunk, nil, chunk); err != nil {
 				t.Fatal(err)
 			}
 		}
-		k.Flush(p)
+		if err := k.Flush(p); err != nil {
+			t.Fatal(err)
+		}
 		if k.Stats.EraseErrors == 0 {
 			t.Skip("no erase failures injected at this seed")
 		}
@@ -150,7 +154,7 @@ func TestWornOutConvergesUnderGCAndScrub(t *testing.T) {
 		defer k.Stop(p)
 		const chunk = 64 * 1024
 		span := k.Capacity() / 2 / chunk * chunk
-		vol := 5 * k.Device().Geometry().TotalBytes()
+		vol := 5 * k.MediaView().Geometry().TotalBytes()
 		badTarget := int64(len(k.groups) / 4)
 		for written := int64(0); written < vol; written += chunk {
 			if err := k.Write(p, written%span, nil, chunk); err != nil {

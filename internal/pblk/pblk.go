@@ -32,7 +32,6 @@ import (
 
 	"repro/internal/blockdev"
 	"repro/internal/lightnvm"
-	"repro/internal/ocssd"
 	"repro/internal/ppa"
 	"repro/internal/sim"
 )
@@ -302,7 +301,9 @@ type flushReq struct {
 // table, lane spans, read fan-out, recovery scan) is partition-relative:
 // 0..nPUs-1. The view translates to device-global PUs at the submission
 // boundary and rejects any address outside the partition, so several pblk
-// instances coexist on one device without seeing each other's media.
+// instances coexist on one device without seeing each other's media. The
+// instance holds the view and nothing that returns the ocssd.Device behind
+// it, so that check is its only path to the media.
 type Pblk struct {
 	*blockdev.SyncAdapter // OpenQueue and the blocking Device calls, over IssueAsync
 
@@ -713,10 +714,6 @@ func (k *Pblk) ActivePUs() int { return k.cfg.ActivePUs }
 func (k *Pblk) EraseUnitBytes() int64 {
 	return int64(k.dataSectors) * int64(k.geo.SectorSize)
 }
-
-// Device returns the underlying open-channel device (shared with any
-// co-resident targets).
-func (k *Pblk) Device() *ocssd.Device { return k.dev.Raw() }
 
 // Partition returns the global PU range this instance owns.
 func (k *Pblk) Partition() lightnvm.PURange { return k.dev.Range() }

@@ -61,6 +61,18 @@ func (e *env) newPblk(p *sim.Proc, cfg Config) *Pblk {
 	return k
 }
 
+// assertNoMediaErrors fails the test if k saw a failed write or erase. On
+// healthy media the only source of one is a command its view rejected with
+// lightnvm.ErrOutOfPartition — a partition-translation bug — which the
+// write-error path would otherwise remap and retry away.
+func assertNoMediaErrors(t *testing.T, k *Pblk) {
+	t.Helper()
+	if st := k.Stats; st.WriteErrors != 0 || st.GCWriteErrors != 0 || st.EraseErrors != 0 {
+		t.Errorf("%s: %d write errors (%d in GC), %d erase errors on healthy media",
+			k.name, st.WriteErrors, st.GCWriteErrors, st.EraseErrors)
+	}
+}
+
 func fill(n int, seed byte) []byte {
 	b := make([]byte, n)
 	for i := range b {
@@ -126,7 +138,9 @@ func TestOverwriteReturnsLatest(t *testing.T) {
 				t.Fatal(err)
 			}
 			if gen%2 == 0 {
-				k.Flush(p)
+				if err := k.Flush(p); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
 		got := make([]byte, 4096)
@@ -233,7 +247,9 @@ func TestTrim(t *testing.T) {
 		k := e.newPblk(p, Config{ActivePUs: 4})
 		defer k.Stop(p)
 		k.Write(p, 0, fill(4096, 7), 4096)
-		k.Flush(p)
+		if err := k.Flush(p); err != nil {
+			t.Fatal(err)
+		}
 		if err := k.Trim(p, 0, 4096); err != nil {
 			t.Fatal(err)
 		}
@@ -261,7 +277,9 @@ func TestLargeSequentialWriteAndVerify(t *testing.T) {
 				t.Fatalf("write %d: %v", i, err)
 			}
 		}
-		k.Flush(p)
+		if err := k.Flush(p); err != nil {
+			t.Fatal(err)
+		}
 		got := make([]byte, chunk)
 		for i := 0; i < n; i++ {
 			if err := k.Read(p, int64(i)*chunk, got, chunk); err != nil {
@@ -283,7 +301,7 @@ func TestGCUnderCapacityPressure(t *testing.T) {
 		// GC must recycle blocks.
 		const chunk = 64 * 1024
 		span := k.Capacity() * 3 / 4
-		writes := int(int64(2) * k.Device().Geometry().TotalBytes() / chunk)
+		writes := int(int64(2) * k.MediaView().Geometry().TotalBytes() / chunk)
 		rng := rand.New(rand.NewSource(5))
 		for i := 0; i < writes; i++ {
 			off := (rng.Int63n(span / chunk)) * chunk
@@ -291,7 +309,9 @@ func TestGCUnderCapacityPressure(t *testing.T) {
 				t.Fatalf("write %d: %v", i, err)
 			}
 		}
-		k.Flush(p)
+		if err := k.Flush(p); err != nil {
+			t.Fatal(err)
+		}
 		if k.Stats.GCBlocksRecycled == 0 {
 			t.Fatal("no blocks recycled despite writing 4x device capacity")
 		}
@@ -315,19 +335,23 @@ func TestGCPreservesData(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		k.Flush(p)
+		if err := k.Flush(p); err != nil {
+			t.Fatal(err)
+		}
 		hotBase := int64(coldChunks) * chunk
 		hotSpan := k.Capacity() - hotBase - chunk
 		rng := rand.New(rand.NewSource(9))
 		vol := int64(0)
-		for vol < 2*k.Device().Geometry().TotalBytes() {
+		for vol < 2*k.MediaView().Geometry().TotalBytes() {
 			off := hotBase + rng.Int63n(hotSpan/chunk)*chunk
 			if err := k.Write(p, off, nil, chunk); err != nil {
 				t.Fatal(err)
 			}
 			vol += chunk
 		}
-		k.Flush(p)
+		if err := k.Flush(p); err != nil {
+			t.Fatal(err)
+		}
 		if k.Stats.GCMovedSectors == 0 {
 			t.Fatal("expected GC to relocate valid sectors")
 		}
@@ -507,7 +531,9 @@ func TestSetActivePUs(t *testing.T) {
 			t.Fatal("SetActivePUs did not take effect")
 		}
 		k.Write(p, 65536, fill(16384, 2), 16384)
-		k.Flush(p)
+		if err := k.Flush(p); err != nil {
+			t.Fatal(err)
+		}
 		got := make([]byte, 16384)
 		if err := k.Read(p, 0, got, 16384); err != nil || !bytes.Equal(got, fill(16384, 1)) {
 			t.Fatalf("data lost across retuning: %v", err)
@@ -620,7 +646,9 @@ func TestStripingUsesAllActivePUs(t *testing.T) {
 		// Write enough for one unit per PU.
 		unitBytes := int64(k.unitSectors) * 4096
 		k.Write(p, 0, nil, unitBytes*4)
-		k.Flush(p)
+		if err := k.Flush(p); err != nil {
+			t.Fatal(err)
+		}
 		used := map[int]bool{}
 		ss := int64(4096)
 		for lba := int64(0); lba < unitBytes*4/ss; lba++ {
@@ -689,7 +717,9 @@ func TestRandomWorkloadIntegrity(t *testing.T) {
 			lba := rng.Int63n(lbas - 4)
 			switch rng.Intn(10) {
 			case 0:
-				k.Flush(p)
+				if err := k.Flush(p); err != nil {
+					t.Fatal(err)
+				}
 			case 1:
 				nSec := int64(rng.Intn(3) + 1)
 				if err := k.Trim(p, lba*ss, nSec*ss); err != nil {
@@ -711,7 +741,9 @@ func TestRandomWorkloadIntegrity(t *testing.T) {
 				}
 			}
 		}
-		k.Flush(p)
+		if err := k.Flush(p); err != nil {
+			t.Fatal(err)
+		}
 		got := make([]byte, ss)
 		for lba, gen := range shadow {
 			if err := k.Read(p, lba*ss, got, ss); err != nil {
@@ -733,7 +765,9 @@ func TestPaddingAccountedOnFlushHeavyWorkload(t *testing.T) {
 		defer k.Stop(p)
 		for i := 0; i < 50; i++ {
 			k.Write(p, int64(i)*4096, nil, 4096)
-			k.Flush(p)
+			if err := k.Flush(p); err != nil {
+				t.Fatal(err)
+			}
 		}
 		if k.Stats.PaddedSectors < 50 {
 			t.Fatalf("padded sectors = %d, want >= 50 (one flush per 4K write)", k.Stats.PaddedSectors)

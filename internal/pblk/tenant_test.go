@@ -61,13 +61,12 @@ func assertConfined(t *testing.T, k *Pblk) {
 }
 
 // TestTwoTenantsConcurrentIO mounts two pblk targets on disjoint halves of
-// one device — with the per-PU owner guard armed, so any command crossing
-// a partition boundary panics — and runs interleaved write/flush/read/trim
-// traffic with enough overwrite volume to cycle GC on both. Each tenant
-// must keep its own data intact and its mappings confined to its PUs.
+// one device and runs interleaved write/flush/read/trim traffic with enough
+// overwrite volume to cycle GC on both. Each tenant must keep its own data
+// intact, its mappings confined to its PUs, and see no media error: a
+// command crossing a partition boundary fails at its view.
 func TestTwoTenantsConcurrentIO(t *testing.T) {
 	e := newEnv(t, testDeviceConfig())
-	e.lnvm.EnableOwnerGuard()
 	type tenant struct {
 		k      *Pblk
 		shadow map[int64]byte
@@ -142,7 +141,7 @@ func TestTwoTenantsConcurrentIO(t *testing.T) {
 		assertConfined(t, tn.k)
 	}
 	// Tenant capacities split the device: each sees only its partition.
-	if tenants[0].k.Capacity() >= tenants[0].k.Device().Geometry().TotalBytes()/2 {
+	if tenants[0].k.Capacity() >= tenants[0].k.MediaView().Geometry().TotalBytes()/2 {
 		t.Error("partitioned tenant capacity not confined to its PU range")
 	}
 	e.sim.Go("teardown", func(p *sim.Proc) {
@@ -150,6 +149,7 @@ func TestTwoTenantsConcurrentIO(t *testing.T) {
 			if err := tn.k.Stop(p); err != nil {
 				t.Error(err)
 			}
+			assertNoMediaErrors(t, tn.k)
 		}
 	})
 	e.sim.Run()
@@ -158,10 +158,9 @@ func TestTwoTenantsConcurrentIO(t *testing.T) {
 // TestTenantShutdownSnapshotIndependent gives each partition its own
 // snapshot area: one tenant shuts down gracefully (snapshot), its sibling
 // crashes (scan recovery), and both recover their data independently
-// after a remount on their old ranges.
+// after a remount on their old ranges, with no media error on either.
 func TestTenantShutdownSnapshotIndependent(t *testing.T) {
 	e := newEnv(t, testDeviceConfig())
-	e.lnvm.EnableOwnerGuard()
 	ss := int64(4096)
 	data := map[string]map[int64]byte{"pblk0": {}, "pblk1": {}}
 	ranges := map[string]lightnvm.PURange{
@@ -191,6 +190,9 @@ func TestTenantShutdownSnapshotIndependent(t *testing.T) {
 			t.Fatal(err)
 		}
 		ks[1].Crash()
+		for _, k := range ks {
+			assertNoMediaErrors(t, k)
+		}
 	})
 	e.sim.Run()
 
@@ -219,6 +221,7 @@ func TestTenantShutdownSnapshotIndependent(t *testing.T) {
 			if err := k.Stop(p); err != nil {
 				t.Fatal(err)
 			}
+			assertNoMediaErrors(t, k)
 		}
 	})
 	e.sim.Run()
