@@ -29,8 +29,8 @@ import (
 type kvStore struct {
 	view  *lightnvm.MediaView
 	fmtr  ppa.Format
-	pus   []int             // partition-relative
-	index map[string]uint64 // key -> packed PPA of the value's sector
+	pus   []int             // PU indices within the view
+	index map[string]uint64 // key -> packed target PPA of the value's sector
 
 	cursor map[int]*struct{ blk, page int }
 }
@@ -53,7 +53,7 @@ func newKVStore(view *lightnvm.MediaView, pus []int) *kvStore {
 func (s *kvStore) put(p *sim.Proc, key string, value []byte) error {
 	g := s.view.Geometry()
 	pu := s.pus[len(s.index)%len(s.pus)] // spread keys across our PUs
-	ch, puIdx := s.view.PUAddr(pu)
+	ch, puIdx := s.fmtr.PUAddr(pu)
 	cur := s.cursor[pu]
 	// Program one full page on every plane (the device's write rule), with
 	// the value in the first sector.

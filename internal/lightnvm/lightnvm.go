@@ -22,7 +22,6 @@ import (
 
 	"repro/internal/ocssd"
 	"repro/internal/ppa"
-	"repro/internal/sim"
 )
 
 // PURange is a half-open range [Begin, End) of device-wide (global) PU
@@ -69,12 +68,6 @@ func (d *Device) Name() string { return d.name }
 // Geometry exposes the device geometry (sysfs analogue).
 func (d *Device) Geometry() ppa.Geometry { return d.dev.Geometry() }
 
-// Identify returns the device's full self-description.
-func (d *Device) Identify() ocssd.Identify { return d.dev.Identify() }
-
-// Env returns the device's simulation environment.
-func (d *Device) Env() *sim.Env { return d.dev.Env() }
-
 // Reserve hands out a MediaView named name over PU range r (zero = the
 // whole device), the only way to obtain one. The PUs are the view's alone
 // until it is released: a target's Stop, Shutdown and Crash release its
@@ -105,6 +98,7 @@ func (d *Device) Reserve(name string, r PURange) (*MediaView, error) {
 	v := &MediaView{
 		ln: d, dev: d.dev, fmtr: d.dev.Format(), tag: name,
 		begin: r.Begin, end: r.End, full: r.Width() == total,
+		ppc: d.dev.Geometry().PUsPerChannel,
 	}
 	for pu := r.Begin; pu < r.End; pu++ {
 		d.owners[pu] = v

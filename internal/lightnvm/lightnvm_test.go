@@ -1,10 +1,13 @@
 package lightnvm
 
 import (
+	"bytes"
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
+	"repro/internal/nand"
 	"repro/internal/ocssd"
 	"repro/internal/ppa"
 	"repro/internal/sim"
@@ -46,18 +49,12 @@ func mount(p *sim.Proc, d *Device, name string, r PURange, fail bool) (*MediaVie
 }
 
 func TestGeometryExposed(t *testing.T) {
-	_, d, dev := newDevice(t)
+	_, d, _ := newDevice(t)
 	if d.Name() != "nvme0n1" {
 		t.Fatal("name")
 	}
 	if d.Geometry().Channels != 2 {
 		t.Fatal("geometry not exposed")
-	}
-	if d.Identify().MaxVectorLen != ocssd.MaxVectorLen {
-		t.Fatal("identify not exposed")
-	}
-	if d.Env() != dev.Env() {
-		t.Fatal("env not exposed")
 	}
 }
 
@@ -155,8 +152,8 @@ func TestPartitionedCreateAndOverlap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.PUs() != 2 || a.GlobalPU(1) != 1 || b.PUs() != 2 || b.GlobalPU(0) != 2 {
-		t.Fatalf("view translation wrong: a=%v b=%v", a.Range(), b.Range())
+	if a.PUs() != 2 || b.PUs() != 2 || b.Range().Begin != 2 {
+		t.Fatalf("view ranges wrong: a=%v b=%v", a.Range(), b.Range())
 	}
 	// Releasing a frees its PUs for a new tenant.
 	a.Release()
@@ -204,7 +201,7 @@ func TestMediaViewSubmitRejectsOutOfPartition(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// PU 2 lives at ch 1, pu 0 on this 2x2 device: outside the view.
+		// Target PU 2 (ch 1, pu 0 on this 2x2 device) is past the view's two.
 		ch, pu := dev.Format().PUAddr(2)
 		bad := ppa.Addr{Ch: ch, PU: pu}
 		c := v.Do(p, &ocssd.Vector{Op: ocssd.OpRead, Addrs: []ppa.Addr{bad}})
@@ -218,19 +215,98 @@ func TestMediaViewSubmitRejectsOutOfPartition(t *testing.T) {
 		if async == nil || !errors.Is(async.FirstErr(), ErrOutOfPartition) {
 			t.Fatalf("out-of-partition Submit completed with %+v", async)
 		}
-		if !v.Contains(ppa.Addr{}) || v.Contains(bad) {
-			t.Fatal("Contains wrong")
-		}
 		// In-partition I/O passes through.
 		good := v.Do(p, &ocssd.Vector{Op: ocssd.OpErase, Addrs: []ppa.Addr{{}}})
 		if good.Failed() {
 			t.Fatalf("in-partition erase failed: %v", good.FirstErr())
 		}
-		if v.RelativePU(v.GlobalPU(1)) != 1 {
-			t.Fatal("PU translation not inverse")
-		}
 		if v.Die(0) != dev.Die(0) {
 			t.Fatal("Die translation wrong")
+		}
+	})
+	env.Run()
+}
+
+// TestMediaViewTranslatesAtSubmit pins the view's address contract on a
+// partition that starts past PU 0 and straddles the channels: a target
+// addresses PUs 0..PUs()-1, its I/O lands on device PU Range().Begin + that
+// index, the vector it submitted holds its own addresses again once Submit
+// or Do returns and when the completion runs, and an address past the
+// partition, or with a PU field that would alias the next channel, fails
+// with ErrOutOfPartition.
+func TestMediaViewTranslatesAtSubmit(t *testing.T) {
+	env, d, dev := newDevice(t)
+	f := dev.Format()
+	v, err := d.Reserve("a", PURange{1, 4}) // ch 0 pu 1, ch 1 pu 0, ch 1 pu 1
+	if err != nil {
+		t.Fatal(err)
+	}
+	for rel := 0; rel < v.PUs(); rel++ {
+		if v.Die(rel) != dev.Die(1+rel) {
+			t.Fatalf("Die(%d) is not device die %d", rel, 1+rel)
+		}
+	}
+	// One page on plane 0 of block 0 of every PU of the view, each sector
+	// carrying its target PU index.
+	var in []ppa.Addr
+	var data [][]byte
+	for rel := 0; rel < v.PUs(); rel++ {
+		ch, pu := f.PUAddr(rel)
+		for s := 0; s < 4; s++ {
+			in = append(in, ppa.Addr{Ch: ch, PU: pu, Sector: s})
+			data = append(data, bytes.Repeat([]byte{byte(1 + rel)}, 4096))
+		}
+	}
+	env.Go("main", func(p *sim.Proc) {
+		write := &ocssd.Vector{Op: ocssd.OpWrite, Addrs: slices.Clone(in), Data: data}
+		done := env.NewEvent()
+		v.Submit(write, func(c *ocssd.Completion) {
+			if c.Failed() {
+				t.Errorf("write through the view: %v", c.FirstErr())
+			}
+			if !slices.Equal(write.Addrs, in) {
+				t.Errorf("addresses at completion %v, want %v", write.Addrs, in)
+			}
+			done.Signal()
+		})
+		if !slices.Equal(write.Addrs, in) {
+			t.Errorf("addresses after Submit %v, want %v", write.Addrs, in)
+		}
+		p.Wait(done)
+		for rel := 0; rel < v.PUs(); rel++ {
+			got, _, err := dev.Die(1+rel).Read(0, 0, 0)
+			if err != nil || len(got) == 0 || got[0] != byte(1+rel) {
+				t.Errorf("device die %d does not hold target PU %d's page (err %v)", 1+rel, rel, err)
+			}
+		}
+		if _, _, err := dev.Die(0).Read(0, 0, 0); !errors.Is(err, nand.ErrUnwritten) {
+			t.Errorf("device die 0, outside the view, was written (%v)", err)
+		}
+		read := &ocssd.Vector{Op: ocssd.OpRead, Addrs: slices.Clone(in)}
+		c := v.Do(p, read)
+		for i := range in {
+			if c.Errs[i] != nil || len(c.Data[i]) == 0 || c.Data[i][0] != data[i][0] {
+				t.Fatalf("read of %v through the view: %v", in[i], c.Errs[i])
+			}
+		}
+		if !slices.Equal(read.Addrs, in) {
+			t.Errorf("addresses after Do %v, want %v", read.Addrs, in)
+		}
+		// Each bad address rides behind a good one, which must come back
+		// in target form: a rejected command restores what it translated.
+		for _, bad := range []ppa.Addr{
+			{Ch: 1, PU: 1},  // target PU 3 of 3
+			{Ch: 0, PU: 2},  // PU field past the channel: aliases target PU 2
+			{Ch: 2, PU: -1}, // negative PU field: aliases target PU 3
+		} {
+			addrs := []ppa.Addr{in[0], bad}
+			c := v.Do(p, &ocssd.Vector{Op: ocssd.OpRead, Addrs: addrs})
+			if !errors.Is(c.Errs[0], ErrOutOfPartition) || !errors.Is(c.Errs[1], ErrOutOfPartition) {
+				t.Errorf("%v: read completed with %v, want ErrOutOfPartition", bad, c.Errs)
+			}
+			if addrs[0] != in[0] || addrs[1] != bad {
+				t.Errorf("%v: rejected command left addresses %v", bad, addrs)
+			}
 		}
 	})
 	env.Run()

@@ -11,26 +11,27 @@ import (
 )
 
 // ErrOutOfPartition is returned (per address) when a vector command
-// touches a PU outside the submitting view's partition.
+// addresses a PU outside the submitting view's partition.
 var ErrOutOfPartition = errors.New("lightnvm: address outside target partition")
 
 // MediaView is a target's window onto a device: the PU range Reserve
-// granted it, addressed with partition-relative PU indices 0..PUs()-1. All
-// target device I/O goes through the view — Submit rejects any PPA whose
-// PU lies outside the partition, so a target can never touch a sibling's
-// media — and the view translates between relative and global PU
-// numbering, which lets the target's internal structures (pblk's group
-// table, lane spans, read fan-out lists) stay dense and partition-local.
+// granted it. A target builds, stores and decodes only target addresses:
+// the device's own ppa.Format, with the PU index (Format.PUIndex) counting
+// 0..PUs()-1 through the partition. Only Range() states where the
+// partition lies on the device.
 //
-// Views over the full device behave exactly like the raw device plus the
-// bounds check, so a single-target setup is unchanged.
+// All target device I/O goes through the view, and Submit and Do are the
+// one place a target address becomes a device address (toDevice). A view
+// over the whole device is the identity, so a single-target setup pays
+// nothing per address.
 type MediaView struct {
 	ln         *Device // the reserving device, for Release
 	dev        *ocssd.Device
 	fmtr       ppa.Format
 	tag        string // reservation name
-	begin, end int    // global PU range [begin, end)
-	full       bool   // covers the whole device: Submit skips the bounds loop
+	begin, end int    // device PU range [begin, end)
+	ppc        int    // the device's PUs per channel
+	full       bool   // covers the whole device: Submit skips toDevice
 }
 
 // Release gives the view's PUs and name back to the device; a later
@@ -51,7 +52,7 @@ func (v *MediaView) Release() {
 // Name returns the name the view was reserved under.
 func (v *MediaView) Name() string { return v.tag }
 
-// Range returns the partition's global PU range.
+// Range returns the partition's device PU range.
 func (v *MediaView) Range() PURange { return PURange{v.begin, v.end} }
 
 // PUs returns the number of parallel units in the partition.
@@ -72,48 +73,33 @@ func (v *MediaView) SectorOOBSize() int { return v.dev.SectorOOBSize() }
 // Env returns the simulation environment the device runs in.
 func (v *MediaView) Env() *sim.Env { return v.dev.Env() }
 
-// GlobalPU translates a partition-relative PU index to the device-wide
-// index.
-func (v *MediaView) GlobalPU(rel int) int { return v.begin + rel }
-
-// RelativePU translates a device-wide PU index into the partition.
-func (v *MediaView) RelativePU(gpu int) int { return gpu - v.begin }
-
-// PUAddr returns the channel and in-channel PU for a partition-relative
-// PU index, for building PPAs.
-func (v *MediaView) PUAddr(rel int) (ch, pu int) { return v.fmtr.PUAddr(v.begin + rel) }
-
 // Die exposes the NAND die behind a partition-relative PU index, used by
 // host recovery scans and tests; production datapaths go through Submit.
 func (v *MediaView) Die(rel int) *nand.Die { return v.dev.Die(v.begin + rel) }
 
-// Contains reports whether a lies inside the partition.
-func (v *MediaView) Contains(a ppa.Addr) bool {
-	gpu := v.fmtr.GlobalPU(a)
-	return gpu >= v.begin && gpu < v.end
-}
-
-// admit is the subsystem's one partition check: a command touching any PU
-// outside the view gets back a completion that fails every address with
-// ErrOutOfPartition, and never reaches the device. No accessor hands a
-// target the device itself, so every command a target issues passes here.
-func (v *MediaView) admit(cmd *ocssd.Vector) (rejected *ocssd.Completion) {
-	if v.full {
-		// Whole-device view: the partition check cannot fail and the
-		// device validates raw bounds itself, so the single-target fast
-		// path pays nothing per address.
-		return nil
-	}
-	return v.outside(cmd)
-}
-
-// outside is admit's per-address check, kept out of line so that admit
-// inlines into Submit and Do.
-func (v *MediaView) outside(cmd *ocssd.Vector) *ocssd.Completion {
-	for _, a := range cmd.Addrs {
-		if gpu := v.fmtr.GlobalPU(a); gpu < v.begin || gpu >= v.end {
+// toDevice is the subsystem's one partition check and its one PU
+// translation, run on a partial view. Each address whose PU index is below
+// PUs() and whose PU field is below PUsPerChannel (a larger one would alias
+// the next channel) has its Ch and PU rewritten in place to device PU
+// begin + index. At the first address that fails, toDevice restores those
+// it rewrote and returns a completion that fails every address with
+// ErrOutOfPartition; the command never reaches the device. No accessor
+// hands a target the device itself, so every command a target issues
+// passes here.
+//
+// Submit and Do put the target form back (toTarget) once the device has
+// the command, so completions and the code that reads addresses back off a
+// vector (pblk's scrub and write-error paths) see target addresses only.
+// That is sound because the device reads an address's Ch and PU only
+// inside Submit (ocssd's validate).
+func (v *MediaView) toDevice(cmd *ocssd.Vector) (rejected *ocssd.Completion) {
+	for i := range cmd.Addrs {
+		a := &cmd.Addrs[i]
+		pu := v.fmtr.PUIndex(*a)
+		if uint(pu) >= uint(v.end-v.begin) || uint(a.PU) >= uint(v.ppc) {
+			err := fmt.Errorf("%w: %v (pu %d outside a %d-PU view)", ErrOutOfPartition, *a, pu, v.end-v.begin)
+			v.toTarget(cmd.Addrs[:i])
 			comp := &ocssd.Completion{Errs: make([]error, len(cmd.Addrs))}
-			err := fmt.Errorf("%w: %v (pu %d outside %v)", ErrOutOfPartition, a, gpu, v.Range())
 			for i := range comp.Errs {
 				comp.Errs[i] = err
 				comp.Status |= 1 << uint(i)
@@ -121,28 +107,49 @@ func (v *MediaView) outside(cmd *ocssd.Vector) *ocssd.Completion {
 			comp.Done = v.dev.Env().Now()
 			return comp
 		}
+		a.Ch, a.PU = v.fmtr.PUAddr(v.begin + pu)
 	}
 	return nil
 }
 
+// toTarget undoes toDevice on addrs.
+func (v *MediaView) toTarget(addrs []ppa.Addr) {
+	for i := range addrs {
+		a := &addrs[i]
+		a.Ch, a.PU = v.fmtr.PUAddr(v.fmtr.PUIndex(*a) - v.begin)
+	}
+}
+
 // Submit issues a vector command asynchronously through the partition; a
-// command admit rejects completes on the next event of the same instant.
+// command the view rejects completes on the next event of the same
+// instant. The device never completes a command inside its Submit, so done
+// sees the target addresses.
 func (v *MediaView) Submit(cmd *ocssd.Vector, done func(*ocssd.Completion)) {
-	if comp := v.admit(cmd); comp != nil {
+	if v.full {
+		v.dev.Submit(cmd, done)
+		return
+	}
+	if comp := v.toDevice(cmd); comp != nil {
 		v.dev.Env().Schedule(0, func() { done(comp) })
 		return
 	}
 	v.dev.Submit(cmd, done)
+	v.toTarget(cmd.Addrs)
 }
 
 // Do submits cmd through the partition and blocks the calling process
-// until completion.
+// until completion; the addresses are back in target form when it returns.
 func (v *MediaView) Do(p *sim.Proc, cmd *ocssd.Vector) *ocssd.Completion {
-	if comp := v.admit(cmd); comp != nil {
+	if v.full {
+		return v.dev.Do(p, cmd)
+	}
+	if comp := v.toDevice(cmd); comp != nil {
 		p.Yield()
 		return comp
 	}
-	return v.dev.Do(p, cmd)
+	c := v.dev.Do(p, cmd)
+	v.toTarget(cmd.Addrs)
+	return c
 }
 
 // Recycle returns a completion to the device pool.

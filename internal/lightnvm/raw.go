@@ -30,6 +30,7 @@ type Raw struct {
 	*blockdev.SyncAdapter // OpenQueue and the blocking Read/Write/Flush/Trim, over issue
 	view                  *MediaView
 	geo                   ppa.Geometry
+	fmtr                  ppa.Format
 	unit                  int64 // sectors per write unit
 	lanes                 []rawLane
 }
@@ -39,7 +40,7 @@ var _ blockdev.Device = (*Raw)(nil)
 // NewRaw mounts a raw target on a reserved view.
 func NewRaw(view *MediaView) *Raw {
 	g := view.Geometry()
-	r := &Raw{view: view, geo: g, unit: int64(g.PlanesPerPU * g.SectorsPerPage), lanes: make([]rawLane, view.PUs())}
+	r := &Raw{view: view, geo: g, fmtr: view.Format(), unit: int64(g.PlanesPerPU * g.SectorsPerPage), lanes: make([]rawLane, view.PUs())}
 	r.SyncAdapter = blockdev.NewSyncAdapter(view.Env(), r, r.issue)
 	return r
 }
@@ -60,12 +61,12 @@ func (r *Raw) BlockBytes(n int) int64 {
 	return int64(n) * int64(len(r.lanes)) * int64(r.geo.PlanesPerPU) * r.geo.BlockBytes()
 }
 
-// unitAddr returns the PU (partition-relative) and the plane-0, sector-0
-// address of write unit u.
+// unitAddr returns the PU index and the plane-0, sector-0 target address
+// of write unit u.
 func (r *Raw) unitAddr(u int64) (pu int, a ppa.Addr) {
 	n := int64(len(r.lanes))
 	pu, row := int(u%n), int(u/n)
-	a.Ch, a.PU = r.view.PUAddr(pu)
+	a.Ch, a.PU = r.fmtr.PUAddr(pu)
 	a.Block, a.Page = row/r.geo.PagesPerBlock, row%r.geo.PagesPerBlock
 	return pu, a
 }

@@ -49,15 +49,15 @@ func TestRawMapIsABijectionOntoTheView(t *testing.T) {
 	env, ln := rawDevice(t, 0)
 	env.Go("main", func(p *sim.Proc) {
 		raw := mustRaw(ln, "raw0", 1, 3) // straddles the two channels
-		f, seen := raw.view.Format(), map[int64]bool{}
+		f, seen := raw.view.Format(), map[uint64]bool{}
 		sectors := raw.Capacity() / int64(raw.SectorSize())
 		for lba := int64(0); lba < sectors; lba++ {
 			a := raw.addr(lba)
-			if !f.Valid(a) || !raw.view.Contains(a) || seen[f.SectorIndex(a)] {
+			if !f.Valid(a) || f.PUIndex(a) >= raw.view.PUs() || seen[f.Encode(a)] {
 				t.Errorf("lba %d -> %v: invalid, outside the view, or mapped twice", lba, a)
 				return
 			}
-			seen[f.SectorIndex(a)] = true
+			seen[f.Encode(a)] = true
 		}
 		if want := 2 * raw.geo.PUBytes() / int64(raw.SectorSize()); sectors != want {
 			t.Errorf("map covers %d sectors, the view has %d", sectors, want)

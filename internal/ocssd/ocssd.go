@@ -407,7 +407,12 @@ func (d *Device) validate(cmd *Vector) error {
 		if !d.fmtr.Valid(a) {
 			return fmt.Errorf("%w: %v", ErrInvalidAddr, a)
 		}
-		d.gpuOf[i] = d.fmtr.GlobalPU(a)
+		// The device's one read of an address's channel and PU: Submit
+		// splits the command by gpuOf, and its tasks read only the plane,
+		// block, page and sector fields. A partial lightnvm.MediaView relies
+		// on this to rewrite a target's Ch and PU to device form in place
+		// and restore them as soon as Submit returns.
+		d.gpuOf[i] = d.fmtr.PUIndex(a)
 	}
 	if cmd.Op == OpWrite {
 		oobMax := d.SectorOOBSize()

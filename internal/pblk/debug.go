@@ -237,15 +237,15 @@ func (k *Pblk) CheckInvariants() error {
 		}
 	}
 	free := 0
-	for gpu := range k.freePerPU {
-		q := &k.freePerPU[gpu]
+	for pu := range k.freePerPU {
+		q := &k.freePerPU[pu]
 		for i := 0; i < q.Len(); i++ {
 			g := k.groups[q.At(i)]
 			if g.state != stFree {
-				return fmt.Errorf("free list of PU %d holds group %d in state %v", gpu, g.id, g.state)
+				return fmt.Errorf("free list of PU %d holds group %d in state %v", pu, g.id, g.state)
 			}
-			if g.gpu != gpu {
-				return fmt.Errorf("free list of PU %d holds foreign group %d (pu %d)", gpu, g.id, g.gpu)
+			if g.pu != pu {
+				return fmt.Errorf("free list of PU %d holds foreign group %d (pu %d)", pu, g.id, g.pu)
 			}
 			free++
 		}

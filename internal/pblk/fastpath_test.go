@@ -162,11 +162,11 @@ func TestScanReclaimsForeignAndTornGroups(t *testing.T) {
 				if wornOut {
 					wantPE = 2
 				}
-				if pe := e.dev.Die(g.gpu).PECycles(0, g.blk); g.state != want || pe != wantPE {
+				if pe := e.dev.Die(g.pu).PECycles(0, g.blk); g.state != want || pe != wantPE {
 					t.Errorf("planted group %d: state %v, P/E %d; want %v, %d", g.id, g.state, pe, want, wantPE)
 				}
 				for pl := 0; want == stFree && pl < geo.PlanesPerPU; pl++ {
-					if _, _, err := e.dev.Die(g.gpu).Read(pl, g.blk, 0); !errors.Is(err, nand.ErrUnwritten) {
+					if _, _, err := e.dev.Die(g.pu).Read(pl, g.blk, 0); !errors.Is(err, nand.ErrUnwritten) {
 						t.Errorf("planted group %d plane %d: page 0 reads %v after reclaim, want ErrUnwritten", g.id, pl, err)
 					}
 				}

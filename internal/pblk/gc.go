@@ -417,7 +417,7 @@ func (k *Pblk) pickVictim(maxValidFrac float64) (victim *group, anyGarbage bool)
 		if best == nil || score > bestScore {
 			best, bestScore = g, score
 		}
-		if k.freePerPU[g.gpu].Len() == 0 && (bestNeedy == nil || score > bestNeedyScore) {
+		if k.freePerPU[g.pu].Len() == 0 && (bestNeedy == nil || score > bestNeedyScore) {
 			bestNeedy, bestNeedyScore = g, score
 		}
 	}
@@ -446,7 +446,7 @@ func (k *Pblk) recycle(p *sim.Proc, m *gcMover) {
 	}
 	if retire {
 		// Write failures condemn the block (§4.2.3).
-		die := k.dev.Die(g.gpu)
+		die := k.dev.Die(g.pu)
 		for pl := 0; pl < k.geo.PlanesPerPU; pl++ {
 			if err := die.MarkBad(pl, g.blk); err != nil {
 				break
@@ -633,6 +633,6 @@ func (k *Pblk) sectorAddr(g *group, dataIdx int) ppa.Addr {
 	within := dataIdx % k.unitSectors
 	plane := within / k.geo.SectorsPerPage
 	sector := within % k.geo.SectorsPerPage
-	ch, pu := k.dev.PUAddr(g.gpu)
+	ch, pu := k.fmtr.PUAddr(g.pu)
 	return ppa.Addr{Ch: ch, PU: pu, Plane: plane, Block: g.blk, Page: unit, Sector: sector}
 }

@@ -132,7 +132,9 @@ func TestSetActivePUsUnderQueueTraffic(t *testing.T) {
 		if k.ActivePUs() != 4 {
 			t.Fatalf("active PUs = %d after retunes", k.ActivePUs())
 		}
-		k.Stop(p)
+		if err := k.Stop(p); err != nil {
+			t.Fatal(err)
+		}
 	})
 }
 

@@ -5,17 +5,15 @@ import (
 	"repro/internal/sim"
 )
 
-// groupOf returns the group containing address a. The group table is
-// indexed by partition-relative PU, so the device-global PU of a is
-// translated through the media view first.
+// groupOf returns the group containing address a.
 func (k *Pblk) groupOf(a ppa.Addr) *group {
-	return k.groupAt(k.fmtr.GlobalPU(a), a.Block)
+	return k.groupAt(k.fmtr.PUIndex(a), a.Block)
 }
 
-// groupAt returns the group of block blk on device-global PU gpu: the one
-// place the group table's layout is written out.
-func (k *Pblk) groupAt(gpu, blk int) *group {
-	return k.groups[k.dev.RelativePU(gpu)*k.geo.BlocksPerPlane+blk]
+// groupAt returns the group of block blk on PU pu: the one place the group
+// table's layout is written out.
+func (k *Pblk) groupAt(pu, blk int) *group {
+	return k.groups[pu*k.geo.BlocksPerPlane+blk]
 }
 
 // unitAddrs lists the sector addresses of one write unit: page `unit` on
@@ -30,7 +28,7 @@ func (k *Pblk) unitAddrs(g *group, unit int) []ppa.Addr {
 // addresses; the allocation-free form for the pooled write path.
 func (k *Pblk) unitAddrsInto(dst []ppa.Addr, g *group, unit int) []ppa.Addr {
 	dst = dst[:0]
-	ch, pu := k.dev.PUAddr(g.gpu)
+	ch, pu := k.fmtr.PUAddr(g.pu)
 	for pl := 0; pl < k.geo.PlanesPerPU; pl++ {
 		for s := 0; s < k.geo.SectorsPerPage; s++ {
 			dst = append(dst, ppa.Addr{Ch: ch, PU: pu, Plane: pl, Block: g.blk, Page: unit, Sector: s})
@@ -42,15 +40,15 @@ func (k *Pblk) unitAddrsInto(dst []ppa.Addr, g *group, unit int) []ppa.Addr {
 // firstMetaUnit returns the unit index where close metadata begins.
 func (k *Pblk) firstMetaUnit() int { return k.unitsPerGroup - k.metaUnits }
 
-// takeFreeGroup removes and returns the free group at the head of gpu's
+// takeFreeGroup removes and returns the free group at the head of pu's
 // free list, or nil. The list is FIFO, as kernel pblk's free_list is: a
 // recycled group joins the tail, so every free group is used before any is
 // reused, which spreads erases over a PU's blocks without counting them.
-func (k *Pblk) takeFreeGroup(gpu int) *group {
-	if k.freePerPU[gpu].Len() == 0 {
+func (k *Pblk) takeFreeGroup(pu int) *group {
+	if k.freePerPU[pu].Len() == 0 {
 		return nil
 	}
-	id := k.freePerPU[gpu].Pop()
+	id := k.freePerPU[pu].Pop()
 	k.freeGroups--
 	k.rl.update(k.freeGroups)
 	k.maybeKickGC()
@@ -68,7 +66,7 @@ func (k *Pblk) returnFreeGroup(g *group) {
 	g.retryHints = 0
 	g.scrubQueued = false
 	clear(g.pending)
-	k.freePerPU[g.gpu].Push(g.id)
+	k.freePerPU[g.pu].Push(g.id)
 	k.freeGroups++
 	k.rl.update(k.freeGroups)
 	k.rb.signalSpace() // user admission may have been gated on free blocks
@@ -92,15 +90,15 @@ func (k *Pblk) openGroupOn(p *sim.Proc, s *slot, st int) *group {
 	for {
 		span := s.puHi - s.puLo
 		for i := 0; i < span; i++ {
-			gpu := s.puLo + (s.curPU-s.puLo+i)%span
-			if g := k.takeFreeGroup(gpu); g != nil {
-				s.curPU = gpu
+			pu := s.puLo + (s.curPU-s.puLo+i)%span
+			if g := k.takeFreeGroup(pu); g != nil {
+				s.curPU = pu
 				k.openGroup(g, st)
 				return g
 			}
 		}
-		for gpu := range k.freePerPU {
-			if g := k.takeFreeGroup(gpu); g != nil {
+		for pu := range k.freePerPU {
+			if g := k.takeFreeGroup(pu); g != nil {
 				k.openGroup(g, st)
 				return g
 			}

@@ -35,7 +35,7 @@ func TestDynamicWearLeveling(t *testing.T) {
 			if g.state == stSys || g.state == stBad {
 				continue
 			}
-			pe := k.dev.Die(g.gpu).PECycles(0, g.blk)
+			pe := k.dev.Die(g.pu).PECycles(0, g.blk)
 			if pe == 0 {
 				continue
 			}

@@ -17,7 +17,9 @@ func metaHarness(t *testing.T) *Pblk {
 	var k *Pblk
 	e.run(func(p *sim.Proc) {
 		k = e.newPblk(p, Config{ActivePUs: 4})
-		k.Stop(p)
+		if err := k.Stop(p); err != nil {
+			t.Fatal(err)
+		}
 	})
 	return k
 }

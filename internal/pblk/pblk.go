@@ -175,7 +175,7 @@ func (s groupState) String() string {
 // erased and programmed together (multi-plane operation unit).
 type group struct {
 	id     int
-	gpu    int // partition-relative PU (the media view translates to global)
+	pu     int // PU index within the partition
 	blk    int // block index within each plane
 	state  groupState
 	seq    uint64 // allocation sequence number, for recovery ordering
@@ -297,13 +297,14 @@ type flushReq struct {
 // methods must be called from simulation context.
 //
 // A pblk instance owns a partition of the device — a contiguous PU range
-// wrapped in a lightnvm.MediaView — and every PU index inside pblk (group
-// table, lane spans, read fan-out, recovery scan) is partition-relative:
-// 0..nPUs-1. The view translates to device-global PUs at the submission
-// boundary and rejects any address outside the partition, so several pblk
-// instances coexist on one device without seeing each other's media. The
-// instance holds the view and nothing that returns the ocssd.Device behind
-// it, so that check is its only path to the media.
+// wrapped in a lightnvm.MediaView — and every address pblk builds, stores
+// in its L2P or metadata and decodes is a target address: its PU index
+// (group table, lane spans, read fan-out, recovery scan) counts 0..nPUs-1
+// through the partition. The view translates to device PUs at the
+// submission boundary and rejects any address outside the partition, so
+// several pblk instances coexist on one device without seeing each other's
+// media. The instance holds the view and nothing that returns the
+// ocssd.Device behind it, so that check is its only path to the media.
 type Pblk struct {
 	*blockdev.SyncAdapter // OpenQueue and the blocking Device calls, over IssueAsync
 
@@ -601,14 +602,14 @@ func (k *Pblk) initGroups() {
 	// One slab for all group structs: at fleet geometries the table runs
 	// to thousands of entries, and per-entry allocations dominate mount.
 	slab := make([]group, nPU*perPU)
-	for gpu := 0; gpu < nPU; gpu++ {
+	for pu := 0; pu < nPU; pu++ {
 		for b := 0; b < perPU; b++ {
-			id := gpu*perPU + b
+			id := pu*perPU + b
 			g := &slab[id]
-			*g = group{id: id, gpu: gpu, blk: b, state: stFree, prev: -1,
+			*g = group{id: id, pu: pu, blk: b, state: stFree, prev: -1,
 				mover: fmt.Sprintf("pblk.%s.gcmove%d", k.name, id)}
 			k.groups[id] = g
-			if gpu == 0 && b == 0 {
+			if pu == 0 && b == 0 {
 				g.state = stSys
 				continue
 			}
@@ -617,7 +618,7 @@ func (k *Pblk) initGroups() {
 				k.Stats.BadBlocks++
 				continue
 			}
-			k.freePerPU[gpu].Push(id)
+			k.freePerPU[pu].Push(id)
 			k.freeGroups++
 			k.usableGroups++
 		}
@@ -626,7 +627,7 @@ func (k *Pblk) initGroups() {
 
 // groupFactoryBad reports whether any plane block of the group is bad.
 func (k *Pblk) groupFactoryBad(g *group) bool {
-	die := k.dev.Die(g.gpu)
+	die := k.dev.Die(g.pu)
 	for pl := 0; pl < k.geo.PlanesPerPU; pl++ {
 		if die.IsBad(pl, g.blk) {
 			return true
@@ -715,7 +716,7 @@ func (k *Pblk) EraseUnitBytes() int64 {
 	return int64(k.dataSectors) * int64(k.geo.SectorSize)
 }
 
-// Partition returns the global PU range this instance owns.
+// Partition returns the device PU range this instance owns.
 func (k *Pblk) Partition() lightnvm.PURange { return k.dev.Range() }
 
 // MediaView returns the partition view the instance performs I/O through.

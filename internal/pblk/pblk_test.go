@@ -170,7 +170,9 @@ func TestFlushDurability(t *testing.T) {
 		if k.Stats.Flushes != 1 {
 			t.Fatalf("flushes = %d", k.Stats.Flushes)
 		}
-		k.Stop(p)
+		if err := k.Stop(p); err != nil {
+			t.Fatal(err)
+		}
 	})
 }
 
@@ -226,7 +228,9 @@ func TestCacheReadsServedFromBuffer(t *testing.T) {
 	e.run(func(p *sim.Proc) {
 		k := e.newPblk(p, Config{ActivePUs: 4})
 		defer k.Stop(p)
-		k.Write(p, 0, fill(4096, 1), 4096)
+		if err := k.Write(p, 0, fill(4096, 1), 4096); err != nil {
+			t.Fatal(err)
+		}
 		start := e.sim.Now()
 		got := make([]byte, 4096)
 		if err := k.Read(p, 0, got, 4096); err != nil {
@@ -246,7 +250,9 @@ func TestTrim(t *testing.T) {
 	e.run(func(p *sim.Proc) {
 		k := e.newPblk(p, Config{ActivePUs: 4})
 		defer k.Stop(p)
-		k.Write(p, 0, fill(4096, 7), 4096)
+		if err := k.Write(p, 0, fill(4096, 7), 4096); err != nil {
+			t.Fatal(err)
+		}
 		if err := k.Flush(p); err != nil {
 			t.Fatal(err)
 		}
@@ -523,14 +529,18 @@ func TestSetActivePUs(t *testing.T) {
 		if k.ActivePUs() != 4 {
 			t.Fatalf("default active PUs = %d, want all 4", k.ActivePUs())
 		}
-		k.Write(p, 0, fill(16384, 1), 16384)
+		if err := k.Write(p, 0, fill(16384, 1), 16384); err != nil {
+			t.Fatal(err)
+		}
 		if err := k.SetActivePUs(p, 2); err != nil {
 			t.Fatal(err)
 		}
 		if k.ActivePUs() != 2 {
 			t.Fatal("SetActivePUs did not take effect")
 		}
-		k.Write(p, 65536, fill(16384, 2), 16384)
+		if err := k.Write(p, 65536, fill(16384, 2), 16384); err != nil {
+			t.Fatal(err)
+		}
 		if err := k.Flush(p); err != nil {
 			t.Fatal(err)
 		}
@@ -645,7 +655,9 @@ func TestStripingUsesAllActivePUs(t *testing.T) {
 		defer k.Stop(p)
 		// Write enough for one unit per PU.
 		unitBytes := int64(k.unitSectors) * 4096
-		k.Write(p, 0, nil, unitBytes*4)
+		if err := k.Write(p, 0, nil, unitBytes*4); err != nil {
+			t.Fatal(err)
+		}
 		if err := k.Flush(p); err != nil {
 			t.Fatal(err)
 		}
@@ -654,7 +666,7 @@ func TestStripingUsesAllActivePUs(t *testing.T) {
 		for lba := int64(0); lba < unitBytes*4/ss; lba++ {
 			v := k.l2p[lba]
 			if isMedia(v) {
-				used[k.fmtr.GlobalPU(k.mediaAddr(v))] = true
+				used[k.fmtr.PUIndex(k.mediaAddr(v))] = true
 			}
 		}
 		if len(used) != 4 {
@@ -667,7 +679,9 @@ func TestStopRejectsFurtherIO(t *testing.T) {
 	e := newEnv(t, testDeviceConfig())
 	e.run(func(p *sim.Proc) {
 		k := e.newPblk(p, Config{ActivePUs: 4})
-		k.Write(p, 0, nil, 4096)
+		if err := k.Write(p, 0, nil, 4096); err != nil {
+			t.Fatal(err)
+		}
 		if err := k.Stop(p); err != nil {
 			t.Fatal(err)
 		}
@@ -764,7 +778,9 @@ func TestPaddingAccountedOnFlushHeavyWorkload(t *testing.T) {
 		k := e.newPblk(p, Config{ActivePUs: 4})
 		defer k.Stop(p)
 		for i := 0; i < 50; i++ {
-			k.Write(p, int64(i)*4096, nil, 4096)
+			if err := k.Write(p, int64(i)*4096, nil, 4096); err != nil {
+				t.Fatal(err)
+			}
 			if err := k.Flush(p); err != nil {
 				t.Fatal(err)
 			}

@@ -29,7 +29,7 @@ func (k *Pblk) mediaAddr(v uint64) ppa.Addr { return k.fmtr.Decode(v &^ l2pMedia
 // packed PU and block fields without decoding the address.
 func (k *Pblk) groupOfEntry(v uint64) *group {
 	a := v &^ l2pMediaBit
-	return k.groupAt(k.fmtr.GlobalPUOf(a), k.fmtr.BlockOf(a))
+	return k.groupAt(k.fmtr.PUIndexOf(a), k.fmtr.BlockOf(a))
 }
 
 // entryState is the lifecycle of one ring-buffer entry.

@@ -103,11 +103,11 @@ func (r *readReq) resolve() {
 			}
 		case isMedia(v):
 			a := v &^ l2pMediaBit
-			rel := k.dev.RelativePU(k.fmtr.GlobalPUOf(a))
-			if len(k.readPULists[rel]) == 0 {
-				k.readPUOrder = append(k.readPUOrder, rel)
+			pu := k.fmtr.PUIndexOf(a)
+			if len(k.readPULists[pu]) == 0 {
+				k.readPUOrder = append(k.readPUOrder, pu)
 			}
-			k.readPULists[rel] = append(k.readPULists[rel], mediaSector{sector: i, ppa: a})
+			k.readPULists[pu] = append(k.readPULists[pu], mediaSector{sector: i, ppa: a})
 			media++
 		default:
 			if buf != nil {
@@ -122,8 +122,8 @@ func (r *readReq) resolve() {
 	}
 
 	r.outstanding, r.firstErr = 0, nil
-	for _, gpu := range k.readPUOrder {
-		list := k.readPULists[gpu]
+	for _, pu := range k.readPUOrder {
+		list := k.readPULists[pu]
 		for lo := 0; lo < len(list); lo += ocssd.MaxVectorLen {
 			hi := lo + ocssd.MaxVectorLen
 			if hi > len(list) {
@@ -139,7 +139,7 @@ func (r *readReq) resolve() {
 			r.outstanding++
 			k.dev.Submit(&c.vec, c.cbFn)
 		}
-		k.readPULists[gpu] = k.readPULists[gpu][:0]
+		k.readPULists[pu] = k.readPULists[pu][:0]
 	}
 	k.readPUOrder = k.readPUOrder[:0]
 }

@@ -36,7 +36,7 @@ func (k *Pblk) rebuildFreeLists() {
 	k.freeGroups = 0
 	for _, g := range k.groups {
 		if g.state == stFree {
-			k.freePerPU[g.gpu].Push(g.id)
+			k.freePerPU[g.pu].Push(g.id)
 			k.freeGroups++
 		}
 	}
@@ -339,7 +339,7 @@ func (k *Pblk) waitGroupClosed(p *sim.Proc, g *group) {
 // It counts nothing: what an erase does to Stats differs by caller
 // (recovery, GC, the snapshot area), and each keeps its own.
 func (k *Pblk) eraseGroup(p *sim.Proc, g *group) error {
-	ch, pu := k.dev.PUAddr(g.gpu)
+	ch, pu := k.fmtr.PUAddr(g.pu)
 	ms := k.metaScratches.Get() // its own: several movers can sit in Do at once
 	ms.addrs = ms.addrs[:0]
 	for pl := 0; pl < k.geo.PlanesPerPU; pl++ {

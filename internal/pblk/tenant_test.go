@@ -44,18 +44,31 @@ func createTenant(t *testing.T, p *sim.Proc, ln *lightnvm.Device, name string, r
 	return k
 }
 
-// assertConfined checks every media mapping of k's L2P points into its own
-// partition — the core disjointness property of partitioned targets.
+// assertConfined checks every media mapping of k's L2P against the media
+// itself — the core disjointness property of partitioned targets. A
+// mapping's target address names PU index pu of the partition, which is
+// device die Partition().Begin + pu (MediaView.Die); the sector there must
+// hold the mapped LBA in its OOB record. A view that translated to the
+// wrong die, or a target that kept device addresses, fails here even when
+// every stored word looks in range.
 func assertConfined(t *testing.T, k *Pblk) {
 	t.Helper()
-	r := k.Partition()
+	per := k.geo.OOBPerPage / k.geo.SectorsPerPage
 	for lba, v := range k.l2p {
 		if !isMedia(v) {
 			continue
 		}
-		gpu := k.fmtr.GlobalPU(k.mediaAddr(v))
-		if gpu < r.Begin || gpu >= r.End {
-			t.Fatalf("%s: lba %d mapped to global PU %d outside %v", k.name, lba, gpu, r)
+		a := k.mediaAddr(v)
+		pu := k.fmtr.PUIndex(a)
+		if pu >= k.nPUs {
+			t.Fatalf("%s: lba %d mapped to PU %d of a %d-PU partition", k.name, lba, pu, k.nPUs)
+		}
+		_, oob, err := k.dev.Die(pu).Read(a.Plane, a.Block, a.Page)
+		if err != nil || len(oob) < (a.Sector+1)*per {
+			t.Fatalf("%s: lba %d at %v: device die %d reads %v", k.name, lba, a, k.Partition().Begin+pu, err)
+		}
+		if got, _, _, ok := parseOOB(oob[a.Sector*per:]); !ok || got != int64(lba) {
+			t.Fatalf("%s: lba %d at %v: device die %d holds lba %d (ok %v)", k.name, lba, a, k.Partition().Begin+pu, got, ok)
 		}
 	}
 }

@@ -710,7 +710,7 @@ func (k *Pblk) handleWriteError(g *group, unit int, c *ocssd.Completion) {
 		// (checked above), and any later overwrite was admitted later, so
 		// it carries a higher stamp and still replays after the rewrite.
 		// The chunk stays in the stream of the unit that failed.
-		s := k.laneOf(g.gpu)
+		s := k.laneOf(g.pu)
 		s.retry.Push(chunk{stream: int(g.stream), poss: failed})
 		if d := s.pendingSectors(); d > s.peakDepth {
 			s.peakDepth = d
@@ -725,9 +725,9 @@ func (k *Pblk) handleWriteError(g *group, unit int, c *ocssd.Completion) {
 // index. Lanes partition the instance's PU space evenly, so the owner is
 // a single division; after a rebuild the spans change but every PU always
 // has exactly one owner.
-func (k *Pblk) laneOf(gpu int) *slot {
+func (k *Pblk) laneOf(pu int) *slot {
 	span := k.nPUs / len(k.slots)
-	return k.slots[gpu/span]
+	return k.slots[pu/span]
 }
 
 // vectorIndexOf returns the index of a packed address within its write

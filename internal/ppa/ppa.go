@@ -67,9 +67,6 @@ func (g Geometry) PUBytes() int64 {
 // TotalBytes returns the raw data capacity of the device.
 func (g Geometry) TotalBytes() int64 { return int64(g.TotalPUs()) * g.PUBytes() }
 
-// TotalSectors returns the number of addressable sectors on the device.
-func (g Geometry) TotalSectors() int64 { return g.TotalBytes() / int64(g.SectorSize) }
-
 func (g Geometry) String() string {
 	return fmt.Sprintf("geometry{ch=%d pu/ch=%d planes=%d blk/plane=%d pg/blk=%d sec/pg=%d secsz=%d oob=%d cap=%.1fGB}",
 		g.Channels, g.PUsPerChannel, g.PlanesPerPU, g.BlocksPerPlane,
@@ -167,10 +164,10 @@ func (f *Format) Decode(v uint64) Addr {
 	}
 }
 
-// GlobalPUOf returns GlobalPU(Decode(v)) without decoding the other fields.
+// PUIndexOf returns PUIndex(Decode(v)) without decoding the other fields.
 // As in Decode, every bit above the PU field is read as channel, so v must
 // carry no tag bits.
-func (f *Format) GlobalPUOf(v uint64) int {
+func (f *Format) PUIndexOf(v uint64) int {
 	return int(v>>f.chShift)*f.geo.PUsPerChannel + field(v, f.puShift, f.PUBits)
 }
 
@@ -194,43 +191,14 @@ func (f *Format) Valid(a Addr) bool {
 		a.Sector >= 0 && a.Sector < g.SectorsPerPage
 }
 
-// GlobalPU returns the device-wide PU index of a (channel-major), matching
-// the paper's PU numbering where PU0..PU7 live on channel 0.
-func (f *Format) GlobalPU(a Addr) int { return a.Ch*f.geo.PUsPerChannel + a.PU }
+// PUIndex returns the channel-major PU index of a: channel c's PUs are
+// c*PUsPerChannel through c*PUsPerChannel+PUsPerChannel-1, matching the
+// paper's numbering where PU0..PU7 live on channel 0. On a device address it
+// is the device-wide PU; on a target's address, the PU within the target's
+// partition (lightnvm.MediaView translates one into the other).
+func (f *Format) PUIndex(a Addr) int { return a.Ch*f.geo.PUsPerChannel + a.PU }
 
-// PUAddr returns the channel and in-channel PU for a device-wide PU index.
-func (f Format) PUAddr(globalPU int) (ch, pu int) {
-	return globalPU / f.geo.PUsPerChannel, globalPU % f.geo.PUsPerChannel
-}
-
-// SectorIndex flattens a into a dense 0-based sector index with no holes,
-// ordered ch, pu, plane, block, page, sector. Useful for dense host-side
-// tables over the physical space.
-func (f *Format) SectorIndex(a Addr) int64 {
-	g := &f.geo
-	idx := int64(a.Ch)
-	idx = idx*int64(g.PUsPerChannel) + int64(a.PU)
-	idx = idx*int64(g.PlanesPerPU) + int64(a.Plane)
-	idx = idx*int64(g.BlocksPerPlane) + int64(a.Block)
-	idx = idx*int64(g.PagesPerBlock) + int64(a.Page)
-	idx = idx*int64(g.SectorsPerPage) + int64(a.Sector)
-	return idx
-}
-
-// FromSectorIndex inverts SectorIndex.
-func (f *Format) FromSectorIndex(idx int64) Addr {
-	g := &f.geo
-	a := Addr{}
-	a.Sector = int(idx % int64(g.SectorsPerPage))
-	idx /= int64(g.SectorsPerPage)
-	a.Page = int(idx % int64(g.PagesPerBlock))
-	idx /= int64(g.PagesPerBlock)
-	a.Block = int(idx % int64(g.BlocksPerPlane))
-	idx /= int64(g.BlocksPerPlane)
-	a.Plane = int(idx % int64(g.PlanesPerPU))
-	idx /= int64(g.PlanesPerPU)
-	a.PU = int(idx % int64(g.PUsPerChannel))
-	idx /= int64(g.PUsPerChannel)
-	a.Ch = int(idx)
-	return a
+// PUAddr inverts PUIndex: the channel and in-channel PU of a PU index.
+func (f Format) PUAddr(index int) (ch, pu int) {
+	return index / f.geo.PUsPerChannel, index % f.geo.PUsPerChannel
 }

@@ -42,9 +42,6 @@ func TestGeometryCapacity(t *testing.T) {
 	if tb := float64(g.TotalBytes()) / 1e12; tb < 2.0 || tb > 2.5 {
 		t.Fatalf("capacity = %.2f TB, want ~2.2 TB", tb)
 	}
-	if g.TotalSectors()*int64(g.SectorSize) != g.TotalBytes() {
-		t.Fatal("sector accounting inconsistent")
-	}
 }
 
 func TestBitsFor(t *testing.T) {
@@ -100,61 +97,11 @@ func TestAddressHoles(t *testing.T) {
 	}
 }
 
-func TestSectorIndexRoundTrip(t *testing.T) {
-	f, _ := NewFormat(westlake())
-	rng := rand.New(rand.NewSource(7))
-	g := westlake()
-	for i := 0; i < 2000; i++ {
-		a := Addr{
-			Ch:     rng.Intn(g.Channels),
-			PU:     rng.Intn(g.PUsPerChannel),
-			Plane:  rng.Intn(g.PlanesPerPU),
-			Block:  rng.Intn(g.BlocksPerPlane),
-			Page:   rng.Intn(g.PagesPerBlock),
-			Sector: rng.Intn(g.SectorsPerPage),
-		}
-		idx := f.SectorIndex(a)
-		if idx < 0 || idx >= g.TotalSectors() {
-			t.Fatalf("index %d out of range for %v", idx, a)
-		}
-		if back := f.FromSectorIndex(idx); back != a {
-			t.Fatalf("FromSectorIndex(%d) = %v, want %v", idx, back, a)
-		}
-	}
-}
-
-func TestSectorIndexDense(t *testing.T) {
-	g := Geometry{Channels: 2, PUsPerChannel: 2, PlanesPerPU: 2, BlocksPerPlane: 3,
-		PagesPerBlock: 4, SectorsPerPage: 2, SectorSize: 4096}
-	f, _ := NewFormat(g)
-	seen := make(map[int64]bool)
-	for ch := 0; ch < g.Channels; ch++ {
-		for pu := 0; pu < g.PUsPerChannel; pu++ {
-			for pl := 0; pl < g.PlanesPerPU; pl++ {
-				for b := 0; b < g.BlocksPerPlane; b++ {
-					for pg := 0; pg < g.PagesPerBlock; pg++ {
-						for s := 0; s < g.SectorsPerPage; s++ {
-							idx := f.SectorIndex(Addr{ch, pu, pl, b, pg, s})
-							if seen[idx] {
-								t.Fatalf("duplicate index %d", idx)
-							}
-							seen[idx] = true
-						}
-					}
-				}
-			}
-		}
-	}
-	if int64(len(seen)) != g.TotalSectors() {
-		t.Fatalf("indexed %d sectors, want %d", len(seen), g.TotalSectors())
-	}
-}
-
-func TestGlobalPU(t *testing.T) {
+func TestPUIndex(t *testing.T) {
 	f, _ := NewFormat(westlake())
 	a := Addr{Ch: 3, PU: 5}
-	if got := f.GlobalPU(a); got != 3*8+5 {
-		t.Fatalf("GlobalPU = %d, want 29", got)
+	if got := f.PUIndex(a); got != 3*8+5 {
+		t.Fatalf("PUIndex = %d, want 29", got)
 	}
 	ch, pu := f.PUAddr(29)
 	if ch != 3 || pu != 5 {
@@ -231,8 +178,8 @@ func TestPackedFieldsMatchDecode(t *testing.T) {
 			if d != a {
 				t.Fatalf("%s: Decode(Encode(%v)) = %v", name, a, d)
 			}
-			if got, want := f.GlobalPUOf(v), f.GlobalPU(d); got != want {
-				t.Fatalf("%s: GlobalPUOf(%v) = %d, want %d", name, a, got, want)
+			if got, want := f.PUIndexOf(v), f.PUIndex(d); got != want {
+				t.Fatalf("%s: PUIndexOf(%v) = %d, want %d", name, a, got, want)
 			}
 			if got := f.BlockOf(v); got != d.Block {
 				t.Fatalf("%s: BlockOf(%v) = %d", name, a, got)
@@ -267,7 +214,7 @@ func BenchmarkFormat(b *testing.B) {
 	b.Run("GroupFields", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			w := v + uint64(i&3)
-			sinkInt += f.GlobalPUOf(w)*1067 + f.BlockOf(w)
+			sinkInt += f.PUIndexOf(w)*1067 + f.BlockOf(w)
 		}
 	})
 }
