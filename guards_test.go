@@ -41,6 +41,7 @@ func TestGuards(t *testing.T) {
 		{"one free list", src.oneFreeList},
 		{"one size rule", src.oneSizeRule},
 		{"one media default", src.oneMediaDefault},
+		{"callers", src.callers},
 	} {
 		t.Run(rule.name, func(t *testing.T) {
 			errs := rule.check(t)
@@ -609,6 +610,127 @@ func (s *source) oneMediaDefault(t *testing.T) []string {
 			return true
 		})
 	}
+	return errs
+}
+
+// callers: every function, method, type, package-level var and const that a
+// non-test file of the module declares is referenced from a non-test file of
+// either module, outside its own declaration. A name only tests call is
+// surface that no experiment, command, example or benchmark runs: delete it,
+// or start its doc comment with "Test-only:" and the reason, and then a test
+// must reference it and no non-test file may. Struct fields are the stat
+// readers rule's. A method that satisfies an interface type of either module,
+// error or fmt.Stringer counts as called.
+func (s *source) callers(t *testing.T) []string {
+	type decl struct {
+		name     string
+		node     ast.Node // the whole declaration
+		testOnly bool
+	}
+	decls := map[token.Pos]*decl{}
+	var named []*types.TypeName
+	for _, f := range s.files {
+		if f.test || f.bench {
+			continue
+		}
+		pkg := f.ast.Name.Name
+		add := func(id *ast.Ident, node ast.Node, doc *ast.CommentGroup, name string) {
+			if id.Name == "_" {
+				return
+			}
+			decls[id.Pos()] = &decl{pkg + "." + name, node, doc != nil && strings.HasPrefix(doc.Text(), "Test-only:")}
+		}
+		for _, d := range f.ast.Decls {
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				name := d.Name.Name
+				if d.Recv != nil {
+					recv := f.info.Defs[d.Name].Type().(*types.Signature).Recv().Type()
+					if p, ok := recv.(*types.Pointer); ok {
+						recv = p.Elem()
+					}
+					name = recv.(*types.Named).Obj().Name() + "." + name
+				} else if name == "init" || name == "main" && pkg == "main" {
+					continue
+				}
+				add(d.Name, d, d.Doc, name)
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					switch sp := spec.(type) {
+					case *ast.TypeSpec:
+						add(sp.Name, sp, specDoc(d, sp.Doc), sp.Name.Name)
+						named = append(named, f.info.Defs[sp.Name].(*types.TypeName))
+					case *ast.ValueSpec:
+						for _, id := range sp.Names {
+							add(id, sp, specDoc(d, sp.Doc), id.Name)
+						}
+					}
+				}
+			}
+		}
+	}
+	called := map[token.Pos]string{} // declaration -> a non-test use
+	tested := map[token.Pos]bool{}
+	str := types.NewTuple(types.NewVar(token.NoPos, nil, "", types.Typ[types.String]))
+	stringer := types.NewInterfaceType([]*types.Func{
+		types.NewFunc(token.NoPos, nil, "String", types.NewSignatureType(nil, nil, nil, nil, str, false)),
+	}, nil)
+	ifaces := []*types.Interface{types.Universe.Lookup("error").Type().Underlying().(*types.Interface), stringer}
+	for _, pkg := range s.pkgs {
+		for _, name := range pkg.Scope().Names() {
+			if it, ok := pkg.Scope().Lookup(name).Type().Underlying().(*types.Interface); ok && it.NumMethods() > 0 {
+				ifaces = append(ifaces, it)
+			}
+		}
+	}
+	for _, tn := range named {
+		if _, ok := tn.Type().Underlying().(*types.Interface); ok {
+			continue
+		}
+		for _, v := range []types.Type{tn.Type(), types.NewPointer(tn.Type())} {
+			for _, it := range ifaces {
+				if !types.Implements(v, it) {
+					continue
+				}
+				for i := range it.NumMethods() {
+					m := it.Method(i)
+					if obj, _, _ := types.LookupFieldOrMethod(v, false, m.Pkg(), m.Name()); obj != nil {
+						called[obj.Pos()] = "an interface"
+					}
+				}
+			}
+		}
+	}
+	for _, f := range s.files {
+		f.uses(func(id *ast.Ident, obj types.Object) {
+			d := decls[obj.Pos()]
+			switch {
+			case d == nil || d.node.Pos() <= id.Pos() && id.Pos() < d.node.End():
+			case f.test:
+				tested[obj.Pos()] = true
+			case called[obj.Pos()] == "":
+				called[obj.Pos()] = s.where(id.Pos())
+			}
+		})
+	}
+	var errs []string
+	marks := 0
+	for pos, d := range decls {
+		switch {
+		case d.testOnly && called[pos] != "":
+			errs = append(errs, fmt.Sprintf("%s: Test-only %s is used by %s; drop the mark", s.where(pos), d.name, called[pos]))
+		case d.testOnly && !tested[pos]:
+			errs = append(errs, fmt.Sprintf("%s: no test uses Test-only %s; delete it", s.where(pos), d.name))
+		case d.testOnly:
+			marks++
+		case called[pos] != "":
+		case tested[pos]:
+			errs = append(errs, fmt.Sprintf("%s: only tests use %s; delete it, or start its doc comment with Test-only: and the reason", s.where(pos), d.name))
+		default:
+			errs = append(errs, fmt.Sprintf("%s: nothing uses %s; delete it", s.where(pos), d.name))
+		}
+	}
+	t.Logf("%d declarations, %d Test-only", len(decls), marks)
 	return errs
 }
 

@@ -101,7 +101,7 @@ func TestReqPoolInFlightRecyclePanics(t *testing.T) {
 	r := pool.Get()
 	r.Op, r.Length, r.OnComplete = ReqRead, 512, func(*Request) {}
 	q.Submit(r)
-	env.RunFor(time.Millisecond)
+	env.RunUntil(env.Now() + time.Millisecond)
 	expectPanic(t, "blockdev: recycle of an in-flight Request", func() {
 		pool.Put(r)
 	})

@@ -65,9 +65,7 @@ type Job struct {
 	// sets at least one of them; neither may be negative.
 	Runtime time.Duration
 	MaxOps  int64
-	// SyncEvery issues a flush after every N writes (0 = never).
-	SyncEvery int
-	Seed      int64
+	Seed    int64
 }
 
 func (j Job) norm() Job {
@@ -300,12 +298,11 @@ type queueWorker struct {
 	reqs sim.Pool[*blockdev.Request]
 	// prepared is an op that consumed budget (and, for rate-limited
 	// writes, claimed a token) but has not been submitted yet.
-	prepared        *blockdev.Request
-	tokenAt         time.Duration
-	writesSinceSync int
-	batch           []*blockdev.Request
-	pumpFn          func() // == pump, bound once for closure-free rescheduling
-	onExit          func() // job-level completion accounting
+	prepared *blockdev.Request
+	tokenAt  time.Duration
+	batch    []*blockdev.Request
+	pumpFn   func() // == pump, bound once for closure-free rescheduling
+	onExit   func() // job-level completion accounting
 }
 
 func newQueueWorker(env *sim.Env, q blockdev.Queue, job Job, st *jobState, rng *rand.Rand, seqCursor int64, onExit func()) *queueWorker {
@@ -368,13 +365,6 @@ func (w *queueWorker) pump() {
 				break // token still maturing
 			}
 			w.batch = append(w.batch, w.prepared)
-			if w.prepared.Op == blockdev.ReqWrite && job.SyncEvery > 0 {
-				w.writesSinceSync++
-				if w.writesSinceSync >= job.SyncEvery {
-					w.writesSinceSync = 0
-					w.batch = append(w.batch, w.newReq(blockdev.ReqFlush, 0, 0))
-				}
-			}
 			w.prepared = nil
 		}
 		if len(w.batch) > 0 {

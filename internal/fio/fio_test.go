@@ -130,17 +130,6 @@ func TestWriteRateLimit(t *testing.T) {
 	}
 }
 
-func TestSyncEvery(t *testing.T) {
-	env, dev := newNull()
-	env.Go("main", func(p *sim.Proc) {
-		mustRun(t, p, dev, Job{Name: "t", Pattern: SeqWrite, BS: 4096, MaxOps: 100, SyncEvery: 10})
-	})
-	env.Run()
-	if dev.Flushes != 10 {
-		t.Fatalf("flushes = %d, want 10", dev.Flushes)
-	}
-}
-
 func TestLatencyRecorded(t *testing.T) {
 	env, dev := newNull()
 	var res *Result

@@ -113,7 +113,7 @@ func (e *crashEnv) crashWhen(st *crashState, what string, cond func() bool) (uin
 	e.t.Helper()
 	deadline := e.sim.Now() + 60*time.Second
 	for e.sim.Now() < deadline && !(st.db != nil && cond()) {
-		e.sim.RunFor(100 * time.Microsecond)
+		e.sim.RunUntil(e.sim.Now() + 100*time.Microsecond)
 	}
 	if st.db == nil || !cond() {
 		e.t.Fatalf("never observed %s before the deadline", what)
@@ -128,12 +128,12 @@ func (e *crashEnv) crashWhen(st *crashState, what string, cond func() bool) (uin
 // and checks the durability contract for every key.
 func verifyRecovered(t *testing.T, p *sim.Proc, db2 *DB, synced, last uint64) {
 	t.Helper()
-	if db2.LastSeq() < synced {
-		t.Errorf("recovered seq %d < synced seq %d: durable writes lost", db2.LastSeq(), synced)
+	if db2.seq < synced {
+		t.Errorf("recovered seq %d < synced seq %d: durable writes lost", db2.seq, synced)
 	}
 	lastAll := last
-	if db2.LastSeq() > lastAll {
-		lastAll = db2.LastSeq() // batch written, crash before the ack
+	if db2.seq > lastAll {
+		lastAll = db2.seq // batch written, crash before the ack
 	}
 	var key, dst []byte
 	for idx := int64(0); idx < crashKeys; idx++ {
@@ -177,7 +177,7 @@ func TestCrashMidFlushRecovers(t *testing.T) {
 	dbcfg := crashDBConfig()
 	st := &crashState{}
 	e.runCrashWorkload(st, pcfg, dbcfg)
-	synced, last := e.crashWhen(st, "a flush in progress", func() bool { return st.db.Flushing() })
+	synced, last := e.crashWhen(st, "a flush in progress", func() bool { return st.db.flushing })
 
 	e.sim.Go("verify", func(p *sim.Proc) {
 		k2, err := pblk.New(p, e.lnvm, "pblk0", pcfg)
@@ -197,7 +197,9 @@ func TestCrashMidFlushRecovers(t *testing.T) {
 		if err := db2.Close(p); err != nil {
 			t.Error(err)
 		}
-		k2.Stop(p)
+		if err := k2.Stop(p); err != nil {
+			t.Error(err)
+		}
 	})
 	e.sim.Run()
 }
@@ -213,7 +215,7 @@ func TestCrashMidCompactionRecovers(t *testing.T) {
 	dbcfg.ColdHints = true
 	st := &crashState{}
 	e.runCrashWorkload(st, pcfg, dbcfg)
-	synced, last := e.crashWhen(st, "a compaction in progress", func() bool { return st.db.Compacting() })
+	synced, last := e.crashWhen(st, "a compaction in progress", func() bool { return st.db.compacting })
 
 	e.sim.Go("verify", func(p *sim.Proc) {
 		k2, err := pblk.New(p, e.lnvm, "pblk0", pcfg)
@@ -230,7 +232,9 @@ func TestCrashMidCompactionRecovers(t *testing.T) {
 		if err := db2.Close(p); err != nil {
 			t.Error(err)
 		}
-		k2.Stop(p)
+		if err := k2.Stop(p); err != nil {
+			t.Error(err)
+		}
 	})
 	e.sim.Run()
 }
@@ -275,7 +279,7 @@ func TestCrashOnTenantPartition(t *testing.T) {
 			st.acked = i + 1
 		}
 	})
-	synced, last := e.crashWhen(st, "a flush in progress", func() bool { return st.db.Flushing() })
+	synced, last := e.crashWhen(st, "a flush in progress", func() bool { return st.db.flushing })
 
 	e.sim.Go("verify", func(p *sim.Proc) {
 		// Host restart: the crash released the partition, so the tenant
@@ -294,7 +298,9 @@ func TestCrashOnTenantPartition(t *testing.T) {
 		if err := db2.Close(p); err != nil {
 			t.Error(err)
 		}
-		k2.Stop(p)
+		if err := k2.Stop(p); err != nil {
+			t.Error(err)
+		}
 	})
 	e.sim.Run()
 }

@@ -72,10 +72,6 @@ func (db *DB) noteLoaded(i int64) {
 	}
 }
 
-// Loaded returns the number of distinct key indices the drivers have
-// written (the populated keyspace for read phases).
-func (db *DB) Loaded() int64 { return db.loaded }
-
 type worker struct {
 	key []byte
 	val []byte

@@ -322,26 +322,16 @@ func Open(p *sim.Proc, env *sim.Env, dev Device, cfg Config) (*DB, error) {
 	return db, nil
 }
 
-// SyncedSeq returns the highest sequence number guaranteed durable: data
-// at or below it survives a crash (covered by a completed WAL device
-// flush or a committed SSTable flush). Crash tests compare recovered
-// state against it.
+// Test-only: SyncedSeq returns the highest sequence number guaranteed
+// durable: data at or below it survives a crash (covered by a completed WAL
+// device flush or a committed SSTable flush). It is the crash tests'
+// durability oracle; no experiment cuts power under lsmdb.
 func (db *DB) SyncedSeq() uint64 {
 	if db.flushedSeq > db.walSyncedSeq {
 		return db.flushedSeq
 	}
 	return db.walSyncedSeq
 }
-
-// LastSeq returns the last assigned sequence number.
-func (db *DB) LastSeq() uint64 { return db.seq }
-
-// Flushing reports whether a memtable flush is writing its SSTable —
-// crash tests poll it to power-cut mid-flush.
-func (db *DB) Flushing() bool { return db.flushing }
-
-// Compacting reports whether a compaction is in progress.
-func (db *DB) Compacting() bool { return db.compacting }
 
 // LevelTables returns the table count per level (diagnostics).
 func (db *DB) LevelTables() []int {
@@ -400,7 +390,8 @@ func (db *DB) Put(p *sim.Proc, key, val []byte) error {
 	return db.write(p, key, val, false)
 }
 
-// Delete writes a tombstone for key.
+// Test-only: Delete writes a tombstone for key. No db_bench driver deletes
+// yet; the tests hold tombstones through flush, compaction and replay.
 func (db *DB) Delete(p *sim.Proc, key []byte) error {
 	return db.write(p, key, nil, true)
 }

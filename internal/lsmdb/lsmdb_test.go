@@ -279,7 +279,7 @@ func TestReopenRecovery(t *testing.T) {
 				return
 			}
 		}
-		lastSeq = db.LastSeq()
+		lastSeq = db.seq
 		if err := db.Close(p); err != nil {
 			t.Error(err)
 		}
@@ -291,8 +291,8 @@ func TestReopenRecovery(t *testing.T) {
 	env2 := sim.NewEnv(2)
 	db2 := openDB(t, env2, md, cfg)
 	runDB(env2, func(p *sim.Proc) {
-		if db2.LastSeq() < lastSeq {
-			t.Errorf("recovered seq %d, want >= %d", db2.LastSeq(), lastSeq)
+		if db2.seq < lastSeq {
+			t.Errorf("recovered seq %d, want >= %d", db2.seq, lastSeq)
 		}
 		var key, val, dst []byte
 		for i := int64(0); i < n; i++ {
@@ -468,8 +468,8 @@ func TestDirtyReopenReplaysWAL(t *testing.T) {
 	env2 := sim.NewEnv(2)
 	db2 := openDB(t, env2, md, cfg)
 	runDB(env2, func(p *sim.Proc) {
-		if db2.LastSeq() != uint64(n) {
-			t.Errorf("replayed seq %d, want %d", db2.LastSeq(), n)
+		if db2.seq != uint64(n) {
+			t.Errorf("replayed seq %d, want %d", db2.seq, n)
 		}
 		var key, dst []byte
 		for i := int64(0); i < n; i++ {
@@ -526,7 +526,11 @@ func TestSyncWALGroupCommit(t *testing.T) {
 	if db.Syncs >= writers*each {
 		t.Fatalf("no group commit: %d syncs for %d puts", db.Syncs, writers*each)
 	}
-	runDB(env, func(p *sim.Proc) { db.Close(p) })
+	runDB(env, func(p *sim.Proc) {
+		if err := db.Close(p); err != nil {
+			t.Error(err)
+		}
+	})
 }
 
 func TestDisableWAL(t *testing.T) {
@@ -552,7 +556,9 @@ func TestDisableWAL(t *testing.T) {
 			return
 		}
 		checkStamp(t, dst, 1500, 1)
-		db.Close(p)
+		if err := db.Close(p); err != nil {
+			t.Error(err)
+		}
 	})
 	if db.WALBytes != 0 {
 		t.Fatalf("DisableWAL set but %d WAL bytes written", db.WALBytes)
@@ -588,7 +594,9 @@ func TestWriteStalls(t *testing.T) {
 			return
 		}
 		checkStamp(t, dst, 1234, 1)
-		db.Close(p)
+		if err := db.Close(p); err != nil {
+			t.Error(err)
+		}
 	})
 	if db.WriteStalls == 0 {
 		t.Fatal("slow device never stalled writers")
@@ -611,8 +619,8 @@ func newNullDB(t *testing.T, cfg Config) (*sim.Env, *DB, *nullblk.Device) {
 func TestDriversOverNullblk(t *testing.T) {
 	env, db, nb := newNullDB(t, testConfig())
 	runDB(env, func(p *sim.Proc) {
-		if r := FillSeqN(p, db, 2, 3000); r.Ops != 3000 || r.Lat.Count() != 3000 || db.Loaded() != 3000 {
-			t.Errorf("fillseq ops=%d latSamples=%d loaded=%d, want 3000", r.Ops, r.Lat.Count(), db.Loaded())
+		if r := FillSeqN(p, db, 2, 3000); r.Ops != 3000 || r.Lat.Count() != 3000 || db.loaded != 3000 {
+			t.Errorf("fillseq ops=%d latSamples=%d loaded=%d, want 3000", r.Ops, r.Lat.Count(), db.loaded)
 		}
 		if r := FillRandomN(p, db, 2, 2000); r.Ops != 2000 {
 			t.Errorf("fillrandom ops = %d, want 2000", r.Ops)
@@ -627,7 +635,9 @@ func TestDriversOverNullblk(t *testing.T) {
 		if r.Ops == 0 || r.WriteLat.Count() == 0 {
 			t.Errorf("readwhilewriting: reads=%d writes=%d", r.Ops, r.WriteLat.Count())
 		}
-		db.Close(p)
+		if err := db.Close(p); err != nil {
+			t.Error(err)
+		}
 	})
 	if nb.Writes == 0 || nb.Flushes == 0 {
 		t.Fatalf("datapath never reached the device (writes=%d flushes=%d)", nb.Writes, nb.Flushes)
@@ -706,7 +716,9 @@ func BenchmarkLSMReadWrite(b *testing.B) {
 			}
 		}
 		b.StopTimer()
-		db.Close(p)
+		if err := db.Close(p); err != nil {
+			b.Error(err)
+		}
 	})
 	env.Run()
 }

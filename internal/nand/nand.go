@@ -136,7 +136,6 @@ type pageBits []uint64
 
 func (s pageBits) has(kind, page int) bool { return s[pageKinds*(page>>6)+kind]>>(page&63)&1 != 0 }
 func (s pageBits) set(kind, page int)      { s[pageKinds*(page>>6)+kind] |= 1 << (page & 63) }
-func (s pageBits) unset(kind, page int)    { s[pageKinds*(page>>6)+kind] &^= 1 << (page & 63) }
 
 type block struct {
 	// The fields down to oob are what every read and program consults; they
@@ -220,9 +219,6 @@ func NewDie(dims Dims, cfg Config, rng *rand.Rand) *Die {
 	}
 	return d
 }
-
-// Dims returns the die dimensions.
-func (d *Die) Dims() Dims { return d.dims }
 
 // SetNow installs the virtual-time source for the retention clock. Without
 // it (or with RetentionAccel = 0) the retention BER term is disabled.
@@ -536,33 +532,15 @@ func (d *Die) IsBad(plane, blockIdx int) bool {
 	return err == nil && b.bad
 }
 
-// WritePtr returns the next page to be programmed in a block; pages below it
-// are programmed.
-func (d *Die) WritePtr(plane, blockIdx int) int {
-	b, _, err := d.blk(plane, blockIdx)
-	if err != nil {
-		return 0
-	}
-	return b.writePtr
-}
-
-// PECycles returns the block's accumulated program/erase cycles.
+// Test-only: PECycles returns the block's accumulated program/erase cycles;
+// pblk's wear tests read it through the device, and the experiments read wear
+// as WearSummary.
 func (d *Die) PECycles(plane, blockIdx int) int {
 	b, _, err := d.blk(plane, blockIdx)
 	if err != nil {
 		return 0
 	}
 	return b.pe
-}
-
-// BlockReads returns the reads issued to a block since its last erase —
-// its read-disturb pressure.
-func (d *Die) BlockReads(plane, blockIdx int) int {
-	b, _, err := d.blk(plane, blockIdx)
-	if err != nil {
-		return 0
-	}
-	return b.reads
 }
 
 // WearSummary aggregates wear across the die: total and maximum per-block
@@ -589,8 +567,10 @@ func (d *Die) WearFactor(plane, blockIdx int) float64 {
 	return 1 + d.cfg.WearLatencyFactor*float64(b.pe)/float64(d.cfg.PECycleLimit)
 }
 
-// SetReadFailProb changes the die's Config.ReadFailProb while it is live:
-// from then on every read of a programmed page fails with ErrReadFail with
-// probability p, drawn from the die's own seeded source. Reads of unwritten
-// pages keep returning ErrUnwritten; they draw no coin.
+// Test-only: SetReadFailProb changes the die's Config.ReadFailProb while it
+// is live: from then on every read of a programmed page fails with
+// ErrReadFail with probability p, drawn from the die's own seeded source.
+// Reads of unwritten pages keep returning ErrUnwritten; they draw no coin.
+// volume's replica tests fail a live member's reads with it; no experiment
+// injects read faults yet.
 func (d *Die) SetReadFailProb(p float64) { d.cfg.ReadFailProb = p }

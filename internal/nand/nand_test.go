@@ -72,7 +72,7 @@ func TestEraseBeforeRewrite(t *testing.T) {
 	if err := d.Erase(1, 2); err != nil {
 		t.Fatal(err)
 	}
-	if d.WritePtr(1, 2) != 0 {
+	if b, _, _ := d.blk(1, 2); b.writePtr != 0 {
 		t.Fatal("erase did not reset write pointer")
 	}
 	if err := d.Program(1, 2, 0, nil, nil); err != nil {
@@ -88,7 +88,9 @@ func TestReadUnwritten(t *testing.T) {
 	if _, _, err := d.Read(0, 0, 0); !errors.Is(err, ErrUnwritten) {
 		t.Fatalf("err = %v, want ErrUnwritten", err)
 	}
-	d.Program(0, 0, 0, nil, nil)
+	if err := d.Program(0, 0, 0, nil, nil); err != nil {
+		t.Fatal(err)
+	}
 	if _, _, err := d.Read(0, 0, 1); !errors.Is(err, ErrUnwritten) {
 		t.Fatalf("read beyond write pointer: err = %v, want ErrUnwritten", err)
 	}
@@ -148,8 +150,8 @@ func TestInjectedWriteFailure(t *testing.T) {
 		t.Fatalf("err = %v, want ErrWriteFail", err)
 	}
 	// Write pointer advanced: the page is consumed even on failure.
-	if d.WritePtr(0, 0) != 1 {
-		t.Fatalf("write ptr = %d after failed program, want 1", d.WritePtr(0, 0))
+	if b, _, _ := d.blk(0, 0); b.writePtr != 1 {
+		t.Fatalf("write ptr = %d after failed program, want 1", b.writePtr)
 	}
 	if d.Stats.ProgramFails != 1 {
 		t.Fatal("failure not counted")
@@ -172,7 +174,9 @@ func TestInjectedReadFailure(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.ReadFailProb = 1.0
 	d := newTestDie(cfg)
-	d.Program(0, 0, 0, nil, nil)
+	if err := d.Program(0, 0, 0, nil, nil); err != nil {
+		t.Fatal(err)
+	}
 	if _, _, err := d.Read(0, 0, 0); !errors.Is(err, ErrReadFail) {
 		t.Fatalf("err = %v, want ErrReadFail", err)
 	}
@@ -225,7 +229,9 @@ func TestWearFactorGrows(t *testing.T) {
 		t.Fatalf("fresh wear factor = %v, want 1", f)
 	}
 	for i := 0; i < 5; i++ {
-		d.Erase(0, 0)
+		if err := d.Erase(0, 0); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if f := d.WearFactor(0, 0); f != 1.25 {
 		t.Fatalf("wear factor after 5/10 PE = %v, want 1.25", f)
@@ -280,7 +286,9 @@ func TestWearBERReadRetry(t *testing.T) {
 	cfg.ReadRetryStep = 2e-3
 	cfg.ReadRetryTiers = 3
 	d := newTestDie(cfg)
-	d.Program(0, 0, 0, nil, nil)
+	if err := d.Program(0, 0, 0, nil, nil); err != nil {
+		t.Fatal(err)
+	}
 	// pe=0: rawBER 0, within plain ECC.
 	if _, _, r, err := d.ReadRetry(0, 0, 0); err != nil || r != 0 {
 		t.Fatalf("fresh block: retries=%d err=%v", r, err)
@@ -291,7 +299,9 @@ func TestWearBERReadRetry(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	d.Program(0, 0, 0, nil, nil)
+	if err := d.Program(0, 0, 0, nil, nil); err != nil {
+		t.Fatal(err)
+	}
 	if _, _, r, err := d.ReadRetry(0, 0, 0); err != nil || r != 1 {
 		t.Fatalf("mid-life block: retries=%d err=%v, want 1 tier", r, err)
 	}
@@ -301,7 +311,9 @@ func TestWearBERReadRetry(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	d.Program(0, 0, 0, nil, nil)
+	if err := d.Program(0, 0, 0, nil, nil); err != nil {
+		t.Fatal(err)
+	}
 	if _, _, _, err := d.ReadRetry(0, 0, 0); !errors.Is(err, ErrReadFail) {
 		t.Fatalf("end-of-life block: err = %v, want ErrReadFail", err)
 	}
@@ -320,7 +332,9 @@ func TestRetentionBER(t *testing.T) {
 	d := newTestDie(cfg)
 	now := int64(0)
 	d.SetNow(func() int64 { return now })
-	d.Program(0, 0, 0, nil, nil) // retention clock starts at 0
+	if err := d.Program(0, 0, 0, nil, nil); err != nil { // retention clock starts at 0
+		t.Fatal(err)
+	}
 	if _, _, r, err := d.ReadRetry(0, 0, 0); err != nil || r != 0 {
 		t.Fatalf("fresh data: retries=%d err=%v", r, err)
 	}
@@ -336,7 +350,9 @@ func TestRetentionBER(t *testing.T) {
 	if err := d.Erase(0, 0); err != nil {
 		t.Fatal(err)
 	}
-	d.Program(0, 0, 0, nil, nil)
+	if err := d.Program(0, 0, 0, nil, nil); err != nil {
+		t.Fatal(err)
+	}
 	if _, _, r, err := d.ReadRetry(0, 0, 0); err != nil || r != 0 {
 		t.Fatalf("refreshed data: retries=%d err=%v", r, err)
 	}
@@ -349,7 +365,9 @@ func TestReadDisturbBER(t *testing.T) {
 	cfg.ReadRetryStep = 1e-3
 	cfg.ReadRetryTiers = 8
 	d := newTestDie(cfg)
-	d.Program(0, 0, 0, nil, nil)
+	if err := d.Program(0, 0, 0, nil, nil); err != nil {
+		t.Fatal(err)
+	}
 	// Reads 1..10 stay within ECC (disturb counted before evaluation).
 	for i := 0; i < 10; i++ {
 		if _, _, r, err := d.ReadRetry(0, 0, 0); err != nil || r != 0 {
@@ -361,7 +379,7 @@ func TestReadDisturbBER(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		_, _, r, err := d.ReadRetry(0, 0, 0)
 		if err != nil {
-			t.Fatalf("read failed at disturb level %d: %v", d.BlockReads(0, 0), err)
+			t.Fatalf("read %d failed: %v", 11+i, err)
 		}
 		if r > 0 {
 			sawRetry = true
@@ -370,8 +388,8 @@ func TestReadDisturbBER(t *testing.T) {
 	if !sawRetry {
 		t.Fatal("read disturb never pushed BER past plain ECC")
 	}
-	if d.BlockReads(0, 0) != 30 {
-		t.Fatalf("BlockReads = %d, want 30", d.BlockReads(0, 0))
+	if b, _, _ := d.blk(0, 0); b.reads != 30 {
+		t.Fatalf("block reads = %d, want 30", b.reads)
 	}
 }
 

@@ -41,7 +41,7 @@ type wantPage struct {
 // read back.
 func programMixed(t *testing.T, d *Die, blk, cycle int) []wantPage {
 	t.Helper()
-	dims := d.Dims()
+	dims := d.dims
 	fill := func(p, n, salt int) []byte {
 		return bytes.Repeat([]byte{byte(1 + (7*p+31*cycle+salt)%200)}, n)
 	}
@@ -117,8 +117,10 @@ func TestPageStateMixedBlock(t *testing.T) {
 					t.Fatalf("cycle %d: block holds %d buffers, want %d", cycle, got, heldPages(want))
 				}
 				readAll := func() {
-					for p := range want {
-						d.ReadRetry(0, 0, p)
+					for p, w := range want {
+						if _, _, _, err := d.ReadRetry(0, 0, p); w.lost != errors.Is(err, ErrReadFail) || !w.lost && err != nil {
+							t.Errorf("cycle %d page %d: err = %v, want lost = %v", cycle, p, err, w.lost)
+						}
 					}
 				}
 				if n := testing.AllocsPerRun(3, readAll); n != 0 {

@@ -1,7 +1,10 @@
 // Package nullblk provides a null block device analogous to Linux null_blk:
 // I/Os complete after a fixed configurable latency and carry no storage.
 // The paper uses it to measure pblk's host-side CPU and latency overhead
-// (§5.1); we use it the same way in the `overhead` experiment.
+// (§5.1). No experiment here does: pblk's host cost is a charged constant
+// (DESIGN.md). The benchmark's host-cost ladder runs it as its bottom rung,
+// the stack with no device work, and tests use it as a device that keeps no
+// data.
 package nullblk
 
 import (

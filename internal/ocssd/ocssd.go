@@ -360,8 +360,9 @@ func (d *Device) Timing() Timing { return d.cfg.Timing }
 // scans and by tests; production datapaths go through Submit.
 func (d *Device) Die(globalPU int) *nand.Die { return d.pus[globalPU].die }
 
-// PayloadBytes returns the host memory the device's dies hold in page
-// buffers (nand.Die.PayloadBytes summed over all PUs).
+// Test-only: PayloadBytes returns the host memory the device's dies hold in
+// page buffers (nand.Die.PayloadBytes summed over all PUs). The root heap
+// test reads it to tell page payload from the rest of a mounted stack's heap.
 func (d *Device) PayloadBytes() int64 {
 	var n int64
 	for _, pu := range d.pus {
@@ -374,26 +375,6 @@ func (d *Device) PayloadBytes() int64 {
 // maximum OOB a vector write may attach to one sector.
 func (d *Device) SectorOOBSize() int {
 	return d.cfg.Geometry.OOBPerPage / d.cfg.Geometry.SectorsPerPage
-}
-
-// Identify mirrors the PPA admin identify command (§3.2).
-type Identify struct {
-	Geometry     ppa.Geometry
-	Timing       Timing
-	Media        nand.Config
-	MaxVectorLen int
-	SectorOOB    int
-}
-
-// Identify returns the device self-description.
-func (d *Device) Identify() Identify {
-	return Identify{
-		Geometry:     d.cfg.Geometry,
-		Timing:       d.cfg.Timing,
-		Media:        d.cfg.Media,
-		MaxVectorLen: MaxVectorLen,
-		SectorOOB:    d.SectorOOBSize(),
-	}
 }
 
 func (d *Device) validate(cmd *Vector) error {
@@ -1142,9 +1123,6 @@ func (d *Device) Fail() {
 		fn()
 	}
 }
-
-// Dead reports whether the device has failed.
-func (d *Device) Dead() bool { return d.dead }
 
 // OnDeath registers fn to run when the device fails. If the device is
 // already dead, fn runs synchronously. The volume layer uses this to flip

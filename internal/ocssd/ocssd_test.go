@@ -311,17 +311,6 @@ func TestOOBTooLarge(t *testing.T) {
 	})
 }
 
-func TestIdentify(t *testing.T) {
-	_, dev := newTestDevice(t, testConfig())
-	id := dev.Identify()
-	if id.MaxVectorLen != 64 {
-		t.Fatalf("MaxVectorLen = %d", id.MaxVectorLen)
-	}
-	if id.Geometry.Channels != 16 || id.SectorOOB != 16 {
-		t.Fatalf("identify geometry wrong: %+v", id.Geometry)
-	}
-}
-
 func TestCrashDropsCaches(t *testing.T) {
 	env, dev := newTestDevice(t, testConfig())
 	run(env, func(p *sim.Proc) {
@@ -548,14 +537,14 @@ func TestDeviceFailDeathHook(t *testing.T) {
 	run(env, func(p *sim.Proc) {
 		fired := 0
 		dev.OnDeath(func() { fired++ })
-		if dev.Dead() {
+		if dev.dead {
 			t.Fatal("fresh device reports dead")
 		}
 		if c := writeUnit(p, dev, 0, 0, 0, 0, 0x77); c.Failed() {
 			t.Fatalf("write before death failed: %v", c.FirstErr())
 		}
 		dev.Fail()
-		if !dev.Dead() {
+		if !dev.dead {
 			t.Fatal("Fail did not mark device dead")
 		}
 		if fired != 1 {

@@ -68,15 +68,15 @@ func TestCrashMidGCMultiVictim(t *testing.T) {
 				}
 			})
 			for k == nil {
-				e.sim.RunFor(10 * time.Millisecond)
+				e.sim.RunUntil(e.sim.Now() + 10*time.Millisecond)
 			}
 			// Run until the GC pipeline is observably busy — several
 			// victims in flight and a GC-stream group open — nudging the
 			// crash point per trial, then cut power mid-reclaim.
-			e.sim.RunFor(time.Duration(10+trial*7) * time.Millisecond)
+			e.sim.RunUntil(e.sim.Now() + time.Duration(10+trial*7)*time.Millisecond)
 			deadline := e.sim.Now() + 10*time.Second
 			for e.sim.Now() < deadline && !(k.gcInFlight > 1 && k.gcOpenLanes > 0) {
-				e.sim.RunFor(150 * time.Microsecond)
+				e.sim.RunUntil(e.sim.Now() + 150*time.Microsecond)
 			}
 			if k.gcInFlight > 1 && k.gcOpenLanes > 0 {
 				gcWasLive = true
@@ -191,9 +191,9 @@ func TestCrashPointProperty(t *testing.T) {
 			// Let initialization (recovery scan) finish, then cut power at
 			// a trial-specific instant into the workload.
 			for k == nil {
-				e.sim.RunFor(10 * time.Millisecond)
+				e.sim.RunUntil(e.sim.Now() + 10*time.Millisecond)
 			}
-			e.sim.RunFor(time.Duration(3+trial*7) * time.Millisecond)
+			e.sim.RunUntil(e.sim.Now() + time.Duration(3+trial*7)*time.Millisecond)
 			crashAt := e.sim.Now()
 			k.Crash()
 			e.sim.Run() // drain the stopped workload
@@ -290,12 +290,12 @@ func TestCrashMultiTenantMidGC(t *testing.T) {
 				})
 			}
 			for ks[0] == nil || ks[1] == nil {
-				e.sim.RunFor(10 * time.Millisecond)
+				e.sim.RunUntil(e.sim.Now() + 10*time.Millisecond)
 			}
-			e.sim.RunFor(time.Duration(5+trial*9) * time.Millisecond)
+			e.sim.RunUntil(e.sim.Now() + time.Duration(5+trial*9)*time.Millisecond)
 			deadline := e.sim.Now() + 10*time.Second
 			for e.sim.Now() < deadline && ks[0].gcInFlight == 0 && ks[1].gcInFlight == 0 {
-				e.sim.RunFor(150 * time.Microsecond)
+				e.sim.RunUntil(e.sim.Now() + 150*time.Microsecond)
 			}
 			if ks[0].gcInFlight > 0 || ks[1].gcInFlight > 0 {
 				gcWasLive = true

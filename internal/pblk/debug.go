@@ -30,11 +30,6 @@ func (k *Pblk) LaneStats() []LaneStat {
 	return out
 }
 
-// Crashed reports whether the instance was abandoned by Crash (simulated
-// power loss). A crashed instance serves no further I/O; tests use this to
-// tell a crashed instance from a stopped one.
-func (k *Pblk) Crashed() bool { return k.crashed }
-
 // retryCount sums write-failed sectors awaiting resubmission across lanes.
 func (k *Pblk) retryCount() int {
 	n := 0
@@ -44,10 +39,11 @@ func (k *Pblk) retryCount() int {
 	return n
 }
 
-// DebugState returns a multi-line snapshot of the FTL's internal state:
-// ring buffer cursors, rate-limiter output, GC pipeline occupancy, group-
-// state census, and the per-lane writer shards with their stream queues.
-// Intended for diagnostics and tests; the format is not stable.
+// Test-only: DebugState returns a multi-line snapshot of the FTL's internal
+// state: ring buffer cursors, rate-limiter output, GC pipeline occupancy,
+// group-state census, and the per-lane writer shards with their stream
+// queues; the format is not stable. Tests dump it when a simulation
+// deadlocks, until structured pblk telemetry replaces it.
 func (k *Pblk) DebugState() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "partition=%v (%d PUs, lanes relative)\n", k.dev.Range(), k.nPUs)

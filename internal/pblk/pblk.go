@@ -716,10 +716,9 @@ func (k *Pblk) EraseUnitBytes() int64 {
 	return int64(k.dataSectors) * int64(k.geo.SectorSize)
 }
 
-// Partition returns the device PU range this instance owns.
-func (k *Pblk) Partition() lightnvm.PURange { return k.dev.Range() }
-
-// MediaView returns the partition view the instance performs I/O through.
+// Test-only: MediaView returns the partition view the instance performs I/O
+// through. Tests of other packages name a target by its view and size their
+// write volume from its geometry.
 func (k *Pblk) MediaView() *lightnvm.MediaView { return k.dev }
 
 // FreeGroups returns the number of free (erased) block groups, the GC
@@ -811,9 +810,11 @@ func (k *Pblk) stop(p *sim.Proc) error {
 	return nil
 }
 
-// Shutdown performs a graceful power-down: flush, quiesce, pad and close
-// every open block group, persist a full L2P snapshot to the reserved
-// system group (paper §4.2.2, snapshot form), and release the view.
+// Test-only: Shutdown performs a graceful power-down: flush, quiesce, pad
+// and close every open block group, persist a full L2P snapshot to the
+// reserved system group (paper §4.2.2, snapshot form), and release the view.
+// The recovery tests mount from the snapshot it leaves; no experiment times
+// a snapshot mount yet.
 func (k *Pblk) Shutdown(p *sim.Proc) error {
 	defer k.dev.Release()
 	if err := k.stop(p); err != nil {

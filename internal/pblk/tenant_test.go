@@ -35,8 +35,8 @@ func createTenant(t *testing.T, p *sim.Proc, ln *lightnvm.Device, name string, r
 	if err != nil {
 		t.Fatal(err)
 	}
-	if k.Partition() != r {
-		t.Fatalf("%s: partition = %v, want %v", name, k.Partition(), r)
+	if k.dev.Range() != r {
+		t.Fatalf("%s: partition = %v, want %v", name, k.dev.Range(), r)
 	}
 	if k.nPUs != r.Width() {
 		t.Fatalf("%s: nPUs = %d, want %d", name, k.nPUs, r.Width())
@@ -47,7 +47,7 @@ func createTenant(t *testing.T, p *sim.Proc, ln *lightnvm.Device, name string, r
 // assertConfined checks every media mapping of k's L2P against the media
 // itself — the core disjointness property of partitioned targets. A
 // mapping's target address names PU index pu of the partition, which is
-// device die Partition().Begin + pu (MediaView.Die); the sector there must
+// device die dev.Range().Begin + pu (MediaView.Die); the sector there must
 // hold the mapped LBA in its OOB record. A view that translated to the
 // wrong die, or a target that kept device addresses, fails here even when
 // every stored word looks in range.
@@ -65,10 +65,10 @@ func assertConfined(t *testing.T, k *Pblk) {
 		}
 		_, oob, err := k.dev.Die(pu).Read(a.Plane, a.Block, a.Page)
 		if err != nil || len(oob) < (a.Sector+1)*per {
-			t.Fatalf("%s: lba %d at %v: device die %d reads %v", k.name, lba, a, k.Partition().Begin+pu, err)
+			t.Fatalf("%s: lba %d at %v: device die %d reads %v", k.name, lba, a, k.dev.Range().Begin+pu, err)
 		}
 		if got, _, _, ok := parseOOB(oob[a.Sector*per:]); !ok || got != int64(lba) {
-			t.Fatalf("%s: lba %d at %v: device die %d holds lba %d (ok %v)", k.name, lba, a, k.Partition().Begin+pu, got, ok)
+			t.Fatalf("%s: lba %d at %v: device die %d holds lba %d (ok %v)", k.name, lba, a, k.dev.Range().Begin+pu, got, ok)
 		}
 	}
 }

@@ -205,7 +205,7 @@ func TestScheduleFireAllocatesNothing(t *testing.T) {
 			if onHeap := len(env.queue.a) == 2; onHeap != wantHeap {
 				t.Fatalf("%s: events on the heap = %v, want %v", path, onHeap, wantHeap)
 			}
-			env.RunFor(d)
+			env.RunUntil(env.Now() + d)
 		})
 		if allocs != 0 || fired != before+202 {
 			t.Fatalf("%s: %.1f allocs per schedule+fire pair, %d fired; want 0 and 202", path, allocs, fired-before)

@@ -23,9 +23,9 @@ func TestProcSwitchAllocatesNothing(t *testing.T) {
 	})
 	const runs = 1000
 	allocs := testing.AllocsPerRun(runs, func() {
-		env.RunFor(time.Microsecond) // through the Sleep, parked in Wait
+		env.RunUntil(env.Now() + time.Microsecond) // through the Sleep, parked in Wait
 		ev.Signal()
-		env.RunFor(0) // through the Wait, parked in Sleep
+		env.RunUntil(env.Now()) // through the Wait, parked in Sleep
 	})
 	if rounds != runs+1 { // AllocsPerRun makes one warm-up call
 		t.Fatalf("process made %d round trips, want %d", rounds, runs+1)

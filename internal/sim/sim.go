@@ -21,9 +21,9 @@
 // deterministically.
 //
 // Determinism: at most one process runs at any instant, events that fire at
-// the same virtual time execute in schedule order, and all randomness is
-// drawn from per-Env seeded sources. Two runs with the same seed produce
-// identical traces.
+// the same virtual time execute in schedule order, and every model that
+// draws random numbers (a device, a fio job, an lsmdb instance) seeds a
+// source of its own. Two runs with the same seeds produce identical traces.
 package sim
 
 import (
@@ -100,8 +100,10 @@ func NewEnv(seed int64) *Env {
 // Now returns the current virtual time.
 func (e *Env) Now() time.Duration { return e.now }
 
-// Rand returns the environment's deterministic random source. It must only
-// be used from simulation context (callbacks or processes).
+// Test-only: Rand returns the environment's deterministic random source. It
+// must only be used from simulation context (callbacks or processes). Only
+// tests draw from it: every device, fio job and lsmdb instance seeds a source
+// of its own.
 func (e *Env) Rand() *rand.Rand { return e.rng }
 
 // Spawns returns the total number of processes started with Go over the
@@ -369,9 +371,6 @@ func (e *Env) RunUntil(t time.Duration) {
 		e.now = t
 	}
 }
-
-// RunFor advances the simulation by d from the current time.
-func (e *Env) RunFor(d time.Duration) { e.RunUntil(e.now + d) }
 
 // resumeProc is the event form of a process wake-up: switch to the
 // process's coroutine and return when it blocks again or terminates. A

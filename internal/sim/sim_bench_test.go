@@ -99,7 +99,7 @@ func BenchmarkSimEngine(b *testing.B) {
 			ev := env.NewEvent()
 			ev.OnFire(func() {})
 			env.Schedule(time.Microsecond, ev.Signal)
-			env.RunFor(time.Microsecond)
+			env.RunUntil(env.Now() + time.Microsecond)
 		}
 	})
 }

@@ -256,8 +256,8 @@ func TestRunUntil(t *testing.T) {
 
 func TestRunForAdvances(t *testing.T) {
 	env := NewEnv(1)
-	env.RunFor(3 * time.Millisecond)
-	env.RunFor(3 * time.Millisecond)
+	env.RunUntil(env.Now() + 3*time.Millisecond)
+	env.RunUntil(env.Now() + 3*time.Millisecond)
 	if env.Now() != 6*time.Millisecond {
 		t.Fatalf("now = %v, want 6ms", env.Now())
 	}

@@ -105,12 +105,6 @@ type Member struct {
 	one [1]*blockdev.Request
 }
 
-// ID returns the member's fleet index.
-func (m *Member) ID() int { return m.id }
-
-// State returns the member's health.
-func (m *Member) State() MemberState { return m.state }
-
 // Device returns the member's raw ocssd device.
 func (m *Member) Device() *ocssd.Device { return m.oc }
 
@@ -258,12 +252,6 @@ func (mgr *Manager) Members() []*Member {
 	return append([]*Member(nil), mgr.members...)
 }
 
-// Member returns a fleet device by id.
-func (mgr *Manager) Member(id int) *Member { return mgr.members[id] }
-
-// SparesLeft returns the number of unassigned hot spares.
-func (mgr *Manager) SparesLeft() int { return len(mgr.spares) }
-
 // Volumes lists volumes in creation order.
 func (mgr *Manager) Volumes() []*Volume {
 	out := make([]*Volume, 0, len(mgr.volOrder))
@@ -318,10 +306,11 @@ func (mgr *Manager) TakeSpare() *Member {
 	return s
 }
 
-// CrashAll power-cuts the whole fleet: every live member's pblk instance
-// is abandoned mid-flight (volatile ring and device caches lost, media
-// kept) and every active rebuild aborts. Call Recover afterwards to
-// remount the fleet through scan recovery.
+// Test-only: CrashAll power-cuts the whole fleet: every live member's pblk
+// instance is abandoned mid-flight (volatile ring and device caches lost,
+// media kept) and every active rebuild aborts. Call Recover afterwards to
+// remount the fleet through scan recovery. With Recover and Volume.Resync it
+// is the fleet's power-cut oracle; no experiment cuts a fleet's power yet.
 func (mgr *Manager) CrashAll() {
 	mgr.downtime = true
 	for _, v := range mgr.Volumes() {
@@ -338,7 +327,8 @@ func (mgr *Manager) CrashAll() {
 	}
 }
 
-// Recover remounts every surviving member after CrashAll: each device's
+// Test-only: Recover remounts every surviving member after CrashAll (the
+// fleet's power-cut oracle, with CrashAll and Volume.Resync): each device's
 // pblk target is re-created and scan recovery rebuilds its L2P from the
 // media, exactly as a single-device restart would. Volumes keep their
 // layout; a rebuild that was interrupted restarts from the beginning

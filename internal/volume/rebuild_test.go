@@ -26,7 +26,7 @@ func TestRebuildParksOverlappingWrites(t *testing.T) {
 		}
 		// Chase the cursor: write the chunk the engine is about to copy (or
 		// is copying — those park behind the active window).
-		buf := make([]byte, v.Chunk())
+		buf := make([]byte, v.chunk)
 		for v.Rebuilding() {
 			rb := v.sets[0].rb
 			if rb == nil {
@@ -87,7 +87,7 @@ func TestCrashDuringRebuild(t *testing.T) {
 		if _, err := mgr.Recover(p); err != nil {
 			t.Fatalf("Recover: %v", err)
 		}
-		if !v.Rebuilding() || sp.State() != StateRebuilding {
+		if !v.Rebuilding() || sp.state != StateRebuilding {
 			t.Fatal("interrupted rebuild did not restart after recovery")
 		}
 		if !v.WaitRebuild(p) {
@@ -154,7 +154,7 @@ func TestTrimReachesRebuildingSpare(t *testing.T) {
 		}},
 		{"chasing cursor", func(t *testing.T, p *sim.Proc, v *Volume) {
 			for rb := v.sets[0].rb; rb != nil && rb.cursor < v.colCap; rb = v.sets[0].rb {
-				if err := v.Trim(p, rb.cursor, v.Chunk()); err != nil {
+				if err := v.Trim(p, rb.cursor, v.chunk); err != nil {
 					t.Fatalf("trim at cursor %d: %v", rb.cursor, err)
 				}
 			}

@@ -24,7 +24,7 @@ func prepared(t *testing.T, p *sim.Proc, env *sim.Env, devices int, l Layout, si
 // member: from then on its reads of programmed pages fail with that
 // probability.
 func failMediaReads(mgr *Manager, id int, prob float64) {
-	oc := mgr.Member(id).Device()
+	oc := mgr.members[id].Device()
 	for pu := 0; pu < oc.Geometry().TotalPUs(); pu++ {
 		oc.Die(pu).SetReadFailProb(prob)
 	}
@@ -32,7 +32,7 @@ func failMediaReads(mgr *Manager, id int, prob float64) {
 
 // mediaReadFails sums the uncorrectable page reads over a member's dies.
 func mediaReadFails(mgr *Manager, id int) int64 {
-	oc := mgr.Member(id).Device()
+	oc := mgr.members[id].Device()
 	var n int64
 	for pu := 0; pu < oc.Geometry().TotalPUs(); pu++ {
 		n += oc.Die(pu).Stats.ReadFails
@@ -53,7 +53,7 @@ func TestRaid10TwoChunkReadsReachEveryMember(t *testing.T) {
 		}
 		mean := float64(2*res.Reads) / 4
 		for id := 0; id < 4; id++ {
-			if r := float64(mgr.Member(id).SubReads); r < 0.9*mean || r > 1.1*mean {
+			if r := float64(mgr.members[id].SubReads); r < 0.9*mean || r > 1.1*mean {
 				t.Errorf("member %d served %.0f chunk reads, want within 10%% of %.0f", id, r, mean)
 			}
 		}
@@ -109,7 +109,7 @@ func TestMirrorReadRetrySkipsDeadReplica(t *testing.T) {
 		if res.Errors != 0 {
 			t.Errorf("%d of %d reads failed beside a healthy replica", res.Errors, ops)
 		}
-		m0, m2 := mgr.Member(0).SubReads, mgr.Member(2).SubReads
+		m0, m2 := mgr.members[0].SubReads, mgr.members[2].SubReads
 		if m2 != ops || st.RetriedReads != m0 || m0 > ops/2 || m0 == 0 {
 			t.Errorf("member 0 took %d reads, member 2 %d, %d retries for %d reads; want every read served by member 2 after at most one retry",
 				m0, m2, st.RetriedReads, ops)

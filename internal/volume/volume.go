@@ -27,7 +27,9 @@ func Stripe(chunk int64, devs ...int) Layout {
 	return Layout{Chunk: chunk, Sets: sets}
 }
 
-// Mirror is RAID-1: one column replicated on every given device.
+// Test-only: Mirror is RAID-1: one column replicated on every given device.
+// The volume tests build their two-replica volumes with it; the fleet
+// experiment and the benchmark use StripeOfMirrors.
 func Mirror(devs ...int) Layout {
 	return Layout{Sets: [][]int{devs}}
 }
@@ -235,9 +237,6 @@ func (v *Volume) SectorSize() int { return v.ssize }
 
 // Capacity implements blockdev.Device.
 func (v *Volume) Capacity() int64 { return v.colCap * int64(len(v.sets)) }
-
-// Chunk returns the striping unit.
-func (v *Volume) Chunk() int64 { return v.chunk }
 
 // Stats returns a snapshot of the volume datapath counters.
 func (v *Volume) Stats() Stats { return v.stats }
@@ -727,9 +726,10 @@ type ResyncReport struct {
 	Elapsed          time.Duration
 }
 
-// Resync is the volume-level consistency check: it walks every mirrored
-// column chunk by chunk, compares the replicas, and repairs divergence by
-// rewriting the other replicas from the first live one. After a power cut
+// Test-only: Resync is the volume-level consistency check (the fleet's
+// power-cut oracle, with Manager.CrashAll and Recover): it walks every
+// mirrored column chunk by chunk, compares the replicas, and repairs
+// divergence by rewriting the other replicas from the first live one. After a power cut
 // the replicas can legitimately diverge on writes that were still in
 // flight (never acknowledged); resync converges them so a read returns the
 // same bytes whichever replica serves it. Acknowledged, flushed data is

@@ -110,7 +110,7 @@ func TestStripeDataPath(t *testing.T) {
 	runSim(t, 1, func(p *sim.Proc, env *sim.Env) {
 		mgr := newFleet(t, p, env, testConfig(4, 0, 1))
 		v := mustVolume(t, mgr, "s0", Stripe(64<<10, 0, 1, 2, 3), Options{})
-		if got := v.Capacity(); got <= 0 || got%(4*v.Chunk()) != 0 {
+		if got := v.Capacity(); got <= 0 || got%(4*v.chunk) != 0 {
 			t.Fatalf("capacity %d not a positive multiple of stripe width", got)
 		}
 		const total = 4 << 20
@@ -120,7 +120,7 @@ func TestStripeDataPath(t *testing.T) {
 		}
 		readVerify(t, p, v, 0, total, 0xA5, "stripe readback")
 		for id := 0; id < 4; id++ {
-			m := mgr.Member(id)
+			m := mgr.members[id]
 			if m.SubWrites == 0 || m.SubReads == 0 {
 				t.Errorf("member %d saw no traffic (w=%d r=%d): striping broken", id, m.SubWrites, m.SubReads)
 			}
@@ -147,25 +147,25 @@ func TestMirrorDegradedServing(t *testing.T) {
 		if err := v.Flush(p); err != nil {
 			t.Fatalf("flush: %v", err)
 		}
-		if w0, w1 := mgr.Member(0).SubWrites, mgr.Member(1).SubWrites; w0 == 0 || w0 != w1 {
+		if w0, w1 := mgr.members[0].SubWrites, mgr.members[1].SubWrites; w0 == 0 || w0 != w1 {
 			t.Fatalf("mirror writes not fanned out: member0=%d member1=%d", w0, w1)
 		}
 		readVerify(t, p, v, 0, total, 0x3C, "healthy readback")
-		if r0, r1 := mgr.Member(0).SubReads, mgr.Member(1).SubReads; r0 == 0 || r1 == 0 {
+		if r0, r1 := mgr.members[0].SubReads, mgr.members[1].SubReads; r0 == 0 || r1 == 0 {
 			t.Fatalf("reads not balanced: member0=%d member1=%d", r0, r1)
 		}
 
 		mgr.Kill(1)
-		if mgr.Member(1).State() != StateDead {
-			t.Fatalf("killed member state = %v", mgr.Member(1).State())
+		if mgr.members[1].state != StateDead {
+			t.Fatalf("killed member state = %v", mgr.members[1].state)
 		}
-		if !mgr.Member(1).Target().Crashed() {
-			t.Fatal("dead member's pblk instance not crashed")
+		if err := mgr.members[1].tgt.Write(p, 0, make([]byte, 4096), 4096); !errors.Is(err, pblk.ErrStopped) {
+			t.Fatalf("dead member's pblk instance took a write: err = %v, want pblk.ErrStopped", err)
 		}
 		if !v.Degraded() {
 			t.Fatal("volume not degraded after member death")
 		}
-		deadReads := mgr.Member(1).SubReads
+		deadReads := mgr.members[1].SubReads
 		// Every acknowledged byte still reads back, and new writes land.
 		readVerify(t, p, v, 0, total, 0x3C, "degraded readback")
 		writeRange(t, p, v, total, 1<<20, 0x3C)
@@ -176,7 +176,7 @@ func TestMirrorDegradedServing(t *testing.T) {
 		}
 		// A read routed to the dead member bounces off its death gate and is
 		// retried on the survivor: it shows as a retry, not in SubReads.
-		if r := mgr.Member(1).SubReads; r != deadReads || st.RetriedReads != 0 {
+		if r := mgr.members[1].SubReads; r != deadReads || st.RetriedReads != 0 {
 			t.Errorf("dead member still routed reads: SubReads %d -> %d, %d retries", deadReads, r, st.RetriedReads)
 		}
 	})
@@ -250,7 +250,7 @@ func TestPersistentWriteFailureEjects(t *testing.T) {
 		v := mustVolume(t, mgr, "e0", Mirror(0, 1), Options{})
 		// pblk remaps failed programs itself; a member write fails where the
 		// volume sees it only once the member's FTL takes no more I/O.
-		if err := mgr.Member(1).Target().Stop(p); err != nil {
+		if err := mgr.members[1].Target().Stop(p); err != nil {
 			t.Fatalf("stop member 1's pblk: %v", err)
 		}
 		buf := make([]byte, 256<<10)
@@ -261,8 +261,8 @@ func TestPersistentWriteFailureEjects(t *testing.T) {
 		if err := v.Write(p, 0, buf, int64(len(buf))); err != nil {
 			t.Fatalf("mirrored write with one failing replica: %v", err)
 		}
-		if mgr.Member(1).State() != StateDead {
-			t.Fatalf("failing member state = %v, want dead", mgr.Member(1).State())
+		if mgr.members[1].state != StateDead {
+			t.Fatalf("failing member state = %v, want dead", mgr.members[1].state)
 		}
 		st := v.Stats()
 		if st.Ejections != 1 || st.RetriedWrites == 0 {
@@ -293,7 +293,7 @@ func TestRebuildToSpare(t *testing.T) {
 		if err := v.AttachSpare(sp); err != nil {
 			t.Fatalf("AttachSpare: %v", err)
 		}
-		if !v.Rebuilding() || sp.State() != StateRebuilding {
+		if !v.Rebuilding() || sp.state != StateRebuilding {
 			t.Fatal("rebuild engine not running after AttachSpare")
 		}
 		// Foreground writes keep landing while the spare fills.
@@ -301,9 +301,9 @@ func TestRebuildToSpare(t *testing.T) {
 		if !v.WaitRebuild(p) {
 			t.Fatal("rebuild did not complete successfully")
 		}
-		if v.Degraded() || v.Rebuilding() || sp.State() != StateHealthy {
+		if v.Degraded() || v.Rebuilding() || sp.state != StateHealthy {
 			t.Fatalf("post-rebuild state: degraded=%v rebuilding=%v spare=%v",
-				v.Degraded(), v.Rebuilding(), sp.State())
+				v.Degraded(), v.Rebuilding(), sp.state)
 		}
 		if pr := v.RebuildProgress(); pr != 1 {
 			t.Fatalf("RebuildProgress after completion = %v", pr)
@@ -330,10 +330,10 @@ func TestSparePoolOrder(t *testing.T) {
 		mgr := newFleet(t, p, env, testConfig(1, 3, 8))
 		var got []int
 		for sp := mgr.TakeSpare(); sp != nil; sp = mgr.TakeSpare() {
-			if sp.State() != StateSpare {
-				t.Fatalf("spare %d is %v", sp.ID(), sp.State())
+			if sp.state != StateSpare {
+				t.Fatalf("spare %d is %v", sp.id, sp.state)
 			}
-			got = append(got, sp.ID())
+			got = append(got, sp.id)
 		}
 		if !slices.Equal(got, []int{1, 2, 3}) {
 			t.Fatalf("spares taken: %v, want [1 2 3]", got)
@@ -347,15 +347,15 @@ func TestDeadSpareLeavesPool(t *testing.T) {
 	runSim(t, 8, func(p *sim.Proc, env *sim.Env) {
 		mgr := newFleet(t, p, env, testConfig(1, 3, 8))
 		mgr.Kill(2)
-		if st := mgr.Member(2).State(); st != StateDead {
+		if st := mgr.members[2].state; st != StateDead {
 			t.Fatalf("killed spare is %v, want %v", st, StateDead)
 		}
-		if n := mgr.SparesLeft(); n != 2 {
-			t.Fatalf("SparesLeft after a spare died = %d, want 2", n)
+		if n := len(mgr.spares); n != 2 {
+			t.Fatalf("spares left after a spare died = %d, want 2", n)
 		}
 		var got []int
 		for sp := mgr.TakeSpare(); sp != nil; sp = mgr.TakeSpare() {
-			got = append(got, sp.ID())
+			got = append(got, sp.id)
 		}
 		if !slices.Equal(got, []int{1, 3}) {
 			t.Fatalf("spares taken: %v, want [1 3]", got)
